@@ -106,7 +106,8 @@ def _check_rho(name: str, rho: float, L: int) -> None:
 def validate_spec(spec: SourceSpec) -> None:
     """Check all model invariants, raising ValidationError on the first failure.
 
-    The checks are: L is an integer >= 2; sigma_x_sq > 0; sigma_z_sq >= 0;
+    The checks are: L is an integer >= 2; the four other values are
+    finite; sigma_x_sq > 0; sigma_z_sq >= 0;
     both correlation coefficients lie in [-1/(L-1), 1] (up to
     VALIDATION_SLACK); and the observation spectrum is nondegenerate,
     min(lambda_y, gamma_y) > 0.
@@ -115,6 +116,10 @@ def validate_spec(spec: SourceSpec) -> None:
         raise ValidationError(f"L must be an integer, got {spec.L!r}")
     if spec.L < 2:
         raise ValidationError(f"L must be at least 2, got {spec.L}")
+    for name in ("sigma_x_sq", "rho_x", "sigma_z_sq", "rho_z"):
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
     if not spec.sigma_x_sq > 0.0:
         raise ValidationError(f"sigma_x_sq must be positive, got {spec.sigma_x_sq!r}")
     if spec.sigma_z_sq < -VALIDATION_SLACK:
@@ -177,6 +182,8 @@ def from_eigenvalues(
     slack = VALIDATION_SLACK * scale
     for name, v in (("lambda_x", lambda_x), ("gamma_x", gamma_x),
                     ("lambda_y", lambda_y), ("gamma_y", gamma_y)):
+        if not math.isfinite(v):
+            raise ValidationError(f"{name} must be a finite number, got {v!r}")
         if v < -slack:
             raise ValidationError(f"{name} must be nonnegative, got {v!r}")
     lx, gx = max(lambda_x, 0.0), max(gamma_x, 0.0)
@@ -243,27 +250,23 @@ def covariance_matrix(L: int, sigma_sq: float, rho: float) -> np.ndarray:
 def eigenbasis(L: int) -> np.ndarray:
     """Deterministic orthonormal basis diagonalizing every symmetric covariance.
 
-    Column 0 is 1/sqrt(L) * (1, ..., 1); the remaining columns are produced
-    by Gram-Schmidt on the standard basis, so the same L always yields the
-    same matrix.  For any Spectrum s of size L,
+    Column 0 is 1/sqrt(L) * (1, ..., 1); column k >= 1 is the reverse
+    Helmert vector (0, ..., 0, m, -1, ..., -1) / sqrt(m (m + 1)) with
+    m = L - k, whose entry m sits at index k - 1.  These are exactly the
+    vectors Gram-Schmidt produces from the standard basis after the
+    all-ones column, so the same L always yields the same matrix.  For any
+    Spectrum s of size L,
 
         eigenbasis(L).T @ covariance_matrix(L, sigma_sq, rho) @ eigenbasis(L)
             == diag(lambda, gamma, ..., gamma).
     """
-    theta = np.zeros((L, L))
+    k = np.arange(1, L)
+    m = (L - k).astype(float)
+    norm = np.sqrt(m * (m + 1.0))
+    theta = np.empty((L, L))
     theta[:, 0] = 1.0 / math.sqrt(L)
-    k = 1
-    for j in range(L):
-        if k == L:
-            break
-        v = np.zeros(L)
-        v[j] = 1.0
-        for i in range(k):
-            v -= (theta[:, i] @ v) * theta[:, i]
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-10:
-            theta[:, k] = v / norm
-            k += 1
+    theta[:, 1:] = np.where(np.arange(L)[:, None] >= k, -1.0, 0.0) / norm
+    theta[k - 1, k] = m / norm
     return theta
 
 
@@ -316,6 +319,10 @@ def parse_spec_text(text: str, name: str = "<spec>") -> SourceSpec:
             values[key] = float(val)
         except ValueError:
             raise ValidationError(f"{name}:{lineno}: cannot parse value {val!r} for key {key!r}")
+        if not math.isfinite(values[key]):
+            raise ValidationError(
+                f"{name}:{lineno}: {key} must be a finite number, got {val!r}"
+            )
         lines[key] = lineno
 
     if "L" not in values:

@@ -64,11 +64,21 @@ d_th_c = 0.733333
 """
 
 
+# Specs whose values are not finite real numbers; each must exit 2.
+NON_FINITE_TEXTS = {
+    "L_overflow": "L = 1e400\nsigma_x_sq = 1\nrho_x = 0.2\nsigma_z_sq = 1\nrho_z = 0\n",
+    "L_nan": "L = nan\nsigma_x_sq = 1\nrho_x = 0.2\nsigma_z_sq = 1\nrho_z = 0\n",
+    "sx_inf": "L = 10\nsigma_x_sq = inf\nrho_x = 0.2\nsigma_z_sq = 1\nrho_z = 0\n",
+    "sz_nan": "L = 10\nsigma_x_sq = 1\nrho_x = 0.2\nsigma_z_sq = nan\nrho_z = 0\n",
+}
+
+
 @pytest.fixture
 def specs(tmp_path):
     paths = {}
     for name, text in (("case1", CASE1_TEXT), ("case2", CASE2_TEXT),
-                       ("gapped", GAPPED_TEXT), ("zeromix", ZERO_MIX_TEXT)):
+                       ("gapped", GAPPED_TEXT), ("zeromix", ZERO_MIX_TEXT),
+                       *NON_FINITE_TEXTS.items()):
         p = tmp_path / f"{name}.spec"
         p.write_text(text)
         paths[name] = str(p)
@@ -254,6 +264,10 @@ def test_simulate_deterministic(specs, capsys):
                     "0.95", "--n-points", "3"], ""),
         (lambda s: ["asymptotic", s["case1"], "--L", "100", "--d-start",
                     "0.8", "--d-end", "0.9", "--n-points", "2"], ""),
+        (lambda s: ["info", s["L_overflow"]], "finite"),
+        (lambda s: ["info", s["L_nan"]], "finite"),
+        (lambda s: ["info", s["sx_inf"]], "finite"),
+        (lambda s: ["info", s["sz_nan"]], "finite"),
     ],
 )
 def test_exit_code_2_paths(specs, capsys, argv_fn, fragment):

@@ -129,6 +129,10 @@ def test_validate_spec_accepts_boundary_correlations():
         SourceSpec(4, 1.0, 0.0, 1.0, 1.0 + 1e-6),   # rho_z > 1
         SourceSpec(4, 1.0, 1.0, 0.0, 0.0),          # gamma_y = 0
         SourceSpec(4, 1.0, -1.0 / 3.0, 0.0, 0.0),   # lambda_y = 0
+        SourceSpec(4, math.inf, 0.0, 1.0, 0.0),     # sigma_x_sq = inf
+        SourceSpec(4, 1.0, 0.0, math.nan, 0.0),     # sigma_z_sq = nan
+        SourceSpec(4, 1.0, math.nan, 1.0, 0.0),     # rho_x = nan
+        SourceSpec(4, 1.0, 0.0, math.inf, 0.0),     # sigma_z_sq = inf
     ],
 )
 def test_validate_spec_rejects(spec):
@@ -153,6 +157,11 @@ def test_from_eigenvalues_rejects_inconsistent_input():
         from_eigenvalues(10, -0.5, 1.0, 5.0, 4.0)  # negative source eigenvalue
     with pytest.raises(ValidationError):
         from_eigenvalues(10, 0.0, 0.0, 5.0, 4.0)   # sigma_x_sq would be 0
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            from_eigenvalues(10, 0.8, 1.0, bad, 4.0)
+        with pytest.raises(ValidationError, match="finite"):
+            from_eigenvalues(10, bad, 1.0, 5.0, 4.0)
     # a tiny negative within the validation slack is clamped, not rejected
     spec = from_eigenvalues(10, -1e-14, 1.0, 5.0, 4.0)
     s = spectral_decompose(spec)
@@ -183,6 +192,30 @@ def test_eigenbasis_orthonormal_and_diagonalizing():
         gam = (1 - rho) * sigma_sq
         want = np.diag([lam] + [gam] * (L - 1))
         assert np.max(np.abs(diag - want)) < 1e-10 * max(1.0, sigma_sq)
+
+
+def _gram_schmidt_basis(L):
+    # Reference: the all-ones column, then Gram-Schmidt on e_0, e_1, ...
+    theta = np.zeros((L, L))
+    theta[:, 0] = 1.0 / math.sqrt(L)
+    k = 1
+    for j in range(L):
+        if k == L:
+            break
+        v = np.zeros(L)
+        v[j] = 1.0
+        for i in range(k):
+            v -= (theta[:, i] @ v) * theta[:, i]
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-10:
+            theta[:, k] = v / norm
+            k += 1
+    return theta
+
+
+@pytest.mark.parametrize("L", [2, 3, 7, 50, 300])
+def test_eigenbasis_matches_gram_schmidt(L):
+    assert np.max(np.abs(eigenbasis(L) - _gram_schmidt_basis(L))) <= 1e-14
 
 
 def test_spectrum_matches_explicit_matrix_eigenvalues():
@@ -260,6 +293,16 @@ def test_parse_spec_text_eigenvalue_form():
         ("L = 4\nlambda_x = 1\n", "incomplete"),
         ("L = 4\n", "family"),
         ("L = 4\nsigma_x_sq 1\nrho_x = 0\nsigma_z_sq = 1\nrho_z = 0\n", "="),
+        ("L = 1e400\nsigma_x_sq = 1\nrho_x = 0\nsigma_z_sq = 1\nrho_z = 0\n",
+         "finite"),
+        ("L = nan\nsigma_x_sq = 1\nrho_x = 0\nsigma_z_sq = 1\nrho_z = 0\n",
+         "finite"),
+        ("L = 10\nsigma_x_sq = inf\nrho_x = 0\nsigma_z_sq = 1\nrho_z = 0\n",
+         "finite"),
+        ("L = 10\nsigma_x_sq = 1\nrho_x = 0\nsigma_z_sq = nan\nrho_z = 0\n",
+         "finite"),
+        ("L = 10\nlambda_x = 1\ngamma_x = 1\nlambda_y = inf\ngamma_y = 2\n",
+         "finite"),
     ],
 )
 def test_parse_spec_text_errors(text, fragment):

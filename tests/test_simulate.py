@@ -5,11 +5,14 @@ frozen direct-MMSE constant was computed independently with an mpmath
 program at 50 decimal digits.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import symrd.model
+import symrd.simulate
 from symrd import (
     PrecisionError,
     SimConfig,
@@ -18,6 +21,7 @@ from symrd import (
     analytic_rate,
     d_min,
     distortion_of,
+    eigenbasis,
     empirical_distortion,
     from_eigenvalues,
     rate_of,
@@ -27,7 +31,7 @@ from symrd import (
     source_variance,
     spectral_decompose,
 )
-from symrd.simulate import BLOCK_SIZE, direct_mmse
+from symrd.simulate import BLOCK_SIZE, _neumaier_add, direct_mmse, rate_bias_band
 
 L_CASES = 10
 CASE1 = (0.8, 1.0, 5.0, 4.0)
@@ -147,7 +151,7 @@ def test_sampled_covariance_matches_model():
 
 
 def test_negative_correlation_covariance():
-    # rho < 0 uses the rotated eigen synthesis; the sampled covariance must
+    # rho < 0 shares the one sampling path; the sampled covariance must
     # still match the model
     spec = SourceSpec(3, 1.0, -0.3, 0.0, 0.0)
     cfg = SimConfig(spec, 1.0, 300_000, 977)
@@ -210,3 +214,98 @@ def test_distortion_consistent_with_noisier_channel():
     hi = run_simulation(SimConfig(spec, 8.0, 100_000, 12))
     assert hi.distortion_closed_form > lo.distortion_closed_form
     assert hi.distortion_empirical > lo.distortion_empirical
+
+
+def _eigenbasis_replay(cfg):
+    """Distortions and rate of cfg, recomputed in the rotated basis.
+
+    Projects sample_model's arrays through eigenbasis, applies the gains as
+    a diagonal there, and takes the log-dets of the rotated (Y, V) moments.
+    """
+    L, n, lam_q = cfg.spec.L, cfg.n_samples, cfg.lambda_q
+    s = spectral_decompose(cfg.spec)
+    x, z, q = sample_model(cfg)
+    theta = eigenbasis(L)
+    xe, ye, qe = x @ theta, (x + z) @ theta, q @ theta
+    ve = ye + qe
+    routed = np.full(L, s.gamma_x / (s.gamma_y + lam_q))
+    routed[0] = s.lambda_x / (s.lambda_y + lam_q)
+    direct = np.full(L, s.gamma_x / (s.gamma_x + lam_q))
+    direct[0] = s.lambda_x / (s.lambda_x + lam_q)
+    d = float(np.sum((xe - routed * ve) ** 2)) / (n * L)
+    d2 = float(np.sum((xe - direct * (xe + qe)) ** 2)) / (n * L)
+    w = np.hstack([ye, ve])
+    m = w.T @ w / n
+    rate = 0.5 * (np.linalg.slogdet(m[:L, :L])[1] + np.linalg.slogdet(m[L:, L:])[1]
+                  - np.linalg.slogdet(m)[1])
+    return d, d2, rate
+
+
+@pytest.mark.parametrize("rho_x, rho_z", [(0.35, 0.2), (-0.1, -0.05)])
+def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z):
+    cfg = SimConfig(SourceSpec(7, 1.3, rho_x, 0.6, rho_z), 0.8, 5000, 4242)
+    d, d2, rate = _eigenbasis_replay(cfg)
+    res = run_simulation(cfg)
+    assert abs(res.distortion_empirical - d) <= 1e-12 * d
+    assert abs(res.distortion_direct_empirical - d2) <= 1e-12 * d2
+    assert abs(res.rate_empirical - rate) <= 1e-10
+
+
+def test_compensated_moment_sum_matches_fsum():
+    # three full blocks and a remainder, reduced as run_simulation does
+    L = 3
+    cfg = SimConfig(SourceSpec(L, 1.0, 0.4, 0.5, -0.2), 0.7,
+                    3 * BLOCK_SIZE + 1234, 99)
+    x, z, q = sample_model(cfg)
+    y = x + z
+    w = np.hstack([y, y + q])
+    blocks = [w[i:i + BLOCK_SIZE].T @ w[i:i + BLOCK_SIZE]
+              for i in range(0, cfg.n_samples, BLOCK_SIZE)]
+    assert len(blocks) == 4
+    total = comp = np.zeros((2 * L, 2 * L))
+    for b in blocks:
+        total, comp = _neumaier_add(total, comp, b)
+    want = np.array([[math.fsum(b[i, j] for b in blocks) for j in range(2 * L)]
+                     for i in range(2 * L)])
+    assert np.max(np.abs((total + comp) - want) / np.abs(want)) <= 1e-12
+    # the compensation recovers what plain summation loses
+    terms = [np.array([1e16]), np.array([1.0]), np.array([-1e16]), np.array([1.0])]
+    total = comp = np.zeros(1)
+    for t in terms:
+        total, comp = _neumaier_add(total, comp, t)
+    assert sum(t[0] for t in terms) != 2.0
+    assert (total + comp)[0] == 2.0
+
+
+def test_run_needs_no_eigenbasis(monkeypatch):
+    def forbidden(L):
+        raise AssertionError("eigenbasis called")
+    monkeypatch.setattr(symrd.model, "eigenbasis", forbidden)
+    monkeypatch.setattr(symrd.simulate, "eigenbasis", forbidden)
+    res = run_simulation(SimConfig(SourceSpec(300, 1.0, 0.2, 0.5, 0.1), 0.7,
+                                   1800, 5))
+    assert math.isfinite(res.distortion_empirical)
+    assert math.isfinite(res.rate_empirical)
+
+
+def test_rate_bias_special_functions():
+    special = pytest.importorskip("scipy.special")
+    from symrd.simulate import _psi_minus_log, _trigamma
+    for x in (0.5, 1.0, 3.7, 8.0, 12.5, 1e3, 1e6):
+        assert abs(_psi_minus_log(x) + math.log(x) - special.digamma(x)) <= 1e-10
+        assert abs(_trigamma(x) / special.polygamma(1, x) - 1.0) <= 1e-9
+
+
+def test_analytic_rate_band_can_fail(monkeypatch):
+    # At L = 200, n = 2000 the log-det estimate sits about 11 nats above the
+    # closed form (exact Wishart bias 11.14, sd <= 0.79); the band is centred
+    # on that bias, so a result moved by 6 nats is rejected.
+    cfg = SimConfig(SourceSpec(200, 1.0, 0.3, 0.5, 0.2), 0.7, 2000, 31)
+    bias, sd = rate_bias_band(200, 2000)
+    assert abs(bias - 11.137) < 1e-3 and sd < 0.8
+    real = run_simulation(cfg)
+    assert analytic_rate(cfg) == real.rate_closed_form
+    moved = dataclasses.replace(real, rate_empirical=real.rate_empirical + 6.0)
+    monkeypatch.setattr(symrd.simulate, "run_simulation", lambda config: moved)
+    with pytest.raises(PrecisionError, match="bias"):
+        analytic_rate(cfg)
