@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .model import SourceSpec, validate_spec
+from .upper_bound import correlation_form
 
 # Relative half-width (in units of sigma_x^2) of the dispatch window around
 # d_th0_inf inside which the sqrt(L) clause is selected.
@@ -156,15 +157,11 @@ def expansion_coefficients(spec: SourceSpec, D: float) -> ExpansionCoefficients:
     the alpha fields.  Requires D < sigma_x^2.
     """
     _check_nonneg_correlations(spec)
-    sx2, sz2 = spec.sigma_x_sq, spec.sigma_z_sq
-    rx, rz = spec.rho_x, spec.rho_z
+    sx2 = spec.sigma_x_sq
     gx, gz, gy = _gammas(spec)
     if not D < sx2:
         raise DomainError(f"expansion requires D < sigma_x_sq, got D = {D!r}")
-    g1 = rx * rz * sx2 * sz2 + (rx * sx2 + rz * sz2) * (gx - D)
-    g2 = sx2 * (gz + gy) - rx * sx2 * gx - 2.0 * gy * D
-    h1 = rx * rz * sx2 * sz2 * gy + (rx * sx2 + rz * sz2) * (gx * gz - gy * D)
-    h2 = rx * sx2 * gz ** 2 + rz * sz2 * gx ** 2 + gx * gz * gy - gy ** 2 * D
+    g1, g2, h1, h2 = correlation_form(spec, gx, gz, gy, D)
     eta1 = eta2 = alpha1 = alpha2 = None
     if g1 != 0.0:
         eta1 = -h1 / g1

@@ -49,19 +49,19 @@ def _load_spec(path: str):
     return parse_spec_text(text, name=path)
 
 
-def _grid(d_start: float, d_end: float, n_points: int,
-          include_endpoints_eps: bool) -> list[float]:
-    """Distortion grid: open at both ends by default.
+def _grid(args) -> list[float]:
+    """Distortion grid of the grid arguments: open at both ends by default.
 
-    With include_endpoints_eps the grid is the closed n-point linspace,
+    With --include-endpoints-eps the grid is the closed n-point linspace,
     endpoints shifted inward by a relative 1e-9 for near-boundary
     inspection.
     """
+    d_start, d_end, n_points = args.d_start, args.d_end, args.n_points
     if n_points < 2:
         raise ValidationError(f"n_points must be at least 2, got {n_points}")
     if not d_start < d_end:
         raise ValidationError(f"need d_start < d_end, got {d_start!r} >= {d_end!r}")
-    if include_endpoints_eps:
+    if args.include_endpoints_eps:
         step = (d_end - d_start) / (n_points - 1)
         pts = [d_start + k * step for k in range(n_points)]
         pts[0] = d_start * (1.0 + 1e-9)
@@ -69,6 +69,31 @@ def _grid(d_start: float, d_end: float, n_points: int,
         return pts
     step = (d_end - d_start) / (n_points + 1)
     return [d_start + (k + 1) * step for k in range(n_points)]
+
+
+def _sizes(text: str, flag: str) -> list[int]:
+    """The system sizes of a comma-separated list given to flag, each L >= 2."""
+    sizes = []
+    for part in filter(None, text.split(",")):
+        try:
+            size = int(part)
+        except ValueError:
+            raise ValidationError(f"{flag}: system size {part!r} is not an integer")
+        if size < 2:
+            raise ValidationError(f"{flag}: system size L = {size} must be at least 2")
+        sizes.append(size)
+    if not sizes:
+        raise ValidationError(f"{flag} needs a comma-separated list of system sizes")
+    return sizes
+
+
+def _asym_cells(spec, sizes: list[int], D: float, scale: float) -> list[str]:
+    """Upper and lower large-L approximations at D for each size, in order."""
+    cells = []
+    for size in sizes:
+        cells += [_num(asymptotics.upper_asymptotic(spec, size, D) / scale),
+                  _num(asymptotics.lower_asymptotic(spec, size, D) / scale)]
+    return cells
 
 
 def _check_range(spectrum, L: int, d_start: float, d_end: float) -> None:
@@ -129,13 +154,8 @@ def cmd_sweep(args) -> int:
     s = spectral_decompose(spec)
     L = spec.L
     _check_range(s, L, args.d_start, args.d_end)
-    grid = _grid(args.d_start, args.d_end, args.n_points,
-                 args.include_endpoints_eps)
-    asym_ls = []
-    if args.asymptotic:
-        asym_ls = [int(part) for part in args.asymptotic.split(",") if part]
-        if not asym_ls:
-            raise ValidationError("--asymptotic needs a comma-separated L list")
+    grid = _grid(args)
+    asym_ls = _sizes(args.asymptotic, "--asymptotic") if args.asymptotic else []
     gap_column = False
     if asym_ls:
         regime = asymptotics.asymptotic_regime(spec)
@@ -154,9 +174,7 @@ def cmd_sweep(args) -> int:
     print(",".join(header))
 
     for D in grid:
-        upper = upper_bound.upper_bound_rate(s, L, D)
-        lower = lower_bound.lower_bound_rate(s, L, D)
-        piece = lower_bound.lower_bound_piece(s, L, D)
+        upper, lower, piece = lower_bound.evaluate(s, L, D)
         row = [_num(D), _num(upper / scale), _num(lower / scale),
                _num((upper - lower) / scale), piece]
         if args.certify:
@@ -164,9 +182,7 @@ def cmd_sweep(args) -> int:
             residual = max(cert.stationarity_residual,
                            cert.complementarity_residual)
             row += [_num(value / scale), _num(residual)]
-        for asym_l in asym_ls:
-            row.append(_num(asymptotics.upper_asymptotic(spec, asym_l, D) / scale))
-            row.append(_num(asymptotics.lower_asymptotic(spec, asym_l, D) / scale))
+        row += _asym_cells(spec, asym_ls, D, scale)
         if gap_column:
             row.append(_num(asymptotics.asymptotic_gap(spec, D) / scale))
         print(",".join(row))
@@ -175,11 +191,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     spec = _load_spec(args.spec_file)
-    ls = [int(part) for part in args.L.split(",") if part]
-    if not ls:
-        raise ValidationError("--L needs a comma-separated list of system sizes")
-    grid = _grid(args.d_start, args.d_end, args.n_points,
-                 args.include_endpoints_eps)
+    ls = _sizes(args.L, "--L")
+    grid = _grid(args)
     scale = _LN2 if args.bits else 1.0
     unit = "bits" if args.bits else "nats"
     header = ["D"]
@@ -187,18 +200,13 @@ def cmd_asymptotic(args) -> int:
         header += [f"upper_asym_{unit}_L{asym_l}", f"lower_asym_{unit}_L{asym_l}"]
     print(",".join(header))
     for D in grid:
-        row = [_num(D)]
-        for asym_l in ls:
-            row.append(_num(asymptotics.upper_asymptotic(spec, asym_l, D) / scale))
-            row.append(_num(asymptotics.lower_asymptotic(spec, asym_l, D) / scale))
-        print(",".join(row))
+        print(",".join([_num(D)] + _asym_cells(spec, ls, D, scale)))
     return 0
 
 
 def cmd_gap_inf(args) -> int:
     spec = _load_spec(args.spec_file)
-    grid = _grid(args.d_start, args.d_end, args.n_points,
-                 args.include_endpoints_eps)
+    grid = _grid(args)
     scale = _LN2 if args.bits else 1.0
     print("D,delta_r_inf_bits" if args.bits else "D,delta_r_inf")
     for D in grid:

@@ -1,22 +1,22 @@
 """Closed-form lower bound on the sum rate, with regime classification.
 
-The converse analysis splits on which observation eigenvalue is smaller.
-With lambda_y >= gamma_y (the "lambda side"), the bound is a piecewise glue
-of the upper bound Rbar and a composite-rate family R_c = {R_1^c, R_2^c};
-with gamma_y > lambda_y the mirrored hatted family {Rhat_1^c, Rhat_2^c}
-takes over.  Which pieces appear, and where, is decided by the roots
+Every formula is written once, in the side view of the spectrum
+(`model.side_view`): triples (x, y, m) for the eigen-direction with the
+larger observation eigenvalue ("big") and for the other ("small").  With
+lambda_y >= gamma_y big is lambda and results carry plain names
+(LamGeqGam_*, R1c / R2c, roots mu, d_th_*); otherwise big is gamma and the
+same formulas give the hatted family (GamGeqLam_*, R1c_hat / R2c_hat,
+roots nu, d_th_*_hat).
 
-    mu_{1,2} = 1/2 ∓ 1/2 sqrt(1 - (4L/(L-1)) lambda_x^2 gamma_y^2
-                                         / (gamma_x^2 lambda_y^2)),
-    nu_{1,2} = 1/2 ∓ 1/2 sqrt(1 - 4L gamma_x^2 lambda_y^2
-                                      / (lambda_x^2 gamma_y^2)),
+The bound glues the upper bound Rbar to a composite family {R_1^c, R_2^c}.
+The roots
 
-compared against gamma_y/lambda_y (resp. lambda_y/gamma_y), yielding four
-branches per side: Rbar everywhere; Rbar then R_c; Rbar / R_c / Rbar; and
-the fully degenerate single-eigenvalue branch.  The transition distortions
-D_th,1 and D_th,2 come from the multiplier values mu_2 and mu_1 (nu_2,
-nu_1 on the hatted side), and within the R_c family the switch
-R_1^c -> R_2^c happens at D_th^c.
+    m_{1,2} = 1/2 ∓ 1/2 sqrt(1 - 4L x_big^2 y_small^2 / (m_small x_small^2 y_big^2)),
+
+compared against y_small / y_big, give four cases per side: Rbar
+everywhere; Rbar then R_c; Rbar / R_c / Rbar; and x_big = 0 with R_c
+everywhere.  Rbar gives way at D_th,1 = D_th(m_2) and returns at
+D_th,2 = D_th(m_1); inside R_c the switch R_1^c -> R_2^c is at D_th^c.
 
 All rates are in nats.  Every closed form here is validated elsewhere
 against an independent numerical solution of the underlying minimization
@@ -29,9 +29,9 @@ import enum
 import math
 from dataclasses import dataclass
 
+from . import upper_bound
 from .errors import DomainError
-from .model import Spectrum, d_min, source_variance
-from .upper_bound import upper_bound_rate
+from .model import Spectrum, check_distortion, side_view
 
 #: Piece labels used in reports and CSV output.
 PIECE_RBAR = "Rbar"
@@ -83,63 +83,35 @@ class RegimeParams:
     d_th_2_hat: float | None = None
 
 
-# --- root pairs and thresholds ----------------------------------------------
-
-def _mu_roots(s: Spectrum, L: int) -> tuple[float, float]:
-    disc = 1.0 - 4.0 * L / (L - 1) * (s.lambda_x ** 2 * s.gamma_y ** 2) / (
-        s.gamma_x ** 2 * s.lambda_y ** 2)
-    r = math.sqrt(max(disc, 0.0))
-    return (1.0 - r) / 2.0, (1.0 + r) / 2.0
-
-
-def _nu_roots(s: Spectrum, L: int) -> tuple[float, float]:
-    disc = 1.0 - 4.0 * L * (s.gamma_x ** 2 * s.lambda_y ** 2) / (
-        s.lambda_x ** 2 * s.gamma_y ** 2)
-    r = math.sqrt(max(disc, 0.0))
-    return (1.0 - r) / 2.0, (1.0 + r) / 2.0
+# Names of each side's results, indexed by the hatted flag.
+_BRANCHES = ((Branch.LamGeqGam_1, Branch.LamGeqGam_2, Branch.LamGeqGam_3, Branch.LamGeqGam_4),
+             (Branch.GamGeqLam_1, Branch.GamGeqLam_2, Branch.GamGeqLam_3, Branch.GamGeqLam_4))
+_FIELDS = (("mu1", "mu2", "d_th_1", "d_th_2", "d_th_c"),
+           ("nu1", "nu2", "d_th_1_hat", "d_th_2_hat", "d_th_c_hat"))
+_PIECES = ((PIECE_R1C, PIECE_R2C), (PIECE_R1C_HAT, PIECE_R2C_HAT))
 
 
-def threshold_composite(s: Spectrum, L: int) -> float:
+# --- thresholds ---------------------------------------------------------------
+
+def _d_th(big, small, L: int, m: float) -> float:
+    """Transition distortion at root m: D_th,1 at m2 and D_th,2 at m1."""
+    (xb, yb, mb), (xs, ys, ms) = big, small
+    return (mb * xb + ms * xs
+            - mb * xb ** 2 / (yb - ys)
+            + ms * xs ** 2 / (yb - ys)
+            - m * ms * xs ** 2 / ys / (1.0 - ys / yb)
+            + (1.0 / m) * mb * xb ** 2 / yb / (yb / ys - 1.0)
+            ) / L
+
+
+def _d_th_c(big, small, L: int) -> float:
     """D_th^c: the switch point R_1^c -> R_2^c inside the composite family.
 
-    Written with gamma_x^2 (1/gamma_x - 1/gamma_y) expanded to
-    gamma_x - gamma_x^2/gamma_y so that gamma_x = 0 evaluates cleanly.
-    Requires lambda_y != gamma_y.
+    Written with x^2 (1/x - 1/y) of the small side expanded to x - x^2/y,
+    so that x_small = 0 evaluates cleanly.  Requires y_big != y_small.
     """
-    return (s.lambda_x ** 2 / (s.lambda_y - s.gamma_y)
-            + ((L - 1) * (s.gamma_x - s.gamma_x ** 2 / s.gamma_y) + s.lambda_x) / L)
-
-
-def threshold_composite_hat(s: Spectrum, L: int) -> float:
-    """Dhat_th^c: the switch point Rhat_1^c -> Rhat_2^c (gamma side)."""
-    return (s.gamma_x ** 2 / (s.gamma_y - s.lambda_y)
-            + ((L - 1) * s.gamma_x + s.lambda_x - s.lambda_x ** 2 / s.lambda_y) / L)
-
-
-def _d_th(s: Spectrum, L: int, m: float) -> float:
-    """Transition distortion at multiplier value m (lambda side).
-
-    m = mu2 yields D_th,1 and m = mu1 yields D_th,2.
-    """
-    return (s.lambda_x + (L - 1) * s.gamma_x
-            - s.lambda_x ** 2 / (s.lambda_y - s.gamma_y)
-            + (L - 1) * s.gamma_x ** 2 / (s.lambda_y - s.gamma_y)
-            - m * (L - 1) * s.gamma_x ** 2 / s.gamma_y / (1.0 - s.gamma_y / s.lambda_y)
-            + (1.0 / m) * s.lambda_x ** 2 / s.lambda_y / (s.lambda_y / s.gamma_y - 1.0)
-            ) / L
-
-
-def _d_th_hat(s: Spectrum, L: int, n: float) -> float:
-    """Transition distortion at multiplier value n (gamma side).
-
-    n = nu2 yields Dhat_th,1 and n = nu1 yields Dhat_th,2.
-    """
-    return (s.lambda_x + (L - 1) * s.gamma_x
-            - s.lambda_x ** 2 / (s.lambda_y - s.gamma_y)
-            + (L - 1) * s.gamma_x ** 2 / (s.lambda_y - s.gamma_y)
-            - (1.0 / n) * (L - 1) * s.gamma_x ** 2 / s.gamma_y / (1.0 - s.gamma_y / s.lambda_y)
-            + n * s.lambda_x ** 2 / s.lambda_y / (s.lambda_y / s.gamma_y - 1.0)
-            ) / L
+    (xb, yb, mb), (xs, ys, ms) = big, small
+    return xb ** 2 / (yb - ys) + (ms * (xs - xs ** 2 / ys) + mb * xb) / L
 
 
 # --- composite-rate pieces ---------------------------------------------------
@@ -150,58 +122,93 @@ def _require_pos(value: float, what: str) -> float:
     return value
 
 
+def _rc(label: str, big, small, hatted: bool, L: int, D: float) -> float:
+    """R_1^c or R_2^c (by label) over the given orientation, unclamped."""
+    (xb, yb, mb), (xs, ys, ms) = big, small
+    first = label in (PIECE_R1C, PIECE_R1C_HAT)
+    # The R_2^c denominator is L D - mb xb - ms xs + ms xs^2/ys, and R_1^c
+    # adds mb xb^2/yb^2 (yb + 1/(1/ys - 1/yb)).  Each side keeps its own
+    # summation order (the hatted one written with ms = 1): sweep prints
+    # the gap upper - lower to 12 digits, where one ulp of a denominator
+    # shows, and no one order gives both sides' values.
+    if not hatted:
+        den = L * D - mb * xb - ms * (xs - xs ** 2 / ys)
+        if first:
+            den += mb * xb ** 2 / yb ** 2 * (yb + 1.0 / (1.0 / ys - 1.0 / yb))
+    elif first:
+        den = (L * D - xs - mb * (xb - xb ** 2 / yb) + xs ** 2 / ys
+               + mb * xb ** 2 / yb ** 2 / (1.0 / ys - 1.0 / yb))
+    else:
+        den = L * D - xs - mb * xb + xs ** 2 / ys
+    den = _require_pos(den, f"{label} denominator")
+    if not first:
+        return L / 2.0 * math.log(_require_pos(
+            ms * xs ** 2 / ys / den, f"{label} principal argument"))
+    ratio = _require_pos(xb ** 2 / xs ** 2 / (yb / ys - 1.0), f"{label} eigenvalue ratio")
+    k = ms + 2 * mb
+    return (k / 2.0 * math.log(_require_pos(
+                k * xs ** 2 / ys / den, f"{label} principal argument"))
+            + mb / 2.0 * math.log(ratio)
+            + L / 2.0 * math.log(ms / L))
+
+
 def rc_piece(piece: str, spectrum: Spectrum, L: int, D: float) -> float:
     """Evaluate one composite piece by label: R1c, R2c, R1c_hat or R2c_hat.
 
-    Each piece is the formula as written, with no domain clamping: a
-    nonpositive logarithm argument raises DomainError naming the offending
+    Each piece is the formula as written, with no domain clamping, on the
+    orientation its label names (lambda big for R1c/R2c, gamma big for
+    the hatted pair) whatever the spectrum's side: a nonpositive
+    logarithm argument raises DomainError naming the offending
     sub-expression.  Use lower_bound_rate for the dispatched bound.
     """
-    s = spectrum
-    lx, gx, ly, gy = s.lambda_x, s.gamma_x, s.lambda_y, s.gamma_y
-    base = L * D - lx - (L - 1) * (gx - gx ** 2 / gy)
-    if piece == PIECE_R1C:
-        den = _require_pos(
-            base + lx ** 2 / ly ** 2 * (ly + 1.0 / (1.0 / gy - 1.0 / ly)),
-            "R1c denominator")
-        ratio = _require_pos(lx ** 2 / gx ** 2 / (ly / gy - 1.0), "R1c eigenvalue ratio")
-        return ((L + 1) / 2.0 * math.log(_require_pos(
-                    (L + 1) * gx ** 2 / gy / den, "R1c principal argument"))
-                + 0.5 * math.log(ratio)
-                + L / 2.0 * math.log((L - 1) / L))
-    if piece == PIECE_R2C:
-        den = _require_pos(base, "R2c denominator")
-        return L / 2.0 * math.log(_require_pos(
-            (L - 1) * gx ** 2 / gy / den, "R2c principal argument"))
-    if piece == PIECE_R1C_HAT:
-        den = _require_pos(
-            base + lx ** 2 / ly + (L - 1) * gx ** 2 / gy ** 2 / (1.0 / ly - 1.0 / gy),
-            "R1c_hat denominator")
-        ratio = _require_pos(gx ** 2 / lx ** 2 / (gy / ly - 1.0), "R1c_hat eigenvalue ratio")
-        return ((2 * L - 1) / 2.0 * math.log(_require_pos(
-                    (2 * L - 1) * lx ** 2 / ly / den, "R1c_hat principal argument"))
-                + (L - 1) / 2.0 * math.log(ratio)
-                + L / 2.0 * math.log(1.0 / L))
-    if piece == PIECE_R2C_HAT:
-        den = _require_pos(L * D - lx - (L - 1) * gx + lx ** 2 / ly,
-                           "R2c_hat denominator")
-        return L / 2.0 * math.log(_require_pos(
-            lx ** 2 / ly / den, "R2c_hat principal argument"))
-    raise DomainError(f"unknown piece label {piece!r}")
-
-
-def _composite(s: Spectrum, L: int, D: float, hatted: bool) -> tuple[str, float]:
-    """Composite family value with its internal R_1 -> R_2 switch."""
-    if hatted:
-        if D <= threshold_composite_hat(s, L):
-            return PIECE_R1C_HAT, rc_piece(PIECE_R1C_HAT, s, L, D)
-        return PIECE_R2C_HAT, rc_piece(PIECE_R2C_HAT, s, L, D)
-    if D <= threshold_composite(s, L):
-        return PIECE_R1C, rc_piece(PIECE_R1C, s, L, D)
-    return PIECE_R2C, rc_piece(PIECE_R2C, s, L, D)
+    if piece not in _PIECES[0] + _PIECES[1]:
+        raise DomainError(f"unknown piece label {piece!r}")
+    big, small, hatted = side_view(spectrum, L, hatted=piece in _PIECES[1])
+    return _rc(piece, big, small, hatted, L, D)
 
 
 # --- classification and dispatch ---------------------------------------------
+
+def _regime(spectrum: Spectrum, L: int):
+    """(big, small, hatted, case, fields): the side view, its case 1-4 and
+    the RegimeParams values (m1, m2, D_th,1, D_th,2, D_th^c), None where the
+    case does not define them (the roots too, when the discriminant alone
+    settles case 1)."""
+    big, small, hatted = side_view(spectrum, L)
+    (xb, yb, mb), (xs, ys, ms) = big, small
+    if xb ** 2 * ys ** 2 >= ms / (4.0 * L) * (xs ** 2 * yb ** 2):
+        return big, small, hatted, 1, (None,) * 5
+    disc = 1.0 - 4.0 * L / ms * (xb ** 2 * ys ** 2) / (xs ** 2 * yb ** 2)
+    r = math.sqrt(max(disc, 0.0))
+    m1, m2 = (1.0 - r) / 2.0, (1.0 + r) / 2.0
+    ratio = ys / yb
+    if m2 <= ratio:
+        return big, small, hatted, 1, (m1, m2, None, None, None)
+    if m1 <= ratio and ratio < m2 < 1.0:
+        case = 2
+    elif m1 > ratio and m2 < 1.0:
+        case = 3
+    else:
+        case = 4
+    return big, small, hatted, case, (
+        m1, m2,
+        _d_th(big, small, L, m2) if case < 4 else None,
+        _d_th(big, small, L, m1) if case == 3 else None,
+        _d_th_c(big, small, L))
+
+
+def thresholds(spectrum: Spectrum, L: int) -> RegimeParams:
+    """classify_regime plus every threshold the branch makes meaningful.
+
+    Case 2 fills D_th,1 and the composite switch D_th^c; case 3 fills
+    D_th,1 and D_th,2 (plus D_th^c, which the composite family may or may
+    not cross inside its active window); case 4 fills D_th^c only.  Hatted
+    branches fill the hatted fields instead.  Case 1, which takes the tie
+    lambda_y == gamma_y, leaves all thresholds None.
+    """
+    _, _, hatted, case, fields = _regime(spectrum, L)
+    return RegimeParams(_BRANCHES[hatted][case - 1], **dict(zip(_FIELDS[hatted], fields)))
+
 
 def classify_regime(spectrum: Spectrum, L: int) -> RegimeParams:
     """Identify the regime branch and its root pair.
@@ -211,143 +218,44 @@ def classify_regime(spectrum: Spectrum, L: int) -> RegimeParams:
     The tie lambda_y == gamma_y is handled on the lambda side, where it
     always lands in a Rbar-everywhere case.
     """
-    s = spectrum
-    if s.lambda_y >= s.gamma_y:
-        if s.lambda_x ** 2 * s.gamma_y ** 2 >= (L - 1) / (4.0 * L) * (
-                s.gamma_x ** 2 * s.lambda_y ** 2):
-            return RegimeParams(Branch.LamGeqGam_1)
-        m1, m2 = _mu_roots(s, L)
-        ratio = s.gamma_y / s.lambda_y
-        if m2 <= ratio:
-            return RegimeParams(Branch.LamGeqGam_1, mu1=m1, mu2=m2)
-        if m1 <= ratio and ratio < m2 < 1.0:
-            return RegimeParams(Branch.LamGeqGam_2, mu1=m1, mu2=m2)
-        if m1 > ratio and m2 < 1.0:
-            return RegimeParams(Branch.LamGeqGam_3, mu1=m1, mu2=m2)
-        return RegimeParams(Branch.LamGeqGam_4, mu1=m1, mu2=m2)
-    if s.gamma_x ** 2 * s.lambda_y ** 2 >= 1.0 / (4.0 * L) * (
-            s.lambda_x ** 2 * s.gamma_y ** 2):
-        return RegimeParams(Branch.GamGeqLam_1)
-    n1, n2 = _nu_roots(s, L)
-    ratio = s.lambda_y / s.gamma_y
-    if n2 <= ratio:
-        return RegimeParams(Branch.GamGeqLam_1, nu1=n1, nu2=n2)
-    if n1 <= ratio and ratio < n2 < 1.0:
-        return RegimeParams(Branch.GamGeqLam_2, nu1=n1, nu2=n2)
-    if n1 > ratio and n2 < 1.0:
-        return RegimeParams(Branch.GamGeqLam_3, nu1=n1, nu2=n2)
-    return RegimeParams(Branch.GamGeqLam_4, nu1=n1, nu2=n2)
+    p = thresholds(spectrum, L)
+    return RegimeParams(p.branch, p.mu1, p.mu2, p.nu1, p.nu2)
 
 
-def thresholds(spectrum: Spectrum, L: int) -> RegimeParams:
-    """classify_regime plus every threshold the branch makes meaningful.
+def _dispatch(spectrum: Spectrum, L: int, D: float) -> tuple[str, float | None]:
+    """Piece at D with its value; the value is None on Rbar, for the caller to solve."""
+    check_distortion(spectrum, L, D)
+    big, small, hatted, case, (_, _, d_th_1, d_th_2, d_th_c) = _regime(spectrum, L)
+    if (case == 1 or (d_th_1 is not None and D <= d_th_1)
+            or (d_th_2 is not None and not D < d_th_2)):
+        return PIECE_RBAR, None
+    # With x_big = 0 (case 4) the other side's family has a vanishing log
+    # argument; this side's is the finite reading.
+    piece = _PIECES[hatted][0 if D <= d_th_c else 1]
+    return piece, _rc(piece, big, small, hatted, L, D)
 
-    Case 2 fills D_th,1 and the composite switch D_th^c; case 3 fills
-    D_th,1 and D_th,2 (plus D_th^c, which the composite family may or may
-    not cross inside its active window); case 4 fills D_th^c only.  Hatted
-    branches fill the hatted fields instead.  Case 1 and the tie
-    lambda_y == gamma_y leave all thresholds None.
+
+def evaluate(spectrum: Spectrum, L: int, D: float) -> tuple[float, float, str]:
+    """(upper, lower, piece) at D from one lambda_q solve and one dispatch.
+
+    upper is upper_bound_rate, lower is lower_bound_rate and piece is
+    lower_bound_piece; on Rbar segments lower reuses upper.  Same domain
+    rules and errors as upper_bound_rate.
     """
-    s = spectrum
-    params = classify_regime(spectrum, L)
-    b = params.branch
-    if b in (Branch.LamGeqGam_1, Branch.GamGeqLam_1) or s.lambda_y == s.gamma_y:
-        return params
-    fields = {}
-    if b == Branch.LamGeqGam_2:
-        fields = dict(d_th_c=threshold_composite(s, L),
-                      d_th_1=_d_th(s, L, params.mu2))
-    elif b == Branch.LamGeqGam_3:
-        fields = dict(d_th_c=threshold_composite(s, L),
-                      d_th_1=_d_th(s, L, params.mu2),
-                      d_th_2=_d_th(s, L, params.mu1))
-    elif b == Branch.LamGeqGam_4:
-        fields = dict(d_th_c=threshold_composite(s, L))
-    elif b == Branch.GamGeqLam_2:
-        fields = dict(d_th_c_hat=threshold_composite_hat(s, L),
-                      d_th_1_hat=_d_th_hat(s, L, params.nu2))
-    elif b == Branch.GamGeqLam_3:
-        fields = dict(d_th_c_hat=threshold_composite_hat(s, L),
-                      d_th_1_hat=_d_th_hat(s, L, params.nu2),
-                      d_th_2_hat=_d_th_hat(s, L, params.nu1))
-    elif b == Branch.GamGeqLam_4:
-        fields = dict(d_th_c_hat=threshold_composite_hat(s, L))
-    return RegimeParams(b, mu1=params.mu1, mu2=params.mu2,
-                        nu1=params.nu1, nu2=params.nu2, **fields)
+    upper = upper_bound.upper_bound_rate(spectrum, L, D)
+    piece, lower = _dispatch(spectrum, L, D)
+    return upper, upper if lower is None else lower, piece
 
 
-def _dispatch(spectrum: Spectrum, L: int, D: float,
-              degenerate_gamma_unhatted: bool) -> tuple[str, float]:
-    s = spectrum
-    floor = d_min(s, L)
-    ceil = source_variance(s, L)
-    if not (floor < D < ceil):
-        raise DomainError(
-            f"D = {D!r} outside the achievable interval (d_min, sigma_x_sq) = "
-            f"({floor!r}, {ceil!r})"
-        )
-    params = classify_regime(s, L)
-    b = params.branch
-    if b in (Branch.LamGeqGam_1, Branch.GamGeqLam_1):
-        return PIECE_RBAR, upper_bound_rate(s, L, D)
-    if b == Branch.LamGeqGam_2:
-        if D <= _d_th(s, L, params.mu2):
-            return PIECE_RBAR, upper_bound_rate(s, L, D)
-        return _composite(s, L, D, hatted=False)
-    if b == Branch.LamGeqGam_3:
-        if D <= _d_th(s, L, params.mu2):
-            return PIECE_RBAR, upper_bound_rate(s, L, D)
-        if D < _d_th(s, L, params.mu1):
-            return _composite(s, L, D, hatted=False)
-        return PIECE_RBAR, upper_bound_rate(s, L, D)
-    if b == Branch.LamGeqGam_4:
-        return _composite(s, L, D, hatted=False)
-    if b == Branch.GamGeqLam_2:
-        if D <= _d_th_hat(s, L, params.nu2):
-            return PIECE_RBAR, upper_bound_rate(s, L, D)
-        return _composite(s, L, D, hatted=True)
-    if b == Branch.GamGeqLam_3:
-        if D <= _d_th_hat(s, L, params.nu2):
-            return PIECE_RBAR, upper_bound_rate(s, L, D)
-        if D < _d_th_hat(s, L, params.nu1):
-            return _composite(s, L, D, hatted=True)
-        return PIECE_RBAR, upper_bound_rate(s, L, D)
-    # GamGeqLam_4: gamma_x = 0, single nonzero source eigenvalue.  The
-    # unhatted composite family has a vanishing log argument here, so the
-    # hatted family (which is finite) is the default reading; the flag
-    # evaluates the unhatted family anyway for auditing, and raises.
-    if degenerate_gamma_unhatted:
-        return _composite(s, L, D, hatted=False)
-    return _composite(s, L, D, hatted=True)
-
-
-def lower_bound_rate(spectrum: Spectrum, L: int, D: float,
-                     degenerate_gamma_unhatted: bool = False) -> float:
+def lower_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     """Lower bound on the sum rate in nats at per-component distortion D.
 
     Dispatches on classify_regime: Rbar on the segments where the bounds
-    provably coincide, the composite family elsewhere.  D must lie in the
-    open interval (d_min, sigma_x_sq).
-
-    Parameters
-    ----------
-    spectrum, L, D
-        Model and target distortion.
-    degenerate_gamma_unhatted : bool
-        Affects only the fully degenerate gamma-side branch (gamma_x = 0).
-        By default that branch evaluates the hatted composite family, which
-        is the finite reading; setting this True evaluates the unhatted
-        family instead, whose leading log argument vanishes at
-        gamma_x = 0 and therefore raises DomainError.  Exposed so the
-        discrepancy stays auditable rather than silently patched.
-
-    Raises
-    ------
-    DomainError
-        D outside (d_min, sigma_x_sq), or a piece evaluated outside its
-        domain (only reachable through the audit flag above).
+    provably coincide, the composite family elsewhere.  Raises DomainError
+    unless D lies in the open interval (d_min, sigma_x_sq).
     """
-    return _dispatch(spectrum, L, D, degenerate_gamma_unhatted)[1]
+    _, lower = _dispatch(spectrum, L, D)
+    return upper_bound.upper_bound_rate(spectrum, L, D) if lower is None else lower
 
 
 def lower_bound_piece(spectrum: Spectrum, L: int, D: float) -> str:
@@ -356,4 +264,4 @@ def lower_bound_piece(spectrum: Spectrum, L: int, D: float) -> str:
     One of "Rbar", "R1c", "R2c", "R1c_hat", "R2c_hat"; same domain rules
     as lower_bound_rate.
     """
-    return _dispatch(spectrum, L, D, False)[0]
+    return _dispatch(spectrum, L, D)[0]

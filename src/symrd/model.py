@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 # Absolute slack applied to inequality checks so that boundary cases
 # produced by floating-point arithmetic (rho = 1 computed as 1 + 2e-16,
@@ -240,6 +240,34 @@ def source_variance(spectrum: Spectrum, L: int) -> float:
     the nontrivial distortion interval (d_min, sigma_x^2).
     """
     return (spectrum.lambda_x + (L - 1) * spectrum.gamma_x) / L
+
+
+def check_distortion(spectrum: Spectrum, L: int, D: float) -> tuple[float, float]:
+    """Return (d_min, sigma_x_sq), or raise DomainError unless D lies strictly between."""
+    floor = d_min(spectrum, L)
+    ceil = source_variance(spectrum, L)
+    if not (floor < D < ceil):
+        raise DomainError(
+            f"D = {D!r} outside the achievable interval (d_min, sigma_x_sq) = "
+            f"({floor!r}, {ceil!r})"
+        )
+    return floor, ceil
+
+
+def side_view(spectrum: Spectrum, L: int,
+              hatted: bool | None = None) -> tuple[tuple, tuple, bool]:
+    """(big, small, hatted): the eigen-directions as (x, y, multiplicity) triples.
+
+    The triples are (lambda_x, lambda_y, 1) and (gamma_x, gamma_y, L - 1);
+    "big" is the one with the larger y (lambda on a tie), and hatted is
+    True when that is gamma.  An explicit hatted forces the orientation.
+    """
+    s = spectrum
+    if hatted is None:
+        hatted = not s.lambda_y >= s.gamma_y
+    lam = (s.lambda_x, s.lambda_y, 1)
+    gam = (s.gamma_x, s.gamma_y, L - 1)
+    return (gam, lam, True) if hatted else (lam, gam, False)
 
 
 def covariance_matrix(L: int, sigma_sq: float, rho: float) -> np.ndarray:

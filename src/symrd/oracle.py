@@ -18,14 +18,19 @@ and the distortion constraint
     lambda_x^2/lambda_y^2 alpha + lambda_x - lambda_x^2/lambda_y
       + (L-1)(gamma_x^2/gamma_y^2 beta + gamma_x - gamma_x^2/gamma_y) <= L D,
 
-where lambda_w = min(lambda_y, gamma_y).  Because lambda_w equals one of
-the two observation eigenvalues, one log term is constant and its envelope
-constraint pins that variable to delta, collapsing the program to one free
-variable plus delta; delta itself is then optimal on the boundary
-delta = min(envelope, distortion cap).  The solver runs golden-section
-search on the remaining variable and certifies the result through the
-five-condition KKT system (two stationarity equations, three
-complementary-slackness products with nonnegative multipliers).
+where lambda_w = min(lambda_y, gamma_y).
+
+The solver works on `model.side_view`: the eigen-directions as (x, y, m)
+triples, "big" for the larger y and "small" for the other, so lambda_w =
+y_small.  The small side's log term is constant and its envelope pins
+its variable to delta, leaving the big side's variable v (alpha when
+lambda_y >= gamma_y, beta otherwise) and delta, which is optimal at
+min(envelope, distortion cap).  Golden-section search on v gives the
+point, certified through the five-condition KKT system (two stationarity
+equations, three complementary-slackness products with nonnegative
+multipliers).  Each function is written once in (big, small) for both
+sides; only the box multiplier's slope in recover_multipliers keeps a
+rule per side.
 
 This module is deliberately independent of the closed-form lower bound: it
 never consults the regime classification, so agreement between the two is
@@ -38,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .model import Spectrum, d_min, source_variance
+from .model import Spectrum, check_distortion, side_view
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1 / phi
 
@@ -139,62 +144,36 @@ def _gss_min(fun, lo: float, hi: float, iters: int = GSS_ITERS):
 
 
 def _solve_reduced(spectrum: Spectrum, L: int, D: float) -> ProgramPoint:
-    """Golden-section solve of the envelope-reduced program; both sides."""
-    s = spectrum
-    lx, gx, ly, gy = s.lambda_x, s.gamma_x, s.lambda_y, s.gamma_y
-    base = lx - lx ** 2 / ly + (L - 1) * (gx - gx ** 2 / gy)
+    """Golden-section solve of the envelope-reduced program."""
+    (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
+    base = mb * (xb - xb ** 2 / yb) + ms * (xs - xs ** 2 / ys)
     target = L * D
 
-    if ly >= gy:
-        # lambda side: free variable alpha, beta pinned to delta.
-        def delta_star(a):
-            env = 1.0 / (1.0 / a + 1.0 / gy - 1.0 / ly)
-            slack = target - base - lx ** 2 / ly ** 2 * a
-            if gx > 0.0:
-                cap = slack * gy ** 2 / ((L - 1) * gx ** 2)
-            else:
-                cap = math.inf if slack >= 0.0 else -1.0
-            return min(env, cap)
-
-        def g(a):
-            ds = delta_star(a)
-            if ds <= 0.0:
-                return math.inf
-            return (0.5 * math.log(ly ** 2 / ((ly - gy) * a + ly * gy))
-                    + L / 2.0 * math.log(gy / ds))
-
-        hi = ly
-        if lx > 0.0:
-            a_sup = (target - base) * ly ** 2 / lx ** 2
-            hi = min(hi, a_sup * (1.0 - 1e-12))
-        _, a_star = _gss_min(g, hi * 1e-30, hi)
-        d_star = delta_star(a_star)
-        return ProgramPoint(a_star, d_star, d_star)
-
-    # gamma side: free variable beta, alpha pinned to delta.
-    def delta_star(b):
-        env = 1.0 / (1.0 / b + 1.0 / ly - 1.0 / gy)
-        slack = target - base - (L - 1) * gx ** 2 / gy ** 2 * b
-        if lx > 0.0:
-            cap = slack * ly ** 2 / lx ** 2
+    def delta_star(v):
+        env = 1.0 / (1.0 / v + 1.0 / ys - 1.0 / yb)
+        slack = target - base - mb * xb ** 2 / yb ** 2 * v
+        if xs > 0.0:
+            cap = slack * ys ** 2 / (ms * xs ** 2)
         else:
             cap = math.inf if slack >= 0.0 else -1.0
         return min(env, cap)
 
-    def g(b):
-        ds = delta_star(b)
+    def g(v):
+        ds = delta_star(v)
         if ds <= 0.0:
             return math.inf
-        return ((L - 1) / 2.0 * math.log(gy ** 2 / ((gy - ly) * b + ly * gy))
-                + L / 2.0 * math.log(ly / ds))
+        return (mb / 2.0 * math.log(yb ** 2 / ((yb - ys) * v + yb * ys))
+                + L / 2.0 * math.log(ys / ds))
 
-    hi = gy
-    if gx > 0.0:
-        b_sup = (target - base) * gy ** 2 / ((L - 1) * gx ** 2)
-        hi = min(hi, b_sup * (1.0 - 1e-12))
-    _, b_star = _gss_min(g, hi * 1e-30, hi)
-    d_star = delta_star(b_star)
-    return ProgramPoint(d_star, b_star, d_star)
+    hi = yb
+    if xb > 0.0:
+        v_sup = (target - base) * yb ** 2 / (mb * xb ** 2)
+        hi = min(hi, v_sup * (1.0 - 1e-12))
+    _, v_star = _gss_min(g, hi * 1e-30, hi)
+    d_star = delta_star(v_star)
+    if hatted:
+        return ProgramPoint(d_star, v_star, d_star)
+    return ProgramPoint(v_star, d_star, d_star)
 
 
 def recover_multipliers(
@@ -209,49 +188,27 @@ def recover_multipliers(
     optimum the recovered multipliers are nonnegative and the remaining
     residuals vanish; kkt_check reports both.
     """
-    s = spectrum
-    lx, gx, ly, gy = s.lambda_x, s.gamma_x, s.lambda_y, s.gamma_y
+    (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
+    v = p.beta if hatted else p.alpha
     d = p.delta
-    if ly >= gy:
-        a = p.alpha
-        c = 1.0 / gy - 1.0 / ly
-        env = 1.0 / (1.0 / a + c)
-        env_active = abs(d - env) <= _ACTIVE_TOL * env
-        box_active = abs(a - ly) <= _ACTIVE_TOL * ly
-        if env_active:
-            w1 = 0.0
-            w3 = ((L / (2.0 * d) / (1.0 + c * a) ** 2 + c / 2.0 / (1.0 + c * a))
-                  / (lx ** 2 / ly ** 2 + (L - 1) * gx ** 2 / gy ** 2 / (1.0 + c * a) ** 2))
-            w2 = L / (2.0 * d) - (L - 1) * w3 * gx ** 2 / gy ** 2
-        elif box_active:
-            w2 = 0.0
-            w3 = L / (2.0 * d) * gy ** 2 / ((L - 1) * gx ** 2)
-            w1 = (1.0 / ly - gy / ly ** 2) / 2.0 - w3 * lx ** 2 / ly ** 2
-        else:
-            w1 = 0.0
-            w2 = 0.0
-            w3 = L / (2.0 * d) * gy ** 2 / ((L - 1) * gx ** 2)
-        return w1, w2, w3
-
-    b = p.beta
-    c = 1.0 / ly - 1.0 / gy
-    env = 1.0 / (1.0 / b + c)
-    env_active = abs(d - env) <= _ACTIVE_TOL * env
-    box_active = abs(b - gy) <= _ACTIVE_TOL * gy
-    if env_active:
-        w1 = 0.0
-        w3 = ((L / (2.0 * d) / (1.0 + c * b) ** 2 + (L - 1) * c / 2.0 / (1.0 + c * b))
-              / ((L - 1) * gx ** 2 / gy ** 2 + lx ** 2 / ly ** 2 / (1.0 + c * b) ** 2))
-        w2 = L / (2.0 * d) - w3 * lx ** 2 / ly ** 2
-    elif box_active:
-        w2 = 0.0
-        w3 = L / (2.0 * d) * ly ** 2 / lx ** 2
-        w1 = (L - 1) * c / (2.0 * (1.0 + c * b)) - w3 * (L - 1) * gx ** 2 / gy ** 2
+    c = 1.0 / ys - 1.0 / yb
+    env = 1.0 / (1.0 / v + c)
+    if abs(d - env) <= _ACTIVE_TOL * env:
+        w3 = ((L / (2.0 * d) / (1.0 + c * v) ** 2 + mb * c / 2.0 / (1.0 + c * v))
+              / (mb * xb ** 2 / yb ** 2 + ms * xs ** 2 / ys ** 2 / (1.0 + c * v) ** 2))
+        return 0.0, L / (2.0 * d) - ms * w3 * xs ** 2 / ys ** 2, w3
+    w3 = L / (2.0 * d) * ys ** 2 / (ms * xs ** 2)
+    if not abs(v - yb) <= _ACTIVE_TOL * yb:
+        return 0.0, 0.0, w3
+    # The box multiplier balances the free variable's log term, whose
+    # slope is mb c / (2 (1 + c v)).  The gamma side reads it at v, the
+    # lambda side at the bound v = y_big; the two agree to _ACTIVE_TOL and
+    # differ only in the roundoff digits of the printed KKT residual.
+    if hatted:
+        slope = mb * c / (2.0 * (1.0 + c * v))
     else:
-        w1 = 0.0
-        w2 = 0.0
-        w3 = L / (2.0 * d) * ly ** 2 / lx ** 2
-    return w1, w2, w3
+        slope = mb * (1.0 / yb - ys / yb ** 2) / 2.0
+    return slope - w3 * mb * xb ** 2 / yb ** 2, 0.0, w3
 
 
 def kkt_check(
@@ -270,30 +227,18 @@ def kkt_check(
     point is certified optimal when both residuals are small and the
     multipliers are nonnegative.
     """
-    s = spectrum
-    lx, gx, ly, gy = s.lambda_x, s.gamma_x, s.lambda_y, s.gamma_y
+    (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
     w1, w2, w3 = multipliers
+    v = p.beta if hatted else p.alpha
     d = p.delta
-    dist = distortion_constraint(p, s, L)
-    if ly >= gy:
-        a = p.alpha
-        c = 1.0 / gy - 1.0 / ly
-        env = 1.0 / (1.0 / a + c)
-        sa = ((gy - ly) / (2.0 * ((ly - gy) * a + ly * gy)) + w1
-              - w2 / (1.0 + c * a) ** 2 + w3 * lx ** 2 / ly ** 2)
-        sd = -L / (2.0 * d) + w2 + (L - 1) * w3 * gx ** 2 / gy ** 2
-        comp = max(abs(w1 * (a - ly)), abs(w2 * (d - env)),
-                   abs(w3 * (dist - L * D)))
-    else:
-        b = p.beta
-        c = 1.0 / ly - 1.0 / gy
-        env = 1.0 / (1.0 / b + c)
-        sa = ((L - 1) * (ly - gy) / (2.0 * ((gy - ly) * b + ly * gy)) + w1
-              - w2 / (1.0 + c * b) ** 2 + w3 * (L - 1) * gx ** 2 / gy ** 2)
-        sd = -L / (2.0 * d) + w2 + w3 * lx ** 2 / ly ** 2
-        comp = max(abs(w1 * (b - gy)), abs(w2 * (d - env)),
-                   abs(w3 * (dist - L * D)))
-    return KktCertificate(w1, w2, w3, max(abs(sa), abs(sd)), comp)
+    c = 1.0 / ys - 1.0 / yb
+    env = 1.0 / (1.0 / v + c)
+    sv = (mb * (ys - yb) / (2.0 * ((yb - ys) * v + yb * ys)) + w1
+          - w2 / (1.0 + c * v) ** 2 + w3 * mb * xb ** 2 / yb ** 2)
+    sd = -L / (2.0 * d) + w2 + ms * w3 * xs ** 2 / ys ** 2
+    comp = max(abs(w1 * (v - yb)), abs(w2 * (d - env)),
+               abs(w3 * (distortion_constraint(p, spectrum, L) - L * D)))
+    return KktCertificate(w1, w2, w3, max(abs(sv), abs(sd)), comp)
 
 
 def solve_program(
@@ -325,13 +270,7 @@ def solve_program(
         The final certificate residuals exceed CERTIFICATE_TOL (carries
         the best point found in .best).
     """
-    floor = d_min(spectrum, L)
-    ceil = source_variance(spectrum, L)
-    if not (floor < D < ceil):
-        raise DomainError(
-            f"D = {D!r} outside the achievable interval (d_min, sigma_x_sq) = "
-            f"({floor!r}, {ceil!r})"
-        )
+    check_distortion(spectrum, L, D)
     point = _solve_reduced(spectrum, L, D)
     value = omega_objective(point, spectrum, L)
     mult = recover_multipliers(point, spectrum, L, D)

@@ -42,7 +42,6 @@ of the block sums.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -195,7 +194,6 @@ def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray):
     return t, comp
 
 
-@functools.lru_cache(maxsize=4)
 def run_simulation(config: SimConfig) -> SimResult:
     """Run the full blocked simulation and return all measurements.
 
@@ -204,8 +202,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     second-moment matrix of (Y, V) in the coordinate basis for the
     mutual-information estimate.  Scalar sums are reduced across blocks
     with math.fsum, the moment matrices with an entrywise compensated sum.
-    Results are cached on the config, so the distortion and rate accessors
-    share one pass.
+    Each call runs the full simulation; equal configs give equal results.
     """
     spectrum = _validate_config(config)
     s = spectrum

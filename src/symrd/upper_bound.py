@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PrecisionError
-from .model import Spectrum, SourceSpec, d_min, source_variance
+from .model import Spectrum, SourceSpec, check_distortion
 
 # Bisection on lambda_q stops once the bracket's relative width is below
 # this, or after the iteration cap; the solution is then re-checked against
@@ -122,14 +122,7 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
         If bisection stalls without meeting the residual tolerance (not
         expected for valid inputs).
     """
-    floor = d_min(spectrum, L)
-    ceil = source_variance(spectrum, L)
-    if not (floor < D < ceil):
-        raise DomainError(
-            f"D = {D!r} outside the achievable interval (d_min, sigma_x_sq) = "
-            f"({floor!r}, {ceil!r})"
-        )
-
+    floor, ceil = check_distortion(spectrum, L, D)
     hi = max(spectrum.lambda_y, spectrum.gamma_y, 1.0)
     doublings = 0
     while distortion_of(spectrum, L, hi) <= D:
@@ -238,15 +231,21 @@ def quadratic_coefficients(
     b = phi1 * s.gamma_y + (L - 1) * phi2 * s.lambda_y - phi3 * (s.gamma_y + s.lambda_y)
     c = -phi3 * s.lambda_y * s.gamma_y
 
+    g1, g2, h1, h2 = correlation_form(spec, s.gamma_x, s.gamma_z, s.gamma_y, D)
+    return QuadraticCoefficients(a, b, c, phi1, phi2, phi3, g1, g2, h1, h2)
+
+
+def correlation_form(spec: SourceSpec, gx: float, gz: float, gy: float,
+                     D: float) -> tuple[float, float, float, float]:
+    """(g1, g2, h1, h2) of quadratic_coefficients, also the large-L expansion's inputs."""
     sx2, sz2 = spec.sigma_x_sq, spec.sigma_z_sq
     rx, rz = spec.rho_x, spec.rho_z
     mix = rx * sx2 + rz * sz2
-    g1 = rx * rz * sx2 * sz2 + mix * (s.gamma_x - D)
-    g2 = sx2 * (s.gamma_z + s.gamma_y) - rx * sx2 * s.gamma_x - 2.0 * s.gamma_y * D
-    h1 = rx * rz * sx2 * sz2 * s.gamma_y + mix * (s.gamma_x * s.gamma_z - s.gamma_y * D)
-    h2 = (rx * sx2 * s.gamma_z ** 2 + rz * sz2 * s.gamma_x ** 2
-          + s.gamma_x * s.gamma_z * s.gamma_y - s.gamma_y ** 2 * D)
-    return QuadraticCoefficients(a, b, c, phi1, phi2, phi3, g1, g2, h1, h2)
+    g1 = rx * rz * sx2 * sz2 + mix * (gx - D)
+    g2 = sx2 * (gz + gy) - rx * sx2 * gx - 2.0 * gy * D
+    h1 = rx * rz * sx2 * sz2 * gy + mix * (gx * gz - gy * D)
+    h2 = rx * sx2 * gz ** 2 + rz * sz2 * gx ** 2 + gx * gz * gy - gy ** 2 * D
+    return g1, g2, h1, h2
 
 
 def quadratic_root(coeffs: QuadraticCoefficients) -> float:

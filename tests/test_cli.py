@@ -268,6 +268,15 @@ def test_simulate_deterministic(specs, capsys):
         (lambda s: ["info", s["L_nan"]], "finite"),
         (lambda s: ["info", s["sx_inf"]], "finite"),
         (lambda s: ["info", s["sz_nan"]], "finite"),
+        # system-size lists: not an integer, below 2
+        (lambda s: ["sweep", s["gapped"], "--d-start", "0.85", "--d-end", "0.89",
+                    "--n-points", "2", "--asymptotic", "x"], "--asymptotic"),
+        (lambda s: ["asymptotic", s["gapped"], "--L", "1.5", "--d-start",
+                    "0.85", "--d-end", "0.89", "--n-points", "2"], "--L"),
+        (lambda s: ["sweep", s["gapped"], "--d-start", "0.85", "--d-end", "0.89",
+                    "--n-points", "2", "--asymptotic", "0"], "--asymptotic"),
+        (lambda s: ["sweep", s["gapped"], "--d-start", "0.85", "--d-end", "0.89",
+                    "--n-points", "2", "--asymptotic", "1"], "--asymptotic"),
     ],
 )
 def test_exit_code_2_paths(specs, capsys, argv_fn, fragment):

@@ -29,6 +29,8 @@ from symrd import (
     thresholds,
     upper_bound_rate,
 )
+import symrd.upper_bound
+from symrd.lower_bound import evaluate
 
 L_CASES = 10
 CASE1 = (0.8, 1.0, 5.0, 4.0)    # coincidence everywhere
@@ -203,14 +205,39 @@ def test_piece_switches_across_breakpoints():
 
 def test_degenerate_gamma_unhatted_flag():
     # with gamma_x = 0 the unhatted composite degenerates (its numerator is
-    # exactly zero); the default dispatch routes to the hatted family and
-    # the audit flag surfaces the degenerate evaluation as a domain error
+    # exactly zero); the dispatch routes to the hatted family, and both
+    # unhatted pieces evaluated at the same point raise a domain error
     s = _spectrum(SPEC_C)
     default = lower_bound_rate(s, L_CASES, 0.30)
     assert abs(default - SPEC_C_R2C_HAT_AT_030) <= 1e-10 * default
-    with pytest.raises(DomainError) as exc:
-        lower_bound_rate(s, L_CASES, 0.30, degenerate_gamma_unhatted=True)
-    assert "not positive" in str(exc.value)
+    for piece in (PIECE_R1C, PIECE_R2C):
+        with pytest.raises(DomainError) as exc:
+            rc_piece(piece, s, L_CASES, 0.30)
+        assert "not positive" in str(exc.value)
+
+
+def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
+    # evaluate returns (upper_bound_rate, lower_bound_rate, lower_bound_piece)
+    # from a single lambda_q solve, on every arm and on both sides
+    solve = symrd.upper_bound.solve_lambda_q
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(symrd.upper_bound, "solve_lambda_q", counted)
+    for eig in (CASE1, CASE2, CASE3, SPEC_B, SPEC_C, SPEC_D):
+        s = _spectrum(eig)
+        lo, hi = d_min(s, L_CASES), source_variance(s, L_CASES)
+        for frac in (0.05, 0.3, 0.6, 0.95):
+            D = lo + frac * (hi - lo)
+            solves.clear()
+            got = evaluate(s, L_CASES, D)
+            assert len(solves) == 1
+            assert got == (upper_bound_rate(s, L_CASES, D),
+                           lower_bound_rate(s, L_CASES, D),
+                           lower_bound_piece(s, L_CASES, D))
 
 
 def test_rc_piece_rejects_unknown_label():

@@ -59,14 +59,17 @@ def test_direct_mmse_frozen():
 def test_run_is_deterministic():
     cfg = _case1_config(n=20_000)
     first = run_simulation(cfg)
-    run_simulation.cache_clear()
     second = run_simulation(cfg)
     assert first == second
 
 
-def test_result_is_cached():
+def test_repeat_call_recomputes_equal_result():
+    # no hidden cache: a second call on one config runs again and returns
+    # an equal, distinct SimResult
     cfg = _case1_config(n=20_000)
-    assert run_simulation(cfg) is run_simulation(cfg)
+    first, second = run_simulation(cfg), run_simulation(cfg)
+    assert first == second
+    assert first is not second
 
 
 def test_different_seeds_differ():
