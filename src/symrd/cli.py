@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_file")
     _add_grid_arguments(p)
     p.add_argument("--certify", action="store_true",
-                   help="add convex-oracle value and max KKT residual columns")
+                   help="add convex-oracle value and max relative KKT "
+                        "residual columns")
     p.add_argument("--asymptotic", metavar="L1,L2,...",
                    help="add large-L approximation columns at these sizes")
     p.set_defaults(func=cmd_sweep)

@@ -24,13 +24,21 @@ The solver works on `model.side_view`: the eigen-directions as (x, y, m)
 triples, "big" for the larger y and "small" for the other, so lambda_w =
 y_small.  The small side's log term is constant and its envelope pins
 its variable to delta, leaving the big side's variable v (alpha when
-lambda_y >= gamma_y, beta otherwise) and delta, which is optimal at
-min(envelope, distortion cap).  Golden-section search on v gives the
-point, certified through the five-condition KKT system (two stationarity
-equations, three complementary-slackness products with nonnegative
-multipliers).  Each function is written once in (big, small) for both
-sides; only the box multiplier's slope in recover_multipliers keeps a
-rule per side.
+lambda_y >= gamma_y, beta otherwise) and delta = min(env(v), cap(v)).
+With c = 1/y_small - 1/y_big, env(v) = v / (1 + c v) rises and the
+distortion cap(v) = (s0 - a v) / b falls.  On the envelope branch the
+objective is (L - m_b)/2 ln(1 + c v) - L/2 ln v plus a constant, strictly
+decreasing; on the cap branch it is convex.  So the stationarity
+conditions (Boyd and Vandenberghe 2004, section 5.5.3) leave three
+candidates, each a closed form: the crossing of env and cap (a quadratic's
+root), the cap branch's stationary point m_b c (s0 - a v) = L a (1 + c v)
+when it lies between the crossing and the box end, and the box end
+v = y_big.  Each is computed both as v and as u = y_big - v, and delta
+both as delta and as y_small - delta, without cancellation; the value
+uses the smaller of each pair, so a rate near 0 keeps its relative
+accuracy.  The optimum is certified through the five-condition KKT system
+(two stationarity equations, three complementary-slackness products with
+nonnegative multipliers), with residuals relative to the terms they sum.
 
 This module is deliberately independent of the closed-form lower bound: it
 never consults the regime classification, so agreement between the two is
@@ -45,18 +53,9 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, DomainError
 from .model import Spectrum, check_distortion, side_view
 
-INV_PHI = (math.sqrt(5) - 1) / 2  # 1 / phi
-
-# Outer golden-section iterations.  The bracket shrinks by 1/phi per step,
-# so 200 steps leave an interval ~4e-42 times the initial one; the limiting
-# factor is float64 noise near the flat bottom, not the budget.
-GSS_ITERS = 200
-
-#: Default value tolerance requested from solve_program.
-DEFAULT_TOL = 1e-9
-
-# Residual level at which a KKT certificate is accepted as demonstrating
-# optimality; beyond it solve_program raises ConvergenceError.
+# Relative residual (see KktCertificate) at which a KKT certificate is
+# accepted as demonstrating optimality; beyond it solve_program raises
+# ConvergenceError.
 CERTIFICATE_TOL = 1e-6
 
 # Relative slack when deciding which constraints are active during
@@ -75,12 +74,18 @@ class ProgramPoint:
 
 @dataclass(frozen=True)
 class KktCertificate:
-    """Multipliers and residuals of the five-condition optimality system.
+    """Multipliers and relative residuals of the five-condition optimality system.
 
-    stationarity_residual is the max absolute residual of the two
-    stationarity equations of the reduced program; complementarity_residual
-    the max absolute product multiplier * constraint-slack.  Both are ~0 at
-    a true optimum with correctly recovered multipliers.
+    stationarity_residual is the larger, over the two stationarity
+    equations of the reduced program, of |sum of terms| / sum of |terms|.
+    complementarity_residual is the largest product (multiplier's term
+    over the sum of |terms| of its stationarity equation) x (slack over
+    the sum of the constraint's two sides); a negative multiplier counts
+    with its share alone.  The terms of one equation share a unit, and
+    scaling every variance by k scales each of them by 1/k, so the ratios
+    are free of units where absolute residuals scale like L/(2 delta).  A
+    ratio is also what float64 can resolve: a few units of roundoff at an
+    exact optimum, whatever L and the units are.
     """
 
     omega1: float
@@ -120,60 +125,74 @@ def distortion_constraint(p: ProgramPoint, spectrum: Spectrum, L: int) -> float:
                          + s.gamma_x - s.gamma_x ** 2 / s.gamma_y))
 
 
-def _gss_min(fun, lo: float, hi: float, iters: int = GSS_ITERS):
-    """Golden-section minimum of a unimodal fun on [lo, hi].
-
-    Returns (value, argmin) over the four points still in hand at the end,
-    so boundary minima are not lost.
-    """
-    a, b = lo, hi
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = fun(d)
-    candidates = [(fun(a), a), (fc, c), (fd, d), (fun(b), b)]
-    return min(candidates, key=lambda t: t[0])
+def _exact_sum(*terms: tuple[int, float, float, float]) -> float:
+    """Sum of the terms m x z / y (int m, floats x, z and y), rounded once."""
+    num, den = 0, 1
+    for m, x, z, y in terms:
+        (xn, xd), (zn, zd), (yn, yd) = (x.as_integer_ratio(), z.as_integer_ratio(),
+                                        y.as_integer_ratio())
+        num, den = num * xd * zd * yn + m * xn * zn * yd * den, den * xd * zd * yn
+    return num / den
 
 
-def _solve_reduced(spectrum: Spectrum, L: int, D: float) -> ProgramPoint:
-    """Golden-section solve of the envelope-reduced program."""
+def _solve_reduced(spectrum: Spectrum, L: int, D: float) -> tuple[ProgramPoint, float]:
+    """Active-set solve of the envelope-reduced program: (point, value)."""
     (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
-    base = mb * (xb - xb ** 2 / yb) + ms * (xs - xs ** 2 / ys)
-    target = L * D
+    dy, a, b = yb - ys, mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2
+    # The distortion slack from the floor and from the top, exact but for
+    # one rounding: a v + b delta <= s0 = L (D - d_min), or a u + b e >= t0
+    # = L (sigma_x_sq - D) with u = y_big - v and e = y_small - delta.
+    s0 = _exact_sum((L, D, 1.0, 1.0), (-mb, xb, 1.0, 1.0), (-ms, xs, 1.0, 1.0),
+                    (mb, xb, xb, yb), (ms, xs, xs, ys))
+    t0 = _exact_sum((mb, xb, 1.0, 1.0), (ms, xs, 1.0, 1.0), (-L, D, 1.0, 1.0))
 
-    def delta_star(v):
-        env = 1.0 / (1.0 / v + 1.0 / ys - 1.0 / yb)
-        slack = target - base - mb * xb ** 2 / yb ** 2 * v
-        if xs > 0.0:
-            cap = slack * ys ** 2 / (ms * xs ** 2)
-        else:
-            cap = math.inf if slack >= 0.0 else -1.0
-        return min(env, cap)
+    def candidate(v, u, d, e):
+        lw = dy * v + yb * ys
+        r1 = (-math.log1p(-dy * u / yb ** 2) if 2.0 * dy * u < yb ** 2
+              else math.log(yb ** 2 / lw))
+        r2 = -math.log1p(-e / ys) if 2.0 * e < ys else math.log(ys / d)
+        point = ProgramPoint(d, v, d) if hatted else ProgramPoint(v, d, d)
+        return mb / 2.0 * r1 + L / 2.0 * r2, point
 
-    def g(v):
-        ds = delta_star(v)
-        if ds <= 0.0:
-            return math.inf
-        return (mb / 2.0 * math.log(yb ** 2 / ((yb - ys) * v + yb * ys))
-                + L / 2.0 * math.log(ys / ds))
+    def on_envelope(v, u):
+        lw = dy * v + yb * ys
+        return candidate(v, u, v * yb * ys / lw, u * ys ** 2 / lw)
 
-    hi = yb
-    if xb > 0.0:
-        v_sup = (target - base) * yb ** 2 / (mb * xb ** 2)
-        hi = min(hi, v_sup * (1.0 - 1e-12))
-    _, v_star = _gss_min(g, hi * 1e-30, hi)
-    d_star = delta_star(v_star)
-    if hatted:
-        return ProgramPoint(d_star, v_star, d_star)
-    return ProgramPoint(v_star, d_star, d_star)
+    if b == 0.0:
+        # No cap on delta: v stops where a v = s0, delta on the envelope.
+        return on_envelope(s0 / a, t0 / a)[::-1]
+    # The crossing: the positive root of a c v^2 + (a + b - c s0) v = s0,
+    # and the smaller root of its quadratic in u, both in stable form.
+    x, y, z = dy * t0, a * yb ** 2, b * ys ** 2
+    u_x = 2.0 * t0 * yb ** 2 / (x + y + z + math.sqrt((x - y) ** 2 + z * (2.0 * (x + y) + z)))
+    qa, qb = a * dy, (a + b) * yb * ys - dy * s0
+    r = math.sqrt(qb * qb + 4.0 * qa * s0 * yb * ys)
+    v_x = 2.0 * s0 * yb * ys / (qb + r) if qb > 0.0 else (r - qb) / (2.0 * qa)
+    options = [on_envelope(v_x, u_x)]
+    w0 = b * ys - t0 if t0 < s0 else s0 - a * yb   # b cap(y_big)
+    if w0 > 0.0:
+        options.append(candidate(yb, 0.0, w0 / b, t0 / b))
+    if qa > 0.0:
+        k = qa * (mb + L)
+        v_c = (mb * dy * s0 - L * a * yb * ys) / k
+        u_c = (L * a * yb ** 2 - mb * dy * w0) / k
+        if 0.0 < u_c < u_x:
+            options.append(candidate(v_c, u_c, (s0 - a * v_c) / b, (t0 - a * u_c) / b))
+    value, point = min(options, key=lambda option: option[0])
+    return point, value
+
+
+def _reduced_at(p: ProgramPoint, spectrum: Spectrum, L: int) -> tuple:
+    """(v, delta, y_big, y_small, slope, a, b, lw) of the reduced program at p.
+
+    lw = y_big y_small (1 + c v) and slope = m_b c / (2 (1 + c v)), the
+    magnitude of the v-derivative of the objective's log term.
+    """
+    (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
+    v = p.beta if hatted else p.alpha
+    lw = (yb - ys) * v + yb * ys
+    return (v, p.delta, yb, ys, mb * (yb - ys) / (2.0 * lw),
+            mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2, lw)
 
 
 def recover_multipliers(
@@ -188,27 +207,20 @@ def recover_multipliers(
     optimum the recovered multipliers are nonnegative and the remaining
     residuals vanish; kkt_check reports both.
     """
-    (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
-    v = p.beta if hatted else p.alpha
-    d = p.delta
-    c = 1.0 / ys - 1.0 / yb
-    env = 1.0 / (1.0 / v + c)
+    v, d, yb, ys, slope, a, b, lw = _reduced_at(p, spectrum, L)
+    env = v * yb * ys / lw
     if abs(d - env) <= _ACTIVE_TOL * env:
-        w3 = ((L / (2.0 * d) / (1.0 + c * v) ** 2 + mb * c / 2.0 / (1.0 + c * v))
-              / (mb * xb ** 2 / yb ** 2 + ms * xs ** 2 / ys ** 2 / (1.0 + c * v) ** 2))
-        return 0.0, L / (2.0 * d) - ms * w3 * xs ** 2 / ys ** 2, w3
-    w3 = L / (2.0 * d) * ys ** 2 / (ms * xs ** 2)
+        e2 = (yb * ys / lw) ** 2          # env'(v) = 1 / (1 + c v)^2
+        return (0.0, (L / (2.0 * d) * a - b * slope) / (a + b * e2),
+                (L / (2.0 * d) * e2 + slope) / (a + b * e2))
+    w3 = L / (2.0 * d) / b
     if not abs(v - yb) <= _ACTIVE_TOL * yb:
         return 0.0, 0.0, w3
-    # The box multiplier balances the free variable's log term, whose
-    # slope is mb c / (2 (1 + c v)).  The gamma side reads it at v, the
-    # lambda side at the bound v = y_big; the two agree to _ACTIVE_TOL and
-    # differ only in the roundoff digits of the printed KKT residual.
-    if hatted:
-        slope = mb * c / (2.0 * (1.0 + c * v))
-    else:
-        slope = mb * (1.0 / yb - ys / yb ** 2) / 2.0
-    return slope - w3 * mb * xb ** 2 / yb ** 2, 0.0, w3
+    return slope - w3 * a, 0.0, w3
+
+
+def _share(term: float, scale: float) -> float:
+    return abs(term) / scale if scale > 0.0 else 0.0
 
 
 def kkt_check(
@@ -218,66 +230,69 @@ def kkt_check(
     L: int,
     D: float,
 ) -> KktCertificate:
-    """Residuals of the five-condition KKT system at p with given multipliers.
+    """Relative residuals of the five-condition KKT system at p with given multipliers.
 
     Evaluates the reduced program on the spectrum's active side: the two
     stationarity equations (with respect to the free log variable and
     delta), and the three complementarity products for the box constraint,
-    the envelope constraint (on delta), and the distortion constraint.  A
-    point is certified optimal when both residuals are small and the
-    multipliers are nonnegative.
+    the envelope constraint (on delta), and the distortion constraint, each
+    scaled as KktCertificate describes.  A point is certified optimal when
+    both residuals are small.
     """
-    (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
     w1, w2, w3 = multipliers
-    v = p.beta if hatted else p.alpha
-    d = p.delta
-    c = 1.0 / ys - 1.0 / yb
-    env = 1.0 / (1.0 / v + c)
-    sv = (mb * (ys - yb) / (2.0 * ((yb - ys) * v + yb * ys)) + w1
-          - w2 / (1.0 + c * v) ** 2 + w3 * mb * xb ** 2 / yb ** 2)
-    sd = -L / (2.0 * d) + w2 + ms * w3 * xs ** 2 / ys ** 2
-    comp = max(abs(w1 * (v - yb)), abs(w2 * (d - env)),
-               abs(w3 * (distortion_constraint(p, spectrum, L) - L * D)))
-    return KktCertificate(w1, w2, w3, max(abs(sv), abs(sd)), comp)
+    v, d, yb, ys, slope, a, b, lw = _reduced_at(p, spectrum, L)
+    env = v * yb * ys / lw
+    sv = (-slope, w1, -w2 * (yb * ys / lw) ** 2, w3 * a)
+    sd = (-L / (2.0 * d), w2, w3 * b)
+    scale_v, scale_d = sum(map(abs, sv)), sum(map(abs, sd))
+    lhs, rhs = distortion_constraint(p, spectrum, L), L * D
+    comp = 0.0
+    for w, share, slack in (
+            (w1, _share(w1, scale_v), _share(v - yb, v + yb)),
+            (w2, _share(w2, scale_d), _share(d - env, d + env)),
+            (w3, max(_share(w3 * a, scale_v), _share(w3 * b, scale_d)),
+             _share(lhs - rhs, lhs + rhs))):
+        comp = max(comp, share if w < 0.0 else share * slack)
+    stat = max(_share(sum(sv), scale_v), _share(sum(sd), scale_d))
+    return KktCertificate(w1, w2, w3, stat, comp)
 
 
 def solve_program(
-    spectrum: Spectrum, L: int, D: float, tol: float = DEFAULT_TOL
+    spectrum: Spectrum, L: int, D: float
 ) -> tuple[ProgramPoint, float, KktCertificate]:
     """Minimize Omega subject to the converse constraints at distortion D.
+
+    The minimiser is the least-valued of the three active-set candidates
+    of the module docstring, each a closed form.
 
     Parameters
     ----------
     spectrum, L : model
     D : float
         Per-component distortion, inside (d_min, sigma_x_sq).
-    tol : float
-        Requested value accuracy in nats.  The golden-section budget
-        resolves far below 1e-9; values much below 1e-12 are not
-        meaningful in float64 and are treated as 1e-12.
 
     Returns
     -------
     (point, value_nats, certificate)
-        value_nats == omega_objective(point, spectrum, L); the certificate
-        carries recovered multipliers and their residuals.
+        value_nats is Omega at point, from the distances to the zero-rate
+        corner (it agrees with omega_objective(point, spectrum, L) to
+        rounding); the certificate carries recovered multipliers and
+        their relative residuals.
 
     Raises
     ------
     DomainError
         D outside the open interval (d_min, sigma_x_sq).
     ConvergenceError
-        The final certificate residuals exceed CERTIFICATE_TOL (carries
-        the best point found in .best).
+        A certificate residual exceeds CERTIFICATE_TOL (carries the point
+        in .best).
     """
     check_distortion(spectrum, L, D)
-    point = _solve_reduced(spectrum, L, D)
-    value = omega_objective(point, spectrum, L)
+    point, value = _solve_reduced(spectrum, L, D)
     mult = recover_multipliers(point, spectrum, L, D)
     cert = kkt_check(point, mult, spectrum, L, D)
-    residual = max(cert.stationarity_residual, cert.complementarity_residual,
-                   -min(cert.omega1, cert.omega2, cert.omega3, 0.0))
-    if residual > max(CERTIFICATE_TOL, tol):
+    residual = max(cert.stationarity_residual, cert.complementarity_residual)
+    if not residual <= CERTIFICATE_TOL:
         raise ConvergenceError(
             f"KKT residual {residual!r} exceeds certificate tolerance at "
             f"D = {D!r}", best=(point, value, cert))
