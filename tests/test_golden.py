@@ -6,8 +6,8 @@ Gaussian CEO spec (rho_x = 1, rho_z = 0).  Each spec has four pinned
 outputs: `info`, `classify`, a 40-point `sweep` and a 20-point
 `sweep --certify`, both over the range below, which spans 98% of
 (d_min, sigma_x_sq) and crosses every piece its arm has.  Every certify
-grid certifies with KKT residuals at most 3e-8, well inside the oracle's
-tolerance.
+grid certifies with relative KKT residuals at most 2.3e-16, far inside
+the oracle's tolerance of 1e-6; test_certify_columns bounds them.
 
 The outputs are compared byte for byte.  They are reference data, not
 snapshots to refresh: when one differs, the code moved a printed digit,
@@ -35,6 +35,8 @@ RANGES = {
     "ceo": ("0.0480769", "0.990385"),
 }
 COMMANDS = ("info", "classify", "sweep", "certify")
+# The largest kkt_residual over the 180 pinned certify rows is 2.26e-16.
+KKT_RESIDUAL_BOUND = 1e-15
 
 
 def golden_argv(name: str, command: str) -> list:
@@ -56,3 +58,11 @@ def test_golden_output(name, command, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{command}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(RANGES))
+def test_certify_columns(name):
+    header, *rows = (GOLDEN / f"{name}.certify.out").read_text().splitlines()
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert 0.0 <= float(cells["kkt_residual"]) <= KKT_RESIDUAL_BOUND
