@@ -66,3 +66,5 @@ def test_certify_columns(name):
     for row in rows:
         cells = dict(zip(header.split(","), row.split(",")))
         assert 0.0 <= float(cells["kkt_residual"]) <= KKT_RESIDUAL_BOUND
+        # The oracle never consults the closed form, yet prints its digits.
+        assert cells["oracle_nats"] == cells["lower_nats"]
