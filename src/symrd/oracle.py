@@ -24,21 +24,20 @@ The solver works on `model.side_view`: the eigen-directions as (x, y, m)
 triples, "big" for the larger y and "small" for the other, so lambda_w =
 y_small.  The small side's log term is constant and its envelope pins
 its variable to delta, leaving the big side's variable v (alpha when
-lambda_y >= gamma_y, beta otherwise) and delta = min(env(v), cap(v)).
-With c = 1/y_small - 1/y_big, env(v) = v / (1 + c v) rises and the
-distortion cap(v) = (s0 - a v) / b falls.  On the envelope branch the
-objective is (L - m_b)/2 ln(1 + c v) - L/2 ln v plus a constant, strictly
-decreasing; on the cap branch it is convex.  So the stationarity
-conditions (Boyd and Vandenberghe 2004, section 5.5.3) leave three
-candidates, each a closed form: the crossing of env and cap (a quadratic's
-root), the cap branch's stationary point m_b c (s0 - a v) = L a (1 + c v)
-when it lies between the crossing and the box end, and the box end
-v = y_big.  Each is computed both as v and as u = y_big - v, and delta
-both as delta and as y_small - delta, without cancellation; the value
-uses the smaller of each pair, so a rate near 0 keeps its relative
-accuracy.  The optimum is certified through the five-condition KKT system
-(two stationarity equations, three complementary-slackness products with
-nonnegative multipliers), with residuals relative to the terms they sum.
+lambda_y >= gamma_y, beta otherwise) and delta = min(env(v), cap(v)):
+with c = 1/y_small - 1/y_big, env(v) = v / (1 + c v) rises and the
+distortion cap(v) = (s0 - a v) / b falls.  The objective is
+(L - m_b)/2 ln(1 + c v) - L/2 ln v plus a constant on the envelope
+branch, strictly decreasing, and convex on the cap branch.  So the
+stationarity conditions (Boyd and Vandenberghe 2004, section 5.5.3) leave
+three closed-form candidates: the crossing of env and cap, the cap
+branch's stationary point m_b c (s0 - a v) = L a (1 + c v) when it lies
+beyond the crossing, and the box end v = y_big.  Each is computed as v
+and as u = y_big - v (delta as delta and as y_small - delta) without
+cancellation, and the value uses the smaller of each pair, so a rate near
+0 keeps its relative accuracy.  The five-condition KKT system (two
+stationarity equations, three complementary-slackness products with
+nonnegative multipliers) certifies the optimum.
 
 This module is deliberately independent of the closed-form lower bound: it
 never consults the regime classification, so agreement between the two is
@@ -50,12 +49,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, PrecisionError
 from .model import Spectrum, check_distortion, side_view
 
-# Relative residual (see KktCertificate) at which a KKT certificate is
-# accepted as demonstrating optimality; beyond it solve_program raises
-# ConvergenceError.
+# Largest relative residual (see KktCertificate) of a certified optimum;
+# beyond it solve_program raises ConvergenceError.
 CERTIFICATE_TOL = 1e-6
 
 # Relative slack when deciding which constraints are active during
@@ -77,15 +75,14 @@ class KktCertificate:
     """Multipliers and relative residuals of the five-condition optimality system.
 
     stationarity_residual is the larger, over the two stationarity
-    equations of the reduced program, of |sum of terms| / sum of |terms|.
-    complementarity_residual is the largest product (multiplier's term
-    over the sum of |terms| of its stationarity equation) x (slack over
-    the sum of the constraint's two sides); a negative multiplier counts
-    with its share alone.  The terms of one equation share a unit, and
-    scaling every variance by k scales each of them by 1/k, so the ratios
-    are free of units where absolute residuals scale like L/(2 delta).  A
-    ratio is also what float64 can resolve: a few units of roundoff at an
-    exact optimum, whatever L and the units are.
+    equations, of |sum of terms| / sum of |terms|; complementarity_residual
+    the largest product (multiplier's term over the sum of |terms| of its
+    equation) x (slack over the sum of the constraint's two sides), or a
+    negative multiplier's share alone.  The terms of one equation share a
+    unit, and scaling every variance by k scales each by 1/k, so the ratios
+    are free of units, where absolute residuals scale like L/(2 delta).  A
+    ratio is also what float64 resolves: a few units of roundoff at an
+    exact optimum, whatever L and the units.
     """
 
     omega1: float
@@ -125,26 +122,29 @@ def distortion_constraint(p: ProgramPoint, spectrum: Spectrum, L: int) -> float:
                          + s.gamma_x - s.gamma_x ** 2 / s.gamma_y))
 
 
-def _exact_sum(*terms: tuple[int, float, float, float]) -> float:
-    """Sum of the terms m x z / y (int m, floats x, z and y), rounded once."""
+def _exact_sum(*terms: tuple) -> float:
+    """Sum of terms (m, x) = m x and (m, x, y) = m x^2 / y, rounded once."""
     num, den = 0, 1
-    for m, x, z, y in terms:
-        (xn, xd), (zn, zd), (yn, yd) = (x.as_integer_ratio(), z.as_integer_ratio(),
-                                        y.as_integer_ratio())
+    for m, x, *y in terms:
+        z, y = (x, y[0]) if y else (1.0, 1.0)
+        (xn, xd), (zn, zd), (yn, yd) = (
+            x.as_integer_ratio(), z.as_integer_ratio(), y.as_integer_ratio())
         num, den = num * xd * zd * yn + m * xn * zn * yd * den, den * xd * zd * yn
     return num / den
 
 
-def _solve_reduced(spectrum: Spectrum, L: int, D: float) -> tuple[ProgramPoint, float]:
-    """Active-set solve of the envelope-reduced program: (point, value)."""
+def _solve_reduced(spectrum: Spectrum, L: int, D: float) -> tuple[float, ProgramPoint]:
+    """Active-set solve of the envelope-reduced program: (value, point)."""
     (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
     dy, a, b = yb - ys, mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2
-    # The distortion slack from the floor and from the top, exact but for
-    # one rounding: a v + b delta <= s0 = L (D - d_min), or a u + b e >= t0
-    # = L (sigma_x_sq - D) with u = y_big - v and e = y_small - delta.
-    s0 = _exact_sum((L, D, 1.0, 1.0), (-mb, xb, 1.0, 1.0), (-ms, xs, 1.0, 1.0),
-                    (mb, xb, xb, yb), (ms, xs, xs, ys))
-    t0 = _exact_sum((mb, xb, 1.0, 1.0), (ms, xs, 1.0, 1.0), (-L, D, 1.0, 1.0))
+    # Slacks exact but for one rounding: a v + b delta <= s0 = L (D - d_min)
+    # and a u + b e >= t0 = L (sigma_x_sq - D), u = y_big - v, e = y_small - delta.
+    s0 = _exact_sum((L, D), (-mb, xb), (-ms, xs), (mb, xb, yb), (ms, xs, ys))
+    t0 = _exact_sum((mb, xb), (ms, xs), (-L, D))
+    if not (s0 > 0.0 and t0 > 0.0):
+        raise PrecisionError(
+            f"D = {D!r} is within rounding of an end of (d_min, sigma_x_sq): "
+            f"L (D - d_min) = {s0!r}, L (sigma_x_sq - D) = {t0!r}")
 
     def candidate(v, u, d, e):
         lw = dy * v + yb * ys
@@ -160,11 +160,12 @@ def _solve_reduced(spectrum: Spectrum, L: int, D: float) -> tuple[ProgramPoint, 
 
     if b == 0.0:
         # No cap on delta: v stops where a v = s0, delta on the envelope.
-        return on_envelope(s0 / a, t0 / a)[::-1]
+        return on_envelope(s0 / a, t0 / a)
     # The crossing: the positive root of a c v^2 + (a + b - c s0) v = s0,
     # and the smaller root of its quadratic in u, both in stable form.
     x, y, z = dy * t0, a * yb ** 2, b * ys ** 2
-    u_x = 2.0 * t0 * yb ** 2 / (x + y + z + math.sqrt((x - y) ** 2 + z * (2.0 * (x + y) + z)))
+    root = math.sqrt((x - y) ** 2 + z * (2.0 * (x + y) + z))
+    u_x = 2.0 * t0 * yb ** 2 / (x + y + z + root)
     qa, qb = a * dy, (a + b) * yb * ys - dy * s0
     r = math.sqrt(qb * qb + 4.0 * qa * s0 * yb * ys)
     v_x = 2.0 * s0 * yb * ys / (qb + r) if qb > 0.0 else (r - qb) / (2.0 * qa)
@@ -178,21 +179,19 @@ def _solve_reduced(spectrum: Spectrum, L: int, D: float) -> tuple[ProgramPoint, 
         u_c = (L * a * yb ** 2 - mb * dy * w0) / k
         if 0.0 < u_c < u_x:
             options.append(candidate(v_c, u_c, (s0 - a * v_c) / b, (t0 - a * u_c) / b))
-    value, point = min(options, key=lambda option: option[0])
-    return point, value
+    return min(options, key=lambda option: option[0])
 
 
 def _reduced_at(p: ProgramPoint, spectrum: Spectrum, L: int) -> tuple:
-    """(v, delta, y_big, y_small, slope, a, b, lw) of the reduced program at p.
+    """(v, delta, y_big, env(v), env'(v), slope, a, b) of the reduced program at p.
 
-    lw = y_big y_small (1 + c v) and slope = m_b c / (2 (1 + c v)), the
-    magnitude of the v-derivative of the objective's log term.
+    slope = m_b c / (2 (1 + c v)) is minus the v-derivative of the objective.
     """
     (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
     v = p.beta if hatted else p.alpha
-    lw = (yb - ys) * v + yb * ys
-    return (v, p.delta, yb, ys, mb * (yb - ys) / (2.0 * lw),
-            mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2, lw)
+    lw = (yb - ys) * v + yb * ys          # y_big y_small (1 + c v)
+    return (v, p.delta, yb, v * yb * ys / lw, (yb * ys / lw) ** 2,
+            mb * (yb - ys) / (2.0 * lw), mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2)
 
 
 def recover_multipliers(
@@ -200,19 +199,14 @@ def recover_multipliers(
 ) -> tuple[float, float, float]:
     """Recover (omega1, omega2, omega3) from the active set at p.
 
-    Uses the stationarity equations of the reduced program on the side
-    selected by the spectrum: whichever constraints are (numerically)
-    active at p determine which multipliers may be nonzero, and the
-    stationarity equations are then solved exactly for them.  At a true
-    optimum the recovered multipliers are nonnegative and the remaining
-    residuals vanish; kkt_check reports both.
+    The constraints active at p (to _ACTIVE_TOL) say which multipliers may
+    be nonzero; the stationarity equations are solved exactly for them.
     """
-    v, d, yb, ys, slope, a, b, lw = _reduced_at(p, spectrum, L)
-    env = v * yb * ys / lw
-    if abs(d - env) <= _ACTIVE_TOL * env:
-        e2 = (yb * ys / lw) ** 2          # env'(v) = 1 / (1 + c v)^2
-        return (0.0, (L / (2.0 * d) * a - b * slope) / (a + b * e2),
-                (L / (2.0 * d) * e2 + slope) / (a + b * e2))
+    v, d, yb, env, de, slope, a, b = _reduced_at(p, spectrum, L)
+    w2 = (L / (2.0 * d) * a - b * slope) / (a + b * de)
+    # An envelope within _ACTIVE_TOL binds only if w2 >= 0 (box end near the top).
+    if abs(d - env) <= _ACTIVE_TOL * env and w2 >= 0.0:
+        return 0.0, w2, (L / (2.0 * d) * de + slope) / (a + b * de)
     w3 = L / (2.0 * d) / b
     if not abs(v - yb) <= _ACTIVE_TOL * yb:
         return 0.0, 0.0, w3
@@ -232,27 +226,21 @@ def kkt_check(
 ) -> KktCertificate:
     """Relative residuals of the five-condition KKT system at p with given multipliers.
 
-    Evaluates the reduced program on the spectrum's active side: the two
-    stationarity equations (with respect to the free log variable and
-    delta), and the three complementarity products for the box constraint,
-    the envelope constraint (on delta), and the distortion constraint, each
-    scaled as KktCertificate describes.  A point is certified optimal when
-    both residuals are small.
+    The stationarity equations in v and delta, and the complementarity
+    products of the box, envelope and distortion constraints, each scaled
+    as KktCertificate describes.
     """
     w1, w2, w3 = multipliers
-    v, d, yb, ys, slope, a, b, lw = _reduced_at(p, spectrum, L)
-    env = v * yb * ys / lw
-    sv = (-slope, w1, -w2 * (yb * ys / lw) ** 2, w3 * a)
+    v, d, yb, env, de, slope, a, b = _reduced_at(p, spectrum, L)
+    sv = (-slope, w1, -w2 * de, w3 * a)
     sd = (-L / (2.0 * d), w2, w3 * b)
     scale_v, scale_d = sum(map(abs, sv)), sum(map(abs, sd))
     lhs, rhs = distortion_constraint(p, spectrum, L), L * D
-    comp = 0.0
-    for w, share, slack in (
-            (w1, _share(w1, scale_v), _share(v - yb, v + yb)),
-            (w2, _share(w2, scale_d), _share(d - env, d + env)),
-            (w3, max(_share(w3 * a, scale_v), _share(w3 * b, scale_d)),
-             _share(lhs - rhs, lhs + rhs))):
-        comp = max(comp, share if w < 0.0 else share * slack)
+    comp = max(share if w < 0.0 else share * slack for w, share, slack in (
+        (w1, _share(w1, scale_v), _share(v - yb, v + yb)),
+        (w2, _share(w2, scale_d), _share(d - env, d + env)),
+        (w3, max(_share(w3 * a, scale_v), _share(w3 * b, scale_d)),
+         _share(lhs - rhs, lhs + rhs))))
     stat = max(_share(sum(sv), scale_v), _share(sum(sd), scale_d))
     return KktCertificate(w1, w2, w3, stat, comp)
 
@@ -262,14 +250,8 @@ def solve_program(
 ) -> tuple[ProgramPoint, float, KktCertificate]:
     """Minimize Omega subject to the converse constraints at distortion D.
 
-    The minimiser is the least-valued of the three active-set candidates
-    of the module docstring, each a closed form.
-
-    Parameters
-    ----------
-    spectrum, L : model
-    D : float
-        Per-component distortion, inside (d_min, sigma_x_sq).
+    D is the per-component distortion.  The minimiser is the least-valued
+    of the module docstring's three closed-form active-set candidates.
 
     Returns
     -------
@@ -283,12 +265,14 @@ def solve_program(
     ------
     DomainError
         D outside the open interval (d_min, sigma_x_sq).
+    PrecisionError
+        D inside that interval only by rounding: an exact slack is <= 0.
     ConvergenceError
         A certificate residual exceeds CERTIFICATE_TOL (carries the point
         in .best).
     """
     check_distortion(spectrum, L, D)
-    point, value = _solve_reduced(spectrum, L, D)
+    value, point = _solve_reduced(spectrum, L, D)
     mult = recover_multipliers(point, spectrum, L, D)
     cert = kkt_check(point, mult, spectrum, L, D)
     residual = max(cert.stationarity_residual, cert.complementarity_residual)

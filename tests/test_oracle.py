@@ -11,12 +11,15 @@ runs its own 50-digit golden-section solve of the reduced program
 (skipped without mpmath) and compares the oracle with it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import symrd.cli as cli
 from symrd import (
     DomainError,
+    PrecisionError,
     ProgramPoint,
     SourceSpec,
     d_min,
@@ -231,6 +234,23 @@ def test_solver_tolerance_argument():
     assert abs(value - CASE3_VALUE_AT_047) <= 1e-9
     assert max(cert.stationarity_residual,
                cert.complementarity_residual) <= CERTIFICATE_TOL
+
+
+def test_next_to_the_ends():
+    # At the top the optimum nears the corner where the box, envelope and
+    # distortion constraints meet; it still certifies, with a rate near 0.
+    for eig in (CASE1, CASE2, CASE3, SPEC_B, SPEC_D):
+        s = _spectrum(eig)
+        top = source_variance(s, L_CASES)
+        for D in (math.nextafter(top, 0.0), top * (1.0 - 1e-14), top * (1.0 - 1e-9)):
+            _, value, cert = solve_program(s, L_CASES, D)
+            assert 0.0 <= value <= 1e-7
+            assert max(cert.stationarity_residual,
+                       cert.complementarity_residual) <= CERTIFICATE_TOL
+    # A float D above the rounded d_min but not above the exact one.
+    s = spectral_decompose(SourceSpec(2, 1.0, 0.0, 0.1, 0.0))
+    with pytest.raises(PrecisionError, match="within rounding"):
+        solve_program(s, 2, math.nextafter(d_min(s, 2), math.inf))
 
 
 # The benchmark's unit-fault input: L = 200 in small variance units.  An
