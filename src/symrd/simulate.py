@@ -23,26 +23,35 @@ the printed identity within its statistical band.
 
 Cost: every covariance in the model has eigenvalue lambda on the all-ones
 direction and gamma on its L - 1 dimensional complement, so nothing needs
-an eigenbasis.  A block is sampled in the coordinate basis as
+an eigenbasis.  Samples are drawn in the coordinate basis as
 sqrt(gamma) (T - mean_row(T) 1) + sqrt(lambda / L) S 1, which has the
 model's law for every rho; an estimator with gains g_lambda, g_gamma maps
 an observation row o to g_gamma o + (g_lambda - g_gamma) mean_row(o) 1;
 and the log-det rate is invariant under the orthogonal change of basis,
-so the (Y, V) moments stay in the coordinate basis.  A block of n_b
-samples therefore costs O(n_b L) plus one Gram product.
+so the (Y, V) moments stay in the coordinate basis.  n samples therefore
+cost O(nL) plus one Gram product per chunk.  Each block is streamed in
+chunks of CHUNK_ROWS rows: a chunk's draws, X, Z, Q, [Y | V], both
+squared errors and its Gram product stay in cache, and a block returns
+only its three scalar sums and its Gram.  The blocks run on a thread
+pool of min(available CPUs, blocks) workers (numpy's RNG and array
+kernels release the GIL); a run of one block starts no pool.  Memory is
+O(workers CHUNK_ROWS L + L^2), not O(BLOCK_SIZE L).
 
 Reproducibility: sampling is partitioned into fixed-size blocks, each drawn
-from a counter-based generator keyed by (seed, block_index), so the stream
-neither depends on how blocks are scheduled nor on how many workers reduce
-them.  Scalar sums are reduced across blocks with math.fsum and the moment
-matrices with one vectorised compensated (Neumaier) sum, making results
-bit-stable for a given seed and identical to 1e-12 under any re-partition
-of the block sums.
+from a counter-based generator keyed by (seed, block_index); consecutive
+draws from one generator continue its stream, so a block's chunks hold
+exactly the samples of one whole-block draw (sample_model makes that
+draw).  Scalar sums are reduced in block-index order with math.fsum, and
+the moment matrices with one vectorised compensated (Neumaier) sum, so
+the result is bit-identical for a given seed under any worker count or
+schedule, and identical to 1e-12 under any re-partition of the block
+sums.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +65,9 @@ from .upper_bound import distortion_of, rate_of
 
 # Samples per RNG block; also the reduction granularity.
 BLOCK_SIZE = 1 << 17
+# Rows drawn at a time within a block: 4096 x (3L + 2) doubles, about
+# 1.2 MB at L = 12, so a chunk's arrays stay in cache.
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -125,14 +137,16 @@ def _symmetric_block(cols_s, cols_t, lam: float, gam: float) -> np.ndarray:
     return block
 
 
-def _sample_block(config: SimConfig, spectrum: Spectrum, block_index: int,
-                  n_b: int):
-    """Draw block block_index: (X, Z, Q), each (n_b, L), coordinate basis."""
+def _block_generator(seed: int, block_index: int):
+    """The counter-based generator of block block_index."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _sample_block(rng, rows: int, config: SimConfig, spectrum: Spectrum):
+    """Draw rows samples from rng: (X, Z, Q), each (rows, L), coordinate basis."""
     L = config.spec.L
-    key = np.array([config.seed & 0xFFFFFFFFFFFFFFFF, block_index],
-                   dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    w = rng.standard_normal((n_b, 3 * L + 2))
+    w = rng.standard_normal((rows, 3 * L + 2))
     # Column layout: [S_x | T_x (L) | S_z | T_z (L) | Q (L)].
     x = _symmetric_block(w[:, 0], w[:, 1:L + 1],
                          spectrum.lambda_x, spectrum.gamma_x)
@@ -162,7 +176,8 @@ def sample_model(config: SimConfig):
     spectrum = _validate_config(config)
     xs, zs, qs = [], [], []
     for index, n_b in _blocks(config.n_samples):
-        x, z, q = _sample_block(config, spectrum, index, n_b)
+        rng = _block_generator(config.seed, index)
+        x, z, q = _sample_block(rng, n_b, config, spectrum)
         xs.append(x)
         zs.append(z)
         qs.append(q)
@@ -194,31 +209,22 @@ def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray):
     return t, comp
 
 
-def run_simulation(config: SimConfig) -> SimResult:
-    """Run the full blocked simulation and return all measurements.
+def _block_sums(config: SimConfig, spectrum: Spectrum, routed, direct,
+                index: int, n_b: int):
+    """Block index's (sum d, sum d^2, sum d_direct, Gram of [Y | V]).
 
-    Accumulates, per block: sums and squared sums of the per-sample
-    distortion for both estimators (Y-routed and direct), and the raw
-    second-moment matrix of (Y, V) in the coordinate basis for the
-    mutual-information estimate.  Scalar sums are reduced across blocks
-    with math.fsum, the moment matrices with an entrywise compensated sum.
-    Each call runs the full simulation; equal configs give equal results.
+    The block's stream is drawn CHUNK_ROWS rows at a time.  Chunk sums are
+    reduced with math.fsum and chunk Grams added in chunk order.
     """
-    spectrum = _validate_config(config)
-    s = spectrum
-    L, n, lam_q = config.spec.L, config.n_samples, config.lambda_q
-
-    routed = (s.lambda_x / (s.lambda_y + lam_q), s.gamma_x / (s.gamma_y + lam_q))
-    direct = (s.lambda_x / (s.lambda_x + lam_q) if s.lambda_x > 0.0 else 0.0,
-              s.gamma_x / (s.gamma_x + lam_q) if s.gamma_x > 0.0 else 0.0)
-
-    d_sums, d_sq_sums = [], []
-    d2_sums = []
-    total = comp = np.zeros((2 * L, 2 * L))
-    for index, n_b in _blocks(n):
-        x, z, q = _sample_block(config, spectrum, index, n_b)
+    L = config.spec.L
+    rng = _block_generator(config.seed, index)
+    d_sums, d_sq_sums, d2_sums = [], [], []
+    gram = None
+    for start in range(0, n_b, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, n_b - start)
+        x, z, q = _sample_block(rng, rows, config, spectrum)
         # [Y | V] in one buffer, so the Gram product needs no copy.
-        w = np.empty((n_b, 2 * L))
+        w = np.empty((rows, 2 * L))
         y, v = w[:, :L], w[:, L:]
         np.add(x, z, out=y)
         np.add(y, q, out=v)
@@ -227,7 +233,60 @@ def run_simulation(config: SimConfig) -> SimResult:
         d_sums.append(float(np.sum(d)))
         d_sq_sums.append(float(np.sum(d * d)))
         d2_sums.append(float(np.sum(d2)))
-        total, comp = _neumaier_add(total, comp, w.T @ w)
+        if gram is None:
+            gram = w.T @ w
+        else:
+            gram += w.T @ w
+    return math.fsum(d_sums), math.fsum(d_sq_sums), math.fsum(d2_sums), gram
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def run_simulation(config: SimConfig) -> SimResult:
+    """Run the full blocked simulation and return all measurements.
+
+    Accumulates, per block: sums and squared sums of the per-sample
+    distortion for both estimators (Y-routed and direct), and the raw
+    second-moment matrix of (Y, V) in the coordinate basis for the
+    mutual-information estimate.  Blocks run on a thread pool; scalar sums
+    are reduced in block order with math.fsum, the moment matrices with an
+    entrywise compensated sum.  Each call runs the full simulation; equal
+    configs give equal results.
+    """
+    return _simulate(config, None)
+
+
+def _simulate(config: SimConfig, workers: int | None) -> SimResult:
+    """run_simulation on at most workers threads (None: one per available CPU)."""
+    spectrum = _validate_config(config)
+    s = spectrum
+    L, n, lam_q = config.spec.L, config.n_samples, config.lambda_q
+
+    routed = (s.lambda_x / (s.lambda_y + lam_q), s.gamma_x / (s.gamma_y + lam_q))
+    direct = (s.lambda_x / (s.lambda_x + lam_q) if s.lambda_x > 0.0 else 0.0,
+              s.gamma_x / (s.gamma_x + lam_q) if s.gamma_x > 0.0 else 0.0)
+
+    def block(index_rows):
+        return _block_sums(config, spectrum, routed, direct, *index_rows)
+
+    blocks = list(_blocks(n))
+    workers = min(workers or _available_cpus(), len(blocks))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(block, blocks))
+    else:
+        sums = [block(b) for b in blocks]
+    d_sums, d_sq_sums, d2_sums, grams = zip(*sums)
+    total = comp = np.zeros((2 * L, 2 * L))
+    for gram in grams:
+        total, comp = _neumaier_add(total, comp, gram)
 
     d_total = math.fsum(d_sums)
     d_sq_total = math.fsum(d_sq_sums)

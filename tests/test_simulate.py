@@ -5,8 +5,10 @@ frozen direct-MMSE constant was computed independently with an mpmath
 program at 50 decimal digits.
 """
 
+import concurrent.futures
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +33,13 @@ from symrd import (
     source_variance,
     spectral_decompose,
 )
-from symrd.simulate import BLOCK_SIZE, _neumaier_add, direct_mmse, rate_bias_band
+from symrd.simulate import (
+    BLOCK_SIZE,
+    CHUNK_ROWS,
+    _neumaier_add,
+    direct_mmse,
+    rate_bias_band,
+)
 
 L_CASES = 10
 CASE1 = (0.8, 1.0, 5.0, 4.0)
@@ -252,6 +260,62 @@ def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z):
     assert abs(res.distortion_empirical - d) <= 1e-12 * d
     assert abs(res.distortion_direct_empirical - d2) <= 1e-12 * d2
     assert abs(res.rate_empirical - rate) <= 1e-10
+
+
+def test_chunked_stream_matches_block_replay():
+    # sample_model draws each block whole; run_simulation streams it in
+    # CHUNK_ROWS-row chunks.  The second block ends in a partial chunk.
+    cfg = SimConfig(SourceSpec(7, 1.3, 0.35, 0.6, 0.2), 0.8,
+                    BLOCK_SIZE + 5000, 4243)
+    assert cfg.n_samples % BLOCK_SIZE % CHUNK_ROWS != 0
+    d, d2, rate = _eigenbasis_replay(cfg)
+    res = run_simulation(cfg)
+    assert abs(res.distortion_empirical - d) <= 1e-12 * d
+    assert abs(res.distortion_direct_empirical - d2) <= 1e-12 * d2
+    assert abs(res.rate_empirical - rate) <= 1e-10
+
+
+def test_result_does_not_depend_on_worker_count():
+    # four blocks, the last one partial
+    cfg = SimConfig(SourceSpec(3, 1.0, 0.4, 0.5, -0.2), 0.7,
+                    3 * BLOCK_SIZE + 1234, 99)
+    one, two, three = (symrd.simulate._simulate(cfg, w) for w in (1, 2, 3))
+    assert one == two == three
+    assert run_simulation(cfg) == one
+
+
+def test_one_block_run_starts_no_pool(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("thread pool created")
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", forbidden)
+    res = symrd.simulate._simulate(_case1_config(n=BLOCK_SIZE), 4)
+    assert math.isfinite(res.distortion_empirical)
+    # the patch does reach a run of two blocks
+    with pytest.raises(AssertionError, match="thread pool"):
+        symrd.simulate._simulate(_case1_config(n=BLOCK_SIZE + 1), 2)
+
+
+def test_memory_does_not_grow_with_block_size():
+    L = 12
+    cfg = SimConfig(SourceSpec(L, 1.0, 0.3, 0.5, 0.2), 0.7,
+                    2 * BLOCK_SIZE + 1234, 1)
+    # A worker holds one chunk's raw draws (3L + 2 columns), that chunk's
+    # X, Z, Q and [Y | V] (5L), the previous chunk's (5L) while the next is
+    # drawn, and two error temporaries (2L): (15L + 2) CHUNK_ROWS doubles,
+    # 6 MB at L = 12.  Three blocks run on at most three workers, each with
+    # one 2L x 2L Gram: 18 MB in all.  The 32 MB limit leaves room for
+    # interpreter allocations; one whole block of raw draws would take
+    # 40 MB by itself.
+    bound = 3 * ((15 * L + 2) * CHUNK_ROWS + (2 * L) ** 2) * 8
+    limit = 32e6
+    assert bound < limit < BLOCK_SIZE * (3 * L + 2) * 8
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 def test_compensated_moment_sum_matches_fsum():
