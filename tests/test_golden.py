@@ -9,6 +9,9 @@ outputs: `info`, `classify`, a 40-point `sweep` and a 20-point
 grid certifies with relative KKT residuals at most 2.3e-16, far inside
 the oracle's tolerance of 1e-6; test_certify_columns bounds them.
 
+The large-L commands (`asymptotic`, `gap-inf` and `sweep --asymptotic`)
+are pinned separately, error paths included; LARGE_L lists them.
+
 The outputs are compared byte for byte.  They are reference data, not
 snapshots to refresh: when one differs, the code moved a printed digit,
 and it is the code (usually its operation order) that must be mended.
@@ -49,6 +52,58 @@ def golden_argv(name: str, command: str) -> list:
     if command == "sweep":
         return argv + ["--n-points", "40"]
     return argv + ["--n-points", "20", "--certify"]
+
+
+# Large-L outputs: the asym_* specs are one per asymptotics.Condition, and
+# the negative-rho gamgeqlam_1, which the limit expressions reject, pins
+# error paths.  case -> (command, spec name, further arguments, exit code);
+# every case runs a 20-point grid over ASYM_RANGES[spec name].  <case>.out
+# pins stdout and <case>.err stderr; a missing file pins an empty stream.
+ASYM_RANGES = {
+    "asym_zero_mix": ("0.81", "0.99"),
+    "asym_pos_mix_zero_rho": ("0.67", "0.99"),
+    "asym_xi_ge_half": ("0.8", "0.99"),
+    # d_th0_inf = 0.964 is a grid point, so the sqrt(L) clause is pinned.
+    "asym_xi_lt_half": ("0.784", "0.994"),
+    "gamgeqlam_1": RANGES["gamgeqlam_1"],
+}
+ASYM_SIZES = ["--L", "10,1000,1000000"]
+SWEEP_SIZES = ["--asymptotic", "100,10000"]
+LARGE_L = {
+    "asym_zero_mix.asymptotic": ("asymptotic", "asym_zero_mix", ASYM_SIZES, 0),
+    "asym_zero_mix.gap-inf": ("gap-inf", "asym_zero_mix", [], 2),
+    "asym_pos_mix_zero_rho.asymptotic":
+        ("asymptotic", "asym_pos_mix_zero_rho", ASYM_SIZES, 0),
+    "asym_pos_mix_zero_rho.gap-inf": ("gap-inf", "asym_pos_mix_zero_rho", [], 2),
+    "asym_xi_ge_half.asymptotic": ("asymptotic", "asym_xi_ge_half", ASYM_SIZES, 0),
+    "asym_xi_ge_half.gap-inf": ("gap-inf", "asym_xi_ge_half", [], 2),
+    "asym_xi_lt_half.asymptotic": ("asymptotic", "asym_xi_lt_half", ASYM_SIZES, 0),
+    "asym_xi_lt_half.gap-inf": ("gap-inf", "asym_xi_lt_half", [], 0),
+    "asym_xi_lt_half.sweep-asymptotic": ("sweep", "asym_xi_lt_half", SWEEP_SIZES, 0),
+    "gamgeqlam_1.asymptotic": ("asymptotic", "gamgeqlam_1", ASYM_SIZES, 2),
+    "gamgeqlam_1.sweep-asymptotic": ("sweep", "gamgeqlam_1", SWEEP_SIZES, 2),
+}
+
+
+def large_l_argv(case: str) -> list:
+    """Command line of one pinned large-L output."""
+    command, name, extra, _ = LARGE_L[case]
+    d_start, d_end = ASYM_RANGES[name]
+    return [command, str(GOLDEN / f"{name}.spec"), *extra,
+            "--d-start", d_start, "--d-end", d_end, "--n-points", "20"]
+
+
+def _pinned(path: Path) -> bytes:
+    return path.read_bytes() if path.exists() else b""
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_L))
+def test_large_l_output(case, capsys):
+    rc = cli.main(large_l_argv(case))
+    captured = capsys.readouterr()
+    assert rc == LARGE_L[case][3]
+    assert captured.out.encode("utf-8") == _pinned(GOLDEN / f"{case}.out")
+    assert captured.err.encode("utf-8") == _pinned(GOLDEN / f"{case}.err")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
