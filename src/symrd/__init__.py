@@ -51,7 +51,6 @@ from .lower_bound import (
     PIECE_RBAR,
     Branch,
     RegimeParams,
-    classify_regime,
     lower_bound_piece,
     lower_bound_rate,
     rc_piece,
@@ -95,7 +94,7 @@ __all__ = [
     "UpperBoundSolution", "QuadraticCoefficients", "distortion_of", "rate_of",
     "solve_lambda_q", "upper_bound_rate", "rate_alternative_forms",
     "quadratic_coefficients", "quadratic_root",
-    "Branch", "RegimeParams", "classify_regime", "thresholds",
+    "Branch", "RegimeParams", "thresholds",
     "lower_bound_rate", "lower_bound_piece", "rc_piece",
     "PIECE_RBAR", "PIECE_R1C", "PIECE_R2C", "PIECE_R1C_HAT", "PIECE_R2C_HAT",
     "ProgramPoint", "KktCertificate", "omega_objective", "solve_program",

@@ -87,12 +87,12 @@ def _sizes(text: str, flag: str) -> list[int]:
     return sizes
 
 
-def _asym_cells(spec, sizes: list[int], D: float, scale: float) -> list[str]:
+def _asym_cells(regime, sizes: list[int], D: float, scale: float) -> list[str]:
     """Upper and lower large-L approximations at D for each size, in order."""
     cells = []
     for size in sizes:
-        cells += [_num(asymptotics.upper_asymptotic(spec, size, D) / scale),
-                  _num(asymptotics.lower_asymptotic(spec, size, D) / scale)]
+        cells += [_num(asymptotics.upper_asymptotic(regime, size, D) / scale),
+                  _num(asymptotics.lower_asymptotic(regime, size, D) / scale)]
     return cells
 
 
@@ -156,10 +156,9 @@ def cmd_sweep(args) -> int:
     _check_range(s, L, args.d_start, args.d_end)
     grid = _grid(args)
     asym_ls = _sizes(args.asymptotic, "--asymptotic") if args.asymptotic else []
-    gap_column = False
-    if asym_ls:
-        regime = asymptotics.asymptotic_regime(spec)
-        gap_column = regime.condition is asymptotics.Condition.PosMixPosRho_XiLtHalf
+    regime = asymptotics.asymptotic_regime(spec) if asym_ls else None
+    gap_column = (regime is not None
+                  and regime.condition is asymptotics.Condition.PosMixPosRho_XiLtHalf)
 
     scale = _LN2 if args.bits else 1.0
     header = ["D", "upper_nats", "lower_nats", "gap_nats", "piece"]
@@ -182,9 +181,9 @@ def cmd_sweep(args) -> int:
             residual = max(cert.stationarity_residual,
                            cert.complementarity_residual)
             row += [_num(value / scale), _num(residual)]
-        row += _asym_cells(spec, asym_ls, D, scale)
+        row += _asym_cells(regime, asym_ls, D, scale)
         if gap_column:
-            row.append(_num(asymptotics.asymptotic_gap(spec, D) / scale))
+            row.append(_num(asymptotics.asymptotic_gap(regime, D) / scale))
         print(",".join(row))
     return 0
 
@@ -199,8 +198,9 @@ def cmd_asymptotic(args) -> int:
     for asym_l in ls:
         header += [f"upper_asym_{unit}_L{asym_l}", f"lower_asym_{unit}_L{asym_l}"]
     print(",".join(header))
+    regime = asymptotics.asymptotic_regime(spec)
     for D in grid:
-        print(",".join([_num(D)] + _asym_cells(spec, ls, D, scale)))
+        print(",".join([_num(D)] + _asym_cells(regime, ls, D, scale)))
     return 0
 
 
@@ -209,8 +209,9 @@ def cmd_gap_inf(args) -> int:
     grid = _grid(args)
     scale = _LN2 if args.bits else 1.0
     print("D,delta_r_inf_bits" if args.bits else "D,delta_r_inf")
+    regime = asymptotics.asymptotic_regime(spec)
     for D in grid:
-        print(",".join([_num(D), _num(asymptotics.asymptotic_gap(spec, D) / scale)]))
+        print(",".join([_num(D), _num(asymptotics.asymptotic_gap(regime, D) / scale)]))
     return 0
 
 

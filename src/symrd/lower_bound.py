@@ -66,8 +66,7 @@ class RegimeParams:
     """Classification result: branch plus whichever quantities define it.
 
     Fields not meaningful for the branch (e.g. the hatted roots nu on the
-    lambda side, or any threshold in case 1) are None.  classify_regime
-    fills the roots; thresholds additionally fills the d_th_* fields.
+    lambda side, or any threshold in case 1) are None.
     """
 
     branch: Branch
@@ -198,8 +197,10 @@ def _regime(spectrum: Spectrum, L: int):
 
 
 def thresholds(spectrum: Spectrum, L: int) -> RegimeParams:
-    """classify_regime plus every threshold the branch makes meaningful.
+    """The regime branch, its root pair and every threshold it makes meaningful.
 
+    Only the roots of the active side are filled (mu on the lambda side,
+    nu on the gamma side), and only when the discriminant is positive.
     Case 2 fills D_th,1 and the composite switch D_th^c; case 3 fills
     D_th,1 and D_th,2 (plus D_th^c, which the composite family may or may
     not cross inside its active window); case 4 fills D_th^c only.  Hatted
@@ -208,18 +209,6 @@ def thresholds(spectrum: Spectrum, L: int) -> RegimeParams:
     """
     _, _, hatted, case, fields = _regime(spectrum, L)
     return RegimeParams(_BRANCHES[hatted][case - 1], **dict(zip(_FIELDS[hatted], fields)))
-
-
-def classify_regime(spectrum: Spectrum, L: int) -> RegimeParams:
-    """Identify the regime branch and its root pair.
-
-    Only the roots of the active side are filled (mu on the lambda side,
-    nu on the gamma side), and only when the discriminant is positive.
-    The tie lambda_y == gamma_y is handled on the lambda side, where it
-    always lands in a Rbar-everywhere case.
-    """
-    p = thresholds(spectrum, L)
-    return RegimeParams(p.branch, p.mu1, p.mu2, p.nu1, p.nu2)
 
 
 def _dispatch(spectrum: Spectrum, L: int, D: float) -> tuple[str, float | None]:
@@ -250,7 +239,7 @@ def evaluate(spectrum: Spectrum, L: int, D: float) -> tuple[float, float, str]:
 def lower_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     """Lower bound on the sum rate in nats at per-component distortion D.
 
-    Dispatches on classify_regime: Rbar on the segments where the bounds
+    Dispatches on the thresholds: Rbar on the segments where the bounds
     provably coincide, the composite family elsewhere.  Raises DomainError
     unless D lies in the open interval (d_min, sigma_x_sq).
     """

@@ -16,9 +16,9 @@ L * sigma_x^2 (lambda_q -> infinity).  The resulting sum rate in nats is
 
 The module solves the balance equation by guarded bisection, exposes two
 algebraically equivalent resolvent forms of the rate (used as cross-checks),
-and provides the closed-form quadratic in lambda_q that the balance equation
-collapses to, in both its eigenvalue and correlation-coefficient
-parameterizations.
+and builds, from the eigenvalues, the closed-form quadratic in lambda_q that
+the balance equation collapses to.  asymptotics.correlation_form writes the
+same quadratic's b and c as polynomials in L.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PrecisionError
-from .model import Spectrum, SourceSpec, check_distortion
+from .model import Spectrum, check_distortion
 
 # Bisection on lambda_q stops once the bracket's relative width is below
 # this, or after the iteration cap; the solution is then re-checked against
@@ -59,24 +59,11 @@ class UpperBoundSolution:
 
 @dataclass(frozen=True)
 class QuadraticCoefficients:
-    """Coefficients a x^2 + b x + c = 0 satisfied by lambda_q at distortion D.
-
-    Both parameterizations are carried: (phi1, phi2, phi3) build b and c
-    from the eigenvalues, while (g1, g2, h1, h2) build the same b and c as
-    polynomials in L with correlation-form coefficients,
-    b = g1 L^2 + g2 L and c = h1 L^2 + h2 L.
-    """
+    """Coefficients a x^2 + b x + c = 0 satisfied by lambda_q at distortion D."""
 
     a: float
     b: float
     c: float
-    phi1: float
-    phi2: float
-    phi3: float
-    g1: float
-    g2: float
-    h1: float
-    h2: float
 
 
 def distortion_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
@@ -193,59 +180,29 @@ def rate_alternative_forms(
     return via_lambda, via_gamma
 
 
-def quadratic_coefficients(
-    spec: SourceSpec, spectrum: Spectrum, D: float
-) -> QuadraticCoefficients:
+def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> QuadraticCoefficients:
     """Build the quadratic a x^2 + b x + c = 0 whose positive root is lambda_q.
 
     Multiplying the balance equation through by
-    (lambda_y + x)(gamma_y + x) yields a quadratic in x = lambda_q.  The
-    eigenvalue route goes through
+    (lambda_y + x)(gamma_y + x) yields a quadratic in x = lambda_q.  With
 
         phi1 = lambda_x^2 / lambda_y,
         phi2 = gamma_x^2 / gamma_y,
         phi3 = L D + phi1 + (L-1) phi2 - (lambda_x + (L-1) gamma_x),
 
-    with a = lambda_x + (L-1) gamma_x - L D,
-    b = phi1 gamma_y + (L-1) phi2 lambda_y - phi3 (gamma_y + lambda_y),
-    c = -phi3 lambda_y gamma_y.  The correlation route exposes the L-scaling
-    explicitly, b = g1 L^2 + g2 L and c = h1 L^2 + h2 L with
-
-        g1 = rho_x rho_z sx2 sz2 + (rho_x sx2 + rho_z sz2)(gamma_x - D),
-        g2 = sx2 (gamma_z + gamma_y) - rho_x sx2 gamma_x - 2 gamma_y D,
-        h1 = rho_x rho_z sx2 sz2 gamma_y
-             + (rho_x sx2 + rho_z sz2)(gamma_x gamma_z - gamma_y D),
-        h2 = rho_x sx2 gamma_z^2 + rho_z sz2 gamma_x^2
-             + gamma_x gamma_z gamma_y - gamma_y^2 D,
-
-    where sx2, sz2 abbreviate the component variances.  Both builds of
-    (b, c) are returned via the struct's identities and agree to roundoff.
+    its coefficients are a = lambda_x + (L-1) gamma_x - L D,
+    b = phi1 gamma_y + (L-1) phi2 lambda_y - phi3 (gamma_y + lambda_y) and
+    c = -phi3 lambda_y gamma_y.
     """
     s = spectrum
     phi1 = s.lambda_x ** 2 / s.lambda_y
     phi2 = s.gamma_x ** 2 / s.gamma_y
-    L = spec.L
     trace_x = s.lambda_x + (L - 1) * s.gamma_x
     phi3 = L * D + phi1 + (L - 1) * phi2 - trace_x
     a = trace_x - L * D
     b = phi1 * s.gamma_y + (L - 1) * phi2 * s.lambda_y - phi3 * (s.gamma_y + s.lambda_y)
     c = -phi3 * s.lambda_y * s.gamma_y
-
-    g1, g2, h1, h2 = correlation_form(spec, s.gamma_x, s.gamma_z, s.gamma_y, D)
-    return QuadraticCoefficients(a, b, c, phi1, phi2, phi3, g1, g2, h1, h2)
-
-
-def correlation_form(spec: SourceSpec, gx: float, gz: float, gy: float,
-                     D: float) -> tuple[float, float, float, float]:
-    """(g1, g2, h1, h2) of quadratic_coefficients, also the large-L expansion's inputs."""
-    sx2, sz2 = spec.sigma_x_sq, spec.sigma_z_sq
-    rx, rz = spec.rho_x, spec.rho_z
-    mix = rx * sx2 + rz * sz2
-    g1 = rx * rz * sx2 * sz2 + mix * (gx - D)
-    g2 = sx2 * (gz + gy) - rx * sx2 * gx - 2.0 * gy * D
-    h1 = rx * rz * sx2 * sz2 * gy + mix * (gx * gz - gy * D)
-    h2 = rx * sx2 * gz ** 2 + rz * sz2 * gx ** 2 + gx * gz * gy - gy ** 2 * D
-    return g1, g2, h1, h2
+    return QuadraticCoefficients(a, b, c)
 
 
 def quadratic_root(coeffs: QuadraticCoefficients) -> float:

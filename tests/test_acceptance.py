@@ -207,9 +207,9 @@ def test_criterion_5():
                                    abs(t.d_th_2 - reg.d_th2_inf)) * L)
     # The gap vanishes continuously at both endpoints: just inside them it
     # is positive and of order (relative offset)^2.
-    gap_in_th1 = asymptotic_gap(spec, reg.d_th1_inf * (1 + 1e-6))
-    gap_in_th2 = asymptotic_gap(spec, reg.d_th2_inf * (1 - 1e-6))
-    gap_inside = asymptotic_gap(spec, 0.87)
+    gap_in_th1 = asymptotic_gap(reg, reg.d_th1_inf * (1 + 1e-6))
+    gap_in_th2 = asymptotic_gap(reg, reg.d_th2_inf * (1 - 1e-6))
+    gap_inside = asymptotic_gap(reg, 0.87)
     checks = [th1_err <= 1e-12, th2_err <= 1e-12,
               all(e <= 1.0 for e in finite_l_scaled),
               0.0 < gap_in_th1 <= 1e-9, 0.0 < gap_in_th2 <= 1e-9,
@@ -234,8 +234,9 @@ def test_criterion_6():
     def errs(L, D):
         spec = _gapped(L)
         s = spectral_decompose(spec)
-        up = abs(upper_bound_rate(s, L, D) - upper_asymptotic(spec, L, D))
-        lo = abs(lower_bound_rate(s, L, D) - lower_asymptotic(spec, L, D))
+        limit = asymptotic_regime(spec)
+        up = abs(upper_bound_rate(s, L, D) - upper_asymptotic(limit, L, D))
+        lo = abs(lower_bound_rate(s, L, D) - lower_asymptotic(limit, L, D))
         return up, lo
 
     for D in (0.87, 0.95):
@@ -264,10 +265,11 @@ def test_criterion_7():
         s = spectral_decompose(spec)
         dm = d_min(s, L)
         top = source_variance(s, L)
+        reg = asymptotic_regime(spec)
         for k in range(20):
             D = dm + (k + 1) * (top - dm) / 21
             diff = abs(upper_bound_rate(s, L, D)
-                       - upper_asymptotic(spec, L, D))
+                       - upper_asymptotic(reg, L, D))
             worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
     detail = (f"uncorrelated case: limiting expression vs exact bound, "

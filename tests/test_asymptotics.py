@@ -91,7 +91,7 @@ def test_rejects_negative_correlations():
         asymptotic_regime(SourceSpec(500, 1.0, -0.001, 4.0, 0.1))
     assert "finite-L" in str(exc.value)
     with pytest.raises(DomainError):
-        upper_asymptotic(SourceSpec(500, 1.0, 0.3, 4.0, -0.001), 500, 0.9)
+        asymptotic_regime(SourceSpec(500, 1.0, 0.3, 4.0, -0.001))
 
 
 def test_rejects_unit_rho_x_with_positive_mix():
@@ -100,33 +100,33 @@ def test_rejects_unit_rho_x_with_positive_mix():
 
 
 def test_frozen_upper_values():
-    assert abs(upper_asymptotic(GAPPED, 500, 0.87)
-               - GAPPED_UPPER_AT_087) <= 1e-9 * GAPPED_UPPER_AT_087
     reg = asymptotic_regime(GAPPED)
-    assert abs(upper_asymptotic(GAPPED, 500, reg.d_th0_inf)
+    assert abs(upper_asymptotic(reg, 500, 0.87)
+               - GAPPED_UPPER_AT_087) <= 1e-9 * GAPPED_UPPER_AT_087
+    assert abs(upper_asymptotic(reg, 500, reg.d_th0_inf)
                - GAPPED_UPPER_AT_TH0) <= 1e-10 * GAPPED_UPPER_AT_TH0
-    assert abs(upper_asymptotic(GAPPED, 500, 0.97)
+    assert abs(upper_asymptotic(reg, 500, 0.97)
                - GAPPED_UPPER_AT_097) <= 1e-10 * GAPPED_UPPER_AT_097
-    assert abs(upper_asymptotic(ZERO_MIX, 10, 0.85)
+    assert abs(upper_asymptotic(asymptotic_regime(ZERO_MIX), 10, 0.85)
                - ZERO_MIX_UPPER_AT_085) <= 1e-12 * ZERO_MIX_UPPER_AT_085
 
 
 def test_frozen_lower_values():
-    assert abs(lower_asymptotic(GAPPED, 500, 0.87)
+    assert abs(lower_asymptotic(asymptotic_regime(GAPPED), 500, 0.87)
                - GAPPED_LOWER_AT_087) <= 1e-9 * GAPPED_LOWER_AT_087
-    assert abs(lower_asymptotic(ZERO_RHO_X, 500, 0.80)
+    assert abs(lower_asymptotic(asymptotic_regime(ZERO_RHO_X), 500, 0.80)
                - ZERO_RHO_X_LOWER_AT_080) <= 1e-9 * ZERO_RHO_X_LOWER_AT_080
 
 
 def test_lower_equals_upper_outside_gap_interval():
     reg = asymptotic_regime(GAPPED)
     for D in (0.80, reg.d_th1_inf, reg.d_th2_inf, 0.95):
-        up = upper_asymptotic(GAPPED, 500, D)
-        lo = lower_asymptotic(GAPPED, 500, D)
+        up = upper_asymptotic(reg, 500, D)
+        lo = lower_asymptotic(reg, 500, D)
         assert abs(lo - up) <= 1e-12 * max(1.0, up)
     # strictly inside the interval the lower bound is strictly smaller
-    assert lower_asymptotic(GAPPED, 500, 0.87) \
-        < upper_asymptotic(GAPPED, 500, 0.87)
+    assert lower_asymptotic(reg, 500, 0.87) \
+        < upper_asymptotic(reg, 500, 0.87)
 
 
 def test_high_contrast_regime_has_no_gap():
@@ -135,15 +135,16 @@ def test_high_contrast_regime_has_no_gap():
     dm = reg.d_min_inf
     for frac in (0.2, 0.5, 0.8):
         D = dm + (spec.sigma_x_sq - dm) * frac
-        up = upper_asymptotic(spec, 500, D)
-        lo = lower_asymptotic(spec, 500, D)
+        up = upper_asymptotic(reg, 500, D)
+        lo = lower_asymptotic(reg, 500, D)
         assert abs(lo - up) <= 1e-12 * max(1.0, up)
 
 
 def test_zero_mix_lower_equals_upper():
+    reg = asymptotic_regime(ZERO_MIX)
     for D in (0.85, 0.95):
-        up = upper_asymptotic(ZERO_MIX, 10, D)
-        lo = lower_asymptotic(ZERO_MIX, 10, D)
+        up = upper_asymptotic(reg, 10, D)
+        lo = lower_asymptotic(reg, 10, D)
         assert abs(lo - up) <= 1e-12 * max(1.0, up)
 
 
@@ -153,23 +154,24 @@ def test_zero_mix_formula_is_exact_at_finite_l():
     for L in (2, 7, 40):
         spec = SourceSpec(L, 1.0, 0.0, 4.0, 0.0)
         s = spectral_decompose(spec)
+        reg = asymptotic_regime(spec)
         for D in (0.82, 0.9, 0.98):
             exact = upper_bound_rate(s, L, D)
-            lim = upper_asymptotic(spec, L, D)
+            lim = upper_asymptotic(reg, L, D)
             assert abs(exact - lim) <= 1e-10 * max(1.0, exact)
 
 
 def test_gap_frozen_value_and_endpoints():
-    assert abs(asymptotic_gap(GAPPED, 0.87) - GAPPED_GAP_AT_087) < 1e-13
     reg = asymptotic_regime(GAPPED)
+    assert abs(asymptotic_gap(reg, 0.87) - GAPPED_GAP_AT_087) < 1e-13
     # the gap vanishes continuously at both endpoints: just inside them it
     # is positive and of order (relative offset)^2
-    assert 0.0 < asymptotic_gap(GAPPED, reg.d_th1_inf * (1 + 1e-6)) <= 1e-9
-    assert 0.0 < asymptotic_gap(GAPPED, reg.d_th2_inf * (1 - 1e-6)) <= 1e-9
+    assert 0.0 < asymptotic_gap(reg, reg.d_th1_inf * (1 + 1e-6)) <= 1e-9
+    assert 0.0 < asymptotic_gap(reg, reg.d_th2_inf * (1 - 1e-6)) <= 1e-9
     # outside the interval the gap is exactly zero
-    assert asymptotic_gap(GAPPED, 0.80) == 0.0
-    assert asymptotic_gap(GAPPED, 0.95) == 0.0
-    assert asymptotic_gap(GAPPED, 0.87) > 0.0
+    assert asymptotic_gap(reg, 0.80) == 0.0
+    assert asymptotic_gap(reg, 0.95) == 0.0
+    assert asymptotic_gap(reg, 0.87) > 0.0
 
 
 def test_gapped_thresholds_50_digit_replay():
@@ -201,11 +203,11 @@ def test_gapped_thresholds_50_digit_replay():
 
 def test_gap_requires_gapped_regime():
     with pytest.raises(DomainError):
-        asymptotic_gap(ZERO_MIX, 0.85)
+        asymptotic_gap(asymptotic_regime(ZERO_MIX), 0.85)
     with pytest.raises(DomainError):
-        asymptotic_gap(ZERO_RHO_X, 0.80)
+        asymptotic_gap(asymptotic_regime(ZERO_RHO_X), 0.80)
     with pytest.raises(DomainError):
-        asymptotic_gap(SourceSpec(500, 1.0, 0.6, 4.0, 0.55), 0.9)
+        asymptotic_gap(asymptotic_regime(SourceSpec(500, 1.0, 0.6, 4.0, 0.55)), 0.9)
 
 
 def test_threshold_window_routes_to_sqrt_l_expression():
@@ -213,35 +215,35 @@ def test_threshold_window_routes_to_sqrt_l_expression():
     # sqrt(L) expression, whose value does not depend on the exact D
     reg = asymptotic_regime(GAPPED)
     near = reg.d_th0_inf * (1.0 + 1e-14)
-    got = upper_asymptotic(GAPPED, 500, near)
+    got = upper_asymptotic(reg, 500, near)
     assert abs(got - GAPPED_UPPER_AT_TH0) <= 1e-10 * GAPPED_UPPER_AT_TH0
 
 
 def test_expansion_coefficients_frozen():
-    c = expansion_coefficients(GAPPED, 0.87)
+    reg = asymptotic_regime(GAPPED)
+    c = expansion_coefficients(reg, 0.87)
     assert abs(c.eta1 - GAPPED_ETA1_AT_087) < 1e-13
     assert abs(c.eta2 - GAPPED_ETA2_AT_087) < 1e-13
-    reg = asymptotic_regime(GAPPED)
-    at_th0 = expansion_coefficients(GAPPED, reg.d_th0_inf)
+    at_th0 = expansion_coefficients(reg, reg.d_th0_inf)
     assert abs(at_th0.alpha1 - GAPPED_ALPHA1_AT_TH0) < 1e-12
     assert abs(at_th0.alpha2 - GAPPED_ALPHA2_AT_TH0) < 1e-11
     # the 1/L series is singular exactly at d_th0 (its leading coefficient
     # has a zero denominator there)
     assert at_th0.eta1 is None and at_th0.eta2 is None
-    above = expansion_coefficients(GAPPED, 0.97)
+    above = expansion_coefficients(reg, 0.97)
     assert abs(above.beta1 - GAPPED_BETA1_AT_097) < 1e-13
 
 
 def test_d_range_domain_errors():
     reg = asymptotic_regime(GAPPED)
     with pytest.raises(DomainError):
-        upper_asymptotic(GAPPED, 500, reg.d_min_inf)
+        upper_asymptotic(reg, 500, reg.d_min_inf)
     with pytest.raises(DomainError):
-        upper_asymptotic(GAPPED, 500, GAPPED.sigma_x_sq)
+        upper_asymptotic(reg, 500, GAPPED.sigma_x_sq)
     with pytest.raises(DomainError):
-        lower_asymptotic(GAPPED, 500, reg.d_min_inf - 0.01)
+        lower_asymptotic(reg, 500, reg.d_min_inf - 0.01)
     with pytest.raises(DomainError):
-        asymptotic_gap(GAPPED, GAPPED.sigma_x_sq + 0.01)
+        asymptotic_gap(reg, GAPPED.sigma_x_sq + 0.01)
 
 
 def test_finite_l_error_decays_in_gap_interval():
@@ -249,8 +251,9 @@ def test_finite_l_error_decays_in_gap_interval():
     # error that shrinks roughly like 1/L
     s250 = spectral_decompose(SourceSpec(250, 1.0, 0.3, 4.0, 0.55))
     s500 = spectral_decompose(SourceSpec(500, 1.0, 0.3, 4.0, 0.55))
+    reg250 = asymptotic_regime(SourceSpec(250, 1.0, 0.3, 4.0, 0.55))
     e250 = abs(upper_bound_rate(s250, 250, 0.87)
-               - upper_asymptotic(SourceSpec(250, 1.0, 0.3, 4.0, 0.55), 250, 0.87))
+               - upper_asymptotic(reg250, 250, 0.87))
     e500 = abs(upper_bound_rate(s500, 500, 0.87)
-               - upper_asymptotic(GAPPED, 500, 0.87))
+               - upper_asymptotic(asymptotic_regime(GAPPED), 500, 0.87))
     assert 1.6 <= e250 / e500 <= 2.4

@@ -219,6 +219,26 @@ def test_gap_inf_command(specs, capsys):
     assert abs(by_d[0.87] - 0.0212769488712456505365620690958) < 1e-9
 
 
+@pytest.mark.parametrize("argv_fn", [
+    lambda p: ["sweep", p["gapped"], "--d-start", "0.8", "--d-end", "0.99",
+               "--n-points", "20", "--asymptotic", "10,1000"],
+    lambda p: ["asymptotic", p["gapped"], "--L", "10,1000", "--d-start", "0.8",
+               "--d-end", "0.99", "--n-points", "20"],
+    lambda p: ["gap-inf", p["gapped"], "--d-start", "0.8", "--d-end", "0.99",
+               "--n-points", "20"],
+])
+def test_large_l_commands_classify_once(specs, capsys, monkeypatch, argv_fn):
+    # asymptotic_regime validates and classifies; every row reuses its regime
+    calls = []
+    validate = symrd.asymptotics.validate_spec
+    monkeypatch.setattr(symrd.asymptotics, "validate_spec",
+                        lambda spec: calls.append(spec) or validate(spec))
+    rc, out, _ = _run(capsys, argv_fn(specs))
+    assert rc == 0
+    assert len(out.splitlines()) == 21
+    assert len(calls) == 1
+
+
 def test_simulate_command(specs, capsys):
     rc, out, err = _run(capsys, ["simulate", specs["case1"], "--D", "0.85",
                                  "--n", "50000", "--seed", "7"])

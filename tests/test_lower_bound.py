@@ -18,7 +18,6 @@ from symrd import (
     PIECE_R2C_HAT,
     PIECE_RBAR,
     SourceSpec,
-    classify_regime,
     d_min,
     from_eigenvalues,
     lower_bound_piece,
@@ -70,12 +69,12 @@ def _spectrum(eig):
 
 
 def test_branch_classification():
-    assert classify_regime(_spectrum(CASE1), L_CASES).branch == Branch.LamGeqGam_1
-    assert classify_regime(_spectrum(CASE2), L_CASES).branch == Branch.LamGeqGam_2
-    assert classify_regime(_spectrum(CASE3), L_CASES).branch == Branch.LamGeqGam_3
-    assert classify_regime(_spectrum(SPEC_B), L_CASES).branch == Branch.GamGeqLam_2
-    assert classify_regime(_spectrum(SPEC_C), L_CASES).branch == Branch.GamGeqLam_4
-    assert classify_regime(_spectrum(SPEC_D), L_CASES).branch == Branch.LamGeqGam_4
+    assert thresholds(_spectrum(CASE1), L_CASES).branch == Branch.LamGeqGam_1
+    assert thresholds(_spectrum(CASE2), L_CASES).branch == Branch.LamGeqGam_2
+    assert thresholds(_spectrum(CASE3), L_CASES).branch == Branch.LamGeqGam_3
+    assert thresholds(_spectrum(SPEC_B), L_CASES).branch == Branch.GamGeqLam_2
+    assert thresholds(_spectrum(SPEC_C), L_CASES).branch == Branch.GamGeqLam_4
+    assert thresholds(_spectrum(SPEC_D), L_CASES).branch == Branch.LamGeqGam_4
 
 
 def test_case2_thresholds():

@@ -23,6 +23,7 @@ from symrd import (
     spectral_decompose,
     upper_bound_rate,
 )
+from symrd.asymptotics import correlation_form
 
 L_CASES = 10
 CASE1 = (0.8, 1.0, 5.0, 4.0)
@@ -41,6 +42,15 @@ FROZEN_SOLUTIONS = [
 
 def _spectrum(eig):
     return spectral_decompose(from_eigenvalues(L_CASES, *eig))
+
+
+def _assert_correlation_form(q, spec, s, D):
+    # asymptotics.correlation_form writes b and c as polynomials in L
+    mix = spec.rho_x * spec.sigma_x_sq + spec.rho_z * spec.sigma_z_sq
+    g1, g2, h1, h2 = correlation_form(spec, s.gamma_x, s.gamma_z, s.gamma_y, mix, D)
+    L = spec.L
+    assert abs(q.b - (g1 * L * L + g2 * L)) <= 1e-12 * max(1.0, abs(q.b))
+    assert abs(q.c - (h1 * L * L + h2 * L)) <= 1e-12 * max(1.0, abs(q.c))
 
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
@@ -76,10 +86,8 @@ def test_quadratic_coefficient_identities(eig, D, lam_q, rate):
     # the same quadratic: b = g1 L^2 + g2 L and c = h1 L^2 + h2 L
     spec = from_eigenvalues(L_CASES, *eig)
     s = spectral_decompose(spec)
-    q = quadratic_coefficients(spec, s, D)
-    L = L_CASES
-    assert abs(q.b - (q.g1 * L * L + q.g2 * L)) <= 1e-12 * max(1.0, abs(q.b))
-    assert abs(q.c - (q.h1 * L * L + q.h2 * L)) <= 1e-12 * max(1.0, abs(q.c))
+    q = quadratic_coefficients(s, L_CASES, D)
+    _assert_correlation_form(q, spec, s, D)
     # the bisection solution is a root of the quadratic
     residual = q.a * lam_q * lam_q + q.b * lam_q + q.c
     assert abs(residual) <= 1e-9 * max(abs(q.a) * lam_q * lam_q, abs(q.c))
@@ -87,10 +95,9 @@ def test_quadratic_coefficient_identities(eig, D, lam_q, rate):
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
 def test_quadratic_root_matches_bisection(eig, D, lam_q, rate):
-    spec = from_eigenvalues(L_CASES, *eig)
-    s = spectral_decompose(spec)
+    s = _spectrum(eig)
     sol = solve_lambda_q(s, L_CASES, D)
-    root = quadratic_root(quadratic_coefficients(spec, s, D))
+    root = quadratic_root(quadratic_coefficients(s, L_CASES, D))
     assert abs(root - sol.lambda_q) <= 1e-8 * sol.lambda_q
 
 
@@ -143,9 +150,8 @@ def test_solve_rejects_out_of_range_distortion(bad_d_of_range):
 
 def test_quadratic_root_rejects_nonpositive_leading_coefficient():
     # a = L (sigma_x^2 - D) <= 0 means D is out of range for the quadratic
-    spec = from_eigenvalues(L_CASES, *CASE1)
-    s = spectral_decompose(spec)
-    q = quadratic_coefficients(spec, s, source_variance(s, L_CASES) + 0.1)
+    s = _spectrum(CASE1)
+    q = quadratic_coefficients(s, L_CASES, source_variance(s, L_CASES) + 0.1)
     with pytest.raises(DomainError):
         quadratic_root(q)
 
@@ -157,8 +163,8 @@ def test_rate_of_zero_noise_limit():
 
 
 def test_randomized_consistency():
-    # residual, three-way rate agreement and quadratic-vs-bisection on
-    # randomized specs
+    # residual, three-way rate agreement, the correlation form of the
+    # quadratic and quadratic-vs-bisection on randomized specs
     rng = np.random.default_rng(55901)
     for _ in range(300):
         L = int(rng.integers(2, 13))
@@ -177,5 +183,7 @@ def test_randomized_consistency():
         scale = max(1.0, sol.rate_nats)
         assert abs(via_lambda - sol.rate_nats) <= 1e-10 * scale
         assert abs(via_gamma - sol.rate_nats) <= 1e-10 * scale
-        root = quadratic_root(quadratic_coefficients(spec, s, D))
+        q = quadratic_coefficients(s, L, D)
+        _assert_correlation_form(q, spec, s, D)
+        root = quadratic_root(q)
         assert abs(root - sol.lambda_q) <= 1e-8 * sol.lambda_q
