@@ -329,10 +329,10 @@ def asymptotic_gap(regime: AsymptoticRegime, D: float) -> float:
             f"PosMixPosRho_XiLtHalf regime, not {regime.condition.value}"
         )
     _check_d_range(regime, D)
-    th1, th2 = regime.d_th1_inf, regime.d_th2_inf
-    if D <= th1 or D >= th2:
+    if D <= regime.d_th1_inf or D >= regime.d_th2_inf:
         return 0.0
-    below, above = regime.d_th0_inf - D, D - regime.d_min_inf
     gx, gy = regime.gamma_x, regime.gamma_y
-    return ((th1 - D) * (th2 - D) / (2.0 * below * above)
-            + 0.5 * math.log(gy ** 2 / (regime.xi ** 2 * gx ** 4) * below * above))
+    return ((regime.d_th1_inf - D) * (regime.d_th2_inf - D)
+            / (2.0 * (regime.d_th0_inf - D) * (D - regime.d_min_inf))
+            + 0.5 * math.log(gy ** 2 / (regime.xi ** 2 * gx ** 4)
+                             * (regime.d_th0_inf - D) * (D - regime.d_min_inf)))
