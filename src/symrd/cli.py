@@ -172,8 +172,9 @@ def cmd_sweep(args) -> int:
         header = [h.replace("_nats", "_bits") for h in header]
     print(",".join(header))
 
+    converse = lower_bound.classify(s, L)
     for D in grid:
-        upper, lower, piece = lower_bound.evaluate(s, L, D)
+        upper, lower, piece = lower_bound.evaluate(converse, D)
         row = [_num(D), _num(upper / scale), _num(lower / scale),
                _num((upper - lower) / scale), piece]
         if args.certify:

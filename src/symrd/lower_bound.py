@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import upper_bound
 from .errors import DomainError
-from .model import Spectrum, check_distortion, side_view
+from .model import Spectrum, check_distortion, d_min_slack, side_view
 
 #: Piece labels used in reports and CSV output.
 PIECE_RBAR = "Rbar"
@@ -82,6 +82,30 @@ class RegimeParams:
     d_th_2_hat: float | None = None
 
 
+@dataclass(frozen=True)
+class Regime:
+    """A classified spectrum: all the dispatch needs at any D.
+
+    classify builds it once per spectrum and evaluate takes it at each D.
+    big and small are model.side_view's (x, y, m) triples and hatted its
+    orientation; case is the branch's case 1-4; m1, m2, d_th_1, d_th_2 and
+    d_th_c are the roots and switch points, None where the case does not
+    define them (the roots too, when the discriminant alone settles case 1).
+    """
+
+    spectrum: Spectrum
+    L: int
+    big: tuple
+    small: tuple
+    hatted: bool
+    case: int
+    m1: float | None = None
+    m2: float | None = None
+    d_th_1: float | None = None
+    d_th_2: float | None = None
+    d_th_c: float | None = None
+
+
 # Names of each side's results, indexed by the hatted flag.
 _BRANCHES = ((Branch.LamGeqGam_1, Branch.LamGeqGam_2, Branch.LamGeqGam_3, Branch.LamGeqGam_4),
              (Branch.GamGeqLam_1, Branch.GamGeqLam_2, Branch.GamGeqLam_3, Branch.GamGeqLam_4))
@@ -121,24 +145,19 @@ def _require_pos(value: float, what: str) -> float:
     return value
 
 
-def _rc(label: str, big, small, hatted: bool, L: int, D: float) -> float:
-    """R_1^c or R_2^c (by label) over the given orientation, unclamped."""
+def _rc(label: str, big, small, L: int, slack: float) -> float:
+    """R_1^c or R_2^c (by label) over the given orientation, unclamped.
+
+    slack is L (D - d_min) (model.d_min_slack).  R_2^c's denominator
+    subtracts m_b x_b^2 / y_b from it, and R_1^c's adds
+    m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.
+    """
     (xb, yb, mb), (xs, ys, ms) = big, small
     first = label in (PIECE_R1C, PIECE_R1C_HAT)
-    # The R_2^c denominator is L D - mb xb - ms xs + ms xs^2/ys, and R_1^c
-    # adds mb xb^2/yb^2 (yb + 1/(1/ys - 1/yb)).  Each side keeps its own
-    # summation order (the hatted one written with ms = 1): sweep prints
-    # the gap upper - lower to 12 digits, where one ulp of a denominator
-    # shows, and no one order gives both sides' values.
-    if not hatted:
-        den = L * D - mb * xb - ms * (xs - xs ** 2 / ys)
-        if first:
-            den += mb * xb ** 2 / yb ** 2 * (yb + 1.0 / (1.0 / ys - 1.0 / yb))
-    elif first:
-        den = (L * D - xs - mb * (xb - xb ** 2 / yb) + xs ** 2 / ys
-               + mb * xb ** 2 / yb ** 2 / (1.0 / ys - 1.0 / yb))
+    if first:
+        den = slack + mb * xb ** 2 * ys / (yb * (yb - ys))
     else:
-        den = L * D - xs - mb * xb + xs ** 2 / ys
+        den = slack - mb * xb ** 2 / yb
     den = _require_pos(den, f"{label} denominator")
     if not first:
         return L / 2.0 * math.log(_require_pos(
@@ -162,38 +181,34 @@ def rc_piece(piece: str, spectrum: Spectrum, L: int, D: float) -> float:
     """
     if piece not in _PIECES[0] + _PIECES[1]:
         raise DomainError(f"unknown piece label {piece!r}")
-    big, small, hatted = side_view(spectrum, L, hatted=piece in _PIECES[1])
-    return _rc(piece, big, small, hatted, L, D)
+    big, small, _ = side_view(spectrum, L, hatted=piece in _PIECES[1])
+    return _rc(piece, big, small, L, d_min_slack(spectrum, L, D))
 
 
 # --- classification and dispatch ---------------------------------------------
 
-def _regime(spectrum: Spectrum, L: int):
-    """(big, small, hatted, case, fields): the side view, its case 1-4 and
-    the RegimeParams values (m1, m2, D_th,1, D_th,2, D_th^c), None where the
-    case does not define them (the roots too, when the discriminant alone
-    settles case 1)."""
+def classify(spectrum: Spectrum, L: int) -> Regime:
+    """Classify a spectrum once: its side view, case and switch points."""
     big, small, hatted = side_view(spectrum, L)
     (xb, yb, mb), (xs, ys, ms) = big, small
     if xb ** 2 * ys ** 2 >= ms / (4.0 * L) * (xs ** 2 * yb ** 2):
-        return big, small, hatted, 1, (None,) * 5
+        return Regime(spectrum, L, big, small, hatted, 1)
     disc = 1.0 - 4.0 * L / ms * (xb ** 2 * ys ** 2) / (xs ** 2 * yb ** 2)
     r = math.sqrt(max(disc, 0.0))
     m1, m2 = (1.0 - r) / 2.0, (1.0 + r) / 2.0
     ratio = ys / yb
     if m2 <= ratio:
-        return big, small, hatted, 1, (m1, m2, None, None, None)
+        return Regime(spectrum, L, big, small, hatted, 1, m1, m2)
     if m1 <= ratio and ratio < m2 < 1.0:
         case = 2
     elif m1 > ratio and m2 < 1.0:
         case = 3
     else:
         case = 4
-    return big, small, hatted, case, (
-        m1, m2,
-        _d_th(big, small, L, m2) if case < 4 else None,
-        _d_th(big, small, L, m1) if case == 3 else None,
-        _d_th_c(big, small, L))
+    return Regime(spectrum, L, big, small, hatted, case, m1, m2,
+                  _d_th(big, small, L, m2) if case < 4 else None,
+                  _d_th(big, small, L, m1) if case == 3 else None,
+                  _d_th_c(big, small, L))
 
 
 def thresholds(spectrum: Spectrum, L: int) -> RegimeParams:
@@ -207,32 +222,34 @@ def thresholds(spectrum: Spectrum, L: int) -> RegimeParams:
     branches fill the hatted fields instead.  Case 1, which takes the tie
     lambda_y == gamma_y, leaves all thresholds None.
     """
-    _, _, hatted, case, fields = _regime(spectrum, L)
-    return RegimeParams(_BRANCHES[hatted][case - 1], **dict(zip(_FIELDS[hatted], fields)))
+    r = classify(spectrum, L)
+    fields = (r.m1, r.m2, r.d_th_1, r.d_th_2, r.d_th_c)
+    return RegimeParams(_BRANCHES[r.hatted][r.case - 1],
+                        **dict(zip(_FIELDS[r.hatted], fields)))
 
 
-def _dispatch(spectrum: Spectrum, L: int, D: float) -> tuple[str, float | None]:
-    """Piece at D with its value; the value is None on Rbar, for the caller to solve."""
-    check_distortion(spectrum, L, D)
-    big, small, hatted, case, (_, _, d_th_1, d_th_2, d_th_c) = _regime(spectrum, L)
-    if (case == 1 or (d_th_1 is not None and D <= d_th_1)
-            or (d_th_2 is not None and not D < d_th_2)):
+def _dispatch(regime: Regime, D: float) -> tuple[str, float | None]:
+    """Piece at a checked D with its value; None on Rbar, for the caller to solve."""
+    r = regime
+    if (r.case == 1 or (r.d_th_1 is not None and D <= r.d_th_1)
+            or (r.d_th_2 is not None and not D < r.d_th_2)):
         return PIECE_RBAR, None
     # With x_big = 0 (case 4) the other side's family has a vanishing log
     # argument; this side's is the finite reading.
-    piece = _PIECES[hatted][0 if D <= d_th_c else 1]
-    return piece, _rc(piece, big, small, hatted, L, D)
+    piece = _PIECES[r.hatted][0 if D <= r.d_th_c else 1]
+    return piece, _rc(piece, r.big, r.small, r.L, d_min_slack(r.spectrum, r.L, D))
 
 
-def evaluate(spectrum: Spectrum, L: int, D: float) -> tuple[float, float, str]:
+def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
     """(upper, lower, piece) at D from one lambda_q solve and one dispatch.
 
     upper is upper_bound_rate, lower is lower_bound_rate and piece is
-    lower_bound_piece; on Rbar segments lower reuses upper.  Same domain
-    rules and errors as upper_bound_rate.
+    lower_bound_piece for the regime's spectrum and L; on Rbar segments
+    lower reuses upper.  The solve checks D, once; same domain rules and
+    errors as upper_bound_rate.
     """
-    upper = upper_bound.upper_bound_rate(spectrum, L, D)
-    piece, lower = _dispatch(spectrum, L, D)
+    upper = upper_bound.upper_bound_rate(regime.spectrum, regime.L, D)
+    piece, lower = _dispatch(regime, D)
     return upper, upper if lower is None else lower, piece
 
 
@@ -243,7 +260,8 @@ def lower_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     provably coincide, the composite family elsewhere.  Raises DomainError
     unless D lies in the open interval (d_min, sigma_x_sq).
     """
-    _, lower = _dispatch(spectrum, L, D)
+    check_distortion(spectrum, L, D)
+    _, lower = _dispatch(classify(spectrum, L), D)
     return upper_bound.upper_bound_rate(spectrum, L, D) if lower is None else lower
 
 
@@ -253,4 +271,5 @@ def lower_bound_piece(spectrum: Spectrum, L: int, D: float) -> str:
     One of "Rbar", "R1c", "R2c", "R1c_hat", "R2c_hat"; same domain rules
     as lower_bound_rate.
     """
-    return _dispatch(spectrum, L, D)[0]
+    check_distortion(spectrum, L, D)
+    return _dispatch(classify(spectrum, L), D)[0]

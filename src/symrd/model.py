@@ -233,6 +233,16 @@ def d_min(spectrum: Spectrum, L: int) -> float:
             + (L - 1) * s.gamma_x * s.gamma_z / s.gamma_y) / L
 
 
+def d_min_slack(spectrum: Spectrum, L: int, D: float) -> float:
+    """L (D - d_min): how far L D sits above the distortion floor.
+
+    The one float64 form of this difference, shared by the lambda_q solve
+    and the composite rates.  Wherever check_distortion accepts D it is
+    positive, and its error is the rounding of d_min, a few ulps of D.
+    """
+    return L * (D - d_min(spectrum, L))
+
+
 def source_variance(spectrum: Spectrum, L: int) -> float:
     """Per-component source variance sigma_x^2 = (lambda_x + (L-1) gamma_x) / L.
 

@@ -14,11 +14,13 @@ L * sigma_x^2 (lambda_q -> infinity).  The resulting sum rate in nats is
     Rbar(D) = 1/2 log(1 + lambda_y / lambda_q)
               + (L - 1)/2 log(1 + gamma_y / lambda_q).
 
-The module solves the balance equation by guarded bisection, exposes two
-algebraically equivalent resolvent forms of the rate (used as cross-checks),
-and builds, from the eigenvalues, the closed-form quadratic in lambda_q that
-the balance equation collapses to.  asymptotics.correlation_form writes the
-same quadratic's b and c as polynomials in L.
+The module solves the balance equation by a safeguarded Newton iteration
+in ln lambda_q (see solve_lambda_q), exposes two algebraically equivalent
+resolvent forms of the rate (used as cross-checks), and builds, from the
+eigenvalues, the closed-form quadratic in lambda_q that the balance
+equation collapses to and that seeds the iteration.
+asymptotics.correlation_form writes the same quadratic's b and c as
+polynomials in L.
 """
 
 from __future__ import annotations
@@ -27,19 +29,21 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PrecisionError
-from .model import Spectrum, check_distortion
+from .model import Spectrum, check_distortion, d_min_slack, source_variance
 
-# Bisection on lambda_q stops once the bracket's relative width is below
-# this, or after the iteration cap; the solution is then re-checked against
-# the balance equation at RESIDUAL_REL_TOL.
-BISECTION_REL_TOL = 1e-13
-BISECTION_MAX_ITERS = 200
+# Newton's method stops once its step in ln lambda_q is below this: the
+# step after it would be below float64 resolution, so the stepped value is
+# returned without evaluating the balance again.  The solution is then
+# re-checked against the balance equation at RESIDUAL_REL_TOL.
+NEWTON_STEP_TOL = 1e-9
+# Seeded by the quadratic's root, the iteration takes one or two
+# evaluations; this cap only bounds the bisection fallback.
+MAX_EVALUATIONS = 100
 RESIDUAL_REL_TOL = 1e-10
 
 # Switch the quadratic root to its product form when the textbook numerator
 # -b + sqrt(disc) loses more than ~8 digits to cancellation.
 _CANCELLATION_GUARD = 1e-8
-
 
 @dataclass(frozen=True)
 class UpperBoundSolution:
@@ -48,13 +52,15 @@ class UpperBoundSolution:
     lambda_q is the test-noise eigenvalue; rate_nats the sum rate; lambda_i
     and gamma_i are the post-channel information eigenvalues
     1/lambda_i = 1/lambda_y + 1/lambda_q (and likewise for gamma) that the
-    alternative rate forms are written in.
+    alternative rate forms are written in.  evaluations counts the
+    balance-equation evaluations the solve took.
     """
 
     lambda_q: float
     rate_nats: float
     lambda_i: float
     gamma_i: float
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,41 @@ def rate_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
             + (L - 1) * 0.5 * math.log1p(spectrum.gamma_y / lambda_q))
 
 
+def _balance(spectrum: Spectrum, lambda_q: float, c_lam: float, c_gam: float,
+             slack: float, below: bool) -> tuple[float, float]:
+    """(ln(side / slack), d ln(side) / d ln lambda_q) of one balance form.
+
+    With c_lam = lambda_x^2 / lambda_y and c_gam = (L-1) gamma_x^2 / gamma_y,
+    the side is, below the middle, L (D(lambda_q) - d_min)
+    = c_lam q/(lambda_y + q) + c_gam q/(gamma_y + q), and above it
+    L (sigma_x^2 - D(lambda_q)) = lambda_x^2/(lambda_y + q) + (L-1) gamma_x^2/(gamma_y + q):
+    sums of positive terms, so neither loses digits to cancellation.
+    """
+    s, q = spectrum, lambda_q
+    q_lam, q_gam = q / (s.lambda_y + q), q / (s.gamma_y + q)
+    y_lam, y_gam = s.lambda_y / (s.lambda_y + q), s.gamma_y / (s.gamma_y + q)
+    if below:
+        t_lam, t_gam = c_lam * q_lam, c_gam * q_gam
+        slope = (t_lam * y_lam + t_gam * y_gam) / (t_lam + t_gam)
+    else:
+        t_lam, t_gam = c_lam * y_lam, c_gam * y_gam
+        slope = -(t_lam * q_lam + t_gam * q_gam) / (t_lam + t_gam)
+    return math.log((t_lam + t_gam) / slack), slope
+
+
 def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
     """Solve the balance equation for lambda_q at per-component distortion D.
+
+    Newton's method in u = ln lambda_q, on whichever balance form is a sum
+    of positive terms against the smaller slack: L (D - d_min) below the
+    middle of (d_min, sigma_x^2), L (sigma_x^2 - D) above it (see _balance).
+    It starts from the root of quadratic_coefficients and stays inside
+
+        (L (D - d_min)) / (lambda_x^2/lambda_y^2 + (L-1) gamma_x^2/gamma_y^2)
+            <= lambda_q <= max(lambda_y, gamma_y) L (D - d_min) / (L (sigma_x^2 - D)),
+
+    which every evaluation narrows; a step that would leave it bisects
+    it in u instead.
 
     Parameters
     ----------
@@ -103,34 +142,43 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
     DomainError
         If D lies outside the open interval (d_min, sigma_x^2).
     PrecisionError
-        If D sits so close to an endpoint that no float64 bracket can
-        separate it.
+        If D sits so close to an endpoint that the solution fails the
+        residual check.
     ConvergenceError
-        If bisection stalls without meeting the residual tolerance (not
-        expected for valid inputs).
+        If the iteration does not settle within MAX_EVALUATIONS, or its
+        result fails the residual check (not expected for valid inputs).
     """
     floor, ceil = check_distortion(spectrum, L, D)
-    hi = max(spectrum.lambda_y, spectrum.gamma_y, 1.0)
-    doublings = 0
-    while distortion_of(spectrum, L, hi) <= D:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 300:
-            raise PrecisionError(
-                f"D = {D!r} is within rounding of sigma_x_sq = {ceil!r}; "
-                "no finite bracket reaches it"
-            )
-    lo = 0.0
-    mid = 0.5 * hi
-    for _ in range(BISECTION_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        if distortion_of(spectrum, L, mid) < D:
-            lo = mid
+    s = spectrum
+    below_slack = d_min_slack(s, L, D)
+    above_slack = L * (ceil - D)
+    # Written so that no intermediate under- or overflows where the
+    # eigenvalues and slacks themselves do not (x <= y on each direction).
+    c_lam = s.lambda_x * (s.lambda_x / s.lambda_y)
+    c_gam = (L - 1) * s.gamma_x * (s.gamma_x / s.gamma_y)
+    lo = below_slack / (c_lam / s.lambda_y + c_gam / s.gamma_y)
+    hi = max(s.lambda_y, s.gamma_y) * (below_slack / above_slack)
+    below = below_slack <= above_slack
+    slack = below_slack if below else above_slack
+    lambda_q = _positive_root(*_coefficients(s, L, below_slack, above_slack))
+    if not lo < lambda_q < hi:
+        lambda_q = math.sqrt(lo) * math.sqrt(hi)
+    for evaluations in range(1, MAX_EVALUATIONS + 1):
+        residual, slope = _balance(s, lambda_q, c_lam, c_gam, slack, below)
+        if (residual > 0.0) == (slope > 0.0):
+            hi = lambda_q
         else:
-            hi = mid
-        if hi - lo <= BISECTION_REL_TOL * mid:
+            lo = lambda_q
+        step = -residual / slope
+        lambda_q *= math.exp(step)
+        if abs(step) <= NEWTON_STEP_TOL:
             break
-    lambda_q = 0.5 * (lo + hi)
+        if not lo < lambda_q < hi:
+            lambda_q = math.sqrt(lo) * math.sqrt(hi)
+    else:
+        raise ConvergenceError(
+            f"Newton iteration on lambda_q did not settle in {MAX_EVALUATIONS} "
+            f"evaluations at D = {D!r}", best=lambda_q)
 
     residual = abs(distortion_of(spectrum, L, lambda_q) - D)
     if residual > RESIDUAL_REL_TOL * D:
@@ -140,14 +188,14 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
                 f"(residual {residual!r})"
             )
         raise ConvergenceError(
-            f"bisection residual {residual!r} exceeds {RESIDUAL_REL_TOL} * D",
+            f"lambda_q residual {residual!r} exceeds {RESIDUAL_REL_TOL} * D",
             best=lambda_q,
         )
 
     lambda_i = 1.0 / (1.0 / spectrum.lambda_y + 1.0 / lambda_q)
     gamma_i = 1.0 / (1.0 / spectrum.gamma_y + 1.0 / lambda_q)
     return UpperBoundSolution(lambda_q, rate_of(spectrum, L, lambda_q),
-                              lambda_i, gamma_i)
+                              lambda_i, gamma_i, evaluations)
 
 
 def upper_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
@@ -188,21 +236,26 @@ def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> QuadraticCoe
 
         phi1 = lambda_x^2 / lambda_y,
         phi2 = gamma_x^2 / gamma_y,
-        phi3 = L D + phi1 + (L-1) phi2 - (lambda_x + (L-1) gamma_x),
+        phi3 = L (D - d_min) = L D + phi1 + (L-1) phi2 - (lambda_x + (L-1) gamma_x),
 
-    its coefficients are a = lambda_x + (L-1) gamma_x - L D,
+    its coefficients are a = L (sigma_x^2 - D),
     b = phi1 gamma_y + (L-1) phi2 lambda_y - phi3 (gamma_y + lambda_y) and
-    c = -phi3 lambda_y gamma_y.
+    c = -phi3 lambda_y gamma_y.  a and phi3 are formed as the two slacks
+    (phi3 by model.d_min_slack), not from the sums that cancel in them.
     """
+    return QuadraticCoefficients(*_coefficients(
+        spectrum, L, d_min_slack(spectrum, L, D), L * (source_variance(spectrum, L) - D)))
+
+
+def _coefficients(spectrum: Spectrum, L: int, below_slack: float,
+                  above_slack: float) -> tuple[float, float, float]:
+    """(a, b, c) from phi3 = below_slack and a = above_slack."""
     s = spectrum
     phi1 = s.lambda_x ** 2 / s.lambda_y
     phi2 = s.gamma_x ** 2 / s.gamma_y
-    trace_x = s.lambda_x + (L - 1) * s.gamma_x
-    phi3 = L * D + phi1 + (L - 1) * phi2 - trace_x
-    a = trace_x - L * D
-    b = phi1 * s.gamma_y + (L - 1) * phi2 * s.lambda_y - phi3 * (s.gamma_y + s.lambda_y)
-    c = -phi3 * s.lambda_y * s.gamma_y
-    return QuadraticCoefficients(a, b, c)
+    b = (phi1 * s.gamma_y + (L - 1) * phi2 * s.lambda_y
+         - below_slack * (s.gamma_y + s.lambda_y))
+    return above_slack, b, -below_slack * s.lambda_y * s.gamma_y
 
 
 def quadratic_root(coeffs: QuadraticCoefficients) -> float:
@@ -218,7 +271,10 @@ def quadratic_root(coeffs: QuadraticCoefficients) -> float:
         If a <= 0, i.e. the distortion baked into the coefficients is not
         below sigma_x^2.
     """
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
+    return _positive_root(coeffs.a, coeffs.b, coeffs.c)
+
+
+def _positive_root(a: float, b: float, c: float) -> float:
     if a <= 0.0:
         raise DomainError(f"quadratic leading coefficient a = {a!r} not positive; "
                           "D must lie below sigma_x_sq")

@@ -1,0 +1,202 @@
+"""50-digit replay of the numbers symrd prints, for the tests.
+
+Every function takes float inputs, treats them as exact binary values and
+evaluates the defining formulas with mpmath at DPS significant digits, so
+a result carries no float64 rounding of its own.  Nothing here calls
+symrd's numerics: the spectrum is rebuilt from the correlation form, the
+test-noise level lambda_q is found by bisection on the balance equation,
+and the converse pieces are the closed forms as the paper writes them.
+(probe only draws inputs: it uses symrd's spec type and its d_min to
+place D.)
+
+The rate functions return (value, slope): the rate in nats and its
+derivative in D.  slope * math.ulp(D) is the change that one unit in the
+last place of D makes, which no float64 evaluation at D can be held to
+beat: it is the inherent error the tests measure symrd against.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass
+
+import mpmath
+from mpmath import mpf
+
+DPS = 50
+_CTX = mpmath.mp.clone()
+_CTX.dps = DPS
+# Bisection stops when the bracket on lambda_q is this narrow, relatively.
+BISECTION_REL_WIDTH = _CTX.mpf(10) ** -32
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """The six eigenvalues at DPS digits; y = x + z on each direction."""
+
+    lambda_x: mpf
+    gamma_x: mpf
+    lambda_z: mpf
+    gamma_z: mpf
+    lambda_y: mpf
+    gamma_y: mpf
+
+
+def _mp(value) -> mpf:
+    return _CTX.mpf(value)
+
+
+def spectrum(spec) -> Spectrum:
+    """Eigenvalues of a SourceSpec: (1 + (L-1) rho) sigma^2 and (1 - rho) sigma^2.
+
+    A boundary correlation's negative roundoff shadow is clamped to 0, as
+    the model does; a zero noise variance gives a zero noise spectrum.
+    """
+    L = spec.L
+
+    def pair(sigma_sq, rho):
+        s, r = _mp(sigma_sq), _mp(rho)
+        return _mp(max((1 + (L - 1) * r) * s, 0)), _mp(max((1 - r) * s, 0))
+
+    lx, gx = pair(spec.sigma_x_sq, spec.rho_x)
+    lz, gz = pair(spec.sigma_z_sq, spec.rho_z) if spec.sigma_z_sq > 0 else (_mp(0), _mp(0))
+    return Spectrum(lx, gx, lz, gz, lx + lz, gx + gz)
+
+
+def exact(s) -> Spectrum:
+    """A float spectrum's source and noise eigenvalues taken as exact.
+
+    The observation eigenvalues are re-formed as y = x + z at DPS digits:
+    the float lambda_y and gamma_y are those sums rounded, and a spectrum
+    with y != x + z is not one the model describes.
+    """
+    lx, gx, lz, gz = (_mp(v) for v in (s.lambda_x, s.gamma_x, s.lambda_z, s.gamma_z))
+    return Spectrum(lx, gx, lz, gz, lx + lz, gx + gz)
+
+
+def d_min(s: Spectrum, L: int) -> mpf:
+    return (s.lambda_x * s.lambda_z / s.lambda_y
+            + (L - 1) * s.gamma_x * s.gamma_z / s.gamma_y) / L
+
+
+def sigma_x_sq(s: Spectrum, L: int) -> mpf:
+    return (s.lambda_x + (L - 1) * s.gamma_x) / L
+
+
+def _distortion(s: Spectrum, L: int, q: mpf) -> mpf:
+    return (s.lambda_x * (1 - s.lambda_x / (s.lambda_y + q))
+            + (L - 1) * s.gamma_x * (1 - s.gamma_x / (s.gamma_y + q))) / L
+
+
+def lambda_q(s: Spectrum, L: int, D) -> mpf:
+    """Root of distortion(q) = D by bisection, in log q while the bracket is wide.
+
+    The distortion rises from d_min to sigma_x^2 as q runs over (0, inf).
+    Each eigen-direction's share of L (distortion - d_min) is its share
+    of L (sigma_x^2 - d_min) times q / (y + q), which lies between
+    q / (max y + q) and q / (min y + q); so the root lies in
+    [min y, max y] * (D - d_min) / (sigma_x^2 - D).
+    """
+    D = _mp(D)
+    ratio = (D - d_min(s, L)) / (sigma_x_sq(s, L) - D)
+    lo = min(s.lambda_y, s.gamma_y) * ratio
+    hi = max(s.lambda_y, s.gamma_y) * ratio
+    while hi - lo > BISECTION_REL_WIDTH * lo:
+        mid = (lo + hi) / 2 if hi < 2 * lo else _CTX.sqrt(lo * hi)
+        if _distortion(s, L, mid) < D:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def upper(s: Spectrum, L: int, D) -> tuple[mpf, mpf]:
+    """Rbar(D) = 1/2 ln(1 + lambda_y/q) + (L-1)/2 ln(1 + gamma_y/q), and its slope.
+
+    The slope is dRbar/dq divided by ddistortion/dq at the solved q.
+    """
+    q = lambda_q(s, L, D)
+    ly, gy = s.lambda_y, s.gamma_y
+    rate = (_CTX.log(1 + ly / q) + (L - 1) * _CTX.log(1 + gy / q)) / 2
+    drate = -(ly / (q * (q + ly)) + (L - 1) * gy / (q * (q + gy))) / 2
+    ddist = (s.lambda_x ** 2 / (ly + q) ** 2
+             + (L - 1) * s.gamma_x ** 2 / (gy + q) ** 2) / L
+    return rate, drate / ddist
+
+
+def piece(label: str, s: Spectrum, L: int, D) -> tuple[mpf, mpf]:
+    """R1c, R2c, R1c_hat or R2c_hat at D, and its slope.
+
+    The hatted pieces are the plain ones with the lambda and gamma
+    directions swapped (big is the direction the label names).  With
+    triples (x, y, m) for big and small,
+
+        den2 = L D - m_b x_b - m_s (x_s - x_s^2 / y_s),
+        R2c  = L/2 ln(m_s x_s^2 / y_s / den2),
+        den1 = den2 + m_b x_b^2 / y_b^2 (y_b + 1 / (1/y_s - 1/y_b)),
+        R1c  = k/2 ln(k x_s^2 / y_s / den1) + m_b/2 ln(x_b^2 y_s / (x_s^2 (y_b - y_s)))
+               + L/2 ln(m_s / L),   k = m_s + 2 m_b.
+    """
+    lam = (s.lambda_x, s.lambda_y, 1)
+    gam = (s.gamma_x, s.gamma_y, L - 1)
+    (xb, yb, mb), (xs, ys, ms) = (gam, lam) if label.endswith("_hat") else (lam, gam)
+    den = L * _mp(D) - mb * xb - ms * (xs - xs ** 2 / ys)
+    if label.startswith("R2c"):
+        return L * _CTX.log(ms * xs ** 2 / ys / den) / 2, -L * L / (2 * den)
+    den += mb * xb ** 2 / yb ** 2 * (yb + 1 / (1 / ys - 1 / yb))
+    k = ms + 2 * mb
+    value = (k * _CTX.log(k * xs ** 2 / ys / den)
+             + mb * _CTX.log(xb ** 2 * ys / (xs ** 2 * (yb - ys)))
+             + L * _CTX.log(_mp(ms) / L)) / 2
+    return value, -k * L / (2 * den)
+
+
+def lower(label: str, s: Spectrum, L: int, D) -> tuple[mpf, mpf]:
+    """The converse on the piece the label names: Rbar or a composite piece."""
+    return upper(s, L, D) if label == "Rbar" else piece(label, s, L, D)
+
+
+def ceo(L: int, sigma_x_sq, sigma_n_sq, D) -> mpf:
+    """Quadratic Gaussian CEO sum-rate (Oohama 1998; Prabhakaran-Tse-Ramchandran 2004).
+
+    1/2 ln(sigma_x^2 / D) + L/2 ln[(L/a) / (L/a - sigma_n^2)],
+    a = 1/D - 1/sigma_x^2: one source seen by L sensors in i.i.d. noise.
+    """
+    sx2, sn2, D = _mp(sigma_x_sq), _mp(sigma_n_sq), _mp(D)
+    a = 1 / D - 1 / sx2
+    return _CTX.log(sx2 / D) / 2 + L * _CTX.log((L / a) / (L / a - sn2)) / 2
+
+
+# Where probe places D in (d_min, sigma_x^2), as a fraction of the
+# interval; None draws the fraction uniformly.
+PROBE_FRACTIONS = (1e-6, 1e-3, None, 1.0 - 1e-6)
+
+
+def probe(seed: int, n: int):
+    """n seeded points (spec, spectrum, D) over the range symrd accepts.
+
+    L is log-uniform on [2, 1e7] and both variances on [1e-3, 1e3]; each
+    correlation is negative or positive with equal odds, uniform over
+    (-1/(L-1), 0) or [0, 1); D cycles through PROBE_FRACTIONS.
+    """
+    from symrd import SourceSpec, d_min, source_variance, spectral_decompose
+
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    points = []
+    while len(points) < n:
+        L = max(2, round(log_uniform(2, 1e7)))
+        rho_x, rho_z = (rng.uniform(-1.0 / (L - 1), 0.0) if rng.random() < 0.5
+                        else rng.uniform(0.0, 1.0) for _ in range(2))
+        spec = SourceSpec(L, log_uniform(1e-3, 1e3), rho_x, log_uniform(1e-3, 1e3), rho_z)
+        s = spectral_decompose(spec)
+        lo, hi = d_min(s, L), source_variance(s, L)
+        fraction = PROBE_FRACTIONS[len(points) % len(PROBE_FRACTIONS)]
+        D = lo + (rng.random() if fraction is None else fraction) * (hi - lo)
+        if lo < D < hi:
+            points.append((spec, s, D))
+    return points

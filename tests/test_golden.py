@@ -14,14 +14,20 @@ are pinned separately, error paths included; LARGE_L lists them.
 
 The outputs are compared byte for byte.  They are reference data, not
 snapshots to refresh: when one differs, the code moved a printed digit,
-and it is the code (usually its operation order) that must be mended.
+and it is the code (usually its operation order) that must be mended,
+unless the cell moved to the value its 50-digit replay rounds to, or
+nearer to it.  test_golden_cells_match_50_digit_replay replays every
+upper, lower, gap and oracle cell of the pinned sweeps with tests/mpref.py.
 """
 
+import math
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import symrd.cli as cli
+from symrd.model import parse_spec_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -123,3 +129,57 @@ def test_certify_columns(name):
         assert 0.0 <= float(cells["kkt_residual"]) <= KKT_RESIDUAL_BOUND
         # The oracle never consults the closed form, yet prints its digits.
         assert cells["oracle_nats"] == cells["lower_nats"]
+
+
+# A printed rate cell passes its replay when it is within half a unit in
+# its 12th significant digit, plus |slope| * ulp(D): no float64 evaluation
+# at D can be held to a smaller error than the change one unit in the last
+# place of D makes.  gap_nats is the float difference of upper and lower,
+# so it may carry both operands' allowances, |upper slope| * ulp(D) and
+# |lower slope| * ulp(D), plus a few ulps of upper: the rounding of the two
+# operands that the subtraction keeps.
+GAP_UPPER_ULPS = 4
+# The CEO spec's Rbar is the quadratic Gaussian CEO sum-rate in closed
+# form; its replay, bisected to 1e-32 in lambda_q, must agree to 1e-28.
+CEO_REPLAY_REL_TOL = 1e-28
+
+
+def _half_unit(cell: str) -> float:
+    return 5.0 * 10.0 ** (Decimal(cell).adjusted() - 12)
+
+
+# Every pinned sweep output with rate cells: pinned file -> command line.
+SWEEPS = {f"{name}.{command}": golden_argv(name, command)
+          for name in RANGES for command in ("sweep", "certify")}
+SWEEPS["asym_xi_lt_half.sweep-asymptotic"] = large_l_argv("asym_xi_lt_half.sweep-asymptotic")
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_golden_cells_match_50_digit_replay(case):
+    mpref = pytest.importorskip("mpref")
+    name, argv = case.partition(".")[0], SWEEPS[case]
+    spec = parse_spec_text((GOLDEN / f"{name}.spec").read_text())
+    s, L = mpref.spectrum(spec), spec.L
+    grid = cli._grid(cli.build_parser().parse_args(argv))
+    header, *rows = (GOLDEN / f"{case}.out").read_text().splitlines()
+    off = []
+    for D, row in zip(grid, rows, strict=True):
+        cells = dict(zip(header.split(","), row.split(",")))
+        upper, upper_slope = mpref.upper(s, L, D)
+        lower, lower_slope = mpref.lower(cells["piece"], s, L, D)
+        if name == "ceo":
+            ceo = mpref.ceo(L, spec.sigma_x_sq, spec.sigma_z_sq, D)
+            assert abs(upper - ceo) <= CEO_REPLAY_REL_TOL * ceo
+        ulp = math.ulp(D)
+        replay = {"upper_nats": (upper, abs(float(upper_slope)) * ulp),
+                  "lower_nats": (lower, abs(float(lower_slope)) * ulp),
+                  "gap_nats": (upper - lower,
+                               (abs(float(upper_slope)) + abs(float(lower_slope))) * ulp
+                               + GAP_UPPER_ULPS * math.ulp(float(cells["upper_nats"])))}
+        if "oracle_nats" in cells:
+            replay["oracle_nats"] = replay["lower_nats"]
+        for column, (value, slack) in replay.items():
+            error = abs(Decimal(cells[column]) - Decimal(str(value)))
+            if error > Decimal(_half_unit(cells[column]) + slack):
+                off.append(f"D = {D!r}: {column} {cells[column]}, replay {value}")
+    assert not off

@@ -4,7 +4,11 @@ Reference values marked "50-digit reference" were computed independently
 with an mpmath program (the quadratic threshold roots and each closed-form
 piece evaluated at 50 decimal digits, cross-checked against a golden-section
 solve of the underlying convex program); frozen here as float literals.
+test_composite_pieces_on_random_probe compares the dispatched composite
+pieces with the replay in tests/mpref.py over the range the library accepts.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from symrd import (
     upper_bound_rate,
 )
 import symrd.upper_bound
-from symrd.lower_bound import evaluate
+from symrd.lower_bound import classify, evaluate
 
 L_CASES = 10
 CASE1 = (0.8, 1.0, 5.0, 4.0)    # coincidence everywhere
@@ -232,7 +236,7 @@ def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
         for frac in (0.05, 0.3, 0.6, 0.95):
             D = lo + frac * (hi - lo)
             solves.clear()
-            got = evaluate(s, L_CASES, D)
+            got = evaluate(classify(s, L_CASES), D)
             assert len(solves) == 1
             assert got == (upper_bound_rate(s, L_CASES, D),
                            lower_bound_rate(s, L_CASES, D),
@@ -302,3 +306,34 @@ def test_threshold_ordering_property():
                 assert lo < hi
                 seen_windows += 1
     assert seen_windows > 0
+
+
+# A composite piece's error is held to
+#   PIECE_D_ULPS * |dR/dD| * ulp(D) + PIECE_RATE_ULPS * ulp(R).
+# Its denominator starts from the slack L (D - d_min), which carries d_min's
+# rounding (at most 4 ulps of D), and adds or subtracts one term whose
+# rounding is at most 2 eps of the slack: 8 ulps of D in all.  The second
+# term covers the logarithms and their sum.  (Measured: at most 2.6 times
+# the plain sum of the two; the per-side summation order this replaced
+# reached 1.3e4 times it.)
+PIECE_D_ULPS = 8
+PIECE_RATE_ULPS = 8
+
+
+def test_composite_pieces_on_random_probe():
+    mpref = pytest.importorskip("mpref")
+    checked, off = 0, []
+    for spec, s, D in mpref.probe(seed=20261019, n=10000):
+        piece = lower_bound_piece(s, spec.L, D)
+        if piece == PIECE_RBAR:
+            continue
+        checked += 1
+        value = lower_bound_rate(s, spec.L, D)
+        # The replay takes the float x and z as exact and re-forms y = x + z.
+        ref, slope = mpref.piece(piece, mpref.exact(s), spec.L, D)
+        bound = (PIECE_D_ULPS * abs(float(slope)) * math.ulp(D)
+                 + PIECE_RATE_ULPS * math.ulp(value))
+        if abs(value - float(ref)) > bound:
+            off.append((spec, D, piece, value, float(ref)))
+    assert checked >= 2000
+    assert not off

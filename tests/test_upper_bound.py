@@ -3,7 +3,12 @@
 Reference values marked "50-digit reference" were computed independently
 with an mpmath program (bisection at 50 decimal digits on the distortion
 constraint, plus the closed-form rate); frozen here as float literals.
+test_newton_solve_on_random_probe compares the solver with the same replay
+(tests/mpref.py) over the range the library accepts.
 """
+
+import math
+import statistics
 
 import numpy as np
 import pytest
@@ -187,3 +192,36 @@ def test_randomized_consistency():
         _assert_correlation_form(q, spec, s, D)
         root = quadratic_root(q)
         assert abs(root - sol.lambda_q) <= 1e-8 * sol.lambda_q
+
+
+# Over the probe, the solve's error in Rbar is held to
+#   PROBE_D_ULPS * |dRbar/dD| * ulp(D) + PROBE_RATE_ULPS * ulp(Rbar).
+# The first term covers the slack the solve starts from: L (D - d_min) or
+# L (sigma_x^2 - D) carries the rounding of d_min or sigma_x^2, at most
+# 4 ulps of D (sigma_x^2 < 2 D above the middle), and each balance
+# evaluation's side is a sum of positive terms off by at most 6 eps
+# relatively, the same as moving D by 6 eps (D - d_min) <= 12 ulps of D.
+# The second covers rate_of's two log1p terms and their sum.  (Measured:
+# at most 2.6 times the plain sum of the two; the bisection this solve
+# replaced reached 3.2e4 times it on the same points.)
+PROBE_D_ULPS = 16
+PROBE_RATE_ULPS = 4
+
+
+def test_newton_solve_on_random_probe():
+    mpref = pytest.importorskip("mpref")
+    evaluations = []
+    off = []
+    for spec, s, D in mpref.probe(seed=20261018, n=2000):
+        sol = solve_lambda_q(s, spec.L, D)
+        evaluations.append(sol.evaluations)
+        # The float spectrum's x and z are exact binary values; the replay
+        # re-forms y = x + z from them, as the model defines it.
+        rate, slope = mpref.upper(mpref.exact(s), spec.L, D)
+        bound = (PROBE_D_ULPS * abs(float(slope)) * math.ulp(D)
+                 + PROBE_RATE_ULPS * math.ulp(sol.rate_nats))
+        if abs(sol.rate_nats - float(rate)) > bound:
+            off.append((spec, D, sol.rate_nats, float(rate)))
+    assert statistics.median(evaluations) <= 3
+    assert max(evaluations) <= 8
+    assert not off
