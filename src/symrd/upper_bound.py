@@ -26,6 +26,7 @@ polynomials in L.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PrecisionError
@@ -40,6 +41,9 @@ NEWTON_STEP_TOL = 1e-9
 # evaluations; this cap only bounds the bisection fallback.
 MAX_EVALUATIONS = 100
 RESIDUAL_REL_TOL = 1e-10
+
+# Relative rounding allowance of the bracket ends: a few ulps.
+_BRACKET_ROUNDING = 8 * sys.float_info.epsilon
 
 # Switch the quadratic root to its product form when the textbook numerator
 # -b + sqrt(disc) loses more than ~8 digits to cancellation.
@@ -156,8 +160,11 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
     # eigenvalues and slacks themselves do not (x <= y on each direction).
     c_lam = s.lambda_x * (s.lambda_x / s.lambda_y)
     c_gam = (L - 1) * s.gamma_x * (s.gamma_x / s.gamma_y)
-    lo = below_slack / (c_lam / s.lambda_y + c_gam / s.gamma_y)
-    hi = max(s.lambda_y, s.gamma_y) * (below_slack / above_slack)
+    # The root sits on the upper end when lambda_y == gamma_y or when only
+    # the direction with the larger y carries source (x = 0 on the other);
+    # both ends are widened by their rounding so that it stays inside.
+    lo = below_slack / (c_lam / s.lambda_y + c_gam / s.gamma_y) * (1.0 - _BRACKET_ROUNDING)
+    hi = max(s.lambda_y, s.gamma_y) * (below_slack / above_slack) * (1.0 + _BRACKET_ROUNDING)
     below = below_slack <= above_slack
     slack = below_slack if below else above_slack
     lambda_q = _positive_root(*_coefficients(s, L, below_slack, above_slack))

@@ -208,11 +208,31 @@ PROBE_D_ULPS = 16
 PROBE_RATE_ULPS = 4
 
 
+def _edge_points(fractions):
+    """Spectra whose root sits on a bracket end, at each D fraction.
+
+    One direction without source (rho_x = 1 leaves gamma_x = 0; lambda_x = 0
+    with the larger y on gamma), and the tie lambda_y == gamma_y.
+    """
+    specs = []
+    for L in (2, 10, 1000, 10 ** 6):
+        specs += [SourceSpec(L, 1.0, 1.0, 2.0, 0.0),
+                  from_eigenvalues(L, 0.0, 1.0, 0.5, 3.0),
+                  from_eigenvalues(L, 2.0, 0.5, 4.0, 4.0)]
+    points = []
+    for spec in specs:
+        s = spectral_decompose(spec)
+        lo, hi = d_min(s, spec.L), source_variance(s, spec.L)
+        points += [(spec, s, lo + f * (hi - lo)) for f in fractions]
+    return points
+
+
 def test_newton_solve_on_random_probe():
     mpref = pytest.importorskip("mpref")
     evaluations = []
     off = []
-    for spec, s, D in mpref.probe(seed=20261018, n=2000):
+    edges = _edge_points([f for f in mpref.PROBE_FRACTIONS if f] + [0.3, 0.7])
+    for spec, s, D in mpref.probe(seed=20261018, n=2000) + edges:
         sol = solve_lambda_q(s, spec.L, D)
         evaluations.append(sol.evaluations)
         # The float spectrum's x and z are exact binary values; the replay
