@@ -49,6 +49,7 @@ _BRACKET_ROUNDING = 8 * sys.float_info.epsilon
 # -b + sqrt(disc) loses more than ~8 digits to cancellation.
 _CANCELLATION_GUARD = 1e-8
 
+
 @dataclass(frozen=True)
 class UpperBoundSolution:
     """Solved operating point of the test channel at one distortion target.
@@ -64,7 +65,7 @@ class UpperBoundSolution:
     rate_nats: float
     lambda_i: float
     gamma_i: float
-    evaluations: int = 0
+    evaluations: int
 
 
 @dataclass(frozen=True)
