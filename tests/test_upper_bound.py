@@ -202,8 +202,8 @@ def test_randomized_consistency():
 # evaluation's side is a sum of positive terms off by at most 6 eps
 # relatively, the same as moving D by 6 eps (D - d_min) <= 12 ulps of D.
 # The second covers rate_of's two log1p terms and their sum.  (Measured:
-# at most 2.6 times the plain sum of the two; the bisection this solve
-# replaced reached 3.2e4 times it on the same points.)
+# at most 2.7 times the plain sum of the two; the bisection this solve
+# replaced reached 1.0e5 times it on the same points.)
 PROBE_D_ULPS = 16
 PROBE_RATE_ULPS = 4
 
