@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import upper_bound
 from .errors import DomainError
-from .model import Spectrum, check_distortion, d_min_slack, side_view
+from .model import Spectrum, check_distortion, distortion_interval, side_view, slacks
 
 #: Piece labels used in reports and CSV output.
 PIECE_RBAR = "Rbar"
@@ -87,14 +87,18 @@ class Regime:
     """A classified spectrum: all the dispatch needs at any D.
 
     classify builds it once per spectrum and evaluate takes it at each D.
-    big and small are model.side_view's (x, y, m) triples and hatted its
-    orientation; case is the branch's case 1-4; m1, m2, d_th_1, d_th_2 and
+    d_min, sigma_x_sq and total are model.distortion_interval's, for
+    model.slacks at each D; big and small are model.side_view's (x, y, m)
+    triples and hatted its orientation; case is the branch's case 1-4; m1, m2, d_th_1, d_th_2 and
     d_th_c are the roots and switch points, None where the case does not
     define them (the roots too, when the discriminant alone settles case 1).
     """
 
     spectrum: Spectrum
     L: int
+    d_min: float
+    sigma_x_sq: float
+    total: float
     big: tuple
     small: tuple
     hatted: bool
@@ -148,7 +152,7 @@ def _require_pos(value: float, what: str) -> float:
 def _rc(label: str, big, small, L: int, slack: float) -> float:
     """R_1^c or R_2^c (by label) over the given orientation, unclamped.
 
-    slack is L (D - d_min) (model.d_min_slack).  R_2^c's denominator
+    slack is L (D - d_min) as model.slacks forms it.  R_2^c's denominator
     subtracts m_b x_b^2 / y_b from it, and R_1^c's adds
     m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.
     """
@@ -182,30 +186,32 @@ def rc_piece(piece: str, spectrum: Spectrum, L: int, D: float) -> float:
     if piece not in _PIECES[0] + _PIECES[1]:
         raise DomainError(f"unknown piece label {piece!r}")
     big, small, _ = side_view(spectrum, L, hatted=piece in _PIECES[1])
-    return _rc(piece, big, small, L, d_min_slack(spectrum, L, D))
+    below, _ = slacks(L, D, *distortion_interval(spectrum, L))
+    return _rc(piece, big, small, L, below)
 
 
 # --- classification and dispatch ---------------------------------------------
 
 def classify(spectrum: Spectrum, L: int) -> Regime:
-    """Classify a spectrum once: its side view, case and switch points."""
+    """Classify a spectrum once: its interval, side view, case and switch points."""
     big, small, hatted = side_view(spectrum, L)
     (xb, yb, mb), (xs, ys, ms) = big, small
+    view = (spectrum, L, *distortion_interval(spectrum, L), big, small, hatted)
     if xb ** 2 * ys ** 2 >= ms / (4.0 * L) * (xs ** 2 * yb ** 2):
-        return Regime(spectrum, L, big, small, hatted, 1)
+        return Regime(*view, 1)
     disc = 1.0 - 4.0 * L / ms * (xb ** 2 * ys ** 2) / (xs ** 2 * yb ** 2)
     r = math.sqrt(max(disc, 0.0))
     m1, m2 = (1.0 - r) / 2.0, (1.0 + r) / 2.0
     ratio = ys / yb
     if m2 <= ratio:
-        return Regime(spectrum, L, big, small, hatted, 1, m1, m2)
+        return Regime(*view, 1, m1, m2)
     if m1 <= ratio and ratio < m2 < 1.0:
         case = 2
     elif m1 > ratio and m2 < 1.0:
         case = 3
     else:
         case = 4
-    return Regime(spectrum, L, big, small, hatted, case, m1, m2,
+    return Regime(*view, case, m1, m2,
                   _d_th(big, small, L, m2) if case < 4 else None,
                   _d_th(big, small, L, m1) if case == 3 else None,
                   _d_th_c(big, small, L))
@@ -237,7 +243,8 @@ def _dispatch(regime: Regime, D: float) -> tuple[str, float | None]:
     # With x_big = 0 (case 4) the other side's family has a vanishing log
     # argument; this side's is the finite reading.
     piece = _PIECES[r.hatted][0 if D <= r.d_th_c else 1]
-    return piece, _rc(piece, r.big, r.small, r.L, d_min_slack(r.spectrum, r.L, D))
+    below, _ = slacks(r.L, D, r.d_min, r.sigma_x_sq, r.total)
+    return piece, _rc(piece, r.big, r.small, r.L, below)
 
 
 def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:

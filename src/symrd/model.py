@@ -233,14 +233,40 @@ def d_min(spectrum: Spectrum, L: int) -> float:
             + (L - 1) * s.gamma_x * s.gamma_z / s.gamma_y) / L
 
 
-def d_min_slack(spectrum: Spectrum, L: int, D: float) -> float:
-    """L (D - d_min): how far L D sits above the distortion floor.
+def source_weights(spectrum: Spectrum, L: int) -> tuple[float, float]:
+    """(lambda_x^2 / lambda_y, (L-1) gamma_x^2 / gamma_y).
 
-    The one float64 form of this difference, shared by the lambda_q solve
-    and the composite rates.  Wherever check_distortion accepts D it is
-    positive, and its error is the rounding of d_min, a few ulps of D.
+    The two directions' shares of L (sigma_x^2 - d_min), which is their
+    sum.  Written so that no intermediate under- or overflows where the
+    eigenvalues themselves do not (x <= y on each direction).
     """
-    return L * (D - d_min(spectrum, L))
+    s = spectrum
+    return (s.lambda_x * (s.lambda_x / s.lambda_y),
+            (L - 1) * s.gamma_x * (s.gamma_x / s.gamma_y))
+
+
+def distortion_interval(spectrum: Spectrum, L: int) -> tuple[float, float, float]:
+    """(d_min, sigma_x^2, L (sigma_x^2 - d_min)), the last as the sum of source_weights."""
+    return d_min(spectrum, L), source_variance(spectrum, L), sum(source_weights(spectrum, L))
+
+
+def slacks(L: int, D: float, floor: float, ceil: float, total: float) -> tuple[float, float]:
+    """(L (D - d_min), L (sigma_x^2 - D)): where L D sits inside L (floor, ceil).
+
+    floor, ceil and total are distortion_interval's; callers pass what they
+    already hold.  The
+    smaller slack is formed from D and its own end, the other as its
+    complement to total, so neither loses digits and the pair sums to total
+    to its rounding.  (L floor and L ceil are rounded apart by up to
+    eps L sigma_x^2, many ulps of a slack when d_min is near sigma_x^2.)
+    The one float64 form of the two, shared by the lambda_q solve and the
+    composite rates; its error is the rounding of d_min or sigma_x^2, a few
+    ulps of D.
+    """
+    below, above = L * (D - floor), L * (ceil - D)
+    if below <= above:
+        return below, total - below
+    return total - above, above
 
 
 def source_variance(spectrum: Spectrum, L: int) -> float:

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PrecisionError
-from .model import Spectrum, check_distortion, d_min_slack, source_variance
+from .model import Spectrum, check_distortion, distortion_interval, slacks, source_weights
 
 # Newton's method stops once its step in ln lambda_q is below this: the
 # step after it would be below float64 resolution, so the stepped value is
@@ -57,15 +57,13 @@ class UpperBoundSolution:
     lambda_q is the test-noise eigenvalue; rate_nats the sum rate; lambda_i
     and gamma_i are the post-channel information eigenvalues
     1/lambda_i = 1/lambda_y + 1/lambda_q (and likewise for gamma) that the
-    alternative rate forms are written in.  evaluations counts the
-    balance-equation evaluations the solve took.
+    alternative rate forms are written in.
     """
 
     lambda_q: float
     rate_nats: float
     lambda_i: float
     gamma_i: float
-    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,10 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
             <= lambda_q <= max(lambda_y, gamma_y) L (D - d_min) / (L (sigma_x^2 - D)),
 
     which every evaluation narrows; a step that would leave it bisects
-    it in u instead.
+    it in u instead.  The slacks are model.slacks's pair, which sums to
+    lambda_x^2/lambda_y + (L-1) gamma_x^2/gamma_y = L (sigma_x^2 - d_min)
+    as the two sides do, so the bracket bounds the solved form's root to
+    its own rounding, and the seed is that form's root too.
 
     Parameters
     ----------
@@ -148,30 +149,31 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
         If D lies outside the open interval (d_min, sigma_x^2).
     PrecisionError
         If D sits so close to an endpoint that the solution fails the
-        residual check.
+        residual check, or the interval is too narrow for its slacks to
+        be resolved.
     ConvergenceError
         If the iteration does not settle within MAX_EVALUATIONS, or its
         result fails the residual check (not expected for valid inputs).
     """
     floor, ceil = check_distortion(spectrum, L, D)
     s = spectrum
-    below_slack = d_min_slack(s, L, D)
-    above_slack = L * (ceil - D)
-    # Written so that no intermediate under- or overflows where the
-    # eigenvalues and slacks themselves do not (x <= y on each direction).
-    c_lam = s.lambda_x * (s.lambda_x / s.lambda_y)
-    c_gam = (L - 1) * s.gamma_x * (s.gamma_x / s.gamma_y)
+    c_lam, c_gam = source_weights(s, L)
+    below_side, above_side = slacks(L, D, floor, ceil, c_lam + c_gam)
+    if not (below_side > 0.0 and above_side > 0.0):
+        raise PrecisionError(
+            f"D = {D!r}: the interval (d_min, sigma_x_sq) = ({floor!r}, {ceil!r}) "
+            "is too narrow to resolve")
+    below = below_side <= above_side
+    slack = below_side if below else above_side
     # The root sits on the upper end when lambda_y == gamma_y or when only
     # the direction with the larger y carries source (x = 0 on the other);
     # both ends are widened by their rounding so that it stays inside.
-    lo = below_slack / (c_lam / s.lambda_y + c_gam / s.gamma_y) * (1.0 - _BRACKET_ROUNDING)
-    hi = max(s.lambda_y, s.gamma_y) * (below_slack / above_slack) * (1.0 + _BRACKET_ROUNDING)
-    below = below_slack <= above_slack
-    slack = below_slack if below else above_slack
-    lambda_q = _positive_root(*_coefficients(s, L, below_slack, above_slack))
+    lo = below_side / (c_lam / s.lambda_y + c_gam / s.gamma_y) * (1.0 - _BRACKET_ROUNDING)
+    hi = max(s.lambda_y, s.gamma_y) * (below_side / above_side) * (1.0 + _BRACKET_ROUNDING)
+    lambda_q = _positive_root(*_coefficients(s, L, below_side, above_side))
     if not lo < lambda_q < hi:
         lambda_q = math.sqrt(lo) * math.sqrt(hi)
-    for evaluations in range(1, MAX_EVALUATIONS + 1):
+    for _ in range(MAX_EVALUATIONS):
         residual, slope = _balance(s, lambda_q, c_lam, c_gam, slack, below)
         if (residual > 0.0) == (slope > 0.0):
             hi = lambda_q
@@ -203,7 +205,7 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
     lambda_i = 1.0 / (1.0 / spectrum.lambda_y + 1.0 / lambda_q)
     gamma_i = 1.0 / (1.0 / spectrum.gamma_y + 1.0 / lambda_q)
     return UpperBoundSolution(lambda_q, rate_of(spectrum, L, lambda_q),
-                              lambda_i, gamma_i, evaluations)
+                              lambda_i, gamma_i)
 
 
 def upper_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
@@ -248,11 +250,11 @@ def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> QuadraticCoe
 
     its coefficients are a = L (sigma_x^2 - D),
     b = phi1 gamma_y + (L-1) phi2 lambda_y - phi3 (gamma_y + lambda_y) and
-    c = -phi3 lambda_y gamma_y.  a and phi3 are formed as the two slacks
-    (phi3 by model.d_min_slack), not from the sums that cancel in them.
+    c = -phi3 lambda_y gamma_y.  phi3 and a are model.slacks's pair, not
+    the sums that cancel in them.
     """
     return QuadraticCoefficients(*_coefficients(
-        spectrum, L, d_min_slack(spectrum, L, D), L * (source_variance(spectrum, L) - D)))
+        spectrum, L, *slacks(L, D, *distortion_interval(spectrum, L))))
 
 
 def _coefficients(spectrum: Spectrum, L: int, below_slack: float,

@@ -15,6 +15,7 @@ import pytest
 
 from symrd import (
     DomainError,
+    PrecisionError,
     SourceSpec,
     d_min,
     distortion_of,
@@ -29,6 +30,7 @@ from symrd import (
     upper_bound_rate,
 )
 from symrd.asymptotics import correlation_form
+import symrd.upper_bound
 
 L_CASES = 10
 CASE1 = (0.8, 1.0, 5.0, 4.0)
@@ -153,6 +155,16 @@ def test_solve_rejects_out_of_range_distortion(bad_d_of_range):
         solve_lambda_q(s, L_CASES, D)
 
 
+def test_solve_rejects_interval_too_narrow_for_its_slacks():
+    # d_min and sigma_x^2 are rounded apart by more than the true interval
+    # here, so the larger slack's complement to L (sigma_x^2 - d_min) is
+    # negative: no bracket exists, and the solve says so instead of failing
+    # on it.
+    spec = SourceSpec(3, 0.641087696978789, 0.3, 5646376368315522.0, 0.5)
+    with pytest.raises(PrecisionError, match="too narrow"):
+        solve_lambda_q(spectral_decompose(spec), 3, 0.6410876969787889)
+
+
 def test_quadratic_root_rejects_nonpositive_leading_coefficient():
     # a = L (sigma_x^2 - D) <= 0 means D is out of range for the quadratic
     s = _spectrum(CASE1)
@@ -212,13 +224,19 @@ def _edge_points(fractions):
     """Spectra whose root sits on a bracket end, at each D fraction.
 
     One direction without source (rho_x = 1 leaves gamma_x = 0; lambda_x = 0
-    with the larger y on gamma), and the tie lambda_y == gamma_y.
+    with the larger y on gamma), and the tie lambda_y == gamma_y (any
+    rho_x = rho_z = 0).  Both also at sigma_z^2 / sigma_x^2 = 1e3 and 1e6,
+    where d_min is near sigma_x^2 and L d_min and L sigma_x^2 are rounded
+    apart by many ulps of the slacks between them.
     """
     specs = []
     for L in (2, 10, 1000, 10 ** 6):
         specs += [SourceSpec(L, 1.0, 1.0, 2.0, 0.0),
                   from_eigenvalues(L, 0.0, 1.0, 0.5, 3.0),
                   from_eigenvalues(L, 2.0, 0.5, 4.0, 4.0)]
+        for noise in (1e3, 1e6):
+            specs += [SourceSpec(L, 1.0, 1.0, noise, 0.0),
+                      SourceSpec(L, 1e-4, 0.0, 1e-4 * noise, 0.0)]
     points = []
     for spec in specs:
         s = spectral_decompose(spec)
@@ -227,14 +245,23 @@ def _edge_points(fractions):
     return points
 
 
-def test_newton_solve_on_random_probe():
+def test_newton_solve_on_random_probe(monkeypatch):
     mpref = pytest.importorskip("mpref")
+    balance = symrd.upper_bound._balance
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return balance(*args)
+
+    monkeypatch.setattr(symrd.upper_bound, "_balance", counted)
     evaluations = []
     off = []
     edges = _edge_points([f for f in mpref.PROBE_FRACTIONS if f] + [0.3, 0.7])
     for spec, s, D in mpref.probe(seed=20261018, n=2000) + edges:
+        calls.clear()
         sol = solve_lambda_q(s, spec.L, D)
-        evaluations.append(sol.evaluations)
+        evaluations.append(len(calls))
         # The float spectrum's x and z are exact binary values; the replay
         # re-forms y = x + z from them, as the model defines it.
         rate, slope = mpref.upper(mpref.exact(s), spec.L, D)
