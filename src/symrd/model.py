@@ -226,11 +226,13 @@ def d_min(spectrum: Spectrum, L: int) -> float:
           + (L - 1) gamma_x gamma_z / (L gamma_y).
 
     No rate, however large, can push the per-component distortion below
-    this value, because X is only observable through Y.
+    this value, because X is only observable through Y.  Each product is
+    formed as x (z / y), as in source_weights, so it stays representable
+    wherever the eigenvalues are (z <= y on each direction).
     """
     s = spectrum
-    return (s.lambda_x * s.lambda_z / s.lambda_y
-            + (L - 1) * s.gamma_x * s.gamma_z / s.gamma_y) / L
+    return (s.lambda_x * (s.lambda_z / s.lambda_y)
+            + (L - 1) * s.gamma_x * (s.gamma_z / s.gamma_y)) / L
 
 
 def source_weights(spectrum: Spectrum, L: int) -> tuple[float, float]:

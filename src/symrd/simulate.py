@@ -23,29 +23,32 @@ the printed identity within its statistical band.
 
 Cost: every covariance in the model has eigenvalue lambda on the all-ones
 direction and gamma on its L - 1 dimensional complement, so nothing needs
-an eigenbasis.  Samples are drawn in the coordinate basis as
-sqrt(gamma) (T - mean_row(T) 1) + sqrt(lambda / L) S 1, which has the
-model's law for every rho; an estimator with gains g_lambda, g_gamma maps
-an observation row o to g_gamma o + (g_lambda - g_gamma) mean_row(o) 1;
-and the log-det rate is invariant under the orthogonal change of basis,
-so the (Y, V) moments stay in the coordinate basis.  n samples therefore
-cost O(nL) plus one Gram product per chunk.  Each block is streamed in
-chunks of CHUNK_ROWS rows: a chunk's draws, X, Z, Q, [Y | V], both
-squared errors and its Gram product stay in cache, and a block returns
+an eigenbasis.  Samples are drawn in the coordinate basis: L standard
+normals T a row are shaped in place into sqrt(gamma) T
++ (sqrt(lambda) - sqrt(gamma)) mean_row(T) 1, which has the model's law
+for every rho, so a row of (X, Z, Q) costs 3L normals; an estimator with
+gains g_lambda, g_gamma maps an observation row o to g_gamma o
++ (g_lambda - g_gamma) mean_row(o) 1; and the log-det rate is invariant
+under the orthogonal change of basis, so the (Y, V) moments stay in the
+coordinate basis.  n samples therefore cost O(nL) plus one Gram product
+per chunk.  Each block is streamed in chunks of CHUNK_ROWS rows into
+buffers it allocates once: the draws, shaped in place into X, Z and Q,
+[Y | V] and the error rows (Z's buffer takes X + Q once Y is formed).
+A chunk's buffers and its Gram product stay in cache, and a block returns
 only its three scalar sums and its Gram.  The blocks run on a thread
 pool of min(available CPUs, blocks) workers (numpy's RNG and array
 kernels release the GIL); a run of one block starts no pool.  Memory is
 O(workers CHUNK_ROWS L + L^2), not O(BLOCK_SIZE L).
 
 Reproducibility: sampling is partitioned into fixed-size blocks, each drawn
-from a counter-based generator keyed by (seed, block_index); consecutive
-draws from one generator continue its stream, so a block's chunks hold
-exactly the samples of one whole-block draw (sample_model makes that
-draw).  Scalar sums are reduced in block-index order with math.fsum, and
-the moment matrices with one vectorised compensated (Neumaier) sum, so
-the result is bit-identical for a given seed under any worker count or
-schedule, and identical to 1e-12 under any re-partition of the block
-sums.
+from an SFC64 generator keyed through SeedSequence by (seed, block_index).
+The stream is chunk-major: each chunk draws its T_x, T_z and W_q in turn,
+so a block's samples depend on CHUNK_ROWS, and sample_model draws the
+same chunks as run_simulation.  Scalar sums are reduced in block-index
+order with math.fsum, and the moment matrices with one vectorised
+compensated (Neumaier) sum, so the result is bit-identical for a given
+seed under any worker count or schedule, and identical to 1e-12 under any
+re-partition of the block sums.
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ from .upper_bound import distortion_of, rate_of
 
 # Samples per RNG block; also the reduction granularity.
 BLOCK_SIZE = 1 << 17
-# Rows drawn at a time within a block: 4096 x (3L + 2) doubles, about
-# 1.2 MB at L = 12, so a chunk's arrays stay in cache.
+# Rows drawn at a time within a block.  A worker's buffers take 6L doubles
+# a row (3L draws, 2L for [Y | V], L for the error rows): 2.4 MB at
+# L = 12, so a chunk's arrays stay in cache.
 CHUNK_ROWS = 4096
 
 
@@ -121,39 +125,52 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return a @ np.full(a.shape[1], 1.0 / a.shape[1])
 
 
-def _symmetric_block(cols_s, cols_t, lam: float, gam: float) -> np.ndarray:
-    """One symmetric Gaussian block from standard-normal columns.
+def _shape_symmetric(t: np.ndarray, lam: float, gam: float) -> None:
+    """Shape standard-normal rows t in place into one symmetric Gaussian block.
 
-    sqrt(gam) (T - mean_row(T) 1) + sqrt(lam / L) S 1 has covariance
+    sqrt(gam) T + (sqrt(lam) - sqrt(gam)) mean_row(T) 1 has covariance
     gam (I - J/L) + lam J/L: eigenvalue lam on the all-ones direction and
     gam on its complement, for every rho, negative ones included.
     """
-    if lam == 0.0 and gam == 0.0:
-        return np.zeros_like(cols_t)
-    L = cols_t.shape[1]
     root_gam = math.sqrt(gam)
-    block = root_gam * cols_t
-    block += (math.sqrt(lam / L) * cols_s - root_gam * _row_mean(cols_t))[:, None]
-    return block
+    shift = (math.sqrt(lam) - root_gam) * _row_mean(t)
+    t *= root_gam
+    t += shift[:, None]
 
 
 def _block_generator(seed: int, block_index: int):
-    """The counter-based generator of block block_index."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The generator of block block_index: SFC64 keyed by (seed, block_index).
+
+    The block index is the SeedSequence's spawn key, so the stream is the
+    block_index-th child of the seed's sequence.  (An entropy list
+    [seed, block_index] would not do: it is read as 32-bit words, so seed
+    2^32 + s at block 0 would replay seed s at block 1.)
+    """
+    seq = np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(block_index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
-def _sample_block(rng, rows: int, config: SimConfig, spectrum: Spectrum):
-    """Draw rows samples from rng: (X, Z, Q), each (rows, L), coordinate basis."""
-    L = config.spec.L
-    w = rng.standard_normal((rows, 3 * L + 2))
-    # Column layout: [S_x | T_x (L) | S_z | T_z (L) | Q (L)].
-    x = _symmetric_block(w[:, 0], w[:, 1:L + 1],
-                         spectrum.lambda_x, spectrum.gamma_x)
-    z = _symmetric_block(w[:, L + 1], w[:, L + 2:2 * L + 2],
-                         spectrum.lambda_z, spectrum.gamma_z)
-    q = math.sqrt(config.lambda_q) * w[:, 2 * L + 2:]
-    return x, z, q
+def _sample_block(config: SimConfig, spectrum: Spectrum, index: int, n_b: int):
+    """Yield block index's n_b samples chunk by chunk, in the coordinate basis.
+
+    Each chunk of up to CHUNK_ROWS rows draws T_x, T_z and W_q, in that
+    order, as three contiguous (rows, L) standard-normal arrays into one
+    buffer that the block allocates once, shapes them in place and yields
+    the views (X, Z, Q).  The next chunk overwrites them, so a caller may
+    too.
+    """
+    s = spectrum
+    rng = _block_generator(config.seed, index)
+    draws = np.empty((3, min(CHUNK_ROWS, n_b), config.spec.L))
+    root_q = math.sqrt(config.lambda_q)
+    for start in range(0, n_b, CHUNK_ROWS):
+        x, z, q = draws[:, :min(CHUNK_ROWS, n_b - start)]
+        for t in (x, z, q):
+            rng.standard_normal(out=t)
+        _shape_symmetric(x, s.lambda_x, s.gamma_x)
+        _shape_symmetric(z, s.lambda_z, s.gamma_z)
+        q *= root_q
+        yield x, z, q
 
 
 def _blocks(n: int):
@@ -169,30 +186,33 @@ def _blocks(n: int):
 def sample_model(config: SimConfig):
     """Draw the full configured batch: arrays X, Z, Q of shape (n_samples, L).
 
-    Deterministic in config.seed; the same seed always yields the same
-    arrays regardless of platform.  Raises ValidationError for a bad
-    config.
+    The samples run_simulation reduces, drawn chunk by chunk through the
+    same stream.  Deterministic in config.seed: the same seed always
+    yields the same arrays for a given numpy version.  Raises
+    ValidationError for a bad config.
     """
     spectrum = _validate_config(config)
-    xs, zs, qs = [], [], []
+    out = np.empty((3, config.n_samples, config.spec.L))
+    done = 0
     for index, n_b in _blocks(config.n_samples):
-        rng = _block_generator(config.seed, index)
-        x, z, q = _sample_block(rng, n_b, config, spectrum)
-        xs.append(x)
-        zs.append(z)
-        qs.append(q)
-    return np.concatenate(xs), np.concatenate(zs), np.concatenate(qs)
+        for chunk in _sample_block(config, spectrum, index, n_b):
+            rows = chunk[0].shape[0]
+            for dest, a in zip(out, chunk):
+                dest[done:done + rows] = a
+            done += rows
+    return out[0], out[1], out[2]
 
 
 def _squared_error(x: np.ndarray, obs: np.ndarray, gain_lam: float,
-                   gain_gam: float) -> np.ndarray:
+                   gain_gam: float, err: np.ndarray) -> np.ndarray:
     """Per-sample ||X - G obs||^2, G the symmetric matrix with eigenvalue
     gain_lam on the all-ones direction and gain_gam on its complement.
 
     G obs = gain_gam obs + (gain_lam - gain_gam) mean_row(obs) 1, so no
-    eigenbasis is needed; the norm is the one in the rotated basis.
+    eigenbasis is needed; the norm is the one in the rotated basis.  err,
+    shaped like x, is overwritten.
     """
-    err = obs * -gain_gam
+    np.multiply(obs, -gain_gam, out=err)
     err += x
     err -= ((gain_lam - gain_gam) * _row_mean(obs))[:, None]
     return np.einsum("ij,ij->i", err, err)
@@ -217,26 +237,28 @@ def _block_sums(config: SimConfig, spectrum: Spectrum, routed, direct,
     reduced with math.fsum and chunk Grams added in chunk order.
     """
     L = config.spec.L
-    rng = _block_generator(config.seed, index)
+    rows = min(CHUNK_ROWS, n_b)
+    # [Y | V] in one buffer, so the Gram product needs no copy.
+    yv_buf = np.empty((rows, 2 * L))
+    err_buf = np.empty((rows, L))
     d_sums, d_sq_sums, d2_sums = [], [], []
     gram = None
-    for start in range(0, n_b, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, n_b - start)
-        x, z, q = _sample_block(rng, rows, config, spectrum)
-        # [Y | V] in one buffer, so the Gram product needs no copy.
-        w = np.empty((rows, 2 * L))
-        y, v = w[:, :L], w[:, L:]
+    for x, z, q in _sample_block(config, spectrum, index, n_b):
+        rows = x.shape[0]
+        yv, err = yv_buf[:rows], err_buf[:rows]
+        y, v = yv[:, :L], yv[:, L:]
         np.add(x, z, out=y)
         np.add(y, q, out=v)
-        d = _squared_error(x, v, *routed) / L
-        d2 = _squared_error(x, x + q, *direct) / L
+        d = _squared_error(x, v, *routed, err) / L
+        np.add(x, q, out=z)
+        d2 = _squared_error(x, z, *direct, err) / L
         d_sums.append(float(np.sum(d)))
         d_sq_sums.append(float(np.sum(d * d)))
         d2_sums.append(float(np.sum(d2)))
         if gram is None:
-            gram = w.T @ w
+            gram = yv.T @ yv
         else:
-            gram += w.T @ w
+            gram += yv.T @ yv
     return math.fsum(d_sums), math.fsum(d_sq_sums), math.fsum(d2_sums), gram
 
 

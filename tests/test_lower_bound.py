@@ -337,3 +337,19 @@ def test_composite_pieces_on_random_probe():
             off.append((spec, D, piece, value, float(ref)))
     assert checked >= 2000
     assert not off
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_tiny_scale_is_the_unit_problem_rescaled(scale):
+    # Scaling the source, the noise and D by one factor leaves every rate
+    # unchanged and scales d_min by it.  Here lambda_x lambda_z is below the
+    # smallest double, so d_min must not form that product.
+    unit = spectral_decompose(SourceSpec(L_CASES, 1.0, 0.3, 2.0, 0.5))
+    small = spectral_decompose(SourceSpec(L_CASES, scale, 0.3, 2.0 * scale, 0.5))
+    floor, ceil = d_min(unit, L_CASES), source_variance(unit, L_CASES)
+    assert abs(d_min(small, L_CASES) / (scale * floor) - 1.0) <= 1e-12
+    for f in (0.01, 0.1, 0.5, 0.9):
+        D = floor + f * (ceil - floor)
+        for rate in (upper_bound_rate, lower_bound_rate):
+            want = rate(unit, L_CASES, D)
+            assert abs(rate(small, L_CASES, scale * D) / want - 1.0) <= 1e-12

@@ -263,8 +263,9 @@ def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z):
 
 
 def test_chunked_stream_matches_block_replay():
-    # sample_model draws each block whole; run_simulation streams it in
-    # CHUNK_ROWS-row chunks.  The second block ends in a partial chunk.
+    # sample_model keeps every chunk of the stream; run_simulation reduces
+    # each chunk as it is drawn and then draws over it.  The second block
+    # ends in a partial chunk.
     cfg = SimConfig(SourceSpec(7, 1.3, 0.35, 0.6, 0.2), 0.8,
                     BLOCK_SIZE + 5000, 4243)
     assert cfg.n_samples % BLOCK_SIZE % CHUNK_ROWS != 0
@@ -273,6 +274,25 @@ def test_chunked_stream_matches_block_replay():
     assert abs(res.distortion_empirical - d) <= 1e-12 * d
     assert abs(res.distortion_direct_empirical - d2) <= 1e-12 * d2
     assert abs(res.rate_empirical - rate) <= 1e-10
+
+
+def test_stream_keys_give_uncorrelated_streams():
+    # The first chunks of neighbouring (seed, block) keys must not share a
+    # stream.  (2^32 + 5, 0) against (5, 1) guards the key encoding: read
+    # as one list of 32-bit words, the two keys would be equal.  No draw
+    # value is pinned: numpy does not promise standard_normal's stream
+    # across versions.
+    n = 3 * CHUNK_ROWS * 4
+    for seed in (0, 77, 2**32 + 5):
+        keys = [(seed, 0), (seed, 1), (seed + 1, 0)]
+        if seed == 2**32 + 5:
+            keys.append((5, 1))
+        draws = [symrd.simulate._block_generator(*key).standard_normal(n)
+                 for key in keys]
+        for i in range(len(draws)):
+            for j in range(i + 1, len(draws)):
+                corr = np.corrcoef(draws[i], draws[j])[0, 1]
+                assert abs(corr) <= 5.0 / math.sqrt(n), (keys[i], keys[j])
 
 
 def test_result_does_not_depend_on_worker_count():
@@ -299,16 +319,17 @@ def test_memory_does_not_grow_with_block_size():
     L = 12
     cfg = SimConfig(SourceSpec(L, 1.0, 0.3, 0.5, 0.2), 0.7,
                     2 * BLOCK_SIZE + 1234, 1)
-    # A worker holds one chunk's raw draws (3L + 2 columns), that chunk's
-    # X, Z, Q and [Y | V] (5L), the previous chunk's (5L) while the next is
-    # drawn, and two error temporaries (2L): (15L + 2) CHUNK_ROWS doubles,
-    # 6 MB at L = 12.  Three blocks run on at most three workers, each with
-    # one 2L x 2L Gram: 18 MB in all.  The 32 MB limit leaves room for
-    # interpreter allocations; one whole block of raw draws would take
-    # 40 MB by itself.
-    bound = 3 * ((15 * L + 2) * CHUNK_ROWS + (2 * L) ** 2) * 8
-    limit = 32e6
-    assert bound < limit < BLOCK_SIZE * (3 * L + 2) * 8
+    # A worker holds one buffer of 3L draws a row, shaped in place into X,
+    # Z and Q, one of 2L for [Y | V] and one of L for the error rows:
+    # 6L CHUNK_ROWS doubles, 2.4 MB at L = 12.  Add eight row vectors (row
+    # means, per-sample errors and their squares) and two 2L x 2L Grams
+    # (the running sum and one chunk's).  Three blocks run on at most
+    # three workers: 7.9 MB in all.  The 16 MB limit leaves room for
+    # interpreter allocations; one whole block of draws would take 38 MB
+    # by itself.
+    bound = 3 * ((6 * L + 8) * CHUNK_ROWS + 2 * (2 * L) ** 2) * 8
+    limit = 16e6
+    assert bound < limit < BLOCK_SIZE * 3 * L * 8
     tracemalloc.start()
     try:
         run_simulation(cfg)
