@@ -237,10 +237,10 @@ def _block_sums(config: SimConfig, spectrum: Spectrum, routed, direct,
     reduced with math.fsum and chunk Grams added in chunk order.
     """
     L = config.spec.L
-    rows = min(CHUNK_ROWS, n_b)
+    size = min(CHUNK_ROWS, n_b)
     # [Y | V] in one buffer, so the Gram product needs no copy.
-    yv_buf = np.empty((rows, 2 * L))
-    err_buf = np.empty((rows, L))
+    yv_buf = np.empty((size, 2 * L))
+    err_buf = np.empty((size, L))
     d_sums, d_sq_sums, d2_sums = [], [], []
     gram = None
     for x, z, q in _sample_block(config, spectrum, index, n_b):

@@ -7,6 +7,7 @@ program at 50 decimal digits.
 
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -278,21 +279,19 @@ def test_chunked_stream_matches_block_replay():
 
 def test_stream_keys_give_uncorrelated_streams():
     # The first chunks of neighbouring (seed, block) keys must not share a
-    # stream.  (2^32 + 5, 0) against (5, 1) guards the key encoding: read
+    # stream.  (5, 1) against (2^32 + 5, 0) guards the key encoding: read
     # as one list of 32-bit words, the two keys would be equal.  No draw
     # value is pinned: numpy does not promise standard_normal's stream
     # across versions.
     n = 3 * CHUNK_ROWS * 4
-    for seed in (0, 77, 2**32 + 5):
-        keys = [(seed, 0), (seed, 1), (seed + 1, 0)]
-        if seed == 2**32 + 5:
-            keys.append((5, 1))
-        draws = [symrd.simulate._block_generator(*key).standard_normal(n)
-                 for key in keys]
-        for i in range(len(draws)):
-            for j in range(i + 1, len(draws)):
-                corr = np.corrcoef(draws[i], draws[j])[0, 1]
-                assert abs(corr) <= 5.0 / math.sqrt(n), (keys[i], keys[j])
+    groups = [[(s, 0), (s, 1), (s + 1, 0)] for s in (0, 77)]
+    groups.append([(5, 1), (2**32 + 5, 0)])
+    for keys in groups:
+        draws = {key: symrd.simulate._block_generator(*key).standard_normal(n)
+                 for key in keys}
+        for a, b in itertools.combinations(keys, 2):
+            corr = np.corrcoef(draws[a], draws[b])[0, 1]
+            assert abs(corr) <= 5.0 / math.sqrt(n), (a, b)
 
 
 def test_result_does_not_depend_on_worker_count():
