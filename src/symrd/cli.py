@@ -24,6 +24,7 @@ honored because no color is ever emitted).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -262,6 +263,7 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line; main() builds one per process."""
     parser = argparse.ArgumentParser(
         prog="symrd",
         description="Rate-distortion bounds for distributed coding of "
@@ -271,11 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="validate a spec and report its structure")
     p.add_argument("spec_file")
-    p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("classify", help="regime branch, roots and thresholds")
     p.add_argument("spec_file")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="upper/lower bound CSV over a distortion grid")
     p.add_argument("spec_file")
@@ -285,19 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "residual columns")
     p.add_argument("--asymptotic", metavar="L1,L2,...",
                    help="add large-L approximation columns at these sizes")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("asymptotic", help="large-L expression CSV over a grid")
     p.add_argument("spec_file")
     p.add_argument("--L", required=True, metavar="L1,L2,...",
                    help="comma-separated system sizes to evaluate")
     _add_grid_arguments(p)
-    p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("gap-inf", help="limiting gap CSV over a grid")
     p.add_argument("spec_file")
     _add_grid_arguments(p)
-    p.set_defaults(func=cmd_gap_inf)
 
     p = sub.add_parser("simulate", help="Monte-Carlo test-channel verification")
     p.add_argument("spec_file")
@@ -307,14 +304,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="RNG seed")
     p.add_argument("--bits", action="store_true",
                    help="display rates in bits instead of nats")
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first main() call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at call time, so a rebound cmd_* is the one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,10 +27,13 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-# Absolute slack applied to inequality checks so that boundary cases
+# Relative slack applied to inequality checks so that boundary cases
 # produced by floating-point arithmetic (rho = 1 computed as 1 + 2e-16,
-# a noise eigenvalue of -1e-17, ...) are accepted and clamped instead of
-# rejected.
+# a noise variance of -1e-17 next to a source variance of 1, ...) are
+# accepted and clamped instead of rejected.  Correlations are compared
+# with it as is, the noise variance with it times sigma_x_sq, and
+# eigenvalues with it times the largest given one, so no check depends on
+# the unit of variance.
 VALIDATION_SLACK = 1e-12
 
 
@@ -107,9 +110,9 @@ def validate_spec(spec: SourceSpec) -> None:
     """Check all model invariants, raising ValidationError on the first failure.
 
     The checks are: L is an integer >= 2; the four other values are
-    finite; sigma_x_sq > 0; sigma_z_sq >= 0;
-    both correlation coefficients lie in [-1/(L-1), 1] (up to
-    VALIDATION_SLACK); and the observation spectrum is nondegenerate,
+    finite; sigma_x_sq > 0; sigma_z_sq >= 0 (up to VALIDATION_SLACK
+    sigma_x_sq); both correlation coefficients lie in [-1/(L-1), 1] (up
+    to VALIDATION_SLACK); and the observation spectrum is nondegenerate,
     min(lambda_y, gamma_y) > 0.
     """
     if not isinstance(spec.L, (int, np.integer)) or isinstance(spec.L, bool):
@@ -122,7 +125,7 @@ def validate_spec(spec: SourceSpec) -> None:
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
     if not spec.sigma_x_sq > 0.0:
         raise ValidationError(f"sigma_x_sq must be positive, got {spec.sigma_x_sq!r}")
-    if spec.sigma_z_sq < -VALIDATION_SLACK:
+    if spec.sigma_z_sq < -VALIDATION_SLACK * spec.sigma_x_sq:
         raise ValidationError(f"sigma_z_sq must be nonnegative, got {spec.sigma_z_sq!r}")
     _check_rho("rho_x", spec.rho_x, spec.L)
     _check_rho("rho_z", spec.rho_z, spec.L)
@@ -165,7 +168,7 @@ def from_eigenvalues(
     The noise spectrum is lambda_z = lambda_y - lambda_x and
     gamma_z = gamma_y - gamma_x, so the inputs must satisfy
     lambda_y >= lambda_x >= 0 and gamma_y >= gamma_x >= 0 (up to
-    VALIDATION_SLACK), with min(lambda_y, gamma_y) > 0 and lambda_x,
+    VALIDATION_SLACK times the largest of the four), with min(lambda_y, gamma_y) > 0 and lambda_x,
     gamma_x not both zero.  The returned spec round-trips through
     spectral_decompose to 1e-12 relative accuracy.
 
@@ -178,7 +181,7 @@ def from_eigenvalues(
         raise ValidationError(f"L must be an integer, got {L!r}")
     if L < 2:
         raise ValidationError(f"L must be at least 2, got {L}")
-    scale = max(abs(lambda_x), abs(gamma_x), abs(lambda_y), abs(gamma_y), 1.0)
+    scale = max(abs(lambda_x), abs(gamma_x), abs(lambda_y), abs(gamma_y))
     slack = VALIDATION_SLACK * scale
     for name, v in (("lambda_x", lambda_x), ("gamma_x", gamma_x),
                     ("lambda_y", lambda_y), ("gamma_y", gamma_y)):

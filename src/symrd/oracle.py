@@ -122,25 +122,40 @@ def distortion_constraint(p: ProgramPoint, spectrum: Spectrum, L: int) -> float:
                          + s.gamma_x - s.gamma_x ** 2 / s.gamma_y))
 
 
-def _exact_sum(*terms: tuple) -> float:
-    """Sum of terms (m, x) = m x and (m, x, y) = m x^2 / y, rounded once."""
-    num, den = 0, 1
-    for m, x, *y in terms:
-        z, y = (x, y[0]) if y else (1.0, 1.0)
-        (xn, xd), (zn, zd), (yn, yd) = (
-            x.as_integer_ratio(), z.as_integer_ratio(), y.as_integer_ratio())
-        num, den = num * xd * zd * yn + m * xn * zn * yd * den, den * xd * zd * yn
-    return num / den
+def _slack_pair(L: int, D: float, big: tuple, small: tuple) -> tuple[float, float]:
+    """(L (D - d_min), L (sigma_x_sq - D)) of side_view's triples, each rounded once.
+
+    The second is t0 = m_b x_b + m_s x_s - L D, the first
+    m_b x_b^2 / y_b + m_s x_s^2 / y_s - t0.  Every float is an integer over
+    2^k, so t0 is an integer over one power of two, and s0 one over a power
+    of two times y_b's and y_s's numerators; Python's int / int division
+    rounds each exact quotient once.
+    """
+    (xb, yb, mb), (xs, ys, ms) = big, small
+    bn, bd = xb.as_integer_ratio()
+    sn, sd = xs.as_integer_ratio()
+    dn, dd = D.as_integer_ratio()
+    pn, pd = yb.as_integer_ratio()
+    qn, qd = ys.as_integer_ratio()
+    # The exponents k of the denominators 2^k of x_b, x_s and D.
+    eb, es, ed = bd.bit_length() - 1, sd.bit_length() - 1, dd.bit_length() - 1
+    e = max(eb, es, ed)
+    lin = (mb * bn << (e - eb)) + (ms * sn << (e - es)) - (L * dn << (e - ed))
+    e2 = max(2 * eb, 2 * es, e)
+    num = (((mb * bn * bn * pd) << (e2 - 2 * eb)) * qn
+           + ((ms * sn * sn * qd) << (e2 - 2 * es)) * pn
+           - (lin << (e2 - e)) * pn * qn)
+    return num / ((pn * qn) << e2), lin / (1 << e)
 
 
 def _solve_reduced(spectrum: Spectrum, L: int, D: float) -> tuple[float, ProgramPoint]:
     """Active-set solve of the envelope-reduced program: (value, point)."""
-    (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
+    big, small, hatted = side_view(spectrum, L)
+    (xb, yb, mb), (xs, ys, ms) = big, small
     dy, a, b = yb - ys, mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2
     # Slacks exact but for one rounding: a v + b delta <= s0 = L (D - d_min)
     # and a u + b e >= t0 = L (sigma_x_sq - D), u = y_big - v, e = y_small - delta.
-    s0 = _exact_sum((L, D), (-mb, xb), (-ms, xs), (mb, xb, yb), (ms, xs, ys))
-    t0 = _exact_sum((mb, xb), (ms, xs), (-L, D))
+    s0, t0 = _slack_pair(L, D, big, small)
     if not (s0 > 0.0 and t0 > 0.0):
         raise PrecisionError(
             f"D = {D!r} is within rounding of an end of (d_min, sigma_x_sq): "

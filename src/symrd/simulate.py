@@ -306,8 +306,9 @@ def _simulate(config: SimConfig, workers: int | None) -> SimResult:
     else:
         sums = [block(b) for b in blocks]
     d_sums, d_sq_sums, d2_sums, grams = zip(*sums)
-    total = comp = np.zeros((2 * L, 2 * L))
-    for gram in grams:
+    # The sum starts at the first Gram: adding it to zeros is exact.
+    total, comp = grams[0], np.zeros_like(grams[0])
+    for gram in grams[1:]:
         total, comp = _neumaier_add(total, comp, gram)
 
     d_total = math.fsum(d_sums)

@@ -73,11 +73,17 @@ NON_FINITE_TEXTS = {
 }
 
 
+# A noise variance within 1e-12 of zero but 900 times the source variance.
+NEGATIVE_NOISE_TEXT = ("L = 10\nsigma_x_sq = 1e-15\nrho_x = 0.3\n"
+                       "sigma_z_sq = -9e-13\nrho_z = 0\n")
+
+
 @pytest.fixture
 def specs(tmp_path):
     paths = {}
     for name, text in (("case1", CASE1_TEXT), ("case2", CASE2_TEXT),
                        ("gapped", GAPPED_TEXT), ("zeromix", ZERO_MIX_TEXT),
+                       ("negative_noise", NEGATIVE_NOISE_TEXT),
                        *NON_FINITE_TEXTS.items()):
         p = tmp_path / f"{name}.spec"
         p.write_text(text)
@@ -297,6 +303,7 @@ def test_simulate_deterministic(specs, capsys):
                     "--n-points", "2", "--asymptotic", "0"], "--asymptotic"),
         (lambda s: ["sweep", s["gapped"], "--d-start", "0.85", "--d-end", "0.89",
                     "--n-points", "2", "--asymptotic", "1"], "--asymptotic"),
+        (lambda s: ["info", s["negative_noise"]], "sigma_z_sq"),
     ],
 )
 def test_exit_code_2_paths(specs, capsys, argv_fn, fragment):
@@ -313,6 +320,37 @@ def test_malformed_spec_diagnostic_names_line(tmp_path, capsys):
     rc, out, err = _run(capsys, ["info", str(p)])
     assert rc == 2
     assert "broken.spec:2" in err
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    # In a fresh interpreter: count ArgumentParser constructions on import,
+    # after one main() call and after a second one.
+    code = """
+import argparse, contextlib, io
+built = [0]
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built[0] += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import symrd.cli
+counts = [built[0]]
+for _ in range(2):
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):
+        symrd.cli.main(["info"])
+    counts.append(built[0])
+print(*counts)
+"""
+    package_root = str(Path(symrd.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={"PATH": "/usr/local/bin:/usr/bin:/bin",
+                               "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    on_import, after_one, after_two = map(int, proc.stdout.split())
+    assert on_import == 0
+    assert after_one > 0
+    assert after_two == after_one
 
 
 def test_exit_code_3_for_precision_failures(specs, capsys, monkeypatch):

@@ -20,6 +20,7 @@ nearer to it.  test_golden_cells_match_50_digit_replay replays every
 upper, lower, gap and oracle cell of the pinned sweeps with tests/mpref.py.
 """
 
+import argparse
 import math
 from decimal import Decimal
 from pathlib import Path
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import symrd.cli as cli
+from symrd import PrecisionError
 from symrd.model import parse_spec_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -119,6 +121,34 @@ def test_golden_output(name, command, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{command}.out").read_bytes()
+
+
+def test_one_parser_serves_successive_requests(capsys, monkeypatch):
+    # A usage error, a pinned sweep --certify and an info whose cmd_info is
+    # rebound, in one process: after the first request no parser is built,
+    # and each request gives its pinned output or exit code.
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["sweep", str(GOLDEN / "ceo.spec"), "--d-start", "0.1"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+
+    assert cli.main(golden_argv("ceo", "certify")) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / "ceo.certify.out").read_bytes()
+
+    def explode(args):
+        raise PrecisionError("probe")
+    monkeypatch.setattr(cli, "cmd_info", explode)
+    assert cli.main(golden_argv("ceo", "info")) == 3
+    assert capsys.readouterr() == ("", "error: probe\n")
+    assert built == []
 
 
 @pytest.mark.parametrize("name", sorted(RANGES))

@@ -133,6 +133,7 @@ def test_validate_spec_accepts_boundary_correlations():
         SourceSpec(4, 1.0, 0.0, math.nan, 0.0),     # sigma_z_sq = nan
         SourceSpec(4, 1.0, math.nan, 1.0, 0.0),     # rho_x = nan
         SourceSpec(4, 1.0, 0.0, math.inf, 0.0),     # sigma_z_sq = inf
+        SourceSpec(10, 1e-15, 0.3, -9e-13, 0.0),    # sigma_z_sq < 0, in units of 1e-15
     ],
 )
 def test_validate_spec_rejects(spec):
@@ -166,6 +167,10 @@ def test_from_eigenvalues_rejects_inconsistent_input():
     spec = from_eigenvalues(10, -1e-14, 1.0, 5.0, 4.0)
     s = spectral_decompose(spec)
     assert s.lambda_x >= 0.0
+    # the slack is relative to the largest eigenvalue: a noise eigenvalue of
+    # -1e-20 is within 1e-12 of zero but not of 2e-15
+    with pytest.raises(ValidationError, match="negative noise"):
+        from_eigenvalues(10, 1e-15, 1e-15, 1e-15 - 1e-20, 2e-15)
 
 
 def test_covariance_matrix_structure():

@@ -13,10 +13,13 @@ pinned CEO certify output with it.
 """
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import symrd.cli as cli
 from symrd import (
@@ -35,7 +38,7 @@ from symrd import (
     upper_bound_rate,
 )
 from symrd.model import side_view
-from symrd.oracle import CERTIFICATE_TOL, distortion_constraint
+from symrd.oracle import CERTIFICATE_TOL, _slack_pair, distortion_constraint
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -255,6 +258,36 @@ def test_next_to_the_ends():
     s = spectral_decompose(SourceSpec(2, 1.0, 0.0, 0.1, 0.0))
     with pytest.raises(PrecisionError, match="within rounding"):
         solve_program(s, 2, math.nextafter(d_min(s, 2), math.inf))
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(L=st.integers(2, 10 ** 7), lambda_big=st.booleans(),
+       y_big=st.floats(1e-280, 1e280), y_ratio=_unit, x_fractions=st.tuples(_unit, _unit),
+       zero_side=st.sampled_from([None, 0, 1]), d_fraction=_unit)
+def test_slack_pair_is_the_exact_pair_rounded_once(
+        L, lambda_big, y_big, y_ratio, x_fractions, zero_side, d_fraction):
+    # side_view's triples in either orientation, with x = 0 on one side or
+    # neither, at a D anywhere in (d_min, sigma_x_sq); the reference is the
+    # pair in exact rationals, rounded once.
+    y_small = y_big * y_ratio
+    assume(y_small > 0.0)
+    xs = [y * f for y, f in zip((y_big, y_small), x_fractions)]
+    if zero_side is not None:
+        xs[zero_side] = 0.0
+    assume(max(xs) > 0.0)
+    ms = (1, L - 1) if lambda_big else (L - 1, 1)
+    big, small = (xs[0], y_big, ms[0]), (xs[1], y_small, ms[1])
+    exact = [(Fraction(x), Fraction(y), m) for x, y, m in (big, small)]
+    top = sum(m * x for x, _, m in exact)                 # L sigma_x_sq
+    floor = top - sum(m * x * x / y for x, y, m in exact)   # L d_min
+    D = float((floor + Fraction(d_fraction) * (top - floor)) / L)
+    assume(floor < L * Fraction(D) < top)
+    t0 = top - L * Fraction(D)
+    s0 = sum(m * x * x / y for x, y, m in exact) - t0
+    assert _slack_pair(L, D, big, small) == (float(s0), float(t0))
 
 
 # The benchmark's unit-fault input: L = 200 in small variance units.  An
