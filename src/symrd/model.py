@@ -168,9 +168,10 @@ def from_eigenvalues(
     The noise spectrum is lambda_z = lambda_y - lambda_x and
     gamma_z = gamma_y - gamma_x, so the inputs must satisfy
     lambda_y >= lambda_x >= 0 and gamma_y >= gamma_x >= 0 (up to
-    VALIDATION_SLACK times the largest of the four), with min(lambda_y, gamma_y) > 0 and lambda_x,
-    gamma_x not both zero.  The returned spec round-trips through
-    spectral_decompose to 1e-12 relative accuracy.
+    VALIDATION_SLACK times the largest of the four), with
+    min(lambda_y, gamma_y) > 0 and lambda_x, gamma_x not both zero.  The
+    returned spec round-trips through spectral_decompose to 1e-12
+    relative accuracy.
 
     Raises
     ------

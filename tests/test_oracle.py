@@ -265,7 +265,8 @@ _unit = st.floats(0.0, 1.0)
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(L=st.integers(2, 10 ** 7), lambda_big=st.booleans(),
-       y_big=st.floats(1e-280, 1e280), y_ratio=_unit, x_fractions=st.tuples(_unit, _unit),
+       y_big=st.floats(1e-280, 1e280), y_ratio=_unit,
+       x_fractions=st.tuples(_unit, _unit),
        zero_side=st.sampled_from([None, 0, 1]), d_fraction=_unit)
 def test_slack_pair_is_the_exact_pair_rounded_once(
         L, lambda_big, y_big, y_ratio, x_fractions, zero_side, d_fraction):
@@ -281,12 +282,12 @@ def test_slack_pair_is_the_exact_pair_rounded_once(
     ms = (1, L - 1) if lambda_big else (L - 1, 1)
     big, small = (xs[0], y_big, ms[0]), (xs[1], y_small, ms[1])
     exact = [(Fraction(x), Fraction(y), m) for x, y, m in (big, small)]
-    top = sum(m * x for x, _, m in exact)                 # L sigma_x_sq
-    floor = top - sum(m * x * x / y for x, y, m in exact)   # L d_min
-    D = float((floor + Fraction(d_fraction) * (top - floor)) / L)
-    assume(floor < L * Fraction(D) < top)
+    top = sum(m * x for x, _, m in exact)            # L sigma_x_sq
+    width = sum(m * x * x / y for x, y, m in exact)  # L (sigma_x_sq - d_min)
+    D = float((top - width + Fraction(d_fraction) * width) / L)
+    assume(top - width < L * Fraction(D) < top)
     t0 = top - L * Fraction(D)
-    s0 = sum(m * x * x / y for x, y, m in exact) - t0
+    s0 = width - t0
     assert _slack_pair(L, D, big, small) == (float(s0), float(t0))
 
 
