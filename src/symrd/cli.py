@@ -33,6 +33,8 @@ from .errors import ConvergenceError, DomainError, PrecisionError, ValidationErr
 from .model import d_min, parse_spec_text, source_variance, spectral_decompose
 
 CSV_FMT = "%.12g"
+# A sweep row's D, upper, lower, gap and piece cells, in one format operation.
+_ROW_FMT = ",".join([CSV_FMT] * 4 + ["%s"])
 INFO_FMT = "%.6g"
 _LN2 = math.log(2.0)
 
@@ -176,8 +178,8 @@ def cmd_sweep(args) -> int:
     converse = lower_bound.classify(s, L)
     for D in grid:
         upper, lower, piece = lower_bound.evaluate(converse, D)
-        row = [_num(D), _num(upper / scale), _num(lower / scale),
-               _num((upper - lower) / scale), piece]
+        row = [_ROW_FMT % (D, upper / scale, lower / scale,
+                           (upper - lower) / scale, piece)]
         if args.certify:
             _, value, cert = oracle.solve_program(s, L, D)
             residual = max(cert.stationarity_residual,

@@ -87,18 +87,16 @@ class Regime:
     """A classified spectrum: all the dispatch needs at any D.
 
     classify builds it once per spectrum and evaluate takes it at each D.
-    d_min, sigma_x_sq and total are model.distortion_interval's, for
-    model.slacks at each D; big and small are model.side_view's (x, y, m)
-    triples and hatted its orientation; case is the branch's case 1-4; m1, m2, d_th_1, d_th_2 and
-    d_th_c are the roots and switch points, None where the case does not
-    define them (the roots too, when the discriminant alone settles case 1).
+    prepared is upper_bound.prepare's: the spectrum, L and the lambda_q
+    solve's constants, formed once per spectrum, with the d_min,
+    sigma_x_sq and total that model.slacks takes at each D; big and small
+    are model.side_view's (x, y, m) triples and hatted its orientation;
+    case is the branch's case 1-4; m1, m2, d_th_1, d_th_2 and d_th_c are
+    the roots and switch points, None where the case does not define them
+    (the roots too, when the discriminant alone settles case 1).
     """
 
-    spectrum: Spectrum
-    L: int
-    d_min: float
-    sigma_x_sq: float
-    total: float
+    prepared: upper_bound.Prepared
     big: tuple
     small: tuple
     hatted: bool
@@ -193,10 +191,10 @@ def rc_piece(piece: str, spectrum: Spectrum, L: int, D: float) -> float:
 # --- classification and dispatch ---------------------------------------------
 
 def classify(spectrum: Spectrum, L: int) -> Regime:
-    """Classify a spectrum once: its interval, side view, case and switch points."""
+    """Classify a spectrum once: solve constants, side view, case and switch points."""
     big, small, hatted = side_view(spectrum, L)
     (xb, yb, mb), (xs, ys, ms) = big, small
-    view = (spectrum, L, *distortion_interval(spectrum, L), big, small, hatted)
+    view = (upper_bound.prepare(spectrum, L), big, small, hatted)
     if xb ** 2 * ys ** 2 >= ms / (4.0 * L) * (xs ** 2 * yb ** 2):
         return Regime(*view, 1)
     disc = 1.0 - 4.0 * L / ms * (xb ** 2 * ys ** 2) / (xs ** 2 * yb ** 2)
@@ -243,8 +241,9 @@ def _dispatch(regime: Regime, D: float) -> tuple[str, float | None]:
     # With x_big = 0 (case 4) the other side's family has a vanishing log
     # argument; this side's is the finite reading.
     piece = _PIECES[r.hatted][0 if D <= r.d_th_c else 1]
-    below, _ = slacks(r.L, D, r.d_min, r.sigma_x_sq, r.total)
-    return piece, _rc(piece, r.big, r.small, r.L, below)
+    p = r.prepared
+    below, _ = slacks(p.L, D, p.d_min, p.sigma_x_sq, p.total)
+    return piece, _rc(piece, r.big, r.small, p.L, below)
 
 
 def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
@@ -252,10 +251,12 @@ def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
 
     upper is upper_bound_rate, lower is lower_bound_rate and piece is
     lower_bound_piece for the regime's spectrum and L; on Rbar segments
-    lower reuses upper.  The solve checks D, once; same domain rules and
-    errors as upper_bound_rate.
+    lower reuses upper.  The solve checks D, once, and starts from the
+    regime's prepared constants; same domain rules and errors as
+    upper_bound_rate.
     """
-    upper = upper_bound.upper_bound_rate(regime.spectrum, regime.L, D)
+    p = regime.prepared
+    upper = upper_bound.rate_of(p.spectrum, p.L, upper_bound.solve(p, D))
     piece, lower = _dispatch(regime, D)
     return upper, upper if lower is None else lower, piece
 

@@ -21,6 +21,7 @@ format consumed by the command line tool.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,9 @@ class SourceSpec:
     sigma_z_sq: float
     rho_z: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "L", _as_int(self.L))
+
     @property
     def sigma_y_sq(self) -> float:
         """Per-component variance of the observation Y = X + Z."""
@@ -98,6 +102,28 @@ class Spectrum:
         return min(self.lambda_y, self.gamma_y)
 
 
+def _as_int(L):
+    """L as a Python int if it is an integer of another type (np.int64, ...).
+
+    A Python int's arithmetic is exact at any size, where a fixed-width
+    integer's overflows.  A bool, or a value that is no integer, is
+    returned as given, for _check_size to reject.
+    """
+    if isinstance(L, bool):
+        return L
+    try:
+        return operator.index(L)
+    except TypeError:
+        return L
+
+
+def _check_size(L) -> None:
+    if type(L) is not int:
+        raise ValidationError(f"L must be an integer, got {L!r}")
+    if L < 2:
+        raise ValidationError(f"L must be at least 2, got {L}")
+
+
 def _check_rho(name: str, rho: float, L: int) -> None:
     lo = -1.0 / (L - 1)
     if rho < lo - VALIDATION_SLACK or rho > 1.0 + VALIDATION_SLACK:
@@ -109,16 +135,14 @@ def _check_rho(name: str, rho: float, L: int) -> None:
 def validate_spec(spec: SourceSpec) -> None:
     """Check all model invariants, raising ValidationError on the first failure.
 
-    The checks are: L is an integer >= 2; the four other values are
+    The checks are: L is an integer >= 2 (SourceSpec stores an integer of
+    any type but bool as a Python int); the four other values are
     finite; sigma_x_sq > 0; sigma_z_sq >= 0 (up to VALIDATION_SLACK
     sigma_x_sq); both correlation coefficients lie in [-1/(L-1), 1] (up
     to VALIDATION_SLACK); and the observation spectrum is nondegenerate,
     min(lambda_y, gamma_y) > 0.
     """
-    if not isinstance(spec.L, (int, np.integer)) or isinstance(spec.L, bool):
-        raise ValidationError(f"L must be an integer, got {spec.L!r}")
-    if spec.L < 2:
-        raise ValidationError(f"L must be at least 2, got {spec.L}")
+    _check_size(spec.L)
     for name in ("sigma_x_sq", "rho_x", "sigma_z_sq", "rho_z"):
         value = getattr(spec, name)
         if not math.isfinite(value):
@@ -178,10 +202,8 @@ def from_eigenvalues(
     ValidationError
         If the eigenvalues violate the constraints above.
     """
-    if not isinstance(L, (int, np.integer)) or isinstance(L, bool):
-        raise ValidationError(f"L must be an integer, got {L!r}")
-    if L < 2:
-        raise ValidationError(f"L must be at least 2, got {L}")
+    L = _as_int(L)
+    _check_size(L)
     scale = max(abs(lambda_x), abs(gamma_x), abs(lambda_y), abs(gamma_y))
     slack = VALIDATION_SLACK * scale
     for name, v in (("lambda_x", lambda_x), ("gamma_x", gamma_x),
@@ -218,7 +240,7 @@ def from_eigenvalues(
     lo = -1.0 / (L - 1)
     rho_x = min(max(rho_x, lo), 1.0)
     rho_z = min(max(rho_z, lo), 1.0)
-    spec = SourceSpec(int(L), sigma_x_sq, rho_x, sigma_z_sq, rho_z)
+    spec = SourceSpec(L, sigma_x_sq, rho_x, sigma_z_sq, rho_z)
     validate_spec(spec)
     return spec
 
@@ -289,11 +311,16 @@ def check_distortion(spectrum: Spectrum, L: int, D: float) -> tuple[float, float
     floor = d_min(spectrum, L)
     ceil = source_variance(spectrum, L)
     if not (floor < D < ceil):
-        raise DomainError(
-            f"D = {D!r} outside the achievable interval (d_min, sigma_x_sq) = "
-            f"({floor!r}, {ceil!r})"
-        )
+        raise outside_interval(D, floor, ceil)
     return floor, ceil
+
+
+def outside_interval(D: float, floor: float, ceil: float) -> DomainError:
+    """The DomainError for a D outside (floor, ceil) = (d_min, sigma_x_sq)."""
+    return DomainError(
+        f"D = {D!r} outside the achievable interval (d_min, sigma_x_sq) = "
+        f"({floor!r}, {ceil!r})"
+    )
 
 
 def side_view(spectrum: Spectrum, L: int,

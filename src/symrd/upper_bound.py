@@ -15,10 +15,14 @@ L * sigma_x^2 (lambda_q -> infinity).  The resulting sum rate in nats is
               + (L - 1)/2 log(1 + gamma_y / lambda_q).
 
 The module solves the balance equation by a safeguarded Newton iteration
-in ln lambda_q (see solve_lambda_q), exposes two algebraically equivalent
-resolvent forms of the rate (used as cross-checks), and builds, from the
-eigenvalues, the closed-form quadratic in lambda_q that the balance
-equation collapses to and that seeds the iteration.
+in ln lambda_q (see solve).  The solve's D-free constants (d_min,
+sigma_x^2, the source weights, the bracket's denominator and the D-free
+part of the quadratic's b) are formed once per spectrum by prepare, and
+solve takes them at each D; solve_lambda_q is the two in one call.  The
+module also exposes two algebraically equivalent resolvent forms of the
+rate (used as cross-checks), and builds, from the eigenvalues, the
+closed-form quadratic in lambda_q that the balance equation collapses to
+and that seeds the iteration.
 asymptotics.correlation_form writes the same quadratic's b and c as
 polynomials in L.
 """
@@ -28,9 +32,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PrecisionError
-from .model import Spectrum, check_distortion, distortion_interval, slacks, source_weights
+from .model import (Spectrum, d_min, outside_interval, slacks, source_variance,
+                    source_weights)
 
 # Newton's method stops once its step in ln lambda_q is below this: the
 # step after it would be below float64 resolution, so the stepped value is
@@ -115,8 +121,45 @@ def _balance(spectrum: Spectrum, lambda_q: float, c_lam: float, c_gam: float,
     return math.log((t_lam + t_gam) / slack), slope
 
 
-def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
-    """Solve the balance equation for lambda_q at per-component distortion D.
+class Prepared(NamedTuple):
+    """The D-free constants of the lambda_q solve for one spectrum and L.
+
+    d_min, sigma_x_sq and total are model.distortion_interval's, c_lam and
+    c_gam model.source_weights's; bracket_den is c_lam/lambda_y + c_gam/gamma_y,
+    the lower bracket end's denominator; b_free is
+    phi1 gamma_y + (L-1) phi2 lambda_y, the D-free part of the quadratic's b
+    (see quadratic_coefficients), y_sum is gamma_y + lambda_y and y_max
+    max(lambda_y, gamma_y).
+    """
+
+    spectrum: Spectrum
+    L: int
+    d_min: float
+    sigma_x_sq: float
+    total: float
+    c_lam: float
+    c_gam: float
+    bracket_den: float
+    b_free: float
+    y_sum: float
+    y_max: float
+
+
+def prepare(spectrum: Spectrum, L: int) -> Prepared:
+    """Form the lambda_q solve's constants once, for solve at any D."""
+    s = spectrum
+    floor = d_min(s, L)
+    c_lam, c_gam = source_weights(s, L)
+    phi1 = s.lambda_x ** 2 / s.lambda_y
+    phi2 = s.gamma_x ** 2 / s.gamma_y
+    return Prepared(s, L, floor, source_variance(s, L), c_lam + c_gam, c_lam, c_gam,
+                    c_lam / s.lambda_y + c_gam / s.gamma_y,
+                    phi1 * s.gamma_y + (L - 1) * phi2 * s.lambda_y,
+                    s.gamma_y + s.lambda_y, max(s.lambda_y, s.gamma_y))
+
+
+def solve(prepared: Prepared, D: float) -> float:
+    """lambda_q at per-component distortion D, from prepare's constants.
 
     Newton's method in u = ln lambda_q, on whichever balance form is a sum
     of positive terms against the smaller slack: L (D - d_min) below the
@@ -130,7 +173,62 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
     it in u instead.  The slacks are model.slacks's pair, which sums to
     lambda_x^2/lambda_y + (L-1) gamma_x^2/gamma_y = L (sigma_x^2 - d_min)
     as the two sides do, so the bracket bounds the solved form's root to
-    its own rounding, and the seed is that form's root too.
+    its own rounding, and the seed is that form's root too.  Domain and
+    errors are solve_lambda_q's.
+    """
+    s, L, floor, ceil, total, c_lam, c_gam, bracket_den, _, _, y_max = prepared
+    if not floor < D < ceil:
+        raise outside_interval(D, floor, ceil)
+    below_side, above_side = slacks(L, D, floor, ceil, total)
+    if not (below_side > 0.0 and above_side > 0.0):
+        raise PrecisionError(
+            f"D = {D!r}: the interval (d_min, sigma_x_sq) = ({floor!r}, {ceil!r}) "
+            "is too narrow to resolve")
+    below = below_side <= above_side
+    slack = below_side if below else above_side
+    # The root sits on the upper end when lambda_y == gamma_y or when only
+    # the direction with the larger y carries source (x = 0 on the other);
+    # both ends are widened by their rounding so that it stays inside.
+    lo = below_side / bracket_den * (1.0 - _BRACKET_ROUNDING)
+    hi = y_max * (below_side / above_side) * (1.0 + _BRACKET_ROUNDING)
+    lambda_q = _positive_root(*_coefficients(prepared, below_side, above_side))
+    if not lo < lambda_q < hi:
+        lambda_q = math.sqrt(lo) * math.sqrt(hi)
+    for _ in range(MAX_EVALUATIONS):
+        residual, slope = _balance(s, lambda_q, c_lam, c_gam, slack, below)
+        if (residual > 0.0) == (slope > 0.0):
+            hi = lambda_q
+        else:
+            lo = lambda_q
+        step = -residual / slope
+        lambda_q *= math.exp(step)
+        if abs(step) <= NEWTON_STEP_TOL:
+            break
+        if not lo < lambda_q < hi:
+            lambda_q = math.sqrt(lo) * math.sqrt(hi)
+    else:
+        raise ConvergenceError(
+            f"Newton iteration on lambda_q did not settle in {MAX_EVALUATIONS} "
+            f"evaluations at D = {D!r}", best=lambda_q)
+
+    residual = abs(distortion_of(s, L, lambda_q) - D)
+    if residual > RESIDUAL_REL_TOL * D:
+        if min(D - floor, ceil - D) <= 1e-13 * ceil:
+            raise PrecisionError(
+                f"D = {D!r} too close to the interval boundary to resolve "
+                f"(residual {residual!r})"
+            )
+        raise ConvergenceError(
+            f"lambda_q residual {residual!r} exceeds {RESIDUAL_REL_TOL} * D",
+            best=lambda_q,
+        )
+    return lambda_q
+
+
+def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
+    """Solve the balance equation for lambda_q at per-component distortion D.
+
+    prepare(spectrum, L) followed by solve at D; see solve for the method.
 
     Parameters
     ----------
@@ -155,53 +253,7 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
         If the iteration does not settle within MAX_EVALUATIONS, or its
         result fails the residual check (not expected for valid inputs).
     """
-    floor, ceil = check_distortion(spectrum, L, D)
-    s = spectrum
-    c_lam, c_gam = source_weights(s, L)
-    below_side, above_side = slacks(L, D, floor, ceil, c_lam + c_gam)
-    if not (below_side > 0.0 and above_side > 0.0):
-        raise PrecisionError(
-            f"D = {D!r}: the interval (d_min, sigma_x_sq) = ({floor!r}, {ceil!r}) "
-            "is too narrow to resolve")
-    below = below_side <= above_side
-    slack = below_side if below else above_side
-    # The root sits on the upper end when lambda_y == gamma_y or when only
-    # the direction with the larger y carries source (x = 0 on the other);
-    # both ends are widened by their rounding so that it stays inside.
-    lo = below_side / (c_lam / s.lambda_y + c_gam / s.gamma_y) * (1.0 - _BRACKET_ROUNDING)
-    hi = max(s.lambda_y, s.gamma_y) * (below_side / above_side) * (1.0 + _BRACKET_ROUNDING)
-    lambda_q = _positive_root(*_coefficients(s, L, below_side, above_side))
-    if not lo < lambda_q < hi:
-        lambda_q = math.sqrt(lo) * math.sqrt(hi)
-    for _ in range(MAX_EVALUATIONS):
-        residual, slope = _balance(s, lambda_q, c_lam, c_gam, slack, below)
-        if (residual > 0.0) == (slope > 0.0):
-            hi = lambda_q
-        else:
-            lo = lambda_q
-        step = -residual / slope
-        lambda_q *= math.exp(step)
-        if abs(step) <= NEWTON_STEP_TOL:
-            break
-        if not lo < lambda_q < hi:
-            lambda_q = math.sqrt(lo) * math.sqrt(hi)
-    else:
-        raise ConvergenceError(
-            f"Newton iteration on lambda_q did not settle in {MAX_EVALUATIONS} "
-            f"evaluations at D = {D!r}", best=lambda_q)
-
-    residual = abs(distortion_of(spectrum, L, lambda_q) - D)
-    if residual > RESIDUAL_REL_TOL * D:
-        if min(D - floor, ceil - D) <= 1e-13 * ceil:
-            raise PrecisionError(
-                f"D = {D!r} too close to the interval boundary to resolve "
-                f"(residual {residual!r})"
-            )
-        raise ConvergenceError(
-            f"lambda_q residual {residual!r} exceeds {RESIDUAL_REL_TOL} * D",
-            best=lambda_q,
-        )
-
+    lambda_q = solve(prepare(spectrum, L), D)
     lambda_i = 1.0 / (1.0 / spectrum.lambda_y + 1.0 / lambda_q)
     gamma_i = 1.0 / (1.0 / spectrum.gamma_y + 1.0 / lambda_q)
     return UpperBoundSolution(lambda_q, rate_of(spectrum, L, lambda_q),
@@ -253,18 +305,16 @@ def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> QuadraticCoe
     c = -phi3 lambda_y gamma_y.  phi3 and a are model.slacks's pair, not
     the sums that cancel in them.
     """
+    p = prepare(spectrum, L)
     return QuadraticCoefficients(*_coefficients(
-        spectrum, L, *slacks(L, D, *distortion_interval(spectrum, L))))
+        p, *slacks(L, D, p.d_min, p.sigma_x_sq, p.total)))
 
 
-def _coefficients(spectrum: Spectrum, L: int, below_slack: float,
+def _coefficients(prepared: Prepared, below_slack: float,
                   above_slack: float) -> tuple[float, float, float]:
     """(a, b, c) from phi3 = below_slack and a = above_slack."""
-    s = spectrum
-    phi1 = s.lambda_x ** 2 / s.lambda_y
-    phi2 = s.gamma_x ** 2 / s.gamma_y
-    b = (phi1 * s.gamma_y + (L - 1) * phi2 * s.lambda_y
-         - below_slack * (s.gamma_y + s.lambda_y))
+    s = prepared.spectrum
+    b = prepared.b_free - below_slack * prepared.y_sum
     return above_slack, b, -below_slack * s.lambda_y * s.gamma_y
 
 

@@ -245,6 +245,35 @@ def test_large_l_commands_classify_once(specs, capsys, monkeypatch, argv_fn):
     assert len(calls) == 1
 
 
+def test_sweep_prepares_once(specs, capsys, monkeypatch):
+    # the lambda_q solve's constants are formed once per spectrum: a longer
+    # grid makes no more calls of the per-spectrum functions
+    names = (("upper_bound", "prepare"), ("model", "check_distortion"),
+             ("model", "d_min"), ("model", "source_weights"))
+    calls = dict.fromkeys(names, 0)
+    for key in names:
+        original = getattr(getattr(symrd, key[0]), key[1])
+
+        def counted(*args, key=key, original=original):
+            calls[key] += 1
+            return original(*args)
+
+        # Patched wherever a module has bound the name.
+        for module in (symrd.model, symrd.upper_bound, symrd.lower_bound, cli):
+            if getattr(module, key[1], None) is original:
+                monkeypatch.setattr(module, key[1], counted)
+    counts = []
+    for n_points in ("20", "200"):
+        calls.update(dict.fromkeys(names, 0))
+        rc, out, _ = _run(capsys, ["sweep", specs["case2"], "--d-start", "0.7",
+                                   "--d-end", "0.9", "--n-points", n_points])
+        assert rc == 0
+        assert len(out.splitlines()) == int(n_points) + 1
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0][("upper_bound", "prepare")] == 1
+
+
 def test_simulate_command(specs, capsys):
     rc, out, err = _run(capsys, ["simulate", specs["case1"], "--D", "0.85",
                                  "--n", "50000", "--seed", "7"])

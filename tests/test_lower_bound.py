@@ -9,6 +9,7 @@ pieces with the replay in tests/mpref.py over the range the library accepts.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ from symrd import (
 )
 import symrd.upper_bound
 from symrd.lower_bound import classify, evaluate
+from symrd.model import check_distortion, parse_spec_text
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 L_CASES = 10
 CASE1 = (0.8, 1.0, 5.0, 4.0)    # coincidence everywhere
@@ -221,15 +225,16 @@ def test_degenerate_gamma_unhatted_flag():
 
 def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
     # evaluate returns (upper_bound_rate, lower_bound_rate, lower_bound_piece)
-    # from a single lambda_q solve, on every arm and on both sides
-    solve = symrd.upper_bound.solve_lambda_q
+    # from a single lambda_q solve on the regime's prepared constants, on
+    # every arm and on both sides
+    solve = symrd.upper_bound.solve
     solves = []
 
     def counted(*args):
         solves.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(symrd.upper_bound, "solve_lambda_q", counted)
+    monkeypatch.setattr(symrd.upper_bound, "solve", counted)
     for eig in (CASE1, CASE2, CASE3, SPEC_B, SPEC_C, SPEC_D):
         s = _spectrum(eig)
         lo, hi = d_min(s, L_CASES), source_variance(s, L_CASES)
@@ -241,6 +246,30 @@ def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
             assert got == (upper_bound_rate(s, L_CASES, D),
                            lower_bound_rate(s, L_CASES, D),
                            lower_bound_piece(s, L_CASES, D))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("arm", list(Branch))
+def test_evaluate_errors_are_upper_bound_rates(arm):
+    # at both ends of (d_min, sigma_x_sq) and one ulp inside them, evaluate
+    # raises (or returns) what upper_bound_rate does, on every arm; the
+    # DomainError is model.check_distortion's, worded in one place
+    spec = parse_spec_text((GOLDEN / f"{arm.value.lower()}.spec").read_text())
+    s, L = spectral_decompose(spec), spec.L
+    regime = classify(s, L)
+    assert thresholds(s, L).branch is arm
+    lo, hi = d_min(s, L), source_variance(s, L)
+    for D in (lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo)):
+        got = _outcome(lambda: evaluate(regime, D)[0])
+        assert got == _outcome(lambda: upper_bound_rate(s, L, D))
+        if D in (lo, hi):
+            assert got == (DomainError, _outcome(lambda: check_distortion(s, L, D))[1])
 
 
 def test_rc_piece_rejects_unknown_label():

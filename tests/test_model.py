@@ -19,10 +19,12 @@ from symrd import (
     eigenbasis,
     from_eigenvalues,
     parse_spec_text,
+    solve_program,
     source_variance,
     spectral_decompose,
     validate_spec,
 )
+from symrd.lower_bound import classify, evaluate
 
 L_CASES = 10
 
@@ -139,6 +141,20 @@ def test_validate_spec_accepts_boundary_correlations():
 def test_validate_spec_rejects(spec):
     with pytest.raises(ValidationError):
         validate_spec(spec)
+
+
+def test_numpy_integer_l_is_a_python_int():
+    # a fixed-width L overflowed in the oracle's exact integer sums; stored
+    # as a Python int it gives the int spec's results bit for bit
+    spec = SourceSpec(10, 0.5, 0.2, 1.0, 0.1)
+    wide = SourceSpec(np.int64(10), 0.5, 0.2, 1.0, 0.1)
+    assert type(wide.L) is int and wide == spec
+    assert type(from_eigenvalues(np.int32(10), *CASE2).L) is int
+    s, s_wide = spectral_decompose(spec), spectral_decompose(wide)
+    assert s_wide == s
+    assert solve_program(s_wide, wide.L, 0.45) == solve_program(s, spec.L, 0.45)
+    for D in (0.35, 0.45):
+        assert evaluate(classify(s_wide, wide.L), D) == evaluate(classify(s, spec.L), D)
 
 
 def test_rho_z_ignored_when_sigma_z_sq_zero():
