@@ -33,8 +33,6 @@ from .model import (
     validate_spec,
 )
 from .upper_bound import (
-    QuadraticCoefficients,
-    UpperBoundSolution,
     distortion_of,
     quadratic_coefficients,
     quadratic_root,
@@ -50,11 +48,11 @@ from .lower_bound import (
     PIECE_R2C_HAT,
     PIECE_RBAR,
     Branch,
-    RegimeParams,
+    Regime,
+    classify,
     lower_bound_piece,
     lower_bound_rate,
     rc_piece,
-    thresholds,
 )
 from .oracle import (
     KktCertificate,
@@ -78,7 +76,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     analytic_rate,
-    empirical_distortion,
     run_simulation,
     sample_model,
 )
@@ -91,10 +88,9 @@ __all__ = [
     "SourceSpec", "Spectrum", "validate_spec", "spectral_decompose",
     "from_eigenvalues", "d_min", "source_variance", "covariance_matrix",
     "eigenbasis", "parse_spec_text",
-    "UpperBoundSolution", "QuadraticCoefficients", "distortion_of", "rate_of",
-    "solve_lambda_q", "upper_bound_rate", "rate_alternative_forms",
-    "quadratic_coefficients", "quadratic_root",
-    "Branch", "RegimeParams", "thresholds",
+    "distortion_of", "rate_of", "solve_lambda_q", "upper_bound_rate",
+    "rate_alternative_forms", "quadratic_coefficients", "quadratic_root",
+    "Branch", "Regime", "classify",
     "lower_bound_rate", "lower_bound_piece", "rc_piece",
     "PIECE_RBAR", "PIECE_R1C", "PIECE_R2C", "PIECE_R1C_HAT", "PIECE_R2C_HAT",
     "ProgramPoint", "KktCertificate", "omega_objective", "solve_program",
@@ -102,7 +98,6 @@ __all__ = [
     "Condition", "AsymptoticRegime", "ExpansionCoefficients",
     "asymptotic_regime", "upper_asymptotic", "lower_asymptotic",
     "asymptotic_gap", "expansion_coefficients",
-    "SimConfig", "SimResult", "sample_model", "run_simulation",
-    "empirical_distortion", "analytic_rate",
+    "SimConfig", "SimResult", "sample_model", "run_simulation", "analytic_rate",
     "__version__",
 ]

@@ -117,38 +117,38 @@ def _print_report(pairs) -> None:
             print(f"{key} = {value}")
 
 
-def _threshold_pairs(params) -> list:
-    pairs = []
-    for field in ("mu1", "mu2", "nu1", "nu2", "d_th_1", "d_th_2", "d_th_c",
-                  "d_th_1_hat", "d_th_2_hat", "d_th_c_hat"):
-        value = getattr(params, field)
-        if value is not None:
-            pairs.append((field, value))
-    return pairs
+# Printed names of a Regime's (m1, m2, d_th_1, d_th_2, d_th_c) by its hatted
+# flag: the paper's mu and plain names on the lambda side, nu and hatted ones.
+_REGIME_NAMES = (("mu1", "mu2", "d_th_1", "d_th_2", "d_th_c"),
+                 ("nu1", "nu2", "d_th_1_hat", "d_th_2_hat", "d_th_c_hat"))
+
+
+def _regime_pairs(spectrum, L: int) -> list:
+    """The branch, then each root and threshold the regime defines."""
+    r = lower_bound.classify(spectrum, L)
+    values = (r.m1, r.m2, r.d_th_1, r.d_th_2, r.d_th_c)
+    return [("branch", r.branch.value)] + [
+        (name, value) for name, value in zip(_REGIME_NAMES[r.hatted], values)
+        if value is not None]
 
 
 def cmd_info(args) -> int:
     spec = _load_spec(args.spec_file)
     s = spectral_decompose(spec)
-    params = lower_bound.thresholds(s, spec.L)
-    pairs = [("L", spec.L),
-             ("lambda_x", s.lambda_x), ("gamma_x", s.gamma_x),
-             ("lambda_z", s.lambda_z), ("gamma_z", s.gamma_z),
-             ("lambda_y", s.lambda_y), ("gamma_y", s.gamma_y),
-             ("lambda_w", s.lambda_w),
-             ("sigma_x_sq", source_variance(s, spec.L)),
-             ("d_min", d_min(s, spec.L)),
-             ("branch", params.branch.value)]
-    pairs += _threshold_pairs(params)
-    _print_report(pairs)
+    _print_report([("L", spec.L),
+                   ("lambda_x", s.lambda_x), ("gamma_x", s.gamma_x),
+                   ("lambda_z", s.lambda_z), ("gamma_z", s.gamma_z),
+                   ("lambda_y", s.lambda_y), ("gamma_y", s.gamma_y),
+                   ("lambda_w", s.lambda_w),
+                   ("sigma_x_sq", source_variance(s, spec.L)),
+                   ("d_min", d_min(s, spec.L))]
+                  + _regime_pairs(s, spec.L))
     return 0
 
 
 def cmd_classify(args) -> int:
     spec = _load_spec(args.spec_file)
-    s = spectral_decompose(spec)
-    params = lower_bound.thresholds(s, spec.L)
-    _print_report([("branch", params.branch.value)] + _threshold_pairs(params))
+    _print_report(_regime_pairs(spectral_decompose(spec), spec.L))
     return 0
 
 
@@ -221,10 +221,8 @@ def cmd_gap_inf(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec_file)
-    s = spectral_decompose(spec)
-    solution = upper_bound.solve_lambda_q(s, spec.L, args.D)
-    config = simulate.SimConfig(spec, solution.lambda_q, args.n, args.seed)
-    result = simulate.run_simulation(config)
+    lambda_q = upper_bound.solve_lambda_q(spectral_decompose(spec), spec.L, args.D)
+    result = simulate.run_simulation(simulate.SimConfig(spec, lambda_q, args.n, args.seed))
     scale = _LN2 if args.bits else 1.0
     header = ("n,lambda_q,distortion_empirical,distortion_closed_form,"
               "rate_closed_form,rate_empirical,std_err")

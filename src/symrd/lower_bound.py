@@ -18,9 +18,11 @@ everywhere; Rbar then R_c; Rbar / R_c / Rbar; and x_big = 0 with R_c
 everywhere.  Rbar gives way at D_th,1 = D_th(m_2) and returns at
 D_th,2 = D_th(m_1); inside R_c the switch R_1^c -> R_2^c is at D_th^c.
 
-All rates are in nats.  Every closed form here is validated elsewhere
-against an independent numerical solution of the underlying minimization
-program; this module only evaluates formulas and routes between them.
+classify settles this once per spectrum in a Regime, whose branch names
+the side and case, and evaluate dispatches each D on it.  All rates are
+in nats.  Every closed form here is validated elsewhere against an
+independent numerical solution of the underlying minimization program;
+this module only evaluates formulas and routes between them.
 """
 
 from __future__ import annotations
@@ -62,27 +64,6 @@ class Branch(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RegimeParams:
-    """Classification result: branch plus whichever quantities define it.
-
-    Fields not meaningful for the branch (e.g. the hatted roots nu on the
-    lambda side, or any threshold in case 1) are None.
-    """
-
-    branch: Branch
-    mu1: float | None = None
-    mu2: float | None = None
-    nu1: float | None = None
-    nu2: float | None = None
-    d_th_c: float | None = None
-    d_th_c_hat: float | None = None
-    d_th_1: float | None = None
-    d_th_2: float | None = None
-    d_th_1_hat: float | None = None
-    d_th_2_hat: float | None = None
-
-
-@dataclass(frozen=True)
 class Regime:
     """A classified spectrum: all the dispatch needs at any D.
 
@@ -93,7 +74,9 @@ class Regime:
     are model.side_view's (x, y, m) triples and hatted its orientation;
     case is the branch's case 1-4; m1, m2, d_th_1, d_th_2 and d_th_c are
     the roots and switch points, None where the case does not define them
-    (the roots too, when the discriminant alone settles case 1).
+    (the roots too, when the discriminant alone settles case 1).  On the
+    hatted side the roots are the paper's nu and the thresholds its hatted
+    ones.
     """
 
     prepared: upper_bound.Prepared
@@ -107,12 +90,15 @@ class Regime:
     d_th_2: float | None = None
     d_th_c: float | None = None
 
+    @property
+    def branch(self) -> Branch:
+        """The Branch of the side and case."""
+        return _BRANCHES[self.hatted][self.case - 1]
+
 
 # Names of each side's results, indexed by the hatted flag.
 _BRANCHES = ((Branch.LamGeqGam_1, Branch.LamGeqGam_2, Branch.LamGeqGam_3, Branch.LamGeqGam_4),
              (Branch.GamGeqLam_1, Branch.GamGeqLam_2, Branch.GamGeqLam_3, Branch.GamGeqLam_4))
-_FIELDS = (("mu1", "mu2", "d_th_1", "d_th_2", "d_th_c"),
-           ("nu1", "nu2", "d_th_1_hat", "d_th_2_hat", "d_th_c_hat"))
 _PIECES = ((PIECE_R1C, PIECE_R2C), (PIECE_R1C_HAT, PIECE_R2C_HAT))
 
 
@@ -213,23 +199,6 @@ def classify(spectrum: Spectrum, L: int) -> Regime:
                   _d_th(big, small, L, m2) if case < 4 else None,
                   _d_th(big, small, L, m1) if case == 3 else None,
                   _d_th_c(big, small, L))
-
-
-def thresholds(spectrum: Spectrum, L: int) -> RegimeParams:
-    """The regime branch, its root pair and every threshold it makes meaningful.
-
-    Only the roots of the active side are filled (mu on the lambda side,
-    nu on the gamma side), and only when the discriminant is positive.
-    Case 2 fills D_th,1 and the composite switch D_th^c; case 3 fills
-    D_th,1 and D_th,2 (plus D_th^c, which the composite family may or may
-    not cross inside its active window); case 4 fills D_th^c only.  Hatted
-    branches fill the hatted fields instead.  Case 1, which takes the tie
-    lambda_y == gamma_y, leaves all thresholds None.
-    """
-    r = classify(spectrum, L)
-    fields = (r.m1, r.m2, r.d_th_1, r.d_th_2, r.d_th_c)
-    return RegimeParams(_BRANCHES[r.hatted][r.case - 1],
-                        **dict(zip(_FIELDS[r.hatted], fields)))
 
 
 def _dispatch(regime: Regime, D: float) -> tuple[str, float | None]:

@@ -347,16 +347,6 @@ def _simulate(config: SimConfig, workers: int | None) -> SimResult:
     )
 
 
-def empirical_distortion(config: SimConfig) -> float:
-    """Empirical per-component distortion of the Y-routed estimator.
-
-    Converges to the printed closed-form identity (and therefore to the
-    distortion target the noise level was solved for) as n grows; the
-    4-sigma agreement flag lives on run_simulation's result.
-    """
-    return run_simulation(config).distortion_empirical
-
-
 def _psi_minus_log(x: float) -> float:
     """digamma(x) - ln(x), by recurrence up to x >= 8 and the asymptotic series."""
     acc = 0.0

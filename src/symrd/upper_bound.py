@@ -18,11 +18,12 @@ The module solves the balance equation by a safeguarded Newton iteration
 in ln lambda_q (see solve).  The solve's D-free constants (d_min,
 sigma_x^2, the source weights, the bracket's denominator and the D-free
 part of the quadratic's b) are formed once per spectrum by prepare, and
-solve takes them at each D; solve_lambda_q is the two in one call.  The
-module also exposes two algebraically equivalent resolvent forms of the
-rate (used as cross-checks), and builds, from the eigenvalues, the
-closed-form quadratic in lambda_q that the balance equation collapses to
-and that seeds the iteration.
+solve takes them at each D; solve_lambda_q is the two in one call, and
+returns lambda_q as a float that rate_of turns into Rbar.  The module also
+exposes two algebraically equivalent resolvent forms of the rate at a
+lambda_q (used as cross-checks), and builds, from the eigenvalues, the
+(a, b, c) of the closed-form quadratic in lambda_q that the balance
+equation collapses to and that seeds the iteration.
 asymptotics.correlation_form writes the same quadratic's b and c as
 polynomials in L.
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PrecisionError
@@ -56,31 +56,6 @@ _BRACKET_ROUNDING = 8 * sys.float_info.epsilon
 _CANCELLATION_GUARD = 1e-8
 
 
-@dataclass(frozen=True)
-class UpperBoundSolution:
-    """Solved operating point of the test channel at one distortion target.
-
-    lambda_q is the test-noise eigenvalue; rate_nats the sum rate; lambda_i
-    and gamma_i are the post-channel information eigenvalues
-    1/lambda_i = 1/lambda_y + 1/lambda_q (and likewise for gamma) that the
-    alternative rate forms are written in.
-    """
-
-    lambda_q: float
-    rate_nats: float
-    lambda_i: float
-    gamma_i: float
-
-
-@dataclass(frozen=True)
-class QuadraticCoefficients:
-    """Coefficients a x^2 + b x + c = 0 satisfied by lambda_q at distortion D."""
-
-    a: float
-    b: float
-    c: float
-
-
 def distortion_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
     """Per-component distortion delivered by the test channel at lambda_q.
 
@@ -94,9 +69,12 @@ def distortion_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
 
 
 def rate_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
-    """Sum rate in nats of the test channel at noise level lambda_q."""
-    return (0.5 * math.log1p(spectrum.lambda_y / lambda_q)
+    """Sum rate in nats at noise level lambda_q; PrecisionError if it overflows."""
+    rate = (0.5 * math.log1p(spectrum.lambda_y / lambda_q)
             + (L - 1) * 0.5 * math.log1p(spectrum.gamma_y / lambda_q))
+    if rate == math.inf:
+        raise PrecisionError(f"rate at lambda_q = {lambda_q!r} overflows float64")
+    return rate
 
 
 def _balance(spectrum: Spectrum, lambda_q: float, c_lam: float, c_gam: float,
@@ -191,7 +169,7 @@ def solve(prepared: Prepared, D: float) -> float:
     # both ends are widened by their rounding so that it stays inside.
     lo = below_side / bracket_den * (1.0 - _BRACKET_ROUNDING)
     hi = y_max * (below_side / above_side) * (1.0 + _BRACKET_ROUNDING)
-    lambda_q = _positive_root(*_coefficients(prepared, below_side, above_side))
+    lambda_q = quadratic_root(*_coefficients(prepared, below_side, above_side))
     if not lo < lambda_q < hi:
         lambda_q = math.sqrt(lo) * math.sqrt(hi)
     for _ in range(MAX_EVALUATIONS):
@@ -211,7 +189,10 @@ def solve(prepared: Prepared, D: float) -> float:
             f"Newton iteration on lambda_q did not settle in {MAX_EVALUATIONS} "
             f"evaluations at D = {D!r}", best=lambda_q)
 
-    residual = abs(distortion_of(s, L, lambda_q) - D)
+    # |D(lambda_q) - D| on the solved form, which does not cancel as
+    # lambda_q -> 0 the way distortion_of's differences do.
+    residual = slack * abs(math.expm1(
+        _balance(s, lambda_q, c_lam, c_gam, slack, below)[0])) / L
     if residual > RESIDUAL_REL_TOL * D:
         if min(D - floor, ceil - D) <= 1e-13 * ceil:
             raise PrecisionError(
@@ -225,7 +206,7 @@ def solve(prepared: Prepared, D: float) -> float:
     return lambda_q
 
 
-def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
+def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
     """Solve the balance equation for lambda_q at per-component distortion D.
 
     prepare(spectrum, L) followed by solve at D; see solve for the method.
@@ -239,7 +220,8 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
 
     Returns
     -------
-    UpperBoundSolution
+    float
+        The test-noise eigenvalue lambda_q.
 
     Raises
     ------
@@ -253,45 +235,43 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> UpperBoundSolution:
         If the iteration does not settle within MAX_EVALUATIONS, or its
         result fails the residual check (not expected for valid inputs).
     """
-    lambda_q = solve(prepare(spectrum, L), D)
-    lambda_i = 1.0 / (1.0 / spectrum.lambda_y + 1.0 / lambda_q)
-    gamma_i = 1.0 / (1.0 / spectrum.gamma_y + 1.0 / lambda_q)
-    return UpperBoundSolution(lambda_q, rate_of(spectrum, L, lambda_q),
-                              lambda_i, gamma_i)
+    return solve(prepare(spectrum, L), D)
 
 
 def upper_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     """Upper bound Rbar(D) in nats; see solve_lambda_q for domain and errors."""
-    return solve_lambda_q(spectrum, L, D).rate_nats
+    return rate_of(spectrum, L, solve_lambda_q(spectrum, L, D))
 
 
-def rate_alternative_forms(
-    solution: UpperBoundSolution, spectrum: Spectrum, L: int
-) -> tuple[float, float]:
-    """Evaluate the two resolvent forms of the rate at a solved point.
+def rate_alternative_forms(spectrum: Spectrum, L: int,
+                           lambda_q: float) -> tuple[float, float]:
+    """Evaluate the two resolvent forms of the rate at noise level lambda_q.
 
-    The first writes the rate through lambda_i, the second through gamma_i:
+    With the post-channel information eigenvalues
+    1/lambda_i = 1/lambda_y + 1/lambda_q and 1/gamma_i = 1/gamma_y + 1/lambda_q,
+    the first writes the rate through lambda_i, the second through gamma_i:
 
         1/2 log(lambda_y / lambda_i)
             + (L-1)/2 log(1 + gamma_y (1/lambda_i - 1/lambda_y)),
         1/2 log(1 + lambda_y (1/gamma_i - 1/gamma_y))
             + (L-1)/2 log(gamma_y / gamma_i).
 
-    Both agree with solution.rate_nats up to roundoff; they are exposed for
+    Both agree with rate_of up to roundoff; they are exposed for
     cross-checking, not because either is preferred numerically.
     """
     s = spectrum
-    via_lambda = (0.5 * math.log(s.lambda_y / solution.lambda_i)
+    lambda_i = 1.0 / (1.0 / s.lambda_y + 1.0 / lambda_q)
+    gamma_i = 1.0 / (1.0 / s.gamma_y + 1.0 / lambda_q)
+    via_lambda = (0.5 * math.log(s.lambda_y / lambda_i)
                   + (L - 1) * 0.5 * math.log1p(
-                      s.gamma_y * (1.0 / solution.lambda_i - 1.0 / s.lambda_y)))
-    via_gamma = (0.5 * math.log1p(
-                      s.lambda_y * (1.0 / solution.gamma_i - 1.0 / s.gamma_y))
-                 + (L - 1) * 0.5 * math.log(s.gamma_y / solution.gamma_i))
+                      s.gamma_y * (1.0 / lambda_i - 1.0 / s.lambda_y)))
+    via_gamma = (0.5 * math.log1p(s.lambda_y * (1.0 / gamma_i - 1.0 / s.gamma_y))
+                 + (L - 1) * 0.5 * math.log(s.gamma_y / gamma_i))
     return via_lambda, via_gamma
 
 
-def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> QuadraticCoefficients:
-    """Build the quadratic a x^2 + b x + c = 0 whose positive root is lambda_q.
+def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> tuple[float, float, float]:
+    """(a, b, c) of the quadratic a x^2 + b x + c = 0 whose positive root is lambda_q.
 
     Multiplying the balance equation through by
     (lambda_y + x)(gamma_y + x) yields a quadratic in x = lambda_q.  With
@@ -306,8 +286,7 @@ def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> QuadraticCoe
     the sums that cancel in them.
     """
     p = prepare(spectrum, L)
-    return QuadraticCoefficients(*_coefficients(
-        p, *slacks(L, D, p.d_min, p.sigma_x_sq, p.total)))
+    return _coefficients(p, *slacks(L, D, p.d_min, p.sigma_x_sq, p.total))
 
 
 def _coefficients(prepared: Prepared, below_slack: float,
@@ -318,7 +297,7 @@ def _coefficients(prepared: Prepared, below_slack: float,
     return above_slack, b, -below_slack * s.lambda_y * s.gamma_y
 
 
-def quadratic_root(coeffs: QuadraticCoefficients) -> float:
+def quadratic_root(a: float, b: float, c: float) -> float:
     """Positive root of the lambda_q quadratic, cancellation-guarded.
 
     The relevant root is (-b + sqrt(b^2 - 4ac)) / (2a).  When -b and the
@@ -331,10 +310,6 @@ def quadratic_root(coeffs: QuadraticCoefficients) -> float:
         If a <= 0, i.e. the distortion baked into the coefficients is not
         below sigma_x^2.
     """
-    return _positive_root(coeffs.a, coeffs.b, coeffs.c)
-
-
-def _positive_root(a: float, b: float, c: float) -> float:
     if a <= 0.0:
         raise DomainError(f"quadratic leading coefficient a = {a!r} not positive; "
                           "D must lie below sigma_x_sq")

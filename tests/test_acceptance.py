@@ -23,6 +23,7 @@ from symrd import (
     SourceSpec,
     asymptotic_gap,
     asymptotic_regime,
+    classify,
     covariance_matrix,
     d_min,
     from_eigenvalues,
@@ -36,7 +37,6 @@ from symrd import (
     solve_program,
     source_variance,
     spectral_decompose,
-    thresholds,
     upper_asymptotic,
     upper_bound_rate,
 )
@@ -154,9 +154,9 @@ def test_criterion_4():
     t0 = time.perf_counter()
     eps = 1e-9
     s2 = _spectrum(CASE2)
-    t2 = thresholds(s2, L_CASES)
+    t2 = classify(s2, L_CASES)
     s3 = _spectrum(CASE3)
-    t3 = thresholds(s3, L_CASES)
+    t3 = classify(s3, L_CASES)
     transitions = [
         lower_bound_piece(s2, L_CASES, t2.d_th_1 * (1 - eps)) == PIECE_RBAR,
         lower_bound_piece(s2, L_CASES, t2.d_th_1 * (1 + eps)) == PIECE_R1C,
@@ -202,7 +202,7 @@ def test_criterion_5():
     # by criterion 3) converge to the limits at rate O(1/L).
     finite_l_scaled = []
     for L in (10_000, 1_000_000):
-        t = thresholds(spectral_decompose(_gapped(L)), L)
+        t = classify(spectral_decompose(_gapped(L)), L)
         finite_l_scaled.append(max(abs(t.d_th_1 - reg.d_th1_inf),
                                    abs(t.d_th_2 - reg.d_th2_inf)) * L)
     # The gap vanishes continuously at both endpoints: just inside them it
@@ -290,9 +290,9 @@ def test_criterion_8(capsys, tmp_path):
     cells = dict(zip(header.split(","), row.split(",")))
 
     s = _spectrum(CASE1)
-    sol = solve_lambda_q(s, L_CASES, 0.85)
+    lambda_q = solve_lambda_q(s, L_CASES, 0.85)
     res = run_simulation(SimConfig(from_eigenvalues(L_CASES, *CASE1),
-                                   sol.lambda_q, 1_000_000, 20240517))
+                                   lambda_q, 1_000_000, 20240517))
     checks = [
         abs(res.distortion_empirical - 0.85) <= 4.0 * res.std_err,
         abs(res.rate_closed_form - upper_bound_rate(s, L_CASES, 0.85))

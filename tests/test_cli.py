@@ -64,6 +64,11 @@ d_th_c = 0.733333
 """
 
 
+# No observation noise: d_min = 0.
+NOISELESS_TEXT = ("L = 10\nsigma_x_sq = 1\nrho_x = 0.3\n"
+                  "sigma_z_sq = 0\nrho_z = 0\n")
+
+
 # Specs whose values are not finite real numbers; each must exit 2.
 NON_FINITE_TEXTS = {
     "L_overflow": "L = 1e400\nsigma_x_sq = 1\nrho_x = 0.2\nsigma_z_sq = 1\nrho_z = 0\n",
@@ -84,6 +89,7 @@ def specs(tmp_path):
     for name, text in (("case1", CASE1_TEXT), ("case2", CASE2_TEXT),
                        ("gapped", GAPPED_TEXT), ("zeromix", ZERO_MIX_TEXT),
                        ("negative_noise", NEGATIVE_NOISE_TEXT),
+                       ("noiseless", NOISELESS_TEXT),
                        *NON_FINITE_TEXTS.items()):
         p = tmp_path / f"{name}.spec"
         p.write_text(text)
@@ -243,6 +249,31 @@ def test_large_l_commands_classify_once(specs, capsys, monkeypatch, argv_fn):
     assert rc == 0
     assert len(out.splitlines()) == 21
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["info", "classify"])
+def test_regime_commands_classify_once(specs, capsys, monkeypatch, command):
+    # the branch, roots and thresholds are printed from one Regime
+    calls = []
+    classify = symrd.lower_bound.classify
+    monkeypatch.setattr(symrd.lower_bound, "classify",
+                        lambda s, L: calls.append(L) or classify(s, L))
+    rc, out, _ = _run(capsys, [command, specs["case2"]])
+    assert rc == 0
+    assert "branch = LamGeqGam_2\n" in out
+    assert len(calls) == 1
+
+
+def test_sweep_noiseless_near_zero_distortion(specs, capsys):
+    # lambda_q -> 0 with D on a noiseless spec: the solve's own root passes
+    # its residual check, and every row prints
+    rc, out, err = _run(capsys, ["sweep", specs["noiseless"], "--d-start", "1e-8",
+                                 "--d-end", "0.5", "--n-points", "3",
+                                 "--include-endpoints-eps"])
+    assert rc == 0, err
+    _, rows = _rows(out)
+    assert len(rows) == 3
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:4])
 
 
 def test_sweep_prepares_once(specs, capsys, monkeypatch):

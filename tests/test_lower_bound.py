@@ -30,7 +30,6 @@ from symrd import (
     rc_piece,
     source_variance,
     spectral_decompose,
-    thresholds,
     upper_bound_rate,
 )
 import symrd.upper_bound
@@ -77,51 +76,51 @@ def _spectrum(eig):
 
 
 def test_branch_classification():
-    assert thresholds(_spectrum(CASE1), L_CASES).branch == Branch.LamGeqGam_1
-    assert thresholds(_spectrum(CASE2), L_CASES).branch == Branch.LamGeqGam_2
-    assert thresholds(_spectrum(CASE3), L_CASES).branch == Branch.LamGeqGam_3
-    assert thresholds(_spectrum(SPEC_B), L_CASES).branch == Branch.GamGeqLam_2
-    assert thresholds(_spectrum(SPEC_C), L_CASES).branch == Branch.GamGeqLam_4
-    assert thresholds(_spectrum(SPEC_D), L_CASES).branch == Branch.LamGeqGam_4
+    assert classify(_spectrum(CASE1), L_CASES).branch == Branch.LamGeqGam_1
+    assert classify(_spectrum(CASE2), L_CASES).branch == Branch.LamGeqGam_2
+    assert classify(_spectrum(CASE3), L_CASES).branch == Branch.LamGeqGam_3
+    assert classify(_spectrum(SPEC_B), L_CASES).branch == Branch.GamGeqLam_2
+    assert classify(_spectrum(SPEC_C), L_CASES).branch == Branch.GamGeqLam_4
+    assert classify(_spectrum(SPEC_D), L_CASES).branch == Branch.LamGeqGam_4
 
 
 def test_case2_thresholds():
-    t = thresholds(_spectrum(CASE2), L_CASES)
-    assert abs(t.mu1 - CASE2_MU1) < 1e-14
-    assert abs(t.mu2 - CASE2_MU2) < 1e-14
-    assert abs(t.d_th_1 - CASE2_D_TH_1) < 1e-13
-    assert abs(t.d_th_c - CASE2_D_TH_C) < 1e-13
+    r = classify(_spectrum(CASE2), L_CASES)
+    assert not r.hatted
+    assert abs(r.m1 - CASE2_MU1) < 1e-14
+    assert abs(r.m2 - CASE2_MU2) < 1e-14
+    assert abs(r.d_th_1 - CASE2_D_TH_1) < 1e-13
+    assert abs(r.d_th_c - CASE2_D_TH_C) < 1e-13
     # in this branch the composite runs to sigma_x^2, so there is no
     # second re-matching threshold
-    assert t.d_th_2 is None
-    assert t.nu1 is None and t.d_th_1_hat is None
+    assert r.d_th_2 is None
 
 
 def test_case3_thresholds():
-    t = thresholds(_spectrum(CASE3), L_CASES)
-    assert abs(t.mu1 - CASE3_MU1) < 1e-14
-    assert abs(t.mu2 - CASE3_MU2) < 1e-14
-    assert abs(t.mu1 + t.mu2 - 1.0) < 1e-14
-    assert abs(t.d_th_1 - CASE3_D_TH_1) < 1e-13
-    assert abs(t.d_th_2 - CASE3_D_TH_2) < 1e-13
-    assert abs(t.d_th_c - CASE3_D_TH_C) < 1e-13
+    r = classify(_spectrum(CASE3), L_CASES)
+    assert not r.hatted
+    assert abs(r.m1 - CASE3_MU1) < 1e-14
+    assert abs(r.m2 - CASE3_MU2) < 1e-14
+    assert abs(r.m1 + r.m2 - 1.0) < 1e-14
+    assert abs(r.d_th_1 - CASE3_D_TH_1) < 1e-13
+    assert abs(r.d_th_2 - CASE3_D_TH_2) < 1e-13
+    assert abs(r.d_th_c - CASE3_D_TH_C) < 1e-13
 
 
 def test_spec_b_thresholds():
-    t = thresholds(_spectrum(SPEC_B), L_CASES)
-    assert abs(t.nu1 - SPEC_B_NU1) < 1e-14
-    assert abs(t.nu2 - SPEC_B_NU2) < 1e-14
-    assert abs(t.d_th_1_hat - SPEC_B_D_TH_1_HAT) < 1e-13
-    assert abs(t.d_th_c_hat - SPEC_B_D_TH_C_HAT) < 1e-13
-    assert t.mu1 is None and t.d_th_1 is None
+    r = classify(_spectrum(SPEC_B), L_CASES)
+    assert r.hatted
+    assert abs(r.m1 - SPEC_B_NU1) < 1e-14
+    assert abs(r.m2 - SPEC_B_NU2) < 1e-14
+    assert abs(r.d_th_1 - SPEC_B_D_TH_1_HAT) < 1e-13
+    assert abs(r.d_th_c - SPEC_B_D_TH_C_HAT) < 1e-13
 
 
 def test_case1_no_composite_thresholds():
-    t = thresholds(_spectrum(CASE1), L_CASES)
-    assert t.branch == Branch.LamGeqGam_1
-    for field in ("mu1", "mu2", "nu1", "nu2", "d_th_1", "d_th_2", "d_th_c",
-                  "d_th_1_hat", "d_th_2_hat", "d_th_c_hat"):
-        assert getattr(t, field) is None
+    r = classify(_spectrum(CASE1), L_CASES)
+    assert r.branch == Branch.LamGeqGam_1
+    for field in ("m1", "m2", "d_th_1", "d_th_2", "d_th_c"):
+        assert getattr(r, field) is None
 
 
 @pytest.mark.parametrize(
@@ -175,35 +174,36 @@ def test_case1_matches_upper_everywhere():
 def test_continuity_at_breakpoints():
     # adjoining pieces evaluated at the same breakpoint must agree
     s2 = _spectrum(CASE2)
-    t2 = thresholds(s2, L_CASES)
+    t2 = classify(s2, L_CASES)
     assert abs(rc_piece(PIECE_R1C, s2, L_CASES, t2.d_th_1)
                - upper_bound_rate(s2, L_CASES, t2.d_th_1)) <= 1e-8
     assert abs(rc_piece(PIECE_R1C, s2, L_CASES, t2.d_th_c)
                - rc_piece(PIECE_R2C, s2, L_CASES, t2.d_th_c)) <= 1e-8
     s3 = _spectrum(CASE3)
-    t3 = thresholds(s3, L_CASES)
+    t3 = classify(s3, L_CASES)
     assert abs(rc_piece(PIECE_R1C, s3, L_CASES, t3.d_th_1)
                - upper_bound_rate(s3, L_CASES, t3.d_th_1)) <= 1e-8
     assert abs(rc_piece(PIECE_R1C, s3, L_CASES, t3.d_th_2)
                - upper_bound_rate(s3, L_CASES, t3.d_th_2)) <= 1e-8
     sb = _spectrum(SPEC_B)
-    tb = thresholds(sb, L_CASES)
-    assert abs(rc_piece(PIECE_R1C_HAT, sb, L_CASES, tb.d_th_1_hat)
-               - upper_bound_rate(sb, L_CASES, tb.d_th_1_hat)) <= 1e-8
-    assert abs(rc_piece(PIECE_R1C_HAT, sb, L_CASES, tb.d_th_c_hat)
-               - rc_piece(PIECE_R2C_HAT, sb, L_CASES, tb.d_th_c_hat)) <= 1e-8
+    rb = classify(sb, L_CASES)
+    assert rb.hatted
+    assert abs(rc_piece(PIECE_R1C_HAT, sb, L_CASES, rb.d_th_1)
+               - upper_bound_rate(sb, L_CASES, rb.d_th_1)) <= 1e-8
+    assert abs(rc_piece(PIECE_R1C_HAT, sb, L_CASES, rb.d_th_c)
+               - rc_piece(PIECE_R2C_HAT, sb, L_CASES, rb.d_th_c)) <= 1e-8
 
 
 def test_piece_switches_across_breakpoints():
     s2 = _spectrum(CASE2)
-    t2 = thresholds(s2, L_CASES)
+    t2 = classify(s2, L_CASES)
     eps = 1e-9
     assert lower_bound_piece(s2, L_CASES, t2.d_th_1 * (1 - eps)) == PIECE_RBAR
     assert lower_bound_piece(s2, L_CASES, t2.d_th_1 * (1 + eps)) == PIECE_R1C
     assert lower_bound_piece(s2, L_CASES, t2.d_th_c * (1 - eps)) == PIECE_R1C
     assert lower_bound_piece(s2, L_CASES, t2.d_th_c * (1 + eps)) == PIECE_R2C
     s3 = _spectrum(CASE3)
-    t3 = thresholds(s3, L_CASES)
+    t3 = classify(s3, L_CASES)
     assert lower_bound_piece(s3, L_CASES, t3.d_th_1 * (1 - eps)) == PIECE_RBAR
     assert lower_bound_piece(s3, L_CASES, t3.d_th_1 * (1 + eps)) == PIECE_R1C
     assert lower_bound_piece(s3, L_CASES, t3.d_th_2 * (1 - eps)) == PIECE_R1C
@@ -263,7 +263,7 @@ def test_evaluate_errors_are_upper_bound_rates(arm):
     spec = parse_spec_text((GOLDEN / f"{arm.value.lower()}.spec").read_text())
     s, L = spectral_decompose(spec), spec.L
     regime = classify(s, L)
-    assert thresholds(s, L).branch is arm
+    assert regime.branch is arm
     lo, hi = d_min(s, L), source_variance(s, L)
     for D in (lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo)):
         got = _outcome(lambda: evaluate(regime, D)[0])
@@ -324,16 +324,13 @@ def test_threshold_ordering_property():
         s = spectral_decompose(SourceSpec(L, sx2, rx, sz2, rz))
         dm = d_min(s, L)
         top = source_variance(s, L)
-        t = thresholds(s, L)
-        for lo_name, hi_name in (("d_th_1", "d_th_2"),
-                                 ("d_th_1_hat", "d_th_2_hat")):
-            lo = getattr(t, lo_name)
-            hi = getattr(t, hi_name)
-            if lo is not None:
-                assert dm < lo < top
-            if lo is not None and hi is not None:
-                assert lo < hi
-                seen_windows += 1
+        r = classify(s, L)
+        lo, hi = r.d_th_1, r.d_th_2
+        if lo is not None:
+            assert dm < lo < top
+        if lo is not None and hi is not None:
+            assert lo < hi
+            seen_windows += 1
     assert seen_windows > 0
 
 

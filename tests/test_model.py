@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import symrd
 from symrd import (
     SourceSpec,
     Spectrum,
@@ -337,3 +338,10 @@ def test_parse_spec_text_error_names_file_and_line():
     with pytest.raises(ValidationError) as exc:
         parse_spec_text(text, name="probe.spec")
     assert "probe.spec:2" in str(exc.value)
+
+
+def test_all_names_resolve_once():
+    names = symrd.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(symrd, name, None) is not None, name

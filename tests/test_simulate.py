@@ -25,7 +25,6 @@ from symrd import (
     d_min,
     distortion_of,
     eigenbasis,
-    empirical_distortion,
     from_eigenvalues,
     rate_of,
     run_simulation,
@@ -111,7 +110,6 @@ def test_empirical_distortion_within_band():
     assert abs(res.distortion_closed_form - 0.85) < 1e-12
     assert abs(res.distortion_empirical - 0.85) <= 4.0 * res.std_err
     assert res.matches_routed_identity
-    assert empirical_distortion(cfg) == res.distortion_empirical
 
 
 def test_direct_estimator_reported_alongside():

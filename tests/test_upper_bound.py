@@ -17,6 +17,7 @@ from symrd import (
     DomainError,
     PrecisionError,
     SourceSpec,
+    SymrdError,
     d_min,
     distortion_of,
     from_eigenvalues,
@@ -51,29 +52,29 @@ def _spectrum(eig):
     return spectral_decompose(from_eigenvalues(L_CASES, *eig))
 
 
-def _assert_correlation_form(q, spec, s, D):
+def _assert_correlation_form(b, c, spec, s, D):
     # asymptotics.correlation_form writes b and c as polynomials in L
     mix = spec.rho_x * spec.sigma_x_sq + spec.rho_z * spec.sigma_z_sq
     g1, g2, h1, h2 = correlation_form(spec, s.gamma_x, s.gamma_z, s.gamma_y, mix, D)
     L = spec.L
-    assert abs(q.b - (g1 * L * L + g2 * L)) <= 1e-12 * max(1.0, abs(q.b))
-    assert abs(q.c - (h1 * L * L + h2 * L)) <= 1e-12 * max(1.0, abs(q.c))
+    assert abs(b - (g1 * L * L + g2 * L)) <= 1e-12 * max(1.0, abs(b))
+    assert abs(c - (h1 * L * L + h2 * L)) <= 1e-12 * max(1.0, abs(c))
 
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
 def test_frozen_solutions(eig, D, lam_q, rate):
     s = _spectrum(eig)
-    sol = solve_lambda_q(s, L_CASES, D)
-    assert abs(sol.lambda_q - lam_q) <= 1e-11 * lam_q
-    assert abs(sol.rate_nats - rate) <= 1e-11 * max(1.0, rate)
+    lambda_q = solve_lambda_q(s, L_CASES, D)
+    assert abs(lambda_q - lam_q) <= 1e-11 * lam_q
+    assert abs(rate_of(s, L_CASES, lambda_q) - rate) <= 1e-11 * max(1.0, rate)
     assert abs(upper_bound_rate(s, L_CASES, D) - rate) <= 1e-11 * max(1.0, rate)
 
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
 def test_distortion_round_trip(eig, D, lam_q, rate):
     s = _spectrum(eig)
-    sol = solve_lambda_q(s, L_CASES, D)
-    assert abs(distortion_of(s, L_CASES, sol.lambda_q) - D) <= 1e-10 * D
+    lambda_q = solve_lambda_q(s, L_CASES, D)
+    assert abs(distortion_of(s, L_CASES, lambda_q) - D) <= 1e-10 * D
 
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
@@ -81,10 +82,11 @@ def test_rate_forms_agree(eig, D, lam_q, rate):
     # the three equivalent rate expressions (direct, via lambda_I, via
     # gamma_I) must agree
     s = _spectrum(eig)
-    sol = solve_lambda_q(s, L_CASES, D)
-    via_lambda, via_gamma = rate_alternative_forms(sol, s, L_CASES)
-    assert abs(via_lambda - sol.rate_nats) <= 1e-10 * max(1.0, sol.rate_nats)
-    assert abs(via_gamma - sol.rate_nats) <= 1e-10 * max(1.0, sol.rate_nats)
+    lambda_q = solve_lambda_q(s, L_CASES, D)
+    rate_nats = rate_of(s, L_CASES, lambda_q)
+    via_lambda, via_gamma = rate_alternative_forms(s, L_CASES, lambda_q)
+    assert abs(via_lambda - rate_nats) <= 1e-10 * max(1.0, rate_nats)
+    assert abs(via_gamma - rate_nats) <= 1e-10 * max(1.0, rate_nats)
 
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
@@ -93,19 +95,19 @@ def test_quadratic_coefficient_identities(eig, D, lam_q, rate):
     # the same quadratic: b = g1 L^2 + g2 L and c = h1 L^2 + h2 L
     spec = from_eigenvalues(L_CASES, *eig)
     s = spectral_decompose(spec)
-    q = quadratic_coefficients(s, L_CASES, D)
-    _assert_correlation_form(q, spec, s, D)
+    a, b, c = quadratic_coefficients(s, L_CASES, D)
+    _assert_correlation_form(b, c, spec, s, D)
     # the bisection solution is a root of the quadratic
-    residual = q.a * lam_q * lam_q + q.b * lam_q + q.c
-    assert abs(residual) <= 1e-9 * max(abs(q.a) * lam_q * lam_q, abs(q.c))
+    residual = a * lam_q * lam_q + b * lam_q + c
+    assert abs(residual) <= 1e-9 * max(abs(a) * lam_q * lam_q, abs(c))
 
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
 def test_quadratic_root_matches_bisection(eig, D, lam_q, rate):
     s = _spectrum(eig)
-    sol = solve_lambda_q(s, L_CASES, D)
-    root = quadratic_root(quadratic_coefficients(s, L_CASES, D))
-    assert abs(root - sol.lambda_q) <= 1e-8 * sol.lambda_q
+    lambda_q = solve_lambda_q(s, L_CASES, D)
+    root = quadratic_root(*quadratic_coefficients(s, L_CASES, D))
+    assert abs(root - lambda_q) <= 1e-8 * lambda_q
 
 
 def test_distortion_of_monotone_and_bracketed():
@@ -134,11 +136,11 @@ def test_rate_limits_at_interval_ends():
     dm = d_min(s, L_CASES)
     sx2 = source_variance(s, L_CASES)
     near_top = solve_lambda_q(s, L_CASES, sx2 * (1.0 - 1e-8))
-    assert near_top.lambda_q > 1e6
-    assert near_top.rate_nats < 1e-5
+    assert near_top > 1e6
+    assert rate_of(s, L_CASES, near_top) < 1e-5
     near_floor = solve_lambda_q(s, L_CASES, dm + (sx2 - dm) * 1e-6)
-    assert near_floor.rate_nats > 5.0
-    assert near_floor.lambda_q < 1e-3
+    assert rate_of(s, L_CASES, near_floor) > 5.0
+    assert near_floor < 1e-3
 
 
 @pytest.mark.parametrize("bad_d_of_range", [
@@ -168,9 +170,9 @@ def test_solve_rejects_interval_too_narrow_for_its_slacks():
 def test_quadratic_root_rejects_nonpositive_leading_coefficient():
     # a = L (sigma_x^2 - D) <= 0 means D is out of range for the quadratic
     s = _spectrum(CASE1)
-    q = quadratic_coefficients(s, L_CASES, source_variance(s, L_CASES) + 0.1)
+    a, b, c = quadratic_coefficients(s, L_CASES, source_variance(s, L_CASES) + 0.1)
     with pytest.raises(DomainError):
-        quadratic_root(q)
+        quadratic_root(a, b, c)
 
 
 def test_rate_of_zero_noise_limit():
@@ -194,16 +196,17 @@ def test_randomized_consistency():
         dm = d_min(s, L)
         top = source_variance(s, L)
         D = dm + (top - dm) * float(rng.uniform(0.02, 0.98))
-        sol = solve_lambda_q(s, L, D)
-        assert abs(distortion_of(s, L, sol.lambda_q) - D) <= 1e-10 * D
-        via_lambda, via_gamma = rate_alternative_forms(sol, s, L)
-        scale = max(1.0, sol.rate_nats)
-        assert abs(via_lambda - sol.rate_nats) <= 1e-10 * scale
-        assert abs(via_gamma - sol.rate_nats) <= 1e-10 * scale
-        q = quadratic_coefficients(s, L, D)
-        _assert_correlation_form(q, spec, s, D)
-        root = quadratic_root(q)
-        assert abs(root - sol.lambda_q) <= 1e-8 * sol.lambda_q
+        lambda_q = solve_lambda_q(s, L, D)
+        assert abs(distortion_of(s, L, lambda_q) - D) <= 1e-10 * D
+        rate_nats = rate_of(s, L, lambda_q)
+        via_lambda, via_gamma = rate_alternative_forms(s, L, lambda_q)
+        scale = max(1.0, rate_nats)
+        assert abs(via_lambda - rate_nats) <= 1e-10 * scale
+        assert abs(via_gamma - rate_nats) <= 1e-10 * scale
+        a, b, c = quadratic_coefficients(s, L, D)
+        _assert_correlation_form(b, c, spec, s, D)
+        root = quadratic_root(a, b, c)
+        assert abs(root - lambda_q) <= 1e-8 * lambda_q
 
 
 # Over the probe, the solve's error in Rbar is held to
@@ -260,15 +263,40 @@ def test_newton_solve_on_random_probe(monkeypatch):
     edges = _edge_points([f for f in mpref.PROBE_FRACTIONS if f] + [0.3, 0.7])
     for spec, s, D in mpref.probe(seed=20261018, n=2000) + edges:
         calls.clear()
-        sol = solve_lambda_q(s, spec.L, D)
+        rate_nats = rate_of(s, spec.L, solve_lambda_q(s, spec.L, D))
         evaluations.append(len(calls))
         # The float spectrum's x and z are exact binary values; the replay
         # re-forms y = x + z from them, as the model defines it.
         rate, slope = mpref.upper(mpref.exact(s), spec.L, D)
         bound = (PROBE_D_ULPS * abs(float(slope)) * math.ulp(D)
-                 + PROBE_RATE_ULPS * math.ulp(sol.rate_nats))
-        if abs(sol.rate_nats - float(rate)) > bound:
-            off.append((spec, D, sol.rate_nats, float(rate)))
+                 + PROBE_RATE_ULPS * math.ulp(rate_nats))
+        if abs(rate_nats - float(rate)) > bound:
+            off.append((spec, D, rate_nats, float(rate)))
     assert statistics.median(evaluations) <= 3
     assert max(evaluations) <= 8
     assert not off
+
+
+# sigma_z^2 = 0: d_min = 0, so lambda_q -> 0 as D -> 0.
+NOISELESS = SourceSpec(10, 1.0, 0.3, 0.0, 0.0)
+
+
+def test_noiseless_small_distortion_matches_replay():
+    # The residual check holds the solved form, which does not cancel as
+    # lambda_q -> 0; distortion_of's differences lose every digit there.
+    # (Below D ~ 1e-40 the 50-digit replay cancels itself.)
+    mpref = pytest.importorskip("mpref")
+    s = spectral_decompose(NOISELESS)
+    for D in (1e-7, 1e-8, 1e-9, 1e-12):
+        got = upper_bound_rate(s, NOISELESS.L, D)
+        rate, slope = mpref.upper(mpref.exact(s), NOISELESS.L, D)
+        bound = (PROBE_D_ULPS * abs(float(slope)) * math.ulp(D)
+                 + PROBE_RATE_ULPS * math.ulp(got))
+        assert abs(got - float(rate)) <= bound
+
+
+@pytest.mark.parametrize("D", [1e-308, 1e-310, 5e-324])
+def test_noiseless_rate_past_float_range_raises(D):
+    # lambda_y / lambda_q overflows here: the rate is not returned as inf
+    with pytest.raises(SymrdError):
+        upper_bound_rate(spectral_decompose(NOISELESS), NOISELESS.L, D)
