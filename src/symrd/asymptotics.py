@@ -289,24 +289,34 @@ def upper_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
     return _upper(regime, L, D)
 
 
+def bounds_meet(regime: AsymptoticRegime, D: float) -> bool:
+    """Whether lower_asymptotic at D is upper_asymptotic, at every L.
+
+    True for ZeroMix and PosMixPosRho_XiGeHalf, False for PosMixZeroRho,
+    and for PosMixPosRho_XiLtHalf True exactly outside the open gap
+    interval (d_th1_inf, d_th2_inf).  D is not range-checked here.
+    """
+    if regime.condition is Condition.PosMixPosRho_XiLtHalf:
+        return not regime.d_th1_inf < D < regime.d_th2_inf
+    return regime.condition is not Condition.PosMixZeroRho
+
+
 def lower_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
     """Large-L approximation of the lower bound at (L, D), in nats.
 
-    Clause structure by regime: ZeroMix and PosMixPosRho_XiGeHalf coincide
-    with upper_asymptotic (the bounds meet in the limit); PosMixZeroRho
-    evaluates its dedicated expression; PosMixPosRho_XiLtHalf differs from
-    the upper bound exactly on the open interval (d_th1_inf, d_th2_inf),
-    where the gapped expression applies.
+    Wherever bounds_meet, the value is upper_asymptotic's (the bounds meet
+    in the limit); otherwise PosMixZeroRho evaluates its dedicated
+    expression and PosMixPosRho_XiLtHalf, on the open interval
+    (d_th1_inf, d_th2_inf), the gapped one.
 
     Same domain rule as upper_asymptotic.
     """
     _check_d_range(regime, D)
+    if bounds_meet(regime, D):
+        return _upper(regime, L, D)
     if regime.condition is Condition.PosMixZeroRho:
         return _r2_inf(regime, L, D)
-    if (regime.condition is Condition.PosMixPosRho_XiLtHalf
-            and regime.d_th1_inf < D < regime.d_th2_inf):
-        return _r1_inf(regime, L, D)
-    return _upper(regime, L, D)
+    return _r1_inf(regime, L, D)
 
 
 def asymptotic_gap(regime: AsymptoticRegime, D: float) -> float:
@@ -329,7 +339,7 @@ def asymptotic_gap(regime: AsymptoticRegime, D: float) -> float:
             f"PosMixPosRho_XiLtHalf regime, not {regime.condition.value}"
         )
     _check_d_range(regime, D)
-    if D <= regime.d_th1_inf or D >= regime.d_th2_inf:
+    if bounds_meet(regime, D):
         return 0.0
     gx, gy = regime.gamma_x, regime.gamma_y
     return ((regime.d_th1_inf - D) * (regime.d_th2_inf - D)

@@ -35,6 +35,8 @@ from .model import d_min, parse_spec_text, source_variance, spectral_decompose
 CSV_FMT = "%.12g"
 # A sweep row's D, upper, lower, gap and piece cells, in one format operation.
 _ROW_FMT = ",".join([CSV_FMT] * 4 + ["%s"])
+# Two adjacent cells in one format operation.
+_PAIR_FMT = CSV_FMT + "," + CSV_FMT
 INFO_FMT = "%.6g"
 _LN2 = math.log(2.0)
 
@@ -91,11 +93,16 @@ def _sizes(text: str, flag: str) -> list[int]:
 
 
 def _asym_cells(regime, sizes: list[int], D: float, scale: float) -> list[str]:
-    """Upper and lower large-L approximations at D for each size, in order."""
+    """Upper and lower large-L approximations at D for each size, in order.
+
+    Where the bounds meet at D the lower cell is the upper cell's value.
+    """
+    meet = asymptotics.bounds_meet(regime, D)
     cells = []
     for size in sizes:
-        cells += [_num(asymptotics.upper_asymptotic(regime, size, D) / scale),
-                  _num(asymptotics.lower_asymptotic(regime, size, D) / scale)]
+        upper = asymptotics.upper_asymptotic(regime, size, D)
+        lower = upper if meet else asymptotics.lower_asymptotic(regime, size, D)
+        cells.append(_PAIR_FMT % (upper / scale, lower / scale))
     return cells
 
 
@@ -176,16 +183,17 @@ def cmd_sweep(args) -> int:
     print(",".join(header))
 
     converse = lower_bound.classify(s, L)
+    program = oracle.prepare(s, L) if args.certify else None
     for D in grid:
         upper, lower, piece = lower_bound.evaluate(converse, D)
         row = [_ROW_FMT % (D, upper / scale, lower / scale,
                            (upper - lower) / scale, piece)]
-        if args.certify:
-            _, value, cert = oracle.solve_program(s, L, D)
-            residual = max(cert.stationarity_residual,
-                           cert.complementarity_residual)
-            row += [_num(value / scale), _num(residual)]
-        row += _asym_cells(regime, asym_ls, D, scale)
+        if program is not None:
+            _, value, cert = oracle.solve(program, D)
+            row.append(_PAIR_FMT % (value / scale, max(cert.stationarity_residual,
+                                                       cert.complementarity_residual)))
+        if regime is not None:
+            row += _asym_cells(regime, asym_ls, D, scale)
         if gap_column:
             row.append(_num(asymptotics.asymptotic_gap(regime, D) / scale))
         print(",".join(row))

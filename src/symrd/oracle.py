@@ -39,18 +39,26 @@ cancellation, and the value uses the smaller of each pair, so a rate near
 stationarity equations, three complementary-slackness products with
 nonnegative multipliers) certifies the optimum.
 
+The program's D-free constants (the ends of (d_min, sigma_x_sq), the side
+view and its coefficients, the integer parts of the slack pair and the
+distortion constraint's terms) are formed once per spectrum by prepare,
+and solve takes them at each D; solve_program is the two in one call,
+and recover_multipliers and kkt_check run solve's own steps at any point.
+
 This module is deliberately independent of the closed-form lower bound: it
-never consults the regime classification, so agreement between the two is
-a genuine cross-check.
+never consults the regime classification, and prepare forms its constants
+itself rather than take upper_bound's or lower_bound's, so agreement
+between the two is a genuine cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PrecisionError
-from .model import Spectrum, check_distortion, side_view
+from .model import Spectrum, d_min, outside_interval, side_view, source_variance
 
 # Largest relative residual (see KktCertificate) of a certified optimum;
 # beyond it solve_program raises ConvergenceError.
@@ -113,111 +121,168 @@ def omega_objective(p: ProgramPoint, spectrum: Spectrum, L: int) -> float:
             + L / 2.0 * math.log(lw / p.delta))
 
 
+def _constraint_terms(spectrum: Spectrum, L: int) -> tuple:
+    """distortion_constraint's D-free terms, in the order it adds them."""
+    s = spectrum
+    return (s.lambda_x ** 2 / s.lambda_y ** 2, s.lambda_x, s.lambda_x ** 2 / s.lambda_y,
+            L - 1, s.gamma_x ** 2 / s.gamma_y ** 2, s.gamma_x, s.gamma_x ** 2 / s.gamma_y)
+
+
+def _constraint(terms: tuple, alpha: float, beta: float) -> float:
+    c_a, lx, c_lam, m, c_b, gx, c_gam = terms
+    return c_a * alpha + lx - c_lam + m * (c_b * beta + gx - c_gam)
+
+
 def distortion_constraint(p: ProgramPoint, spectrum: Spectrum, L: int) -> float:
     """Left side of the distortion constraint at p (compare against L D)."""
-    s = spectrum
-    return (s.lambda_x ** 2 / s.lambda_y ** 2 * p.alpha
-            + s.lambda_x - s.lambda_x ** 2 / s.lambda_y
-            + (L - 1) * (s.gamma_x ** 2 / s.gamma_y ** 2 * p.beta
-                         + s.gamma_x - s.gamma_x ** 2 / s.gamma_y))
+    return _constraint(_constraint_terms(spectrum, L), p.alpha, p.beta)
 
 
-def _slack_pair(L: int, D: float, big: tuple, small: tuple) -> tuple[float, float]:
-    """(L (D - d_min), L (sigma_x_sq - D)) of side_view's triples, each rounded once.
+def _slack_terms(big: tuple, small: tuple) -> tuple:
+    """(lin, e1, sq, e2, pq): the D-free integer parts of _slack_pair.
 
-    The second is t0 = m_b x_b + m_s x_s - L D, the first
-    m_b x_b^2 / y_b + m_s x_s^2 / y_s - t0.  Every float is an integer over
-    2^k, so t0 is an integer over one power of two, and s0 one over a power
-    of two times y_b's and y_s's numerators; Python's int / int division
-    rounds each exact quotient once.
+    Every float is an integer over 2^k.  With x_b = bn / 2^eb,
+    x_s = sn / 2^es, y_b = pn / pd and y_s = qn / qd of side_view's
+    triples, pq = pn qn, e1 = max(eb, es) and e2 = 2 e1, the integers are
+    lin = (m_b x_b + m_s x_s) 2^e1 and
+    sq = (m_b x_b^2 / y_b + m_s x_s^2 / y_s) 2^e2 pq.
     """
     (xb, yb, mb), (xs, ys, ms) = big, small
     bn, bd = xb.as_integer_ratio()
     sn, sd = xs.as_integer_ratio()
-    dn, dd = D.as_integer_ratio()
     pn, pd = yb.as_integer_ratio()
     qn, qd = ys.as_integer_ratio()
-    # The exponents k of the denominators 2^k of x_b, x_s and D.
-    eb, es, ed = bd.bit_length() - 1, sd.bit_length() - 1, dd.bit_length() - 1
-    e = max(eb, es, ed)
-    lin = (mb * bn << (e - eb)) + (ms * sn << (e - es)) - (L * dn << (e - ed))
-    e2 = max(2 * eb, 2 * es, e)
-    num = (((mb * bn * bn * pd) << (e2 - 2 * eb)) * qn
-           + ((ms * sn * sn * qd) << (e2 - 2 * es)) * pn
-           - (lin << (e2 - e)) * pn * qn)
-    return num / ((pn * qn) << e2), lin / (1 << e)
+    eb, es = bd.bit_length() - 1, sd.bit_length() - 1
+    e1, e2 = max(eb, es), 2 * max(eb, es)
+    lin = (mb * bn << (e1 - eb)) + (ms * sn << (e1 - es))
+    sq = ((mb * bn * bn * pd * qn << (e2 - 2 * eb))
+          + (ms * sn * sn * qd * pn << (e2 - 2 * es)))
+    return lin, e1, sq, e2, pn * qn
 
 
-def _solve_reduced(spectrum: Spectrum, L: int, D: float) -> tuple[float, ProgramPoint]:
-    """Active-set solve of the envelope-reduced program: (value, point)."""
+def _slack_pair(L: int, D: float, terms: tuple) -> tuple[float, float]:
+    """(L (D - d_min), L (sigma_x_sq - D)) from _slack_terms, each rounded once.
+
+    The second is t0 = m_b x_b + m_s x_s - L D, the first
+    m_b x_b^2 / y_b + m_s x_s^2 / y_s - t0.  With D an integer over 2^ed,
+    t0 is an integer over one power of two, and s0 one over a power of two
+    times pn qn; Python's int / int division rounds each exact quotient
+    once.
+    """
+    lin, e1, sq, e2, pq = terms
+    dn, dd = D.as_integer_ratio()
+    ed = dd.bit_length() - 1
+    e = max(e1, ed)
+    lin = (lin << (e - e1)) - (L * dn << (e - ed))
+    e3 = max(e2, e)
+    num = (sq << (e3 - e2)) - (lin << (e3 - e)) * pq
+    return num / (pq << e3), lin / (1 << e)
+
+
+class Program(NamedTuple):
+    """The D-free constants of the converse program for one spectrum and L.
+
+    d_min and sigma_x_sq bound the domain of D; big, small and hatted are
+    model.side_view's; dy = y_big - y_small, a = m_b x_b^2 / y_b^2 and
+    b = m_s x_s^2 / y_s^2 are the reduced program's coefficients;
+    slack_terms are _slack_terms's and constraint_terms those of
+    distortion_constraint.
+    """
+
+    L: int
+    d_min: float
+    sigma_x_sq: float
+    big: tuple
+    small: tuple
+    hatted: bool
+    dy: float
+    a: float
+    b: float
+    slack_terms: tuple
+    constraint_terms: tuple
+
+
+def prepare(spectrum: Spectrum, L: int) -> Program:
+    """Form the program's D-free constants once, for solve at any D.
+
+    Like the rest of the module, it never consults the closed-form lower
+    bound or its regime classification.
+    """
     big, small, hatted = side_view(spectrum, L)
     (xb, yb, mb), (xs, ys, ms) = big, small
-    dy, a, b = yb - ys, mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2
+    return Program(L, d_min(spectrum, L), source_variance(spectrum, L),
+                   big, small, hatted, yb - ys, mb * xb ** 2 / yb ** 2,
+                   ms * xs ** 2 / ys ** 2, _slack_terms(big, small),
+                   _constraint_terms(spectrum, L))
+
+
+def _solve_reduced(program: Program, D: float) -> tuple[float, float, float]:
+    """Active-set solve of the envelope-reduced program: (value, v, delta)."""
+    L, _, _, (_, yb, mb), (_, ys, _), _, dy, a, b, slack_terms, _ = program
     # Slacks exact but for one rounding: a v + b delta <= s0 = L (D - d_min)
     # and a u + b e >= t0 = L (sigma_x_sq - D), u = y_big - v, e = y_small - delta.
-    s0, t0 = _slack_pair(L, D, big, small)
+    s0, t0 = _slack_pair(L, D, slack_terms)
     if not (s0 > 0.0 and t0 > 0.0):
         raise PrecisionError(
             f"D = {D!r} is within rounding of an end of (d_min, sigma_x_sq): "
             f"L (D - d_min) = {s0!r}, L (sigma_x_sq - D) = {t0!r}")
+    yb2, ys2, ybys = yb ** 2, ys ** 2, yb * ys
 
     def candidate(v, u, d, e):
-        lw = dy * v + yb * ys
-        r1 = (-math.log1p(-dy * u / yb ** 2) if 2.0 * dy * u < yb ** 2
-              else math.log(yb ** 2 / lw))
+        r1 = (-math.log1p(-dy * u / yb2) if 2.0 * dy * u < yb2
+              else math.log(yb2 / (dy * v + ybys)))
         r2 = -math.log1p(-e / ys) if 2.0 * e < ys else math.log(ys / d)
-        point = ProgramPoint(d, v, d) if hatted else ProgramPoint(v, d, d)
-        return mb / 2.0 * r1 + L / 2.0 * r2, point
+        return mb / 2.0 * r1 + L / 2.0 * r2, v, d
 
     def on_envelope(v, u):
-        lw = dy * v + yb * ys
-        return candidate(v, u, v * yb * ys / lw, u * ys ** 2 / lw)
+        lw = dy * v + ybys
+        return candidate(v, u, v * yb * ys / lw, u * ys2 / lw)
 
     if b == 0.0:
         # No cap on delta: v stops where a v = s0, delta on the envelope.
         return on_envelope(s0 / a, t0 / a)
     # The crossing: the positive root of a c v^2 + (a + b - c s0) v = s0,
     # and the smaller root of its quadratic in u, both in stable form.
-    x, y, z = dy * t0, a * yb ** 2, b * ys ** 2
+    x, y, z = dy * t0, a * yb2, b * ys2
     root = math.sqrt((x - y) ** 2 + z * (2.0 * (x + y) + z))
-    u_x = 2.0 * t0 * yb ** 2 / (x + y + z + root)
+    u_x = 2.0 * t0 * yb2 / (x + y + z + root)
     qa, qb = a * dy, (a + b) * yb * ys - dy * s0
     r = math.sqrt(qb * qb + 4.0 * qa * s0 * yb * ys)
     v_x = 2.0 * s0 * yb * ys / (qb + r) if qb > 0.0 else (r - qb) / (2.0 * qa)
-    options = [on_envelope(v_x, u_x)]
+    # The least value wins; on a tie the earlier candidate does.
+    best = on_envelope(v_x, u_x)
     w0 = b * ys - t0 if t0 < s0 else s0 - a * yb   # b cap(y_big)
     if w0 > 0.0:
-        options.append(candidate(yb, 0.0, w0 / b, t0 / b))
+        option = candidate(yb, 0.0, w0 / b, t0 / b)
+        if option[0] < best[0]:
+            best = option
     if qa > 0.0:
         k = qa * (mb + L)
         v_c = (mb * dy * s0 - L * a * yb * ys) / k
-        u_c = (L * a * yb ** 2 - mb * dy * w0) / k
+        u_c = (L * a * yb2 - mb * dy * w0) / k
         if 0.0 < u_c < u_x:
-            options.append(candidate(v_c, u_c, (s0 - a * v_c) / b, (t0 - a * u_c) / b))
-    return min(options, key=lambda option: option[0])
+            option = candidate(v_c, u_c, (s0 - a * v_c) / b, (t0 - a * u_c) / b)
+            if option[0] < best[0]:
+                best = option
+    return best
 
 
-def _reduced_at(p: ProgramPoint, spectrum: Spectrum, L: int) -> tuple:
-    """(v, delta, y_big, env(v), env'(v), slope, a, b) of the reduced program at p.
+def _reduced_at(program: Program, p: ProgramPoint) -> tuple:
+    """(v, delta, env(v), env'(v), slope) of the reduced program at p.
 
     slope = m_b c / (2 (1 + c v)) is minus the v-derivative of the objective.
     """
-    (xb, yb, mb), (xs, ys, ms), hatted = side_view(spectrum, L)
+    _, _, _, (_, yb, mb), (_, ys, _), hatted, dy, _, _, _, _ = program
     v = p.beta if hatted else p.alpha
-    lw = (yb - ys) * v + yb * ys          # y_big y_small (1 + c v)
-    return (v, p.delta, yb, v * yb * ys / lw, (yb * ys / lw) ** 2,
-            mb * (yb - ys) / (2.0 * lw), mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2)
+    ybys = yb * ys
+    lw = dy * v + ybys                    # y_big y_small (1 + c v)
+    return v, p.delta, v * yb * ys / lw, (ybys / lw) ** 2, mb * dy / (2.0 * lw)
 
 
-def recover_multipliers(
-    p: ProgramPoint, spectrum: Spectrum, L: int, D: float
-) -> tuple[float, float, float]:
-    """Recover (omega1, omega2, omega3) from the active set at p.
-
-    The constraints active at p (to _ACTIVE_TOL) say which multipliers may
-    be nonzero; the stationarity equations are solved exactly for them.
-    """
-    v, d, yb, env, de, slope, a, b = _reduced_at(p, spectrum, L)
+def _multipliers(program: Program, reduced: tuple) -> tuple[float, float, float]:
+    """recover_multipliers from _reduced_at's tuple."""
+    v, d, env, de, slope = reduced
+    L, _, _, (_, yb, _), _, _, _, a, b, _, _ = program
     w2 = (L / (2.0 * d) * a - b * slope) / (a + b * de)
     # An envelope within _ACTIVE_TOL binds only if w2 >= 0 (box end near the top).
     if abs(d - env) <= _ACTIVE_TOL * env and w2 >= 0.0:
@@ -228,8 +293,41 @@ def recover_multipliers(
     return slope - w3 * a, 0.0, w3
 
 
+def recover_multipliers(
+    p: ProgramPoint, spectrum: Spectrum, L: int, D: float
+) -> tuple[float, float, float]:
+    """Recover (omega1, omega2, omega3) from the active set at p.
+
+    The constraints active at p (to _ACTIVE_TOL) say which multipliers may
+    be nonzero; the stationarity equations are solved exactly for them.
+    """
+    program = prepare(spectrum, L)
+    return _multipliers(program, _reduced_at(program, p))
+
+
 def _share(term: float, scale: float) -> float:
     return abs(term) / scale if scale > 0.0 else 0.0
+
+
+def _certificate(program: Program, p: ProgramPoint, reduced: tuple,
+                 multipliers: tuple[float, float, float], D: float) -> KktCertificate:
+    """kkt_check on _reduced_at's tuple at p."""
+    w1, w2, w3 = multipliers
+    v, d, env, de, slope = reduced
+    L, _, _, (_, yb, _), _, _, _, a, b, _, constraint_terms = program
+    # The terms of the stationarity equations in v and in delta.
+    v1, v3, v4 = -slope, -w2 * de, w3 * a
+    d1, d3 = -L / (2.0 * d), w3 * b
+    scale_v = abs(v1) + abs(w1) + abs(v3) + abs(v4)
+    scale_d = abs(d1) + abs(w2) + abs(d3)
+    lhs, rhs = _constraint(constraint_terms, p.alpha, p.beta), L * D
+    share1, share2 = _share(w1, scale_v), _share(w2, scale_d)
+    share3 = max(_share(v4, scale_v), _share(d3, scale_d))
+    comp = max(share1 if w1 < 0.0 else share1 * _share(v - yb, v + yb),
+               share2 if w2 < 0.0 else share2 * _share(d - env, d + env),
+               share3 if w3 < 0.0 else share3 * _share(lhs - rhs, lhs + rhs))
+    stat = max(_share(v1 + w1 + v3 + v4, scale_v), _share(d1 + w2 + d3, scale_d))
+    return KktCertificate(w1, w2, w3, stat, comp)
 
 
 def kkt_check(
@@ -245,19 +343,25 @@ def kkt_check(
     products of the box, envelope and distortion constraints, each scaled
     as KktCertificate describes.
     """
-    w1, w2, w3 = multipliers
-    v, d, yb, env, de, slope, a, b = _reduced_at(p, spectrum, L)
-    sv = (-slope, w1, -w2 * de, w3 * a)
-    sd = (-L / (2.0 * d), w2, w3 * b)
-    scale_v, scale_d = sum(map(abs, sv)), sum(map(abs, sd))
-    lhs, rhs = distortion_constraint(p, spectrum, L), L * D
-    comp = max(share if w < 0.0 else share * slack for w, share, slack in (
-        (w1, _share(w1, scale_v), _share(v - yb, v + yb)),
-        (w2, _share(w2, scale_d), _share(d - env, d + env)),
-        (w3, max(_share(w3 * a, scale_v), _share(w3 * b, scale_d)),
-         _share(lhs - rhs, lhs + rhs))))
-    stat = max(_share(sum(sv), scale_v), _share(sum(sd), scale_d))
-    return KktCertificate(w1, w2, w3, stat, comp)
+    program = prepare(spectrum, L)
+    return _certificate(program, p, _reduced_at(program, p), multipliers, D)
+
+
+def solve(program: Program, D: float) -> tuple[ProgramPoint, float, KktCertificate]:
+    """solve_program at D from prepare's constants; see solve_program."""
+    _, floor, ceil, _, _, hatted, _, _, _, _, _ = program
+    if not floor < D < ceil:
+        raise outside_interval(D, floor, ceil)
+    value, v, d = _solve_reduced(program, D)
+    point = ProgramPoint(d, v, d) if hatted else ProgramPoint(v, d, d)
+    reduced = _reduced_at(program, point)
+    cert = _certificate(program, point, reduced, _multipliers(program, reduced), D)
+    residual = max(cert.stationarity_residual, cert.complementarity_residual)
+    if not residual <= CERTIFICATE_TOL:
+        raise ConvergenceError(
+            f"KKT residual {residual!r} exceeds certificate tolerance at "
+            f"D = {D!r}", best=(point, value, cert))
+    return point, value, cert
 
 
 def solve_program(
@@ -267,6 +371,7 @@ def solve_program(
 
     D is the per-component distortion.  The minimiser is the least-valued
     of the module docstring's three closed-form active-set candidates.
+    prepare(spectrum, L) followed by solve at D.
 
     Returns
     -------
@@ -286,13 +391,4 @@ def solve_program(
         A certificate residual exceeds CERTIFICATE_TOL (carries the point
         in .best).
     """
-    check_distortion(spectrum, L, D)
-    value, point = _solve_reduced(spectrum, L, D)
-    mult = recover_multipliers(point, spectrum, L, D)
-    cert = kkt_check(point, mult, spectrum, L, D)
-    residual = max(cert.stationarity_residual, cert.complementarity_residual)
-    if not residual <= CERTIFICATE_TOL:
-        raise ConvergenceError(
-            f"KKT residual {residual!r} exceeds certificate tolerance at "
-            f"D = {D!r}", best=(point, value, cert))
-    return point, value, cert
+    return solve(prepare(spectrum, L), D)

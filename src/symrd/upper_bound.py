@@ -164,6 +164,13 @@ def solve(prepared: Prepared, D: float) -> float:
             "is too narrow to resolve")
     below = below_side <= above_side
     slack = below_side if below else above_side
+    if slack < sys.float_info.min:
+        # The balance's terms would be subnormal too, with too few digits
+        # for Newton's method to settle on.
+        raise PrecisionError(
+            f"D = {D!r}: the smaller slack "
+            f"{'L (D - d_min)' if below else 'L (sigma_x_sq - D)'} = {slack!r} "
+            "is subnormal")
     # The root sits on the upper end when lambda_y == gamma_y or when only
     # the direction with the larger y carries source (x = 0 on the other);
     # both ends are widened by their rounding so that it stays inside.
@@ -229,8 +236,8 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
         If D lies outside the open interval (d_min, sigma_x^2).
     PrecisionError
         If D sits so close to an endpoint that the solution fails the
-        residual check, or the interval is too narrow for its slacks to
-        be resolved.
+        residual check, the interval is too narrow for its slacks to be
+        resolved, or the smaller slack is subnormal.
     ConvergenceError
         If the iteration does not settle within MAX_EVALUATIONS, or its
         result fails the residual check (not expected for valid inputs).

@@ -5,6 +5,7 @@ with an mpmath program evaluating the limiting expressions at 50 decimal
 digits; frozen here as float literals.
 """
 
+import argparse
 import math
 
 import pytest
@@ -22,6 +23,10 @@ from symrd import (
     upper_asymptotic,
     upper_bound_rate,
 )
+from symrd.asymptotics import bounds_meet
+from symrd.cli import _grid
+from symrd.model import parse_spec_text
+from test_golden import ASYM_RANGES, GOLDEN
 
 # the gapped reference spec: rho_Y = 0.5, sigma_Y^2 = 5
 GAPPED = SourceSpec(500, 1.0, 0.3, 4.0, 0.55)
@@ -127,6 +132,33 @@ def test_lower_equals_upper_outside_gap_interval():
     # strictly inside the interval the lower bound is strictly smaller
     assert lower_asymptotic(reg, 500, 0.87) \
         < upper_asymptotic(reg, 500, 0.87)
+
+
+# One golden spec per Condition, and the conditions' expected meetings.
+ASYM_MEET = {"asym_zero_mix": {True}, "asym_pos_mix_zero_rho": {False},
+             "asym_xi_ge_half": {True}, "asym_xi_lt_half": {True, False}}
+
+
+@pytest.mark.parametrize("name", sorted(ASYM_MEET))
+def test_lower_is_upper_exactly_where_bounds_meet(name):
+    # On the pinned 20-point grid, and at the sqrt(L) window point next to
+    # d_th0_inf where it is inside the domain.
+    reg = asymptotic_regime(parse_spec_text((GOLDEN / f"{name}.spec").read_text()))
+    d_start, d_end = ASYM_RANGES[name]
+    grid = _grid(argparse.Namespace(d_start=float(d_start), d_end=float(d_end),
+                                    n_points=20, include_endpoints_eps=False))
+    if reg.d_th0_inf is not None and reg.d_th0_inf < reg.spec.sigma_x_sq:
+        grid.append(reg.d_th0_inf * (1.0 + 1e-14))
+    meets = set()
+    for D in grid:
+        meet = bounds_meet(reg, D)
+        meets.add(meet)
+        for L in (10, 100, 10000):
+            up, lo = upper_asymptotic(reg, L, D), lower_asymptotic(reg, L, D)
+            assert (lo.hex() == up.hex()) == meet, (L, D)
+        if reg.condition is Condition.PosMixPosRho_XiLtHalf:
+            assert (asymptotic_gap(reg, D) > 0.0) == (not meet), D
+    assert meets == ASYM_MEET[name]
 
 
 def test_high_contrast_regime_has_no_gap():

@@ -277,9 +277,11 @@ def test_sweep_noiseless_near_zero_distortion(specs, capsys):
 
 
 def test_sweep_prepares_once(specs, capsys, monkeypatch):
-    # the lambda_q solve's constants are formed once per spectrum: a longer
-    # grid makes no more calls of the per-spectrum functions
-    names = (("upper_bound", "prepare"), ("model", "check_distortion"),
+    # the lambda_q solve's and the oracle's constants are formed once per
+    # spectrum: a longer grid makes no more calls of the per-spectrum
+    # functions, with or without the oracle and large-L columns
+    names = (("upper_bound", "prepare"), ("oracle", "prepare"),
+             ("model", "side_view"), ("model", "check_distortion"),
              ("model", "d_min"), ("model", "source_weights"))
     calls = dict.fromkeys(names, 0)
     for key in names:
@@ -290,19 +292,24 @@ def test_sweep_prepares_once(specs, capsys, monkeypatch):
             return original(*args)
 
         # Patched wherever a module has bound the name.
-        for module in (symrd.model, symrd.upper_bound, symrd.lower_bound, cli):
+        for module in (symrd.model, symrd.upper_bound, symrd.lower_bound,
+                       symrd.oracle, symrd.asymptotics, cli):
             if getattr(module, key[1], None) is original:
                 monkeypatch.setattr(module, key[1], counted)
-    counts = []
-    for n_points in ("20", "200"):
-        calls.update(dict.fromkeys(names, 0))
-        rc, out, _ = _run(capsys, ["sweep", specs["case2"], "--d-start", "0.7",
-                                   "--d-end", "0.9", "--n-points", n_points])
-        assert rc == 0
-        assert len(out.splitlines()) == int(n_points) + 1
-        counts.append(dict(calls))
-    assert counts[0] == counts[1]
-    assert counts[0][("upper_bound", "prepare")] == 1
+    for name, extra, d_start, d_end in (
+            ("case2", [], "0.7", "0.9"),
+            ("gapped", ["--certify", "--asymptotic", "100,10000"], "0.784", "0.994")):
+        counts = []
+        for n_points in ("20", "200"):
+            calls.update(dict.fromkeys(names, 0))
+            rc, out, _ = _run(capsys, ["sweep", specs[name], *extra, "--d-start", d_start,
+                                       "--d-end", d_end, "--n-points", n_points])
+            assert rc == 0
+            assert len(out.splitlines()) == int(n_points) + 1
+            counts.append(dict(calls))
+        assert counts[0] == counts[1], name
+        assert counts[0][("upper_bound", "prepare")] == 1
+        assert counts[0][("oracle", "prepare")] == ("--certify" in extra)
 
 
 def test_simulate_command(specs, capsys):

@@ -9,8 +9,9 @@ outputs: `info`, `classify`, a 40-point `sweep` and a 20-point
 grid certifies with relative KKT residuals at most 2.3e-16, far inside
 the oracle's tolerance of 1e-6; test_certify_columns bounds them.
 
-The large-L commands (`asymptotic`, `gap-inf` and `sweep --asymptotic`)
-are pinned separately, error paths included; LARGE_L lists them.
+The large-L commands (`asymptotic`, `gap-inf`, `sweep --asymptotic` and
+`sweep --certify --asymptotic`) are pinned separately, error paths
+included; LARGE_L lists them.
 
 The outputs are compared byte for byte.  They are reference data, not
 snapshots to refresh: when one differs, the code moved a printed digit,
@@ -88,6 +89,9 @@ LARGE_L = {
     "asym_xi_lt_half.asymptotic": ("asymptotic", "asym_xi_lt_half", ASYM_SIZES, 0),
     "asym_xi_lt_half.gap-inf": ("gap-inf", "asym_xi_lt_half", [], 0),
     "asym_xi_lt_half.sweep-asymptotic": ("sweep", "asym_xi_lt_half", SWEEP_SIZES, 0),
+    # Oracle and large-L cells on one row.
+    "asym_xi_lt_half.certify-asymptotic":
+        ("sweep", "asym_xi_lt_half", ["--certify", *SWEEP_SIZES], 0),
     "gamgeqlam_1.asymptotic": ("asymptotic", "gamgeqlam_1", ASYM_SIZES, 2),
     "gamgeqlam_1.sweep-asymptotic": ("sweep", "gamgeqlam_1", SWEEP_SIZES, 2),
 }
@@ -181,7 +185,8 @@ def _half_unit(cell: str) -> float:
 # Every pinned sweep output with rate cells: pinned file -> command line.
 SWEEPS = {f"{name}.{command}": golden_argv(name, command)
           for name in RANGES for command in ("sweep", "certify")}
-SWEEPS["asym_xi_lt_half.sweep-asymptotic"] = large_l_argv("asym_xi_lt_half.sweep-asymptotic")
+SWEEPS.update((case, large_l_argv(case)) for case in (
+    "asym_xi_lt_half.sweep-asymptotic", "asym_xi_lt_half.certify-asymptotic"))
 
 
 @pytest.mark.parametrize("case", sorted(SWEEPS))

@@ -38,7 +38,7 @@ from symrd import (
     upper_bound_rate,
 )
 from symrd.model import side_view
-from symrd.oracle import CERTIFICATE_TOL, _slack_pair, distortion_constraint
+from symrd.oracle import CERTIFICATE_TOL, _slack_pair, _slack_terms, distortion_constraint
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -288,7 +288,7 @@ def test_slack_pair_is_the_exact_pair_rounded_once(
     assume(top - width < L * Fraction(D) < top)
     t0 = top - L * Fraction(D)
     s0 = width - t0
-    assert _slack_pair(L, D, big, small) == (float(s0), float(t0))
+    assert _slack_pair(L, D, _slack_terms(big, small)) == (float(s0), float(t0))
 
 
 # The benchmark's unit-fault input: L = 200 in small variance units.  An

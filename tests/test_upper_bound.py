@@ -300,3 +300,19 @@ def test_noiseless_rate_past_float_range_raises(D):
     # lambda_y / lambda_q overflows here: the rate is not returned as inf
     with pytest.raises(SymrdError):
         upper_bound_rate(spectral_decompose(NOISELESS), NOISELESS.L, D)
+
+
+@pytest.mark.parametrize("D", [1e-315, 1e-320, 5e-324])
+def test_noiseless_subnormal_slack_raises_precision_error(D, monkeypatch):
+    # L (D - d_min) = L D is subnormal: the solve names that slack before
+    # Newton's method spends its evaluations on too few digits.
+    calls = []
+    balance = symrd.upper_bound._balance
+
+    def counted(*args):
+        calls.append(args)
+        return balance(*args)
+    monkeypatch.setattr(symrd.upper_bound, "_balance", counted)
+    with pytest.raises(PrecisionError, match=r"smaller slack L \(D - d_min\)"):
+        upper_bound_rate(spectral_decompose(NOISELESS), NOISELESS.L, D)
+    assert len(calls) <= 2
