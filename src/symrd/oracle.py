@@ -287,6 +287,12 @@ def _multipliers(program: Program, reduced: tuple) -> tuple[float, float, float]
     # An envelope within _ACTIVE_TOL binds only if w2 >= 0 (box end near the top).
     if abs(d - env) <= _ACTIVE_TOL * env and w2 >= 0.0:
         return 0.0, w2, (L / (2.0 * d) * de + slope) / (a + b * de)
+    if b == 0.0:
+        # The delta equation reads L / (2 delta) = omega2, and the envelope
+        # is slack, so omega2 = 0.
+        raise DomainError(
+            f"no multipliers exist at delta = {d!r}: the small side carries "
+            "no source (b = 0) and the envelope is not active")
     w3 = L / (2.0 * d) / b
     if not abs(v - yb) <= _ACTIVE_TOL * yb:
         return 0.0, 0.0, w3
@@ -300,6 +306,8 @@ def recover_multipliers(
 
     The constraints active at p (to _ACTIVE_TOL) say which multipliers may
     be nonzero; the stationarity equations are solved exactly for them.
+    Raises DomainError where they have no solution: off the envelope when
+    the small side carries no source.
     """
     program = prepare(spectrum, L)
     return _multipliers(program, _reduced_at(program, p))

@@ -23,32 +23,40 @@ the printed identity within its statistical band.
 
 Cost: every covariance in the model has eigenvalue lambda on the all-ones
 direction and gamma on its L - 1 dimensional complement, so nothing needs
-an eigenbasis.  Samples are drawn in the coordinate basis: L standard
-normals T a row are shaped in place into sqrt(gamma) T
-+ (sqrt(lambda) - sqrt(gamma)) mean_row(T) 1, which has the model's law
-for every rho, so a row of (X, Z, Q) costs 3L normals; an estimator with
-gains g_lambda, g_gamma maps an observation row o to g_gamma o
-+ (g_lambda - g_gamma) mean_row(o) 1; and the log-det rate is invariant
-under the orthogonal change of basis, so the (Y, V) moments stay in the
+an eigenbasis.  Samples are drawn in the coordinate basis: a sample's L
+standard normals T are shaped in place into sqrt(gamma) T
++ (sqrt(lambda) - sqrt(gamma)) mean(T) 1, which has the model's law for
+every rho, so a sample of (X, Z, Q) costs 3L normals; an estimator with
+gains g_lambda, g_gamma maps an observation o to g_gamma o
++ (g_lambda - g_gamma) mean(o) 1; and the log-det rate is invariant under
+the orthogonal change of basis, so the (Y, V) moments stay in the
 coordinate basis.  n samples therefore cost O(nL) plus one Gram product
-per chunk.  Each block is streamed in chunks of CHUNK_ROWS rows into
-buffers it allocates once: the draws, shaped in place into X, Z and Q,
-[Y | V] and the error rows (Z's buffer takes X + Q once Y is formed).
-A chunk's buffers and its Gram product stay in cache, and a block returns
-only its three scalar sums and its Gram.  The blocks run on a thread
-pool of min(available CPUs, blocks) workers (numpy's RNG and array
-kernels release the GIL); a run of one block starts no pool.  Memory is
+per chunk.  Each block is streamed in chunks of CHUNK_ROWS samples, each
+one C-contiguous (3, L, rows) array of draws, a prefix of one buffer the
+block allocates once.  A sample is a column, so every mean, shaping step
+and error norm works on whole vectors of rows doubles, and every
+reduction over a sample's components is an np.add.reduce over axis 0.
+The draws are shaped in place into X, Z and Q.  The direct estimator's
+error is formed from X + Q in a second (L, rows) buffer; then Y and V are
+formed in place in Z's and Q's rows, so the chunk's last 2L rows are
+[Y; V], the routed error reuses that buffer, and the Gram product needs
+no copy.  A worker holds 4L doubles a sample, and a chunk's buffers and
+its Gram product stay in cache; a block returns only its three scalar
+sums and its Gram.  The blocks run on a thread pool of
+min(available CPUs, blocks) workers (numpy's RNG and array kernels
+release the GIL); a run of one block starts no pool.  Memory is
 O(workers CHUNK_ROWS L + L^2), not O(BLOCK_SIZE L).
 
 Reproducibility: sampling is partitioned into fixed-size blocks, each drawn
 from an SFC64 generator keyed through SeedSequence by (seed, block_index).
-The stream is chunk-major: each chunk draws its T_x, T_z and W_q in turn,
-so a block's samples depend on CHUNK_ROWS, and sample_model draws the
-same chunks as run_simulation.  Scalar sums are reduced in block-index
-order with math.fsum, and the moment matrices with one vectorised
-compensated (Neumaier) sum, so the result is bit-identical for a given
-seed under any worker count or schedule, and identical to 1e-12 under any
-re-partition of the block sums.
+The stream is chunk-major: each chunk fills its (3, L, rows) array with one
+standard_normal call, T_x, T_z and W_q in turn, each component by
+component.  So a block's samples depend on CHUNK_ROWS, and sample_model
+draws the same chunks as run_simulation.  Scalar sums are reduced in
+block-index order with math.fsum, and the moment matrices with one
+vectorised compensated (Neumaier) sum, so the result is bit-identical for
+a given seed under any worker count or schedule, and identical to 1e-12
+under any re-partition of the block sums.
 """
 
 from __future__ import annotations
@@ -68,10 +76,12 @@ from .upper_bound import distortion_of, rate_of
 
 # Samples per RNG block; also the reduction granularity.
 BLOCK_SIZE = 1 << 17
-# Rows drawn at a time within a block.  A worker's buffers take 6L doubles
-# a row (3L draws, 2L for [Y | V], L for the error rows): 2.4 MB at
-# L = 12, so a chunk's arrays stay in cache.
-CHUNK_ROWS = 4096
+# Samples drawn at a time within a block.  A worker's buffers take 4L
+# doubles a sample (3L draws, which end as X and [Y; V], and L for the
+# error rows): 0.8 MB at L = 12, within a 2 MB L2 cache.  Of 1024, 2048
+# and 4096, 1024 was slowest; 2048 and 4096 were even, and 2048 holds half
+# the memory.
+CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -120,22 +130,20 @@ def direct_mmse(spectrum: Spectrum, L: int, lambda_q: float) -> float:
             + (L - 1) * s.gamma_x * lambda_q / (s.gamma_x + lambda_q)) / L
 
 
-def _row_mean(a: np.ndarray) -> np.ndarray:
-    # A mat-vec: several times faster than a.mean(axis=1) on tall, narrow blocks.
-    return a @ np.full(a.shape[1], 1.0 / a.shape[1])
-
-
 def _shape_symmetric(t: np.ndarray, lam: float, gam: float) -> None:
-    """Shape standard-normal rows t in place into one symmetric Gaussian block.
+    """Shape standard-normal columns t, (L, rows), in place into one symmetric
+    Gaussian block.
 
-    sqrt(gam) T + (sqrt(lam) - sqrt(gam)) mean_row(T) 1 has covariance
-    gam (I - J/L) + lam J/L: eigenvalue lam on the all-ones direction and
-    gam on its complement, for every rho, negative ones included.
+    sqrt(gam) T + (sqrt(lam) - sqrt(gam)) mean(T) 1, the mean taken over
+    each sample's L components, has covariance gam (I - J/L) + lam J/L:
+    eigenvalue lam on the all-ones direction and gam on its complement, for
+    every rho, negative ones included.
     """
     root_gam = math.sqrt(gam)
-    shift = (math.sqrt(lam) - root_gam) * _row_mean(t)
+    shift = np.add.reduce(t, axis=0)
+    shift *= (math.sqrt(lam) - root_gam) / t.shape[0]
     t *= root_gam
-    t += shift[:, None]
+    t += shift
 
 
 def _block_generator(seed: int, block_index: int):
@@ -153,24 +161,27 @@ def _block_generator(seed: int, block_index: int):
 def _sample_block(config: SimConfig, spectrum: Spectrum, index: int, n_b: int):
     """Yield block index's n_b samples chunk by chunk, in the coordinate basis.
 
-    Each chunk of up to CHUNK_ROWS rows draws T_x, T_z and W_q, in that
-    order, as three contiguous (rows, L) standard-normal arrays into one
-    buffer that the block allocates once, shapes them in place and yields
-    the views (X, Z, Q).  The next chunk overwrites them, so a caller may
+    Each chunk of rows <= CHUNK_ROWS samples is one C-contiguous (3, L, rows)
+    array, a prefix of one buffer that the block allocates once, filled by
+    one standard_normal call: T_x, T_z and W_q in turn, each component by
+    component, so a sample is a column.  The chunk is shaped in place into
+    (X, Z, Q) and yielded.  The next chunk overwrites it, so a caller may
     too.
     """
     s = spectrum
+    L = config.spec.L
     rng = _block_generator(config.seed, index)
-    draws = np.empty((3, min(CHUNK_ROWS, n_b), config.spec.L))
+    buf = np.empty(3 * L * min(CHUNK_ROWS, n_b))
     root_q = math.sqrt(config.lambda_q)
     for start in range(0, n_b, CHUNK_ROWS):
-        x, z, q = draws[:, :min(CHUNK_ROWS, n_b - start)]
-        for t in (x, z, q):
-            rng.standard_normal(out=t)
+        rows = min(CHUNK_ROWS, n_b - start)
+        draws = buf[:3 * L * rows].reshape(3, L, rows)
+        rng.standard_normal(out=draws)
+        x, z, q = draws
         _shape_symmetric(x, s.lambda_x, s.gamma_x)
         _shape_symmetric(z, s.lambda_z, s.gamma_z)
         q *= root_q
-        yield x, z, q
+        yield draws
 
 
 def _blocks(n: int):
@@ -195,27 +206,33 @@ def sample_model(config: SimConfig):
     out = np.empty((3, config.n_samples, config.spec.L))
     done = 0
     for index, n_b in _blocks(config.n_samples):
-        for chunk in _sample_block(config, spectrum, index, n_b):
-            rows = chunk[0].shape[0]
-            for dest, a in zip(out, chunk):
-                dest[done:done + rows] = a
+        for draws in _sample_block(config, spectrum, index, n_b):
+            rows = draws.shape[2]
+            out[:, done:done + rows] = draws.transpose(0, 2, 1)
             done += rows
     return out[0], out[1], out[2]
 
 
 def _squared_error(x: np.ndarray, obs: np.ndarray, gain_lam: float,
                    gain_gam: float, err: np.ndarray) -> np.ndarray:
-    """Per-sample ||X - G obs||^2, G the symmetric matrix with eigenvalue
-    gain_lam on the all-ones direction and gain_gam on its complement.
+    """Per-sample ||X - G obs||^2 / L of columns x, obs, (L, rows); G the
+    symmetric matrix with eigenvalue gain_lam on the all-ones direction and
+    gain_gam on its complement.
 
-    G obs = gain_gam obs + (gain_lam - gain_gam) mean_row(obs) 1, so no
+    G obs = gain_gam obs + (gain_lam - gain_gam) mean(obs) 1, so no
     eigenbasis is needed; the norm is the one in the rotated basis.  err,
-    shaped like x, is overwritten.
+    shaped like x, is overwritten; it may be obs itself.
     """
+    L = x.shape[0]
+    shift = np.add.reduce(obs, axis=0)
+    shift *= (gain_lam - gain_gam) / L
     np.multiply(obs, -gain_gam, out=err)
     err += x
-    err -= ((gain_lam - gain_gam) * _row_mean(obs))[:, None]
-    return np.einsum("ij,ij->i", err, err)
+    err -= shift
+    err *= err
+    d = np.add.reduce(err, axis=0)
+    d /= L
+    return d
 
 
 def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray):
@@ -231,34 +248,33 @@ def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray):
 
 def _block_sums(config: SimConfig, spectrum: Spectrum, routed, direct,
                 index: int, n_b: int):
-    """Block index's (sum d, sum d^2, sum d_direct, Gram of [Y | V]).
+    """Block index's (sum d, sum d^2, sum d_direct, Gram of [Y; V]).
 
-    The block's stream is drawn CHUNK_ROWS rows at a time.  Chunk sums are
-    reduced with math.fsum and chunk Grams added in chunk order.
+    The block's stream is drawn CHUNK_ROWS samples at a time.  Chunk sums
+    are reduced with math.fsum and chunk Grams added in chunk order.
     """
     L = config.spec.L
-    size = min(CHUNK_ROWS, n_b)
-    # [Y | V] in one buffer, so the Gram product needs no copy.
-    yv_buf = np.empty((size, 2 * L))
-    err_buf = np.empty((size, L))
+    err_buf = np.empty(L * min(CHUNK_ROWS, n_b))
     d_sums, d_sq_sums, d2_sums = [], [], []
     gram = None
-    for x, z, q in _sample_block(config, spectrum, index, n_b):
-        rows = x.shape[0]
-        yv, err = yv_buf[:rows], err_buf[:rows]
-        y, v = yv[:, :L], yv[:, L:]
-        np.add(x, z, out=y)
-        np.add(y, q, out=v)
-        d = _squared_error(x, v, *routed, err) / L
-        np.add(x, q, out=z)
-        d2 = _squared_error(x, z, *direct, err) / L
+    for draws in _sample_block(config, spectrum, index, n_b):
+        x, z, q = draws
+        rows = draws.shape[2]
+        err = err_buf[:L * rows].reshape(L, rows)
+        np.add(x, q, out=err)
+        d2 = _squared_error(x, err, *direct, err)
+        # Y and V in Z's and Q's rows: the chunk's last 2L rows are [Y; V].
+        z += x
+        q += z
+        d = _squared_error(x, q, *routed, err)
         d_sums.append(float(np.sum(d)))
         d_sq_sums.append(float(np.sum(d * d)))
         d2_sums.append(float(np.sum(d2)))
+        yv = draws[1:].reshape(2 * L, rows)
         if gram is None:
-            gram = yv.T @ yv
+            gram = yv @ yv.T
         else:
-            gram += yv.T @ yv
+            gram += yv @ yv.T
     return math.fsum(d_sums), math.fsum(d_sq_sums), math.fsum(d2_sums), gram
 
 

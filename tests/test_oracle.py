@@ -193,6 +193,22 @@ def test_perturbed_point_breaks_stationarity():
         cert.stationarity_residual, 1e-300)
 
 
+def test_no_multipliers_off_the_envelope_without_small_source():
+    # rho_x = 1, so gamma_x = 0 and the small side carries no source
+    # (b = 0).  At the optimum the envelope binds; moved off it, the delta
+    # equation L / (2 delta) = omega2 has no solution with omega2 = 0, and
+    # recovery raises DomainError, not ZeroDivisionError.
+    spec = SourceSpec(64, 0.0034555755086436153, 1.0, 0.0017782865598957118,
+                      0.22063194066367603)
+    s, D = spectral_decompose(spec), 0.00037279432978391293
+    p, value, cert = solve_program(s, spec.L, D)
+    assert recover_multipliers(p, s, spec.L, D) == (
+        cert.omega1, cert.omega2, cert.omega3)
+    off = ProgramPoint(p.alpha * 1.01, p.beta, p.delta * 0.99)
+    with pytest.raises(DomainError, match="no multipliers"):
+        recover_multipliers(off, s, spec.L, D)
+
+
 def test_matching_region_program_equals_upper():
     # below the first composite threshold the program optimum coincides with
     # the achievable bound

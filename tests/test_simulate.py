@@ -263,16 +263,21 @@ def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z):
 
 def test_chunked_stream_matches_block_replay():
     # sample_model keeps every chunk of the stream; run_simulation reduces
-    # each chunk as it is drawn and then draws over it.  The second block
-    # ends in a partial chunk.
-    cfg = SimConfig(SourceSpec(7, 1.3, 0.35, 0.6, 0.2), 0.8,
-                    BLOCK_SIZE + 5000, 4243)
-    assert cfg.n_samples % BLOCK_SIZE % CHUNK_ROWS != 0
-    d, d2, rate = _eigenbasis_replay(cfg)
-    res = run_simulation(cfg)
-    assert abs(res.distortion_empirical - d) <= 1e-12 * d
-    assert abs(res.distortion_direct_empirical - d2) <= 1e-12 * d2
-    assert abs(res.rate_empirical - rate) <= 1e-10
+    # each chunk as it is drawn and then draws over it.  L = 2 ends in a
+    # partial chunk; at L = 12 the second block is partial and ends in a
+    # partial chunk; L = 240 with n = 6L is one block of one chunk, the
+    # shape of the benchmark's wide runs.
+    cases = [(2, 3 * CHUNK_ROWS + 5), (12, BLOCK_SIZE + 5000), (240, 6 * 240)]
+    assert cases[0][1] < BLOCK_SIZE and cases[0][1] % CHUNK_ROWS != 0
+    assert cases[1][1] % BLOCK_SIZE % CHUNK_ROWS != 0
+    assert cases[2][1] <= CHUNK_ROWS
+    for L, n in cases:
+        cfg = SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, n, 4243)
+        d, d2, rate = _eigenbasis_replay(cfg)
+        res = run_simulation(cfg)
+        assert abs(res.distortion_empirical - d) <= 1e-12 * d, L
+        assert abs(res.distortion_direct_empirical - d2) <= 1e-12 * d2, L
+        assert abs(res.rate_empirical - rate) <= 1e-10, L
 
 
 def test_stream_keys_give_uncorrelated_streams():
@@ -316,20 +321,20 @@ def test_memory_does_not_grow_with_block_size():
     L = 12
     cfg = SimConfig(SourceSpec(L, 1.0, 0.3, 0.5, 0.2), 0.7,
                     2 * BLOCK_SIZE + 1234, 1)
-    # A worker holds one buffer of 3L draws a row, shaped in place into X,
-    # Z and Q, one of 2L for [Y | V] and one of L for the error rows:
-    # 6L CHUNK_ROWS doubles, 2.4 MB at L = 12.  Add eight row vectors (row
-    # means, per-sample errors and their squares) and two 2L x 2L Grams
-    # (the running sum and one chunk's).  Three blocks run on at most
-    # three workers: 7.9 MB in all.  The 16 MB limit leaves room for
-    # interpreter allocations; one whole block of draws would take 38 MB
-    # by itself.
-    bound = 3 * ((6 * L + 8) * CHUNK_ROWS + 2 * (2 * L) ** 2) * 8
-    limit = 16e6
+    # A worker holds one (3, L, CHUNK_ROWS) buffer of draws, shaped in place
+    # into X, Z and Q, whose Z and Q rows then take Y and V, and one
+    # (L, CHUNK_ROWS) buffer for the error rows: 4L CHUNK_ROWS doubles,
+    # 0.8 MB at L = 12.  Add four row vectors (the mean shift, the two
+    # per-sample errors and their squares) and two 2L x 2L Grams (the
+    # running sum and one chunk's).  Three blocks run on three workers:
+    # 2.6 MB in all.  The 3 MB limit leaves room for interpreter
+    # allocations; one whole block of draws would take 38 MB by itself.
+    bound = 3 * ((4 * L + 4) * CHUNK_ROWS + 2 * (2 * L) ** 2) * 8
+    limit = 3e6
     assert bound < limit < BLOCK_SIZE * 3 * L * 8
     tracemalloc.start()
     try:
-        run_simulation(cfg)
+        symrd.simulate._simulate(cfg, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
