@@ -131,8 +131,7 @@ def direct_mmse(spectrum: Spectrum, L: int, lambda_q: float) -> float:
 
 
 def _shape_symmetric(t: np.ndarray, lam: float, gam: float) -> None:
-    """Shape standard-normal columns t, (L, rows), in place into one symmetric
-    Gaussian block.
+    """Shape standard-normal columns t, (L, rows), into a symmetric block in place.
 
     sqrt(gam) T + (sqrt(lam) - sqrt(gam)) mean(T) 1, the mean taken over
     each sample's L components, has covariance gam (I - J/L) + lam J/L:
