@@ -77,7 +77,6 @@ from .simulate import (
     SimResult,
     analytic_rate,
     run_simulation,
-    sample_model,
 )
 
 __version__ = "0.1.0"
@@ -98,6 +97,6 @@ __all__ = [
     "Condition", "AsymptoticRegime", "ExpansionCoefficients",
     "asymptotic_regime", "upper_asymptotic", "lower_asymptotic",
     "asymptotic_gap", "expansion_coefficients",
-    "SimConfig", "SimResult", "sample_model", "run_simulation", "analytic_rate",
+    "SimConfig", "SimResult", "run_simulation", "analytic_rate",
     "__version__",
 ]

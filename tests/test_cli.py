@@ -331,6 +331,19 @@ def test_simulate_command(specs, capsys):
     assert "matches: True" in err
 
 
+def test_simulate_prints_nan_rate_below_2l_samples(capsys):
+    # The CEO golden spec has L = 50: 60 samples leave the (Y, V) moment
+    # matrix singular, so the rate is not a number, on every seed.
+    ceo = str(Path(__file__).resolve().parent / "golden" / "ceo.spec")
+    for seed in ("1", "2", "3"):
+        rc, out, _ = _run(capsys, ["simulate", ceo, "--D", "0.5", "--n", "60",
+                                   "--seed", seed])
+        assert rc == 0
+        header, rows = _rows(out)
+        assert rows[0][header.index("rate_empirical")] == "nan"
+        assert rows[0][header.index("rate_closed_form")] == "1.36712345329"
+
+
 def test_simulate_deterministic(specs, capsys):
     args = ["simulate", specs["case1"], "--D", "0.85", "--n", "20000",
             "--seed", "11"]

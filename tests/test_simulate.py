@@ -5,7 +5,6 @@ frozen direct-MMSE constant was computed independently with an mpmath
 program at 50 decimal digits.
 """
 
-import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -22,24 +21,18 @@ from symrd import (
     SourceSpec,
     ValidationError,
     analytic_rate,
+    covariance_matrix,
     d_min,
     distortion_of,
     eigenbasis,
     from_eigenvalues,
     rate_of,
     run_simulation,
-    sample_model,
     solve_lambda_q,
     source_variance,
     spectral_decompose,
 )
-from symrd.simulate import (
-    BLOCK_SIZE,
-    CHUNK_ROWS,
-    _neumaier_add,
-    direct_mmse,
-    rate_bias_band,
-)
+from symrd.simulate import direct_mmse, rate_bias_band
 
 L_CASES = 10
 CASE1 = (0.8, 1.0, 5.0, 4.0)
@@ -86,24 +79,6 @@ def test_different_seeds_differ():
     assert r1.distortion_empirical != r2.distortion_empirical
 
 
-def test_sample_shapes_across_block_boundary():
-    n = BLOCK_SIZE + 17
-    cfg = _case1_config(n=n)
-    x, z, q = sample_model(cfg)
-    assert x.shape == (n, L_CASES)
-    assert z.shape == (n, L_CASES)
-    assert q.shape == (n, L_CASES)
-
-
-def test_block_layout_is_offset_invariant():
-    # the first samples of a long run equal the full short run: streams are
-    # keyed per block, not per run length
-    short = sample_model(_case1_config(n=BLOCK_SIZE))
-    long = sample_model(_case1_config(n=BLOCK_SIZE + 1000))
-    for a, b in zip(short, long):
-        assert np.array_equal(a, b[:BLOCK_SIZE])
-
-
 def test_empirical_distortion_within_band():
     cfg = _case1_config(n=200_000)
     res = run_simulation(cfg)
@@ -146,27 +121,67 @@ def test_analytic_rate_rejects_degenerate_sample():
         analytic_rate(_case1_config(n=5))
 
 
+def _reference_samples(spec, lambda_q, n, seed):
+    """n samples of (X, Z, Q) as (n, L) arrays, drawn one sample per row.
+
+    Each source is shaped by the symmetric square root of its covariance,
+    built on the eigenbasis; the stream is numpy's default generator, not
+    the simulator's.
+    """
+    L, s = spec.L, spectral_decompose(spec)
+    theta = eigenbasis(L)
+
+    def root(lam, gam):
+        return (theta * np.sqrt([lam] + [gam] * (L - 1))) @ theta.T
+
+    rng = np.random.default_rng([seed, 1])
+    x = rng.standard_normal((n, L)) @ root(s.lambda_x, s.gamma_x)
+    z = rng.standard_normal((n, L)) @ root(s.lambda_z, s.gamma_z)
+    return x, z, math.sqrt(lambda_q) * rng.standard_normal((n, L))
+
+
+def _reference_statistics(spec, lambda_q, x, z, q):
+    """Routed and direct mean distortions and the log-det rate of samples.
+
+    The estimators are the full MMSE gain matrices of the explicit
+    covariances; the rate takes three full log-determinants.
+    """
+    (n, L), eye = x.shape, np.eye(spec.L)
+    cx = covariance_matrix(L, spec.sigma_x_sq, spec.rho_x)
+    cy = cx + covariance_matrix(L, spec.sigma_z_sq, spec.rho_z)
+    routed = np.linalg.solve(cy + lambda_q * eye, cx)
+    direct = np.linalg.solve(cx + lambda_q * eye, cx)
+    y = x + z
+    v = y + q
+    d = float(np.sum((x - v @ routed) ** 2)) / (n * L)
+    d2 = float(np.sum((x - (x + q) @ direct) ** 2)) / (n * L)
+    m = np.hstack([y, v]).T @ np.hstack([y, v]) / n
+    rate = 0.5 * (np.linalg.slogdet(m[:L, :L])[1] + np.linalg.slogdet(m[L:, L:])[1]
+                  - np.linalg.slogdet(m)[1])
+    return d, d2, rate
+
+
 def test_sampled_covariance_matches_model():
     spec = SourceSpec(4, 1.0, 0.3, 0.25, 0.1)
-    cfg = SimConfig(spec, 1.0, 300_000, 8151)
-    x, z, q = sample_model(cfg)
-    cx = x.T @ x / cfg.n_samples
+    n = 300_000
+    x, z, q = _reference_samples(spec, 1.0, n, 8151)
+    cx = x.T @ x / n
     assert np.max(np.abs(np.diag(cx) - 1.0)) < 0.01
     off = cx[~np.eye(4, dtype=bool)]
     assert np.max(np.abs(off - 0.3)) < 0.01
-    cz = z.T @ z / cfg.n_samples
+    cz = z.T @ z / n
     assert np.max(np.abs(np.diag(cz) - 0.25)) < 0.01
-    cq = q.T @ q / cfg.n_samples
-    assert np.max(np.abs(cq - np.eye(4) * cfg.lambda_q)) < 0.01
+    cq = q.T @ q / n
+    assert np.max(np.abs(cq - np.eye(4))) < 0.01
 
 
 def test_negative_correlation_covariance():
     # rho < 0 shares the one sampling path; the sampled covariance must
     # still match the model
     spec = SourceSpec(3, 1.0, -0.3, 0.0, 0.0)
-    cfg = SimConfig(spec, 1.0, 300_000, 977)
-    x, _, _ = sample_model(cfg)
-    cx = x.T @ x / cfg.n_samples
+    n = 300_000
+    x, _, _ = _reference_samples(spec, 1.0, n, 977)
+    cx = x.T @ x / n
     assert np.max(np.abs(np.diag(cx) - 1.0)) < 0.01
     off = cx[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off + 0.3)) < 0.01
@@ -176,15 +191,36 @@ def test_fully_correlated_components_identical():
     # rho_x = 1 collapses the source to a single common factor (the noise
     # keeps gamma_y positive so the spec stays valid)
     spec = SourceSpec(4, 2.0, 1.0, 1.0, 0.0)
-    x, _, _ = sample_model(SimConfig(spec, 0.5, 1000, 3))
+    x, _, _ = _reference_samples(spec, 0.5, 1000, 3)
     for j in range(1, 4):
         assert np.array_equal(x[:, 0], x[:, j])
 
 
 def test_noiseless_observation_samples_zero_z():
     spec = SourceSpec(4, 2.0, 0.3, 0.0, 0.0)
-    _, z, _ = sample_model(SimConfig(spec, 0.5, 1000, 3))
+    _, z, _ = _reference_samples(spec, 0.5, 1000, 3)
     assert not z.any()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_statistics_match_per_sample_reference(sign):
+    # The means over 400 seeds of the three sampled statistics agree with
+    # those of the per-sample reference, and the spread of the distortion
+    # with std_err; n = 30 < 3L takes the trapezoidal factor, and
+    # n = 30 >= 2L keeps the rate defined.
+    L, lam_q, seeds = 12, 0.7, range(400)
+    spec = SourceSpec(L, 1.0, 0.5 if sign > 0 else -0.06, 0.6, 0.3 if sign > 0 else -0.04)
+    for n in (30, 200, 5000):
+        runs = [run_simulation(SimConfig(spec, lam_q, n, s)) for s in seeds]
+        ours = np.array([[r.distortion_empirical, r.distortion_direct_empirical,
+                          r.rate_empirical] for r in runs])
+        assert abs(ours[:, 0].std(ddof=1) / runs[0].std_err - 1.0) <= 0.15, n
+        ref = np.array([_reference_statistics(spec, lam_q,
+                                              *_reference_samples(spec, lam_q, n, s))
+                        for s in seeds])
+        se = np.sqrt((ours.var(axis=0, ddof=1) + ref.var(axis=0, ddof=1)) / len(seeds))
+        z = (ours.mean(axis=0) - ref.mean(axis=0)) / se
+        assert np.all(np.abs(z) <= 4.0), (n, z)
 
 
 def test_lambda_q_limits_of_closed_forms():
@@ -227,144 +263,135 @@ def test_distortion_consistent_with_noisier_channel():
 
 
 def _eigenbasis_replay(cfg):
-    """Distortions and rate of cfg, recomputed in the rotated basis.
+    """Distortions and rate of cfg, recomputed from its Bartlett factor.
 
-    Projects sample_model's arrays through eigenbasis, applies the gains as
-    a diagonal there, and takes the log-dets of the rotated (Y, V) moments.
+    Maps each mode's rows of T through the Cholesky factor of that mode's
+    explicit (Y, V, X) covariance, rotates the rows to the coordinate
+    basis with eigenbasis, and hands them to _reference_statistics as
+    samples: the Gram of those columns is the Gram of the run.
     """
-    L, n, lam_q = cfg.spec.L, cfg.n_samples, cfg.lambda_q
-    s = spectral_decompose(cfg.spec)
-    x, z, q = sample_model(cfg)
-    theta = eigenbasis(L)
-    xe, ye, qe = x @ theta, (x + z) @ theta, q @ theta
-    ve = ye + qe
-    routed = np.full(L, s.gamma_x / (s.gamma_y + lam_q))
-    routed[0] = s.lambda_x / (s.lambda_y + lam_q)
-    direct = np.full(L, s.gamma_x / (s.gamma_x + lam_q))
-    direct[0] = s.lambda_x / (s.lambda_x + lam_q)
-    d = float(np.sum((xe - routed * ve) ** 2)) / (n * L)
-    d2 = float(np.sum((xe - direct * (xe + qe)) ** 2)) / (n * L)
-    w = np.hstack([ye, ve])
-    m = w.T @ w / n
-    rate = 0.5 * (np.linalg.slogdet(m[:L, :L])[1] + np.linalg.slogdet(m[L:, L:])[1]
-                  - np.linalg.slogdet(m)[1])
-    return d, d2, rate
+    spec, L, n, lam_q = cfg.spec, cfg.spec.L, cfg.n_samples, cfg.lambda_q
+    s = spectral_decompose(spec)
+
+    def factor(vx, vz):
+        vy = vx + vz
+        return np.linalg.cholesky([[vy, vy, vx], [vy, vy + lam_q, vx], [vx, vx, vx]])
+
+    c = np.array([factor(s.lambda_x, s.lambda_z)]
+                 + [factor(s.gamma_x, s.gamma_z)] * (L - 1))
+    t = symrd.simulate._bartlett_factor(cfg.seed, 3 * L, n).reshape(3, L, -1)
+    y, v, x = eigenbasis(L) @ np.einsum("mab,bmk->amk", c, t)
+    # _reference_statistics divides by the sample count, not by T's width.
+    cols = [np.sqrt(x.shape[1] / n) * r.T for r in (x, y - x, v - y)]
+    return _reference_statistics(spec, lam_q, *cols)
 
 
-@pytest.mark.parametrize("rho_x, rho_z", [(0.35, 0.2), (-0.1, -0.05)])
-def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z):
-    cfg = SimConfig(SourceSpec(7, 1.3, rho_x, 0.6, rho_z), 0.8, 5000, 4242)
+def _assert_replayed(cfg):
     d, d2, rate = _eigenbasis_replay(cfg)
     res = run_simulation(cfg)
     assert abs(res.distortion_empirical - d) <= 1e-12 * d
     assert abs(res.distortion_direct_empirical - d2) <= 1e-12 * d2
-    assert abs(res.rate_empirical - rate) <= 1e-10
+    if cfg.n_samples >= 2 * cfg.spec.L:
+        assert abs(res.rate_empirical - rate) <= 1e-10
+    else:
+        assert math.isnan(res.rate_empirical)
 
 
-def test_chunked_stream_matches_block_replay():
-    # sample_model keeps every chunk of the stream; run_simulation reduces
-    # each chunk as it is drawn and then draws over it.  L = 2 ends in a
-    # partial chunk; at L = 12 the second block is partial and ends in a
-    # partial chunk; L = 240 with n = 6L is one block of one chunk, the
-    # shape of the benchmark's wide runs.
-    cases = [(2, 3 * CHUNK_ROWS + 5), (12, BLOCK_SIZE + 5000), (240, 6 * 240)]
-    assert cases[0][1] < BLOCK_SIZE and cases[0][1] % CHUNK_ROWS != 0
-    assert cases[1][1] % BLOCK_SIZE % CHUNK_ROWS != 0
-    assert cases[2][1] <= CHUNK_ROWS
-    for L, n in cases:
-        cfg = SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, n, 4243)
-        d, d2, rate = _eigenbasis_replay(cfg)
-        res = run_simulation(cfg)
-        assert abs(res.distortion_empirical - d) <= 1e-12 * d, L
-        assert abs(res.distortion_direct_empirical - d2) <= 1e-12 * d2, L
-        assert abs(res.rate_empirical - rate) <= 1e-10, L
+@pytest.mark.parametrize("rho_x, rho_z", [(0.35, 0.2), (-0.1, -0.05)])
+def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z):
+    _assert_replayed(SimConfig(SourceSpec(7, 1.3, rho_x, 0.6, rho_z), 0.8, 5000, 4242))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("L, n", [(12, 30), (12, 23), (2, 1), (3, 10**12), (240, 6 * 240)])
+def test_trapezoidal_factor_matches_eigenbasis_replay(L, n):
+    # 2L <= n < 3L and n < 2L take a trapezoidal factor (the rate is NaN
+    # below 2L); n = 1 is one column; n = 10^12 is far beyond any sample
+    # loop; L = 240 with n = 6L is the shape of the benchmark's wide runs.
+    _assert_replayed(SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, n, 4243))
 
 
 def test_stream_keys_give_uncorrelated_streams():
-    # The first chunks of neighbouring (seed, block) keys must not share a
-    # stream.  (5, 1) against (2^32 + 5, 0) guards the key encoding: read
-    # as one list of 32-bit words, the two keys would be equal.  No draw
-    # value is pinned: numpy does not promise standard_normal's stream
-    # across versions.
-    n = 3 * CHUNK_ROWS * 4
-    groups = [[(s, 0), (s, 1), (s + 1, 0)] for s in (0, 77)]
-    groups.append([(5, 1), (2**32 + 5, 0)])
-    for keys in groups:
-        draws = {key: symrd.simulate._block_generator(*key).standard_normal(n)
-                 for key in keys}
-        for a, b in itertools.combinations(keys, 2):
-            corr = np.corrcoef(draws[a], draws[b])[0, 1]
-            assert abs(corr) <= 5.0 / math.sqrt(n), (a, b)
+    # Neighbouring seeds must not share a stream.  5 against 2^32 + 5
+    # guards the key encoding: SeedSequence reads a seed as 32-bit words.
+    # No draw value is pinned: numpy does not promise standard_normal's
+    # stream across versions.
+    p, n = 300, 10**6
+    lower = np.tri(p, p, -1, dtype=bool)
+    for keys in ([0, 1], [77, 78], [5, 2**32 + 5]):
+        draws = [symrd.simulate._bartlett_factor(k, p, n)[lower] for k in keys]
+        corr = np.corrcoef(*draws)[0, 1]
+        assert abs(corr) <= 5.0 / math.sqrt(draws[0].size), keys
 
 
-def test_result_does_not_depend_on_worker_count():
-    # four blocks, the last one partial
-    cfg = SimConfig(SourceSpec(3, 1.0, 0.4, 0.5, -0.2), 0.7,
-                    3 * BLOCK_SIZE + 1234, 99)
-    one, two, three = (symrd.simulate._simulate(cfg, w) for w in (1, 2, 3))
-    assert one == two == three
-    assert run_simulation(cfg) == one
+def test_memory_does_not_grow_with_n():
+    # A run holds the 3L x min(n, 3L) factor and one L x min(n, 3L) error
+    # block, whatever n is.
+    def peak(n):
+        cfg = SimConfig(SourceSpec(12, 1.0, 0.3, 0.5, 0.2), 0.7, n, 1)
+        tracemalloc.start()
+        try:
+            run_simulation(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10**3)  # first-call allocations of numpy's linalg
+    assert peak(10**12) == peak(10**3) < 100_000
 
 
-def test_one_block_run_starts_no_pool(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("thread pool created")
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", forbidden)
-    res = symrd.simulate._simulate(_case1_config(n=BLOCK_SIZE), 4)
-    assert math.isfinite(res.distortion_empirical)
-    # the patch does reach a run of two blocks
-    with pytest.raises(AssertionError, match="thread pool"):
-        symrd.simulate._simulate(_case1_config(n=BLOCK_SIZE + 1), 2)
-
-
-def test_memory_does_not_grow_with_block_size():
+def test_singular_gram_gives_nan_rate():
+    # Fewer than 2L samples make the (Y, V) moment matrix exactly singular:
+    # the rate is NaN, never a finite number read off a rounded matrix.
     L = 12
-    cfg = SimConfig(SourceSpec(L, 1.0, 0.3, 0.5, 0.2), 0.7,
-                    2 * BLOCK_SIZE + 1234, 1)
-    # A worker holds one (3, L, CHUNK_ROWS) buffer of draws, shaped in place
-    # into X, Z and Q, whose Z and Q rows then take Y and V, and one
-    # (L, CHUNK_ROWS) buffer for the error rows: 4L CHUNK_ROWS doubles,
-    # 0.8 MB at L = 12.  Add four row vectors (the mean shift, the two
-    # per-sample errors and their squares) and two 2L x 2L Grams (the
-    # running sum and one chunk's).  Three blocks run on three workers:
-    # 2.6 MB in all.  The 3 MB limit leaves room for interpreter
-    # allocations; one whole block of draws would take 38 MB by itself.
-    bound = 3 * ((4 * L + 4) * CHUNK_ROWS + 2 * (2 * L) ** 2) * 8
-    limit = 3e6
-    assert bound < limit < BLOCK_SIZE * 3 * L * 8
-    tracemalloc.start()
-    try:
-        symrd.simulate._simulate(cfg, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit
+    spec = SourceSpec(L, 1.0, 0.3, 0.5, 0.2)
+    for n in (1, L, 2 * L - 1):
+        for seed in range(6):
+            cfg = SimConfig(spec, 0.7, n, seed)
+            assert math.isnan(run_simulation(cfg).rate_empirical), (n, seed)
+            with pytest.raises(PrecisionError, match="not positive definite"):
+                analytic_rate(cfg)
+    assert type(run_simulation(SimConfig(spec, 0.7, 2 * L, 0)).rate_empirical) is float
 
 
-def test_compensated_moment_sum_matches_fsum():
-    # three full blocks and a remainder, reduced as run_simulation does
-    L = 3
-    cfg = SimConfig(SourceSpec(L, 1.0, 0.4, 0.5, -0.2), 0.7,
-                    3 * BLOCK_SIZE + 1234, 99)
-    x, z, q = sample_model(cfg)
-    y = x + z
-    w = np.hstack([y, y + q])
-    blocks = [w[i:i + BLOCK_SIZE].T @ w[i:i + BLOCK_SIZE]
-              for i in range(0, cfg.n_samples, BLOCK_SIZE)]
-    assert len(blocks) == 4
-    total = comp = np.zeros((2 * L, 2 * L))
-    for b in blocks:
-        total, comp = _neumaier_add(total, comp, b)
-    want = np.array([[math.fsum(b[i, j] for b in blocks) for j in range(2 * L)]
-                     for i in range(2 * L)])
-    assert np.max(np.abs((total + comp) - want) / np.abs(want)) <= 1e-12
-    # the compensation recovers what plain summation loses
-    terms = [np.array([1e16]), np.array([1.0]), np.array([-1e16]), np.array([1.0])]
-    total = comp = np.zeros(1)
-    for t in terms:
-        total, comp = _neumaier_add(total, comp, t)
-    assert sum(t[0] for t in terms) != 2.0
-    assert (total + comp)[0] == 2.0
+def test_tiny_scale_is_the_unit_problem_scaled():
+    # Every distortion is of degree 1 in the variances and every rate of
+    # degree 0; c = 4^-330 is an exact power of four, so the scaled run
+    # draws the same factor and nothing underflows.
+    c = 4.0 ** -330
+    unit = run_simulation(SimConfig(SourceSpec(10, 1.0, 0.3, 2.0, 0.5), 0.9, 10**5, 7))
+    tiny = run_simulation(SimConfig(SourceSpec(10, c, 0.3, 2.0 * c, 0.5), 0.9 * c, 10**5, 7))
+    for name in ("distortion_empirical", "distortion_closed_form", "std_err",
+                 "distortion_direct_empirical", "distortion_direct_closed_form"):
+        want = c * getattr(unit, name)
+        assert abs(getattr(tiny, name) - want) <= 1e-15 * want, name
+    assert abs(tiny.rate_empirical - unit.rate_empirical) <= 1e-12
+    assert abs(tiny.rate_closed_form - unit.rate_closed_form) <= 1e-12
+    assert tiny.matches_routed_identity == unit.matches_routed_identity
+    # at a scale that is not a power of four nothing reads 0 either
+    res = run_simulation(SimConfig(SourceSpec(10, 1e-200, 0.3, 2e-200, 0.5), 0.9e-200,
+                                   10**5, 7))
+    assert res.std_err > 0.0 and res.distortion_direct_closed_form > 0.0
+    assert res.matches_routed_identity
+
+
+@pytest.mark.parametrize("spec", [
+    SourceSpec(12, 1.0, -1.0 / 11.0, 0.5, 0.2),   # lambda_x = 0
+    SourceSpec(12, 1.0, 1.0, 0.5, 0.2),           # gamma_x = 0
+    SourceSpec(12, 1.0, -0.09, 0.0, 0.0),         # noiseless, rho near -1/(L-1)
+    SourceSpec(12, 1.0, 0.99, 0.0, 0.0),          # noiseless, rho near 1
+    SourceSpec(50, 1.0, 1.0, 2.0, 0.0),           # the CEO problem
+], ids=["rho-low", "rho-one", "noiseless-low", "noiseless-high", "ceo"])
+def test_closed_forms_hold_at_n_1e12(spec):
+    # At n = 10^12 std_err is a few parts per million of the distortion,
+    # so both closed forms are held to that band.
+    s = spectral_decompose(spec)
+    lam_q = solve_lambda_q(s, spec.L, 0.5 * (d_min(s, spec.L) + source_variance(s, spec.L)))
+    res = run_simulation(SimConfig(spec, lam_q, 10**12, 2024))
+    d = distortion_of(s, spec.L, lam_q)
+    assert res.std_err <= 1e-5 * d
+    assert abs(res.distortion_empirical - d) <= 5.0 * res.std_err
+    assert abs(res.distortion_direct_empirical - direct_mmse(s, spec.L, lam_q)) <= 5.0 * res.std_err
 
 
 def test_run_needs_no_eigenbasis(monkeypatch):
