@@ -152,9 +152,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     def side(vx: float, vz: float, vy: float) -> tuple:
         # The mode's row factors and its two estimator gains, as ratios so
         # that none underflows.
-        root_y = math.sqrt(vy)
-        return (root_y, vx / root_y, math.sqrt(vx * (vz / vy)), vx / (vy + lam_q),
-                vx / (vx + lam_q))
+        ry = math.sqrt(vy)
+        return ry, vx / ry, math.sqrt(vx * (vz / vy)), vx / (vy + lam_q), vx / (vx + lam_q)
 
     root_y, x_from_y, x_own, routed, direct = (
         _modes(lam, gam, L) for lam, gam in zip(side(s.lambda_x, s.lambda_z, s.lambda_y),

@@ -6,7 +6,6 @@ program at 50 decimal digits.
 """
 
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -146,7 +145,8 @@ def _reference_statistics(spec, lambda_q, x, z, q):
     The estimators are the full MMSE gain matrices of the explicit
     covariances; the rate takes three full log-determinants.
     """
-    (n, L), eye = x.shape, np.eye(spec.L)
+    n, L = x.shape
+    eye = np.eye(L)
     cx = covariance_matrix(L, spec.sigma_x_sq, spec.rho_x)
     cy = cx + covariance_matrix(L, spec.sigma_z_sq, spec.rho_z)
     routed = np.linalg.solve(cy + lambda_q * eye, cx)
@@ -155,7 +155,8 @@ def _reference_statistics(spec, lambda_q, x, z, q):
     v = y + q
     d = float(np.sum((x - v @ routed) ** 2)) / (n * L)
     d2 = float(np.sum((x - (x + q) @ direct) ** 2)) / (n * L)
-    m = np.hstack([y, v]).T @ np.hstack([y, v]) / n
+    w = np.hstack([y, v])
+    m = w.T @ w / n
     rate = 0.5 * (np.linalg.slogdet(m[:L, :L])[1] + np.linalg.slogdet(m[L:, L:])[1]
                   - np.linalg.slogdet(m)[1])
     return d, d2, rate
@@ -337,7 +338,9 @@ def test_memory_does_not_grow_with_n():
             tracemalloc.stop()
 
     peak(10**3)  # first-call allocations of numpy's linalg
-    assert peak(10**12) == peak(10**3) < 100_000
+    small, big = peak(10**3), peak(10**12)
+    # equal up to a few small interpreter objects (measured: 16 bytes apart)
+    assert abs(big - small) <= 1024 and big < 100_000
 
 
 def test_singular_gram_gives_nan_rate():
