@@ -23,9 +23,7 @@ from .errors import (
 from .model import (
     SourceSpec,
     Spectrum,
-    covariance_matrix,
     d_min,
-    eigenbasis,
     from_eigenvalues,
     parse_spec_text,
     source_variance,
@@ -76,6 +74,8 @@ from .simulate import (
     SimConfig,
     SimResult,
     analytic_rate,
+    covariance_matrix,
+    eigenbasis,
     run_simulation,
 )
 

@@ -17,7 +17,7 @@ together with the limit distortions
     d_th{1,2}_inf = d_th0_inf - (1 ± sqrt(1 - 4 xi^2)) / 2 * gamma_x^2 / gamma_y
                      (defined when xi < 1/2; + for d_th1).
 
-asymptotic_regime validates and classifies a spec once and returns an
+asymptotic_regime classifies a spec once and returns an
 AsymptoticRegime holding the spec, these scales and the limit distortions;
 every evaluator here takes that regime.
 
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import SourceSpec, validate_spec
+from .model import SourceSpec
 
 # Relative half-width (in units of sigma_x^2) of the dispatch window around
 # d_th0_inf inside which the sqrt(L) clause is selected.
@@ -99,17 +99,14 @@ class ExpansionCoefficients:
 
 
 def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
-    """Validate and classify a spec, and compute its limit distortions.
+    """Classify a spec and compute its limit distortions.
 
     Raises
     ------
-    ValidationError
-        If the spec breaks a model invariant (see model.validate_spec).
     DomainError
         If a correlation is outside [0, 1], or rho_x = 1 with a positive
         mixture (xi is undefined there and no limit is assigned).
     """
-    validate_spec(spec)
     sx2, sz2 = spec.sigma_x_sq, spec.sigma_z_sq
     rx, rz = spec.rho_x, spec.rho_z
     if rx < 0.0 or rz < 0.0 or rx > 1.0 or rz > 1.0:

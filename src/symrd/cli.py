@@ -16,7 +16,8 @@ All numeric CSV fields are printed with 12 significant digits and a '.'
 decimal separator regardless of locale; identical invocations produce
 byte-identical standard output.  Rates are in nats unless --bits is given,
 which divides rate columns by ln 2 at display time only.  Exit codes:
-0 success, 2 usage/validation errors, 3 numerical-convergence failures.
+0 success, 2 usage/validation errors, 3 numerical failures (convergence,
+precision, or float64 overflow and underflow at extreme scales).
 Diagnostics go to standard error and never use color (NO_COLOR is always
 honored because no color is ever emitted).
 """
@@ -30,7 +31,7 @@ import sys
 
 from . import asymptotics, lower_bound, oracle, simulate, upper_bound
 from .errors import ConvergenceError, DomainError, PrecisionError, ValidationError
-from .model import d_min, parse_spec_text, source_variance, spectral_decompose
+from .model import parse_spec_text, spectral_decompose
 
 CSV_FMT = "%.12g"
 # A sweep row's D, upper, lower, gap and piece cells, in one format operation.
@@ -106,9 +107,8 @@ def _asym_cells(regime, sizes: list[int], D: float, scale: float) -> list[str]:
     return cells
 
 
-def _check_range(spectrum, L: int, d_start: float, d_end: float) -> None:
-    floor = d_min(spectrum, L)
-    ceil = source_variance(spectrum, L)
+def _check_range(regime, d_start: float, d_end: float) -> None:
+    floor, ceil = regime.prepared.d_min, regime.prepared.sigma_x_sq
     if not (floor < d_start and d_end < ceil):
         raise ValidationError(
             f"sweep range [{d_start!r}, {d_end!r}] not inside the valid "
@@ -130,9 +130,8 @@ _REGIME_NAMES = (("mu1", "mu2", "d_th_1", "d_th_2", "d_th_c"),
                  ("nu1", "nu2", "d_th_1_hat", "d_th_2_hat", "d_th_c_hat"))
 
 
-def _regime_pairs(spectrum, L: int) -> list:
+def _regime_pairs(r) -> list:
     """The branch, then each root and threshold the regime defines."""
-    r = lower_bound.classify(spectrum, L)
     values = (r.m1, r.m2, r.d_th_1, r.d_th_2, r.d_th_c)
     return [("branch", r.branch.value)] + [
         (name, value) for name, value in zip(_REGIME_NAMES[r.hatted], values)
@@ -142,20 +141,21 @@ def _regime_pairs(spectrum, L: int) -> list:
 def cmd_info(args) -> int:
     spec = _load_spec(args.spec_file)
     s = spectral_decompose(spec)
+    regime = lower_bound.classify(s, spec.L)
     _print_report([("L", spec.L),
                    ("lambda_x", s.lambda_x), ("gamma_x", s.gamma_x),
                    ("lambda_z", s.lambda_z), ("gamma_z", s.gamma_z),
                    ("lambda_y", s.lambda_y), ("gamma_y", s.gamma_y),
                    ("lambda_w", s.lambda_w),
-                   ("sigma_x_sq", source_variance(s, spec.L)),
-                   ("d_min", d_min(s, spec.L))]
-                  + _regime_pairs(s, spec.L))
+                   ("sigma_x_sq", regime.prepared.sigma_x_sq),
+                   ("d_min", regime.prepared.d_min)]
+                  + _regime_pairs(regime))
     return 0
 
 
 def cmd_classify(args) -> int:
     spec = _load_spec(args.spec_file)
-    _print_report(_regime_pairs(spectral_decompose(spec), spec.L))
+    _print_report(_regime_pairs(lower_bound.classify(spectral_decompose(spec), spec.L)))
     return 0
 
 
@@ -163,7 +163,8 @@ def cmd_sweep(args) -> int:
     spec = _load_spec(args.spec_file)
     s = spectral_decompose(spec)
     L = spec.L
-    _check_range(s, L, args.d_start, args.d_end)
+    converse = lower_bound.classify(s, L)
+    _check_range(converse, args.d_start, args.d_end)
     grid = _grid(args)
     asym_ls = _sizes(args.asymptotic, "--asymptotic") if args.asymptotic else []
     regime = asymptotics.asymptotic_regime(spec) if asym_ls else None
@@ -182,7 +183,6 @@ def cmd_sweep(args) -> int:
         header = [h.replace("_nats", "_bits") for h in header]
     print(",".join(header))
 
-    converse = lower_bound.classify(s, L)
     program = oracle.prepare(s, L) if args.certify else None
     for D in grid:
         upper, lower, piece = lower_bound.evaluate(converse, D)
@@ -332,6 +332,11 @@ def main(argv=None) -> int:
         return 2
     except (ConvergenceError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ArithmeticError, ValueError) as exc:
+        # float64 giving out (overflow, division by an underflowed zero, a
+        # domain error from a rounded argument) at extreme variance scales
+        print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import upper_bound
 from .errors import DomainError
-from .model import Spectrum, check_distortion, distortion_interval, side_view, slacks
+from .model import Spectrum, outside_interval, side_view, slacks
 
 #: Piece labels used in reports and CSV output.
 PIECE_RBAR = "Rbar"
@@ -133,14 +133,16 @@ def _require_pos(value: float, what: str) -> float:
     return value
 
 
-def _rc(label: str, big, small, L: int, slack: float) -> float:
-    """R_1^c or R_2^c (by label) over the given orientation, unclamped.
+def _rc(label: str, big, small, prepared: upper_bound.Prepared, D: float) -> float:
+    """R_1^c or R_2^c (by label) over the given orientation at D, unclamped.
 
-    slack is L (D - d_min) as model.slacks forms it.  R_2^c's denominator
-    subtracts m_b x_b^2 / y_b from it, and R_1^c's adds
-    m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.
+    Its slack is L (D - d_min) as model.slacks forms it from the prepared
+    constants.  R_2^c's denominator subtracts m_b x_b^2 / y_b from it, and
+    R_1^c's adds m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.
     """
     (xb, yb, mb), (xs, ys, ms) = big, small
+    p, L = prepared, prepared.L
+    slack, _ = slacks(L, D, p.d_min, p.sigma_x_sq, p.total)
     first = label in (PIECE_R1C, PIECE_R1C_HAT)
     if first:
         den = slack + mb * xb ** 2 * ys / (yb * (yb - ys))
@@ -170,8 +172,7 @@ def rc_piece(piece: str, spectrum: Spectrum, L: int, D: float) -> float:
     if piece not in _PIECES[0] + _PIECES[1]:
         raise DomainError(f"unknown piece label {piece!r}")
     big, small, _ = side_view(spectrum, L, hatted=piece in _PIECES[1])
-    below, _ = slacks(L, D, *distortion_interval(spectrum, L))
-    return _rc(piece, big, small, L, below)
+    return _rc(piece, big, small, upper_bound.prepare(spectrum, L), D)
 
 
 # --- classification and dispatch ---------------------------------------------
@@ -210,9 +211,7 @@ def _dispatch(regime: Regime, D: float) -> tuple[str, float | None]:
     # With x_big = 0 (case 4) the other side's family has a vanishing log
     # argument; this side's is the finite reading.
     piece = _PIECES[r.hatted][0 if D <= r.d_th_c else 1]
-    p = r.prepared
-    below, _ = slacks(p.L, D, p.d_min, p.sigma_x_sq, p.total)
-    return piece, _rc(piece, r.big, r.small, p.L, below)
+    return piece, _rc(piece, r.big, r.small, r.prepared, D)
 
 
 def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
@@ -230,6 +229,15 @@ def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
     return upper, upper if lower is None else lower, piece
 
 
+def _checked(spectrum: Spectrum, L: int, D: float) -> Regime:
+    """classify's Regime; DomainError unless D lies inside its (d_min, sigma_x_sq)."""
+    regime = classify(spectrum, L)
+    p = regime.prepared
+    if not p.d_min < D < p.sigma_x_sq:
+        raise outside_interval(D, p.d_min, p.sigma_x_sq)
+    return regime
+
+
 def lower_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     """Lower bound on the sum rate in nats at per-component distortion D.
 
@@ -237,9 +245,11 @@ def lower_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     provably coincide, the composite family elsewhere.  Raises DomainError
     unless D lies in the open interval (d_min, sigma_x_sq).
     """
-    check_distortion(spectrum, L, D)
-    _, lower = _dispatch(classify(spectrum, L), D)
-    return upper_bound.upper_bound_rate(spectrum, L, D) if lower is None else lower
+    regime = _checked(spectrum, L, D)
+    _, lower = _dispatch(regime, D)
+    if lower is None:
+        lower = upper_bound.rate_of(spectrum, L, upper_bound.solve(regime.prepared, D))
+    return lower
 
 
 def lower_bound_piece(spectrum: Spectrum, L: int, D: float) -> str:
@@ -248,5 +258,4 @@ def lower_bound_piece(spectrum: Spectrum, L: int, D: float) -> str:
     One of "Rbar", "R1c", "R2c", "R1c_hat", "R2c_hat"; same domain rules
     as lower_bound_rate.
     """
-    check_distortion(spectrum, L, D)
-    return _dispatch(classify(spectrum, L), D)[0]
+    return _dispatch(_checked(spectrum, L, D), D)[0]

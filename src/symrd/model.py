@@ -14,8 +14,9 @@ matrix).  Every such matrix has the two-eigenvalue spectrum
 and all downstream rate computations work directly on the eigenvalue pairs
 (lambda_x, gamma_x) and (lambda_y, gamma_y) = (lambda_x + lambda_z,
 gamma_x + gamma_z).  This module owns the conversion in both directions,
-validity checking, the distortion floor d_min, and the plain-text spec file
-format consumed by the command line tool.
+validity checking (a SourceSpec is valid by construction), the distortion
+floor d_min, and the plain-text spec file format consumed by the command
+line tool.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, ValidationError
 
@@ -41,6 +40,9 @@ VALIDATION_SLACK = 1e-12
 @dataclass(frozen=True)
 class SourceSpec:
     """Correlation-form description of the source/noise pair.
+
+    Valid by construction: building one runs validate_spec, so an invalid
+    parameter set raises ValidationError before a SourceSpec exists.
 
     Parameters
     ----------
@@ -66,6 +68,7 @@ class SourceSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "L", _as_int(self.L))
+        validate_spec(self)
 
     @property
     def sigma_y_sq(self) -> float:
@@ -135,6 +138,7 @@ def _check_rho(name: str, rho: float, L: int) -> None:
 def validate_spec(spec: SourceSpec) -> None:
     """Check all model invariants, raising ValidationError on the first failure.
 
+    SourceSpec runs it when built, so every SourceSpec has passed it.
     The checks are: L is an integer >= 2 (SourceSpec stores an integer of
     any type but bool as a Python int); the four other values are
     finite; sigma_x_sq > 0; sigma_z_sq >= 0 (up to VALIDATION_SLACK
@@ -153,7 +157,7 @@ def validate_spec(spec: SourceSpec) -> None:
         raise ValidationError(f"sigma_z_sq must be nonnegative, got {spec.sigma_z_sq!r}")
     _check_rho("rho_x", spec.rho_x, spec.L)
     _check_rho("rho_z", spec.rho_z, spec.L)
-    s = spectral_decompose(spec, _validate=False)
+    s = spectral_decompose(spec)
     if not (s.lambda_y > 0.0 and s.gamma_y > 0.0):
         raise ValidationError(
             "observation spectrum is degenerate: needs min(lambda_y, gamma_y) > 0, "
@@ -169,15 +173,11 @@ def _eig_pair(L: int, sigma_sq: float, rho: float) -> tuple[float, float]:
     return max(lam, 0.0), max(gam, 0.0)
 
 
-def spectral_decompose(spec: SourceSpec, _validate: bool = True) -> Spectrum:
+def spectral_decompose(spec: SourceSpec) -> Spectrum:
     """Map a correlation-form spec to its covariance eigenvalues.
 
-    Returns a Spectrum with lambda/gamma for X, Z and Y = X + Z.  Validates
-    the spec first (raise ValidationError) unless ``_validate`` is False,
-    which is used internally to break the validate/decompose cycle.
+    Returns a Spectrum with lambda/gamma for X, Z and Y = X + Z.
     """
-    if _validate:
-        validate_spec(spec)
     lx, gx = _eig_pair(spec.L, spec.sigma_x_sq, spec.rho_x)
     sz = max(spec.sigma_z_sq, 0.0)
     lz, gz = _eig_pair(spec.L, sz, spec.rho_z) if sz > 0.0 else (0.0, 0.0)
@@ -240,9 +240,7 @@ def from_eigenvalues(
     lo = -1.0 / (L - 1)
     rho_x = min(max(rho_x, lo), 1.0)
     rho_z = min(max(rho_z, lo), 1.0)
-    spec = SourceSpec(L, sigma_x_sq, rho_x, sigma_z_sq, rho_z)
-    validate_spec(spec)
-    return spec
+    return SourceSpec(L, sigma_x_sq, rho_x, sigma_z_sq, rho_z)
 
 
 def d_min(spectrum: Spectrum, L: int) -> float:
@@ -273,23 +271,17 @@ def source_weights(spectrum: Spectrum, L: int) -> tuple[float, float]:
             (L - 1) * s.gamma_x * (s.gamma_x / s.gamma_y))
 
 
-def distortion_interval(spectrum: Spectrum, L: int) -> tuple[float, float, float]:
-    """(d_min, sigma_x^2, L (sigma_x^2 - d_min)), the last as the sum of source_weights."""
-    return d_min(spectrum, L), source_variance(spectrum, L), sum(source_weights(spectrum, L))
-
-
 def slacks(L: int, D: float, floor: float, ceil: float, total: float) -> tuple[float, float]:
     """(L (D - d_min), L (sigma_x^2 - D)): where L D sits inside L (floor, ceil).
 
-    floor, ceil and total are distortion_interval's; callers pass what they
-    already hold.  The
-    smaller slack is formed from D and its own end, the other as its
-    complement to total, so neither loses digits and the pair sums to total
-    to its rounding.  (L floor and L ceil are rounded apart by up to
-    eps L sigma_x^2, many ulps of a slack when d_min is near sigma_x^2.)
-    The one float64 form of the two, shared by the lambda_q solve and the
-    composite rates; its error is the rounding of d_min or sigma_x^2, a few
-    ulps of D.
+    floor, ceil and total are d_min, sigma_x^2 and L (sigma_x^2 - d_min)
+    as upper_bound.prepare holds them.  The smaller slack is formed from D
+    and its own end, the other as its complement to total, so neither
+    loses digits and the pair sums to total to its rounding.  (L floor and
+    L ceil are rounded apart by up to eps L sigma_x^2, many ulps of a
+    slack when d_min is near sigma_x^2.)  The one float64 form of the two,
+    shared by the lambda_q solve and the composite rates; its error is the
+    rounding of d_min or sigma_x^2, a few ulps of D.
     """
     below, above = L * (D - floor), L * (ceil - D)
     if below <= above:
@@ -304,15 +296,6 @@ def source_variance(spectrum: Spectrum, L: int) -> float:
     the nontrivial distortion interval (d_min, sigma_x^2).
     """
     return (spectrum.lambda_x + (L - 1) * spectrum.gamma_x) / L
-
-
-def check_distortion(spectrum: Spectrum, L: int, D: float) -> tuple[float, float]:
-    """Return (d_min, sigma_x_sq), or raise DomainError unless D lies strictly between."""
-    floor = d_min(spectrum, L)
-    ceil = source_variance(spectrum, L)
-    if not (floor < D < ceil):
-        raise outside_interval(D, floor, ceil)
-    return floor, ceil
 
 
 def outside_interval(D: float, floor: float, ceil: float) -> DomainError:
@@ -337,34 +320,6 @@ def side_view(spectrum: Spectrum, L: int,
     lam = (s.lambda_x, s.lambda_y, 1)
     gam = (s.gamma_x, s.gamma_y, L - 1)
     return (gam, lam, True) if hatted else (lam, gam, False)
-
-
-def covariance_matrix(L: int, sigma_sq: float, rho: float) -> np.ndarray:
-    """Explicit L x L symmetric covariance sigma^2 [(1 - rho) I + rho J]."""
-    return sigma_sq * ((1.0 - rho) * np.eye(L) + rho * np.ones((L, L)))
-
-
-def eigenbasis(L: int) -> np.ndarray:
-    """Deterministic orthonormal basis diagonalizing every symmetric covariance.
-
-    Column 0 is 1/sqrt(L) * (1, ..., 1); column k >= 1 is the reverse
-    Helmert vector (0, ..., 0, m, -1, ..., -1) / sqrt(m (m + 1)) with
-    m = L - k, whose entry m sits at index k - 1.  These are exactly the
-    vectors Gram-Schmidt produces from the standard basis after the
-    all-ones column, so the same L always yields the same matrix.  For any
-    Spectrum s of size L,
-
-        eigenbasis(L).T @ covariance_matrix(L, sigma_sq, rho) @ eigenbasis(L)
-            == diag(lambda, gamma, ..., gamma).
-    """
-    k = np.arange(1, L)
-    m = (L - k).astype(float)
-    norm = np.sqrt(m * (m + 1.0))
-    theta = np.empty((L, L))
-    theta[:, 0] = 1.0 / math.sqrt(L)
-    theta[:, 1:] = np.where(np.arange(L)[:, None] >= k, -1.0, 0.0) / norm
-    theta[k - 1, k] = m / norm
-    return theta
 
 
 # --- spec file format -------------------------------------------------------
@@ -440,10 +395,8 @@ def parse_spec_text(text: str, name: str = "<spec>") -> SourceSpec:
         missing = [k for k in _CORR_KEYS if k not in values]
         if missing:
             raise ValidationError(f"{name}: incomplete correlation family, missing {missing}")
-        spec = SourceSpec(L, values["sigma_x_sq"], values["rho_x"],
+        return SourceSpec(L, values["sigma_x_sq"], values["rho_x"],
                           values["sigma_z_sq"], values["rho_z"])
-        validate_spec(spec)
-        return spec
     if have_eig:
         missing = [k for k in _EIG_KEYS if k not in values]
         if missing:

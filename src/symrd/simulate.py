@@ -58,20 +58,27 @@ import numpy as np
 
 from .errors import PrecisionError, ValidationError
 from .model import SourceSpec, Spectrum, spectral_decompose
-# Not called here: symbench's traced run binds symrd.simulate.eigenbasis as
-# a span target, so the name stays importable from this module.
-from .model import eigenbasis  # noqa: F401
 from .upper_bound import distortion_of, rate_of
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation setup: model, test-noise level, sample count, seed."""
+    """One simulation setup: model, test-noise level, sample count, seed.
+
+    Valid by construction: the spec is (see SourceSpec), and building one
+    raises ValidationError unless lambda_q > 0 and n_samples >= 1.
+    """
 
     spec: SourceSpec
     lambda_q: float
     n_samples: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if not self.lambda_q > 0.0:
+            raise ValidationError(f"lambda_q must be positive, got {self.lambda_q!r}")
+        if self.n_samples < 1:
+            raise ValidationError(f"n_samples must be at least 1, got {self.n_samples!r}")
 
 
 @dataclass(frozen=True)
@@ -95,19 +102,41 @@ class SimResult:
     matches_routed_identity: bool
 
 
-def _validate_config(config: SimConfig) -> Spectrum:
-    if not config.lambda_q > 0.0:
-        raise ValidationError(f"lambda_q must be positive, got {config.lambda_q!r}")
-    if config.n_samples < 1:
-        raise ValidationError(f"n_samples must be at least 1, got {config.n_samples!r}")
-    return spectral_decompose(config.spec)
-
-
 def direct_mmse(spectrum: Spectrum, L: int, lambda_q: float) -> float:
     """Per-component MMSE of estimating X from X + Q (source-eigenvalue form)."""
     s = spectrum
     return (lambda_q * (s.lambda_x / (s.lambda_x + lambda_q))
             + (L - 1) * lambda_q * (s.gamma_x / (s.gamma_x + lambda_q))) / L
+
+
+# The model in coordinates, for checks of the eigenbasis form; a run needs
+# neither, since it works in the eigenbasis throughout.
+def covariance_matrix(L: int, sigma_sq: float, rho: float) -> np.ndarray:
+    """Explicit L x L symmetric covariance sigma^2 [(1 - rho) I + rho J]."""
+    return sigma_sq * ((1.0 - rho) * np.eye(L) + rho * np.ones((L, L)))
+
+
+def eigenbasis(L: int) -> np.ndarray:
+    """Deterministic orthonormal basis diagonalizing every symmetric covariance.
+
+    Column 0 is 1/sqrt(L) * (1, ..., 1); column k >= 1 is the reverse
+    Helmert vector (0, ..., 0, m, -1, ..., -1) / sqrt(m (m + 1)) with
+    m = L - k, whose entry m sits at index k - 1.  These are exactly the
+    vectors Gram-Schmidt produces from the standard basis after the
+    all-ones column, so the same L always yields the same matrix.  For any
+    Spectrum s of size L,
+
+        eigenbasis(L).T @ covariance_matrix(L, sigma_sq, rho) @ eigenbasis(L)
+            == diag(lambda, gamma, ..., gamma).
+    """
+    k = np.arange(1, L)
+    m = (L - k).astype(float)
+    norm = np.sqrt(m * (m + 1.0))
+    theta = np.empty((L, L))
+    theta[:, 0] = 1.0 / math.sqrt(L)
+    theta[:, 1:] = np.where(np.arange(L)[:, None] >= k, -1.0, 0.0) / norm
+    theta[k - 1, k] = m / norm
+    return theta
 
 
 def _bartlett_factor(seed: int, p: int, n: int) -> np.ndarray:
@@ -143,7 +172,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     samples is an inner product of M's rows.  Each call draws afresh;
     equal configs give equal results.
     """
-    s = _validate_config(config)
+    s = spectral_decompose(config.spec)
     L, n, lam_q = config.spec.L, config.n_samples, config.lambda_q
     root_q = math.sqrt(lam_q)
     t = _bartlett_factor(config.seed, 3 * L, n)

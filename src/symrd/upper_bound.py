@@ -102,8 +102,9 @@ def _balance(spectrum: Spectrum, lambda_q: float, c_lam: float, c_gam: float,
 class Prepared(NamedTuple):
     """The D-free constants of the lambda_q solve for one spectrum and L.
 
-    d_min, sigma_x_sq and total are model.distortion_interval's, c_lam and
-    c_gam model.source_weights's; bracket_den is c_lam/lambda_y + c_gam/gamma_y,
+    d_min and sigma_x_sq are model.d_min's and model.source_variance's,
+    c_lam and c_gam model.source_weights's and total their sum,
+    L (sigma_x_sq - d_min); bracket_den is c_lam/lambda_y + c_gam/gamma_y,
     the lower bracket end's denominator; b_free is
     phi1 gamma_y + (L-1) phi2 lambda_y, the D-free part of the quadratic's b
     (see quadratic_coefficients), y_sum is gamma_y + lambda_y and y_max

@@ -6,6 +6,7 @@ across environments.  The `symrd` console-script entry declared in
 pyproject.toml is checked separately, without an install.
 """
 
+import dataclasses
 import importlib
 import math
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 import symrd
 import symrd.cli as cli
-from symrd import PrecisionError
+from symrd import PrecisionError, ValidationError
 
 CASE1_TEXT = """L = 10
 lambda_x = 0.8
@@ -240,11 +241,11 @@ def test_gap_inf_command(specs, capsys):
                "--n-points", "20"],
 ])
 def test_large_l_commands_classify_once(specs, capsys, monkeypatch, argv_fn):
-    # asymptotic_regime validates and classifies; every row reuses its regime
+    # asymptotic_regime classifies once; every row reuses its regime
     calls = []
-    validate = symrd.asymptotics.validate_spec
-    monkeypatch.setattr(symrd.asymptotics, "validate_spec",
-                        lambda spec: calls.append(spec) or validate(spec))
+    regime = cli.asymptotics.asymptotic_regime
+    monkeypatch.setattr(cli.asymptotics, "asymptotic_regime",
+                        lambda spec: calls.append(spec) or regime(spec))
     rc, out, _ = _run(capsys, argv_fn(specs))
     assert rc == 0
     assert len(out.splitlines()) == 21
@@ -281,8 +282,7 @@ def test_sweep_prepares_once(specs, capsys, monkeypatch):
     # spectrum: a longer grid makes no more calls of the per-spectrum
     # functions, with or without the oracle and large-L columns
     names = (("upper_bound", "prepare"), ("oracle", "prepare"),
-             ("model", "side_view"), ("model", "check_distortion"),
-             ("model", "d_min"), ("model", "source_weights"))
+             ("model", "side_view"), ("model", "d_min"), ("model", "source_weights"))
     calls = dict.fromkeys(names, 0)
     for key in names:
         original = getattr(getattr(symrd, key[0]), key[1])
@@ -440,6 +440,62 @@ def test_exit_code_3_for_precision_failures(specs, capsys, monkeypatch):
     rc, out, err = _run(capsys, ["info", specs["case1"]])
     assert rc == 3
     assert err == "error: probe\n"
+
+
+def _scaled_spec(tmp_path, scale: float) -> str:
+    """L 10, rho_x 0.3, rho_z 0.5 with sigma_x_sq = scale and sigma_z_sq twice it."""
+    p = tmp_path / f"scaled_{scale!r}.spec"
+    p.write_text(f"L = 10\nsigma_x_sq = {scale!r}\nrho_x = 0.3\n"
+                 f"sigma_z_sq = {2.0 * scale!r}\nrho_z = 0.5\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("scale, argv, kind", [
+    (1e200, ["info"], "OverflowError"),
+    (1e200, ["sweep", "--d-start", "7e199", "--d-end", "9.5e199", "--n-points", "5"],
+     "OverflowError"),
+    (1e200, ["simulate", "--D", "9.5e199", "--n", "1000", "--seed", "1"], "OverflowError"),
+    (1e-200, ["sweep", "--certify", "--d-start", "7e-201", "--d-end", "9.5e-201",
+              "--n-points", "5"], "ZeroDivisionError"),
+    (1e-200, ["asymptotic", "--L", "10", "--d-start", "6.5e-201", "--d-end", "9.9e-201",
+              "--n-points", "20"], "ValueError"),
+])
+def test_float64_failures_exit_3_without_traceback(tmp_path, capsys, scale, argv, kind):
+    # float64 gives out at these variance scales (the values themselves are
+    # valid); the command reports it on one line and exits 3
+    command, *flags = argv
+    rc, _, err = _run(capsys, [command, _scaled_spec(tmp_path, scale), *flags])
+    assert rc == 3
+    assert err.startswith(f"error: numerical failure: {kind}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv_fn", [
+    lambda p: ["sweep", p["gapped"], "--certify", "--asymptotic", "100,10000",
+               "--d-start", "0.784", "--d-end", "0.994", "--n-points", "20"],
+    lambda p: ["simulate", p["case1"], "--D", "0.85", "--n", "1000", "--seed", "7"],
+])
+def test_each_request_validates_its_spec_once(specs, capsys, monkeypatch, argv_fn):
+    # a SourceSpec validates itself when built, and nothing re-checks it
+    calls = []
+    validate = symrd.model.validate_spec
+    monkeypatch.setattr(symrd.model, "validate_spec",
+                        lambda spec: calls.append(spec) or validate(spec))
+    rc, _, err = _run(capsys, argv_fn(specs))
+    assert rc == 0, err
+    assert len(calls) == 1
+
+
+def test_invalid_spec_or_config_raises_at_construction():
+    # also through dataclasses.replace, which builds a new instance
+    spec = symrd.SourceSpec(10, 1.0, 0.3, 1.0, 0.0)
+    config = symrd.SimConfig(spec, 1.0, 100, 1)
+    with pytest.raises(ValidationError, match="rho_x"):
+        dataclasses.replace(spec, rho_x=1.5)
+    with pytest.raises(ValidationError, match="lambda_q"):
+        dataclasses.replace(config, lambda_q=0.0)
+    with pytest.raises(ValidationError, match="n_samples"):
+        dataclasses.replace(config, n_samples=0)
 
 
 def test_console_script_byte_deterministic(specs):

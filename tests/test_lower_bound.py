@@ -34,7 +34,7 @@ from symrd import (
 )
 import symrd.upper_bound
 from symrd.lower_bound import classify, evaluate
-from symrd.model import check_distortion, parse_spec_text
+from symrd.model import outside_interval, parse_spec_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -259,7 +259,7 @@ def _outcome(call):
 def test_evaluate_errors_are_upper_bound_rates(arm):
     # at both ends of (d_min, sigma_x_sq) and one ulp inside them, evaluate
     # raises (or returns) what upper_bound_rate does, on every arm; the
-    # DomainError is model.check_distortion's, worded in one place
+    # DomainError is model.outside_interval's, worded in one place
     spec = parse_spec_text((GOLDEN / f"{arm.value.lower()}.spec").read_text())
     s, L = spectral_decompose(spec), spec.L
     regime = classify(s, L)
@@ -269,7 +269,7 @@ def test_evaluate_errors_are_upper_bound_rates(arm):
         got = _outcome(lambda: evaluate(regime, D)[0])
         assert got == _outcome(lambda: upper_bound_rate(s, L, D))
         if D in (lo, hi):
-            assert got == (DomainError, _outcome(lambda: check_distortion(s, L, D))[1])
+            assert got == (DomainError, str(outside_interval(D, lo, hi)))
 
 
 def test_rc_piece_rejects_unknown_label():

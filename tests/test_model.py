@@ -15,9 +15,7 @@ from symrd import (
     SourceSpec,
     Spectrum,
     ValidationError,
-    covariance_matrix,
     d_min,
-    eigenbasis,
     from_eigenvalues,
     parse_spec_text,
     solve_program,
@@ -26,6 +24,7 @@ from symrd import (
     validate_spec,
 )
 from symrd.lower_bound import classify, evaluate
+from symrd.simulate import covariance_matrix, eigenbasis
 
 L_CASES = 10
 
@@ -121,27 +120,28 @@ def test_validate_spec_accepts_boundary_correlations():
 @pytest.mark.parametrize(
     "spec",
     [
-        SourceSpec(1, 1.0, 0.0, 1.0, 0.0),          # L < 2
-        SourceSpec(True, 1.0, 0.0, 1.0, 0.0),       # bool is not an L
-        SourceSpec(2.5, 1.0, 0.0, 1.0, 0.0),        # non-integer L
-        SourceSpec(4, 0.0, 0.0, 1.0, 0.0),          # sigma_x_sq = 0
-        SourceSpec(4, -1.0, 0.0, 1.0, 0.0),         # sigma_x_sq < 0
-        SourceSpec(4, 1.0, 0.0, -1e-6, 0.0),        # sigma_z_sq < 0
-        SourceSpec(4, 1.0, 1.0 + 1e-6, 1.0, 0.0),   # rho_x > 1
-        SourceSpec(4, 1.0, -1.0 / 3.0 - 1e-6, 1.0, 0.0),
-        SourceSpec(4, 1.0, 0.0, 1.0, 1.0 + 1e-6),   # rho_z > 1
-        SourceSpec(4, 1.0, 1.0, 0.0, 0.0),          # gamma_y = 0
-        SourceSpec(4, 1.0, -1.0 / 3.0, 0.0, 0.0),   # lambda_y = 0
-        SourceSpec(4, math.inf, 0.0, 1.0, 0.0),     # sigma_x_sq = inf
-        SourceSpec(4, 1.0, 0.0, math.nan, 0.0),     # sigma_z_sq = nan
-        SourceSpec(4, 1.0, math.nan, 1.0, 0.0),     # rho_x = nan
-        SourceSpec(4, 1.0, 0.0, math.inf, 0.0),     # sigma_z_sq = inf
-        SourceSpec(10, 1e-15, 0.3, -9e-13, 0.0),    # sigma_z_sq < 0, in units of 1e-15
+        (1, 1.0, 0.0, 1.0, 0.0),          # L < 2
+        (True, 1.0, 0.0, 1.0, 0.0),       # bool is not an L
+        (2.5, 1.0, 0.0, 1.0, 0.0),        # non-integer L
+        (4, 0.0, 0.0, 1.0, 0.0),          # sigma_x_sq = 0
+        (4, -1.0, 0.0, 1.0, 0.0),         # sigma_x_sq < 0
+        (4, 1.0, 0.0, -1e-6, 0.0),        # sigma_z_sq < 0
+        (4, 1.0, 1.0 + 1e-6, 1.0, 0.0),   # rho_x > 1
+        (4, 1.0, -1.0 / 3.0 - 1e-6, 1.0, 0.0),
+        (4, 1.0, 0.0, 1.0, 1.0 + 1e-6),   # rho_z > 1
+        (4, 1.0, 1.0, 0.0, 0.0),          # gamma_y = 0
+        (4, 1.0, -1.0 / 3.0, 0.0, 0.0),   # lambda_y = 0
+        (4, math.inf, 0.0, 1.0, 0.0),     # sigma_x_sq = inf
+        (4, 1.0, 0.0, math.nan, 0.0),     # sigma_z_sq = nan
+        (4, 1.0, math.nan, 1.0, 0.0),     # rho_x = nan
+        (4, 1.0, 0.0, math.inf, 0.0),     # sigma_z_sq = inf
+        (10, 1e-15, 0.3, -9e-13, 0.0),    # sigma_z_sq < 0, in units of 1e-15
     ],
 )
 def test_validate_spec_rejects(spec):
+    # a SourceSpec validates itself: an invalid one is never built
     with pytest.raises(ValidationError):
-        validate_spec(spec)
+        SourceSpec(*spec)
 
 
 def test_numpy_integer_l_is_a_python_int():

