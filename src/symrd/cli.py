@@ -17,7 +17,8 @@ decimal separator regardless of locale; identical invocations produce
 byte-identical standard output.  Rates are in nats unless --bits is given,
 which divides rate columns by ln 2 at display time only.  Exit codes:
 0 success, 2 usage/validation errors, 3 numerical failures (convergence,
-precision, or float64 overflow and underflow at extreme scales).
+precision, or float64 overflow and underflow at extreme scales) and
+exhausted memory.
 Diagnostics go to standard error and never use color (NO_COLOR is always
 honored because no color is ever emitted).
 """
@@ -337,6 +338,10 @@ def main(argv=None) -> int:
         # float64 giving out (overflow, division by an underflowed zero, a
         # domain error from a rounded argument) at extreme variance scales
         print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # an array too large to allocate, such as simulate's factor at huge L
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
 
 

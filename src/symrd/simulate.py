@@ -25,28 +25,39 @@ Cost: every statistic reported is a function of the Gram of the n
 samples of (X, Z, Q).  In the eigenbasis the 3L components are
 independent, so with U the 3L x n matrix of standardised components that
 Gram is C (U U^T) C^T for a fixed factor C, and U U^T is a
-Wishart_3L(n, I) matrix.  By the Bartlett decomposition (Bartlett 1933;
-Anderson, An Introduction to Multivariate Statistical Analysis, 3rd ed.,
-2003, ch. 7), U U^T = T T^T with T the 3L x min(n, 3L) lower-trapezoidal
-factor whose entries are independent: N(0, 1) below the diagonal,
+Wishart_3L(n, I) matrix.  The rows are ordered Y, V, X, one per mode in
+each.  The rate needs only the (Y, V) rows, whose Gram is
+Wishart_2L(n, I); by the Bartlett decomposition (Bartlett 1933; Anderson,
+An Introduction to Multivariate Statistical Analysis, 3rd ed., 2003,
+ch. 7) it is T T^T, with T the 2L x min(n, 2L) lower-trapezoidal factor
+whose entries are independent: N(0, 1) below the diagonal,
 sqrt(chi^2(n - i)) on the diagonal of row i, and all-N(0, 1) rows below
-row n when n < 3L (the law of the R factor of a Gaussian n x 3L matrix).
-So a run draws about (3L)^2 / 2 normals and min(n, 3L) chi-squares,
-whatever n is, and holds O(L min(n, L)) doubles.  The rows are ordered
-Y, V, X, one per mode in each, which makes C lower triangular with
-diagonal blocks, so M = C T is formed with row scalings and row sums, in
-place in T's buffer.  Both error sums
-are Frobenius norms of row combinations of M (Q = V - Y); ln det S_y and
-ln det S_yv are sums of logs of M's diagonal, and only the L x L S_v
-needs a log-det.  std_err is the exact standard deviation of the mean
-distortion: a fourth-moment sum is not a function of the Gram.
+row n when n < 2L (the law of the R factor of a Gaussian n x 2L matrix).
+The X rows reach only the two error sums, and each error row combines
+the rows (Y, V, X) of one mode.  Given the (Y, V) rows, mode i's X row
+is independent N(0, I_n): on the Gram-Schmidt basis (e1, e2) of that
+mode's rows (T_Y, T_V) it has two N(0, 1) coordinates z1, z2, and its
+rest has squared norm w ~ chi^2(n - 2).  Both errors, of X given V and
+of X given X + Q with Q = V - Y, have in mode i a row
+alpha T_Y + beta T_V + gamma T_X.  With (a, b; 0, c) the Cholesky factor
+of the 2 x 2 Gram of (T_Y, T_V), its squared norm is
+(alpha a + beta b + gamma z1)^2 + (beta c + gamma z2)^2 + gamma^2 w, so
+both error sums are sums over the L modes.  A run therefore draws about
+2 L^2 normals, min(n, 2L) + L chi-squares and 2L more normals, whatever
+n is, and holds O(L min(n, L)) doubles.  ln det S_y and ln det S_yv are
+sums of logs of the (Y, V) rows' diagonal, and only the L x L S_v needs
+a log-det; its rows are formed in place in T's V rows.  std_err is the
+exact standard deviation of the mean distortion: a fourth-moment sum is
+not a function of the Gram.
 
 Reproducibility: a run draws from one SFC64 generator keyed by the seed
-through SeedSequence: first the normals below T's diagonal, row by row,
-then the chi-squares of its diagonal.  Equal configs give equal results
-for a given numpy version; numpy does not promise its normal stream
-across versions.  Each statistic has the law of the same estimator
-computed sample by sample, but not its values for a given seed.
+through SeedSequence, in this order: the normals below T's diagonal, row
+by row; the chi-squares of its diagonal; z, the L values of z1 then the
+L of z2 (z2 is 0 when n = 1, where T has one column); and w, 0 when
+n <= 2.  Equal configs give equal results for a given numpy version;
+numpy does not promise its normal stream across versions.  Each
+statistic has the law of the same estimator computed sample by sample,
+but not its values for a given seed.
 """
 
 from __future__ import annotations
@@ -139,82 +150,92 @@ def eigenbasis(L: int) -> np.ndarray:
     return theta
 
 
-def _bartlett_factor(seed: int, p: int, n: int) -> np.ndarray:
-    """A p x min(n, p) lower-trapezoidal T with T T^T ~ Wishart_p(n, I).
+def _draws(seed: int, L: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A run's draws: the (Y, V) rows' Bartlett factor T, then z and w for X.
 
-    Drawn from one SFC64 generator keyed by the seed through SeedSequence
-    (a negative seed is read modulo 2^64): the normals below the
-    diagonal, row by row, then sqrt(chi^2(n - i)) for diagonal entry i.
+    T is the 2L x min(n, 2L) lower-trapezoidal factor with T T^T ~
+    Wishart_2L(n, I): the normals below its diagonal, row by row, then
+    sqrt(chi^2(n - i)) for diagonal entry i.  z is 2 x L N(0, 1), its
+    second row 0 when n = 1; w is L draws of chi^2(n - 2), 0 when n <= 2.
+    All come in that order from one SFC64 generator keyed by the seed
+    through SeedSequence (a negative seed is read modulo 2^64).
     """
     rng = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF)))
-    k = min(n, p)
+    p, k = 2 * L, min(n, 2 * L)
     t = np.zeros((p, k))
     t[np.tri(p, k, -1, dtype=bool)] = rng.standard_normal(k * (k - 1) // 2 + (p - k) * k)
     np.fill_diagonal(t, np.sqrt(rng.chisquare(n - np.arange(k, dtype=float))))
-    return t
+    z = rng.standard_normal((2, L))
+    if n == 1:
+        z[1] = 0.0
+    w = rng.chisquare(n - 2, L) if n > 2 else np.zeros(L)
+    return t, z, w
 
 
-def _modes(lam: float, gam: float, L: int) -> np.ndarray:
-    """An (L, 1) column: lam for the all-ones mode, gam for the other L - 1."""
-    col = np.full((L, 1), gam)
-    col[0] = lam
-    return col
+def _mode_rows(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each mode's rows (T_Y, T_V, T_X), on the Gram-Schmidt basis of (T_Y, T_V).
+
+    A (3, 3, L) array indexed [row, coordinate, mode].  With (a, b; 0, c)
+    the Cholesky factor of the Gram of the mode's rows of T, the rows are
+    T_Y = a e1, T_V = b e1 + c e2 and T_X = z1 e1 + z2 e2 + sqrt(w) e3, so
+    their inner products are the mode's entries of the run's Gram.
+    """
+    yv = t.reshape(2, w.size, -1)
+    gram = np.einsum("aik,bik->abi", yv, yv)
+    a = np.sqrt(gram[0, 0])
+    b = gram[0, 1] / a
+    # At n = 1, T_V lies on T_Y's line and c^2 is rounding noise.
+    c = np.sqrt(np.maximum(gram[1, 1] - b * b, 0.0))
+    zero = np.zeros_like(w)
+    return np.array([[a, zero, zero], [b, c, zero], [z[0], z[1], np.sqrt(w)]])
 
 
 def run_simulation(config: SimConfig) -> SimResult:
     """Draw the run's Gram through its Bartlett factor and return all measurements.
 
-    With U the standardised components of the n samples and T T^T = U U^T,
-    the eigenbasis rows of (Y, V, X) are M = C T, C lower triangular per
-    mode: Y = sqrt(v_y) T_Y, V = Y + sqrt(lambda_q) T_V and
-    X = v_x / sqrt(v_y) T_Y + sqrt(v_x v_z / v_y) T_X.  Every sum over the
-    samples is an inner product of M's rows.  Each call draws afresh;
-    equal configs give equal results.
+    With U the standardised components of the n samples, each mode's rows
+    of (Y, V, X) are Y = sqrt(v_y) U_Y, V = Y + sqrt(lambda_q) U_V and
+    X = v_x / sqrt(v_y) U_Y + sqrt(v_x v_z / v_y) U_X.  The (Y, V) rows
+    are drawn as their Bartlett factor T; given them, each X row enters
+    only through its mode's three Gram entries, drawn as z and w.  Each
+    call draws afresh; equal configs give equal results.
     """
     s = spectral_decompose(config.spec)
     L, n, lam_q = config.spec.L, config.n_samples, config.lambda_q
     root_q = math.sqrt(lam_q)
-    t = _bartlett_factor(config.seed, 3 * L, n)
-    y, v, x = t.reshape(3, L, -1)
+    t, z, w = _draws(config.seed, L, n)
 
     def side(vx: float, vz: float, vy: float) -> tuple:
-        # The mode's row factors and its two estimator gains, as ratios so
-        # that none underflows.
-        ry = math.sqrt(vy)
-        return ry, vx / ry, math.sqrt(vx * (vz / vy)), vx / (vy + lam_q), vx / (vx + lam_q)
+        # The coefficients of (T_Y, T_V, T_X) in the mode's routed error
+        # X - g V and direct error X - h (X + Q), with gains
+        # g = v_x / (v_y + lambda_q) and h = v_x / (v_x + lambda_q), as
+        # ratios so that none underflows.
+        x_y, x_own = vx / math.sqrt(vy), math.sqrt(vx * (vz / vy))
+        keep = lam_q / (vx + lam_q)
+        return ((x_y * (lam_q / (vy + lam_q)), -(vx / (vy + lam_q)) * root_q, x_own),
+                (x_y * keep, -(vx / (vx + lam_q)) * root_q, x_own * keep))
 
-    root_y, x_from_y, x_own, routed, direct = (
-        _modes(lam, gam, L) for lam, gam in zip(side(s.lambda_x, s.lambda_z, s.lambda_y),
-                                                side(s.gamma_x, s.gamma_z, s.gamma_y)))
+    coef = np.repeat([side(s.lambda_x, s.lambda_z, s.lambda_y),
+                      side(s.gamma_x, s.gamma_z, s.gamma_y)], [1, L - 1], axis=0)
+    err = np.einsum("mer,rcm->ecm", coef, _mode_rows(t, z, w))
+    routed_sum, direct_sum = np.einsum("ecm,ecm->e", err, err).tolist()
 
-    # M in place, X first while T_Y is unscaled; V holds Q = V - Y until
-    # the direct estimator's error has been taken.
-    err = np.multiply(y, x_from_y)
-    x *= x_own
-    x += err
-    y *= root_y
-    v *= root_q
-    np.add(x, v, out=err)
-    err *= -direct
-    err += x
-    direct_sum = float(np.vdot(err, err))
-    v += y
-    np.multiply(v, -routed, out=err)
-    err += x
-    routed_sum = float(np.vdot(err, err))
-
-    # ln det S_y and ln det S_yv are sums of logs of M's diagonal; the Y
-    # rows' terms cancel, as does each moment matrix's 1/n.  V's rows
-    # vanish beyond column 2L, and its diagonal entry in column L + i is
-    # sqrt(lambda_q) T_{L+i, L+i}; dividing V by sqrt(lambda_q) keeps the
-    # rate free of the variance unit.
+    # With M the rows of (Y, V) in T's columns, ln det S_y and ln det S_yv
+    # are sums of logs of M's diagonal; the Y rows' terms cancel, as does
+    # each moment matrix's 1/n.  V's diagonal entry in column L + i is
+    # sqrt(lambda_q) T_{L+i, L+i}; V's rows are formed divided by
+    # sqrt(lambda_q), in place in T's V rows, which keeps the rate free
+    # of the variance unit.
     rate_empirical = math.nan
     if n >= 2 * L:
-        vn = v[:, :2 * L] / root_q
-        sign, logdet = np.linalg.slogdet(vn @ vn.T)
+        y, v = t.reshape(2, L, -1)
+        y *= np.repeat([math.sqrt(s.lambda_y / lam_q), math.sqrt(s.gamma_y / lam_q)],
+                       [1, L - 1])[:, None]
+        v += y
+        sign, logdet = np.linalg.slogdet(v @ v.T)
         if sign > 0.0:
-            rate_empirical = float(0.5 * logdet - np.sum(np.log(vn.diagonal(L))))
+            rate_empirical = float(0.5 * logdet - np.sum(np.log(v.diagonal(L))))
 
     # The per-sample distortion averages L independent squared errors of
     # variances e_lam and e_gam (L - 1 times); max(e) is factored out.

@@ -470,6 +470,24 @@ def test_float64_failures_exit_3_without_traceback(tmp_path, capsys, scale, argv
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data "
+     "type float64", "Unable to allocate 7.28 TiB for an array with shape (1000000, "
+     "1000000) and data type float64"),
+    ("", "allocation failed"),
+])
+def test_memory_error_exits_3_without_traceback(specs, capsys, monkeypatch, message, shown):
+    # An array too large to allocate, such as the factor at a huge L; the
+    # run is replaced, so nothing is allocated for real.
+    def unallocatable(config):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli.simulate, "run_simulation", unallocatable)
+    rc, out, err = _run(capsys, ["simulate", specs["case1"], "--D", "0.85", "--n", "1000",
+                                 "--seed", "1"])
+    assert rc == 3 and out == ""
+    assert err == f"error: out of memory: {shown}\n"
+
+
 @pytest.mark.parametrize("argv_fn", [
     lambda p: ["sweep", p["gapped"], "--certify", "--asymptotic", "100,10000",
                "--d-start", "0.784", "--d-end", "0.994", "--n-points", "20"],

@@ -264,12 +264,15 @@ def test_distortion_consistent_with_noisier_channel():
 
 
 def _eigenbasis_replay(cfg):
-    """Distortions and rate of cfg, recomputed from its Bartlett factor.
+    """Distortions and rate of cfg, recomputed from the run's draws.
 
-    Maps each mode's rows of T through the Cholesky factor of that mode's
-    explicit (Y, V, X) covariance, rotates the rows to the coordinate
-    basis with eigenbasis, and hands them to _reference_statistics as
-    samples: the Gram of those columns is the Gram of the run.
+    Rebuilds each mode's X row of the factor explicitly: z1 e1 + z2 e2 on
+    the Gram-Schmidt basis (e1, e2) of that mode's rows (T_Y, T_V), plus
+    sqrt(w) in a column of its own after T's.  Maps each mode's rows
+    through the Cholesky factor of that mode's explicit (Y, V, X)
+    covariance, rotates the rows to the coordinate basis with eigenbasis,
+    and hands them to _reference_statistics as samples: the Gram of those
+    columns has the law of the Gram of the run's samples.
     """
     spec, L, n, lam_q = cfg.spec, cfg.spec.L, cfg.n_samples, cfg.lambda_q
     s = spectral_decompose(spec)
@@ -280,9 +283,17 @@ def _eigenbasis_replay(cfg):
 
     c = np.array([factor(s.lambda_x, s.lambda_z)]
                  + [factor(s.gamma_x, s.gamma_z)] * (L - 1))
-    t = symrd.simulate._bartlett_factor(cfg.seed, 3 * L, n).reshape(3, L, -1)
-    y, v, x = eigenbasis(L) @ np.einsum("mab,bmk->amk", c, t)
-    # _reference_statistics divides by the sample count, not by T's width.
+    t, z, w = symrd.simulate._draws(cfg.seed, L, n)
+    y, v = t.reshape(2, L, -1)
+    e1 = y / np.linalg.norm(y, axis=1, keepdims=True)
+    r = v - np.sum(e1 * v, axis=1, keepdims=True) * e1
+    # one column: T_V and T_X lie on T_Y's line
+    e2 = r / np.linalg.norm(r, axis=1, keepdims=True) if t.shape[1] > 1 else 0.0 * r
+    x = np.hstack([z[0][:, None] * e1 + z[1][:, None] * e2, np.diag(np.sqrt(w))])
+    pad = np.zeros((L, L))
+    rows = np.array([np.hstack([y, pad]), np.hstack([v, pad]), x])
+    y, v, x = eigenbasis(L) @ np.einsum("mab,bmk->amk", c, rows)
+    # _reference_statistics divides by the sample count, not by the width.
     cols = [np.sqrt(x.shape[1] / n) * r.T for r in (x, y - x, v - y)]
     return _reference_statistics(spec, lam_q, *cols)
 
@@ -304,11 +315,13 @@ def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("L, n", [(12, 30), (12, 23), (2, 1), (3, 10**12), (240, 6 * 240)])
+@pytest.mark.parametrize("L, n", [(12, 30), (12, 23), (12, 3), (12, 2), (2, 1), (3, 10**12),
+                                  (240, 6 * 240), (360, 6 * 360)])
 def test_trapezoidal_factor_matches_eigenbasis_replay(L, n):
-    # 2L <= n < 3L and n < 2L take a trapezoidal factor (the rate is NaN
-    # below 2L); n = 1 is one column; n = 10^12 is far beyond any sample
-    # loop; L = 240 with n = 6L is the shape of the benchmark's wide runs.
+    # n < 2L takes a trapezoidal factor (the rate is NaN below 2L); n = 3
+    # is the first with a chi-square for X, n = 2 has none (w = 0) and
+    # n = 1 is one column; n = 10^12 is far beyond any sample loop; L = 240
+    # and 360 with n = 6L are the ends of the benchmark's wide runs.
     _assert_replayed(SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, n, 4243))
 
 
@@ -320,27 +333,68 @@ def test_stream_keys_give_uncorrelated_streams():
     p, n = 300, 10**6
     lower = np.tri(p, p, -1, dtype=bool)
     for keys in ([0, 1], [77, 78], [5, 2**32 + 5]):
-        draws = [symrd.simulate._bartlett_factor(k, p, n)[lower] for k in keys]
+        draws = [symrd.simulate._draws(k, p // 2, n)[0][lower] for k in keys]
         corr = np.corrcoef(*draws)[0, 1]
         assert abs(corr) <= 5.0 / math.sqrt(draws[0].size), keys
 
 
+def _peak_bytes(cfg):
+    """tracemalloc's peak over one run of cfg."""
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_does_not_grow_with_n():
-    # A run holds the 3L x min(n, 3L) factor and one L x min(n, 3L) error
-    # block, whatever n is.
+    # A run holds the 2L x min(n, 2L) factor and a few arrays of L per-mode
+    # values, whatever n is.
     def peak(n):
-        cfg = SimConfig(SourceSpec(12, 1.0, 0.3, 0.5, 0.2), 0.7, n, 1)
-        tracemalloc.start()
-        try:
-            run_simulation(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _peak_bytes(SimConfig(SourceSpec(12, 1.0, 0.3, 0.5, 0.2), 0.7, n, 1))
 
     peak(10**3)  # first-call allocations of numpy's linalg
     small, big = peak(10**3), peak(10**12)
     # equal up to a few small interpreter objects (measured: 16 bytes apart)
     assert abs(big - small) <= 1024 and big < 100_000
+
+
+def test_memory_at_the_wide_shape():
+    # At L = 240, n = 6L a run holds the 2L x 2L factor (8 bytes an entry),
+    # its boolean mask (1 byte) and the normals below its diagonal while it
+    # fills the factor; then the L x L Gram of the V rows, which are formed
+    # in place in the factor.  Measured peak 3.03 MB against this 3.46 MB;
+    # a draw of the 3L rows of (Y, V, X) peaks at 6.92 MB.
+    L = 240
+    p = 2 * L
+    cfg = SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, 6 * L, 1)
+    _peak_bytes(cfg)  # first-call allocations
+    assert _peak_bytes(cfg) <= 8 * p * p + p * p + 8 * (p * (p - 1) // 2) + 8 * L * L
+
+
+@pytest.mark.parametrize("n", [2, 3, 30])
+def test_x_gram_entries_have_wishart_moments(n):
+    # Given the (Y, V) rows, the run draws each mode's Gram entries with X
+    # through z and w.  Over 2400 independent modes they have the moments
+    # of Wishart_3(n, I): g_xx ~ chi^2(n), and g_yx and g_vx are a normal
+    # times the root of a chi^2(n).
+    L, seeds = 12, range(200)
+    g_yx, g_vx, g_xx = np.hstack([
+        np.einsum("rcm,cm->rm", rows, rows[2])
+        for rows in (symrd.simulate._mode_rows(*symrd.simulate._draws(s, L, n)) for s in seeds)])
+    m = g_xx.size
+
+    def check(sample, mean, var, fourth):
+        # the sample mean and variance, each within 4 standard errors;
+        # fourth is the central fourth moment
+        assert abs(sample.mean() - mean) <= 4.0 * math.sqrt(var / m), (n, sample.mean())
+        v = sample.var(ddof=1)
+        assert abs(v - var) <= 4.0 * math.sqrt((fourth - var * var) / m), (n, v)
+
+    check(g_xx, n, 2 * n, 12 * n * n + 48 * n)
+    for g in (g_yx, g_vx):
+        check(g, 0.0, n, 3 * n * (n + 2))
 
 
 def test_singular_gram_gives_nan_rate():
