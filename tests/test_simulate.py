@@ -271,8 +271,9 @@ def _eigenbasis_replay(cfg):
     sqrt(w) in a column of its own after T's.  Maps each mode's rows
     through the Cholesky factor of that mode's explicit (Y, V, X)
     covariance, rotates the rows to the coordinate basis with eigenbasis,
-    and hands them to _reference_statistics as samples: the Gram of those
-    columns has the law of the Gram of the run's samples.
+    and hands them to _reference_statistics as samples.  Its statistics
+    read only the (Y, V) rows and each mode's own Gram entries with X,
+    which are the run's.
     """
     spec, L, n, lam_q = cfg.spec, cfg.spec.L, cfg.n_samples, cfg.lambda_q
     s = spectral_decompose(spec)
