@@ -29,46 +29,62 @@ Wishart_3L(n, I) matrix.  The rows are ordered Y, V, X, one per mode in
 each.  The rate needs only the (Y, V) rows, whose Gram is
 Wishart_2L(n, I); by the Bartlett decomposition (Bartlett 1933; Anderson,
 An Introduction to Multivariate Statistical Analysis, 3rd ed., 2003,
-ch. 7) it is T T^T, with T the 2L x min(n, 2L) lower-trapezoidal factor
-whose entries are independent: N(0, 1) below the diagonal,
-sqrt(chi^2(n - i)) on the diagonal of row i, and all-N(0, 1) rows below
-row n when n < 2L (the law of the R factor of a Gaussian n x 2L matrix).
-The X rows reach only the two error sums, and each error row combines
-the rows (Y, V, X) of one mode.  Given the (Y, V) rows, mode i's X row
-is independent N(0, I_n): on the Gram-Schmidt basis (e1, e2) of that
-mode's rows (T_Y, T_V) it has two N(0, 1) coordinates z1, z2, and its
-rest has squared norm w ~ chi^2(n - 2).  Both errors, of X given V and
-of X given X + Q with Q = V - Y, have in mode i a row
-alpha T_Y + beta T_V + gamma T_X.  With (a, b; 0, c) the Cholesky factor
-of the 2 x 2 Gram of (T_Y, T_V), its squared norm is
-(alpha a + beta b + gamma z1)^2 + (beta c + gamma z2)^2 + gamma^2 w, so
-both error sums are sums over the L modes.  A run therefore draws about
-2 L^2 normals, min(n, 2L) + L chi-squares and 2L more normals, whatever
-n is, and holds O(L min(n, L)) doubles.  ln det S_y and ln det S_yv are
-sums of logs of the (Y, V) rows' diagonal, and only the L x L S_v needs
-a log-det; its rows are formed in place in T's V rows.  std_err is the
-exact standard deviation of the mean distortion: a fourth-moment sum is
-not a function of the Gram.
+ch. 7) it is T T^T, with T = [T11 0; T21 T22] the 2L x min(n, 2L)
+lower-trapezoidal factor whose entries are independent: N(0, 1) below
+the diagonal, sqrt(chi^2(n - i)) on the diagonal of row i, and
+all-N(0, 1) rows below row n when n < 2L (the law of the R factor of a
+Gaussian n x 2L matrix).  Below its diagonal the Y block T11 reaches the
+results only through the L x L Gram of the rate's rows
+v = V / sqrt(lambda_q) = [d T11 + T21 | T22], d = sqrt(v_y / lambda_q),
+and through each mode's row sums of T11^2, T11 T21 and T21^2.  Every
+mode but the first is a gamma mode with one d, so each pair below the
+diagonal rotates to a = (d T11 + T21) / sqrt(1 + d^2) and
+b = (T11 - d T21) / sqrt(1 + d^2), again independent N(0, 1).  v holds
+sqrt(1 + d^2) a there, and the row sums are fixed by alpha = |a|^2,
+beta = <a, b> and gamma = |b|^2; given a, beta = sqrt(alpha) zeta and
+gamma = zeta^2 + chi^2(m - 1) for a row of m pairs, zeta ~ N(0, 1).  So
+a run draws T as the L x min(n, 2L) trapezoid [A | T22] of the V rows,
+with the pairs' a below A's diagonal and T11's diagonal kept apart, plus
+one zeta and one chi-square per row.  The X rows reach only the two
+error sums, and each error row combines the rows (Y, V, X) of one mode.
+Given the (Y, V) rows, mode i's X row is independent N(0, I_n): on the
+Gram-Schmidt basis (e1, e2) of that mode's rows (T_Y, T_V) it has two
+N(0, 1) coordinates z1, z2, and its rest has squared norm
+w ~ chi^2(n - 2).  Both errors, of X given V and of X given X + Q with
+Q = V - Y, have in mode i a row alpha T_Y + beta T_V + gamma T_X.  With
+(p, q; 0, r) the Cholesky factor of the 2 x 2 Gram of (T_Y, T_V), its
+squared norm is (alpha p + beta q + gamma z1)^2 + (beta r + gamma z2)^2
++ gamma^2 w, so both error sums are sums over the L modes.  A run
+therefore draws about 1.5 L^2 normals (L^2 + L (L - 1) / 2 at n >= 2L)
+and 4L - 1 chi-squares, whatever n is, and holds an L x min(n, 2L)
+factor.  ln det S_y and ln det S_yv are sums of logs of T's diagonal, and
+only the L x L S_v needs a log-det; v is formed in place in the factor.
+std_err is the exact standard deviation of the mean distortion: a
+fourth-moment sum is not a function of the Gram.
 
 Reproducibility: a run draws from one SFC64 generator keyed by the seed
-through SeedSequence, in this order: the normals below T's diagonal, row
-by row; the chi-squares of its diagonal; z, the L values of z1 then the
-L of z2 (z2 is 0 when n = 1, where T has one column); and w, 0 when
-n <= 2.  Equal configs give equal results for a given numpy version;
-numpy does not promise its normal stream across versions.  Each
-statistic has the law of the same estimator computed sample by sample,
-but not its values for a given seed.
+through SeedSequence, with one call for the normals and one for the
+chi-squares (as gamma variates of half their degrees, doubled; a 0
+degree draws 0).  The normals come in this order: the factor's, column
+by column; zeta for rows 1 ... L - 1; z, the L values of z1 then the L
+of z2 (z2 is 0 when n = 1, where T has one column).  The chi-squares:
+T's diagonal, 2L of them (0 past its width), one per row 1 ... L - 1 for
+its pairs, and w (0 when n <= 2).  Equal configs give equal results for
+a given numpy version; numpy does not promise its normal stream across
+versions.  Each statistic has the law of the same estimator computed
+sample by sample, but not its values for a given seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PrecisionError, ValidationError
-from .model import SourceSpec, Spectrum, spectral_decompose
+from .model import SourceSpec, Spectrum, _as_int, spectral_decompose
 from .upper_bound import distortion_of, rate_of
 
 
@@ -77,7 +93,10 @@ class SimConfig:
     """One simulation setup: model, test-noise level, sample count, seed.
 
     Valid by construction: the spec is (see SourceSpec), and building one
-    raises ValidationError unless lambda_q > 0 and n_samples >= 1.
+    raises ValidationError unless lambda_q is finite and positive,
+    n_samples is an integer >= 1 and seed is an integer (neither may be
+    a bool).  Integers of another type (np.int64, ...) are stored as
+    Python ints.
     """
 
     spec: SourceSpec
@@ -86,8 +105,14 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not self.lambda_q > 0.0:
-            raise ValidationError(f"lambda_q must be positive, got {self.lambda_q!r}")
+        if not (math.isfinite(self.lambda_q) and self.lambda_q > 0.0):
+            raise ValidationError(
+                f"lambda_q must be a finite positive number, got {self.lambda_q!r}")
+        for name in ("n_samples", "seed"):
+            value = _as_int(getattr(self, name))
+            if type(value) is not int:
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be at least 1, got {self.n_samples!r}")
 
@@ -150,45 +175,110 @@ def eigenbasis(L: int) -> np.ndarray:
     return theta
 
 
-def _draws(seed: int, L: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A run's draws: the (Y, V) rows' Bartlett factor T, then z and w for X.
+class _Draws(NamedTuple):
+    """One run's draws; see _draws."""
 
-    T is the 2L x min(n, 2L) lower-trapezoidal factor with T T^T ~
-    Wishart_2L(n, I): the normals below its diagonal, row by row, then
-    sqrt(chi^2(n - i)) for diagonal entry i.  z is 2 x L N(0, 1), its
-    second row 0 when n = 1; w is L draws of chi^2(n - 2), 0 when n <= 2.
-    All come in that order from one SFC64 generator keyed by the seed
-    through SeedSequence (a negative seed is read modulo 2^64).
+    t: np.ndarray
+    below: np.ndarray
+    root: np.ndarray
+    zeta: np.ndarray
+    eta: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+
+
+def _draws(seed: int, L: int, n: int) -> _Draws:
+    """A run's draws: the factor t, T's diagonal, zeta, eta, z and w.
+
+    T = [T11 0; T21 T22] is the 2L x k Bartlett factor of the (Y, V)
+    rows, k = min(n, 2L).  t is the L x k trapezoid [A | T22] of its V
+    rows, stored by columns.  A is L x min(k, L) of normals: below its
+    diagonal (where below is True) the halves a of the rotated pairs of
+    T11 and T21 (see _mode_rows), on and above it T21's entries.  T22 has
+    normals below its diagonal and sqrt(chi^2(n - L - i)) on it.  root
+    holds sqrt(chi^2(n - i)) for T's diagonal entry i < 2L, 0 past k, so
+    T11's diagonal is root[:L].  Row i >= 1 has min(i, k) pairs; given
+    its halves a_i, the other halves b_i have <a_i, b_i> = |a_i| zeta
+    and |b_i|^2 = zeta^2 + eta, with zeta ~ N(0, 1) and
+    eta ~ chi^2(min(i, k) - 1), one each for rows 1 ... L - 1.  z is
+    2 x L N(0, 1), its second row 0 when n = 1; w is L draws of
+    chi^2(n - 2), 0 when n <= 2.  They come from one SFC64 generator
+    keyed by the seed through SeedSequence (a negative seed is read
+    modulo 2^64), in the order given in the module docstring.
     """
     rng = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF)))
-    p, k = 2 * L, min(n, 2 * L)
-    t = np.zeros((p, k))
-    t[np.tri(p, k, -1, dtype=bool)] = rng.standard_normal(k * (k - 1) // 2 + (p - k) * k)
-    np.fill_diagonal(t, np.sqrt(rng.chisquare(n - np.arange(k, dtype=float))))
-    z = rng.standard_normal((2, L))
+    k = min(n, 2 * L)
+    m, c = min(k, L), max(k - L, 0)
+    # tt is t's transpose, and mask holds both of t's patterns, also by
+    # columns: row i's normals are at j < L + i, and its pairs' halves
+    # (below) at j < i, the same pattern shifted by L.
+    mask = np.arange(L + m)[:, None] < np.arange(L, 2 * L)
+    cells = L * k - c * (c + 1) // 2
+    normals = rng.standard_normal(cells + 3 * L - 1)
+    tt = np.zeros((k, L))
+    tt[mask[:k]] = normals[:cells]
+    rest = normals[cells:].copy()
+    # Gamma shapes, half the chi-square degrees: T's diagonal, the rows'
+    # pairs, w.  A shape of 0 draws 0.
+    half = np.arange(0.0, L, 0.5)
+    shape = np.empty(4 * L - 1)
+    np.maximum(0.5 * n - half, 0.0, out=shape[:2 * L])
+    np.minimum(half[:L - 1], 0.5 * (k - 1), out=shape[2 * L:3 * L - 1])
+    shape[3 * L - 1:] = 0.5 * max(n - 2, 0)
+    chi = rng.standard_gamma(shape)
+    chi *= 2.0
+    root = np.sqrt(chi[:2 * L])
+    tt[L:].reshape(-1)[::L + 1] = root[L:k]
+    z = rest[L - 1:].reshape(2, L)
     if n == 1:
         z[1] = 0.0
-    w = rng.chisquare(n - 2, L) if n > 2 else np.zeros(L)
-    return t, z, w
+    return _Draws(tt.T, mask[L:].T, root, rest[:L - 1], chi[2 * L:3 * L - 1], z, chi[3 * L - 1:])
 
 
-def _mode_rows(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _mode_rows(draws: _Draws, theta: float) -> np.ndarray:
     """Each mode's rows (T_Y, T_V, T_X), on the Gram-Schmidt basis of (T_Y, T_V).
 
-    A (3, 3, L) array indexed [row, coordinate, mode].  With (a, b; 0, c)
-    the Cholesky factor of the Gram of the mode's rows of T, the rows are
-    T_Y = a e1, T_V = b e1 + c e2 and T_X = z1 e1 + z2 e2 + sqrt(w) e3, so
-    their inner products are the mode's entries of the run's Gram.
+    A (3, 3, L) array indexed [row, coordinate, mode].  Below T11's
+    diagonal, row i >= 1's pairs are (T11, T21) = (sin a + cos b,
+    cos a - sin b) at angle theta = atan(d).  With alpha = |a|^2,
+    beta = <a, b> and gamma = |b|^2, their row sums of T11^2, T11 T21 and
+    T21^2 are sin^2 alpha + 2 sin cos beta + cos^2 gamma,
+    sin cos (alpha - gamma) + (cos^2 - sin^2) beta and
+    cos^2 alpha - 2 sin cos beta + sin^2 gamma.  With (p, q; 0, r) the
+    Cholesky factor of the Gram of the mode's rows of T, the rows are
+    T_Y = p e1, T_V = q e1 + r e2 and T_X = z1 e1 + z2 e2 + sqrt(w) e3,
+    so their inner products are the mode's entries of the run's Gram.
     """
-    yv = t.reshape(2, w.size, -1)
-    gram = np.einsum("aik,bik->abi", yv, yv)
-    a = np.sqrt(gram[0, 0])
-    b = gram[0, 1] / a
-    # At n = 1, T_V lies on T_Y's line and c^2 is rounding noise.
-    c = np.sqrt(np.maximum(gram[1, 1] - b * b, 0.0))
-    zero = np.zeros_like(w)
-    return np.array([[a, zero, zero], [b, c, zero], [z[0], z[1], np.sqrt(w)]])
+    t, below, root, zeta, eta, z, w = draws
+    L, m = below.shape
+    # Per mode: alpha, beta, gamma, then T11's diagonal entry squared,
+    # its product with T21's, and the squared norm of t's row (which
+    # holds alpha, T21's rest and T22's).
+    f = np.zeros((6, L))
+    left = t[:, :m]
+    np.vecdot(left, left * below, out=f[0])
+    np.sqrt(f[0], out=f[1])
+    f[1, 1:] *= zeta
+    np.multiply(zeta, zeta, out=f[2, 1:])
+    f[2, 1:] += eta
+    np.square(root[:L], out=f[3])
+    np.multiply(root[:m], left.diagonal(), out=f[4, :m])
+    np.vecdot(t, t, out=f[5])
+    co, si = math.cos(theta), math.sin(theta)
+    sc, s2 = si * co, si * si
+    g = np.array([[s2, 2.0 * sc, co * co, 1.0, 0.0, 0.0],
+                  [sc, co * co - s2, -sc, 0.0, 1.0, 0.0],
+                  [-s2, -2.0 * sc, s2, 0.0, 0.0, 1.0]]) @ f
+    rows = np.zeros((3, 3, L))
+    p, q, r = rows[0, 0], rows[1, 0], rows[1, 1]
+    np.sqrt(g[0], out=p)
+    np.divide(g[1], p, out=q)
+    # At n = 1, T_V lies on T_Y's line and r^2 is rounding noise.
+    np.sqrt(np.maximum(g[2] - q * q, 0.0), out=r)
+    rows[2, :2] = z
+    np.sqrt(w, out=rows[2, 2])
+    return rows
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -197,14 +287,18 @@ def run_simulation(config: SimConfig) -> SimResult:
     With U the standardised components of the n samples, each mode's rows
     of (Y, V, X) are Y = sqrt(v_y) U_Y, V = Y + sqrt(lambda_q) U_V and
     X = v_x / sqrt(v_y) U_Y + sqrt(v_x v_z / v_y) U_X.  The (Y, V) rows
-    are drawn as their Bartlett factor T; given them, each X row enters
+    are drawn as their Bartlett factor T, its Y block below the diagonal
+    collapsed into per-row sums (_draws); given them, each X row enters
     only through its mode's three Gram entries, drawn as z and w.  Each
     call draws afresh; equal configs give equal results.
     """
     s = spectral_decompose(config.spec)
     L, n, lam_q = config.spec.L, config.n_samples, config.lambda_q
     root_q = math.sqrt(lam_q)
-    t, z, w = _draws(config.seed, L, n)
+    draws = _draws(config.seed, L, n)
+    # Rows i >= 1 are gamma modes: V / sqrt(lambda_q) = d T_Y + T_V with
+    # d = tan(theta) = sqrt(gamma_y / lambda_q) there.
+    theta = math.atan2(math.sqrt(s.gamma_y), root_q)
 
     def side(vx: float, vz: float, vy: float) -> tuple:
         # The coefficients of (T_Y, T_V, T_X) in the mode's routed error
@@ -216,26 +310,30 @@ def run_simulation(config: SimConfig) -> SimResult:
         return ((x_y * (lam_q / (vy + lam_q)), -(vx / (vy + lam_q)) * root_q, x_own),
                 (x_y * keep, -(vx / (vx + lam_q)) * root_q, x_own * keep))
 
-    coef = np.repeat([side(s.lambda_x, s.lambda_z, s.lambda_y),
-                      side(s.gamma_x, s.gamma_z, s.gamma_y)], [1, L - 1], axis=0)
-    err = np.einsum("mer,rcm->ecm", coef, _mode_rows(t, z, w))
-    routed_sum, direct_sum = np.einsum("ecm,ecm->e", err, err).tolist()
+    coef = np.empty((L, 2, 3))
+    coef[0] = side(s.lambda_x, s.lambda_z, s.lambda_y)
+    coef[1:] = side(s.gamma_x, s.gamma_z, s.gamma_y)
+    err = np.matmul(coef, _mode_rows(draws, theta).transpose(2, 0, 1))
+    routed_sum, direct_sum = np.add.reduce(np.vecdot(err, err), axis=0).tolist()
 
     # With M the rows of (Y, V) in T's columns, ln det S_y and ln det S_yv
     # are sums of logs of M's diagonal; the Y rows' terms cancel, as does
     # each moment matrix's 1/n.  V's diagonal entry in column L + i is
-    # sqrt(lambda_q) T_{L+i, L+i}; V's rows are formed divided by
-    # sqrt(lambda_q), in place in T's V rows, which keeps the rate free
-    # of the variance unit.
+    # sqrt(lambda_q) T22_ii.  The rows of v = V / sqrt(lambda_q), which
+    # keep the rate free of the variance unit, are formed in place in t:
+    # below A's diagonal d T11 + T21 = a / cos(theta), and on it
+    # d_i T11_ii + T21_ii.
     rate_empirical = math.nan
     if n >= 2 * L:
-        y, v = t.reshape(2, L, -1)
-        y *= np.repeat([math.sqrt(s.lambda_y / lam_q), math.sqrt(s.gamma_y / lam_q)],
-                       [1, L - 1])[:, None]
-        v += y
-        sign, logdet = np.linalg.slogdet(v @ v.T)
+        t, root = draws.t, draws.root
+        a = t[:, :L]
+        np.divide(a, math.cos(theta), out=a, where=draws.below)
+        shift = math.sqrt(s.gamma_y / lam_q) * root[:L]
+        shift[0] = math.sqrt(s.lambda_y / lam_q) * root[0]
+        a.T.reshape(-1)[::L + 1] += shift
+        sign, logdet = np.linalg.slogdet(t @ t.T)
         if sign > 0.0:
-            rate_empirical = float(0.5 * logdet - np.sum(np.log(v.diagonal(L))))
+            rate_empirical = 0.5 * float(logdet) - float(np.add.reduce(np.log(root[L:])))
 
     # The per-sample distortion averages L independent squared errors of
     # variances e_lam and e_gam (L - 1 times); max(e) is factored out.

@@ -236,15 +236,31 @@ def test_lambda_q_limits_of_closed_forms():
     [
         dict(lambda_q=0.0),
         dict(lambda_q=-1.0),
+        dict(lambda_q=math.inf),
+        dict(lambda_q=math.nan),
         dict(n_samples=0),
+        dict(n_samples=100.5),
+        dict(n_samples=100.0),
+        dict(n_samples=True),
+        dict(seed=1.5),
+        dict(seed=True),
     ],
 )
 def test_config_validation(kwargs):
+    # An infinite lambda_q ran to a nan distortion and "matches: False";
+    # a fractional n_samples ran with fractional chi-square degrees.
     spec = from_eigenvalues(L_CASES, *CASE1)
     base = dict(spec=spec, lambda_q=1.0, n_samples=100, seed=0)
     base.update(kwargs)
     with pytest.raises(ValidationError):
         run_simulation(SimConfig(**base))
+
+
+def test_config_stores_python_ints():
+    cfg = SimConfig(from_eigenvalues(L_CASES, *CASE1), 1.0, np.int64(100), np.uint32(7))
+    assert type(cfg.n_samples) is int and cfg.n_samples == 100
+    assert type(cfg.seed) is int and cfg.seed == 7
+    assert run_simulation(cfg) == run_simulation(SimConfig(cfg.spec, 1.0, 100, 7))
 
 
 def test_config_validates_spec():
@@ -263,17 +279,48 @@ def test_distortion_consistent_with_noisier_channel():
     assert hi.distortion_empirical > lo.distortion_empirical
 
 
+def _yv_rows(draws, theta):
+    """The explicit L x k rows (T_Y, T_V) of the Bartlett factor behind draws.
+
+    Below T11's diagonal, row i >= 1 of draws.t holds the halves a; the
+    other halves are b = (beta / alpha) a + sqrt(gamma - beta^2 / alpha) u,
+    with u a unit vector orthogonal to a, alpha = |a|^2, beta = |a| zeta
+    and gamma - beta^2 / alpha = eta.  The pairs are rotated back to
+    T11 = sin a + cos b and T21 = cos a - sin b at angle theta.
+    """
+    below, root, zeta, eta = draws.below, draws.root, draws.zeta, draws.eta
+    L, k = below.shape
+    m = min(k, L)
+    c, s = math.cos(theta), math.sin(theta)
+    v = draws.t.copy()
+    y = np.zeros_like(v)
+    y[range(m), range(m)] = root[:m]
+    for i in range(1, L):
+        a = v[i, :np.count_nonzero(below[i])].copy()
+        alpha = a @ a
+        beta = math.sqrt(alpha) * zeta[i - 1]
+        u = np.zeros_like(a)
+        if a.size > 1:
+            u[np.argmin(np.abs(a))] = 1.0
+            u -= (u @ a / alpha) * a
+            u /= np.linalg.norm(u)
+        b = (beta / alpha) * a + math.sqrt(eta[i - 1]) * u
+        y[i, :a.size], v[i, :a.size] = s * a + c * b, c * a - s * b
+    return y, v
+
+
 def _eigenbasis_replay(cfg):
     """Distortions and rate of cfg, recomputed from the run's draws.
 
-    Rebuilds each mode's X row of the factor explicitly: z1 e1 + z2 e2 on
-    the Gram-Schmidt basis (e1, e2) of that mode's rows (T_Y, T_V), plus
-    sqrt(w) in a column of its own after T's.  Maps each mode's rows
-    through the Cholesky factor of that mode's explicit (Y, V, X)
-    covariance, rotates the rows to the coordinate basis with eigenbasis,
-    and hands them to _reference_statistics as samples.  Its statistics
-    read only the (Y, V) rows and each mode's own Gram entries with X,
-    which are the run's.
+    Rebuilds the (Y, V) rows of the factor explicitly (_yv_rows), and
+    each mode's X row: z1 e1 + z2 e2 on the Gram-Schmidt basis (e1, e2)
+    of that mode's rows (T_Y, T_V), plus sqrt(w) in a column of its own
+    after T's.  Maps each mode's rows through the Cholesky factor of that
+    mode's explicit (Y, V, X) covariance, rotates the rows to the
+    coordinate basis with eigenbasis, and hands them to
+    _reference_statistics as samples.  Its statistics read only the
+    (Y, V) rows and each mode's own Gram entries with X, which are the
+    run's.
     """
     spec, L, n, lam_q = cfg.spec, cfg.spec.L, cfg.n_samples, cfg.lambda_q
     s = spectral_decompose(spec)
@@ -284,12 +331,13 @@ def _eigenbasis_replay(cfg):
 
     c = np.array([factor(s.lambda_x, s.lambda_z)]
                  + [factor(s.gamma_x, s.gamma_z)] * (L - 1))
-    t, z, w = symrd.simulate._draws(cfg.seed, L, n)
-    y, v = t.reshape(2, L, -1)
+    draws = symrd.simulate._draws(cfg.seed, L, n)
+    y, v = _yv_rows(draws, math.atan2(math.sqrt(s.gamma_y), math.sqrt(lam_q)))
+    z, w = draws.z, draws.w
     e1 = y / np.linalg.norm(y, axis=1, keepdims=True)
     r = v - np.sum(e1 * v, axis=1, keepdims=True) * e1
     # one column: T_V and T_X lie on T_Y's line
-    e2 = r / np.linalg.norm(r, axis=1, keepdims=True) if t.shape[1] > 1 else 0.0 * r
+    e2 = r / np.linalg.norm(r, axis=1, keepdims=True) if y.shape[1] > 1 else 0.0 * r
     x = np.hstack([z[0][:, None] * e1 + z[1][:, None] * e2, np.diag(np.sqrt(w))])
     pad = np.zeros((L, L))
     rows = np.array([np.hstack([y, pad]), np.hstack([v, pad]), x])
@@ -316,8 +364,8 @@ def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("L, n", [(12, 30), (12, 23), (12, 3), (12, 2), (2, 1), (3, 10**12),
-                                  (240, 6 * 240), (360, 6 * 360)])
+@pytest.mark.parametrize("L, n", [(12, 30), (12, 24), (12, 23), (12, 3), (12, 2), (2, 1),
+                                  (3, 10**12), (240, 6 * 240), (360, 6 * 360)])
 def test_trapezoidal_factor_matches_eigenbasis_replay(L, n):
     # n < 2L takes a trapezoidal factor (the rate is NaN below 2L); n = 3
     # is the first with a chi-square for X, n = 2 has none (w = 0) and
@@ -331,10 +379,16 @@ def test_stream_keys_give_uncorrelated_streams():
     # guards the key encoding: SeedSequence reads a seed as 32-bit words.
     # No draw value is pinned: numpy does not promise standard_normal's
     # stream across versions.
-    p, n = 300, 10**6
-    lower = np.tri(p, p, -1, dtype=bool)
+    # All of a run's normals: t's left of column L + i in row i, zeta and z.
+    L, n = 150, 10**6
+    normal = np.tri(L, 2 * L, L - 1, dtype=bool)
+
+    def normals(seed):
+        d = symrd.simulate._draws(seed, L, n)
+        return np.concatenate([d.t[normal], d.zeta, d.z.ravel()])
+
     for keys in ([0, 1], [77, 78], [5, 2**32 + 5]):
-        draws = [symrd.simulate._draws(k, p // 2, n)[0][lower] for k in keys]
+        draws = [normals(k) for k in keys]
         corr = np.corrcoef(*draws)[0, 1]
         assert abs(corr) <= 5.0 / math.sqrt(draws[0].size), keys
 
@@ -350,7 +404,7 @@ def _peak_bytes(cfg):
 
 
 def test_memory_does_not_grow_with_n():
-    # A run holds the 2L x min(n, 2L) factor and a few arrays of L per-mode
+    # A run holds the L x min(n, 2L) factor and a few arrays of L per-mode
     # values, whatever n is.
     def peak(n):
         return _peak_bytes(SimConfig(SourceSpec(12, 1.0, 0.3, 0.5, 0.2), 0.7, n, 1))
@@ -362,16 +416,39 @@ def test_memory_does_not_grow_with_n():
 
 
 def test_memory_at_the_wide_shape():
-    # At L = 240, n = 6L a run holds the 2L x 2L factor (8 bytes an entry),
-    # its boolean mask (1 byte) and the normals below its diagonal while it
-    # fills the factor; then the L x L Gram of the V rows, which are formed
-    # in place in the factor.  Measured peak 3.03 MB against this 3.46 MB;
-    # a draw of the 3L rows of (Y, V, X) peaks at 6.92 MB.
+    # At L = 240, n = 6L a run holds the L x 2L factor (8 bytes an entry),
+    # its 2L x L boolean mask (1 byte) and, while it fills the factor, its
+    # normals: the factor's L^2 + L (L - 1) / 2 and 3L - 1 more.  A few
+    # arrays of 4L or fewer per-mode values come on top.  Measured peak
+    # 1.77 MB against this 1.79 MB; the 2L x 2L factor of a draw that
+    # keeps the Y block peaks at 3.03 MB.
     L = 240
     p = 2 * L
     cfg = SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, 6 * L, 1)
+    normals = L * L + L * (L - 1) // 2 + 3 * L - 1
     _peak_bytes(cfg)  # first-call allocations
-    assert _peak_bytes(cfg) <= 8 * p * p + p * p + 8 * (p * (p - 1) // 2) + 8 * L * L
+    assert _peak_bytes(cfg) <= 8 * L * p + p * L + 8 * normals + 8 * 32 * L
+
+
+def _mode_grams(L, n, seeds, theta=0.6):
+    """The 3 x 3 Gram of each mode's rows (T_Y, T_V, T_X), over many seeds.
+
+    Indexed [row, row, mode].  theta is the pairs' rotation angle; the
+    law of the Gram is the same at every angle.
+    """
+    return np.concatenate([
+        np.einsum("rcm,scm->rsm", rows, rows)
+        for rows in (symrd.simulate._mode_rows(symrd.simulate._draws(s, L, n), theta)
+                     for s in seeds)], axis=2)
+
+
+def _check_moments(sample, mean, var, fourth, label):
+    # the sample mean and variance, each within 4 standard errors; fourth
+    # is the central fourth moment
+    m = sample.size
+    assert abs(sample.mean() - mean) <= 4.0 * math.sqrt(var / m), (label, sample.mean())
+    v = sample.var(ddof=1)
+    assert abs(v - var) <= 4.0 * math.sqrt((fourth - var * var) / m), (label, v)
 
 
 @pytest.mark.parametrize("n", [2, 3, 30])
@@ -380,22 +457,40 @@ def test_x_gram_entries_have_wishart_moments(n):
     # through z and w.  Over 2400 independent modes they have the moments
     # of Wishart_3(n, I): g_xx ~ chi^2(n), and g_yx and g_vx are a normal
     # times the root of a chi^2(n).
-    L, seeds = 12, range(200)
-    g_yx, g_vx, g_xx = np.hstack([
-        np.einsum("rcm,cm->rm", rows, rows[2])
-        for rows in (symrd.simulate._mode_rows(*symrd.simulate._draws(s, L, n)) for s in seeds)])
-    m = g_xx.size
+    g = _mode_grams(12, n, range(200))
+    _check_moments(g[2, 2], n, 2 * n, 12 * n * n + 48 * n, n)
+    for r in (0, 1):
+        _check_moments(g[r, 2], 0.0, n, 3 * n * (n + 2), n)
 
-    def check(sample, mean, var, fourth):
-        # the sample mean and variance, each within 4 standard errors;
-        # fourth is the central fourth moment
-        assert abs(sample.mean() - mean) <= 4.0 * math.sqrt(var / m), (n, sample.mean())
-        v = sample.var(ddof=1)
-        assert abs(v - var) <= 4.0 * math.sqrt((fourth - var * var) / m), (n, v)
 
-    check(g_xx, n, 2 * n, 12 * n * n + 48 * n)
-    for g in (g_yx, g_vx):
-        check(g, 0.0, n, 3 * n * (n + 2))
+@pytest.mark.parametrize("n", [24, 200, 10**6])
+def test_yv_gram_entries_have_wishart_moments(n):
+    # Below T11's diagonal the run holds one half a of each rotated pair
+    # and draws the other half's sums with a through zeta and eta.  Over
+    # 4800 independent modes the (Y, V) Gram entries keep the moments of
+    # Wishart_2(n, I): g_yy and g_vv ~ chi^2(n), independent, and given
+    # g_yy, g_yv ~ N(0, g_yy).  At n = 24 = 2L a row's pairs are up to 11
+    # of its 24 terms, and a chi^2 of eta one degree off moves a mean by
+    # about 6 standard errors.
+    L, seeds = 12, range(400)
+    g = _mode_grams(L, n, seeds)
+    for r in (0, 1):
+        _check_moments(g[r, r], n, 2 * n, 12 * n * n + 48 * n, (n, r))
+    _check_moments(g[0, 1], 0.0, n, 3 * n * (n + 2), n)
+    # E[(g_yy - n)(g_vv - n)] = 0 with variance 4 n^2, and
+    # E[(g_yy - n) g_yv] = 0 with variance E[(g_yy - n)^2 g_yy] = 2 n^2 + 8 n.
+    for prod, var in (((g[0, 0] - n) * (g[1, 1] - n), 4.0 * n * n),
+                      ((g[0, 0] - n) * g[0, 1], 2.0 * n * n + 8.0 * n)):
+        assert abs(prod.mean()) <= 4.0 * math.sqrt(var / prod.size), (n, prod.mean())
+    # The rate's mean over seeds is the closed form plus the estimator's
+    # exact bias, within 4 standard errors of the sampled spread.
+    spec = SourceSpec(L, 1.0, 0.5, 0.6, 0.3)
+    offsets = np.array([
+        (r.rate_empirical - r.rate_closed_form)
+        for r in (run_simulation(SimConfig(spec, 0.7, n, s)) for s in seeds)])
+    bias = rate_bias_band(L, n)[0]
+    se = offsets.std(ddof=1) / math.sqrt(offsets.size)
+    assert abs(offsets.mean() - bias) <= 4.0 * se, (n, offsets.mean(), bias)
 
 
 def test_singular_gram_gives_nan_rate():
