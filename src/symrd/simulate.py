@@ -253,8 +253,9 @@ def _mode_rows(draws: _Draws, theta: float) -> np.ndarray:
     t, below, root, zeta, eta, z, w = draws
     L, m = below.shape
     # Per mode: alpha, beta, gamma, then T11's diagonal entry squared,
-    # its product with T21's, and the squared norm of t's row (which
-    # holds alpha, T21's rest and T22's).
+    # its product with T21's, and the squared norm of t's row.  That row
+    # holds a as well as T21's rest and T22's, so g_vv takes alpha with
+    # cos^2 - 1 = -sin^2.
     f = np.zeros((6, L))
     left = t[:, :m]
     np.vecdot(left, left * below, out=f[0])
