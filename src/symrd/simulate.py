@@ -236,16 +236,17 @@ def _draws(seed: int, L: int, n: int) -> _Draws:
     return _Draws(tt.T, mask[L:].T, root, rest[:L - 1], chi[2 * L:3 * L - 1], z, chi[3 * L - 1:])
 
 
-def _mode_rows(draws: _Draws, theta: float) -> np.ndarray:
+def _mode_rows(draws: _Draws, d: float) -> np.ndarray:
     """Each mode's rows (T_Y, T_V, T_X), on the Gram-Schmidt basis of (T_Y, T_V).
 
-    A (3, 3, L) array indexed [row, coordinate, mode].  Below T11's
-    diagonal, row i >= 1's pairs are (T11, T21) = (sin a + cos b,
-    cos a - sin b) at angle theta = atan(d).  With alpha = |a|^2,
+    A (3, 3, L) array indexed [row, coordinate, mode].  d is the gamma
+    modes' gain (see run_simulation).  Below T11's diagonal, row i >= 1's
+    pairs are (T11, T21) = (s a + c b, c a - s b), with
+    c = 1 / sqrt(1 + d^2) and s = d c.  With alpha = |a|^2,
     beta = <a, b> and gamma = |b|^2, their row sums of T11^2, T11 T21 and
-    T21^2 are sin^2 alpha + 2 sin cos beta + cos^2 gamma,
-    sin cos (alpha - gamma) + (cos^2 - sin^2) beta and
-    cos^2 alpha - 2 sin cos beta + sin^2 gamma.  With (p, q; 0, r) the
+    T21^2 are s^2 alpha + 2 s c beta + c^2 gamma,
+    s c (alpha - gamma) + (c^2 - s^2) beta and
+    c^2 alpha - 2 s c beta + s^2 gamma.  With (p, q; 0, r) the
     Cholesky factor of the Gram of the mode's rows of T, the rows are
     T_Y = p e1, T_V = q e1 + r e2 and T_X = z1 e1 + z2 e2 + sqrt(w) e3,
     so their inner products are the mode's entries of the run's Gram.
@@ -255,18 +256,19 @@ def _mode_rows(draws: _Draws, theta: float) -> np.ndarray:
     # Per mode: alpha, beta, gamma, then T11's diagonal entry squared,
     # its product with T21's, and the squared norm of t's row.  That row
     # holds a as well as T21's rest and T22's, so g_vv takes alpha with
-    # cos^2 - 1 = -sin^2.
+    # c^2 - 1 = -s^2.
     f = np.zeros((6, L))
     left = t[:, :m]
-    np.vecdot(left, left * below, out=f[0])
+    np.add.reduce(np.square(left.T), axis=0, out=f[0], where=below.T)
     np.sqrt(f[0], out=f[1])
     f[1, 1:] *= zeta
     np.multiply(zeta, zeta, out=f[2, 1:])
     f[2, 1:] += eta
     np.square(root[:L], out=f[3])
     np.multiply(root[:m], left.diagonal(), out=f[4, :m])
-    np.vecdot(t, t, out=f[5])
-    co, si = math.cos(theta), math.sin(theta)
+    np.einsum("ij,ij->i", t, t, out=f[5])
+    co = 1.0 / math.hypot(1.0, d)
+    si = d * co
     sc, s2 = si * co, si * si
     g = np.array([[s2, 2.0 * sc, co * co, 1.0, 0.0, 0.0],
                   [sc, co * co - s2, -sc, 0.0, 1.0, 0.0],
@@ -298,8 +300,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     root_q = math.sqrt(lam_q)
     draws = _draws(config.seed, L, n)
     # Rows i >= 1 are gamma modes: V / sqrt(lambda_q) = d T_Y + T_V with
-    # d = tan(theta) = sqrt(gamma_y / lambda_q) there.
-    theta = math.atan2(math.sqrt(s.gamma_y), root_q)
+    # d = sqrt(gamma_y / lambda_q) there.
+    d = math.sqrt(s.gamma_y) / root_q
 
     def side(vx: float, vz: float, vy: float) -> tuple:
         # The coefficients of (T_Y, T_V, T_X) in the mode's routed error
@@ -314,23 +316,23 @@ def run_simulation(config: SimConfig) -> SimResult:
     coef = np.empty((L, 2, 3))
     coef[0] = side(s.lambda_x, s.lambda_z, s.lambda_y)
     coef[1:] = side(s.gamma_x, s.gamma_z, s.gamma_y)
-    err = np.matmul(coef, _mode_rows(draws, theta).transpose(2, 0, 1))
-    routed_sum, direct_sum = np.add.reduce(np.vecdot(err, err), axis=0).tolist()
+    err = np.matmul(coef, _mode_rows(draws, d).transpose(2, 0, 1))
+    routed_sum, direct_sum = np.einsum("mer,mer->e", err, err).tolist()
 
     # With M the rows of (Y, V) in T's columns, ln det S_y and ln det S_yv
     # are sums of logs of M's diagonal; the Y rows' terms cancel, as does
     # each moment matrix's 1/n.  V's diagonal entry in column L + i is
     # sqrt(lambda_q) T22_ii.  The rows of v = V / sqrt(lambda_q), which
     # keep the rate free of the variance unit, are formed in place in t:
-    # below A's diagonal d T11 + T21 = a / cos(theta), and on it
+    # below A's diagonal d T11 + T21 = sqrt(1 + d^2) a, and on it
     # d_i T11_ii + T21_ii.
     rate_empirical = math.nan
     if n >= 2 * L:
         t, root = draws.t, draws.root
         a = t[:, :L]
-        np.divide(a, math.cos(theta), out=a, where=draws.below)
-        shift = math.sqrt(s.gamma_y / lam_q) * root[:L]
-        shift[0] = math.sqrt(s.lambda_y / lam_q) * root[0]
+        np.multiply(a, math.hypot(1.0, d), out=a, where=draws.below)
+        shift = d * root[:L]
+        shift[0] = (math.sqrt(s.lambda_y) / root_q) * root[0]
         a.T.reshape(-1)[::L + 1] += shift
         sign, logdet = np.linalg.slogdet(t @ t.T)
         if sign > 0.0:

@@ -279,19 +279,21 @@ def test_distortion_consistent_with_noisier_channel():
     assert hi.distortion_empirical > lo.distortion_empirical
 
 
-def _yv_rows(draws, theta):
+def _yv_rows(draws, d):
     """The explicit L x k rows (T_Y, T_V) of the Bartlett factor behind draws.
 
     Below T11's diagonal, row i >= 1 of draws.t holds the halves a; the
     other halves are b = (beta / alpha) a + sqrt(gamma - beta^2 / alpha) u,
     with u a unit vector orthogonal to a, alpha = |a|^2, beta = |a| zeta
     and gamma - beta^2 / alpha = eta.  The pairs are rotated back to
-    T11 = sin a + cos b and T21 = cos a - sin b at angle theta.
+    T11 = s a + c b and T21 = c a - s b, with c = 1 / sqrt(1 + d^2) and
+    s = d c for the gamma modes' gain d.
     """
     below, root, zeta, eta = draws.below, draws.root, draws.zeta, draws.eta
     L, k = below.shape
     m = min(k, L)
-    c, s = math.cos(theta), math.sin(theta)
+    c = 1.0 / math.sqrt(1.0 + d * d)
+    s = d * c
     v = draws.t.copy()
     y = np.zeros_like(v)
     y[range(m), range(m)] = root[:m]
@@ -332,7 +334,7 @@ def _eigenbasis_replay(cfg):
     c = np.array([factor(s.lambda_x, s.lambda_z)]
                  + [factor(s.gamma_x, s.gamma_z)] * (L - 1))
     draws = symrd.simulate._draws(cfg.seed, L, n)
-    y, v = _yv_rows(draws, math.atan2(math.sqrt(s.gamma_y), math.sqrt(lam_q)))
+    y, v = _yv_rows(draws, math.sqrt(s.gamma_y / lam_q))
     z, w = draws.z, draws.w
     e1 = y / np.linalg.norm(y, axis=1, keepdims=True)
     r = v - np.sum(e1 * v, axis=1, keepdims=True) * e1
@@ -416,29 +418,36 @@ def test_memory_does_not_grow_with_n():
 
 
 def test_memory_at_the_wide_shape():
-    # At L = 240, n = 6L a run holds the L x 2L factor (8 bytes an entry),
-    # its 2L x L boolean mask (1 byte) and, while it fills the factor, its
-    # normals: the factor's L^2 + L (L - 1) / 2 and 3L - 1 more.  A few
-    # arrays of 4L or fewer per-mode values come on top.  Measured peak
-    # 1.77 MB against this 1.79 MB; the 2L x 2L factor of a draw that
-    # keeps the Y block peaks at 3.03 MB.
+    # At L = 240, n = 6L a run peaks while _draws fills the factor.  It
+    # then holds the L x 2L factor (8 bytes an entry), its 2L x L boolean
+    # mask (1 byte), the normals (the factor's L^2 + L (L - 1) / 2 and
+    # 3L - 1 more) and five short arrays of doubles: the normals' tail
+    # (3L - 1), the half-degree grid (2L), the gamma shapes and their
+    # draws (4L - 1 each) and the roots of T's diagonal (2L).  These sum
+    # to 1.762 MB; the bound allows 5% more for array headers and the
+    # generator.  Measured peak 1.766 MB.  Later steps hold the factor and
+    # mask with one L x L array (A's squares, or the rate's Gram), less
+    # than this.  The 2L x 2L factor of a draw that keeps the Y block
+    # peaks at 3.03 MB.
     L = 240
     p = 2 * L
     cfg = SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, 6 * L, 1)
     normals = L * L + L * (L - 1) // 2 + 3 * L - 1
+    short = (3 * L - 1) + 2 * L + 2 * (4 * L - 1) + 2 * L
+    buffers = 8 * L * p + p * L + 8 * normals + 8 * short
     _peak_bytes(cfg)  # first-call allocations
-    assert _peak_bytes(cfg) <= 8 * L * p + p * L + 8 * normals + 8 * 32 * L
+    assert _peak_bytes(cfg) <= 1.05 * buffers
 
 
-def _mode_grams(L, n, seeds, theta=0.6):
+def _mode_grams(L, n, seeds, d=0.7):
     """The 3 x 3 Gram of each mode's rows (T_Y, T_V, T_X), over many seeds.
 
-    Indexed [row, row, mode].  theta is the pairs' rotation angle; the
-    law of the Gram is the same at every angle.
+    Indexed [row, row, mode].  d is the gain that fixes the pairs'
+    rotation; the law of the Gram is the same at every d.
     """
     return np.concatenate([
         np.einsum("rcm,scm->rsm", rows, rows)
-        for rows in (symrd.simulate._mode_rows(symrd.simulate._draws(s, L, n), theta)
+        for rows in (symrd.simulate._mode_rows(symrd.simulate._draws(s, L, n), d)
                      for s in seeds)], axis=2)
 
 
