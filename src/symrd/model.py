@@ -22,6 +22,7 @@ line tool.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -120,6 +121,18 @@ def _as_int(L):
         return L
 
 
+def _check_finite(name: str, value) -> None:
+    """Raise ValidationError unless value is a finite real number.
+
+    A string, None or a complex number is refused here rather than
+    failing later with a TypeError.  A float is taken before the
+    numbers.Real check, which costs about ten times as much.
+    """
+    if not ((type(value) is float or isinstance(value, numbers.Real))
+            and math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+
+
 def _check_size(L) -> None:
     if type(L) is not int:
         raise ValidationError(f"L must be an integer, got {L!r}")
@@ -141,16 +154,14 @@ def validate_spec(spec: SourceSpec) -> None:
     SourceSpec runs it when built, so every SourceSpec has passed it.
     The checks are: L is an integer >= 2 (SourceSpec stores an integer of
     any type but bool as a Python int); the four other values are
-    finite; sigma_x_sq > 0; sigma_z_sq >= 0 (up to VALIDATION_SLACK
-    sigma_x_sq); both correlation coefficients lie in [-1/(L-1), 1] (up
-    to VALIDATION_SLACK); and the observation spectrum is nondegenerate,
-    min(lambda_y, gamma_y) > 0.
+    finite real numbers; sigma_x_sq > 0; sigma_z_sq >= 0 (up to
+    VALIDATION_SLACK sigma_x_sq); both correlation coefficients lie in
+    [-1/(L-1), 1] (up to VALIDATION_SLACK); and the observation spectrum
+    is nondegenerate, min(lambda_y, gamma_y) > 0.
     """
     _check_size(spec.L)
     for name in ("sigma_x_sq", "rho_x", "sigma_z_sq", "rho_z"):
-        value = getattr(spec, name)
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        _check_finite(name, getattr(spec, name))
     if not spec.sigma_x_sq > 0.0:
         raise ValidationError(f"sigma_x_sq must be positive, got {spec.sigma_x_sq!r}")
     if spec.sigma_z_sq < -VALIDATION_SLACK * spec.sigma_x_sq:
@@ -204,12 +215,12 @@ def from_eigenvalues(
     """
     L = _as_int(L)
     _check_size(L)
-    scale = max(abs(lambda_x), abs(gamma_x), abs(lambda_y), abs(gamma_y))
-    slack = VALIDATION_SLACK * scale
-    for name, v in (("lambda_x", lambda_x), ("gamma_x", gamma_x),
-                    ("lambda_y", lambda_y), ("gamma_y", gamma_y)):
-        if not math.isfinite(v):
-            raise ValidationError(f"{name} must be a finite number, got {v!r}")
+    given = (("lambda_x", lambda_x), ("gamma_x", gamma_x),
+             ("lambda_y", lambda_y), ("gamma_y", gamma_y))
+    for name, v in given:
+        _check_finite(name, v)
+    slack = VALIDATION_SLACK * max(abs(lambda_x), abs(gamma_x), abs(lambda_y), abs(gamma_y))
+    for name, v in given:
         if v < -slack:
             raise ValidationError(f"{name} must be nonnegative, got {v!r}")
     lx, gx = max(lambda_x, 0.0), max(gamma_x, 0.0)

@@ -190,6 +190,26 @@ def test_from_eigenvalues_rejects_inconsistent_input():
         from_eigenvalues(10, 1e-15, 1e-15, 1e-15 - 1e-20, 2e-15)
 
 
+_SPEC = SourceSpec(10, 1.0, 0.3, 2.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: symrd.SimConfig(_SPEC, "1", 100, 1),
+        lambda: symrd.SimConfig(_SPEC, None, 100, 1),
+        lambda: symrd.SimConfig(_SPEC, 1 + 0j, 100, 1),
+        lambda: SourceSpec(10, "1", 0.3, 2.0, 0.5),
+        lambda: from_eigenvalues(10, "1", 1.0, 2.0, 3.0),
+    ],
+    ids=["lambda_q str", "lambda_q None", "lambda_q complex", "sigma_x_sq str", "lambda_x str"],
+)
+def test_non_real_input_is_a_validation_error(build):
+    # each raised a raw TypeError from math.isfinite or abs
+    with pytest.raises(ValidationError, match="finite real number"):
+        build()
+
+
 def test_covariance_matrix_structure():
     c = covariance_matrix(4, 2.0, 0.25)
     assert c.shape == (4, 4)

@@ -395,6 +395,22 @@ def test_stream_keys_give_uncorrelated_streams():
         assert abs(corr) <= 5.0 / math.sqrt(draws[0].size), keys
 
 
+@pytest.mark.parametrize("L, n", [(12, 5), (12, 24), (5, 10**6), (300, 1800)])
+def test_normals_come_in_the_documented_order(L, n):
+    # A fresh generator on the run's key yields the factor's normals column
+    # by column (A's columns whole, then T22's below its diagonal), then
+    # zeta, then z: the stream is the same however _draws splits its
+    # calls.  numpy's values are compared with numpy's own stream, so none
+    # is pinned.
+    seed = 31
+    d = symrd.simulate._draws(seed, L, n)
+    k = d.t.shape[1]
+    columns = [d.t[:, j] for j in range(min(k, L))] + [d.t[j - L + 1:, j] for j in range(L, k)]
+    expected = np.concatenate(columns + [d.zeta, d.z.ravel()])
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    assert np.array_equal(rng.standard_normal(expected.size), expected)
+
+
 def _peak_bytes(cfg):
     """tracemalloc's peak over one run of cfg."""
     tracemalloc.start()
@@ -418,23 +434,21 @@ def test_memory_does_not_grow_with_n():
 
 
 def test_memory_at_the_wide_shape():
-    # At L = 240, n = 6L a run peaks while _draws fills the factor.  It
-    # then holds the L x 2L factor (8 bytes an entry), its 2L x L boolean
-    # mask (1 byte), the normals (the factor's L^2 + L (L - 1) / 2 and
-    # 3L - 1 more) and five short arrays of doubles: the normals' tail
-    # (3L - 1), the half-degree grid (2L), the gamma shapes and their
-    # draws (4L - 1 each) and the roots of T's diagonal (2L).  These sum
-    # to 1.762 MB; the bound allows 5% more for array headers and the
-    # generator.  Measured peak 1.766 MB.  Later steps hold the factor and
-    # mask with one L x L array (A's squares, or the rate's Gram), less
-    # than this.  The 2L x 2L factor of a draw that keeps the Y block
-    # peaks at 3.03 MB.
+    # At L = 240, n = 6L a run peaks as it forms the rate's L x L Gram.
+    # It then holds the L x 2L factor (8 bytes an entry), the Gram, the
+    # L x L boolean mask of the pairs' halves (1 byte) and six short
+    # arrays of doubles: the roots of T's diagonal (2L), the chi-squares
+    # (4L - 1), the normals' tail of zeta and z (3L - 1), the error
+    # coefficients and the error rows (6L each) and the diagonal shift
+    # (L).  These sum to 1.482 MB; the bound allows 5% more for array
+    # headers and the generator.  Measured peak 1.485 MB.  _draws holds
+    # the factor, the mask and about L^2 / 2 normals of T22; the row sums
+    # hold the factor, the mask and A's squares (L x L); slogdet's
+    # working copy of the Gram takes the freed factor's place.
     L = 240
-    p = 2 * L
     cfg = SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, 6 * L, 1)
-    normals = L * L + L * (L - 1) // 2 + 3 * L - 1
-    short = (3 * L - 1) + 2 * L + 2 * (4 * L - 1) + 2 * L
-    buffers = 8 * L * p + p * L + 8 * normals + 8 * short
+    short = 2 * L + (4 * L - 1) + (3 * L - 1) + 6 * L + 6 * L + L
+    buffers = 8 * (2 * L * L) + 8 * (L * L) + L * L + 8 * short
     _peak_bytes(cfg)  # first-call allocations
     assert _peak_bytes(cfg) <= 1.05 * buffers
 
