@@ -19,7 +19,9 @@ together with the limit distortions
 
 asymptotic_regime classifies a spec once and returns an
 AsymptoticRegime holding the spec, these scales and the limit distortions;
-every evaluator here takes that regime.
+every evaluator here takes that regime.  asymptotic_bounds gives both
+bounds at one D for many L; upper_asymptotic and lower_asymptotic are its
+one-L, one-side forms.
 
 Every evaluator drops the remainder term of its expansion: the upper
 bound's three pieces carry O(1/L) errors except exactly at d_th0_inf where
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -203,51 +206,59 @@ def expansion_coefficients(regime: AsymptoticRegime, D: float) -> ExpansionCoeff
 
 
 # --- the individual limit expressions ----------------------------------------
+#
+# Each takes the regime (and D, where the expression depends on it) and
+# returns the expression as a function of L alone: its L-free logarithms and
+# quotients are formed once, and the function adds the L terms to them in
+# the order the expression is written.
 
-def _rbar_inf_zero_mix(reg: AsymptoticRegime, L: int, D: float) -> float:
+def _rbar_inf_zero_mix(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
     sx2, sz2 = reg.spec.sigma_x_sq, reg.spec.sigma_z_sq
-    return L / 2.0 * math.log(sx2 ** 2 / ((sx2 + sz2) * D - sx2 * sz2))
+    log_ratio = math.log(sx2 ** 2 / ((sx2 + sz2) * D - sx2 * sz2))
+    return lambda L: L / 2.0 * log_ratio
 
 
-def _rbar1_inf(reg: AsymptoticRegime, L: int, D: float) -> float:
+def _rbar1_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
     gx, gy = reg.gamma_x, reg.gamma_y
-    return (L / 2.0 * math.log(gx ** 2 / gy / (D - reg.d_min_inf))
-            + 0.5 * math.log(L)
-            + 0.5 * math.log(reg.mix * (reg.d_th0_inf - D) / gx ** 2)
-            + (reg.d_th0_inf - reg.xi * gx ** 2 / gy - D) ** 2
-            / (2.0 * (reg.d_th0_inf - D) * (D - reg.d_min_inf)))
+    log_ratio = math.log(gx ** 2 / gy / (D - reg.d_min_inf))
+    half_log_mix = 0.5 * math.log(reg.mix * (reg.d_th0_inf - D) / gx ** 2)
+    quotient = ((reg.d_th0_inf - reg.xi * gx ** 2 / gy - D) ** 2
+                / (2.0 * (reg.d_th0_inf - D) * (D - reg.d_min_inf)))
+    return lambda L: L / 2.0 * log_ratio + 0.5 * math.log(L) + half_log_mix + quotient
 
 
-def _rbar2_inf(reg: AsymptoticRegime, L: int) -> float:
-    gy = reg.gamma_y
+def _rbar2_inf(reg: AsymptoticRegime) -> Callable[[int], float]:
+    gy, xi = reg.gamma_y, reg.xi
     coeff = expansion_coefficients(reg, reg.d_th0_inf)
     a1, a2 = coeff.alpha1, coeff.alpha2
-    return (reg.xi / 2.0 * math.sqrt(L) + 0.25 * math.log(L)
-            + 0.5 * math.log(reg.spec.rho_x / (1.0 - reg.spec.rho_x))
-            - gy * (gy + 2.0 * a2) / (4.0 * a1 ** 2))
+    half_log_rho = 0.5 * math.log(reg.spec.rho_x / (1.0 - reg.spec.rho_x))
+    constant = gy * (gy + 2.0 * a2) / (4.0 * a1 ** 2)
+    return lambda L: xi / 2.0 * math.sqrt(L) + 0.25 * math.log(L) + half_log_rho - constant
 
 
-def _rbar3_inf(reg: AsymptoticRegime, D: float) -> float:
+def _rbar3_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
     spec = reg.spec
     sx2, ry = spec.sigma_x_sq, spec.rho_y
-    return (0.5 * math.log(spec.rho_x ** 2 * sx2 ** 2 / (reg.mix * (D - reg.d_th0_inf)))
-            + (1.0 - ry) * (sx2 - D) / (2.0 * ry * (D - reg.d_th0_inf)))
+    value = (0.5 * math.log(spec.rho_x ** 2 * sx2 ** 2 / (reg.mix * (D - reg.d_th0_inf)))
+             + (1.0 - ry) * (sx2 - D) / (2.0 * ry * (D - reg.d_th0_inf)))
+    return lambda L: value
 
 
-def _r1_inf(reg: AsymptoticRegime, L: int, D: float) -> float:
+def _r1_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
     gx, gy = reg.gamma_x, reg.gamma_y
     rx, ry = reg.spec.rho_x, reg.spec.rho_y
-    return ((L + 1) / 2.0 * math.log(gx ** 2 / gy / (D - reg.d_min_inf))
-            + 0.5 * math.log(L)
-            + 0.5 * (1.0 - 2.0 * reg.xi) * gx ** 2 / gy / (D - reg.d_min_inf)
-            + 0.5 * math.log(rx ** 2 * (1.0 - ry) / ((1.0 - rx) ** 2 * ry)))
+    log_ratio = math.log(gx ** 2 / gy / (D - reg.d_min_inf))
+    quotient = 0.5 * (1.0 - 2.0 * reg.xi) * gx ** 2 / gy / (D - reg.d_min_inf)
+    half_log_rho = 0.5 * math.log(rx ** 2 * (1.0 - ry) / ((1.0 - rx) ** 2 * ry))
+    return lambda L: (L + 1) / 2.0 * log_ratio + 0.5 * math.log(L) + quotient + half_log_rho
 
 
-def _r2_inf(reg: AsymptoticRegime, L: int, D: float) -> float:
+def _r2_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
     sx2 = reg.spec.sigma_x_sq
     gz, gy = reg.gamma_z, reg.gamma_y
-    return (L / 2.0 * math.log(sx2 ** 2 / (gy * D - sx2 * gz))
-            - 0.5 * (D - sx2) / (D - sx2 + sx2 ** 2 / gy))
+    log_ratio = math.log(sx2 ** 2 / (gy * D - sx2 * gz))
+    quotient = 0.5 * (D - sx2) / (D - sx2 + sx2 ** 2 / gy)
+    return lambda L: L / 2.0 * log_ratio - quotient
 
 
 def _check_d_range(reg: AsymptoticRegime, D: float) -> None:
@@ -258,18 +269,42 @@ def _check_d_range(reg: AsymptoticRegime, D: float) -> None:
         )
 
 
-def _upper(reg: AsymptoticRegime, L: int, D: float) -> float:
-    """upper_asymptotic at a D already inside (d_min_inf, sigma_x_sq)."""
+def _upper(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
+    """upper_asymptotic at a D already inside (d_min_inf, sigma_x_sq), in L."""
     if reg.condition is Condition.ZeroMix:
-        return _rbar_inf_zero_mix(reg, L, D)
+        return _rbar_inf_zero_mix(reg, D)
     # The sqrt(L) clause exists only when the crossing is interior, which
     # needs rho_x > 0 (otherwise d_th0_inf = sigma_x_sq, the domain edge).
     if (reg.spec.rho_x > 0.0
             and abs(D - reg.d_th0_inf) <= D_TH0_WINDOW * reg.spec.sigma_x_sq):
-        return _rbar2_inf(reg, L)
+        return _rbar2_inf(reg)
     if D < reg.d_th0_inf:
-        return _rbar1_inf(reg, L, D)
+        return _rbar1_inf(reg, D)
     return _rbar3_inf(reg, D)
+
+
+def _gapped(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
+    """lower_asymptotic, in L, at a D in range where the bounds do not meet."""
+    if reg.condition is Condition.PosMixZeroRho:
+        return _r2_inf(reg, D)
+    return _r1_inf(reg, D)
+
+
+def asymptotic_bounds(regime: AsymptoticRegime, sizes: Iterable[int],
+                      D: float) -> list[tuple[float, float]]:
+    """(upper_asymptotic, lower_asymptotic) at D for each L in sizes, in order.
+
+    One range check and one dispatch of each side's piece serve every
+    size, and each piece's L-free terms are formed once; where the bounds
+    meet the lower value is the upper one.  Values are bit for bit those
+    of upper_asymptotic and lower_asymptotic, whose domain rule it keeps.
+    """
+    _check_d_range(regime, D)
+    upper = _upper(regime, D)
+    if bounds_meet(regime, D):
+        return [(value, value) for value in map(upper, sizes)]
+    lower = _gapped(regime, D)
+    return [(upper(L), lower(L)) for L in sizes]
 
 
 def upper_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
@@ -283,7 +318,7 @@ def upper_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
     Raises DomainError for D outside (d_min_inf, sigma_x_sq).
     """
     _check_d_range(regime, D)
-    return _upper(regime, L, D)
+    return _upper(regime, D)(L)
 
 
 def bounds_meet(regime: AsymptoticRegime, D: float) -> bool:
@@ -310,10 +345,8 @@ def lower_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
     """
     _check_d_range(regime, D)
     if bounds_meet(regime, D):
-        return _upper(regime, L, D)
-    if regime.condition is Condition.PosMixZeroRho:
-        return _r2_inf(regime, L, D)
-    return _r1_inf(regime, L, D)
+        return _upper(regime, D)(L)
+    return _gapped(regime, D)(L)
 
 
 def asymptotic_gap(regime: AsymptoticRegime, D: float) -> float:

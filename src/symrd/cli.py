@@ -18,7 +18,10 @@ byte-identical standard output.  Rates are in nats unless --bits is given,
 which divides rate columns by ln 2 at display time only.  Exit codes:
 0 success, 2 usage/validation errors, 3 numerical failures (convergence,
 precision, or float64 overflow and underflow at extreme scales) and
-exhausted memory.
+exhausted memory.  The CSV commands write their rows in blocks of
+BLOCK_ROWS lines; when a row fails with exit 2 or 3, standard output
+still holds the header and every row before the failing D, written
+before the error line goes to standard error.
 Diagnostics go to standard error and never use color (NO_COLOR is always
 honored because no color is ever emitted).
 """
@@ -41,6 +44,8 @@ _ROW_FMT = ",".join([CSV_FMT] * 4 + ["%s"])
 _PAIR_FMT = CSV_FMT + "," + CSV_FMT
 INFO_FMT = "%.6g"
 _LN2 = math.log(2.0)
+# Lines a CSV command collects before one write to standard output.
+BLOCK_ROWS = 256
 
 
 def _num(x: float) -> str:
@@ -94,18 +99,31 @@ def _sizes(text: str, flag: str) -> list[int]:
     return sizes
 
 
-def _asym_cells(regime, sizes: list[int], D: float, scale: float) -> list[str]:
-    """Upper and lower large-L approximations at D for each size, in order.
+def _asym_cells(regime, sizes: list[int], D: float, scale: float) -> str:
+    """Upper and lower large-L approximation cells at D for each size, in order."""
+    return ",".join([_PAIR_FMT % (upper / scale, lower / scale)
+                     for upper, lower in asymptotics.asymptotic_bounds(regime, sizes, D)])
 
-    Where the bounds meet at D the lower cell is the upper cell's value.
+
+def _write_table(header: str, rows) -> None:
+    """Write header and then each line of the iterable rows to standard output.
+
+    Lines go out in blocks of BLOCK_ROWS, one write each, so the table is
+    never held whole.  The lines collected before a row that raises are
+    written before the exception leaves, the header included: the
+    commands set up their per-request solvers inside rows, after the
+    header, so a failure there leaves the header on stdout too.
     """
-    meet = asymptotics.bounds_meet(regime, D)
-    cells = []
-    for size in sizes:
-        upper = asymptotics.upper_asymptotic(regime, size, D)
-        lower = upper if meet else asymptotics.lower_asymptotic(regime, size, D)
-        cells.append(_PAIR_FMT % (upper / scale, lower / scale))
-    return cells
+    block = [header]
+    try:
+        for row in rows:
+            block.append(row)
+            if len(block) == BLOCK_ROWS:
+                lines, block = block, []
+                sys.stdout.write("\n".join(lines) + "\n")
+    finally:
+        if block:
+            sys.stdout.write("\n".join(block) + "\n")
 
 
 def _check_range(regime, d_start: float, d_end: float) -> None:
@@ -182,22 +200,23 @@ def cmd_sweep(args) -> int:
         header.append("delta_r_inf")
     if args.bits:
         header = [h.replace("_nats", "_bits") for h in header]
-    print(",".join(header))
 
-    program = oracle.prepare(s, L) if args.certify else None
-    for D in grid:
-        upper, lower, piece = lower_bound.evaluate(converse, D)
-        row = [_ROW_FMT % (D, upper / scale, lower / scale,
-                           (upper - lower) / scale, piece)]
-        if program is not None:
-            _, value, cert = oracle.solve(program, D)
-            row.append(_PAIR_FMT % (value / scale, max(cert.stationarity_residual,
-                                                       cert.complementarity_residual)))
-        if regime is not None:
-            row += _asym_cells(regime, asym_ls, D, scale)
-        if gap_column:
-            row.append(_num(asymptotics.asymptotic_gap(regime, D) / scale))
-        print(",".join(row))
+    def rows():
+        program = oracle.prepare(s, L) if args.certify else None
+        for D in grid:
+            upper, lower, piece = lower_bound.evaluate(converse, D)
+            row = _ROW_FMT % (D, upper / scale, lower / scale, (upper - lower) / scale, piece)
+            if program is not None:
+                _, value, cert = oracle.solve(program, D)
+                row += "," + _PAIR_FMT % (value / scale, max(cert.stationarity_residual,
+                                                             cert.complementarity_residual))
+            if regime is not None:
+                row += "," + _asym_cells(regime, asym_ls, D, scale)
+            if gap_column:
+                row += "," + _num(asymptotics.asymptotic_gap(regime, D) / scale)
+            yield row
+
+    _write_table(",".join(header), rows())
     return 0
 
 
@@ -210,10 +229,13 @@ def cmd_asymptotic(args) -> int:
     header = ["D"]
     for asym_l in ls:
         header += [f"upper_asym_{unit}_L{asym_l}", f"lower_asym_{unit}_L{asym_l}"]
-    print(",".join(header))
-    regime = asymptotics.asymptotic_regime(spec)
-    for D in grid:
-        print(",".join([_num(D)] + _asym_cells(regime, ls, D, scale)))
+
+    def rows():
+        regime = asymptotics.asymptotic_regime(spec)
+        for D in grid:
+            yield _num(D) + "," + _asym_cells(regime, ls, D, scale)
+
+    _write_table(",".join(header), rows())
     return 0
 
 
@@ -221,10 +243,13 @@ def cmd_gap_inf(args) -> int:
     spec = _load_spec(args.spec_file)
     grid = _grid(args)
     scale = _LN2 if args.bits else 1.0
-    print("D,delta_r_inf_bits" if args.bits else "D,delta_r_inf")
-    regime = asymptotics.asymptotic_regime(spec)
-    for D in grid:
-        print(",".join([_num(D), _num(asymptotics.asymptotic_gap(regime, D) / scale)]))
+
+    def rows():
+        regime = asymptotics.asymptotic_regime(spec)
+        for D in grid:
+            yield _PAIR_FMT % (D, asymptotics.asymptotic_gap(regime, D) / scale)
+
+    _write_table("D,delta_r_inf_bits" if args.bits else "D,delta_r_inf", rows())
     return 0
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import upper_bound
 from .errors import DomainError
-from .model import Spectrum, outside_interval, side_view, slacks
+from .model import Spectrum, side_view, slacks
 
 #: Piece labels used in reports and CSV output.
 PIECE_RBAR = "Rbar"
@@ -69,8 +69,8 @@ class Regime:
 
     classify builds it once per spectrum and evaluate takes it at each D.
     prepared is upper_bound.prepare's: the spectrum, L and the lambda_q
-    solve's constants, formed once per spectrum, with the d_min,
-    sigma_x_sq and total that model.slacks takes at each D; big and small
+    solve's constants, formed once per spectrum, from which
+    upper_bound.slack_pair checks each D and forms its two slacks; big and small
     are model.side_view's (x, y, m) triples and hatted its orientation;
     case is the branch's case 1-4; m1, m2, d_th_1, d_th_2 and d_th_c are
     the roots and switch points, None where the case does not define them
@@ -127,35 +127,39 @@ def _d_th_c(big, small, L: int) -> float:
 
 # --- composite-rate pieces ---------------------------------------------------
 
-def _require_pos(value: float, what: str) -> float:
-    if not value > 0.0:
-        raise DomainError(f"{what} = {value!r} is not positive")
-    return value
+def _not_positive(label: str, what: str, value: float) -> DomainError:
+    """The DomainError for a piece's sub-expression that is not positive."""
+    return DomainError(f"{label} {what} = {value!r} is not positive")
 
 
-def _rc(label: str, big, small, prepared: upper_bound.Prepared, D: float) -> float:
-    """R_1^c or R_2^c (by label) over the given orientation at D, unclamped.
+def _rc(label: str, big, small, L: int, slack: float) -> float:
+    """R_1^c or R_2^c (by label) over the given orientation, unclamped.
 
-    Its slack is L (D - d_min) as model.slacks forms it from the prepared
-    constants.  R_2^c's denominator subtracts m_b x_b^2 / y_b from it, and
-    R_1^c's adds m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.
+    slack is L (D - d_min), the first of the pair the lambda_q solve takes.
+    R_2^c's denominator subtracts m_b x_b^2 / y_b from it, and R_1^c's
+    adds m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.
     """
     (xb, yb, mb), (xs, ys, ms) = big, small
-    p, L = prepared, prepared.L
-    slack, _ = slacks(L, D, p.d_min, p.sigma_x_sq, p.total)
     first = label in (PIECE_R1C, PIECE_R1C_HAT)
     if first:
         den = slack + mb * xb ** 2 * ys / (yb * (yb - ys))
     else:
         den = slack - mb * xb ** 2 / yb
-    den = _require_pos(den, f"{label} denominator")
+    if not den > 0.0:
+        raise _not_positive(label, "denominator", den)
     if not first:
-        return L / 2.0 * math.log(_require_pos(
-            ms * xs ** 2 / ys / den, f"{label} principal argument"))
-    ratio = _require_pos(xb ** 2 / xs ** 2 / (yb / ys - 1.0), f"{label} eigenvalue ratio")
+        arg = ms * xs ** 2 / ys / den
+        if not arg > 0.0:
+            raise _not_positive(label, "principal argument", arg)
+        return L / 2.0 * math.log(arg)
+    ratio = xb ** 2 / xs ** 2 / (yb / ys - 1.0)
+    if not ratio > 0.0:
+        raise _not_positive(label, "eigenvalue ratio", ratio)
     k = ms + 2 * mb
-    return (k / 2.0 * math.log(_require_pos(
-                k * xs ** 2 / ys / den, f"{label} principal argument"))
+    arg = k * xs ** 2 / ys / den
+    if not arg > 0.0:
+        raise _not_positive(label, "principal argument", arg)
+    return (k / 2.0 * math.log(arg)
             + mb / 2.0 * math.log(ratio)
             + L / 2.0 * math.log(ms / L))
 
@@ -167,12 +171,16 @@ def rc_piece(piece: str, spectrum: Spectrum, L: int, D: float) -> float:
     orientation its label names (lambda big for R1c/R2c, gamma big for
     the hatted pair) whatever the spectrum's side: a nonpositive
     logarithm argument raises DomainError naming the offending
-    sub-expression.  Use lower_bound_rate for the dispatched bound.
+    sub-expression.  D is not checked against (d_min, sigma_x_sq): its
+    slack is model.slacks's from upper_bound.prepare's constants, so a D
+    outside the interval reaches the named guards too.  Use
+    lower_bound_rate for the dispatched bound.
     """
     if piece not in _PIECES[0] + _PIECES[1]:
         raise DomainError(f"unknown piece label {piece!r}")
     big, small, _ = side_view(spectrum, L, hatted=piece in _PIECES[1])
-    return _rc(piece, big, small, upper_bound.prepare(spectrum, L), D)
+    p = upper_bound.prepare(spectrum, L)
+    return _rc(piece, big, small, L, slacks(L, D, p.d_min, p.sigma_x_sq, p.total)[0])
 
 
 # --- classification and dispatch ---------------------------------------------
@@ -202,8 +210,11 @@ def classify(spectrum: Spectrum, L: int) -> Regime:
                   _d_th_c(big, small, L))
 
 
-def _dispatch(regime: Regime, D: float) -> tuple[str, float | None]:
-    """Piece at a checked D with its value; None on Rbar, for the caller to solve."""
+def _dispatch(regime: Regime, D: float, slack: float) -> tuple[str, float | None]:
+    """Piece at a checked D with its value; None on Rbar, for the caller to solve.
+
+    slack is the first of upper_bound.slack_pair's pair at D.
+    """
     r = regime
     if (r.case == 1 or (r.d_th_1 is not None and D <= r.d_th_1)
             or (r.d_th_2 is not None and not D < r.d_th_2)):
@@ -211,7 +222,7 @@ def _dispatch(regime: Regime, D: float) -> tuple[str, float | None]:
     # With x_big = 0 (case 4) the other side's family has a vanishing log
     # argument; this side's is the finite reading.
     piece = _PIECES[r.hatted][0 if D <= r.d_th_c else 1]
-    return piece, _rc(piece, r.big, r.small, r.prepared, D)
+    return piece, _rc(piece, r.big, r.small, r.prepared.L, slack)
 
 
 def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
@@ -219,36 +230,31 @@ def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
 
     upper is upper_bound_rate, lower is lower_bound_rate and piece is
     lower_bound_piece for the regime's spectrum and L; on Rbar segments
-    lower reuses upper.  The solve checks D, once, and starts from the
-    regime's prepared constants; same domain rules and errors as
+    lower reuses upper.  upper_bound.slack_pair checks D and forms its
+    slack pair, once, from the regime's prepared constants; the solve and
+    the composite pieces share it.  Same domain rules and errors as
     upper_bound_rate.
     """
     p = regime.prepared
-    upper = upper_bound.rate_of(p.spectrum, p.L, upper_bound.solve(p, D))
-    piece, lower = _dispatch(regime, D)
+    pair = upper_bound.slack_pair(p, D)
+    upper = upper_bound.rate_of(p.spectrum, p.L, upper_bound.solve(p, D, pair))
+    piece, lower = _dispatch(regime, D, pair[0])
     return upper, upper if lower is None else lower, piece
-
-
-def _checked(spectrum: Spectrum, L: int, D: float) -> Regime:
-    """classify's Regime; DomainError unless D lies inside its (d_min, sigma_x_sq)."""
-    regime = classify(spectrum, L)
-    p = regime.prepared
-    if not p.d_min < D < p.sigma_x_sq:
-        raise outside_interval(D, p.d_min, p.sigma_x_sq)
-    return regime
 
 
 def lower_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     """Lower bound on the sum rate in nats at per-component distortion D.
 
     Dispatches on the thresholds: Rbar on the segments where the bounds
-    provably coincide, the composite family elsewhere.  Raises DomainError
-    unless D lies in the open interval (d_min, sigma_x_sq).
+    provably coincide, the composite family elsewhere.  D is checked, and
+    its slack pair formed, by upper_bound.slack_pair: DomainError unless D
+    lies in the open interval (d_min, sigma_x_sq).
     """
-    regime = _checked(spectrum, L, D)
-    _, lower = _dispatch(regime, D)
+    regime = classify(spectrum, L)
+    pair = upper_bound.slack_pair(regime.prepared, D)
+    _, lower = _dispatch(regime, D, pair[0])
     if lower is None:
-        lower = upper_bound.rate_of(spectrum, L, upper_bound.solve(regime.prepared, D))
+        lower = upper_bound.rate_of(spectrum, L, upper_bound.solve(regime.prepared, D, pair))
     return lower
 
 
@@ -258,4 +264,5 @@ def lower_bound_piece(spectrum: Spectrum, L: int, D: float) -> str:
     One of "Rbar", "R1c", "R2c", "R1c_hat", "R2c_hat"; same domain rules
     as lower_bound_rate.
     """
-    return _dispatch(_checked(spectrum, L, D), D)[0]
+    regime = classify(spectrum, L)
+    return _dispatch(regime, D, upper_bound.slack_pair(regime.prepared, D)[0])[0]

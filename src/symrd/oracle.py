@@ -54,7 +54,6 @@ between the two is a genuine cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PrecisionError
@@ -69,8 +68,7 @@ CERTIFICATE_TOL = 1e-6
 _ACTIVE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class ProgramPoint:
+class ProgramPoint(NamedTuple):
     """Decision variables (alpha, beta, delta) of the converse program."""
 
     alpha: float
@@ -78,8 +76,7 @@ class ProgramPoint:
     delta: float
 
 
-@dataclass(frozen=True)
-class KktCertificate:
+class KktCertificate(NamedTuple):
     """Multipliers and relative residuals of the five-condition optimality system.
 
     stationarity_residual is the larger, over the two stationarity

@@ -17,13 +17,15 @@ L * sigma_x^2 (lambda_q -> infinity).  The resulting sum rate in nats is
 The module solves the balance equation by a safeguarded Newton iteration
 in ln lambda_q (see solve).  The solve's D-free constants (d_min,
 sigma_x^2, the source weights, the bracket's denominator and the D-free
-part of the quadratic's b) are formed once per spectrum by prepare, and
-solve takes them at each D; solve_lambda_q is the two in one call, and
-returns lambda_q as a float that rate_of turns into Rbar.  The module also
-exposes two algebraically equivalent resolvent forms of the rate at a
-lambda_q (used as cross-checks), and builds, from the eigenvalues, the
-(a, b, c) of the closed-form quadratic in lambda_q that the balance
-equation collapses to and that seeds the iteration.
+part of the quadratic's b) are formed once per spectrum by prepare;
+slack_pair checks a D against them and forms its two slacks, and solve
+takes the constants and that pair at each D.  solve_lambda_q is the
+three in one call, and returns lambda_q as a float that rate_of turns
+into Rbar.  The module also exposes two algebraically equivalent
+resolvent forms of the rate at a lambda_q (used as cross-checks), and
+builds, from the eigenvalues, the (a, b, c) of the closed-form quadratic
+in lambda_q that the balance equation collapses to and that seeds the
+iteration.
 asymptotics.correlation_form writes the same quadratic's b and c as
 polynomials in L.
 """
@@ -48,8 +50,12 @@ NEWTON_STEP_TOL = 1e-9
 MAX_EVALUATIONS = 100
 RESIDUAL_REL_TOL = 1e-10
 
-# Relative rounding allowance of the bracket ends: a few ulps.
+# Relative rounding allowance of the bracket ends: a few ulps, and the
+# factors that widen the lower and the upper end by it.
 _BRACKET_ROUNDING = 8 * sys.float_info.epsilon
+_WIDEN_LO, _WIDEN_HI = 1.0 - _BRACKET_ROUNDING, 1.0 + _BRACKET_ROUNDING
+# The smallest normal float64: a smaller slack is subnormal.
+_SMALLEST_NORMAL = sys.float_info.min
 
 # Switch the quadratic root to its product form when the textbook numerator
 # -b + sqrt(disc) loses more than ~8 digits to cancellation.
@@ -77,8 +83,8 @@ def rate_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
     return rate
 
 
-def _balance(spectrum: Spectrum, lambda_q: float, c_lam: float, c_gam: float,
-             slack: float, below: bool) -> tuple[float, float]:
+def _balance(lambda_y: float, gamma_y: float, lambda_q: float, c_lam: float,
+             c_gam: float, slack: float, below: bool) -> tuple[float, float]:
     """(ln(side / slack), d ln(side) / d ln lambda_q) of one balance form.
 
     With c_lam = lambda_x^2 / lambda_y and c_gam = (L-1) gamma_x^2 / gamma_y,
@@ -87,9 +93,9 @@ def _balance(spectrum: Spectrum, lambda_q: float, c_lam: float, c_gam: float,
     L (sigma_x^2 - D(lambda_q)) = lambda_x^2/(lambda_y + q) + (L-1) gamma_x^2/(gamma_y + q):
     sums of positive terms, so neither loses digits to cancellation.
     """
-    s, q = spectrum, lambda_q
-    q_lam, q_gam = q / (s.lambda_y + q), q / (s.gamma_y + q)
-    y_lam, y_gam = s.lambda_y / (s.lambda_y + q), s.gamma_y / (s.gamma_y + q)
+    q = lambda_q
+    q_lam, q_gam = q / (lambda_y + q), q / (gamma_y + q)
+    y_lam, y_gam = lambda_y / (lambda_y + q), gamma_y / (gamma_y + q)
     if below:
         t_lam, t_gam = c_lam * q_lam, c_gam * q_gam
         slope = (t_lam * y_lam + t_gam * y_gam) / (t_lam + t_gam)
@@ -137,25 +143,16 @@ def prepare(spectrum: Spectrum, L: int) -> Prepared:
                     s.gamma_y + s.lambda_y, max(s.lambda_y, s.gamma_y))
 
 
-def solve(prepared: Prepared, D: float) -> float:
-    """lambda_q at per-component distortion D, from prepare's constants.
+def slack_pair(prepared: Prepared, D: float) -> tuple[float, float]:
+    """(L (D - d_min), L (sigma_x_sq - D)) at a D checked against prepared.
 
-    Newton's method in u = ln lambda_q, on whichever balance form is a sum
-    of positive terms against the smaller slack: L (D - d_min) below the
-    middle of (d_min, sigma_x^2), L (sigma_x^2 - D) above it (see _balance).
-    It starts from the root of quadratic_coefficients and stays inside
-
-        (L (D - d_min)) / (lambda_x^2/lambda_y^2 + (L-1) gamma_x^2/gamma_y^2)
-            <= lambda_q <= max(lambda_y, gamma_y) L (D - d_min) / (L (sigma_x^2 - D)),
-
-    which every evaluation narrows; a step that would leave it bisects
-    it in u instead.  The slacks are model.slacks's pair, which sums to
-    lambda_x^2/lambda_y + (L-1) gamma_x^2/gamma_y = L (sigma_x^2 - d_min)
-    as the two sides do, so the bracket bounds the solved form's root to
-    its own rounding, and the seed is that form's root too.  Domain and
-    errors are solve_lambda_q's.
+    model.slacks's pair from the prepared d_min, sigma_x_sq and total: the
+    one place a D is checked and its slacks formed, for the lambda_q solve
+    and the composite rates alike.  DomainError unless D lies inside
+    (d_min, sigma_x_sq); PrecisionError if the interval is too narrow for
+    both slacks to come out positive.
     """
-    s, L, floor, ceil, total, c_lam, c_gam, bracket_den, _, _, y_max = prepared
+    _, L, floor, ceil, total, _, _, _, _, _, _ = prepared
     if not floor < D < ceil:
         raise outside_interval(D, floor, ceil)
     below_side, above_side = slacks(L, D, floor, ceil, total)
@@ -163,9 +160,34 @@ def solve(prepared: Prepared, D: float) -> float:
         raise PrecisionError(
             f"D = {D!r}: the interval (d_min, sigma_x_sq) = ({floor!r}, {ceil!r}) "
             "is too narrow to resolve")
+    return below_side, above_side
+
+
+def solve(prepared: Prepared, D: float, pair: tuple[float, float]) -> float:
+    """lambda_q at per-component distortion D, from prepare's constants.
+
+    pair is slack_pair(prepared, D), which has checked D.  Newton's method
+    in u = ln lambda_q, on whichever balance form is a sum of positive
+    terms against the smaller slack: L (D - d_min) below the middle of
+    (d_min, sigma_x^2), L (sigma_x^2 - D) above it (see _balance).  It
+    starts from the root of quadratic_coefficients and stays inside
+
+        (L (D - d_min)) / (lambda_x^2/lambda_y^2 + (L-1) gamma_x^2/gamma_y^2)
+            <= lambda_q <= max(lambda_y, gamma_y) L (D - d_min) / (L (sigma_x^2 - D)),
+
+    which every evaluation narrows; a step that would leave it bisects
+    it in u instead.  The pair sums to
+    lambda_x^2/lambda_y + (L-1) gamma_x^2/gamma_y = L (sigma_x^2 - d_min)
+    as the two sides do, so the bracket bounds the solved form's root to
+    its own rounding, and the seed is that form's root too.  Errors are
+    solve_lambda_q's.
+    """
+    s, L, floor, ceil, _, c_lam, c_gam, bracket_den, _, _, y_max = prepared
+    lam_y, gam_y = s.lambda_y, s.gamma_y
+    below_side, above_side = pair
     below = below_side <= above_side
     slack = below_side if below else above_side
-    if slack < sys.float_info.min:
+    if slack < _SMALLEST_NORMAL:
         # The balance's terms would be subnormal too, with too few digits
         # for Newton's method to settle on.
         raise PrecisionError(
@@ -175,13 +197,13 @@ def solve(prepared: Prepared, D: float) -> float:
     # The root sits on the upper end when lambda_y == gamma_y or when only
     # the direction with the larger y carries source (x = 0 on the other);
     # both ends are widened by their rounding so that it stays inside.
-    lo = below_side / bracket_den * (1.0 - _BRACKET_ROUNDING)
-    hi = y_max * (below_side / above_side) * (1.0 + _BRACKET_ROUNDING)
+    lo = below_side / bracket_den * _WIDEN_LO
+    hi = y_max * (below_side / above_side) * _WIDEN_HI
     lambda_q = quadratic_root(*_coefficients(prepared, below_side, above_side))
     if not lo < lambda_q < hi:
         lambda_q = math.sqrt(lo) * math.sqrt(hi)
     for _ in range(MAX_EVALUATIONS):
-        residual, slope = _balance(s, lambda_q, c_lam, c_gam, slack, below)
+        residual, slope = _balance(lam_y, gam_y, lambda_q, c_lam, c_gam, slack, below)
         if (residual > 0.0) == (slope > 0.0):
             hi = lambda_q
         else:
@@ -200,7 +222,7 @@ def solve(prepared: Prepared, D: float) -> float:
     # |D(lambda_q) - D| on the solved form, which does not cancel as
     # lambda_q -> 0 the way distortion_of's differences do.
     residual = slack * abs(math.expm1(
-        _balance(s, lambda_q, c_lam, c_gam, slack, below)[0])) / L
+        _balance(lam_y, gam_y, lambda_q, c_lam, c_gam, slack, below)[0])) / L
     if residual > RESIDUAL_REL_TOL * D:
         if min(D - floor, ceil - D) <= 1e-13 * ceil:
             raise PrecisionError(
@@ -217,7 +239,8 @@ def solve(prepared: Prepared, D: float) -> float:
 def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
     """Solve the balance equation for lambda_q at per-component distortion D.
 
-    prepare(spectrum, L) followed by solve at D; see solve for the method.
+    prepare(spectrum, L), then solve at D on slack_pair's checked slacks;
+    see solve for the method.
 
     Parameters
     ----------
@@ -243,7 +266,8 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
         If the iteration does not settle within MAX_EVALUATIONS, or its
         result fails the residual check (not expected for valid inputs).
     """
-    return solve(prepare(spectrum, L), D)
+    prepared = prepare(spectrum, L)
+    return solve(prepared, D, slack_pair(prepared, D))
 
 
 def upper_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:

@@ -7,6 +7,7 @@ digits; frozen here as float literals.
 
 import argparse
 import math
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from symrd import (
     Condition,
     DomainError,
     SourceSpec,
+    asymptotic_bounds,
     asymptotic_gap,
     asymptotic_regime,
     expansion_coefficients,
@@ -23,7 +25,7 @@ from symrd import (
     upper_asymptotic,
     upper_bound_rate,
 )
-from symrd.asymptotics import bounds_meet
+from symrd.asymptotics import D_TH0_WINDOW, bounds_meet
 from symrd.cli import _grid
 from symrd.model import parse_spec_text
 from test_golden import ASYM_RANGES, GOLDEN
@@ -159,6 +161,39 @@ def test_lower_is_upper_exactly_where_bounds_meet(name):
         if reg.condition is Condition.PosMixPosRho_XiLtHalf:
             assert (asymptotic_gap(reg, D) > 0.0) == (not meet), D
     assert meets == ASYM_MEET[name]
+
+
+ASYM_SIZES = [2, 10, 10 ** 3, 10 ** 6, 10 ** 7]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ASYM_MEET))
+def test_bounds_at_many_sizes_are_the_one_size_values(name):
+    # asymptotic_bounds forms each piece's L-free terms once for all sizes;
+    # its cells are upper_asymptotic's and lower_asymptotic's bit for bit,
+    # at seeded D across the interval, inside D_TH0_WINDOW of d_th0_inf and
+    # one ulp either side of d_th1_inf and d_th2_inf
+    reg = asymptotic_regime(parse_spec_text((GOLDEN / f"{name}.spec").read_text()))
+    sx2 = reg.spec.sigma_x_sq
+    rng = random.Random(20261019)
+    points = [reg.d_min_inf + rng.random() * (sx2 - reg.d_min_inf) for _ in range(200)]
+    if reg.d_th0_inf is not None and reg.d_th0_inf < sx2:
+        points += [reg.d_th0_inf + f * D_TH0_WINDOW * sx2 for f in (-0.9, -0.5, 0.0, 0.5, 0.9)]
+    for edge in (reg.d_th1_inf, reg.d_th2_inf):
+        if edge is not None:
+            points += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, sx2)]
+    for D in points:
+        want = _outcome(lambda: [(upper_asymptotic(reg, L, D), lower_asymptotic(reg, L, D))
+                                 for L in ASYM_SIZES])
+        assert _outcome(lambda: asymptotic_bounds(reg, ASYM_SIZES, D)) == want, D
+    with pytest.raises(DomainError):
+        asymptotic_bounds(reg, ASYM_SIZES, reg.d_min_inf)
 
 
 def test_high_contrast_regime_has_no_gap():

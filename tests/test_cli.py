@@ -11,13 +11,14 @@ import importlib
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import symrd
 import symrd.cli as cli
-from symrd import PrecisionError, ValidationError
+from symrd import ConvergenceError, DomainError, PrecisionError, ValidationError
 
 CASE1_TEXT = """L = 10
 lambda_x = 0.8
@@ -277,12 +278,8 @@ def test_sweep_noiseless_near_zero_distortion(specs, capsys):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:4])
 
 
-def test_sweep_prepares_once(specs, capsys, monkeypatch):
-    # the lambda_q solve's and the oracle's constants are formed once per
-    # spectrum: a longer grid makes no more calls of the per-spectrum
-    # functions, with or without the oracle and large-L columns
-    names = (("upper_bound", "prepare"), ("oracle", "prepare"),
-             ("model", "side_view"), ("model", "d_min"), ("model", "source_weights"))
+def _count_calls(monkeypatch, names) -> dict:
+    """Calls of each (module, function) in names, counted from now on."""
     calls = dict.fromkeys(names, 0)
     for key in names:
         original = getattr(getattr(symrd, key[0]), key[1])
@@ -296,6 +293,16 @@ def test_sweep_prepares_once(specs, capsys, monkeypatch):
                        symrd.oracle, symrd.asymptotics, cli):
             if getattr(module, key[1], None) is original:
                 monkeypatch.setattr(module, key[1], counted)
+    return calls
+
+
+def test_sweep_prepares_once(specs, capsys, monkeypatch):
+    # the lambda_q solve's and the oracle's constants are formed once per
+    # spectrum: a longer grid makes no more calls of the per-spectrum
+    # functions, with or without the oracle and large-L columns
+    names = (("upper_bound", "prepare"), ("oracle", "prepare"),
+             ("model", "side_view"), ("model", "d_min"), ("model", "source_weights"))
+    calls = _count_calls(monkeypatch, names)
     for name, extra, d_start, d_end in (
             ("case2", [], "0.7", "0.9"),
             ("gapped", ["--certify", "--asymptotic", "100,10000"], "0.784", "0.994")):
@@ -310,6 +317,120 @@ def test_sweep_prepares_once(specs, capsys, monkeypatch):
         assert counts[0] == counts[1], name
         assert counts[0][("upper_bound", "prepare")] == 1
         assert counts[0][("oracle", "prepare")] == ("--certify" in extra)
+
+
+def test_sweep_forms_each_row_once(specs, capsys, monkeypatch):
+    # each row forms its slack pair once (model.slacks) and solves for
+    # lambda_q once (upper_bound.solve): on composite rows, whose pieces
+    # take the pair's first slack, as on Rbar rows, with or without the
+    # oracle and large-L columns
+    names = (("model", "slacks"), ("upper_bound", "solve"))
+    calls = _count_calls(monkeypatch, names)
+    for name, extra, d_start, d_end in (
+            ("case2", [], "0.7", "0.9"),
+            ("gapped", ["--certify", "--asymptotic", "100,10000"], "0.784", "0.994")):
+        for n_points in (20, 200):
+            calls.update(dict.fromkeys(names, 0))
+            rc, out, _ = _run(capsys, ["sweep", specs[name], *extra, "--d-start", d_start,
+                                       "--d-end", d_end, "--n-points", str(n_points)])
+            assert rc == 0
+            assert calls == dict.fromkeys(names, n_points), name
+            if name == "case2":
+                assert {row[4] for row in _rows(out)[1]} == {"R1c", "R2c"}
+
+
+# A grid whose rows cross the CSV writer's first block boundary (the
+# header is the first of a block's BLOCK_ROWS lines).
+BLOCKED_POINTS = cli.BLOCK_ROWS + 20
+
+
+class _Tagged:
+    """A text stream that logs each write as (tag, text) in a shared list."""
+
+    def __init__(self, log, tag):
+        self.log, self.tag = log, tag
+
+    def write(self, text):
+        self.log.append((self.tag, text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("k", [1, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1,
+                               BLOCKED_POINTS])
+@pytest.mark.parametrize("argv, module, name, error, code", [
+    (["sweep", "case2", "--certify", "--d-start", "0.7", "--d-end", "0.9"],
+     "oracle", "solve", ConvergenceError, 3),
+    (["asymptotic", "gapped", "--L", "10,1000", "--d-start", "0.8", "--d-end", "0.99"],
+     "asymptotics", "asymptotic_bounds", ConvergenceError, 3),
+    (["gap-inf", "gapped", "--d-start", "0.8", "--d-end", "0.99"],
+     "asymptotics", "asymptotic_gap", DomainError, 2),
+])
+def test_failing_row_leaves_the_rows_before_it(specs, capsys, monkeypatch, k, argv,
+                                               module, name, error, code):
+    # When the row at the k-th grid point fails, stdout holds the header and
+    # the full run's first k - 1 rows byte for byte, all written before the
+    # one error line on stderr.
+    argv = [argv[0], specs[argv[1]], *argv[2:], "--n-points", str(BLOCKED_POINTS)]
+    rc, full, _ = _run(capsys, argv)
+    assert rc == 0
+    original = getattr(getattr(symrd, module), name)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == k:
+            raise error("probe")
+        return original(*args)
+
+    monkeypatch.setattr(getattr(symrd, module), name, failing)
+    log = []
+    monkeypatch.setattr(sys, "stdout", _Tagged(log, "out"))
+    monkeypatch.setattr(sys, "stderr", _Tagged(log, "err"))
+    rc = cli.main(argv)
+    tags = [tag for tag, _ in log]
+    assert rc == code
+    assert "".join(text for tag, text in log if tag == "out") == \
+        "".join(full.splitlines(keepends=True)[:k])
+    assert "".join(text for tag, text in log if tag == "err") == "error: probe\n"
+    assert tags == sorted(tags, key=["out", "err"].index)
+
+
+class _Discard:
+    """A text stream that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_sweep_holds_one_block_of_rows_at_a_time(specs, capsys, monkeypatch):
+    # A 10^5-point sweep into a stream that drops its text peaks at its
+    # grid plus about one block: each block of rows is written and dropped
+    # before the next is collected, so the table (about 10 MB of row
+    # strings here) is never held whole.  A block is BLOCK_ROWS row strings,
+    # their list and their joined text, 47 kB; the bound allows three, for
+    # the request's own state (parsed arguments, spec, regime) besides.
+    # Measured: 71 kB over the grid.
+    argv = ["sweep", specs["case2"], "--d-start", "0.7", "--d-end", "0.9", "--n-points"]
+    grid = cli._grid(cli._parser().parse_args(argv + ["100000"]))
+    grid_bytes = sys.getsizeof(grid) + sum(map(sys.getsizeof, grid))
+    rc, out, _ = _run(capsys, argv + [str(cli.BLOCK_ROWS - 1)])
+    assert rc == 0
+    lines = out.splitlines()
+    block_bytes = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines)) + sys.getsizeof(out)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        assert cli.main(argv + ["100000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid_bytes + 3 * block_bytes
 
 
 def test_simulate_command(specs, capsys):
