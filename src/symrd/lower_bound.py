@@ -70,13 +70,13 @@ class Regime:
     classify builds it once per spectrum and evaluate takes it at each D.
     prepared is upper_bound.prepare's: the spectrum, L and the lambda_q
     solve's constants, formed once per spectrum, from which
-    upper_bound.slack_pair checks each D and forms its two slacks; big and small
-    are model.side_view's (x, y, m) triples and hatted its orientation;
-    case is the branch's case 1-4; m1, m2, d_th_1, d_th_2 and d_th_c are
-    the roots and switch points, None where the case does not define them
-    (the roots too, when the discriminant alone settles case 1).  On the
-    hatted side the roots are the paper's nu and the thresholds its hatted
-    ones.
+    upper_bound.slack_pair checks each D and forms its two slacks; big
+    and small are model.side_view's (x, y, m) triples and hatted its
+    orientation; case is the branch's case 1-4; m1, m2, d_th_1, d_th_2
+    and d_th_c are the roots and switch points, None where the case does
+    not define them (the roots too, when the discriminant alone settles
+    case 1).  On the hatted side the roots are the paper's nu and the
+    thresholds its hatted ones.
     """
 
     prepared: upper_bound.Prepared
