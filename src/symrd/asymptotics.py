@@ -45,7 +45,7 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .model import SourceSpec
 
 # Relative half-width (in units of sigma_x^2) of the dispatch window around
@@ -109,6 +109,9 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
     DomainError
         If a correlation is outside [0, 1], or rho_x = 1 with a positive
         mixture (xi is undefined there and no limit is assigned).
+    PrecisionError
+        If a limit distortion overflows float64 (at variances near 1e154
+        and above).
     """
     sx2, sz2 = spec.sigma_x_sq, spec.sigma_z_sq
     rx, rz = spec.rho_x, spec.rho_z
@@ -123,8 +126,8 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
     gy = gx + gz
     mix = rx * sx2 + rz * sz2
     if mix == 0.0:
-        return AsymptoticRegime(spec, Condition.ZeroMix, gx, gz, gy, mix, None,
-                                sx2 * sz2 / (sx2 + sz2), None, None, None)
+        return _finite(AsymptoticRegime(spec, Condition.ZeroMix, gx, gz, gy, mix, None,
+                                         sx2 * sz2 / (sx2 + sz2), None, None, None))
     if rx == 1.0:
         raise DomainError(
             "rho_x = 1 leaves the contrast parameter xi undefined; no "
@@ -144,8 +147,21 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
         root = math.sqrt(1.0 - 4.0 * xi ** 2)
         d_th1 = d_th0_inf - (1.0 + root) / 2.0 * gx ** 2 / gy
         d_th2 = d_th0_inf - (1.0 - root) / 2.0 * gx ** 2 / gy
-    return AsymptoticRegime(spec, condition, gx, gz, gy, mix, xi,
-                            d_min_inf, d_th0_inf, d_th1, d_th2)
+    return _finite(AsymptoticRegime(spec, condition, gx, gz, gy, mix, xi,
+                                    d_min_inf, d_th0_inf, d_th1, d_th2))
+
+
+def _finite(regime: AsymptoticRegime) -> AsymptoticRegime:
+    """regime, or PrecisionError if one of its limit distortions is not finite."""
+    for name in ("d_min_inf", "d_th0_inf", "d_th1_inf", "d_th2_inf"):
+        value = getattr(regime, name)
+        if value is not None and not math.isfinite(value):
+            raise PrecisionError(
+                f"limit distortion {name} = {value!r} overflows float64 at "
+                f"sigma_x_sq = {regime.spec.sigma_x_sq!r}, "
+                f"sigma_z_sq = {regime.spec.sigma_z_sq!r}"
+            )
+    return regime
 
 
 def correlation_form(spec: SourceSpec, gx: float, gz: float, gy: float,

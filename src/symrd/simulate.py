@@ -21,72 +21,65 @@ the direct X + Q channel is reported alongside it, and
 matches_routed_identity records whether the empirical value agrees with
 the printed identity within its statistical band.
 
-Cost: every statistic reported is a function of the Gram of the n
-samples of (X, Z, Q).  In the eigenbasis the 3L components are
-independent, so with U the 3L x n matrix of standardised components that
-Gram is C (U U^T) C^T for a fixed factor C, and U U^T is a
-Wishart_3L(n, I) matrix.  The rows are ordered Y, V, X, one per mode in
-each.  The rate needs only the (Y, V) rows, whose Gram is
-Wishart_2L(n, I); by the Bartlett decomposition (Bartlett 1933; Anderson,
-An Introduction to Multivariate Statistical Analysis, 3rd ed., 2003,
-ch. 7) it is T T^T, with T = [T11 0; T21 T22] the 2L x min(n, 2L)
-lower-trapezoidal factor whose entries are independent: N(0, 1) below
-the diagonal, sqrt(chi^2(n - i)) on the diagonal of row i, and
-all-N(0, 1) rows below row n when n < 2L (the law of the R factor of a
-Gaussian n x 2L matrix).  Below its diagonal the Y block T11 reaches the
-results only through the L x L Gram of the rate's rows
-v = V / sqrt(lambda_q) = [d T11 + T21 | T22], d = sqrt(v_y / lambda_q),
-and through each mode's row sums of T11^2, T11 T21 and T21^2.  Every
-mode but the first is a gamma mode with one d, so each pair below the
-diagonal rotates to a = (d T11 + T21) / sqrt(1 + d^2) and
-b = (T11 - d T21) / sqrt(1 + d^2), again independent N(0, 1).  v holds
-sqrt(1 + d^2) a there, and the row sums are fixed by alpha = |a|^2,
-beta = <a, b> and gamma = |b|^2; given a, beta = sqrt(alpha) zeta and
-gamma = zeta^2 + chi^2(m - 1) for a row of m pairs, zeta ~ N(0, 1).  So
-a run draws T as the L x min(n, 2L) trapezoid [A | T22] of the V rows,
-with the pairs' a below A's diagonal and T11's diagonal kept apart, plus
-one zeta and one chi-square per row.  The X rows reach only the two
-error sums, and each error row combines the rows (Y, V, X) of one mode.
-Given the (Y, V) rows, mode i's X row is independent N(0, I_n): on the
-Gram-Schmidt basis (e1, e2) of that mode's rows (T_Y, T_V) it has two
-N(0, 1) coordinates z1, z2, and its rest has squared norm
-w ~ chi^2(n - 2).  Both errors, of X given V and of X given X + Q with
-Q = V - Y, have in mode i a row alpha T_Y + beta T_V + gamma T_X.  With
-(p, q; 0, r) the Cholesky factor of the 2 x 2 Gram of (T_Y, T_V), its
-squared norm is (alpha p + beta q + gamma z1)^2 + (beta r + gamma z2)^2
-+ gamma^2 w, so both error sums are sums over the L modes.  A run
-therefore draws about 1.5 L^2 normals (L^2 + L (L - 1) / 2 at n >= 2L)
-and 4L - 1 chi-squares, whatever n is.  ln det S_y and ln det S_yv are
-sums of logs of T's diagonal, and only the L x L S_v needs a log-det; v
-is formed in place in the factor.  Memory: a run holds the
-L x min(n, 2L) factor, an L x min(n, L) boolean mask and at most one
-L x L array beside them: T22's normals while they are drawn (about
-L^2 / 2), A's squares for the row sums, then the Gram of v.  The factor
-is freed before the log-det, so slogdet's working copy of the Gram takes
-its place.  std_err is the exact standard deviation of the mean
-distortion: a fourth-moment sum is not a function of the Gram.
+Cost: in the eigenbasis the 3L components of a sample are independent,
+so every statistic reported is a function of a few independent Gaussian
+sums, and a run draws those instead of the samples (Bartlett 1933;
+Anderson, An Introduction to Multivariate Statistical Analysis, 3rd ed.,
+2003, ch. 7).
+
+The distortions.  In each mode the direct error X - h (X + Q), with
+h = v_x / (v_x + lambda_q), is the error of the MMSE estimate from X + Q,
+so it is independent of X + Q and of Z, and so of the routed excess
+(X - g V) - (X - h (X + Q)), with g = v_x / (v_y + lambda_q).  Their
+variances are e_u = v_x lambda_q / (v_x + lambda_q) and
+e_x = v_x^2 v_z / ((v_x + lambda_q) (v_y + lambda_q)), which sum to the
+routed error's.  Over the n samples the lambda mode gives N = n such
+independent pairs (u, x) and the L - 1 gamma modes N = n (L - 1).  So on
+each side the direct sum is |u|^2 = e_u chi^2(N), and the routed sum is
+|u + x|^2 = (|u| + sqrt(e_x) zeta)^2 + e_x chi^2(N - 1), where
+zeta ~ N(0, 1) is x's component along u.  Both distortions therefore take
+six numbers, two normals and four chi-squares, whatever L and n are.
+
+The rate.  It needs only the (Y, V) rows, whose standardised Gram is
+Wishart_2L(n, I).  Below n = 2L that Gram is singular and the rate is
+NaN, so only at n >= 2L does a run draw more.  By the Bartlett decomposition
+the Gram is T T^T, with T = [T11 0; T21 T22] the 2L x 2L lower-triangular
+factor whose entries are independent: N(0, 1) below the diagonal and
+sqrt(chi^2(n - i)) on the diagonal of row i (from 0).  ln det S_y and
+ln det S_yv are sums of logs of T's diagonal, and only the L x L S_v needs
+a log-det: that of the Gram of the rows
+v = V / sqrt(lambda_q) = [d T11 + T21 | T22], with d = sqrt(v_y / lambda_q)
+the mode's gain.  Below T11's diagonal T11 enters nothing else, so v is
+drawn there as sqrt(1 + d^2) N(0, 1); on it, v is d_i T11_ii + T21_ii.  A
+run holds v as the L x 2L factor [A | T22], with an L x L boolean mask of
+the entries below the diagonal while it draws them, T's 2L diagonal
+roots, and then the L x L Gram of v.  The factor is freed before the
+log-det, so slogdet's working copy of the Gram takes its place.  Where
+the factor or the Gram cannot be allocated the rate is NaN, and the
+distortions are returned all the same.  std_err is the exact standard
+deviation of the mean distortion.
 
 Reproducibility: a run draws from one SFC64 generator keyed by the seed
-through SeedSequence, with two calls for the normals and one for the
-chi-squares (as gamma variates of half their degrees, doubled; a 0
-degree draws 0).  The first normals call fills A in the factor; the
-second draws T22's normals below its diagonal, zeta and z into one
-buffer.  The normals come in this order: the factor's, column by column
-(A's L min(n, L), then T22's); zeta for rows 1 ... L - 1; z, the L
-values of z1 then the L of z2 (z2 is 0 when n = 1, where T has one
-column).  The chi-squares:
-T's diagonal, 2L of them (0 past its width), one per row 1 ... L - 1 for
-its pairs, and w (0 when n <= 2).  Equal configs give equal results for
-a given numpy version; numpy does not promise its normal stream across
+through SeedSequence (a negative seed is read modulo 2^64).  First come
+the distortions' six numbers, in one call for the normals, zeta of the
+lambda side then of the gamma side, and one for the chi-squares (as gamma
+variates of half their degrees, doubled; a 0 degree draws 0):
+chi^2(n), chi^2(n (L - 1)), chi^2(n - 1), chi^2(n (L - 1) - 1).  So a
+seed's distortions do not depend on whether the rate is drawn.  Then, at
+n >= 2L, the factor: A's L^2 normals column by column, then T22's
+L (L - 1) / 2 below its diagonal column by column, then T's 2L diagonal
+chi-squares, one call each.  Equal configs give equal results for a
+given numpy version; numpy does not promise its normal stream across
 versions.  Each statistic has the law of the same estimator computed
-sample by sample, but not its values for a given seed.
+sample by sample, but not its values for a given seed; within one run
+the distortions and the rate are independent draws, where sample by
+sample they are not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -128,9 +121,11 @@ class SimConfig:
 class SimResult:
     """Everything one simulation run measures, plus the closed forms.
 
-    std_err is the exact standard deviation of distortion_empirical;
+    std_err is the exact standard deviation of distortion_empirical.
     rate_empirical is NaN when the sample covariance is singular (fewer
-    samples than the 2L dimensions of the (Y, V) moment matrix).
+    samples than the 2L dimensions of the (Y, V) moment matrix) and when
+    the rate's L x 2L factor or L x L Gram cannot be allocated; the
+    distortions are returned either way.
     """
 
     n_samples: int
@@ -182,178 +177,80 @@ def eigenbasis(L: int) -> np.ndarray:
     return theta
 
 
-class _Draws(NamedTuple):
-    """One run's draws; see _draws."""
+def _factor(rng: np.random.Generator, L: int, n: int, d_lam: float,
+            d_gam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rate's rows v = [A | T22] as an L x 2L view, and T's diagonal.
 
-    t: np.ndarray
-    below: np.ndarray
-    root: np.ndarray
-    zeta: np.ndarray
-    eta: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-
-
-def _draws(seed: int, L: int, n: int) -> _Draws:
-    """A run's draws: the factor t, T's diagonal, zeta, eta, z and w.
-
-    T = [T11 0; T21 T22] is the 2L x k Bartlett factor of the (Y, V)
-    rows, k = min(n, 2L).  t is the L x k trapezoid [A | T22] of its V
-    rows, stored by columns.  A is L x min(k, L) of normals: below its
-    diagonal (where below is True) the halves a of the rotated pairs of
-    T11 and T21 (see _mode_rows), on and above it T21's entries.  T22 has
-    normals below its diagonal and sqrt(chi^2(n - L - i)) on it.  root
-    holds sqrt(chi^2(n - i)) for T's diagonal entry i < 2L, 0 past k, so
-    T11's diagonal is root[:L].  Row i >= 1 has min(i, k) pairs; given
-    its halves a_i, the other halves b_i have <a_i, b_i> = |a_i| zeta
-    and |b_i|^2 = zeta^2 + eta, with zeta ~ N(0, 1) and
-    eta ~ chi^2(min(i, k) - 1), one each for rows 1 ... L - 1.  z is
-    2 x L N(0, 1), its second row 0 when n = 1; w is L draws of
-    chi^2(n - 2), 0 when n <= 2.  They come from one SFC64 generator
-    keyed by the seed through SeedSequence (a negative seed is read
-    modulo 2^64), in the order given in the module docstring: A's
-    normals straight into t, then one buffer of T22's, zeta and z.
+    Needs n >= 2L.  d_lam and d_gam are the gains sqrt(v_y / lambda_q) of
+    the lambda mode (row 0) and of the gamma modes.  Draws, in the order
+    the module docstring gives, A's normals, T22's below its diagonal and
+    the 2L roots sqrt(chi^2(n - i)) of T's diagonal (T11's, then T22's);
+    then scales A below its diagonal by sqrt(1 + d_gam^2) and adds
+    d_i T11_ii to its diagonal.
     """
-    rng = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF)))
-    k = min(n, 2 * L)
-    m, c = min(k, L), max(k - L, 0)
-    # tt is t's transpose, so a draw into its rows fills t by columns.  A's
-    # normals go straight into it.  mask, laid out like tt, is True at
-    # j < i in column j: below A's diagonal (below, the pairs' halves) and,
-    # in its first c columns, below T22's (its normals).  In t's own
-    # layout the masked sums and the scatter would stride across it: a run
-    # at L = 360, n = 6L took 14.7 ms that way against 11.8 ms (2-vCPU
-    # x86_64).
-    mask = np.arange(m)[:, None] < np.arange(L)
-    tt = np.empty((k, L))
-    rng.standard_normal(out=tt[:m])
-    cells = c * (2 * L - c - 1) // 2
-    normals = rng.standard_normal(cells + 3 * L - 1)
-    t22 = tt[L:]
+    # tt is v's transpose, so a draw into its rows fills v by columns.  It
+    # is allocated before the mask: where a run's arrays cannot fit, its
+    # request, 16 times the mask's, fails before the mask is written.
+    tt = np.empty((2 * L, L))
+    # below, laid out like tt's blocks, is True at j < i in column j:
+    # below A's diagonal and below T22's.  In v's own layout the masked
+    # writes would stride across it.
+    below = np.arange(L)[:, None] < np.arange(L)
+    a, t22 = tt[:L], tt[L:]
+    rng.standard_normal(out=a)
     t22.fill(0.0)
-    t22[mask[:c]] = normals[:cells]
-    rest = normals[cells:].copy()
-    # Gamma shapes, half the chi-square degrees: T's diagonal, the rows'
-    # pairs, w.  A shape of 0 draws 0.
-    half = np.arange(0.0, L, 0.5)
-    shape = np.empty(4 * L - 1)
-    np.maximum(0.5 * n - half, 0.0, out=shape[:2 * L])
-    np.minimum(half[:L - 1], 0.5 * (k - 1), out=shape[2 * L:3 * L - 1])
-    shape[3 * L - 1:] = 0.5 * max(n - 2, 0)
-    chi = rng.standard_gamma(shape)
-    chi *= 2.0
-    root = np.sqrt(chi[:2 * L])
-    t22.reshape(-1)[::L + 1] = root[L:k]
-    z = rest[L - 1:].reshape(2, L)
-    if n == 1:
-        z[1] = 0.0
-    return _Draws(tt.T, mask.T, root, rest[:L - 1], chi[2 * L:3 * L - 1], z, chi[3 * L - 1:])
-
-
-def _mode_rows(draws: _Draws, d: float) -> np.ndarray:
-    """Each mode's rows (T_Y, T_V, T_X), on the Gram-Schmidt basis of (T_Y, T_V).
-
-    A (3, 3, L) array indexed [row, coordinate, mode].  d is the gamma
-    modes' gain (see run_simulation).  Below T11's diagonal, row i >= 1's
-    pairs are (T11, T21) = (s a + c b, c a - s b), with
-    c = 1 / sqrt(1 + d^2) and s = d c.  With alpha = |a|^2,
-    beta = <a, b> and gamma = |b|^2, their row sums of T11^2, T11 T21 and
-    T21^2 are s^2 alpha + 2 s c beta + c^2 gamma,
-    s c (alpha - gamma) + (c^2 - s^2) beta and
-    c^2 alpha - 2 s c beta + s^2 gamma.  With (p, q; 0, r) the
-    Cholesky factor of the Gram of the mode's rows of T, the rows are
-    T_Y = p e1, T_V = q e1 + r e2 and T_X = z1 e1 + z2 e2 + sqrt(w) e3,
-    so their inner products are the mode's entries of the run's Gram.
-    """
-    t, below, root, zeta, eta, z, w = draws
-    L, m = below.shape
-    # Per mode: alpha, beta, gamma, then T11's diagonal entry squared,
-    # its product with T21's, and the squared norm of t's row.  That row
-    # holds a as well as T21's rest and T22's, so g_vv takes alpha with
-    # c^2 - 1 = -s^2.
-    f = np.zeros((6, L))
-    left = t[:, :m]
-    np.add.reduce(np.square(left.T), axis=0, out=f[0], where=below.T)
-    np.sqrt(f[0], out=f[1])
-    f[1, 1:] *= zeta
-    np.multiply(zeta, zeta, out=f[2, 1:])
-    f[2, 1:] += eta
-    np.square(root[:L], out=f[3])
-    np.multiply(root[:m], left.diagonal(), out=f[4, :m])
-    np.einsum("ij,ij->i", t, t, out=f[5])
-    co = 1.0 / math.hypot(1.0, d)
-    si = d * co
-    sc, s2 = si * co, si * si
-    g = np.array([[s2, 2.0 * sc, co * co, 1.0, 0.0, 0.0],
-                  [sc, co * co - s2, -sc, 0.0, 1.0, 0.0],
-                  [-s2, -2.0 * sc, s2, 0.0, 0.0, 1.0]]) @ f
-    rows = np.zeros((3, 3, L))
-    p, q, r = rows[0, 0], rows[1, 0], rows[1, 1]
-    np.sqrt(g[0], out=p)
-    np.divide(g[1], p, out=q)
-    # At n = 1, T_V lies on T_Y's line and r^2 is rounding noise.
-    np.sqrt(np.maximum(g[2] - q * q, 0.0), out=r)
-    rows[2, :2] = z
-    np.sqrt(w, out=rows[2, 2])
-    return rows
+    t22[below] = rng.standard_normal(L * (L - 1) // 2)
+    root = np.sqrt(2.0 * rng.standard_gamma(0.5 * n - np.arange(0.0, L, 0.5)))
+    np.multiply(a, math.hypot(1.0, d_gam), out=a, where=below)
+    shift = d_gam * root[:L]
+    shift[0] = d_lam * root[0]
+    a.reshape(-1)[::L + 1] += shift
+    t22.reshape(-1)[::L + 1] = root[L:]
+    return tt.T, root
 
 
 def run_simulation(config: SimConfig) -> SimResult:
-    """Draw the run's Gram through its Bartlett factor and return all measurements.
+    """Draw the run's error sums and, at n >= 2L, its rate; return all measurements.
 
-    With U the standardised components of the n samples, each mode's rows
-    of (Y, V, X) are Y = sqrt(v_y) U_Y, V = Y + sqrt(lambda_q) U_V and
-    X = v_x / sqrt(v_y) U_Y + sqrt(v_x v_z / v_y) U_X.  The (Y, V) rows
-    are drawn as their Bartlett factor T, its Y block below the diagonal
-    collapsed into per-row sums (_draws); given them, each X row enters
-    only through its mode's three Gram entries, drawn as z and w.  Each
+    See the module docstring for what is drawn, and in which order.  Each
     call draws afresh; equal configs give equal results.
     """
     s = spectral_decompose(config.spec)
     L, n, lam_q = config.spec.L, config.n_samples, config.lambda_q
-    root_q = math.sqrt(lam_q)
-    draws = _draws(config.seed, L, n)
-    # Rows i >= 1 are gamma modes: V / sqrt(lambda_q) = d T_Y + T_V with
-    # d = sqrt(gamma_y / lambda_q) there.
-    d = math.sqrt(s.gamma_y) / root_q
+    rng = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(config.seed & 0xFFFFFFFFFFFFFFFF)))
+    # Per side, the lambda mode and then the L - 1 gamma modes: the N
+    # pairs and the variances e_u of the direct error and e_x of the
+    # routed excess, as products of ratios so that none underflows.
+    pairs = np.array([n, n * (L - 1)], dtype=float)
+    vx = np.array([s.lambda_x, s.gamma_x])
+    keep = vx / (vx + lam_q)
+    e_u = lam_q * keep
+    e_x = vx * keep * (np.array([s.lambda_z, s.gamma_z])
+                       / (np.array([s.lambda_y, s.gamma_y]) + lam_q))
+    zeta = rng.standard_normal(2)
+    chi = 2.0 * rng.standard_gamma(0.5 * np.concatenate([pairs, pairs - 1.0]))
+    direct = e_u * chi[:2]
+    routed = np.square(np.sqrt(direct) + np.sqrt(e_x) * zeta) + e_x * chi[2:]
 
-    def side(vx: float, vz: float, vy: float) -> tuple:
-        # The coefficients of (T_Y, T_V, T_X) in the mode's routed error
-        # X - g V and direct error X - h (X + Q), with gains
-        # g = v_x / (v_y + lambda_q) and h = v_x / (v_x + lambda_q), as
-        # ratios so that none underflows.
-        x_y, x_own = vx / math.sqrt(vy), math.sqrt(vx * (vz / vy))
-        keep = lam_q / (vx + lam_q)
-        return ((x_y * (lam_q / (vy + lam_q)), -(vx / (vy + lam_q)) * root_q, x_own),
-                (x_y * keep, -(vx / (vx + lam_q)) * root_q, x_own * keep))
-
-    coef = np.empty((L, 2, 3))
-    coef[0] = side(s.lambda_x, s.lambda_z, s.lambda_y)
-    coef[1:] = side(s.gamma_x, s.gamma_z, s.gamma_y)
-    err = np.matmul(coef, _mode_rows(draws, d).transpose(2, 0, 1))
-    routed_sum, direct_sum = np.einsum("mer,mer->e", err, err).tolist()
-
-    # With M the rows of (Y, V) in T's columns, ln det S_y and ln det S_yv
-    # are sums of logs of M's diagonal; the Y rows' terms cancel, as does
-    # each moment matrix's 1/n.  V's diagonal entry in column L + i is
-    # sqrt(lambda_q) T22_ii.  The rows of v = V / sqrt(lambda_q), which
-    # keep the rate free of the variance unit, are formed in place in t:
-    # below A's diagonal d T11 + T21 = sqrt(1 + d^2) a, and on it
-    # d_i T11_ii + T21_ii.
+    # ln det S_y and ln det S_yv are sums of logs of T's diagonal; the Y
+    # rows' terms cancel, as does each moment matrix's 1/n, and V's entry
+    # in column L + i is sqrt(lambda_q) T22_ii.  The rows of
+    # v = V / sqrt(lambda_q) keep the rate free of the variance unit.
     rate_empirical = math.nan
     if n >= 2 * L:
-        t, root = draws.t, draws.root
-        a = t[:, :L]
-        np.multiply(a, math.hypot(1.0, d), out=a, where=draws.below)
-        shift = d * root[:L]
-        shift[0] = (math.sqrt(s.lambda_y) / root_q) * root[0]
-        a.T.reshape(-1)[::L + 1] += shift
-        gram = t @ t.T
-        # Drop the factor, so that slogdet's working copy of the Gram can
-        # take its memory.
-        del draws, t, a
-        sign, logdet = np.linalg.slogdet(gram)
+        root_q = math.sqrt(lam_q)
+        try:
+            v, root = _factor(rng, L, n, math.sqrt(s.lambda_y) / root_q,
+                              math.sqrt(s.gamma_y) / root_q)
+            gram = v @ v.T
+            # Drop the factor, so that slogdet's working copy of the Gram
+            # can take its memory.
+            del v
+            sign, logdet = np.linalg.slogdet(gram)
+        except MemoryError:
+            # Too large to allocate: the rate stays NaN, the distortions stand.
+            sign = 0.0
         if sign > 0.0:
             rate_empirical = 0.5 * float(logdet) - float(np.add.reduce(np.log(root[L:])))
 
@@ -364,14 +261,14 @@ def run_simulation(config: SimConfig) -> SimResult:
     e_max = max(e_lam, e_gam)
     std_err = e_max * math.sqrt(2.0 * ((e_lam / e_max) ** 2 + (L - 1) * (e_gam / e_max) ** 2)
                                 / (L * L * n))
-    mean = routed_sum / (n * L)
+    mean = float(routed.sum()) / (n * L)
     closed = distortion_of(s, L, lam_q)
     return SimResult(
         n_samples=n,
         lambda_q=lam_q,
         distortion_empirical=mean,
         distortion_closed_form=closed,
-        distortion_direct_empirical=direct_sum / (n * L),
+        distortion_direct_empirical=float(direct.sum()) / (n * L),
         distortion_direct_closed_form=direct_mmse(s, L, lam_q),
         rate_closed_form=rate_of(s, L, lam_q),
         rate_empirical=rate_empirical,

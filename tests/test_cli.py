@@ -9,6 +9,7 @@ pyproject.toml is checked separately, without an install.
 import dataclasses
 import importlib
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -465,6 +466,26 @@ def test_simulate_prints_nan_rate_below_2l_samples(capsys):
         assert rows[0][header.index("rate_closed_form")] == "1.36712345329"
 
 
+@pytest.mark.parametrize("n", [10**6, 10**12])
+def test_simulate_at_ten_million_sources(tmp_path, capsys, n):
+    # At L = 10^7 no factor is drawn below n = 2L, and above it the L x 2L
+    # factor (1.6 PB) cannot be allocated: the rate is NaN either way,
+    # and both distortions are still printed, near their closed forms.
+    spec = tmp_path / "huge.spec"
+    spec.write_text("L = 10000000\nsigma_x_sq = 1.0\nrho_x = 0.3\n"
+                    "sigma_z_sq = 2.0\nrho_z = 0.5\n")
+    rc, out, err = _run(capsys, ["simulate", str(spec), "--D", "0.8", "--n", str(n),
+                                 "--seed", "1"])
+    assert rc == 0, err
+    header, (row,) = _rows(out)
+    cell = dict(zip(header, row))
+    assert cell["n"] == str(n) and cell["rate_empirical"] == "nan"
+    std_err = float(cell["std_err"])
+    assert abs(float(cell["distortion_empirical"]) - 0.8) <= 5.0 * std_err
+    direct = re.search(r"direct X\+Q empirical = (\S+) vs closed form (\S+)$", err)
+    assert abs(float(direct[1]) - float(direct[2])) <= 5.0 * std_err
+
+
 def test_simulate_deterministic(specs, capsys):
     args = ["simulate", specs["case1"], "--D", "0.85", "--n", "20000",
             "--seed", "11"]
@@ -588,6 +609,18 @@ def test_float64_failures_exit_3_without_traceback(tmp_path, capsys, scale, argv
     rc, _, err = _run(capsys, [command, _scaled_spec(tmp_path, scale), *flags])
     assert rc == 3
     assert err.startswith(f"error: numerical failure: {kind}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_asymptotic_limits_that_overflow_exit_3(tmp_path, capsys):
+    # At sigma_x_sq = 1e200 the limit distortions overflow float64; a valid
+    # D must not be reported as outside the interval (inf, 1e200).
+    rc, out, err = _run(capsys, ["asymptotic", _scaled_spec(tmp_path, 1e200), "--L", "10",
+                                 "--d-start", "7e199", "--d-end", "9.5e199",
+                                 "--n-points", "5"])
+    assert rc == 3
+    assert out == "D,upper_asym_nats_L10,lower_asym_nats_L10\n"
+    assert err.startswith("error: limit distortion d_min_inf = inf overflows float64")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -279,115 +280,114 @@ def test_distortion_consistent_with_noisier_channel():
     assert hi.distortion_empirical > lo.distortion_empirical
 
 
-def _yv_rows(draws, d):
-    """The explicit L x k rows (T_Y, T_V) of the Bartlett factor behind draws.
+@pytest.fixture
+def factors(monkeypatch):
+    """The (v, root) of every rate factor a run draws during the test."""
+    drawn = []
+    real = symrd.simulate._factor
 
-    Below T11's diagonal, row i >= 1 of draws.t holds the halves a; the
-    other halves are b = (beta / alpha) a + sqrt(gamma - beta^2 / alpha) u,
-    with u a unit vector orthogonal to a, alpha = |a|^2, beta = |a| zeta
-    and gamma - beta^2 / alpha = eta.  The pairs are rotated back to
-    T11 = s a + c b and T21 = c a - s b, with c = 1 / sqrt(1 + d^2) and
-    s = d c for the gamma modes' gain d.
+    def recording(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(symrd.simulate, "_factor", recording)
+    return drawn
+
+
+def _gains(cfg):
+    """Each mode's gain d = sqrt(v_y / lambda_q): the lambda mode's, then L - 1 gamma modes'."""
+    s = spectral_decompose(cfg.spec)
+    d = np.full(cfg.spec.L, math.sqrt(s.gamma_y / cfg.lambda_q))
+    d[0] = math.sqrt(s.lambda_y / cfg.lambda_q)
+    return d
+
+
+def _yv_rows(cfg, v, root, rng):
+    """The explicit L x 2L rows (T_Y, T_V) of the Bartlett factor behind v.
+
+    v = [d T11 + T21 | T22] row by row, with d the mode's gain.  Below
+    T11's diagonal the run holds only sqrt(1 + d^2) a, where
+    a = (d T11 + T21) / sqrt(1 + d^2); the rate does not depend on the
+    other half of each pair.  So b ~ N(0, 1) is drawn from rng, and the
+    pairs are rebuilt as T11 = s a + c b and T21 = c a - s b, with
+    c = 1 / sqrt(1 + d^2) and s = d c, independent N(0, 1) again.  On
+    the diagonal T11_ii = root_i and T21_ii = v_ii - d_i root_i.
     """
-    below, root, zeta, eta = draws.below, draws.root, draws.zeta, draws.eta
-    L, k = below.shape
-    m = min(k, L)
-    c = 1.0 / math.sqrt(1.0 + d * d)
+    L = cfg.spec.L
+    d = _gains(cfg)[:, None]
+    c = 1.0 / np.sqrt(1.0 + d * d)
     s = d * c
-    v = draws.t.copy()
-    y = np.zeros_like(v)
-    y[range(m), range(m)] = root[:m]
-    for i in range(1, L):
-        a = v[i, :np.count_nonzero(below[i])].copy()
-        alpha = a @ a
-        beta = math.sqrt(alpha) * zeta[i - 1]
-        u = np.zeros_like(a)
-        if a.size > 1:
-            u[np.argmin(np.abs(a))] = 1.0
-            u -= (u @ a / alpha) * a
-            u /= np.linalg.norm(u)
-        b = (beta / alpha) * a + math.sqrt(eta[i - 1]) * u
-        y[i, :a.size], v[i, :a.size] = s * a + c * b, c * a - s * b
-    return y, v
+    low = np.tri(L, k=-1, dtype=bool)
+    diag = np.diag_indices(L)
+    a = c * v[:, :L]
+    b = rng.standard_normal((L, L))
+    t11 = np.where(low, s * a + c * b, 0.0)
+    t11[diag] = root[:L]
+    t21 = np.where(low, c * a - s * b, v[:, :L])
+    t21[diag] -= d[:, 0] * root[:L]
+    return np.hstack([t11, np.zeros((L, L))]), np.hstack([t21, v[:, L:]])
 
 
-def _eigenbasis_replay(cfg):
-    """Distortions and rate of cfg, recomputed from the run's draws.
+def _replayed_rate(cfg, v, root):
+    """The rate of cfg's run, recomputed from its factor in the coordinate basis.
 
-    Rebuilds the (Y, V) rows of the factor explicitly (_yv_rows), and
-    each mode's X row: z1 e1 + z2 e2 on the Gram-Schmidt basis (e1, e2)
-    of that mode's rows (T_Y, T_V), plus sqrt(w) in a column of its own
-    after T's.  Maps each mode's rows through the Cholesky factor of that
-    mode's explicit (Y, V, X) covariance, rotates the rows to the
-    coordinate basis with eigenbasis, and hands them to
-    _reference_statistics as samples.  Its statistics read only the
-    (Y, V) rows and each mode's own Gram entries with X, which are the
-    run's.
+    Scales each mode's rows to Y = sqrt(v_y) T_Y and
+    V = Y + sqrt(lambda_q) T_V, rotates them to the coordinate basis with
+    eigenbasis, and hands the 2L columns to _reference_statistics as
+    samples, which takes three full log-determinants.  Their Gram is the
+    run's up to the factor 2L / n, which the rate does not see.
     """
-    spec, L, n, lam_q = cfg.spec, cfg.spec.L, cfg.n_samples, cfg.lambda_q
-    s = spectral_decompose(spec)
-
-    def factor(vx, vz):
-        vy = vx + vz
-        return np.linalg.cholesky([[vy, vy, vx], [vy, vy + lam_q, vx], [vx, vx, vx]])
-
-    c = np.array([factor(s.lambda_x, s.lambda_z)]
-                 + [factor(s.gamma_x, s.gamma_z)] * (L - 1))
-    draws = symrd.simulate._draws(cfg.seed, L, n)
-    y, v = _yv_rows(draws, math.sqrt(s.gamma_y / lam_q))
-    z, w = draws.z, draws.w
-    e1 = y / np.linalg.norm(y, axis=1, keepdims=True)
-    r = v - np.sum(e1 * v, axis=1, keepdims=True) * e1
-    # one column: T_V and T_X lie on T_Y's line
-    e2 = r / np.linalg.norm(r, axis=1, keepdims=True) if y.shape[1] > 1 else 0.0 * r
-    x = np.hstack([z[0][:, None] * e1 + z[1][:, None] * e2, np.diag(np.sqrt(w))])
-    pad = np.zeros((L, L))
-    rows = np.array([np.hstack([y, pad]), np.hstack([v, pad]), x])
-    y, v, x = eigenbasis(L) @ np.einsum("mab,bmk->amk", c, rows)
-    # _reference_statistics divides by the sample count, not by the width.
-    cols = [np.sqrt(x.shape[1] / n) * r.T for r in (x, y - x, v - y)]
-    return _reference_statistics(spec, lam_q, *cols)
+    s = spectral_decompose(cfg.spec)
+    L = cfg.spec.L
+    t_y, t_v = _yv_rows(cfg, v, root, np.random.default_rng(cfg.seed))
+    v_y = np.array([s.lambda_y] + [s.gamma_y] * (L - 1))[:, None]
+    theta = eigenbasis(L)
+    y = theta @ (np.sqrt(v_y) * t_y)
+    q = theta @ (math.sqrt(cfg.lambda_q) * t_v)
+    return _reference_statistics(cfg.spec, cfg.lambda_q, y.T, np.zeros_like(y.T), q.T)[2]
 
 
-def _assert_replayed(cfg):
-    d, d2, rate = _eigenbasis_replay(cfg)
+def _assert_rate_replayed(cfg, factors):
     res = run_simulation(cfg)
-    assert abs(res.distortion_empirical - d) <= 1e-12 * d
-    assert abs(res.distortion_direct_empirical - d2) <= 1e-12 * d2
-    if cfg.n_samples >= 2 * cfg.spec.L:
-        assert abs(res.rate_empirical - rate) <= 1e-10
-    else:
-        assert math.isnan(res.rate_empirical)
+    if cfg.n_samples < 2 * cfg.spec.L:
+        assert factors == [] and math.isnan(res.rate_empirical)
+        return
+    (v, root), = factors
+    assert abs(res.rate_empirical - _replayed_rate(cfg, v, root)) <= 1e-10
 
 
 @pytest.mark.parametrize("rho_x, rho_z", [(0.35, 0.2), (-0.1, -0.05)])
-def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z):
-    _assert_replayed(SimConfig(SourceSpec(7, 1.3, rho_x, 0.6, rho_z), 0.8, 5000, 4242))
+def test_coordinate_basis_matches_eigenbasis_replay(rho_x, rho_z, factors):
+    _assert_rate_replayed(SimConfig(SourceSpec(7, 1.3, rho_x, 0.6, rho_z), 0.8, 5000, 4242),
+                          factors)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("L, n", [(12, 30), (12, 24), (12, 23), (12, 3), (12, 2), (2, 1),
                                   (3, 10**12), (240, 6 * 240), (360, 6 * 360)])
-def test_trapezoidal_factor_matches_eigenbasis_replay(L, n):
-    # n < 2L takes a trapezoidal factor (the rate is NaN below 2L); n = 3
-    # is the first with a chi-square for X, n = 2 has none (w = 0) and
-    # n = 1 is one column; n = 10^12 is far beyond any sample loop; L = 240
-    # and 360 with n = 6L are the ends of the benchmark's wide runs.
-    _assert_replayed(SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, n, 4243))
+def test_trapezoidal_factor_matches_eigenbasis_replay(L, n, factors):
+    # Below n = 2L a run draws no factor and the rate is NaN; n = 2L is
+    # the first n with a factor, whose last diagonal entry has one degree
+    # of freedom; n = 10^12 is far beyond any sample loop; L = 240 and 360
+    # with n = 6L are the ends of the benchmark's wide runs.
+    _assert_rate_replayed(SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, n, 4243),
+                          factors)
 
 
-def test_stream_keys_give_uncorrelated_streams():
+def test_stream_keys_give_uncorrelated_streams(factors):
     # Neighbouring seeds must not share a stream.  5 against 2^32 + 5
     # guards the key encoding: SeedSequence reads a seed as 32-bit words.
     # No draw value is pinned: numpy does not promise standard_normal's
-    # stream across versions.
-    # All of a run's normals: t's left of column L + i in row i, zeta and z.
+    # stream across versions.  The factor's entries that are normals (up
+    # to a common scale below A's diagonal): A's off its diagonal and
+    # T22's below its diagonal, left of column L + i in row i.
     L, n = 150, 10**6
-    normal = np.tri(L, 2 * L, L - 1, dtype=bool)
+    spec = SourceSpec(L, 1.3, 0.35, 0.6, 0.2)
+    normal = np.tri(L, 2 * L, L - 1, dtype=bool) & ~np.eye(L, 2 * L, dtype=bool)
 
     def normals(seed):
-        d = symrd.simulate._draws(seed, L, n)
-        return np.concatenate([d.t[normal], d.zeta, d.z.ravel()])
+        factors.clear()
+        run_simulation(SimConfig(spec, 0.8, n, seed))
+        return factors[0][0][normal]
 
     for keys in ([0, 1], [77, 78], [5, 2**32 + 5]):
         draws = [normals(k) for k in keys]
@@ -396,19 +396,87 @@ def test_stream_keys_give_uncorrelated_streams():
 
 
 @pytest.mark.parametrize("L, n", [(12, 5), (12, 24), (5, 10**6), (300, 1800)])
-def test_normals_come_in_the_documented_order(L, n):
-    # A fresh generator on the run's key yields the factor's normals column
-    # by column (A's columns whole, then T22's below its diagonal), then
-    # zeta, then z: the stream is the same however _draws splits its
-    # calls.  numpy's values are compared with numpy's own stream, so none
-    # is pinned.
-    seed = 31
-    d = symrd.simulate._draws(seed, L, n)
-    k = d.t.shape[1]
-    columns = [d.t[:, j] for j in range(min(k, L))] + [d.t[j - L + 1:, j] for j in range(L, k)]
-    expected = np.concatenate(columns + [d.zeta, d.z.ravel()])
+def test_normals_come_in_the_documented_order(L, n, factors):
+    # A fresh generator on the run's key yields the error sums' two
+    # normals and four chi-squares, then, at n >= 2L, the factor's normals
+    # column by column (A's columns whole, then T22's below its diagonal)
+    # and the chi-squares of T's diagonal: the stream is the same however
+    # the run splits its calls.  numpy's values are compared with numpy's
+    # own stream, so none is pinned.
+    seed, lam_q = 31, 0.8
+    cfg = SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), lam_q, n, seed)
+    res = run_simulation(cfg)
+    s = spectral_decompose(cfg.spec)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
-    assert np.array_equal(rng.standard_normal(expected.size), expected)
+    zeta = rng.standard_normal(2)
+    chi = 2.0 * rng.standard_gamma([n / 2, n * (L - 1) / 2, (n - 1) / 2, (n * (L - 1) - 1) / 2])
+    # Each side's direct error and routed excess variances, e_u and e_x.
+    vx, vz, vy = (np.array(p) for p in ((s.lambda_x, s.gamma_x), (s.lambda_z, s.gamma_z),
+                                        (s.lambda_y, s.gamma_y)))
+    e_u = vx * lam_q / (vx + lam_q)
+    e_x = vx * vx * vz / ((vx + lam_q) * (vy + lam_q))
+    direct = e_u * chi[:2]
+    routed = (np.sqrt(direct) + np.sqrt(e_x) * zeta) ** 2 + e_x * chi[2:]
+    assert res.distortion_direct_empirical == pytest.approx(direct.sum() / (n * L), rel=1e-13)
+    assert res.distortion_empirical == pytest.approx(routed.sum() / (n * L), rel=1e-13)
+    if n < 2 * L:
+        assert factors == []
+        return
+    (v, root), = factors
+    normals = rng.standard_normal(L * L + L * (L - 1) // 2)
+    assert np.array_equal(root, np.sqrt(2.0 * rng.standard_gamma(0.5 * n - np.arange(0.0, L, 0.5))))
+    low = np.tri(L, k=-1, dtype=bool)
+    d = _gains(cfg)
+    a = np.where(low, math.hypot(1.0, d[-1]), 1.0) * normals[:L * L].reshape(L, L).T
+    a[np.diag_indices(L)] += d * root[:L]
+    t22 = np.zeros((L, L))
+    t22.T[low.T] = normals[L * L:]
+    t22[np.diag_indices(L)] = root[L:]
+    assert np.allclose(v, np.hstack([a, t22]), rtol=1e-14, atol=0.0)
+
+
+def _chi_square_cdf(k, x):
+    return float(mpmath.gammainc(0.5 * k, 0, 0.5 * x, regularized=True))
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_distortions_have_the_chi_square_law(n):
+    # With rho_x = rho_z = 0 (lambda = gamma) every mode has the same
+    # error variances, so the routed sum of a run is e_r chi^2(nL) and the
+    # direct sum e_u chi^2(nL).  A Kolmogorov-Smirnov test over 2000
+    # seeded runs against each law's CDF: sqrt(M) sup |F_M - F| stays
+    # below 1.95, the 0.1% point of Kolmogorov's law.
+    L, lam_q, runs = 12, 0.7, 2000
+    spec = SourceSpec(L, 1.0, 0.0, 0.6, 0.0)
+    e_r = 1.0 * (0.6 + lam_q) / (1.6 + lam_q)
+    e_u = 1.0 * lam_q / (1.0 + lam_q)
+    res = [run_simulation(SimConfig(spec, lam_q, n, seed)) for seed in range(runs)]
+    rank = np.arange(1, runs + 1)
+    for name, e in (("distortion_empirical", e_r), ("distortion_direct_empirical", e_u)):
+        x = np.sort([n * L * getattr(r, name) / e for r in res])
+        cdf = np.array([_chi_square_cdf(n * L, v) for v in x])
+        ks = max(np.max(rank / runs - cdf), np.max(cdf - (rank - 1) / runs))
+        assert math.sqrt(runs) * ks <= 1.95, (name, ks)
+
+
+@pytest.mark.parametrize("n", [1, 30])
+def test_distortions_have_the_per_sample_covariance(n):
+    # Sample by sample, each mode's routed error is its direct error plus
+    # an independent excess, so the routed and direct sums of a run have
+    # covariance 2n (e_u,lambda^2 + (L - 1) e_u,gamma^2), with e_u each
+    # mode's direct error variance.  The mean over 4000 seeded runs of the
+    # product of their offsets from the closed forms lies within 4
+    # standard errors of it.
+    L, lam_q, runs = 12, 0.7, 4000
+    spec = SourceSpec(L, 1.0, 0.5, 0.6, 0.3)
+    s = spectral_decompose(spec)
+    e_lam, e_gam = (vx * lam_q / (vx + lam_q) for vx in (s.lambda_x, s.gamma_x))
+    want = 2.0 * n * (e_lam ** 2 + (L - 1) * e_gam ** 2)
+    res = [run_simulation(SimConfig(spec, lam_q, n, seed)) for seed in range(runs)]
+    prod = np.array([(n * L) ** 2 * (r.distortion_empirical - r.distortion_closed_form)
+                     * (r.distortion_direct_empirical - r.distortion_direct_closed_form)
+                     for r in res])
+    assert abs(prod.mean() - want) <= 4.0 * prod.std(ddof=1) / math.sqrt(runs), (prod.mean(), want)
 
 
 def _peak_bytes(cfg):
@@ -422,8 +490,7 @@ def _peak_bytes(cfg):
 
 
 def test_memory_does_not_grow_with_n():
-    # A run holds the L x min(n, 2L) factor and a few arrays of L per-mode
-    # values, whatever n is.
+    # A run holds the L x 2L factor and a few short arrays, whatever n is.
     def peak(n):
         return _peak_bytes(SimConfig(SourceSpec(12, 1.0, 0.3, 0.5, 0.2), 0.7, n, 1))
 
@@ -435,34 +502,18 @@ def test_memory_does_not_grow_with_n():
 
 def test_memory_at_the_wide_shape():
     # At L = 240, n = 6L a run peaks as it forms the rate's L x L Gram.
-    # It then holds the L x 2L factor (8 bytes an entry), the Gram, the
-    # L x L boolean mask of the pairs' halves (1 byte) and six short
-    # arrays of doubles: the roots of T's diagonal (2L), the chi-squares
-    # (4L - 1), the normals' tail of zeta and z (3L - 1), the error
-    # coefficients and the error rows (6L each) and the diagonal shift
-    # (L).  These sum to 1.482 MB; the bound allows 5% more for array
-    # headers and the generator.  Measured peak 1.485 MB.  _draws holds
-    # the factor, the mask and about L^2 / 2 normals of T22; the row sums
-    # hold the factor, the mask and A's squares (L x L); slogdet's
-    # working copy of the Gram takes the freed factor's place.
+    # It then holds the L x 2L factor (8 bytes an entry), the Gram and the
+    # 2L roots of T's diagonal: 1.386 MB.  The bound allows 2% more for
+    # array headers and the generator, less than the L x L boolean mask,
+    # which is freed before the Gram.  Measured peak 1.390 MB.  While the
+    # factor is drawn, the mask and T22's L (L - 1) / 2 normals sit beside
+    # it in the Gram's place; slogdet's working copy of the Gram takes the
+    # freed factor's place.
     L = 240
     cfg = SimConfig(SourceSpec(L, 1.3, 0.35, 0.6, 0.2), 0.8, 6 * L, 1)
-    short = 2 * L + (4 * L - 1) + (3 * L - 1) + 6 * L + 6 * L + L
-    buffers = 8 * (2 * L * L) + 8 * (L * L) + L * L + 8 * short
+    buffers = 8 * (2 * L * L) + 8 * (L * L) + 8 * (2 * L)
     _peak_bytes(cfg)  # first-call allocations
-    assert _peak_bytes(cfg) <= 1.05 * buffers
-
-
-def _mode_grams(L, n, seeds, d=0.7):
-    """The 3 x 3 Gram of each mode's rows (T_Y, T_V, T_X), over many seeds.
-
-    Indexed [row, row, mode].  d is the gain that fixes the pairs'
-    rotation; the law of the Gram is the same at every d.
-    """
-    return np.concatenate([
-        np.einsum("rcm,scm->rsm", rows, rows)
-        for rows in (symrd.simulate._mode_rows(symrd.simulate._draws(s, L, n), d)
-                     for s in seeds)], axis=2)
+    assert _peak_bytes(cfg) <= 1.02 * buffers
 
 
 def _check_moments(sample, mean, var, fourth, label):
@@ -474,43 +525,39 @@ def _check_moments(sample, mean, var, fourth, label):
     assert abs(v - var) <= 4.0 * math.sqrt((fourth - var * var) / m), (label, v)
 
 
-@pytest.mark.parametrize("n", [2, 3, 30])
-def test_x_gram_entries_have_wishart_moments(n):
-    # Given the (Y, V) rows, the run draws each mode's Gram entries with X
-    # through z and w.  Over 2400 independent modes they have the moments
-    # of Wishart_3(n, I): g_xx ~ chi^2(n), and g_yx and g_vx are a normal
-    # times the root of a chi^2(n).
-    g = _mode_grams(12, n, range(200))
-    _check_moments(g[2, 2], n, 2 * n, 12 * n * n + 48 * n, n)
-    for r in (0, 1):
-        _check_moments(g[r, 2], 0.0, n, 3 * n * (n + 2), n)
-
-
 @pytest.mark.parametrize("n", [24, 200, 10**6])
-def test_yv_gram_entries_have_wishart_moments(n):
-    # Below T11's diagonal the run holds one half a of each rotated pair
-    # and draws the other half's sums with a through zeta and eta.  Over
-    # 4800 independent modes the (Y, V) Gram entries keep the moments of
-    # Wishart_2(n, I): g_yy and g_vv ~ chi^2(n), independent, and given
-    # g_yy, g_yv ~ N(0, g_yy).  At n = 24 = 2L a row's pairs are up to 11
-    # of its 24 terms, and a chi^2 of eta one degree off moves a mean by
-    # about 6 standard errors.
+def test_yv_gram_entries_have_wishart_moments(n, factors):
+    # Below T11's diagonal the run holds one half a of each rotated pair,
+    # scaled into v; _yv_rows rebuilds the pairs with an independent other
+    # half.  Over 4800 independent modes the rebuilt (Y, V) Gram entries
+    # have the moments of Wishart_2(n, I): g_yy and g_vv ~ chi^2(n),
+    # independent, and given g_yy, g_yv ~ N(0, g_yy).  At n = 24 = 2L a
+    # row's pairs are up to 11 of its 24 terms.
     L, seeds = 12, range(400)
-    g = _mode_grams(L, n, seeds)
-    for r in (0, 1):
-        _check_moments(g[r, r], n, 2 * n, 12 * n * n + 48 * n, (n, r))
-    _check_moments(g[0, 1], 0.0, n, 3 * n * (n + 2), n)
+    spec = SourceSpec(L, 1.0, 0.5, 0.6, 0.3)
+    rng = np.random.default_rng(n)
+    offsets, grams = [], []
+    for seed in seeds:
+        cfg = SimConfig(spec, 0.7, n, seed)
+        res = run_simulation(cfg)
+        offsets.append(res.rate_empirical - res.rate_closed_form)
+        (v, root), = factors
+        factors.clear()
+        t_y, t_v = _yv_rows(cfg, v, root, rng)
+        grams.append([np.sum(t_y * t_y, axis=1), np.sum(t_v * t_v, axis=1),
+                      np.sum(t_y * t_v, axis=1)])
+    g_yy, g_vv, g_yv = np.concatenate(grams, axis=1)
+    for r, g in enumerate((g_yy, g_vv)):
+        _check_moments(g, n, 2 * n, 12 * n * n + 48 * n, (n, r))
+    _check_moments(g_yv, 0.0, n, 3 * n * (n + 2), n)
     # E[(g_yy - n)(g_vv - n)] = 0 with variance 4 n^2, and
     # E[(g_yy - n) g_yv] = 0 with variance E[(g_yy - n)^2 g_yy] = 2 n^2 + 8 n.
-    for prod, var in (((g[0, 0] - n) * (g[1, 1] - n), 4.0 * n * n),
-                      ((g[0, 0] - n) * g[0, 1], 2.0 * n * n + 8.0 * n)):
+    for prod, var in (((g_yy - n) * (g_vv - n), 4.0 * n * n),
+                      ((g_yy - n) * g_yv, 2.0 * n * n + 8.0 * n)):
         assert abs(prod.mean()) <= 4.0 * math.sqrt(var / prod.size), (n, prod.mean())
     # The rate's mean over seeds is the closed form plus the estimator's
     # exact bias, within 4 standard errors of the sampled spread.
-    spec = SourceSpec(L, 1.0, 0.5, 0.6, 0.3)
-    offsets = np.array([
-        (r.rate_empirical - r.rate_closed_form)
-        for r in (run_simulation(SimConfig(spec, 0.7, n, s)) for s in seeds)])
+    offsets = np.array(offsets)
     bias = rate_bias_band(L, n)[0]
     se = offsets.std(ddof=1) / math.sqrt(offsets.size)
     assert abs(offsets.mean() - bias) <= 4.0 * se, (n, offsets.mean(), bias)
