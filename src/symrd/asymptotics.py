@@ -66,9 +66,10 @@ class Condition(enum.Enum):
 class AsymptoticRegime:
     """A classified spec: its condition, scales and limit distortions.
 
-    xi is None only for ZeroMix (where it is never needed); d_th1_inf and
-    d_th2_inf are populated only for PosMixPosRho_XiLtHalf, the regime in
-    which a limiting gap interval exists.
+    xi is None only for ZeroMix (where it is never needed); d_th1_inf,
+    d_th2_inf and the gapped lower piece's D-free log half_log_rho =
+    1/2 ln(rho_x^2 (1 - rho_y) / ((1 - rho_x)^2 rho_y)) are populated only
+    for PosMixPosRho_XiLtHalf, the regime in which a gap interval exists.
     """
 
     spec: SourceSpec
@@ -82,6 +83,7 @@ class AsymptoticRegime:
     d_th0_inf: float | None
     d_th1_inf: float | None
     d_th2_inf: float | None
+    half_log_rho: float | None = None
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
         mixture (xi is undefined there and no limit is assigned).
     PrecisionError
         If a limit distortion overflows float64 (at variances near 1e154
-        and above).
+        and above), or half_log_rho's argument rounds to 0.
     """
     sx2, sz2 = spec.sigma_x_sq, spec.sigma_z_sq
     rx, rz = spec.rho_x, spec.rho_z
@@ -137,7 +139,7 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
     d_min_inf = common + gx * gz / gy
     d_th0_inf = common + gx
     xi = (rx / (1.0 - rx)) * ((1.0 - spec.rho_y) / spec.rho_y)
-    d_th1 = d_th2 = None
+    d_th1 = d_th2 = half_log_rho = None
     if rx == 0.0:
         condition = Condition.PosMixZeroRho
     elif xi >= 0.5:
@@ -147,8 +149,13 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
         root = math.sqrt(1.0 - 4.0 * xi ** 2)
         d_th1 = d_th0_inf - (1.0 + root) / 2.0 * gx ** 2 / gy
         d_th2 = d_th0_inf - (1.0 - root) / 2.0 * gx ** 2 / gy
+        rho_ratio = rx ** 2 * (1.0 - spec.rho_y) / ((1.0 - rx) ** 2 * spec.rho_y)
+        if not rho_ratio > 0.0:
+            raise PrecisionError(f"half_log_rho's argument rounds to {rho_ratio!r} at "
+                                 f"rho_x = {rx!r}, rho_y = {spec.rho_y!r}")
+        half_log_rho = 0.5 * math.log(rho_ratio)
     return _finite(AsymptoticRegime(spec, condition, gx, gz, gy, mix, xi,
-                                    d_min_inf, d_th0_inf, d_th1, d_th2))
+                                    d_min_inf, d_th0_inf, d_th1, d_th2, half_log_rho))
 
 
 def _finite(regime: AsymptoticRegime) -> AsymptoticRegime:
@@ -234,9 +241,13 @@ def _rbar_inf_zero_mix(reg: AsymptoticRegime, D: float) -> Callable[[int], float
     return lambda L: L / 2.0 * log_ratio
 
 
-def _rbar1_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
+def _below_log(reg: AsymptoticRegime, D: float) -> float:
+    """ln(gamma_x^2 / gamma_y / (D - d_min_inf)), the L/2 log of both pieces below d_th0_inf."""
+    return math.log(reg.gamma_x ** 2 / reg.gamma_y / (D - reg.d_min_inf))
+
+
+def _rbar1_inf(reg: AsymptoticRegime, D: float, log_ratio: float) -> Callable[[int], float]:
     gx, gy = reg.gamma_x, reg.gamma_y
-    log_ratio = math.log(gx ** 2 / gy / (D - reg.d_min_inf))
     half_log_mix = 0.5 * math.log(reg.mix * (reg.d_th0_inf - D) / gx ** 2)
     quotient = ((reg.d_th0_inf - reg.xi * gx ** 2 / gy - D) ** 2
                 / (2.0 * (reg.d_th0_inf - D) * (D - reg.d_min_inf)))
@@ -260,13 +271,10 @@ def _rbar3_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
     return lambda L: value
 
 
-def _r1_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
+def _r1_inf(reg: AsymptoticRegime, D: float, log_ratio: float) -> Callable[[int], float]:
     gx, gy = reg.gamma_x, reg.gamma_y
-    rx, ry = reg.spec.rho_x, reg.spec.rho_y
-    log_ratio = math.log(gx ** 2 / gy / (D - reg.d_min_inf))
     quotient = 0.5 * (1.0 - 2.0 * reg.xi) * gx ** 2 / gy / (D - reg.d_min_inf)
-    half_log_rho = 0.5 * math.log(rx ** 2 * (1.0 - ry) / ((1.0 - rx) ** 2 * ry))
-    return lambda L: (L + 1) / 2.0 * log_ratio + 0.5 * math.log(L) + quotient + half_log_rho
+    return lambda L: (L + 1) / 2.0 * log_ratio + 0.5 * math.log(L) + quotient + reg.half_log_rho
 
 
 def _r2_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
@@ -285,8 +293,8 @@ def _check_d_range(reg: AsymptoticRegime, D: float) -> None:
         )
 
 
-def _upper(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
-    """upper_asymptotic at a D already inside (d_min_inf, sigma_x_sq), in L."""
+def _upper(reg: AsymptoticRegime, D: float, below_log: float | None = None):
+    """upper_asymptotic at a D inside (d_min_inf, sigma_x_sq), in L; below_log is _below_log's."""
     if reg.condition is Condition.ZeroMix:
         return _rbar_inf_zero_mix(reg, D)
     # The sqrt(L) clause exists only when the crossing is interior, which
@@ -295,15 +303,17 @@ def _upper(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
             and abs(D - reg.d_th0_inf) <= D_TH0_WINDOW * reg.spec.sigma_x_sq):
         return _rbar2_inf(reg)
     if D < reg.d_th0_inf:
-        return _rbar1_inf(reg, D)
+        return _rbar1_inf(reg, D, _below_log(reg, D) if below_log is None else below_log)
     return _rbar3_inf(reg, D)
 
 
-def _gapped(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
-    """lower_asymptotic, in L, at a D in range where the bounds do not meet."""
+def _gapped(reg: AsymptoticRegime, D: float) -> tuple:
+    """(upper, lower) pieces, in L, at a D in range where the bounds do not meet."""
     if reg.condition is Condition.PosMixZeroRho:
-        return _r2_inf(reg, D)
-    return _r1_inf(reg, D)
+        return _upper(reg, D), _r2_inf(reg, D)
+    # Inside the gap interval, below d_th0_inf: both pieces take one log.
+    below_log = _below_log(reg, D)
+    return _upper(reg, D, below_log), _r1_inf(reg, D, below_log)
 
 
 def asymptotic_bounds(regime: AsymptoticRegime, sizes: Iterable[int],
@@ -316,10 +326,9 @@ def asymptotic_bounds(regime: AsymptoticRegime, sizes: Iterable[int],
     of upper_asymptotic and lower_asymptotic, whose domain rule it keeps.
     """
     _check_d_range(regime, D)
-    upper = _upper(regime, D)
     if bounds_meet(regime, D):
-        return [(value, value) for value in map(upper, sizes)]
-    lower = _gapped(regime, D)
+        return [(value, value) for value in map(_upper(regime, D), sizes)]
+    upper, lower = _gapped(regime, D)
     return [(upper(L), lower(L)) for L in sizes]
 
 
@@ -362,7 +371,7 @@ def lower_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
     _check_d_range(regime, D)
     if bounds_meet(regime, D):
         return _upper(regime, D)(L)
-    return _gapped(regime, D)(L)
+    return _gapped(regime, D)[1](L)
 
 
 def asymptotic_gap(regime: AsymptoticRegime, D: float) -> float:

@@ -15,7 +15,7 @@ simulate   solve the test-channel noise level for a target distortion,
 All numeric CSV fields are printed with 12 significant digits and a '.'
 decimal separator regardless of locale; identical invocations produce
 byte-identical standard output.  Rates are in nats unless --bits is given,
-which divides rate columns by ln 2 at display time only.  Exit codes:
+which divides rate columns by ln 2 at display and names them in bits.  Exit codes:
 0 success, 2 usage/validation errors, 3 numerical failures (convergence,
 precision, or float64 overflow and underflow at extreme scales) and
 exhausted memory.  The CSV commands write their rows in blocks of
@@ -38,18 +38,10 @@ from .errors import ConvergenceError, DomainError, PrecisionError, ValidationErr
 from .model import parse_spec_text, spectral_decompose
 
 CSV_FMT = "%.12g"
-# A sweep row's D, upper, lower, gap and piece cells, in one format operation.
-_ROW_FMT = ",".join([CSV_FMT] * 4 + ["%s"])
-# Two adjacent cells in one format operation.
-_PAIR_FMT = CSV_FMT + "," + CSV_FMT
 INFO_FMT = "%.6g"
 _LN2 = math.log(2.0)
 # Lines a CSV command collects before one write to standard output.
 BLOCK_ROWS = 256
-
-
-def _num(x: float) -> str:
-    return CSV_FMT % x
 
 
 def _load_spec(path: str):
@@ -99,10 +91,9 @@ def _sizes(text: str, flag: str) -> list[int]:
     return sizes
 
 
-def _asym_cells(regime, sizes: list[int], D: float, scale: float) -> str:
-    """Upper and lower large-L approximation cells at D for each size, in order."""
-    return ",".join([_PAIR_FMT % (upper / scale, lower / scale)
-                     for upper, lower in asymptotics.asymptotic_bounds(regime, sizes, D)])
+def _row_format(header: list[str]) -> str:
+    """One format for a whole row under header: text for piece, CSV_FMT elsewhere."""
+    return ",".join(["%s" if name == "piece" else CSV_FMT for name in header])
 
 
 def _write_table(header: str, rows) -> None:
@@ -191,30 +182,32 @@ def cmd_sweep(args) -> int:
                   and regime.condition is asymptotics.Condition.PosMixPosRho_XiLtHalf)
 
     scale = _LN2 if args.bits else 1.0
-    header = ["D", "upper_nats", "lower_nats", "gap_nats", "piece"]
+    # As in asymptotic and gap-inf, the large-L columns name their unit in bits only.
+    unit, asym_unit = ("_bits", "_bits") if args.bits else ("_nats", "")
+    header = ["D", "upper" + unit, "lower" + unit, "gap" + unit, "piece"]
     if args.certify:
-        header += ["oracle_nats", "kkt_residual"]
+        header += ["oracle" + unit, "kkt_residual"]
     for asym_l in asym_ls:
-        header += [f"upper_asym_L{asym_l}", f"lower_asym_L{asym_l}"]
+        header += [f"upper_asym{asym_unit}_L{asym_l}", f"lower_asym{asym_unit}_L{asym_l}"]
     if gap_column:
-        header.append("delta_r_inf")
-    if args.bits:
-        header = [h.replace("_nats", "_bits") for h in header]
+        header.append("delta_r_inf" + asym_unit)
+    row_format = _row_format(header)
 
     def rows():
         program = oracle.prepare(s, L) if args.certify else None
         for D in grid:
             upper, lower, piece = lower_bound.evaluate(converse, D)
-            row = _ROW_FMT % (D, upper / scale, lower / scale, (upper - lower) / scale, piece)
+            cells = [D, upper / scale, lower / scale, (upper - lower) / scale, piece]
             if program is not None:
                 _, value, cert = oracle.solve(program, D)
-                row += "," + _PAIR_FMT % (value / scale, max(cert.stationarity_residual,
-                                                             cert.complementarity_residual))
+                cells += (value / scale, max(cert.stationarity_residual,
+                                             cert.complementarity_residual))
             if regime is not None:
-                row += "," + _asym_cells(regime, asym_ls, D, scale)
+                bounds = asymptotics.asymptotic_bounds(regime, asym_ls, D)
+                cells += [cell / scale for pair in bounds for cell in pair]
             if gap_column:
-                row += "," + _num(asymptotics.asymptotic_gap(regime, D) / scale)
-            yield row
+                cells.append(asymptotics.asymptotic_gap(regime, D) / scale)
+            yield row_format % tuple(cells)
 
     _write_table(",".join(header), rows())
     return 0
@@ -229,11 +222,13 @@ def cmd_asymptotic(args) -> int:
     header = ["D"]
     for asym_l in ls:
         header += [f"upper_asym_{unit}_L{asym_l}", f"lower_asym_{unit}_L{asym_l}"]
+    row_format = _row_format(header)
 
     def rows():
         regime = asymptotics.asymptotic_regime(spec)
         for D in grid:
-            yield _num(D) + "," + _asym_cells(regime, ls, D, scale)
+            bounds = asymptotics.asymptotic_bounds(regime, ls, D)
+            yield row_format % (D, *[cell / scale for pair in bounds for cell in pair])
 
     _write_table(",".join(header), rows())
     return 0
@@ -243,13 +238,15 @@ def cmd_gap_inf(args) -> int:
     spec = _load_spec(args.spec_file)
     grid = _grid(args)
     scale = _LN2 if args.bits else 1.0
+    header = ["D", "delta_r_inf_bits" if args.bits else "delta_r_inf"]
+    row_format = _row_format(header)
 
     def rows():
         regime = asymptotics.asymptotic_regime(spec)
         for D in grid:
-            yield _PAIR_FMT % (D, asymptotics.asymptotic_gap(regime, D) / scale)
+            yield row_format % (D, asymptotics.asymptotic_gap(regime, D) / scale)
 
-    _write_table("D,delta_r_inf_bits" if args.bits else "D,delta_r_inf", rows())
+    _write_table(",".join(header), rows())
     return 0
 
 
@@ -265,18 +262,18 @@ def cmd_simulate(args) -> int:
         header = header.replace("rate_empirical", "rate_empirical_bits")
     print(header)
     print(",".join([
-        str(result.n_samples), _num(result.lambda_q),
-        _num(result.distortion_empirical), _num(result.distortion_closed_form),
-        _num(result.rate_closed_form / scale),
-        _num(result.rate_empirical / scale), _num(result.std_err),
+        str(result.n_samples), CSV_FMT % result.lambda_q,
+        CSV_FMT % result.distortion_empirical, CSV_FMT % result.distortion_closed_form,
+        CSV_FMT % (result.rate_closed_form / scale),
+        CSV_FMT % (result.rate_empirical / scale), CSV_FMT % result.std_err,
     ]))
     print(
         "estimator comparison: routed empirical = "
-        f"{_num(result.distortion_empirical)} vs closed form "
-        f"{_num(result.distortion_closed_form)} "
+        f"{CSV_FMT % result.distortion_empirical} vs closed form "
+        f"{CSV_FMT % result.distortion_closed_form} "
         f"(matches: {result.matches_routed_identity}); direct X+Q empirical = "
-        f"{_num(result.distortion_direct_empirical)} vs closed form "
-        f"{_num(result.distortion_direct_closed_form)}",
+        f"{CSV_FMT % result.distortion_direct_empirical} vs closed form "
+        f"{CSV_FMT % result.distortion_direct_closed_form}",
         file=sys.stderr,
     )
     return 0

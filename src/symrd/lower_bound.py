@@ -219,9 +219,9 @@ def _dispatch(regime: Regime, D: float, slack: float) -> tuple[str, float | None
     if (r.case == 1 or (r.d_th_1 is not None and D <= r.d_th_1)
             or (r.d_th_2 is not None and not D < r.d_th_2)):
         return PIECE_RBAR, None
-    # With x_big = 0 (case 4) the other side's family has a vanishing log
-    # argument; this side's is the finite reading.
-    piece = _PIECES[r.hatted][0 if D <= r.d_th_c else 1]
+    # With x_big = 0 (case 4) only this side's family is finite, and d_th_c
+    # is d_min: every D takes its second piece, however d_th_c rounds.
+    piece = _PIECES[r.hatted][0 if D <= r.d_th_c and r.big[0] != 0.0 else 1]
     return piece, _rc(piece, r.big, r.small, r.prepared.L, slack)
 
 

@@ -40,10 +40,12 @@ stationarity equations, three complementary-slackness products with
 nonnegative multipliers) certifies the optimum.
 
 The program's D-free constants (the ends of (d_min, sigma_x_sq), the side
-view and its coefficients, the integer parts of the slack pair and the
-distortion constraint's terms) are formed once per spectrum by prepare,
-and solve takes them at each D; solve_program is the two in one call,
-and recover_multipliers and kkt_check run solve's own steps at any point.
+view's y values, products and coefficients, the integer parts of the slack
+pair and the distortion constraint's terms) are formed once per spectrum
+by prepare, and solve takes them at each D; solve_program is the two in
+one call.  One helper forms the multipliers and certificate at a point
+(v, delta), at solve's optimum and for recover_multipliers and kkt_check
+anywhere, so the KKT system is written once.
 
 This module is deliberately independent of the closed-form lower bound: it
 never consults the regime classification, and prepare forms its constants
@@ -118,13 +120,6 @@ def omega_objective(p: ProgramPoint, spectrum: Spectrum, L: int) -> float:
             + L / 2.0 * math.log(lw / p.delta))
 
 
-def _constraint_terms(spectrum: Spectrum, L: int) -> tuple:
-    """distortion_constraint's D-free terms, in the order it adds them."""
-    s = spectrum
-    return (s.lambda_x ** 2 / s.lambda_y ** 2, s.lambda_x, s.lambda_x ** 2 / s.lambda_y,
-            L - 1, s.gamma_x ** 2 / s.gamma_y ** 2, s.gamma_x, s.gamma_x ** 2 / s.gamma_y)
-
-
 def _constraint(terms: tuple, alpha: float, beta: float) -> float:
     c_a, lx, c_lam, m, c_b, gx, c_gam = terms
     return c_a * alpha + lx - c_lam + m * (c_b * beta + gx - c_gam)
@@ -132,7 +127,7 @@ def _constraint(terms: tuple, alpha: float, beta: float) -> float:
 
 def distortion_constraint(p: ProgramPoint, spectrum: Spectrum, L: int) -> float:
     """Left side of the distortion constraint at p (compare against L D)."""
-    return _constraint(_constraint_terms(spectrum, L), p.alpha, p.beta)
+    return _constraint(prepare(spectrum, L).constraint_terms, p.alpha, p.beta)
 
 
 def _slack_terms(big: tuple, small: tuple) -> tuple:
@@ -179,22 +174,27 @@ def _slack_pair(L: int, D: float, terms: tuple) -> tuple[float, float]:
 class Program(NamedTuple):
     """The D-free constants of the converse program for one spectrum and L.
 
-    d_min and sigma_x_sq bound the domain of D; big, small and hatted are
-    model.side_view's; dy = y_big - y_small, a = m_b x_b^2 / y_b^2 and
-    b = m_s x_s^2 / y_s^2 are the reduced program's coefficients;
-    slack_terms are _slack_terms's and constraint_terms those of
-    distortion_constraint.
+    d_min and sigma_x_sq bound the domain of D; hatted is model.side_view's
+    orientation, yb, ys and mb its y_big, y_small and m_big, and yb2, ys2
+    and ybys the products y_b^2, y_s^2 and y_b y_s; dy = y_big - y_small,
+    a = m_b x_b^2 / y_b^2 and b = m_s x_s^2 / y_s^2 are the reduced
+    program's coefficients; slack_terms are _slack_terms's and
+    constraint_terms distortion_constraint's, in the order it adds them.
     """
 
     L: int
     d_min: float
     sigma_x_sq: float
-    big: tuple
-    small: tuple
     hatted: bool
+    yb: float
+    ys: float
+    mb: int
     dy: float
     a: float
     b: float
+    yb2: float
+    ys2: float
+    ybys: float
     slack_terms: tuple
     constraint_terms: tuple
 
@@ -205,17 +205,19 @@ def prepare(spectrum: Spectrum, L: int) -> Program:
     Like the rest of the module, it never consults the closed-form lower
     bound or its regime classification.
     """
-    big, small, hatted = side_view(spectrum, L)
+    s = spectrum
+    big, small, hatted = side_view(s, L)
     (xb, yb, mb), (xs, ys, ms) = big, small
-    return Program(L, d_min(spectrum, L), source_variance(spectrum, L),
-                   big, small, hatted, yb - ys, mb * xb ** 2 / yb ** 2,
-                   ms * xs ** 2 / ys ** 2, _slack_terms(big, small),
-                   _constraint_terms(spectrum, L))
+    return Program(L, d_min(s, L), source_variance(s, L), hatted,
+                   yb, ys, mb, yb - ys, mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2,
+                   yb ** 2, ys ** 2, yb * ys, _slack_terms(big, small),
+                   (s.lambda_x ** 2 / s.lambda_y ** 2, s.lambda_x, s.lambda_x ** 2 / s.lambda_y,
+                    L - 1, s.gamma_x ** 2 / s.gamma_y ** 2, s.gamma_x, s.gamma_x ** 2 / s.gamma_y))
 
 
 def _solve_reduced(program: Program, D: float) -> tuple[float, float, float]:
     """Active-set solve of the envelope-reduced program: (value, v, delta)."""
-    L, _, _, (_, yb, mb), (_, ys, _), _, dy, a, b, slack_terms, _ = program
+    L, _, _, _, yb, ys, mb, dy, a, b, yb2, ys2, ybys, slack_terms, _ = program
     # Slacks exact but for one rounding: a v + b delta <= s0 = L (D - d_min)
     # and a u + b e >= t0 = L (sigma_x_sq - D), u = y_big - v, e = y_small - delta.
     s0, t0 = _slack_pair(L, D, slack_terms)
@@ -223,77 +225,99 @@ def _solve_reduced(program: Program, D: float) -> tuple[float, float, float]:
         raise PrecisionError(
             f"D = {D!r} is within rounding of an end of (d_min, sigma_x_sq): "
             f"L (D - d_min) = {s0!r}, L (sigma_x_sq - D) = {t0!r}")
-    yb2, ys2, ybys = yb ** 2, ys ** 2, yb * ys
-
-    def candidate(v, u, d, e):
+    if b == 0.0:
+        # No cap on delta: v stops where a v = s0, delta on the envelope.
+        v_x, u_x = s0 / a, t0 / a
+    else:
+        # The crossing: the positive root of a c v^2 + (a + b - c s0) v = s0,
+        # and the smaller root of its quadratic in u, both in stable form.
+        x, y, z = dy * t0, a * yb2, b * ys2
+        root = math.sqrt((x - y) ** 2 + z * (2.0 * (x + y) + z))
+        u_x = 2.0 * t0 * yb2 / (x + y + z + root)
+        qa, qb = a * dy, (a + b) * yb * ys - dy * s0
+        r = math.sqrt(qb * qb + 4.0 * qa * s0 * yb * ys)
+        v_x = 2.0 * s0 * yb * ys / (qb + r) if qb > 0.0 else (r - qb) / (2.0 * qa)
+    # Candidates (v, u, delta, e) in order, the first on the envelope:
+    # delta = v y_b y_s / lw and e = u y_s^2 / lw, lw = y_b y_s (1 + c v).
+    lw = dy * v_x + ybys
+    candidates = [(v_x, u_x, v_x * yb * ys / lw, u_x * ys2 / lw)]
+    if b != 0.0:
+        w0 = b * ys - t0 if t0 < s0 else s0 - a * yb   # b cap(y_big)
+        if w0 > 0.0:
+            candidates.append((yb, 0.0, w0 / b, t0 / b))
+        if qa > 0.0:
+            k = qa * (mb + L)
+            v_c = (mb * dy * s0 - L * a * yb * ys) / k
+            u_c = (L * a * yb2 - mb * dy * w0) / k
+            if 0.0 < u_c < u_x:
+                candidates.append((v_c, u_c, (s0 - a * v_c) / b, (t0 - a * u_c) / b))
+    # The least value wins; on a tie the earlier candidate does.  Each log
+    # is taken from the smaller of its two distances, without cancellation.
+    best = None
+    for v, u, d, e in candidates:
         r1 = (-math.log1p(-dy * u / yb2) if 2.0 * dy * u < yb2
               else math.log(yb2 / (dy * v + ybys)))
         r2 = -math.log1p(-e / ys) if 2.0 * e < ys else math.log(ys / d)
-        return mb / 2.0 * r1 + L / 2.0 * r2, v, d
-
-    def on_envelope(v, u):
-        lw = dy * v + ybys
-        return candidate(v, u, v * yb * ys / lw, u * ys2 / lw)
-
-    if b == 0.0:
-        # No cap on delta: v stops where a v = s0, delta on the envelope.
-        return on_envelope(s0 / a, t0 / a)
-    # The crossing: the positive root of a c v^2 + (a + b - c s0) v = s0,
-    # and the smaller root of its quadratic in u, both in stable form.
-    x, y, z = dy * t0, a * yb2, b * ys2
-    root = math.sqrt((x - y) ** 2 + z * (2.0 * (x + y) + z))
-    u_x = 2.0 * t0 * yb2 / (x + y + z + root)
-    qa, qb = a * dy, (a + b) * yb * ys - dy * s0
-    r = math.sqrt(qb * qb + 4.0 * qa * s0 * yb * ys)
-    v_x = 2.0 * s0 * yb * ys / (qb + r) if qb > 0.0 else (r - qb) / (2.0 * qa)
-    # The least value wins; on a tie the earlier candidate does.
-    best = on_envelope(v_x, u_x)
-    w0 = b * ys - t0 if t0 < s0 else s0 - a * yb   # b cap(y_big)
-    if w0 > 0.0:
-        option = candidate(yb, 0.0, w0 / b, t0 / b)
-        if option[0] < best[0]:
-            best = option
-    if qa > 0.0:
-        k = qa * (mb + L)
-        v_c = (mb * dy * s0 - L * a * yb * ys) / k
-        u_c = (L * a * yb2 - mb * dy * w0) / k
-        if 0.0 < u_c < u_x:
-            option = candidate(v_c, u_c, (s0 - a * v_c) / b, (t0 - a * u_c) / b)
-            if option[0] < best[0]:
-                best = option
+        value = mb / 2.0 * r1 + L / 2.0 * r2
+        if best is None or value < best[0]:
+            best = value, v, d
     return best
 
 
-def _reduced_at(program: Program, p: ProgramPoint) -> tuple:
-    """(v, delta, env(v), env'(v), slope) of the reduced program at p.
+def _share(term: float, scale: float) -> float:
+    return abs(term) / scale if scale > 0.0 else 0.0
 
-    slope = m_b c / (2 (1 + c v)) is minus the v-derivative of the objective.
+
+def _kkt(program: Program, v: float, d: float, D: float,
+         multipliers: tuple[float, float, float] | None = None) -> KktCertificate:
+    """The KKT certificate of the reduced program at (v, delta) and D.
+
+    The multipliers are recovered from the active set at (v, delta) unless
+    given; the small side's variable is delta, where its envelope pins it.
     """
-    _, _, _, (_, yb, mb), (_, ys, _), hatted, dy, _, _, _, _ = program
-    v = p.beta if hatted else p.alpha
-    ybys = yb * ys
+    L, _, _, hatted, yb, ys, mb, dy, a, b, _, _, ybys, _, constraint_terms = program
     lw = dy * v + ybys                    # y_big y_small (1 + c v)
-    return v, p.delta, v * yb * ys / lw, (ybys / lw) ** 2, mb * dy / (2.0 * lw)
-
-
-def _multipliers(program: Program, reduced: tuple) -> tuple[float, float, float]:
-    """recover_multipliers from _reduced_at's tuple."""
-    v, d, env, de, slope = reduced
-    L, _, _, (_, yb, _), _, _, _, a, b, _, _ = program
-    w2 = (L / (2.0 * d) * a - b * slope) / (a + b * de)
-    # An envelope within _ACTIVE_TOL binds only if w2 >= 0 (box end near the top).
-    if abs(d - env) <= _ACTIVE_TOL * env and w2 >= 0.0:
-        return 0.0, w2, (L / (2.0 * d) * de + slope) / (a + b * de)
-    if b == 0.0:
-        # The delta equation reads L / (2 delta) = omega2, and the envelope
-        # is slack, so omega2 = 0.
-        raise DomainError(
-            f"no multipliers exist at delta = {d!r}: the small side carries "
-            "no source (b = 0) and the envelope is not active")
-    w3 = L / (2.0 * d) / b
-    if not abs(v - yb) <= _ACTIVE_TOL * yb:
-        return 0.0, 0.0, w3
-    return slope - w3 * a, 0.0, w3
+    env, de = v * yb * ys / lw, (ybys / lw) ** 2
+    slope = mb * dy / (2.0 * lw)          # minus the objective's v-derivative
+    half = L / (2.0 * d)
+    if multipliers is not None:
+        w1, w2, w3 = multipliers
+    else:
+        w1, w2 = 0.0, (half * a - b * slope) / (a + b * de)
+        # An envelope within _ACTIVE_TOL binds only if w2 >= 0 (box end near the top).
+        if abs(d - env) <= _ACTIVE_TOL * env and w2 >= 0.0:
+            w3 = (half * de + slope) / (a + b * de)
+        elif b == 0.0:
+            # The delta equation reads L / (2 delta) = omega2, and the
+            # envelope is slack, so omega2 = 0.
+            raise DomainError(
+                f"no multipliers exist at delta = {d!r}: the small side carries "
+                "no source (b = 0) and the envelope is not active")
+        else:
+            w2, w3 = 0.0, half / b
+            if abs(v - yb) <= _ACTIVE_TOL * yb:
+                w1 = slope - w3 * a
+    # The terms of the stationarity equations in v and in delta.
+    v1, v3, v4 = -slope, -w2 * de, w3 * a
+    d1, d3 = -half, w3 * b
+    scale_v = abs(v1) + abs(w1) + abs(v3) + abs(v4)
+    scale_d = abs(d1) + abs(w2) + abs(d3)
+    lhs = _constraint(constraint_terms, d, v) if hatted else _constraint(constraint_terms, v, d)
+    rhs = L * D
+    if scale_v > 0.0:
+        share1, share3 = abs(w1) / scale_v, abs(v4) / scale_v
+        stat = abs(v1 + w1 + v3 + v4) / scale_v
+    else:
+        share1 = share3 = stat = 0.0
+    if scale_d > 0.0:
+        share2, share_d, stat_d = abs(w2) / scale_d, abs(d3) / scale_d, abs(d1 + w2 + d3) / scale_d
+    else:
+        share2 = share_d = stat_d = 0.0
+    share3, stat = max(share3, share_d), max(stat, stat_d)
+    comp = max(share1 if w1 < 0.0 else share1 * _share(v - yb, v + yb),
+               share2 if w2 < 0.0 else share2 * _share(d - env, d + env),
+               share3 if w3 < 0.0 else share3 * _share(lhs - rhs, lhs + rhs))
+    return KktCertificate(w1, w2, w3, stat, comp)
 
 
 def recover_multipliers(
@@ -307,32 +331,7 @@ def recover_multipliers(
     the small side carries no source.
     """
     program = prepare(spectrum, L)
-    return _multipliers(program, _reduced_at(program, p))
-
-
-def _share(term: float, scale: float) -> float:
-    return abs(term) / scale if scale > 0.0 else 0.0
-
-
-def _certificate(program: Program, p: ProgramPoint, reduced: tuple,
-                 multipliers: tuple[float, float, float], D: float) -> KktCertificate:
-    """kkt_check on _reduced_at's tuple at p."""
-    w1, w2, w3 = multipliers
-    v, d, env, de, slope = reduced
-    L, _, _, (_, yb, _), _, _, _, a, b, _, constraint_terms = program
-    # The terms of the stationarity equations in v and in delta.
-    v1, v3, v4 = -slope, -w2 * de, w3 * a
-    d1, d3 = -L / (2.0 * d), w3 * b
-    scale_v = abs(v1) + abs(w1) + abs(v3) + abs(v4)
-    scale_d = abs(d1) + abs(w2) + abs(d3)
-    lhs, rhs = _constraint(constraint_terms, p.alpha, p.beta), L * D
-    share1, share2 = _share(w1, scale_v), _share(w2, scale_d)
-    share3 = max(_share(v4, scale_v), _share(d3, scale_d))
-    comp = max(share1 if w1 < 0.0 else share1 * _share(v - yb, v + yb),
-               share2 if w2 < 0.0 else share2 * _share(d - env, d + env),
-               share3 if w3 < 0.0 else share3 * _share(lhs - rhs, lhs + rhs))
-    stat = max(_share(v1 + w1 + v3 + v4, scale_v), _share(d1 + w2 + d3, scale_d))
-    return KktCertificate(w1, w2, w3, stat, comp)
+    return _kkt(program, p.beta if program.hatted else p.alpha, p.delta, D)[:3]
 
 
 def kkt_check(
@@ -346,21 +345,20 @@ def kkt_check(
 
     The stationarity equations in v and delta, and the complementarity
     products of the box, envelope and distortion constraints, each scaled
-    as KktCertificate describes.
+    as KktCertificate describes.  The small side's variable is read as
+    delta, where its envelope pins it.
     """
     program = prepare(spectrum, L)
-    return _certificate(program, p, _reduced_at(program, p), multipliers, D)
+    return _kkt(program, p.beta if program.hatted else p.alpha, p.delta, D, multipliers)
 
 
 def solve(program: Program, D: float) -> tuple[ProgramPoint, float, KktCertificate]:
     """solve_program at D from prepare's constants; see solve_program."""
-    _, floor, ceil, _, _, hatted, _, _, _, _, _ = program
-    if not floor < D < ceil:
-        raise outside_interval(D, floor, ceil)
+    if not program.d_min < D < program.sigma_x_sq:
+        raise outside_interval(D, program.d_min, program.sigma_x_sq)
     value, v, d = _solve_reduced(program, D)
-    point = ProgramPoint(d, v, d) if hatted else ProgramPoint(v, d, d)
-    reduced = _reduced_at(program, point)
-    cert = _certificate(program, point, reduced, _multipliers(program, reduced), D)
+    cert = _kkt(program, v, d, D)
+    point = ProgramPoint(d, v, d) if program.hatted else ProgramPoint(v, d, d)
     residual = max(cert.stationarity_residual, cert.complementarity_residual)
     if not residual <= CERTIFICATE_TOL:
         raise ConvergenceError(

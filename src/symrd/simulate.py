@@ -332,16 +332,16 @@ def analytic_rate(config: SimConfig) -> float:
     effect the empirical mutual-information estimate from the same config
     is checked: rate_empirical - closed must lie within RATE_BAND_SIGMAS
     standard deviations of the estimator's exact bias (rate_bias_band).
-    Disagreement, or a sample covariance that is not positive definite
-    (n < 2L), raises PrecisionError.
+    Disagreement, or a NaN empirical rate (n < 2L, or a factor or Gram not
+    allocated or not positive definite), raises PrecisionError naming why.
     """
     result = run_simulation(config)
     L, n = config.spec.L, config.n_samples
     if math.isnan(result.rate_empirical):
         raise PrecisionError(
-            f"sample covariance not positive definite at n = {n}; "
-            "cannot estimate the empirical rate"
-        )
+            f"sample covariance not positive definite at n = {n} < 2L = {2 * L}" if n < 2 * L
+            else f"at L = {L}, n = {n} the rate's L x 2L factor or its Gram could not be "
+                 "allocated, or the Gram is not positive definite")
     bias, sd = rate_bias_band(L, n)
     closed = result.rate_closed_form
     offset = result.rate_empirical - closed

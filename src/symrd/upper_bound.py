@@ -182,7 +182,7 @@ def solve(prepared: Prepared, D: float, pair: tuple[float, float]) -> float:
     its own rounding, and the seed is that form's root too.  Errors are
     solve_lambda_q's.
     """
-    s, L, floor, ceil, _, c_lam, c_gam, bracket_den, _, _, y_max = prepared
+    s, L, floor, ceil, _, c_lam, c_gam, bracket_den, b_free, y_sum, y_max = prepared
     lam_y, gam_y = s.lambda_y, s.gamma_y
     below_side, above_side = pair
     below = below_side <= above_side
@@ -199,7 +199,9 @@ def solve(prepared: Prepared, D: float, pair: tuple[float, float]) -> float:
     # both ends are widened by their rounding so that it stays inside.
     lo = below_side / bracket_den * _WIDEN_LO
     hi = y_max * (below_side / above_side) * _WIDEN_HI
-    lambda_q = quadratic_root(*_coefficients(prepared, below_side, above_side))
+    # quadratic_coefficients's (a, b, c) on this pair.
+    lambda_q = quadratic_root(above_side, b_free - below_side * y_sum,
+                              -below_side * lam_y * gam_y)
     if not lo < lambda_q < hi:
         lambda_q = math.sqrt(lo) * math.sqrt(hi)
     for _ in range(MAX_EVALUATIONS):
@@ -318,15 +320,9 @@ def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> tuple[float,
     the sums that cancel in them.
     """
     p = prepare(spectrum, L)
-    return _coefficients(p, *slacks(L, D, p.d_min, p.sigma_x_sq, p.total))
-
-
-def _coefficients(prepared: Prepared, below_slack: float,
-                  above_slack: float) -> tuple[float, float, float]:
-    """(a, b, c) from phi3 = below_slack and a = above_slack."""
-    s = prepared.spectrum
-    b = prepared.b_free - below_slack * prepared.y_sum
-    return above_slack, b, -below_slack * s.lambda_y * s.gamma_y
+    below_slack, above_slack = slacks(L, D, p.d_min, p.sigma_x_sq, p.total)
+    return (above_slack, p.b_free - below_slack * p.y_sum,
+            -below_slack * spectrum.lambda_y * spectrum.gamma_y)
 
 
 def quadratic_root(a: float, b: float, c: float) -> float:

@@ -173,12 +173,15 @@ def ceo(L: int, sigma_x_sq, sigma_n_sq, D) -> mpf:
 PROBE_FRACTIONS = (1e-6, 1e-3, None, 1.0 - 1e-6)
 
 
-def probe(seed: int, n: int):
+def probe(seed: int, n: int, max_L: float = 1e7,
+          variances: tuple[float, float] = (1e-3, 1e3), sourceless: bool = False):
     """n seeded points (spec, spectrum, D) over the range symrd accepts.
 
-    L is log-uniform on [2, 1e7] and both variances on [1e-3, 1e3]; each
+    L is log-uniform on [2, max_L] and both variances on variances; each
     correlation is negative or positive with equal odds, uniform over
-    (-1/(L-1), 0) or [0, 1); D cycles through PROBE_FRACTIONS.
+    (-1/(L-1), 0) or [0, 1); D cycles through PROBE_FRACTIONS.  With
+    sourceless, every fifth spec takes rho_x at an end of its range, 1 or
+    -1/(L-1), where one direction carries no source.
     """
     from symrd import SourceSpec, d_min, source_variance, spectral_decompose
 
@@ -189,10 +192,12 @@ def probe(seed: int, n: int):
 
     points = []
     while len(points) < n:
-        L = max(2, round(log_uniform(2, 1e7)))
+        L = max(2, round(log_uniform(2, max_L)))
         rho_x, rho_z = (rng.uniform(-1.0 / (L - 1), 0.0) if rng.random() < 0.5
                         else rng.uniform(0.0, 1.0) for _ in range(2))
-        spec = SourceSpec(L, log_uniform(1e-3, 1e3), rho_x, log_uniform(1e-3, 1e3), rho_z)
+        if sourceless and len(points) % 5 == 4:
+            rho_x = 1.0 if rng.random() < 0.5 else -1.0 / (L - 1)
+        spec = SourceSpec(L, log_uniform(*variances), rho_x, log_uniform(*variances), rho_z)
         s = spectral_decompose(spec)
         lo, hi = d_min(s, L), source_variance(s, L)
         fraction = PROBE_FRACTIONS[len(points) % len(PROBE_FRACTIONS)]
@@ -200,3 +205,13 @@ def probe(seed: int, n: int):
         if lo < D < hi:
             points.append((spec, s, D))
     return points
+
+
+def certificate_probe():
+    """The seeded probe of the oracle's certificate path and of evaluate.
+
+    probe's points at L up to 1e6 and variances within 1e+-30, with
+    sourceless specs: both sides of the side view, b = 0, and each of the
+    oracle's three candidates at the optimum.
+    """
+    return probe(seed=20261020, n=2000, max_L=1e6, variances=(1e-30, 1e30), sourceless=True)

@@ -14,6 +14,7 @@ import pytest
 from symrd import (
     Condition,
     DomainError,
+    PrecisionError,
     SourceSpec,
     asymptotic_bounds,
     asymptotic_gap,
@@ -275,6 +276,16 @@ def test_gap_requires_gapped_regime():
         asymptotic_gap(asymptotic_regime(ZERO_RHO_X), 0.80)
     with pytest.raises(DomainError):
         asymptotic_gap(asymptotic_regime(SourceSpec(500, 1.0, 0.6, 4.0, 0.55)), 0.9)
+
+
+@pytest.mark.parametrize("spec", [SourceSpec(10, 1.0, 0.5, 1e17, 1.0),
+                                  SourceSpec(10, 1.0, 1e-200, 4.0, 0.5)])
+def test_gapped_regime_whose_d_free_log_rounds_to_zero_raises(spec):
+    # rho_y rounds to 1 (the first) or rho_x^2 underflows (the second): the
+    # gapped lower piece's D-free log, held by the regime, has no finite
+    # value, and the classification says so rather than a raw math error
+    with pytest.raises(PrecisionError, match="half_log_rho's argument rounds to 0.0"):
+        asymptotic_regime(spec)
 
 
 def test_threshold_window_routes_to_sqrt_l_expression():

@@ -213,6 +213,56 @@ def test_sweep_bits(specs, capsys):
         assert abs(float(br[1]) - float(nr[1]) / math.log(2)) < 1e-9
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ROW_SIZES = [100, 10000]
+
+
+@pytest.mark.parametrize("bits", [False, True])
+@pytest.mark.parametrize("name", ["asym_xi_lt_half", "asym_zero_mix", "lamgeqgam_2"])
+def test_sweep_row_is_each_layers_value_formatted_once(capsys, name, bits):
+    # Each cell of a sweep --certify --asymptotic row is one layer's value
+    # over the unit's scale, formatted once with %.12g: on a gapped spec
+    # (with delta_r_inf), a ZeroMix spec and a composite spec.  In bits the
+    # large-L columns carry the unit as asymptotic and gap-inf name it.
+    path = GOLDEN / f"{name}.spec"
+    spec = symrd.model.parse_spec_text(path.read_text())
+    s, L = symrd.spectral_decompose(spec), spec.L
+    converse = symrd.lower_bound.classify(s, L)
+    regime = symrd.asymptotics.asymptotic_regime(spec)
+    lo, hi = max(converse.prepared.d_min, regime.d_min_inf), converse.prepared.sigma_x_sq
+    argv = ["sweep", str(path), "--certify", "--asymptotic", "100,10000",
+            "--d-start", repr(lo + 0.01 * (hi - lo)), "--d-end", repr(hi - 0.01 * (hi - lo)),
+            "--n-points", "40"] + ["--bits"] * bits
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0, err
+    scale, unit, asym_unit = (math.log(2.0), "bits", "_bits") if bits else (1.0, "nats", "")
+    gapped = regime.condition is symrd.asymptotics.Condition.PosMixPosRho_XiLtHalf
+    header = ["D", f"upper_{unit}", f"lower_{unit}", f"gap_{unit}", "piece",
+              f"oracle_{unit}", "kkt_residual"]
+    for size in ROW_SIZES:
+        header += [f"upper_asym{asym_unit}_L{size}", f"lower_asym{asym_unit}_L{size}"]
+    header += [f"delta_r_inf{asym_unit}"] * gapped
+    program = symrd.oracle.prepare(s, L)
+    lines, pieces, gaps = [",".join(header)], set(), set()
+    for D in cli._grid(cli._parser().parse_args(argv)):
+        upper, lower, piece = symrd.lower_bound.evaluate(converse, D)
+        _, value, cert = symrd.oracle.solve(program, D)
+        values = [upper, lower, upper - lower, value]
+        for pair in symrd.asymptotics.asymptotic_bounds(regime, ROW_SIZES, D):
+            values += pair
+        if gapped:
+            values.append(symrd.asymptotics.asymptotic_gap(regime, D))
+            gaps.add(values[-1] > 0.0)
+        cells = ["%.12g" % (value / scale) for value in values]
+        residual = "%.12g" % max(cert.stationarity_residual, cert.complementarity_residual)
+        lines.append(",".join(["%.12g" % D, *cells[:3], piece, cells[3], residual, *cells[4:]]))
+        pieces.add(piece)
+    assert out == "\n".join(lines) + "\n"
+    # The composite specs cross pieces; the gapped one crosses its gap interval.
+    assert len(pieces) > 1 or name == "asym_zero_mix"
+    assert gaps == {False, True} or name != "asym_xi_lt_half"
+
+
 def test_asymptotic_command(specs, capsys):
     rc, out, _ = _run(capsys, ["asymptotic", specs["gapped"], "--L", "500",
                                "--d-start", "0.85", "--d-end", "0.9",

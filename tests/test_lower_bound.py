@@ -223,10 +223,29 @@ def test_degenerate_gamma_unhatted_flag():
         assert "not positive" in str(exc.value)
 
 
+def test_case4_next_to_d_min_takes_the_second_piece():
+    # lambda_x = 0 on the big side (case 4): d_th_c is d_min exactly, but
+    # here it rounds up to D itself, where R1c's x_big^2 ratio is 0.  The
+    # piece is R2c, within |slope| ulp(D) of the 50-digit replay (the
+    # interval (d_min, sigma_x_sq) is 7e-11 of D wide).
+    mpref = pytest.importorskip("mpref")
+    spec = SourceSpec(69, 9.4965364803918e-17, -0.014705882352941176,
+                      3.0847093803068013e-06, 0.5675990746225945)
+    s, D = spectral_decompose(spec), 9.496536479705728e-17
+    regime = classify(s, spec.L)
+    assert regime.branch is Branch.LamGeqGam_4 and D <= regime.d_th_c
+    _, lower, piece = evaluate(regime, D)
+    assert piece == PIECE_R2C
+    rate, slope = mpref.piece(piece, mpref.exact(s), spec.L, D)
+    assert abs(lower - float(rate)) <= abs(float(slope)) * math.ulp(D)
+
+
 def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
     # evaluate returns (upper_bound_rate, lower_bound_rate, lower_bound_piece)
     # from a single lambda_q solve on the regime's prepared constants, on
-    # every arm and on both sides
+    # every arm and on both sides, and over the oracle's certificate probe
+    # (L up to 1e6, variances within 1e+-30)
+    mpref = pytest.importorskip("mpref")
     solve = symrd.upper_bound.solve
     solves = []
 
@@ -235,17 +254,19 @@ def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(symrd.upper_bound, "solve", counted)
+    points = []
     for eig in (CASE1, CASE2, CASE3, SPEC_B, SPEC_C, SPEC_D):
         s = _spectrum(eig)
         lo, hi = d_min(s, L_CASES), source_variance(s, L_CASES)
-        for frac in (0.05, 0.3, 0.6, 0.95):
-            D = lo + frac * (hi - lo)
-            solves.clear()
-            got = evaluate(classify(s, L_CASES), D)
-            assert len(solves) == 1
-            assert got == (upper_bound_rate(s, L_CASES, D),
-                           lower_bound_rate(s, L_CASES, D),
-                           lower_bound_piece(s, L_CASES, D))
+        points += [(L_CASES, s, lo + frac * (hi - lo)) for frac in (0.05, 0.3, 0.6, 0.95)]
+    points += [(spec.L, s, D) for spec, s, D in mpref.certificate_probe()]
+    for L, s, D in points:
+        solves.clear()
+        got = evaluate(classify(s, L), D)
+        assert len(solves) == 1
+        assert got == (upper_bound_rate(s, L, D),
+                       lower_bound_rate(s, L, D),
+                       lower_bound_piece(s, L, D))
 
 
 def _outcome(call):

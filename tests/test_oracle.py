@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import symrd.cli as cli
 from symrd import (
+    ConvergenceError,
     DomainError,
     PrecisionError,
     ProgramPoint,
@@ -38,7 +39,8 @@ from symrd import (
     upper_bound_rate,
 )
 from symrd.model import side_view
-from symrd.oracle import CERTIFICATE_TOL, _slack_pair, _slack_terms, distortion_constraint
+from symrd.oracle import (CERTIFICATE_TOL, _slack_pair, _slack_terms, distortion_constraint,
+                          prepare, solve)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -209,6 +211,37 @@ def test_no_multipliers_off_the_envelope_without_small_source():
         recover_multipliers(off, s, spec.L, D)
 
 
+def _hex(values) -> list:
+    return [value.hex() for value in values]
+
+
+def test_solve_certificate_is_recover_multipliers_and_kkt_check():
+    # One path for the certificate: solve's multipliers and certificate
+    # are, bit for bit, recover_multipliers and kkt_check at its own point,
+    # on both sides, at b = 0 and at each of the three candidates, for L
+    # up to 1e6 and variances within 1e+-30.
+    mpref = pytest.importorskip("mpref")
+    seen = set()
+    for spec, s, D in mpref.certificate_probe():
+        program = prepare(s, spec.L)
+        try:
+            point, _, cert = solve(program, D)
+        except ConvergenceError as exc:
+            point, _, cert = exc.best
+        except PrecisionError:
+            continue                   # D within rounding of an end
+        multipliers = cert[:3]
+        assert _hex(recover_multipliers(point, s, spec.L, D)) == _hex(multipliers)
+        assert _hex(kkt_check(point, multipliers, s, spec.L, D)) == _hex(cert)
+        v = point.beta if program.hatted else point.alpha
+        envelope = v * program.yb * program.ys / (program.dy * v + program.ybys)
+        kind = "box" if v == program.yb else "crossing" if point.delta == envelope else "cap"
+        seen.add((program.hatted, program.b == 0.0, kind))
+    assert {kind for _, _, kind in seen} == {"box", "crossing", "cap"}
+    assert {hatted for hatted, _, _ in seen} == {False, True}
+    assert (False, True, "crossing") in seen and (True, True, "crossing") in seen
+
+
 def test_matching_region_program_equals_upper():
     # below the first composite threshold the program optimum coincides with
     # the achievable bound
@@ -274,6 +307,20 @@ def test_next_to_the_ends():
     s = spectral_decompose(SourceSpec(2, 1.0, 0.0, 0.1, 0.0))
     with pytest.raises(PrecisionError, match="within rounding"):
         solve_program(s, 2, math.nextafter(d_min(s, 2), math.inf))
+
+
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="the certificate forms the distortion slack as "
+                          "c_a alpha + lambda_x - c_lam + ..., which cancels when "
+                          "L D << lambda_x (ROADMAP direction 3)")
+def test_noiseless_spec_certifies_next_to_zero_distortion():
+    # d_min = 0 here.  At D = 1e-12 the slack L D = 1e-11 is formed from
+    # terms of size lambda_x = 3.7, so the complementarity residual reads
+    # 2.75e-6.  The reduced slack a v + b delta - s0 certifies it; that
+    # mend moves golden kkt_residual cells, so it is left to its own change.
+    s = spectral_decompose(SourceSpec(10, 1.0, 0.3, 0.0, 0.0))
+    _, _, cert = solve_program(s, 10, 1e-12)
+    assert max(cert.stationarity_residual, cert.complementarity_residual) <= CERTIFICATE_TOL
 
 
 _unit = st.floats(0.0, 1.0)

@@ -121,6 +121,21 @@ def test_analytic_rate_rejects_degenerate_sample():
         analytic_rate(_case1_config(n=5))
 
 
+@pytest.mark.parametrize("L, n, cause", [
+    (L_CASES, 5, r"not positive definite at n = 5 < 2L = 20$"),
+    (10 ** 7, 10 ** 12, r"at L = 10000000, n = 1000000000000 the rate's L x 2L factor "
+                        r"or its Gram could not be allocated"),
+])
+def test_analytic_rate_names_why_the_rate_is_nan(L, n, cause):
+    # Below n = 2L the moment matrix is singular; at L = 10^7 and n = 10^12
+    # the L x 2L factor (1.6 PB) cannot be allocated.  Both leave the rate
+    # NaN, and the error names which.
+    spec = SourceSpec(L, 1.0, 0.3, 2.0, 0.5)
+    lambda_q = solve_lambda_q(spectral_decompose(spec), L, 0.8)
+    with pytest.raises(PrecisionError, match=cause):
+        analytic_rate(SimConfig(spec, lambda_q, n, 1))
+
+
 def _reference_samples(spec, lambda_q, n, seed):
     """n samples of (X, Z, Q) as (n, L) arrays, drawn one sample per row.
 

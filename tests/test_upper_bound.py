@@ -248,6 +248,19 @@ def _edge_points(fractions):
     return points
 
 
+def test_newton_seed_is_the_quadratic_coefficients_root(monkeypatch):
+    # solve forms its seed's (a, b, c) from its own locals; they are
+    # quadratic_coefficients's, bit for bit, below and above the middle
+    root = symrd.upper_bound.quadratic_root
+    seeds = []
+    monkeypatch.setattr(symrd.upper_bound, "quadratic_root",
+                        lambda *abc: seeds.append(abc) or root(*abc))
+    for spec, s, D in _edge_points([1e-6, 0.3, 0.7, 1.0 - 1e-6]):
+        seeds.clear()
+        solve_lambda_q(s, spec.L, D)
+        assert seeds == [quadratic_coefficients(s, spec.L, D)]
+
+
 def test_newton_solve_on_random_probe(monkeypatch):
     mpref = pytest.importorskip("mpref")
     balance = symrd.upper_bound._balance
