@@ -64,9 +64,9 @@ from .asymptotics import (
     AsymptoticRegime,
     Condition,
     ExpansionCoefficients,
-    asymptotic_bounds,
     asymptotic_gap,
     asymptotic_regime,
+    asymptotic_row,
     expansion_coefficients,
     lower_asymptotic,
     upper_asymptotic,
@@ -96,7 +96,7 @@ __all__ = [
     "ProgramPoint", "KktCertificate", "omega_objective", "solve_program",
     "kkt_check", "recover_multipliers",
     "Condition", "AsymptoticRegime", "ExpansionCoefficients",
-    "asymptotic_regime", "upper_asymptotic", "lower_asymptotic", "asymptotic_bounds",
+    "asymptotic_regime", "upper_asymptotic", "lower_asymptotic", "asymptotic_row",
     "asymptotic_gap", "expansion_coefficients",
     "SimConfig", "SimResult", "run_simulation", "analytic_rate",
     "__version__",

@@ -19,9 +19,10 @@ together with the limit distortions
 
 asymptotic_regime classifies a spec once and returns an
 AsymptoticRegime holding the spec, these scales and the limit distortions;
-every evaluator here takes that regime.  asymptotic_bounds gives both
-bounds at one D for many L; upper_asymptotic and lower_asymptotic are its
-one-L, one-side forms.
+every evaluator here takes that regime.  asymptotic_row is the one
+dispatch at a D: both bounds for many L and the limiting gap.
+upper_asymptotic, lower_asymptotic and asymptotic_gap are its one-L,
+one-cell views.
 
 Every evaluator drops the remainder term of its expansion: the upper
 bound's three pieces carry O(1/L) errors except exactly at d_th0_inf where
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionError
@@ -67,9 +68,11 @@ class AsymptoticRegime:
     """A classified spec: its condition, scales and limit distortions.
 
     xi is None only for ZeroMix (where it is never needed); d_th1_inf,
-    d_th2_inf and the gapped lower piece's D-free log half_log_rho =
-    1/2 ln(rho_x^2 (1 - rho_y) / ((1 - rho_x)^2 rho_y)) are populated only
-    for PosMixPosRho_XiLtHalf, the regime in which a gap interval exists.
+    d_th2_inf, the gapped lower piece's D-free log half_log_rho =
+    1/2 ln(rho_x^2 (1 - rho_y) / ((1 - rho_x)^2 rho_y)) and the gap's
+    D-free factor gap_factor = gamma_y^2 / (xi^2 gamma_x^4) are populated
+    only for PosMixPosRho_XiLtHalf, the regime in which a gap interval
+    exists.
     """
 
     spec: SourceSpec
@@ -84,6 +87,7 @@ class AsymptoticRegime:
     d_th1_inf: float | None
     d_th2_inf: float | None
     half_log_rho: float | None = None
+    gap_factor: float | None = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,8 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
         mixture (xi is undefined there and no limit is assigned).
     PrecisionError
         If a limit distortion overflows float64 (at variances near 1e154
-        and above), or half_log_rho's argument rounds to 0.
+        and above), half_log_rho's argument rounds to 0, or gamma_x^4 in
+        gap_factor leaves float64 (at variances beyond about 1e+-77).
     """
     sx2, sz2 = spec.sigma_x_sq, spec.sigma_z_sq
     rx, rz = spec.rho_x, spec.rho_z
@@ -139,7 +144,7 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
     d_min_inf = common + gx * gz / gy
     d_th0_inf = common + gx
     xi = (rx / (1.0 - rx)) * ((1.0 - spec.rho_y) / spec.rho_y)
-    d_th1 = d_th2 = half_log_rho = None
+    d_th1 = d_th2 = half_log_rho = gap_factor = None
     if rx == 0.0:
         condition = Condition.PosMixZeroRho
     elif xi >= 0.5:
@@ -154,8 +159,13 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
             raise PrecisionError(f"half_log_rho's argument rounds to {rho_ratio!r} at "
                                  f"rho_x = {rx!r}, rho_y = {spec.rho_y!r}")
         half_log_rho = 0.5 * math.log(rho_ratio)
-    return _finite(AsymptoticRegime(spec, condition, gx, gz, gy, mix, xi,
-                                    d_min_inf, d_th0_inf, d_th1, d_th2, half_log_rho))
+        try:
+            gap_factor = gy ** 2 / (xi ** 2 * gx ** 4)
+        except ArithmeticError:
+            raise PrecisionError("the gap's factor gamma_y^2 / (xi^2 gamma_x^4) leaves "
+                                 f"float64 at gamma_x = {gx!r}") from None
+    return _finite(AsymptoticRegime(spec, condition, gx, gz, gy, mix, xi, d_min_inf,
+                                    d_th0_inf, d_th1, d_th2, half_log_rho, gap_factor))
 
 
 def _finite(regime: AsymptoticRegime) -> AsymptoticRegime:
@@ -285,14 +295,6 @@ def _r2_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
     return lambda L: L / 2.0 * log_ratio - quotient
 
 
-def _check_d_range(reg: AsymptoticRegime, D: float) -> None:
-    if not (reg.d_min_inf < D < reg.spec.sigma_x_sq):
-        raise DomainError(
-            f"D = {D!r} outside the limiting interval (d_min_inf, sigma_x_sq) "
-            f"= ({reg.d_min_inf!r}, {reg.spec.sigma_x_sq!r})"
-        )
-
-
 def _upper(reg: AsymptoticRegime, D: float, below_log: float | None = None):
     """upper_asymptotic at a D inside (d_min_inf, sigma_x_sq), in L; below_log is _below_log's."""
     if reg.condition is Condition.ZeroMix:
@@ -307,29 +309,39 @@ def _upper(reg: AsymptoticRegime, D: float, below_log: float | None = None):
     return _rbar3_inf(reg, D)
 
 
-def _gapped(reg: AsymptoticRegime, D: float) -> tuple:
-    """(upper, lower) pieces, in L, at a D in range where the bounds do not meet."""
-    if reg.condition is Condition.PosMixZeroRho:
-        return _upper(reg, D), _r2_inf(reg, D)
-    # Inside the gap interval, below d_th0_inf: both pieces take one log.
-    below_log = _below_log(reg, D)
-    return _upper(reg, D, below_log), _r1_inf(reg, D, below_log)
+def asymptotic_row(regime: AsymptoticRegime, sizes: Sequence[int],
+                   D: float) -> tuple[list[tuple[float, float]], float | None]:
+    """(bounds, gap) at D: the large-L bounds at each L in sizes, and the limiting gap.
 
-
-def asymptotic_bounds(regime: AsymptoticRegime, sizes: Iterable[int],
-                      D: float) -> list[tuple[float, float]]:
-    """(upper_asymptotic, lower_asymptotic) at D for each L in sizes, in order.
-
-    One range check and one dispatch of each side's piece serve every
-    size, and each piece's L-free terms are formed once; where the bounds
-    meet the lower value is the upper one.  Values are bit for bit those
-    of upper_asymptotic and lower_asymptotic, whose domain rule it keeps.
+    bounds holds (upper, lower) per size, in order, the upper value in both
+    where the bounds meet; gap is asymptotic_gap's in PosMixPosRho_XiLtHalf
+    and None in every other regime.  One range check and one bounds_meet
+    serve the row; each piece's L-free terms are formed once, and none when
+    sizes is empty.  Raises DomainError for D outside (d_min_inf, sigma_x_sq).
     """
-    _check_d_range(regime, D)
-    if bounds_meet(regime, D):
-        return [(value, value) for value in map(_upper(regime, D), sizes)]
-    upper, lower = _gapped(regime, D)
-    return [(upper(L), lower(L)) for L in sizes]
+    if not (regime.d_min_inf < D < regime.spec.sigma_x_sq):
+        raise DomainError(
+            f"D = {D!r} outside the limiting interval (d_min_inf, sigma_x_sq) "
+            f"= ({regime.d_min_inf!r}, {regime.spec.sigma_x_sq!r})"
+        )
+    meet = bounds_meet(regime, D)
+    gap = None
+    if regime.gap_factor is not None:    # PosMixPosRho_XiLtHalf
+        gap = 0.0 if meet else (
+            (regime.d_th1_inf - D) * (regime.d_th2_inf - D)
+            / (2.0 * (regime.d_th0_inf - D) * (D - regime.d_min_inf))
+            + 0.5 * math.log(regime.gap_factor * (regime.d_th0_inf - D) * (D - regime.d_min_inf)))
+    if not sizes:
+        return [], gap
+    if meet:
+        return [(value, value) for value in map(_upper(regime, D), sizes)], gap
+    if gap is None:    # PosMixZeroRho, the other regime whose bounds do not meet
+        upper, lower = _upper(regime, D), _r2_inf(regime, D)
+    else:
+        # Inside the gap interval, below d_th0_inf: both pieces take one log.
+        below_log = _below_log(regime, D)
+        upper, lower = _upper(regime, D, below_log), _r1_inf(regime, D, below_log)
+    return [(upper(L), lower(L)) for L in sizes], gap
 
 
 def upper_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
@@ -338,12 +350,10 @@ def upper_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
     ZeroMix specs evaluate the exact expression (no remainder at any L).
     Otherwise the piece is selected by D against d_th0_inf: below it the
     error versus the exact bound is O(1/L), at it (within a relative
-    1e-12 window) O(1/sqrt(L)), above it O(1/L).
-
-    Raises DomainError for D outside (d_min_inf, sigma_x_sq).
+    1e-12 window) O(1/sqrt(L)), above it O(1/L).  The upper cell of
+    asymptotic_row, with its domain rule.
     """
-    _check_d_range(regime, D)
-    return _upper(regime, D)(L)
+    return asymptotic_row(regime, (L,), D)[0][0][0]
 
 
 def bounds_meet(regime: AsymptoticRegime, D: float) -> bool:
@@ -353,7 +363,7 @@ def bounds_meet(regime: AsymptoticRegime, D: float) -> bool:
     and for PosMixPosRho_XiLtHalf True exactly outside the open gap
     interval (d_th1_inf, d_th2_inf).  D is not range-checked here.
     """
-    if regime.condition is Condition.PosMixPosRho_XiLtHalf:
+    if regime.d_th1_inf is not None:    # PosMixPosRho_XiLtHalf
         return not regime.d_th1_inf < D < regime.d_th2_inf
     return regime.condition is not Condition.PosMixZeroRho
 
@@ -364,14 +374,10 @@ def lower_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
     Wherever bounds_meet, the value is upper_asymptotic's (the bounds meet
     in the limit); otherwise PosMixZeroRho evaluates its dedicated
     expression and PosMixPosRho_XiLtHalf, on the open interval
-    (d_th1_inf, d_th2_inf), the gapped one.
-
-    Same domain rule as upper_asymptotic.
+    (d_th1_inf, d_th2_inf), the gapped one.  The lower cell of
+    asymptotic_row, with its domain rule.
     """
-    _check_d_range(regime, D)
-    if bounds_meet(regime, D):
-        return _upper(regime, D)(L)
-    return _gapped(regime, D)[1](L)
+    return asymptotic_row(regime, (L,), D)[0][0][1]
 
 
 def asymptotic_gap(regime: AsymptoticRegime, D: float) -> float:
@@ -383,21 +389,15 @@ def asymptotic_gap(regime: AsymptoticRegime, D: float) -> float:
         + 1/2 log[ gamma_y^2 / (xi^2 gamma_x^4)
                    * (d_th0_inf - D)(D - d_min_inf) ],
 
-    which vanishes continuously at both endpoints.
+    which vanishes continuously at both endpoints.  The gap of
+    asymptotic_row, which forms no bound for it.
 
     Raises DomainError unless the regime is PosMixPosRho_XiLtHalf (no
-    other regime has a limiting gap interval) or if D is out of range.
+    other regime has a limiting gap interval), checked before D's range.
     """
-    if regime.condition is not Condition.PosMixPosRho_XiLtHalf:
+    if regime.gap_factor is None:    # not PosMixPosRho_XiLtHalf
         raise DomainError(
             f"asymptotic gap is defined only in the "
             f"PosMixPosRho_XiLtHalf regime, not {regime.condition.value}"
         )
-    _check_d_range(regime, D)
-    if bounds_meet(regime, D):
-        return 0.0
-    gx, gy = regime.gamma_x, regime.gamma_y
-    return ((regime.d_th1_inf - D) * (regime.d_th2_inf - D)
-            / (2.0 * (regime.d_th0_inf - D) * (D - regime.d_min_inf))
-            + 0.5 * math.log(gy ** 2 / (regime.xi ** 2 * gx ** 4)
-                             * (regime.d_th0_inf - D) * (D - regime.d_min_inf)))
+    return asymptotic_row(regime, (), D)[1]

@@ -18,10 +18,11 @@ byte-identical standard output.  Rates are in nats unless --bits is given,
 which divides rate columns by ln 2 at display and names them in bits.  Exit codes:
 0 success, 2 usage/validation errors, 3 numerical failures (convergence,
 precision, or float64 overflow and underflow at extreme scales) and
-exhausted memory.  The CSV commands write their rows in blocks of
-BLOCK_ROWS lines; when a row fails with exit 2 or 3, standard output
-still holds the header and every row before the failing D, written
-before the error line goes to standard error.
+exhausted memory, and 141 (128 + SIGPIPE) with nothing printed when the
+reader closes standard output early, as `| head` does.  The CSV commands
+write their rows in blocks of BLOCK_ROWS lines; when a row fails with exit
+2 or 3, standard output still holds the header and every row before the
+failing D, written before the error line goes to standard error.
 Diagnostics go to standard error and never use color (NO_COLOR is always
 honored because no color is ever emitted).
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from . import asymptotics, lower_bound, oracle, simulate, upper_bound
@@ -178,8 +180,6 @@ def cmd_sweep(args) -> int:
     grid = _grid(args)
     asym_ls = _sizes(args.asymptotic, "--asymptotic") if args.asymptotic else []
     regime = asymptotics.asymptotic_regime(spec) if asym_ls else None
-    gap_column = (regime is not None
-                  and regime.condition is asymptotics.Condition.PosMixPosRho_XiLtHalf)
 
     scale = _LN2 if args.bits else 1.0
     # As in asymptotic and gap-inf, the large-L columns name their unit in bits only.
@@ -189,7 +189,7 @@ def cmd_sweep(args) -> int:
         header += ["oracle" + unit, "kkt_residual"]
     for asym_l in asym_ls:
         header += [f"upper_asym{asym_unit}_L{asym_l}", f"lower_asym{asym_unit}_L{asym_l}"]
-    if gap_column:
+    if regime is not None and regime.condition is asymptotics.Condition.PosMixPosRho_XiLtHalf:
         header.append("delta_r_inf" + asym_unit)
     row_format = _row_format(header)
 
@@ -203,10 +203,10 @@ def cmd_sweep(args) -> int:
                 cells += (value / scale, max(cert.stationarity_residual,
                                              cert.complementarity_residual))
             if regime is not None:
-                bounds = asymptotics.asymptotic_bounds(regime, asym_ls, D)
+                bounds, gap = asymptotics.asymptotic_row(regime, asym_ls, D)
                 cells += [cell / scale for pair in bounds for cell in pair]
-            if gap_column:
-                cells.append(asymptotics.asymptotic_gap(regime, D) / scale)
+                if gap is not None:
+                    cells.append(gap / scale)
             yield row_format % tuple(cells)
 
     _write_table(",".join(header), rows())
@@ -227,7 +227,7 @@ def cmd_asymptotic(args) -> int:
     def rows():
         regime = asymptotics.asymptotic_regime(spec)
         for D in grid:
-            bounds = asymptotics.asymptotic_bounds(regime, ls, D)
+            bounds = asymptotics.asymptotic_row(regime, ls, D)[0]
             yield row_format % (D, *[cell / scale for pair in bounds for cell in pair])
 
     _write_table(",".join(header), rows())
@@ -349,7 +349,13 @@ def main(argv=None) -> int:
     # Looked up at call time, so a rebound cmd_* is the one that runs.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Standard output goes to os.devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

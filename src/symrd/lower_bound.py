@@ -190,9 +190,13 @@ def classify(spectrum: Spectrum, L: int) -> Regime:
     big, small, hatted = side_view(spectrum, L)
     (xb, yb, mb), (xs, ys, ms) = big, small
     view = (upper_bound.prepare(spectrum, L), big, small, hatted)
-    if xb ** 2 * ys ** 2 >= ms / (4.0 * L) * (xs ** 2 * yb ** 2):
+    # The contrast (x_b y_s / (x_s y_b))^2 from two ratios, so that no
+    # product of variances leaves float64; x_s = 0 is case 1.
+    root = xb / xs * (ys / yb) if xs else math.inf
+    contrast = root * root
+    if contrast >= ms / (4.0 * L):
         return Regime(*view, 1)
-    disc = 1.0 - 4.0 * L / ms * (xb ** 2 * ys ** 2) / (xs ** 2 * yb ** 2)
+    disc = 1.0 - 4.0 * L / ms * contrast
     r = math.sqrt(max(disc, 0.0))
     m1, m2 = (1.0 - r) / 2.0, (1.0 + r) / 2.0
     ratio = ys / yb
@@ -210,21 +214,6 @@ def classify(spectrum: Spectrum, L: int) -> Regime:
                   _d_th_c(big, small, L))
 
 
-def _dispatch(regime: Regime, D: float, slack: float) -> tuple[str, float | None]:
-    """Piece at a checked D with its value; None on Rbar, for the caller to solve.
-
-    slack is the first of upper_bound.slack_pair's pair at D.
-    """
-    r = regime
-    if (r.case == 1 or (r.d_th_1 is not None and D <= r.d_th_1)
-            or (r.d_th_2 is not None and not D < r.d_th_2)):
-        return PIECE_RBAR, None
-    # With x_big = 0 (case 4) only this side's family is finite, and d_th_c
-    # is d_min: every D takes its second piece, however d_th_c rounds.
-    piece = _PIECES[r.hatted][0 if D <= r.d_th_c and r.big[0] != 0.0 else 1]
-    return piece, _rc(piece, r.big, r.small, r.prepared.L, slack)
-
-
 def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
     """(upper, lower, piece) at D from one lambda_q solve and one dispatch.
 
@@ -235,34 +224,33 @@ def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
     the composite pieces share it.  Same domain rules and errors as
     upper_bound_rate.
     """
-    p = regime.prepared
+    r, p = regime, regime.prepared
     pair = upper_bound.slack_pair(p, D)
     upper = upper_bound.rate_of(p.spectrum, p.L, upper_bound.solve(p, D, pair))
-    piece, lower = _dispatch(regime, D, pair[0])
-    return upper, upper if lower is None else lower, piece
+    if (r.case == 1 or (r.d_th_1 is not None and D <= r.d_th_1)
+            or (r.d_th_2 is not None and not D < r.d_th_2)):
+        return upper, upper, PIECE_RBAR
+    # With x_big = 0 (case 4) only this side's family is finite, and d_th_c
+    # is d_min: every D takes its second piece, however d_th_c rounds.
+    piece = _PIECES[r.hatted][0 if D <= r.d_th_c and r.big[0] != 0.0 else 1]
+    return upper, _rc(piece, r.big, r.small, p.L, pair[0]), piece
 
 
 def lower_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     """Lower bound on the sum rate in nats at per-component distortion D.
 
     Dispatches on the thresholds: Rbar on the segments where the bounds
-    provably coincide, the composite family elsewhere.  D is checked, and
-    its slack pair formed, by upper_bound.slack_pair: DomainError unless D
-    lies in the open interval (d_min, sigma_x_sq).
+    provably coincide, the composite family elsewhere.  The lower value of
+    evaluate on classify's regime, with its domain rule: DomainError unless
+    D lies in the open interval (d_min, sigma_x_sq).
     """
-    regime = classify(spectrum, L)
-    pair = upper_bound.slack_pair(regime.prepared, D)
-    _, lower = _dispatch(regime, D, pair[0])
-    if lower is None:
-        lower = upper_bound.rate_of(spectrum, L, upper_bound.solve(regime.prepared, D, pair))
-    return lower
+    return evaluate(classify(spectrum, L), D)[1]
 
 
 def lower_bound_piece(spectrum: Spectrum, L: int, D: float) -> str:
     """Label of the piece lower_bound_rate uses at D.
 
-    One of "Rbar", "R1c", "R2c", "R1c_hat", "R2c_hat"; same domain rules
-    as lower_bound_rate.
+    One of "Rbar", "R1c", "R2c", "R1c_hat", "R2c_hat": the piece of
+    evaluate on classify's regime, with the same domain rule.
     """
-    regime = classify(spectrum, L)
-    return _dispatch(regime, D, upper_bound.slack_pair(regime.prepared, D)[0])[0]
+    return evaluate(classify(spectrum, L), D)[2]

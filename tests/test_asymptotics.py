@@ -16,9 +16,9 @@ from symrd import (
     DomainError,
     PrecisionError,
     SourceSpec,
-    asymptotic_bounds,
     asymptotic_gap,
     asymptotic_regime,
+    asymptotic_row,
     expansion_coefficients,
     from_eigenvalues,
     lower_asymptotic,
@@ -176,11 +176,13 @@ def _outcome(call):
 
 @pytest.mark.parametrize("name", sorted(ASYM_MEET))
 def test_bounds_at_many_sizes_are_the_one_size_values(name):
-    # asymptotic_bounds forms each piece's L-free terms once for all sizes;
-    # its cells are upper_asymptotic's and lower_asymptotic's bit for bit,
-    # at seeded D across the interval, inside D_TH0_WINDOW of d_th0_inf and
-    # one ulp either side of d_th1_inf and d_th2_inf
+    # asymptotic_row forms each piece's L-free terms once for all sizes;
+    # its cells are upper_asymptotic's and lower_asymptotic's, and its gap
+    # asymptotic_gap's, bit for bit, at seeded D across the interval,
+    # inside D_TH0_WINDOW of d_th0_inf and one ulp either side of d_th1_inf
+    # and d_th2_inf
     reg = asymptotic_regime(parse_spec_text((GOLDEN / f"{name}.spec").read_text()))
+    gapped = reg.condition is Condition.PosMixPosRho_XiLtHalf
     sx2 = reg.spec.sigma_x_sq
     rng = random.Random(20261019)
     points = [reg.d_min_inf + rng.random() * (sx2 - reg.d_min_inf) for _ in range(200)]
@@ -190,11 +192,12 @@ def test_bounds_at_many_sizes_are_the_one_size_values(name):
         if edge is not None:
             points += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, sx2)]
     for D in points:
-        want = _outcome(lambda: [(upper_asymptotic(reg, L, D), lower_asymptotic(reg, L, D))
-                                 for L in ASYM_SIZES])
-        assert _outcome(lambda: asymptotic_bounds(reg, ASYM_SIZES, D)) == want, D
+        want = _outcome(lambda: ([(upper_asymptotic(reg, L, D), lower_asymptotic(reg, L, D))
+                                  for L in ASYM_SIZES],
+                                 asymptotic_gap(reg, D) if gapped else None))
+        assert _outcome(lambda: asymptotic_row(reg, ASYM_SIZES, D)) == want, D
     with pytest.raises(DomainError):
-        asymptotic_bounds(reg, ASYM_SIZES, reg.d_min_inf)
+        asymptotic_row(reg, ASYM_SIZES, reg.d_min_inf)
 
 
 def test_high_contrast_regime_has_no_gap():
@@ -286,6 +289,17 @@ def test_gapped_regime_whose_d_free_log_rounds_to_zero_raises(spec):
     # value, and the classification says so rather than a raw math error
     with pytest.raises(PrecisionError, match="half_log_rho's argument rounds to 0.0"):
         asymptotic_regime(spec)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-82])
+def test_gapped_regime_whose_gap_factor_leaves_float64_raises(scale):
+    # gamma_x^4 overflows (1e80) or underflows to 0 (1e-82): the gap's
+    # D-free factor, held by the regime, has no float64 value, and the
+    # classification says so rather than a raw OverflowError or
+    # ZeroDivisionError
+    with pytest.raises(PrecisionError, match="gap's factor"):
+        asymptotic_regime(SourceSpec(GAPPED.L, scale, GAPPED.rho_x,
+                                     scale * GAPPED.sigma_z_sq, GAPPED.rho_z))
 
 
 def test_threshold_window_routes_to_sqrt_l_expression():

@@ -248,11 +248,13 @@ def test_sweep_row_is_each_layers_value_formatted_once(capsys, name, bits):
         upper, lower, piece = symrd.lower_bound.evaluate(converse, D)
         _, value, cert = symrd.oracle.solve(program, D)
         values = [upper, lower, upper - lower, value]
-        for pair in symrd.asymptotics.asymptotic_bounds(regime, ROW_SIZES, D):
+        bounds, gap = symrd.asymptotics.asymptotic_row(regime, ROW_SIZES, D)
+        for pair in bounds:
             values += pair
+        assert (gap is not None) == gapped
         if gapped:
-            values.append(symrd.asymptotics.asymptotic_gap(regime, D))
-            gaps.add(values[-1] > 0.0)
+            values.append(gap)
+            gaps.add(gap > 0.0)
         cells = ["%.12g" % (value / scale) for value in values]
         residual = "%.12g" % max(cert.stationarity_residual, cert.complementarity_residual)
         lines.append(",".join(["%.12g" % D, *cells[:3], piece, cells[3], residual, *cells[4:]]))
@@ -390,6 +392,19 @@ def test_sweep_forms_each_row_once(specs, capsys, monkeypatch):
                 assert {row[4] for row in _rows(out)[1]} == {"R1c", "R2c"}
 
 
+def test_gapped_sweep_row_dispatches_each_d_once(specs, capsys, monkeypatch):
+    # a gapped row takes both large-L bounds and the gap from one
+    # asymptotic_row call, which settles where the bounds meet once
+    names = (("asymptotics", "bounds_meet"),)
+    calls = _count_calls(monkeypatch, names)
+    rc, out, _ = _run(capsys, ["sweep", specs["gapped"], "--certify", "--asymptotic",
+                               "100,10000", "--d-start", "0.784", "--d-end", "0.994",
+                               "--n-points", "40"])
+    assert rc == 0
+    assert _rows(out)[0][-1] == "delta_r_inf"
+    assert calls == dict.fromkeys(names, 40)
+
+
 # A grid whose rows cross the CSV writer's first block boundary (the
 # header is the first of a block's BLOCK_ROWS lines).
 BLOCKED_POINTS = cli.BLOCK_ROWS + 20
@@ -415,9 +430,11 @@ class _Tagged:
     (["sweep", "case2", "--certify", "--d-start", "0.7", "--d-end", "0.9"],
      "oracle", "solve", ConvergenceError, 3),
     (["asymptotic", "gapped", "--L", "10,1000", "--d-start", "0.8", "--d-end", "0.99"],
-     "asymptotics", "asymptotic_bounds", ConvergenceError, 3),
+     "asymptotics", "asymptotic_row", ConvergenceError, 3),
     (["gap-inf", "gapped", "--d-start", "0.8", "--d-end", "0.99"],
      "asymptotics", "asymptotic_gap", DomainError, 2),
+    (["sweep", "gapped", "--asymptotic", "10,1000", "--d-start", "0.8", "--d-end", "0.99"],
+     "asymptotics", "asymptotic_row", PrecisionError, 3),
 ])
 def test_failing_row_leaves_the_rows_before_it(specs, capsys, monkeypatch, k, argv,
                                                module, name, error, code):
@@ -736,6 +753,22 @@ def test_console_script_byte_deterministic(specs):
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_closed_stdout_exits_quietly(specs):
+    # the reader takes one line of a table larger than a pipe holds and
+    # closes the pipe: the next write fails with EPIPE, and the command
+    # exits with code 141 and nothing on stderr, not a BrokenPipeError
+    # traceback
+    argv = [sys.executable, "-m", "symrd", "sweep", specs["case2"],
+            "--d-start", "0.7", "--d-end", "0.9", "--n-points", "2000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"D,upper_nats,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_console_script_entry_resolves_to_main():

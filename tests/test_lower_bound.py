@@ -386,17 +386,33 @@ def test_composite_pieces_on_random_probe():
     assert not off
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-300])
-def test_tiny_scale_is_the_unit_problem_rescaled(scale):
+@pytest.mark.parametrize("scale, eig", [pytest.param(1e-200, None, id="1e-200"),
+                                        pytest.param(1e-300, None, id="1e-300")]
+                         + [pytest.param(scale, CASE2, id=f"case2-{scale!r}")
+                            for scale in (1e-100, 1e-82, 1e82, 1e100)])
+def test_tiny_scale_is_the_unit_problem_rescaled(scale, eig):
     # Scaling the source, the noise and D by one factor leaves every rate
-    # unchanged and scales d_min by it.  Here lambda_x lambda_z is below the
-    # smallest double, so d_min must not form that product.
-    unit = spectral_decompose(SourceSpec(L_CASES, 1.0, 0.3, 2.0, 0.5))
-    small = spectral_decompose(SourceSpec(L_CASES, scale, 0.3, 2.0 * scale, 0.5))
+    # and piece unchanged and scales d_min by it.  Here lambda_x lambda_z
+    # is below the smallest double, so d_min must not form that product.
+    # The composite CASE2 keeps its branch, with one D on each of its
+    # pieces (Rbar, R1c, R2c): classify must not form products such as
+    # x_big^2 y_small^2, which leave float64 at these scales.
+    if eig is None:
+        unit = spectral_decompose(SourceSpec(L_CASES, 1.0, 0.3, 2.0, 0.5))
+        small = spectral_decompose(SourceSpec(L_CASES, scale, 0.3, 2.0 * scale, 0.5))
+    else:
+        unit, small = _spectrum(eig), _spectrum(tuple(scale * value for value in eig))
     floor, ceil = d_min(unit, L_CASES), source_variance(unit, L_CASES)
     assert abs(d_min(small, L_CASES) / (scale * floor) - 1.0) <= 1e-12
-    for f in (0.01, 0.1, 0.5, 0.9):
-        D = floor + f * (ceil - floor)
+    if eig is None:
+        points = [floor + f * (ceil - floor) for f in (0.01, 0.1, 0.5, 0.9)]
+    else:
+        points = [floor + 0.05 * (ceil - floor), 0.71, 0.8]
+        assert [lower_bound_piece(unit, L_CASES, D) for D in points] == \
+            [PIECE_RBAR, PIECE_R1C, PIECE_R2C]
+    for D in points:
+        assert lower_bound_piece(small, L_CASES, scale * D) == \
+            lower_bound_piece(unit, L_CASES, D)
         for rate in (upper_bound_rate, lower_bound_rate):
             want = rate(unit, L_CASES, D)
             assert abs(rate(small, L_CASES, scale * D) / want - 1.0) <= 1e-12
