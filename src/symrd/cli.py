@@ -195,8 +195,7 @@ def cmd_sweep(args) -> int:
 
     def rows():
         program = oracle.prepare(s, L) if args.certify else None
-        for D in grid:
-            upper, lower, piece = lower_bound.evaluate(converse, D)
+        for D, upper, lower, piece in lower_bound.rows(converse, grid):
             cells = [D, upper / scale, lower / scale, (upper - lower) / scale, piece]
             if program is not None:
                 _, value, cert = oracle.solve(program, D)

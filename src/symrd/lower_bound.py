@@ -19,10 +19,14 @@ everywhere.  Rbar gives way at D_th,1 = D_th(m_2) and returns at
 D_th,2 = D_th(m_1); inside R_c the switch R_1^c -> R_2^c is at D_th^c.
 
 classify settles this once per spectrum in a Regime, whose branch names
-the side and case, and evaluate dispatches each D on it.  All rates are
-in nats.  Every closed form here is validated elsewhere against an
-independent numerical solution of the underlying minimization program;
-this module only evaluates formulas and routes between them.
+the side and case.  rows is the converse pass over a grid of D: it wraps
+upper_bound.solutions, which checks each D, forms its slack pair and
+gives Rbar, with the dispatch to Rbar, R1c or R2c (hatted or not) on the
+Regime's thresholds.  evaluate, lower_bound_rate and lower_bound_piece
+are its one-element views.  All rates are in nats.  Every closed form
+here is validated elsewhere against an independent numerical solution of
+the underlying minimization program; this module only evaluates formulas
+and routes between them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 from . import upper_bound
 from .errors import DomainError
-from .model import Spectrum, side_view, slacks
+from .model import Spectrum, side_view
 
 #: Piece labels used in reports and CSV output.
 PIECE_RBAR = "Rbar"
@@ -67,10 +71,10 @@ class Branch(enum.Enum):
 class Regime:
     """A classified spectrum: all the dispatch needs at any D.
 
-    classify builds it once per spectrum and evaluate takes it at each D.
+    classify builds it once per spectrum and rows takes it over a grid.
     prepared is upper_bound.prepare's: the spectrum, L and the lambda_q
     solve's constants, formed once per spectrum, from which
-    upper_bound.slack_pair checks each D and forms its two slacks; big
+    upper_bound.solutions checks each D and forms its two slacks; big
     and small are model.side_view's (x, y, m) triples and hatted its
     orientation; case is the branch's case 1-4; m1, m2, d_th_1, d_th_2
     and d_th_c are the roots and switch points, None where the case does
@@ -135,7 +139,8 @@ def _not_positive(label: str, what: str, value: float) -> DomainError:
 def _rc(label: str, big, small, L: int, slack: float) -> float:
     """R_1^c or R_2^c (by label) over the given orientation, unclamped.
 
-    slack is L (D - d_min), the first of the pair the lambda_q solve takes.
+    slack is L (D - d_min), the first of the pair the lambda_q solve takes
+    (rc_piece's plain form of it, for a D that may lie outside the interval).
     R_2^c's denominator subtracts m_b x_b^2 / y_b from it, and R_1^c's
     adds m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.
     """
@@ -172,15 +177,16 @@ def rc_piece(piece: str, spectrum: Spectrum, L: int, D: float) -> float:
     the hatted pair) whatever the spectrum's side: a nonpositive
     logarithm argument raises DomainError naming the offending
     sub-expression.  D is not checked against (d_min, sigma_x_sq): its
-    slack is model.slacks's from upper_bound.prepare's constants, so a D
-    outside the interval reaches the named guards too.  Use
+    slack is the plain L (D - d_min), on upper_bound.prepare's d_min, so a
+    D outside the interval reaches the named guards too.  (Above the
+    middle of the interval it can differ by the rounding of d_min or
+    sigma_x^2 from the slack of the pass, which rows takes.)  Use
     lower_bound_rate for the dispatched bound.
     """
     if piece not in _PIECES[0] + _PIECES[1]:
         raise DomainError(f"unknown piece label {piece!r}")
     big, small, _ = side_view(spectrum, L, hatted=piece in _PIECES[1])
-    p = upper_bound.prepare(spectrum, L)
-    return _rc(piece, big, small, L, slacks(L, D, p.d_min, p.sigma_x_sq, p.total)[0])
+    return _rc(piece, big, small, L, L * (D - upper_bound.prepare(spectrum, L).d_min))
 
 
 # --- classification and dispatch ---------------------------------------------
@@ -196,9 +202,10 @@ def classify(spectrum: Spectrum, L: int) -> Regime:
     contrast = root * root
     if contrast >= ms / (4.0 * L):
         return Regime(*view, 1)
-    disc = 1.0 - 4.0 * L / ms * contrast
-    r = math.sqrt(max(disc, 0.0))
-    m1, m2 = (1.0 - r) / 2.0, (1.0 + r) / 2.0
+    # m1 = (1 - r) / 2 cancels when q is small: take its product form.
+    q = 4.0 * L / ms * contrast
+    r = math.sqrt(max(1.0 - q, 0.0))
+    m1, m2 = q / (2.0 * (1.0 + r)), (1.0 + r) / 2.0
     ratio = ys / yb
     if m2 <= ratio:
         return Regime(*view, 1, m1, m2)
@@ -214,26 +221,38 @@ def classify(spectrum: Spectrum, L: int) -> Regime:
                   _d_th_c(big, small, L))
 
 
-def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
-    """(upper, lower, piece) at D from one lambda_q solve and one dispatch.
+def rows(regime: Regime, grid):
+    """(D, upper, lower, piece) for each D of grid, in order, from one converse pass.
 
     upper is upper_bound_rate, lower is lower_bound_rate and piece is
-    lower_bound_piece for the regime's spectrum and L; on Rbar segments
-    lower reuses upper.  upper_bound.slack_pair checks D and forms its
-    slack pair, once, from the regime's prepared constants; the solve and
-    the composite pieces share it.  Same domain rules and errors as
-    upper_bound_rate.
+    lower_bound_piece for the regime's spectrum and L.  upper_bound's
+    solutions checks each D and forms its slack pair, once, from the
+    regime's prepared constants; the lambda_q solve and the composite
+    pieces share it, and on Rbar segments lower reuses upper.  The
+    dispatch's thresholds are read once per grid.  A generator: the rows
+    before a failing D are yielded before its error is raised, with
+    upper_bound_rate's domain rules and errors.
     """
-    r, p = regime, regime.prepared
-    pair = upper_bound.slack_pair(p, D)
-    upper = upper_bound.rate_of(p.spectrum, p.L, upper_bound.solve(p, D, pair))
-    if (r.case == 1 or (r.d_th_1 is not None and D <= r.d_th_1)
-            or (r.d_th_2 is not None and not D < r.d_th_2)):
-        return upper, upper, PIECE_RBAR
+    r = regime
+    big, small, L = r.big, r.small, r.prepared.L
+    # Rbar up to rbar_to (everywhere in case 1) and from rbar_from on.
+    rbar_to = math.inf if r.case == 1 else -math.inf if r.d_th_1 is None else r.d_th_1
+    rbar_from = math.inf if r.d_th_2 is None else r.d_th_2
     # With x_big = 0 (case 4) only this side's family is finite, and d_th_c
     # is d_min: every D takes its second piece, however d_th_c rounds.
-    piece = _PIECES[r.hatted][0 if D <= r.d_th_c and r.big[0] != 0.0 else 1]
-    return upper, _rc(piece, r.big, r.small, p.L, pair[0]), piece
+    split = r.d_th_c if big[0] != 0.0 else -math.inf
+    first, second = _PIECES[r.hatted]
+    for D, _, upper, below_side, _ in upper_bound.solutions(r.prepared, grid):
+        if D <= rbar_to or not D < rbar_from:
+            yield D, upper, upper, PIECE_RBAR
+        else:
+            piece = first if D <= split else second
+            yield D, upper, _rc(piece, big, small, L, below_side), piece
+
+
+def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
+    """(upper, lower, piece) at D: the one row of rows(regime, [D]) after its D."""
+    return next(rows(regime, (D,)))[1:]
 
 
 def lower_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:

@@ -282,24 +282,6 @@ def source_weights(spectrum: Spectrum, L: int) -> tuple[float, float]:
             (L - 1) * s.gamma_x * (s.gamma_x / s.gamma_y))
 
 
-def slacks(L: int, D: float, floor: float, ceil: float, total: float) -> tuple[float, float]:
-    """(L (D - d_min), L (sigma_x^2 - D)): where L D sits inside L (floor, ceil).
-
-    floor, ceil and total are d_min, sigma_x^2 and L (sigma_x^2 - d_min)
-    as upper_bound.prepare holds them.  The smaller slack is formed from D
-    and its own end, the other as its complement to total, so neither
-    loses digits and the pair sums to total to its rounding.  (L floor and
-    L ceil are rounded apart by up to eps L sigma_x^2, many ulps of a
-    slack when d_min is near sigma_x^2.)  The one float64 form of the two,
-    shared by the lambda_q solve and the composite rates; its error is the
-    rounding of d_min or sigma_x^2, a few ulps of D.
-    """
-    below, above = L * (D - floor), L * (ceil - D)
-    if below <= above:
-        return below, total - below
-    return total - above, above
-
-
 def source_variance(spectrum: Spectrum, L: int) -> float:
     """Per-component source variance sigma_x^2 = (lambda_x + (L-1) gamma_x) / L.
 

@@ -15,17 +15,17 @@ L * sigma_x^2 (lambda_q -> infinity).  The resulting sum rate in nats is
               + (L - 1)/2 log(1 + gamma_y / lambda_q).
 
 The module solves the balance equation by a safeguarded Newton iteration
-in ln lambda_q (see solve).  The solve's D-free constants (d_min,
-sigma_x^2, the source weights, the bracket's denominator and the D-free
-part of the quadratic's b) are formed once per spectrum by prepare;
-slack_pair checks a D against them and forms its two slacks, and solve
-takes the constants and that pair at each D.  solve_lambda_q is the
-three in one call, and returns lambda_q as a float that rate_of turns
-into Rbar.  The module also exposes two algebraically equivalent
-resolvent forms of the rate at a lambda_q (used as cross-checks), and
-builds, from the eigenvalues, the (a, b, c) of the closed-form quadratic
-in lambda_q that the balance equation collapses to and that seeds the
-iteration.
+in ln lambda_q.  The solve's D-free constants (d_min, sigma_x^2, the
+source weights, the bracket's denominator and the D-free part of the
+quadratic's b) are formed once per spectrum by prepare.  solutions is the
+pass over a grid of D: for each D it checks D, forms the slack pair,
+solves for lambda_q and takes Rbar there, each written once, in its loop.
+solve_lambda_q, upper_bound_rate and quadratic_coefficients are its
+one-element views; rate_of turns any lambda_q into Rbar.  The module also
+exposes two algebraically equivalent resolvent forms of the rate at a
+lambda_q (used as cross-checks), and the (a, b, c) of the closed-form
+quadratic in lambda_q that the balance equation collapses to and that
+seeds the iteration.
 asymptotics.correlation_form writes the same quadratic's b and c as
 polynomials in L.
 """
@@ -37,13 +37,12 @@ import sys
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PrecisionError
-from .model import (Spectrum, d_min, outside_interval, slacks, source_variance,
-                    source_weights)
+from .model import Spectrum, d_min, outside_interval, source_variance, source_weights
 
 # Newton's method stops once its step in ln lambda_q is below this: the
 # step after it would be below float64 resolution, so the stepped value is
-# returned without evaluating the balance again.  The solution is then
-# re-checked against the balance equation at RESIDUAL_REL_TOL.
+# returned without another step.  The balance's next evaluation re-checks
+# it at RESIDUAL_REL_TOL.
 NEWTON_STEP_TOL = 1e-9
 # Seeded by the quadratic's root, the iteration takes one or two
 # evaluations; this cap only bounds the bisection fallback.
@@ -83,28 +82,6 @@ def rate_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
     return rate
 
 
-def _balance(lambda_y: float, gamma_y: float, lambda_q: float, c_lam: float,
-             c_gam: float, slack: float, below: bool) -> tuple[float, float]:
-    """(ln(side / slack), d ln(side) / d ln lambda_q) of one balance form.
-
-    With c_lam = lambda_x^2 / lambda_y and c_gam = (L-1) gamma_x^2 / gamma_y,
-    the side is, below the middle, L (D(lambda_q) - d_min)
-    = c_lam q/(lambda_y + q) + c_gam q/(gamma_y + q), and above it
-    L (sigma_x^2 - D(lambda_q)) = lambda_x^2/(lambda_y + q) + (L-1) gamma_x^2/(gamma_y + q):
-    sums of positive terms, so neither loses digits to cancellation.
-    """
-    q = lambda_q
-    q_lam, q_gam = q / (lambda_y + q), q / (gamma_y + q)
-    y_lam, y_gam = lambda_y / (lambda_y + q), gamma_y / (gamma_y + q)
-    if below:
-        t_lam, t_gam = c_lam * q_lam, c_gam * q_gam
-        slope = (t_lam * y_lam + t_gam * y_gam) / (t_lam + t_gam)
-    else:
-        t_lam, t_gam = c_lam * y_lam, c_gam * y_gam
-        slope = -(t_lam * q_lam + t_gam * q_gam) / (t_lam + t_gam)
-    return math.log((t_lam + t_gam) / slack), slope
-
-
 class Prepared(NamedTuple):
     """The D-free constants of the lambda_q solve for one spectrum and L.
 
@@ -131,7 +108,7 @@ class Prepared(NamedTuple):
 
 
 def prepare(spectrum: Spectrum, L: int) -> Prepared:
-    """Form the lambda_q solve's constants once, for solve at any D."""
+    """Form the lambda_q solve's constants once, for solutions at any D."""
     s = spectrum
     floor = d_min(s, L)
     c_lam, c_gam = source_weights(s, L)
@@ -143,34 +120,30 @@ def prepare(spectrum: Spectrum, L: int) -> Prepared:
                     s.gamma_y + s.lambda_y, max(s.lambda_y, s.gamma_y))
 
 
-def slack_pair(prepared: Prepared, D: float) -> tuple[float, float]:
-    """(L (D - d_min), L (sigma_x_sq - D)) at a D checked against prepared.
+def solutions(prepared: Prepared, grid):
+    """(D, lambda_q, Rbar, L (D - d_min), L (sigma_x_sq - D)) for each D of grid.
 
-    model.slacks's pair from the prepared d_min, sigma_x_sq and total: the
-    one place a D is checked and its slacks formed, for the lambda_q solve
-    and the composite rates alike.  DomainError unless D lies inside
-    (d_min, sigma_x_sq); PrecisionError if the interval is too narrow for
-    both slacks to come out positive.
-    """
-    _, L, floor, ceil, total, _, _, _, _, _, _ = prepared
-    if not floor < D < ceil:
-        raise outside_interval(D, floor, ceil)
-    below_side, above_side = slacks(L, D, floor, ceil, total)
-    if not (below_side > 0.0 and above_side > 0.0):
-        raise PrecisionError(
-            f"D = {D!r}: the interval (d_min, sigma_x_sq) = ({floor!r}, {ceil!r}) "
-            "is too narrow to resolve")
-    return below_side, above_side
+    The pass over a grid, in its order: per D it checks D against the
+    prepared (d_min, sigma_x_sq), forms the slack pair, solves for
+    lambda_q and takes the rate there, on prepare's constants held in
+    locals.  The pair is the one place a slack is formed: the smaller
+    slack from D and its own end, the other as its complement to
+    L (sigma_x_sq - d_min), so neither loses digits and the pair sums to
+    it to its rounding (L d_min and L sigma_x_sq are rounded apart by up
+    to eps L sigma_x^2, many ulps of a slack when d_min is near
+    sigma_x^2); its error is the rounding of d_min or sigma_x^2, a few
+    ulps of D.  The composite pieces of the converse take its first
+    slack.
 
-
-def solve(prepared: Prepared, D: float, pair: tuple[float, float]) -> float:
-    """lambda_q at per-component distortion D, from prepare's constants.
-
-    pair is slack_pair(prepared, D), which has checked D.  Newton's method
-    in u = ln lambda_q, on whichever balance form is a sum of positive
-    terms against the smaller slack: L (D - d_min) below the middle of
-    (d_min, sigma_x^2), L (sigma_x^2 - D) above it (see _balance).  It
-    starts from the root of quadratic_coefficients and stays inside
+    lambda_q comes from Newton's method in u = ln lambda_q on whichever
+    balance form is a sum of positive terms against the smaller slack.
+    With c_lam = lambda_x^2 / lambda_y and c_gam = (L-1) gamma_x^2 / gamma_y,
+    below the middle of (d_min, sigma_x^2) the form is
+    L (D(lambda_q) - d_min) = c_lam q/(lambda_y + q) + c_gam q/(gamma_y + q),
+    and above it L (sigma_x^2 - D(lambda_q))
+    = lambda_x^2/(lambda_y + q) + (L-1) gamma_x^2/(gamma_y + q), so neither
+    loses digits to cancellation.  The iteration starts from the root of
+    quadratic_coefficients and stays inside
 
         (L (D - d_min)) / (lambda_x^2/lambda_y^2 + (L-1) gamma_x^2/gamma_y^2)
             <= lambda_q <= max(lambda_y, gamma_y) L (D - d_min) / (L (sigma_x^2 - D)),
@@ -179,70 +152,106 @@ def solve(prepared: Prepared, D: float, pair: tuple[float, float]) -> float:
     it in u instead.  The pair sums to
     lambda_x^2/lambda_y + (L-1) gamma_x^2/gamma_y = L (sigma_x^2 - d_min)
     as the two sides do, so the bracket bounds the solved form's root to
-    its own rounding, and the seed is that form's root too.  Errors are
-    solve_lambda_q's.
-    """
-    s, L, floor, ceil, _, c_lam, c_gam, bracket_den, b_free, y_sum, y_max = prepared
-    lam_y, gam_y = s.lambda_y, s.gamma_y
-    below_side, above_side = pair
-    below = below_side <= above_side
-    slack = below_side if below else above_side
-    if slack < _SMALLEST_NORMAL:
-        # The balance's terms would be subnormal too, with too few digits
-        # for Newton's method to settle on.
-        raise PrecisionError(
-            f"D = {D!r}: the smaller slack "
-            f"{'L (D - d_min)' if below else 'L (sigma_x_sq - D)'} = {slack!r} "
-            "is subnormal")
-    # The root sits on the upper end when lambda_y == gamma_y or when only
-    # the direction with the larger y carries source (x = 0 on the other);
-    # both ends are widened by their rounding so that it stays inside.
-    lo = below_side / bracket_den * _WIDEN_LO
-    hi = y_max * (below_side / above_side) * _WIDEN_HI
-    # quadratic_coefficients's (a, b, c) on this pair.
-    lambda_q = quadratic_root(above_side, b_free - below_side * y_sum,
-                              -below_side * lam_y * gam_y)
-    if not lo < lambda_q < hi:
-        lambda_q = math.sqrt(lo) * math.sqrt(hi)
-    for _ in range(MAX_EVALUATIONS):
-        residual, slope = _balance(lam_y, gam_y, lambda_q, c_lam, c_gam, slack, below)
-        if (residual > 0.0) == (slope > 0.0):
-            hi = lambda_q
-        else:
-            lo = lambda_q
-        step = -residual / slope
-        lambda_q *= math.exp(step)
-        if abs(step) <= NEWTON_STEP_TOL:
-            break
-        if not lo < lambda_q < hi:
-            lambda_q = math.sqrt(lo) * math.sqrt(hi)
-    else:
-        raise ConvergenceError(
-            f"Newton iteration on lambda_q did not settle in {MAX_EVALUATIONS} "
-            f"evaluations at D = {D!r}", best=lambda_q)
+    its own rounding, and the seed is that form's root too.  The
+    evaluation after the last step is the residual check.
 
-    # |D(lambda_q) - D| on the solved form, which does not cancel as
-    # lambda_q -> 0 the way distortion_of's differences do.
-    residual = slack * abs(math.expm1(
-        _balance(lam_y, gam_y, lambda_q, c_lam, c_gam, slack, below)[0])) / L
-    if residual > RESIDUAL_REL_TOL * D:
-        if min(D - floor, ceil - D) <= 1e-13 * ceil:
+    A generator: the rows before a failing D are yielded before its error
+    is raised.  Errors are solve_lambda_q's.
+    """
+    s, L, floor, ceil, total, c_lam, c_gam, bracket_den, b_free, y_sum, y_max = prepared
+    lam_y, gam_y = s.lambda_y, s.gamma_y
+    log, exp, expm1, sqrt = math.log, math.exp, math.expm1, math.sqrt
+    for D in grid:
+        if not floor < D < ceil:
+            raise outside_interval(D, floor, ceil)
+        below_side, above_side = L * (D - floor), L * (ceil - D)
+        if below_side <= above_side:
+            above_side = total - below_side
+        else:
+            below_side = total - above_side
+        if not (below_side > 0.0 and above_side > 0.0):
             raise PrecisionError(
-                f"D = {D!r} too close to the interval boundary to resolve "
-                f"(residual {residual!r})"
+                f"D = {D!r}: the interval (d_min, sigma_x_sq) = ({floor!r}, {ceil!r}) "
+                "is too narrow to resolve")
+        below = below_side <= above_side
+        slack = below_side if below else above_side
+        if slack < _SMALLEST_NORMAL:
+            # The balance's terms would be subnormal too, with too few
+            # digits for Newton's method to settle on.
+            raise PrecisionError(
+                f"D = {D!r}: the smaller slack "
+                f"{'L (D - d_min)' if below else 'L (sigma_x_sq - D)'} = {slack!r} "
+                "is subnormal")
+        # The root sits on the upper end when lambda_y == gamma_y or when
+        # only the direction with the larger y carries source (x = 0 on
+        # the other); both ends are widened by their rounding so that it
+        # stays inside.
+        lo = below_side / bracket_den * _WIDEN_LO
+        hi = y_max * (below_side / above_side) * _WIDEN_HI
+        # quadratic_coefficients's (a, b, c) on this pair.
+        lambda_q = quadratic_root(above_side, b_free - below_side * y_sum,
+                                  -below_side * lam_y * gam_y)
+        if not lo < lambda_q < hi:
+            lambda_q = sqrt(lo) * sqrt(hi)
+        settled = False
+        for evaluation in range(1, MAX_EVALUATIONS + 2):
+            # The balance at lambda_q: residual = ln(side / slack), then,
+            # unless this evaluation is the residual check, the slope
+            # d ln(side) / d ln lambda_q of a Newton step.
+            q = lambda_q
+            d_lam, d_gam = lam_y + q, gam_y + q
+            q_lam, q_gam = q / d_lam, q / d_gam
+            y_lam, y_gam = lam_y / d_lam, gam_y / d_gam
+            if below:
+                t_lam, t_gam = c_lam * q_lam, c_gam * q_gam
+            else:
+                t_lam, t_gam = c_lam * y_lam, c_gam * y_gam
+            side = t_lam + t_gam
+            residual = log(side / slack)
+            if settled:
+                break
+            if below:
+                slope = (t_lam * y_lam + t_gam * y_gam) / side
+            else:
+                slope = -(t_lam * q_lam + t_gam * q_gam) / side
+            if (residual > 0.0) == (slope > 0.0):
+                hi = lambda_q
+            else:
+                lo = lambda_q
+            step = -residual / slope
+            lambda_q *= exp(step)
+            # The step after a settled one would be below float64
+            # resolution: the stepped value stands.
+            settled = abs(step) <= NEWTON_STEP_TOL
+            if not settled:
+                if not lo < lambda_q < hi:
+                    lambda_q = sqrt(lo) * sqrt(hi)
+                if evaluation == MAX_EVALUATIONS:
+                    raise ConvergenceError(
+                        f"Newton iteration on lambda_q did not settle in {MAX_EVALUATIONS} "
+                        f"evaluations at D = {D!r}", best=lambda_q)
+
+        # |D(lambda_q) - D| on the solved form, which does not cancel as
+        # lambda_q -> 0 the way distortion_of's differences do.
+        residual = slack * abs(expm1(residual)) / L
+        if residual > RESIDUAL_REL_TOL * D:
+            if min(D - floor, ceil - D) <= 1e-13 * ceil:
+                raise PrecisionError(
+                    f"D = {D!r} too close to the interval boundary to resolve "
+                    f"(residual {residual!r})"
+                )
+            raise ConvergenceError(
+                f"lambda_q residual {residual!r} exceeds {RESIDUAL_REL_TOL} * D",
+                best=lambda_q,
             )
-        raise ConvergenceError(
-            f"lambda_q residual {residual!r} exceeds {RESIDUAL_REL_TOL} * D",
-            best=lambda_q,
-        )
-    return lambda_q
+        yield D, lambda_q, rate_of(s, L, lambda_q), below_side, above_side
 
 
 def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
     """Solve the balance equation for lambda_q at per-component distortion D.
 
-    prepare(spectrum, L), then solve at D on slack_pair's checked slacks;
-    see solve for the method.
+    The lambda_q of solutions(prepare(spectrum, L), [D]); see solutions
+    for the method.
 
     Parameters
     ----------
@@ -263,18 +272,18 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
     PrecisionError
         If D sits so close to an endpoint that the solution fails the
         residual check, the interval is too narrow for its slacks to be
-        resolved, or the smaller slack is subnormal.
+        resolved, the smaller slack is subnormal, or the rate at the
+        solution overflows float64.
     ConvergenceError
         If the iteration does not settle within MAX_EVALUATIONS, or its
         result fails the residual check (not expected for valid inputs).
     """
-    prepared = prepare(spectrum, L)
-    return solve(prepared, D, slack_pair(prepared, D))
+    return next(solutions(prepare(spectrum, L), (D,)))[1]
 
 
 def upper_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     """Upper bound Rbar(D) in nats; see solve_lambda_q for domain and errors."""
-    return rate_of(spectrum, L, solve_lambda_q(spectrum, L, D))
+    return next(solutions(prepare(spectrum, L), (D,)))[2]
 
 
 def rate_alternative_forms(spectrum: Spectrum, L: int,
@@ -316,11 +325,12 @@ def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> tuple[float,
 
     its coefficients are a = L (sigma_x^2 - D),
     b = phi1 gamma_y + (L-1) phi2 lambda_y - phi3 (gamma_y + lambda_y) and
-    c = -phi3 lambda_y gamma_y.  phi3 and a are model.slacks's pair, not
-    the sums that cancel in them.
+    c = -phi3 lambda_y gamma_y.  phi3 and a are the slack pair of
+    solutions at D, not the sums that cancel in them, so D must lie inside
+    (d_min, sigma_x_sq), with solve_lambda_q's errors.
     """
     p = prepare(spectrum, L)
-    below_slack, above_slack = slacks(L, D, p.d_min, p.sigma_x_sq, p.total)
+    *_, below_slack, above_slack = next(solutions(p, (D,)))
     return (above_slack, p.b_free - below_slack * p.y_sum,
             -below_slack * spectrum.lambda_y * spectrum.gamma_y)
 

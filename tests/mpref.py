@@ -152,6 +152,18 @@ def piece(label: str, s: Spectrum, L: int, D) -> tuple[mpf, mpf]:
     return value, -k * L / (2 * den)
 
 
+def roots(big, small, L: int) -> tuple[mpf, mpf, mpf]:
+    """(m1, m2, r): the threshold roots 1/2 -+ r/2 of the converse, and r.
+
+    big and small are (x, y, m) triples, taken as exact;
+    r = sqrt(1 - 4 L x_b^2 y_s^2 / (m_s x_s^2 y_b^2)), which is real
+    wherever the roots are defined.
+    """
+    (xb, yb, _), (xs, ys, ms) = ((_mp(v) for v in side) for side in (big, small))
+    r = _CTX.sqrt(1 - 4 * L * (xb * ys / (xs * yb)) ** 2 / ms)
+    return (1 - r) / 2, (1 + r) / 2, r
+
+
 def lower(label: str, s: Spectrum, L: int, D) -> tuple[mpf, mpf]:
     """The converse on the piece the label names: Rbar or a composite piece."""
     return upper(s, L, D) if label == "Rbar" else piece(label, s, L, D)

@@ -373,11 +373,13 @@ def test_sweep_prepares_once(specs, capsys, monkeypatch):
 
 
 def test_sweep_forms_each_row_once(specs, capsys, monkeypatch):
-    # each row forms its slack pair once (model.slacks) and solves for
-    # lambda_q once (upper_bound.solve): on composite rows, whose pieces
-    # take the pair's first slack, as on Rbar rows, with or without the
-    # oracle and large-L columns
-    names = (("model", "slacks"), ("upper_bound", "solve"))
+    # a request makes one converse pass (upper_bound.solutions), which per
+    # row forms the slack pair once, seeds one lambda_q solve
+    # (upper_bound.quadratic_root) and takes one rate (upper_bound.rate_of):
+    # on composite rows, whose pieces take the pair's first slack, as on
+    # Rbar rows, with or without the oracle and large-L columns
+    names = (("upper_bound", "solutions"), ("upper_bound", "quadratic_root"),
+             ("upper_bound", "rate_of"))
     calls = _count_calls(monkeypatch, names)
     for name, extra, d_start, d_end in (
             ("case2", [], "0.7", "0.9"),
@@ -387,7 +389,7 @@ def test_sweep_forms_each_row_once(specs, capsys, monkeypatch):
             rc, out, _ = _run(capsys, ["sweep", specs[name], *extra, "--d-start", d_start,
                                        "--d-end", d_end, "--n-points", str(n_points)])
             assert rc == 0
-            assert calls == dict.fromkeys(names, n_points), name
+            assert calls == {names[0]: 1, names[1]: n_points, names[2]: n_points}, name
             if name == "case2":
                 assert {row[4] for row in _rows(out)[1]} == {"R1c", "R2c"}
 
@@ -435,6 +437,9 @@ class _Tagged:
      "asymptotics", "asymptotic_gap", DomainError, 2),
     (["sweep", "gapped", "--asymptotic", "10,1000", "--d-start", "0.8", "--d-end", "0.99"],
      "asymptotics", "asymptotic_row", PrecisionError, 3),
+    # inside the converse pass, which takes one rate a row
+    (["sweep", "case2", "--d-start", "0.7", "--d-end", "0.9"],
+     "upper_bound", "rate_of", PrecisionError, 3),
 ])
 def test_failing_row_leaves_the_rows_before_it(specs, capsys, monkeypatch, k, argv,
                                                module, name, error, code):

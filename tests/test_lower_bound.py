@@ -28,12 +28,13 @@ from symrd import (
     lower_bound_piece,
     lower_bound_rate,
     rc_piece,
+    solve_lambda_q,
     source_variance,
     spectral_decompose,
     upper_bound_rate,
 )
 import symrd.upper_bound
-from symrd.lower_bound import classify, evaluate
+from symrd.lower_bound import classify, evaluate, rows
 from symrd.model import outside_interval, parse_spec_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -244,16 +245,17 @@ def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
     # evaluate returns (upper_bound_rate, lower_bound_rate, lower_bound_piece)
     # from a single lambda_q solve on the regime's prepared constants, on
     # every arm and on both sides, and over the oracle's certificate probe
-    # (L up to 1e6, variances within 1e+-30)
+    # (L up to 1e6, variances within 1e+-30).  The converse pass seeds each
+    # solve with one quadratic_root call, so the seeds count the solves.
     mpref = pytest.importorskip("mpref")
-    solve = symrd.upper_bound.solve
+    root = symrd.upper_bound.quadratic_root
     solves = []
 
     def counted(*args):
         solves.append(args)
-        return solve(*args)
+        return root(*args)
 
-    monkeypatch.setattr(symrd.upper_bound, "solve", counted)
+    monkeypatch.setattr(symrd.upper_bound, "quadratic_root", counted)
     points = []
     for eig in (CASE1, CASE2, CASE3, SPEC_B, SPEC_C, SPEC_D):
         s = _spectrum(eig)
@@ -267,6 +269,69 @@ def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
         assert got == (upper_bound_rate(s, L, D),
                        lower_bound_rate(s, L, D),
                        lower_bound_piece(s, L, D))
+
+
+def _bits(row) -> tuple:
+    """A row's floats as hex, so that equal means equal in every bit."""
+    return tuple(cell.hex() if isinstance(cell, float) else cell for cell in row)
+
+
+def _views(s, L: int, D: float) -> tuple:
+    """The one-shot values at D, each from its own view of the pass."""
+    return _bits((D, upper_bound_rate(s, L, D), lower_bound_rate(s, L, D),
+                  lower_bound_piece(s, L, D))), solve_lambda_q(s, L, D).hex()
+
+
+def _grids():
+    """(s, L, grid): 40 points over 98% of each arm's interval, and the
+    certificate probe's points with four more D of the same spectrum."""
+    for arm in Branch:
+        spec = parse_spec_text((GOLDEN / f"{arm.value.lower()}.spec").read_text())
+        s, L = spectral_decompose(spec), spec.L
+        lo, hi = d_min(s, L), source_variance(s, L)
+        yield s, L, [lo + (0.01 + 0.98 * k / 39) * (hi - lo) for k in range(40)]
+    for spec, s, D in pytest.importorskip("mpref").certificate_probe():
+        lo, hi = d_min(s, spec.L), source_variance(s, spec.L)
+        grid = [D] + [lo + f * (hi - lo) for f in (1e-3, 0.3, 0.7, 1.0 - 1e-3)]
+        yield s, spec.L, [x for x in grid if lo < x < hi]
+
+
+def test_rows_are_the_per_d_views():
+    # the converse pass over a grid gives, row by row and in every bit,
+    # what the one-shot views give at each D alone: upper_bound_rate,
+    # lower_bound_rate, lower_bound_piece, and the solve's lambda_q
+    arms = set()
+    for s, L, grid in _grids():
+        regime = classify(s, L)
+        arms.add(regime.branch)
+        got = [_bits(row) for row in rows(regime, grid)]
+        lambdas = [lambda_q.hex() for _, lambda_q, *_ in
+                   symrd.upper_bound.solutions(regime.prepared, grid)]
+        assert list(zip(got, lambdas)) == [_views(s, L, D) for D in grid]
+    assert arms == set(Branch)
+
+
+def test_roots_match_50_digit_replay():
+    # classify's m1 and m2 against their 50-digit values on the regime's
+    # own side view, over seeded eigenvalue specs: within 4 eps times
+    # (1 + 1/r), the conditioning of 1/2 -+ r/2 in the rounding of
+    # q = 4 L contrast / m_s.  m1 = (1 - r)/2 cancels where q is small:
+    # that form is up to 4e9 times this bound off on these specs.
+    mpref = pytest.importorskip("mpref")
+    rng = np.random.default_rng(20261020)
+    checked = 0
+    while checked < 2000:
+        L = max(2, round(float(np.exp(rng.uniform(np.log(2.0), np.log(1e6))))))
+        lx, gx, lz, gz = (float(v) for v in 10.0 ** rng.uniform(-3, 3, size=4))
+        s = spectral_decompose(from_eigenvalues(L, lx, gx, lx + lz, gx + gz))
+        regime = classify(s, L)
+        if regime.m1 is None:
+            continue
+        checked += 1
+        m1, m2, r = mpref.roots(regime.big, regime.small, L)
+        bound = 4 * np.finfo(float).eps * (1 + 1 / float(r))
+        for got, ref in ((regime.m1, m1), (regime.m2, m2)):
+            assert float(abs(got - ref) / ref) <= bound, (L, s)
 
 
 def _outcome(call):

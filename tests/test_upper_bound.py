@@ -168,11 +168,15 @@ def test_solve_rejects_interval_too_narrow_for_its_slacks():
 
 
 def test_quadratic_root_rejects_nonpositive_leading_coefficient():
-    # a = L (sigma_x^2 - D) <= 0 means D is out of range for the quadratic
+    # a = L (sigma_x^2 - D) <= 0 means D is out of range for the quadratic;
+    # quadratic_coefficients takes the checked slack pair of the converse
+    # pass, so the b and c of a valid D stand beside a = 0 and a < 0
     s = _spectrum(CASE1)
-    a, b, c = quadratic_coefficients(s, L_CASES, source_variance(s, L_CASES) + 0.1)
-    with pytest.raises(DomainError):
-        quadratic_root(a, b, c)
+    D = 0.5 * (d_min(s, L_CASES) + source_variance(s, L_CASES))
+    a, b, c = quadratic_coefficients(s, L_CASES, D)
+    for bad in (0.0, -a):
+        with pytest.raises(DomainError):
+            quadratic_root(bad, b, c)
 
 
 def test_rate_of_zero_noise_limit():
@@ -249,28 +253,43 @@ def _edge_points(fractions):
 
 
 def test_newton_seed_is_the_quadratic_coefficients_root(monkeypatch):
-    # solve forms its seed's (a, b, c) from its own locals; they are
-    # quadratic_coefficients's, bit for bit, below and above the middle
+    # the converse pass forms its seed's (a, b, c) from its own locals;
+    # they are quadratic_coefficients's, bit for bit, below and above the
+    # middle (quadratic_coefficients runs the pass for its slack pair, so
+    # it is called before the seeds are recorded)
     root = symrd.upper_bound.quadratic_root
     seeds = []
     monkeypatch.setattr(symrd.upper_bound, "quadratic_root",
                         lambda *abc: seeds.append(abc) or root(*abc))
     for spec, s, D in _edge_points([1e-6, 0.3, 0.7, 1.0 - 1e-6]):
+        expected = quadratic_coefficients(s, spec.L, D)
         seeds.clear()
         solve_lambda_q(s, spec.L, D)
-        assert seeds == [quadratic_coefficients(s, spec.L, D)]
+        assert seeds == [expected]
+
+
+class _CountingMath:
+    """math as symrd.upper_bound sees it, with each log call recorded.
+
+    Each balance evaluation of the converse pass takes one log, the
+    residual check's included, and nothing else in a solve calls log.
+    """
+
+    def __init__(self, calls: list):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.calls.append(x)
+        return math.log(x)
 
 
 def test_newton_solve_on_random_probe(monkeypatch):
     mpref = pytest.importorskip("mpref")
-    balance = symrd.upper_bound._balance
     calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return balance(*args)
-
-    monkeypatch.setattr(symrd.upper_bound, "_balance", counted)
+    monkeypatch.setattr(symrd.upper_bound, "math", _CountingMath(calls))
     evaluations = []
     off = []
     edges = _edge_points([f for f in mpref.PROBE_FRACTIONS if f] + [0.3, 0.7])
@@ -285,6 +304,8 @@ def test_newton_solve_on_random_probe(monkeypatch):
                  + PROBE_RATE_ULPS * math.ulp(rate_nats))
         if abs(rate_nats - float(rate)) > bound:
             off.append((spec, D, rate_nats, float(rate)))
+    # one Newton evaluation at least, and the residual check's
+    assert min(evaluations) >= 2
     assert statistics.median(evaluations) <= 3
     assert max(evaluations) <= 8
     assert not off
@@ -318,14 +339,9 @@ def test_noiseless_rate_past_float_range_raises(D):
 @pytest.mark.parametrize("D", [1e-315, 1e-320, 5e-324])
 def test_noiseless_subnormal_slack_raises_precision_error(D, monkeypatch):
     # L (D - d_min) = L D is subnormal: the solve names that slack before
-    # Newton's method spends its evaluations on too few digits.
+    # Newton's method spends its balance evaluations on too few digits.
     calls = []
-    balance = symrd.upper_bound._balance
-
-    def counted(*args):
-        calls.append(args)
-        return balance(*args)
-    monkeypatch.setattr(symrd.upper_bound, "_balance", counted)
+    monkeypatch.setattr(symrd.upper_bound, "math", _CountingMath(calls))
     with pytest.raises(PrecisionError, match=r"smaller slack L \(D - d_min\)"):
         upper_bound_rate(spectral_decompose(NOISELESS), NOISELESS.L, D)
     assert len(calls) <= 2
