@@ -32,9 +32,7 @@ from .model import (
 )
 from .upper_bound import (
     distortion_of,
-    quadratic_coefficients,
     quadratic_root,
-    rate_alternative_forms,
     rate_of,
     solve_lambda_q,
     upper_bound_rate,
@@ -50,14 +48,10 @@ from .lower_bound import (
     classify,
     lower_bound_piece,
     lower_bound_rate,
-    rc_piece,
 )
 from .oracle import (
     KktCertificate,
     ProgramPoint,
-    kkt_check,
-    omega_objective,
-    recover_multipliers,
     solve_program,
 )
 from .asymptotics import (
@@ -89,12 +83,11 @@ __all__ = [
     "from_eigenvalues", "d_min", "source_variance", "covariance_matrix",
     "eigenbasis", "parse_spec_text",
     "distortion_of", "rate_of", "solve_lambda_q", "upper_bound_rate",
-    "rate_alternative_forms", "quadratic_coefficients", "quadratic_root",
+    "quadratic_root",
     "Branch", "Regime", "classify",
-    "lower_bound_rate", "lower_bound_piece", "rc_piece",
+    "lower_bound_rate", "lower_bound_piece",
     "PIECE_RBAR", "PIECE_R1C", "PIECE_R2C", "PIECE_R1C_HAT", "PIECE_R2C_HAT",
-    "ProgramPoint", "KktCertificate", "omega_objective", "solve_program",
-    "kkt_check", "recover_multipliers",
+    "ProgramPoint", "KktCertificate", "solve_program",
     "Condition", "AsymptoticRegime", "ExpansionCoefficients",
     "asymptotic_regime", "upper_asymptotic", "lower_asymptotic", "asymptotic_row",
     "asymptotic_gap", "expansion_coefficients",

@@ -32,7 +32,7 @@ coefficients alpha_1, alpha_2 (see expansion_coefficients) as
 -gamma_y (gamma_y + 2 alpha_2) / (4 alpha_1^2); this is the form consistent
 with the expansion itself and with the numerically observed limit.  Those
 coefficients come from correlation_form, which writes the b and c of
-upper_bound.quadratic_coefficients as polynomials in L.
+the seed quadratic of upper_bound.solutions as polynomials in L.
 
 Correlations outside [0, 1], and the xi-degenerate points rho_x = 1 and
 rho_y = 0 (with mix > 0 the latter cannot occur), are rejected: the finite-L
@@ -185,9 +185,9 @@ def correlation_form(spec: SourceSpec, gx: float, gz: float, gy: float,
                      mix: float, D: float) -> tuple[float, float, float, float]:
     """(g1, g2, h1, h2) with b = g1 L^2 + g2 L and c = h1 L^2 + h2 L.
 
-    b and c are those of upper_bound.quadratic_coefficients at D, written
-    with the spec's correlations and the scales gx, gz, gy, mix of the
-    module docstring:
+    b and c are those of the seed quadratic of upper_bound.solutions at
+    D, written with the spec's correlations and the scales gx, gz, gy, mix
+    of the module docstring:
 
         g1 = rho_x rho_z sx2 sz2 + mix (gamma_x - D),
         g2 = sx2 (gamma_z + gamma_y) - rho_x sx2 gamma_x - 2 gamma_y D,

@@ -139,10 +139,11 @@ def _not_positive(label: str, what: str, value: float) -> DomainError:
 def _rc(label: str, big, small, L: int, slack: float) -> float:
     """R_1^c or R_2^c (by label) over the given orientation, unclamped.
 
-    slack is L (D - d_min), the first of the pair the lambda_q solve takes
-    (rc_piece's plain form of it, for a D that may lie outside the interval).
+    slack is L (D - d_min), the first of the pair the lambda_q solve takes.
     R_2^c's denominator subtracts m_b x_b^2 / y_b from it, and R_1^c's
-    adds m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.
+    adds m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.  A
+    sub-expression that is not positive (a slack below the piece's
+    domain, or a small side without source) raises DomainError naming it.
     """
     (xb, yb, mb), (xs, ys, ms) = big, small
     first = label in (PIECE_R1C, PIECE_R1C_HAT)
@@ -167,26 +168,6 @@ def _rc(label: str, big, small, L: int, slack: float) -> float:
     return (k / 2.0 * math.log(arg)
             + mb / 2.0 * math.log(ratio)
             + L / 2.0 * math.log(ms / L))
-
-
-def rc_piece(piece: str, spectrum: Spectrum, L: int, D: float) -> float:
-    """Evaluate one composite piece by label: R1c, R2c, R1c_hat or R2c_hat.
-
-    Each piece is the formula as written, with no domain clamping, on the
-    orientation its label names (lambda big for R1c/R2c, gamma big for
-    the hatted pair) whatever the spectrum's side: a nonpositive
-    logarithm argument raises DomainError naming the offending
-    sub-expression.  D is not checked against (d_min, sigma_x_sq): its
-    slack is the plain L (D - d_min), on upper_bound.prepare's d_min, so a
-    D outside the interval reaches the named guards too.  (Above the
-    middle of the interval it can differ by the rounding of d_min or
-    sigma_x^2 from the slack of the pass, which rows takes.)  Use
-    lower_bound_rate for the dispatched bound.
-    """
-    if piece not in _PIECES[0] + _PIECES[1]:
-        raise DomainError(f"unknown piece label {piece!r}")
-    big, small, _ = side_view(spectrum, L, hatted=piece in _PIECES[1])
-    return _rc(piece, big, small, L, L * (D - upper_bound.prepare(spectrum, L).d_min))
 
 
 # --- classification and dispatch ---------------------------------------------

@@ -43,9 +43,9 @@ The program's D-free constants (the ends of (d_min, sigma_x_sq), the side
 view's y values, products and coefficients, the integer parts of the slack
 pair and the distortion constraint's terms) are formed once per spectrum
 by prepare, and solve takes them at each D; solve_program is the two in
-one call.  One helper forms the multipliers and certificate at a point
-(v, delta), at solve's optimum and for recover_multipliers and kkt_check
-anywhere, so the KKT system is written once.
+one call.  One helper recovers the multipliers from the active set at a
+point (v, delta) and scores the KKT system there, so the certificate has
+one path and is written once.
 
 This module is deliberately independent of the closed-form lower bound: it
 never consults the regime classification, and prepare forms its constants
@@ -99,35 +99,9 @@ class KktCertificate(NamedTuple):
     complementarity_residual: float
 
 
-def omega_objective(p: ProgramPoint, spectrum: Spectrum, L: int) -> float:
-    """Evaluate Omega at p in nats.
-
-    Raises DomainError if any logarithm argument is nonpositive (p far
-    outside the feasible box).
-    """
-    s = spectrum
-    lw = s.lambda_w
-    arg1 = (s.lambda_y - lw) * p.alpha + s.lambda_y * lw
-    arg2 = (s.gamma_y - lw) * p.beta + s.gamma_y * lw
-    if not arg1 > 0.0:
-        raise DomainError(f"alpha log argument {arg1!r} is not positive")
-    if not arg2 > 0.0:
-        raise DomainError(f"beta log argument {arg2!r} is not positive")
-    if not p.delta > 0.0:
-        raise DomainError(f"delta = {p.delta!r} is not positive")
-    return (0.5 * math.log(s.lambda_y ** 2 / arg1)
-            + (L - 1) / 2.0 * math.log(s.gamma_y ** 2 / arg2)
-            + L / 2.0 * math.log(lw / p.delta))
-
-
 def _constraint(terms: tuple, alpha: float, beta: float) -> float:
     c_a, lx, c_lam, m, c_b, gx, c_gam = terms
     return c_a * alpha + lx - c_lam + m * (c_b * beta + gx - c_gam)
-
-
-def distortion_constraint(p: ProgramPoint, spectrum: Spectrum, L: int) -> float:
-    """Left side of the distortion constraint at p (compare against L D)."""
-    return _constraint(prepare(spectrum, L).constraint_terms, p.alpha, p.beta)
 
 
 def _slack_terms(big: tuple, small: tuple) -> tuple:
@@ -179,7 +153,8 @@ class Program(NamedTuple):
     and ybys the products y_b^2, y_s^2 and y_b y_s; dy = y_big - y_small,
     a = m_b x_b^2 / y_b^2 and b = m_s x_s^2 / y_s^2 are the reduced
     program's coefficients; slack_terms are _slack_terms's and
-    constraint_terms distortion_constraint's, in the order it adds them.
+    constraint_terms the distortion constraint's, in the order _constraint
+    adds them.
     """
 
     L: int
@@ -268,35 +243,34 @@ def _share(term: float, scale: float) -> float:
     return abs(term) / scale if scale > 0.0 else 0.0
 
 
-def _kkt(program: Program, v: float, d: float, D: float,
-         multipliers: tuple[float, float, float] | None = None) -> KktCertificate:
+def _kkt(program: Program, v: float, d: float, D: float) -> KktCertificate:
     """The KKT certificate of the reduced program at (v, delta) and D.
 
-    The multipliers are recovered from the active set at (v, delta) unless
-    given; the small side's variable is delta, where its envelope pins it.
+    The constraints active at (v, delta) (to _ACTIVE_TOL) say which
+    multipliers may be nonzero, and the stationarity equations are solved
+    exactly for them; the small side's variable is delta, where its
+    envelope pins it.  Raises DomainError where they have no solution:
+    off the envelope when the small side carries no source.
     """
     L, _, _, hatted, yb, ys, mb, dy, a, b, _, _, ybys, _, constraint_terms = program
     lw = dy * v + ybys                    # y_big y_small (1 + c v)
     env, de = v * yb * ys / lw, (ybys / lw) ** 2
     slope = mb * dy / (2.0 * lw)          # minus the objective's v-derivative
     half = L / (2.0 * d)
-    if multipliers is not None:
-        w1, w2, w3 = multipliers
+    w1, w2 = 0.0, (half * a - b * slope) / (a + b * de)
+    # An envelope within _ACTIVE_TOL binds only if w2 >= 0 (box end near the top).
+    if abs(d - env) <= _ACTIVE_TOL * env and w2 >= 0.0:
+        w3 = (half * de + slope) / (a + b * de)
+    elif b == 0.0:
+        # The delta equation reads L / (2 delta) = omega2, and the
+        # envelope is slack, so omega2 = 0.
+        raise DomainError(
+            f"no multipliers exist at delta = {d!r}: the small side carries "
+            "no source (b = 0) and the envelope is not active")
     else:
-        w1, w2 = 0.0, (half * a - b * slope) / (a + b * de)
-        # An envelope within _ACTIVE_TOL binds only if w2 >= 0 (box end near the top).
-        if abs(d - env) <= _ACTIVE_TOL * env and w2 >= 0.0:
-            w3 = (half * de + slope) / (a + b * de)
-        elif b == 0.0:
-            # The delta equation reads L / (2 delta) = omega2, and the
-            # envelope is slack, so omega2 = 0.
-            raise DomainError(
-                f"no multipliers exist at delta = {d!r}: the small side carries "
-                "no source (b = 0) and the envelope is not active")
-        else:
-            w2, w3 = 0.0, half / b
-            if abs(v - yb) <= _ACTIVE_TOL * yb:
-                w1 = slope - w3 * a
+        w2, w3 = 0.0, half / b
+        if abs(v - yb) <= _ACTIVE_TOL * yb:
+            w1 = slope - w3 * a
     # The terms of the stationarity equations in v and in delta.
     v1, v3, v4 = -slope, -w2 * de, w3 * a
     d1, d3 = -half, w3 * b
@@ -318,38 +292,6 @@ def _kkt(program: Program, v: float, d: float, D: float,
                share2 if w2 < 0.0 else share2 * _share(d - env, d + env),
                share3 if w3 < 0.0 else share3 * _share(lhs - rhs, lhs + rhs))
     return KktCertificate(w1, w2, w3, stat, comp)
-
-
-def recover_multipliers(
-    p: ProgramPoint, spectrum: Spectrum, L: int, D: float
-) -> tuple[float, float, float]:
-    """Recover (omega1, omega2, omega3) from the active set at p.
-
-    The constraints active at p (to _ACTIVE_TOL) say which multipliers may
-    be nonzero; the stationarity equations are solved exactly for them.
-    Raises DomainError where they have no solution: off the envelope when
-    the small side carries no source.
-    """
-    program = prepare(spectrum, L)
-    return _kkt(program, p.beta if program.hatted else p.alpha, p.delta, D)[:3]
-
-
-def kkt_check(
-    p: ProgramPoint,
-    multipliers: tuple[float, float, float],
-    spectrum: Spectrum,
-    L: int,
-    D: float,
-) -> KktCertificate:
-    """Relative residuals of the five-condition KKT system at p with given multipliers.
-
-    The stationarity equations in v and delta, and the complementarity
-    products of the box, envelope and distortion constraints, each scaled
-    as KktCertificate describes.  The small side's variable is read as
-    delta, where its envelope pins it.
-    """
-    program = prepare(spectrum, L)
-    return _kkt(program, p.beta if program.hatted else p.alpha, p.delta, D, multipliers)
 
 
 def solve(program: Program, D: float) -> tuple[ProgramPoint, float, KktCertificate]:
@@ -380,9 +322,9 @@ def solve_program(
     -------
     (point, value_nats, certificate)
         value_nats is Omega at point, from the distances to the zero-rate
-        corner (it agrees with omega_objective(point, spectrum, L) to
-        rounding); the certificate carries recovered multipliers and
-        their relative residuals.
+        corner (it agrees with Omega evaluated at point to rounding);
+        the certificate carries recovered multipliers and their relative
+        residuals.
 
     Raises
     ------

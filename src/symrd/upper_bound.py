@@ -20,13 +20,10 @@ source weights, the bracket's denominator and the D-free part of the
 quadratic's b) are formed once per spectrum by prepare.  solutions is the
 pass over a grid of D: for each D it checks D, forms the slack pair,
 solves for lambda_q and takes Rbar there, each written once, in its loop.
-solve_lambda_q, upper_bound_rate and quadratic_coefficients are its
-one-element views; rate_of turns any lambda_q into Rbar.  The module also
-exposes two algebraically equivalent resolvent forms of the rate at a
-lambda_q (used as cross-checks), and the (a, b, c) of the closed-form
-quadratic in lambda_q that the balance equation collapses to and that
-seeds the iteration.
-asymptotics.correlation_form writes the same quadratic's b and c as
+solve_lambda_q and upper_bound_rate are its one-element views; rate_of
+turns any lambda_q into Rbar.  The iteration is seeded by the root of the
+closed-form quadratic in lambda_q that the balance equation collapses to
+(see solutions); asymptotics.correlation_form writes its b and c as
 polynomials in L.
 """
 
@@ -66,11 +63,13 @@ def distortion_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
 
     Strictly increasing in lambda_q, from d_min at 0+ to sigma_x^2 at
     infinity.  This is also the closed-form MMSE identity the Monte-Carlo
-    module verifies empirically.
+    module verifies empirically.  Each direction's term
+    x (1 - x / (y + q)) is written x ((z + q) / (y + q)), with y = x + z,
+    which does not cancel as lambda_q -> 0.
     """
     s = spectrum
-    return (s.lambda_x * (1.0 - s.lambda_x / (s.lambda_y + lambda_q))
-            + (L - 1) * s.gamma_x * (1.0 - s.gamma_x / (s.gamma_y + lambda_q))) / L
+    return (s.lambda_x * ((s.lambda_z + lambda_q) / (s.lambda_y + lambda_q))
+            + (L - 1) * s.gamma_x * ((s.gamma_z + lambda_q) / (s.gamma_y + lambda_q))) / L
 
 
 def rate_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
@@ -89,8 +88,8 @@ class Prepared(NamedTuple):
     c_lam and c_gam model.source_weights's and total their sum,
     L (sigma_x_sq - d_min); bracket_den is c_lam/lambda_y + c_gam/gamma_y,
     the lower bracket end's denominator; b_free is
-    phi1 gamma_y + (L-1) phi2 lambda_y, the D-free part of the quadratic's b
-    (see quadratic_coefficients), y_sum is gamma_y + lambda_y and y_max
+    phi1 gamma_y + (L-1) phi2 lambda_y, the D-free part of the seed
+    quadratic's b (see solutions), y_sum is gamma_y + lambda_y and y_max
     max(lambda_y, gamma_y).
     """
 
@@ -142,8 +141,14 @@ def solutions(prepared: Prepared, grid):
     L (D(lambda_q) - d_min) = c_lam q/(lambda_y + q) + c_gam q/(gamma_y + q),
     and above it L (sigma_x^2 - D(lambda_q))
     = lambda_x^2/(lambda_y + q) + (L-1) gamma_x^2/(gamma_y + q), so neither
-    loses digits to cancellation.  The iteration starts from the root of
-    quadratic_coefficients and stays inside
+    loses digits to cancellation.  The iteration starts from the positive
+    root of the quadratic a x^2 + b x + c = 0 that multiplying the balance
+    through by (lambda_y + x)(gamma_y + x) gives in x = lambda_q.  With
+    phi1 = lambda_x^2 / lambda_y, phi2 = gamma_x^2 / gamma_y and the pair's
+    phi3 = L (D - d_min), a = L (sigma_x^2 - D),
+    b = phi1 gamma_y + (L-1) phi2 lambda_y - phi3 (gamma_y + lambda_y) and
+    c = -phi3 lambda_y gamma_y; phi3 and a are the pair, not the sums that
+    cancel in them.  The iteration stays inside
 
         (L (D - d_min)) / (lambda_x^2/lambda_y^2 + (L-1) gamma_x^2/gamma_y^2)
             <= lambda_q <= max(lambda_y, gamma_y) L (D - d_min) / (L (sigma_x^2 - D)),
@@ -188,7 +193,7 @@ def solutions(prepared: Prepared, grid):
         # stays inside.
         lo = below_side / bracket_den * _WIDEN_LO
         hi = y_max * (below_side / above_side) * _WIDEN_HI
-        # quadratic_coefficients's (a, b, c) on this pair.
+        # The seed quadratic's (a, b, c) on this pair.
         lambda_q = quadratic_root(above_side, b_free - below_side * y_sum,
                                   -below_side * lam_y * gam_y)
         if not lo < lambda_q < hi:
@@ -231,8 +236,9 @@ def solutions(prepared: Prepared, grid):
                         f"Newton iteration on lambda_q did not settle in {MAX_EVALUATIONS} "
                         f"evaluations at D = {D!r}", best=lambda_q)
 
-        # |D(lambda_q) - D| on the solved form, which does not cancel as
-        # lambda_q -> 0 the way distortion_of's differences do.
+        # |D(lambda_q) - D| from the solved form's ratio to the slack,
+        # which keeps its digits as lambda_q -> 0, where the difference
+        # distortion_of(lambda_q) - D would cancel.
         residual = slack * abs(expm1(residual)) / L
         if residual > RESIDUAL_REL_TOL * D:
             if min(D - floor, ceil - D) <= 1e-13 * ceil:
@@ -284,55 +290,6 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
 def upper_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     """Upper bound Rbar(D) in nats; see solve_lambda_q for domain and errors."""
     return next(solutions(prepare(spectrum, L), (D,)))[2]
-
-
-def rate_alternative_forms(spectrum: Spectrum, L: int,
-                           lambda_q: float) -> tuple[float, float]:
-    """Evaluate the two resolvent forms of the rate at noise level lambda_q.
-
-    With the post-channel information eigenvalues
-    1/lambda_i = 1/lambda_y + 1/lambda_q and 1/gamma_i = 1/gamma_y + 1/lambda_q,
-    the first writes the rate through lambda_i, the second through gamma_i:
-
-        1/2 log(lambda_y / lambda_i)
-            + (L-1)/2 log(1 + gamma_y (1/lambda_i - 1/lambda_y)),
-        1/2 log(1 + lambda_y (1/gamma_i - 1/gamma_y))
-            + (L-1)/2 log(gamma_y / gamma_i).
-
-    Both agree with rate_of up to roundoff; they are exposed for
-    cross-checking, not because either is preferred numerically.
-    """
-    s = spectrum
-    lambda_i = 1.0 / (1.0 / s.lambda_y + 1.0 / lambda_q)
-    gamma_i = 1.0 / (1.0 / s.gamma_y + 1.0 / lambda_q)
-    via_lambda = (0.5 * math.log(s.lambda_y / lambda_i)
-                  + (L - 1) * 0.5 * math.log1p(
-                      s.gamma_y * (1.0 / lambda_i - 1.0 / s.lambda_y)))
-    via_gamma = (0.5 * math.log1p(s.lambda_y * (1.0 / gamma_i - 1.0 / s.gamma_y))
-                 + (L - 1) * 0.5 * math.log(s.gamma_y / gamma_i))
-    return via_lambda, via_gamma
-
-
-def quadratic_coefficients(spectrum: Spectrum, L: int, D: float) -> tuple[float, float, float]:
-    """(a, b, c) of the quadratic a x^2 + b x + c = 0 whose positive root is lambda_q.
-
-    Multiplying the balance equation through by
-    (lambda_y + x)(gamma_y + x) yields a quadratic in x = lambda_q.  With
-
-        phi1 = lambda_x^2 / lambda_y,
-        phi2 = gamma_x^2 / gamma_y,
-        phi3 = L (D - d_min) = L D + phi1 + (L-1) phi2 - (lambda_x + (L-1) gamma_x),
-
-    its coefficients are a = L (sigma_x^2 - D),
-    b = phi1 gamma_y + (L-1) phi2 lambda_y - phi3 (gamma_y + lambda_y) and
-    c = -phi3 lambda_y gamma_y.  phi3 and a are the slack pair of
-    solutions at D, not the sums that cancel in them, so D must lie inside
-    (d_min, sigma_x_sq), with solve_lambda_q's errors.
-    """
-    p = prepare(spectrum, L)
-    *_, below_slack, above_slack = next(solutions(p, (D,)))
-    return (above_slack, p.b_free - below_slack * p.y_sum,
-            -below_slack * spectrum.lambda_y * spectrum.gamma_y)
 
 
 def quadratic_root(a: float, b: float, c: float) -> float:

@@ -169,6 +169,21 @@ def lower(label: str, s: Spectrum, L: int, D) -> tuple[mpf, mpf]:
     return upper(s, L, D) if label == "Rbar" else piece(label, s, L, D)
 
 
+def omega(s: Spectrum, L: int, alpha, beta, delta) -> mpf:
+    """The converse program's objective Omega(alpha, beta, delta) in nats.
+
+    1/2 ln[lambda_y^2 / ((lambda_y - w) alpha + lambda_y w)]
+    + (L-1)/2 ln[gamma_y^2 / ((gamma_y - w) beta + gamma_y w)] + L/2 ln(w / delta),
+    w = min(lambda_y, gamma_y).
+    """
+    ly, gy = s.lambda_y, s.gamma_y
+    w = min(ly, gy)
+    alpha, beta, delta = _mp(alpha), _mp(beta), _mp(delta)
+    return (_CTX.log(ly ** 2 / ((ly - w) * alpha + ly * w))
+            + (L - 1) * _CTX.log(gy ** 2 / ((gy - w) * beta + gy * w))
+            + L * _CTX.log(w / delta)) / 2
+
+
 def ceo(L: int, sigma_x_sq, sigma_n_sq, D) -> mpf:
     """Quadratic Gaussian CEO sum-rate (Oohama 1998; Prabhakaran-Tse-Ramchandran 2004).
 

@@ -30,8 +30,6 @@ from symrd import (
     lower_asymptotic,
     lower_bound_piece,
     lower_bound_rate,
-    omega_objective,
-    rc_piece,
     run_simulation,
     solve_lambda_q,
     solve_program,
@@ -167,15 +165,15 @@ def test_criterion_4():
         lower_bound_piece(s3, L_CASES, t3.d_th_2 * (1 - eps)) == PIECE_R1C,
         lower_bound_piece(s3, L_CASES, t3.d_th_2 * (1 + eps)) == PIECE_RBAR,
     ]
+    # the adjoining pieces, replayed at 50 digits, at each breakpoint
+    mpref = pytest.importorskip("mpref")
+    e2, e3 = mpref.exact(s2), mpref.exact(s3)
     jumps = [
-        abs(rc_piece(PIECE_R1C, s2, L_CASES, t2.d_th_1)
-            - upper_bound_rate(s2, L_CASES, t2.d_th_1)),
-        abs(rc_piece(PIECE_R1C, s2, L_CASES, t2.d_th_c)
-            - rc_piece(PIECE_R2C, s2, L_CASES, t2.d_th_c)),
-        abs(rc_piece(PIECE_R1C, s3, L_CASES, t3.d_th_1)
-            - upper_bound_rate(s3, L_CASES, t3.d_th_1)),
-        abs(rc_piece(PIECE_R1C, s3, L_CASES, t3.d_th_2)
-            - upper_bound_rate(s3, L_CASES, t3.d_th_2)),
+        float(abs(mpref.lower(below, e, L_CASES, D)[0] - mpref.lower(above, e, L_CASES, D)[0]))
+        for e, D, below, above in ((e2, t2.d_th_1, PIECE_RBAR, PIECE_R1C),
+                                   (e2, t2.d_th_c, PIECE_R1C, PIECE_R2C),
+                                   (e3, t3.d_th_1, PIECE_RBAR, PIECE_R1C),
+                                   (e3, t3.d_th_2, PIECE_R1C, PIECE_RBAR))
     ]
     elapsed = time.perf_counter() - t0
     ok = all(transitions) and max(jumps) <= 1e-8
@@ -312,6 +310,7 @@ def test_criterion_8(capsys, tmp_path):
 
 
 def test_criterion_9():
+    mpref = pytest.importorskip("mpref")
     t0 = time.perf_counter()
     rng = np.random.default_rng(424243)
     n_specs = 1000
@@ -363,8 +362,9 @@ def test_criterion_9():
         mid = ProgramPoint(0.5 * (p1.alpha + p2.alpha),
                            0.5 * (p1.beta + p2.beta),
                            0.5 * (p1.delta + p2.delta))
-        chord = 0.5 * (omega_objective(p1, s, L) + omega_objective(p2, s, L))
-        if omega_objective(mid, s, L) > chord + 1e-9:
+        exact = mpref.exact(s)
+        chord = 0.5 * (mpref.omega(exact, L, *p1) + mpref.omega(exact, L, *p2))
+        if mpref.omega(exact, L, *mid) > chord + 1e-9:
             failures.append((i, "convexity"))
     elapsed = time.perf_counter() - t0
     detail = (f"sandwich/monotonicity/round-trip/eigen/convexity over "

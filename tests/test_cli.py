@@ -8,6 +8,7 @@ pyproject.toml is checked separately, without an install.
 
 import dataclasses
 import importlib
+import importlib.util
 import math
 import re
 import subprocess
@@ -784,3 +785,20 @@ def test_console_script_entry_resolves_to_main():
     assert scripts == {"symrd": "symrd.cli:main"}
     module_name, _, attr = scripts["symrd"].partition(":")
     assert getattr(importlib.import_module(module_name), attr) is cli.main
+
+
+def test_benchmark_bindings_resolve():
+    # symbench/spans.py traces by rebinding the module attributes in its
+    # TARGETS and symrd.simulate's np, and symbench/run.py counts calls of
+    # two upper_bound functions: each must resolve.
+    path = Path(__file__).resolve().parent.parent / "symbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("symbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bindings = [(module, attr) for module, attr, _ in spans.TARGETS] + [
+        ("symrd.upper_bound", "distortion_of"),
+        ("symrd.upper_bound", "solve_lambda_q"),
+        ("symrd.simulate", "np"),
+    ]
+    for module, attr in bindings:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)

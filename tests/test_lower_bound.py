@@ -27,15 +27,14 @@ from symrd import (
     from_eigenvalues,
     lower_bound_piece,
     lower_bound_rate,
-    rc_piece,
     solve_lambda_q,
     source_variance,
     spectral_decompose,
     upper_bound_rate,
 )
 import symrd.upper_bound
-from symrd.lower_bound import classify, evaluate, rows
-from symrd.model import outside_interval, parse_spec_text
+from symrd.lower_bound import _rc, classify, evaluate, rows
+from symrd.model import outside_interval, parse_spec_text, side_view
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -172,27 +171,28 @@ def test_case1_matches_upper_everywhere():
         assert abs(lo - up) <= 1e-12 * max(1.0, up)
 
 
+# (spectrum, hatted, [(threshold, piece below it, piece above it)]).
+BREAKPOINTS = [
+    (CASE2, False, [("d_th_1", PIECE_RBAR, PIECE_R1C), ("d_th_c", PIECE_R1C, PIECE_R2C)]),
+    (CASE3, False, [("d_th_1", PIECE_RBAR, PIECE_R1C), ("d_th_2", PIECE_R1C, PIECE_RBAR)]),
+    (SPEC_B, True, [("d_th_1", PIECE_RBAR, PIECE_R1C_HAT),
+                    ("d_th_c", PIECE_R1C_HAT, PIECE_R2C_HAT)]),
+]
+
+
 def test_continuity_at_breakpoints():
-    # adjoining pieces evaluated at the same breakpoint must agree
-    s2 = _spectrum(CASE2)
-    t2 = classify(s2, L_CASES)
-    assert abs(rc_piece(PIECE_R1C, s2, L_CASES, t2.d_th_1)
-               - upper_bound_rate(s2, L_CASES, t2.d_th_1)) <= 1e-8
-    assert abs(rc_piece(PIECE_R1C, s2, L_CASES, t2.d_th_c)
-               - rc_piece(PIECE_R2C, s2, L_CASES, t2.d_th_c)) <= 1e-8
-    s3 = _spectrum(CASE3)
-    t3 = classify(s3, L_CASES)
-    assert abs(rc_piece(PIECE_R1C, s3, L_CASES, t3.d_th_1)
-               - upper_bound_rate(s3, L_CASES, t3.d_th_1)) <= 1e-8
-    assert abs(rc_piece(PIECE_R1C, s3, L_CASES, t3.d_th_2)
-               - upper_bound_rate(s3, L_CASES, t3.d_th_2)) <= 1e-8
-    sb = _spectrum(SPEC_B)
-    rb = classify(sb, L_CASES)
-    assert rb.hatted
-    assert abs(rc_piece(PIECE_R1C_HAT, sb, L_CASES, rb.d_th_1)
-               - upper_bound_rate(sb, L_CASES, rb.d_th_1)) <= 1e-8
-    assert abs(rc_piece(PIECE_R1C_HAT, sb, L_CASES, rb.d_th_c)
-               - rc_piece(PIECE_R2C_HAT, sb, L_CASES, rb.d_th_c)) <= 1e-8
+    # adjoining pieces, replayed at 50 digits, agree at the breakpoints
+    # that classify gives
+    mpref = pytest.importorskip("mpref")
+    for eig, hatted, breaks in BREAKPOINTS:
+        s = _spectrum(eig)
+        regime, exact = classify(s, L_CASES), mpref.exact(s)
+        assert regime.hatted is hatted
+        for name, below, above in breaks:
+            D = getattr(regime, name)
+            jump = (mpref.lower(below, exact, L_CASES, D)[0]
+                    - mpref.lower(above, exact, L_CASES, D)[0])
+            assert abs(jump) <= 1e-8, (eig, name)
 
 
 def test_piece_switches_across_breakpoints():
@@ -218,9 +218,10 @@ def test_degenerate_gamma_unhatted_flag():
     s = _spectrum(SPEC_C)
     default = lower_bound_rate(s, L_CASES, 0.30)
     assert abs(default - SPEC_C_R2C_HAT_AT_030) <= 1e-10 * default
+    big, small, _ = side_view(s, L_CASES, hatted=False)
     for piece in (PIECE_R1C, PIECE_R2C):
         with pytest.raises(DomainError) as exc:
-            rc_piece(piece, s, L_CASES, 0.30)
+            _rc(piece, big, small, L_CASES, L_CASES * (0.30 - d_min(s, L_CASES)))
         assert "not positive" in str(exc.value)
 
 
@@ -358,11 +359,6 @@ def test_evaluate_errors_are_upper_bound_rates(arm):
             assert got == (DomainError, str(outside_interval(D, lo, hi)))
 
 
-def test_rc_piece_rejects_unknown_label():
-    with pytest.raises(DomainError):
-        rc_piece("R3c", _spectrum(CASE2), L_CASES, 0.8)
-
-
 def test_rejects_out_of_range_distortion():
     s = _spectrum(CASE2)
     with pytest.raises(DomainError):
@@ -371,11 +367,12 @@ def test_rejects_out_of_range_distortion():
         lower_bound_rate(s, L_CASES, source_variance(s, L_CASES))
 
 
-def test_rc_piece_domain_errors_name_the_subexpression():
+def test_rc_domain_errors_name_the_subexpression():
     # R1c evaluated far outside its validity window hits a named guard
     s = _spectrum(CASE2)
+    big, small, _ = side_view(s, L_CASES, hatted=False)
     with pytest.raises(DomainError) as exc:
-        rc_piece(PIECE_R1C, s, L_CASES, 0.60)
+        _rc(PIECE_R1C, big, small, L_CASES, L_CASES * (0.60 - d_min(s, L_CASES)))
     assert "R1c" in str(exc.value)
 
 

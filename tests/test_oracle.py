@@ -30,17 +30,13 @@ from symrd import (
     SourceSpec,
     d_min,
     from_eigenvalues,
-    kkt_check,
-    omega_objective,
-    recover_multipliers,
     solve_program,
     source_variance,
     spectral_decompose,
     upper_bound_rate,
 )
 from symrd.model import side_view
-from symrd.oracle import (CERTIFICATE_TOL, _slack_pair, _slack_terms, distortion_constraint,
-                          prepare, solve)
+from symrd.oracle import CERTIFICATE_TOL, _constraint, _kkt, _slack_pair, _slack_terms, prepare, solve
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -72,37 +68,24 @@ SPEC_D_DELTA_STAR_060 = 0.75
 SPEC_D_OMEGA1_060 = 0.0625
 SPEC_D_OMEGA3_060 = 1.6666666666666666666666666667     # = 5/3
 
-# 50-digit reference: relative stationarity residual when the D = 0.85
-# optimum of case 1 is shifted by +0.1 in alpha while keeping the optimal
-# multipliers (absolute residual 0.000975028926379832831343828266 over
-# the sum 0.237743069... of the absolute values of its terms).
-CASE1_PERTURBED_RESIDUAL = 0.00410118580741246405985483045478
-
 
 def _spectrum(eig):
     return spectral_decompose(from_eigenvalues(L_CASES, *eig))
 
 
-def test_omega_objective_frozen_probe():
-    s = _spectrum(CASE2)
-    got = omega_objective(ProgramPoint(3.0, 1.5, 1.0), s, L_CASES)
-    assert abs(got - OMEGA_CASE2_PROBE) < 1e-12
+def test_omega_replay_frozen_probe():
+    mpref = pytest.importorskip("mpref")
+    s = mpref.exact(_spectrum(CASE2))
+    assert abs(mpref.omega(s, L_CASES, 3.0, 1.5, 1.0) - OMEGA_CASE2_PROBE) < 1e-12
 
 
-def test_omega_objective_zero_point():
+def test_omega_replay_zero_point():
     # at (lambda_Y, gamma_Y, lambda_W) every log argument collapses to 1
+    mpref = pytest.importorskip("mpref")
     for eig in (CASE1, CASE2, CASE3, SPEC_B):
-        s = _spectrum(eig)
-        p = ProgramPoint(s.lambda_y, s.gamma_y, s.lambda_w)
-        assert abs(omega_objective(p, s, L_CASES)) < 1e-14
-
-
-def test_omega_objective_rejects_bad_log_argument():
-    s = _spectrum(CASE2)
-    with pytest.raises(DomainError):
-        omega_objective(ProgramPoint(-20.0, 1.5, 1.0), s, L_CASES)
-    with pytest.raises(DomainError):
-        omega_objective(ProgramPoint(3.0, 1.5, 0.0), s, L_CASES)
+        s = mpref.exact(_spectrum(eig))
+        w = min(s.lambda_y, s.gamma_y)
+        assert abs(mpref.omega(s, L_CASES, s.lambda_y, s.gamma_y, w)) < 1e-14
 
 
 def test_case2_boundary_optimum():
@@ -179,18 +162,22 @@ def test_multipliers_nonnegative_and_complementary():
         assert cert.omega2 >= -1e-9
         assert cert.omega3 >= -1e-9
         # the distortion constraint is active at every optimum
-        assert abs(distortion_constraint(p, s, L_CASES) - L_CASES * D) \
+        terms = prepare(s, L_CASES).constraint_terms
+        assert abs(_constraint(terms, p.alpha, p.beta) - L_CASES * D) \
             <= 1e-7 * L_CASES * D
 
 
 def test_perturbed_point_breaks_stationarity():
+    # The certificate recovered at the optimum shifted by +0.1 in alpha
+    # (lambda is the big side here, so alpha is v): stationarity fails by
+    # 0.69 relatively, far past CERTIFICATE_TOL.
     s = _spectrum(CASE1)
-    p, value, cert = solve_program(s, L_CASES, 0.85)
-    mult = recover_multipliers(p, s, L_CASES, 0.85)
-    shifted = ProgramPoint(p.alpha + 0.1, p.beta, p.delta)
-    bad = kkt_check(shifted, mult, s, L_CASES, 0.85)
-    assert abs(bad.stationarity_residual - CASE1_PERTURBED_RESIDUAL) < 1e-9
+    program = prepare(s, L_CASES)
+    assert not program.hatted
+    p, value, cert = solve(program, 0.85)
+    bad = _kkt(program, p.alpha + 0.1, p.delta, 0.85)
     assert bad.stationarity_residual > 5e-4
+    assert bad.stationarity_residual > CERTIFICATE_TOL
     assert bad.stationarity_residual >= 100.0 * max(
         cert.stationarity_residual, 1e-300)
 
@@ -203,23 +190,17 @@ def test_no_multipliers_off_the_envelope_without_small_source():
     spec = SourceSpec(64, 0.0034555755086436153, 1.0, 0.0017782865598957118,
                       0.22063194066367603)
     s, D = spectral_decompose(spec), 0.00037279432978391293
-    p, value, cert = solve_program(s, spec.L, D)
-    assert recover_multipliers(p, s, spec.L, D) == (
-        cert.omega1, cert.omega2, cert.omega3)
-    off = ProgramPoint(p.alpha * 1.01, p.beta, p.delta * 0.99)
+    program = prepare(s, spec.L)
+    assert program.b == 0.0 and not program.hatted
+    p, value, cert = solve(program, D)
     with pytest.raises(DomainError, match="no multipliers"):
-        recover_multipliers(off, s, spec.L, D)
+        _kkt(program, p.alpha * 1.01, p.delta * 0.99, D)
 
 
-def _hex(values) -> list:
-    return [value.hex() for value in values]
-
-
-def test_solve_certificate_is_recover_multipliers_and_kkt_check():
-    # One path for the certificate: solve's multipliers and certificate
-    # are, bit for bit, recover_multipliers and kkt_check at its own point,
-    # on both sides, at b = 0 and at each of the three candidates, for L
-    # up to 1e6 and variances within 1e+-30.
+def test_certificate_probe_reaches_every_candidate():
+    # The probe that the certificate tests run over reaches the box end,
+    # the crossing and the cap's stationary point, on both sides and at
+    # b = 0, for L up to 1e6 and variances within 1e+-30.
     mpref = pytest.importorskip("mpref")
     seen = set()
     for spec, s, D in mpref.certificate_probe():
@@ -230,9 +211,6 @@ def test_solve_certificate_is_recover_multipliers_and_kkt_check():
             point, _, cert = exc.best
         except PrecisionError:
             continue                   # D within rounding of an end
-        multipliers = cert[:3]
-        assert _hex(recover_multipliers(point, s, spec.L, D)) == _hex(multipliers)
-        assert _hex(kkt_check(point, multipliers, s, spec.L, D)) == _hex(cert)
         v = point.beta if program.hatted else point.alpha
         envelope = v * program.yb * program.ys / (program.dy * v + program.ybys)
         kind = "box" if v == program.yb else "crossing" if point.delta == envelope else "cap"
@@ -240,6 +218,30 @@ def test_solve_certificate_is_recover_multipliers_and_kkt_check():
     assert {kind for _, _, kind in seen} == {"box", "crossing", "cap"}
     assert {hatted for hatted, _, _ in seen} == {False, True}
     assert (False, True, "crossing") in seen and (True, True, "crossing") in seen
+
+
+# The oracle's value against the 50-digit Omega at the point it returns is
+# held to OMEGA_POINT_EPS * eps * (|value| + L).  Rounding each of the
+# point's coordinates moves Omega by up to about L/2 eps (its delta term
+# has slope -L / (2 delta)), so near the top of the interval, where the
+# value nears 0, the point itself fixes Omega to only some L eps.
+# Measured over mpref.certificate_probe(): at most 1.19.
+OMEGA_POINT_EPS = 2.0
+
+
+def test_value_is_omega_at_its_own_point():
+    mpref = pytest.importorskip("mpref")
+    eps = np.finfo(float).eps
+    for spec, s, D in mpref.certificate_probe():
+        try:
+            point, value, _ = solve(prepare(s, spec.L), D)
+        except ConvergenceError as exc:
+            point, value, _ = exc.best
+        except PrecisionError:
+            continue                   # D within rounding of an end
+        ref = mpref.omega(mpref.exact(s), spec.L, *point)
+        assert abs(value - float(ref)) <= OMEGA_POINT_EPS * eps * (abs(value) + spec.L), \
+            (spec, D)
 
 
 def test_matching_region_program_equals_upper():
@@ -263,9 +265,11 @@ def test_rejects_out_of_range_distortion():
 
 def test_omega_midpoint_convexity():
     # the objective is convex on its domain: midpoint value never exceeds
-    # the chord average (sampled)
+    # the chord average (sampled, on the 50-digit replay)
+    mpref = pytest.importorskip("mpref")
     rng = np.random.default_rng(30217)
     s = _spectrum(CASE2)
+    exact = mpref.exact(s)
     checked = 0
     while checked < 200:
         a1, a2 = rng.uniform(0.05, 1.0, size=2) * s.lambda_y
@@ -276,9 +280,9 @@ def test_omega_midpoint_convexity():
         mid = ProgramPoint(0.5 * (p1.alpha + p2.alpha),
                            0.5 * (p1.beta + p2.beta),
                            0.5 * (p1.delta + p2.delta))
-        f1 = omega_objective(p1, s, L_CASES)
-        f2 = omega_objective(p2, s, L_CASES)
-        fm = omega_objective(mid, s, L_CASES)
+        f1 = mpref.omega(exact, L_CASES, *p1)
+        f2 = mpref.omega(exact, L_CASES, *p2)
+        fm = mpref.omega(exact, L_CASES, *mid)
         assert fm <= 0.5 * (f1 + f2) + 1e-9
         checked += 1
 

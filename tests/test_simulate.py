@@ -613,6 +613,14 @@ def test_tiny_scale_is_the_unit_problem_scaled():
     assert res.matches_routed_identity
 
 
+def test_noiseless_closed_form_distortion_at_tiny_lambda_q():
+    # sigma_z^2 = 0, so each direction's distortion x q / (x + q) is q to
+    # first order; a form x (1 - x / (y + q)) cancels to 0 here.
+    res = run_simulation(SimConfig(SourceSpec(10, 1.0, 0.3, 0.0, 0.0), 1e-200, 100, 1))
+    assert abs(res.distortion_closed_form - 1e-200) <= 1e-15 * 1e-200
+    assert res.matches_routed_identity
+
+
 @pytest.mark.parametrize("spec", [
     SourceSpec(12, 1.0, -1.0 / 11.0, 0.5, 0.2),   # lambda_x = 0
     SourceSpec(12, 1.0, 1.0, 0.5, 0.2),           # gamma_x = 0

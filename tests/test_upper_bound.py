@@ -4,7 +4,8 @@ Reference values marked "50-digit reference" were computed independently
 with an mpmath program (bisection at 50 decimal digits on the distortion
 constraint, plus the closed-form rate); frozen here as float literals.
 test_newton_solve_on_random_probe compares the solver with the same replay
-(tests/mpref.py) over the range the library accepts.
+(tests/mpref.py) over the range the library accepts and at the frozen
+solutions.
 """
 
 import math
@@ -21,9 +22,7 @@ from symrd import (
     d_min,
     distortion_of,
     from_eigenvalues,
-    quadratic_coefficients,
     quadratic_root,
-    rate_alternative_forms,
     rate_of,
     solve_lambda_q,
     source_variance,
@@ -52,6 +51,24 @@ def _spectrum(eig):
     return spectral_decompose(from_eigenvalues(L_CASES, *eig))
 
 
+@pytest.fixture
+def seeds(monkeypatch):
+    """The (a, b, c) that each lambda_q solve hands to quadratic_root, in order."""
+    root = symrd.upper_bound.quadratic_root
+    recorded = []
+    monkeypatch.setattr(symrd.upper_bound, "quadratic_root",
+                        lambda *abc: recorded.append(abc) or root(*abc))
+    return recorded
+
+
+def _seeded_solve(seeds, s, L, D):
+    """(lambda_q, (a, b, c)): the solve at D and its one seed quadratic."""
+    seeds.clear()
+    lambda_q = solve_lambda_q(s, L, D)
+    (abc,) = seeds
+    return lambda_q, abc
+
+
 def _assert_correlation_form(b, c, spec, s, D):
     # asymptotics.correlation_form writes b and c as polynomials in L
     mix = spec.rho_x * spec.sigma_x_sq + spec.rho_z * spec.sigma_z_sq
@@ -78,24 +95,13 @@ def test_distortion_round_trip(eig, D, lam_q, rate):
 
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
-def test_rate_forms_agree(eig, D, lam_q, rate):
-    # the three equivalent rate expressions (direct, via lambda_I, via
-    # gamma_I) must agree
-    s = _spectrum(eig)
-    lambda_q = solve_lambda_q(s, L_CASES, D)
-    rate_nats = rate_of(s, L_CASES, lambda_q)
-    via_lambda, via_gamma = rate_alternative_forms(s, L_CASES, lambda_q)
-    assert abs(via_lambda - rate_nats) <= 1e-10 * max(1.0, rate_nats)
-    assert abs(via_gamma - rate_nats) <= 1e-10 * max(1.0, rate_nats)
-
-
-@pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
-def test_quadratic_coefficient_identities(eig, D, lam_q, rate):
-    # the phi-form and the correlation-form (g, h) coefficients describe
-    # the same quadratic: b = g1 L^2 + g2 L and c = h1 L^2 + h2 L
+def test_quadratic_coefficient_identities(eig, D, lam_q, rate, seeds):
+    # the seed quadratic's phi-form and the correlation-form (g, h)
+    # coefficients describe the same quadratic: b = g1 L^2 + g2 L and
+    # c = h1 L^2 + h2 L
     spec = from_eigenvalues(L_CASES, *eig)
     s = spectral_decompose(spec)
-    a, b, c = quadratic_coefficients(s, L_CASES, D)
+    _, (a, b, c) = _seeded_solve(seeds, s, L_CASES, D)
     _assert_correlation_form(b, c, spec, s, D)
     # the bisection solution is a root of the quadratic
     residual = a * lam_q * lam_q + b * lam_q + c
@@ -103,10 +109,10 @@ def test_quadratic_coefficient_identities(eig, D, lam_q, rate):
 
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
-def test_quadratic_root_matches_bisection(eig, D, lam_q, rate):
+def test_quadratic_root_matches_bisection(eig, D, lam_q, rate, seeds):
     s = _spectrum(eig)
-    lambda_q = solve_lambda_q(s, L_CASES, D)
-    root = quadratic_root(*quadratic_coefficients(s, L_CASES, D))
+    lambda_q, abc = _seeded_solve(seeds, s, L_CASES, D)
+    root = quadratic_root(*abc)
     assert abs(root - lambda_q) <= 1e-8 * lambda_q
 
 
@@ -167,13 +173,13 @@ def test_solve_rejects_interval_too_narrow_for_its_slacks():
         solve_lambda_q(spectral_decompose(spec), 3, 0.6410876969787889)
 
 
-def test_quadratic_root_rejects_nonpositive_leading_coefficient():
+def test_quadratic_root_rejects_nonpositive_leading_coefficient(seeds):
     # a = L (sigma_x^2 - D) <= 0 means D is out of range for the quadratic;
-    # quadratic_coefficients takes the checked slack pair of the converse
-    # pass, so the b and c of a valid D stand beside a = 0 and a < 0
+    # the seed takes the checked slack pair of the converse pass, so the
+    # b and c of a valid D stand beside a = 0 and a < 0
     s = _spectrum(CASE1)
     D = 0.5 * (d_min(s, L_CASES) + source_variance(s, L_CASES))
-    a, b, c = quadratic_coefficients(s, L_CASES, D)
+    _, (a, b, c) = _seeded_solve(seeds, s, L_CASES, D)
     for bad in (0.0, -a):
         with pytest.raises(DomainError):
             quadratic_root(bad, b, c)
@@ -185,9 +191,9 @@ def test_rate_of_zero_noise_limit():
     assert 0.0 < rate_of(s, L_CASES, 1e12) < 1e-10
 
 
-def test_randomized_consistency():
-    # residual, three-way rate agreement, the correlation form of the
-    # quadratic and quadratic-vs-bisection on randomized specs
+def test_randomized_consistency(seeds):
+    # residual, the correlation form of the seed quadratic and
+    # quadratic-vs-bisection on randomized specs
     rng = np.random.default_rng(55901)
     for _ in range(300):
         L = int(rng.integers(2, 13))
@@ -200,14 +206,8 @@ def test_randomized_consistency():
         dm = d_min(s, L)
         top = source_variance(s, L)
         D = dm + (top - dm) * float(rng.uniform(0.02, 0.98))
-        lambda_q = solve_lambda_q(s, L, D)
+        lambda_q, (a, b, c) = _seeded_solve(seeds, s, L, D)
         assert abs(distortion_of(s, L, lambda_q) - D) <= 1e-10 * D
-        rate_nats = rate_of(s, L, lambda_q)
-        via_lambda, via_gamma = rate_alternative_forms(s, L, lambda_q)
-        scale = max(1.0, rate_nats)
-        assert abs(via_lambda - rate_nats) <= 1e-10 * scale
-        assert abs(via_gamma - rate_nats) <= 1e-10 * scale
-        a, b, c = quadratic_coefficients(s, L, D)
         _assert_correlation_form(b, c, spec, s, D)
         root = quadratic_root(a, b, c)
         assert abs(root - lambda_q) <= 1e-8 * lambda_q
@@ -252,20 +252,17 @@ def _edge_points(fractions):
     return points
 
 
-def test_newton_seed_is_the_quadratic_coefficients_root(monkeypatch):
-    # the converse pass forms its seed's (a, b, c) from its own locals;
-    # they are quadratic_coefficients's, bit for bit, below and above the
-    # middle (quadratic_coefficients runs the pass for its slack pair, so
-    # it is called before the seeds are recorded)
-    root = symrd.upper_bound.quadratic_root
-    seeds = []
-    monkeypatch.setattr(symrd.upper_bound, "quadratic_root",
-                        lambda *abc: seeds.append(abc) or root(*abc))
+def test_newton_seed_takes_the_pass_slack_pair(seeds):
+    # the converse pass seeds each solve with one quadratic, whose a and
+    # phi3 are, bit for bit, the slack pair it yields, below and above the
+    # middle: a = L (sigma_x^2 - D), b = b_free - phi3 (gamma_y + lambda_y)
+    # and c = -phi3 lambda_y gamma_y with phi3 = L (D - d_min)
     for spec, s, D in _edge_points([1e-6, 0.3, 0.7, 1.0 - 1e-6]):
-        expected = quadratic_coefficients(s, spec.L, D)
+        p = symrd.upper_bound.prepare(s, spec.L)
         seeds.clear()
-        solve_lambda_q(s, spec.L, D)
-        assert seeds == [expected]
+        *_, below, above = next(symrd.upper_bound.solutions(p, (D,)))
+        assert seeds == [(above, p.b_free - below * p.y_sum,
+                          -below * s.lambda_y * s.gamma_y)]
 
 
 class _CountingMath:
@@ -293,7 +290,9 @@ def test_newton_solve_on_random_probe(monkeypatch):
     evaluations = []
     off = []
     edges = _edge_points([f for f in mpref.PROBE_FRACTIONS if f] + [0.3, 0.7])
-    for spec, s, D in mpref.probe(seed=20261018, n=2000) + edges:
+    frozen = [(from_eigenvalues(L_CASES, *eig), _spectrum(eig), D)
+              for eig, D, _, _ in FROZEN_SOLUTIONS]
+    for spec, s, D in mpref.probe(seed=20261018, n=2000) + edges + frozen:
         calls.clear()
         rate_nats = rate_of(s, spec.L, solve_lambda_q(s, spec.L, D))
         evaluations.append(len(calls))
@@ -317,7 +316,7 @@ NOISELESS = SourceSpec(10, 1.0, 0.3, 0.0, 0.0)
 
 def test_noiseless_small_distortion_matches_replay():
     # The residual check holds the solved form, which does not cancel as
-    # lambda_q -> 0; distortion_of's differences lose every digit there.
+    # lambda_q -> 0, where a difference distortion_of(lambda_q) - D would.
     # (Below D ~ 1e-40 the 50-digit replay cancels itself.)
     mpref = pytest.importorskip("mpref")
     s = spectral_decompose(NOISELESS)
