@@ -125,6 +125,24 @@ def upper(s: Spectrum, L: int, D) -> tuple[mpf, mpf]:
     return rate, drate / ddist
 
 
+def rate_forms(s: Spectrum, L: int, q) -> tuple[mpf, mpf]:
+    """The rate at noise level q in its two resolvent forms.
+
+    With 1/lambda_i = 1/lambda_y + 1/q and 1/gamma_i = 1/gamma_y + 1/q,
+    the first writes the rate through lambda_i, the second through gamma_i:
+
+        1/2 ln(lambda_y / lambda_i) + (L-1)/2 ln(1 + gamma_y (1/lambda_i - 1/lambda_y)),
+        1/2 ln(1 + lambda_y (1/gamma_i - 1/gamma_y)) + (L-1)/2 ln(gamma_y / gamma_i).
+    """
+    q = _mp(q)
+    ly, gy = s.lambda_y, s.gamma_y
+    li = 1 / (1 / ly + 1 / q)
+    gi = 1 / (1 / gy + 1 / q)
+    via_lambda = (_CTX.log(ly / li) + (L - 1) * _CTX.log(1 + gy * (1 / li - 1 / ly))) / 2
+    via_gamma = (_CTX.log(1 + ly * (1 / gi - 1 / gy)) + (L - 1) * _CTX.log(gy / gi)) / 2
+    return via_lambda, via_gamma
+
+
 def piece(label: str, s: Spectrum, L: int, D) -> tuple[mpf, mpf]:
     """R1c, R2c, R1c_hat or R2c_hat at D, and its slope.
 

@@ -95,6 +95,18 @@ def test_distortion_round_trip(eig, D, lam_q, rate):
 
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
+def test_rate_forms_agree(eig, D, lam_q, rate):
+    # rate_of at the solved lambda_q agrees with the two resolvent forms of
+    # the rate (via lambda_I, via gamma_I), replayed at 50 digits there
+    mpref = pytest.importorskip("mpref")
+    s = _spectrum(eig)
+    lambda_q = solve_lambda_q(s, L_CASES, D)
+    rate_nats = rate_of(s, L_CASES, lambda_q)
+    for form in mpref.rate_forms(mpref.exact(s), L_CASES, lambda_q):
+        assert abs(float(form) - rate_nats) <= 1e-10 * max(1.0, rate_nats)
+
+
+@pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
 def test_quadratic_coefficient_identities(eig, D, lam_q, rate, seeds):
     # the seed quadratic's phi-form and the correlation-form (g, h)
     # coefficients describe the same quadratic: b = g1 L^2 + g2 L and
