@@ -24,28 +24,31 @@ The solver works on `model.side_view`: the eigen-directions as (x, y, m)
 triples, "big" for the larger y and "small" for the other, so lambda_w =
 y_small.  The small side's log term is constant and its envelope pins
 its variable to delta, leaving the big side's variable v (alpha when
-lambda_y >= gamma_y, beta otherwise) and delta = min(env(v), cap(v)):
-with c = 1/y_small - 1/y_big, env(v) = v / (1 + c v) rises and the
-distortion cap(v) = (s0 - a v) / b falls.  The objective is
-(L - m_b)/2 ln(1 + c v) - L/2 ln v plus a constant on the envelope
-branch, strictly decreasing, and convex on the cap branch.  So the
-stationarity conditions (Boyd and Vandenberghe 2004, section 5.5.3) leave
-three closed-form candidates: the crossing of env and cap, the cap
-branch's stationary point m_b c (s0 - a v) = L a (1 + c v) when it lies
-beyond the crossing, and the box end v = y_big.  Each is computed as v
-and as u = y_big - v (delta as delta and as y_small - delta) without
-cancellation, and the value uses the smaller of each pair, so a rate near
-0 keeps its relative accuracy.  The five-condition KKT system (two
-stationarity equations, three complementary-slackness products with
-nonnegative multipliers) certifies the optimum.
+lambda_y >= gamma_y, beta otherwise) and delta = min(env(v), cap(v)).
+The distortion constraint reduces to a v + b delta <= s0, with
+a = m_b x_b^2 / y_b^2, b = m_s x_s^2 / y_s^2 and s0 = L (D - d_min)
+formed exactly and rounded once.  With c = 1/y_small - 1/y_big,
+env(v) = v / (1 + c v) rises and the distortion cap(v) = (s0 - a v) / b
+falls.  The objective is (L - m_b)/2 ln(1 + c v) - L/2 ln v plus a
+constant on the envelope branch, strictly decreasing, and convex on the
+cap branch.  So the stationarity conditions (Boyd and Vandenberghe 2004,
+section 5.5.3) leave three closed-form candidates: the crossing of env
+and cap, the cap branch's stationary point m_b c (s0 - a v) = L a (1 + c v)
+when it lies beyond the crossing, and the box end v = y_big.  Each is
+computed as v and as u = y_big - v (delta as delta and as
+y_small - delta) without cancellation, and the value uses the smaller of
+each pair, so a rate near 0 keeps its relative accuracy.  The
+five-condition KKT system (two stationarity equations, three
+complementary-slackness products with nonnegative multipliers) certifies
+the optimum of the reduced program that was solved, with the same exact
+s0 and no lambda or gamma term.
 
 The program's D-free constants (the ends of (d_min, sigma_x_sq), the side
-view's y values, products and coefficients, the integer parts of the slack
-pair and the distortion constraint's terms) are formed once per spectrum
-by prepare, and solve takes them at each D; solve_program is the two in
-one call.  One helper recovers the multipliers from the active set at a
-point (v, delta) and scores the KKT system there, so the certificate has
-one path and is written once.
+view's y values, products and coefficients, and the integer parts of the
+slack pair) are formed once per spectrum by prepare, and solve takes them
+at each D; solve_program is the two in one call.  One helper recovers the
+multipliers from the active set at a point (v, delta) and scores the KKT
+system there, so the certificate has one path and is written once.
 
 This module is deliberately independent of the closed-form lower bound: it
 never consults the regime classification, and prepare forms its constants
@@ -89,7 +92,9 @@ class KktCertificate(NamedTuple):
     unit, and scaling every variance by k scales each by 1/k, so the ratios
     are free of units, where absolute residuals scale like L/(2 delta).  A
     ratio is also what float64 resolves: a few units of roundoff at an
-    exact optimum, whatever L and the units.
+    exact optimum, whatever L and the units.  The distortion constraint is
+    the reduced a v + b delta <= s0, with the solve's exact s0: no lambda
+    or gamma term enters.
     """
 
     omega1: float
@@ -97,11 +102,6 @@ class KktCertificate(NamedTuple):
     omega3: float
     stationarity_residual: float
     complementarity_residual: float
-
-
-def _constraint(terms: tuple, alpha: float, beta: float) -> float:
-    c_a, lx, c_lam, m, c_b, gx, c_gam = terms
-    return c_a * alpha + lx - c_lam + m * (c_b * beta + gx - c_gam)
 
 
 def _slack_terms(big: tuple, small: tuple) -> tuple:
@@ -151,10 +151,10 @@ class Program(NamedTuple):
     d_min and sigma_x_sq bound the domain of D; hatted is model.side_view's
     orientation, yb, ys and mb its y_big, y_small and m_big, and yb2, ys2
     and ybys the products y_b^2, y_s^2 and y_b y_s; dy = y_big - y_small,
-    a = m_b x_b^2 / y_b^2 and b = m_s x_s^2 / y_s^2 are the reduced
-    program's coefficients; slack_terms are _slack_terms's and
-    constraint_terms the distortion constraint's, in the order _constraint
-    adds them.
+    a = m_b x_b^2 / y_b^2 and b = m_s x_s^2 / y_s^2 are the coefficients of
+    the reduced distortion constraint a v + b delta <= s0, and slack_terms
+    are _slack_terms's, from which _slack_pair forms the exact
+    s0 = L (D - d_min) at each D.
     """
 
     L: int
@@ -171,7 +171,6 @@ class Program(NamedTuple):
     ys2: float
     ybys: float
     slack_terms: tuple
-    constraint_terms: tuple
 
 
 def prepare(spectrum: Spectrum, L: int) -> Program:
@@ -185,14 +184,12 @@ def prepare(spectrum: Spectrum, L: int) -> Program:
     (xb, yb, mb), (xs, ys, ms) = big, small
     return Program(L, d_min(s, L), source_variance(s, L), hatted,
                    yb, ys, mb, yb - ys, mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2,
-                   yb ** 2, ys ** 2, yb * ys, _slack_terms(big, small),
-                   (s.lambda_x ** 2 / s.lambda_y ** 2, s.lambda_x, s.lambda_x ** 2 / s.lambda_y,
-                    L - 1, s.gamma_x ** 2 / s.gamma_y ** 2, s.gamma_x, s.gamma_x ** 2 / s.gamma_y))
+                   yb ** 2, ys ** 2, yb * ys, _slack_terms(big, small))
 
 
-def _solve_reduced(program: Program, D: float) -> tuple[float, float, float]:
-    """Active-set solve of the envelope-reduced program: (value, v, delta)."""
-    L, _, _, _, yb, ys, mb, dy, a, b, yb2, ys2, ybys, slack_terms, _ = program
+def _solve_reduced(program: Program, D: float) -> tuple[float, float, float, float]:
+    """Active-set solve of the envelope-reduced program: (value, v, delta, s0)."""
+    L, _, _, _, yb, ys, mb, dy, a, b, yb2, ys2, ybys, slack_terms = program
     # Slacks exact but for one rounding: a v + b delta <= s0 = L (D - d_min)
     # and a u + b e >= t0 = L (sigma_x_sq - D), u = y_big - v, e = y_small - delta.
     s0, t0 = _slack_pair(L, D, slack_terms)
@@ -236,15 +233,15 @@ def _solve_reduced(program: Program, D: float) -> tuple[float, float, float]:
         value = mb / 2.0 * r1 + L / 2.0 * r2
         if best is None or value < best[0]:
             best = value, v, d
-    return best
+    return (*best, s0)
 
 
 def _share(term: float, scale: float) -> float:
     return abs(term) / scale if scale > 0.0 else 0.0
 
 
-def _kkt(program: Program, v: float, d: float, D: float) -> KktCertificate:
-    """The KKT certificate of the reduced program at (v, delta) and D.
+def _kkt(program: Program, v: float, d: float, s0: float) -> KktCertificate:
+    """The KKT certificate of the reduced program at (v, delta) and exact slack s0.
 
     The constraints active at (v, delta) (to _ACTIVE_TOL) say which
     multipliers may be nonzero, and the stationarity equations are solved
@@ -252,7 +249,7 @@ def _kkt(program: Program, v: float, d: float, D: float) -> KktCertificate:
     envelope pins it.  Raises DomainError where they have no solution:
     off the envelope when the small side carries no source.
     """
-    L, _, _, hatted, yb, ys, mb, dy, a, b, _, _, ybys, _, constraint_terms = program
+    L, _, _, _, yb, ys, mb, dy, a, b, _, _, ybys, _ = program
     lw = dy * v + ybys                    # y_big y_small (1 + c v)
     env, de = v * yb * ys / lw, (ybys / lw) ** 2
     slope = mb * dy / (2.0 * lw)          # minus the objective's v-derivative
@@ -276,8 +273,7 @@ def _kkt(program: Program, v: float, d: float, D: float) -> KktCertificate:
     d1, d3 = -half, w3 * b
     scale_v = abs(v1) + abs(w1) + abs(v3) + abs(v4)
     scale_d = abs(d1) + abs(w2) + abs(d3)
-    lhs = _constraint(constraint_terms, d, v) if hatted else _constraint(constraint_terms, v, d)
-    rhs = L * D
+    lhs = a * v + b * d
     if scale_v > 0.0:
         share1, share3 = abs(w1) / scale_v, abs(v4) / scale_v
         stat = abs(v1 + w1 + v3 + v4) / scale_v
@@ -290,7 +286,7 @@ def _kkt(program: Program, v: float, d: float, D: float) -> KktCertificate:
     share3, stat = max(share3, share_d), max(stat, stat_d)
     comp = max(share1 if w1 < 0.0 else share1 * _share(v - yb, v + yb),
                share2 if w2 < 0.0 else share2 * _share(d - env, d + env),
-               share3 if w3 < 0.0 else share3 * _share(lhs - rhs, lhs + rhs))
+               share3 if w3 < 0.0 else share3 * _share(lhs - s0, lhs + s0))
     return KktCertificate(w1, w2, w3, stat, comp)
 
 
@@ -298,8 +294,8 @@ def solve(program: Program, D: float) -> tuple[ProgramPoint, float, KktCertifica
     """solve_program at D from prepare's constants; see solve_program."""
     if not program.d_min < D < program.sigma_x_sq:
         raise outside_interval(D, program.d_min, program.sigma_x_sq)
-    value, v, d = _solve_reduced(program, D)
-    cert = _kkt(program, v, d, D)
+    value, v, d, s0 = _solve_reduced(program, D)
+    cert = _kkt(program, v, d, s0)
     point = ProgramPoint(d, v, d) if program.hatted else ProgramPoint(v, d, d)
     residual = max(cert.stationarity_residual, cert.complementarity_residual)
     if not residual <= CERTIFICATE_TOL:

@@ -202,6 +202,19 @@ def omega(s: Spectrum, L: int, alpha, beta, delta) -> mpf:
             + L * _CTX.log(w / delta)) / 2
 
 
+def distortion_constraint(s: Spectrum, L: int, alpha, beta) -> mpf:
+    """The left side of the converse program's distortion constraint, <= L D.
+
+    lambda_x^2/lambda_y^2 alpha + lambda_x - lambda_x^2/lambda_y
+    + (L-1)(gamma_x^2/gamma_y^2 beta + gamma_x - gamma_x^2/gamma_y),
+    the paper's full lambda/gamma form.
+    """
+    lx, ly, gx, gy = s.lambda_x, s.lambda_y, s.gamma_x, s.gamma_y
+    alpha, beta = _mp(alpha), _mp(beta)
+    return (lx ** 2 / ly ** 2 * alpha + lx - lx ** 2 / ly
+            + (L - 1) * (gx ** 2 / gy ** 2 * beta + gx - gx ** 2 / gy))
+
+
 def ceo(L: int, sigma_x_sq, sigma_n_sq, D) -> mpf:
     """Quadratic Gaussian CEO sum-rate (Oohama 1998; Prabhakaran-Tse-Ramchandran 2004).
 
@@ -216,17 +229,21 @@ def ceo(L: int, sigma_x_sq, sigma_n_sq, D) -> mpf:
 # Where probe places D in (d_min, sigma_x^2), as a fraction of the
 # interval; None draws the fraction uniformly.
 PROBE_FRACTIONS = (1e-6, 1e-3, None, 1.0 - 1e-6)
+# The fractions next to the interval's ends that ends_probe cycles through.
+END_FRACTIONS = (1e-12, 1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9)
 
 
 def probe(seed: int, n: int, max_L: float = 1e7,
-          variances: tuple[float, float] = (1e-3, 1e3), sourceless: bool = False):
+          variances: tuple[float, float] = (1e-3, 1e3), sourceless: bool = False,
+          fractions: tuple = PROBE_FRACTIONS, noiseless: bool = False):
     """n seeded points (spec, spectrum, D) over the range symrd accepts.
 
     L is log-uniform on [2, max_L] and both variances on variances; each
     correlation is negative or positive with equal odds, uniform over
-    (-1/(L-1), 0) or [0, 1); D cycles through PROBE_FRACTIONS.  With
+    (-1/(L-1), 0) or [0, 1); D cycles through fractions.  With
     sourceless, every fifth spec takes rho_x at an end of its range, 1 or
-    -1/(L-1), where one direction carries no source.
+    -1/(L-1), where one direction carries no source.  With noiseless, a
+    spec takes sigma_z_sq = 0 with odds 1 in 4, so that d_min = 0.
     """
     from symrd import SourceSpec, d_min, source_variance, spectral_decompose
 
@@ -242,10 +259,13 @@ def probe(seed: int, n: int, max_L: float = 1e7,
                         else rng.uniform(0.0, 1.0) for _ in range(2))
         if sourceless and len(points) % 5 == 4:
             rho_x = 1.0 if rng.random() < 0.5 else -1.0 / (L - 1)
-        spec = SourceSpec(L, log_uniform(*variances), rho_x, log_uniform(*variances), rho_z)
+        sigma_x_sq, sigma_z_sq = log_uniform(*variances), log_uniform(*variances)
+        if noiseless and rng.random() < 0.25:
+            sigma_z_sq = 0.0
+        spec = SourceSpec(L, sigma_x_sq, rho_x, sigma_z_sq, rho_z)
         s = spectral_decompose(spec)
         lo, hi = d_min(s, L), source_variance(s, L)
-        fraction = PROBE_FRACTIONS[len(points) % len(PROBE_FRACTIONS)]
+        fraction = fractions[len(points) % len(fractions)]
         D = lo + (rng.random() if fraction is None else fraction) * (hi - lo)
         if lo < D < hi:
             points.append((spec, s, D))
@@ -260,3 +280,12 @@ def certificate_probe():
     oracle's three candidates at the optimum.
     """
     return probe(seed=20261020, n=2000, max_L=1e6, variances=(1e-30, 1e30), sourceless=True)
+
+
+def ends_probe():
+    """The seeded probe of the oracle next to the ends of (d_min, sigma_x^2).
+
+    probe's points at L up to 1e6 and variances within 1e+-3, a quarter of
+    them noiseless, with D cycling through END_FRACTIONS.
+    """
+    return probe(seed=20261021, n=1200, max_L=1e6, fractions=END_FRACTIONS, noiseless=True)

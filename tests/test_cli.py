@@ -332,6 +332,19 @@ def test_sweep_noiseless_near_zero_distortion(specs, capsys):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:4])
 
 
+def test_certify_noiseless_next_to_zero_distortion(specs, capsys):
+    # d_min = 0, so at D = 1e-12 the distortion slack is some 1e-11: the
+    # certificate scores it exactly, and every row certifies within the
+    # golden certify rows' 1e-15
+    rc, out, err = _run(capsys, ["sweep", specs["noiseless"], "--d-start", "1e-12",
+                                 "--d-end", "0.5", "--n-points", "3",
+                                 "--include-endpoints-eps", "--certify"])
+    assert rc == 0, err
+    header, rows = _rows(out)
+    assert len(rows) == 3
+    assert all(float(row[header.index("kkt_residual")]) <= 1e-15 for row in rows)
+
+
 def _count_calls(monkeypatch, names) -> dict:
     """Calls of each (module, function) in names, counted from now on."""
     calls = dict.fromkeys(names, 0)

@@ -6,7 +6,7 @@ Gaussian CEO spec (rho_x = 1, rho_z = 0).  Each spec has four pinned
 outputs: `info`, `classify`, a 40-point `sweep` and a 20-point
 `sweep --certify`, both over the range below, which spans 98% of
 (d_min, sigma_x_sq) and crosses every piece its arm has.  Every certify
-grid certifies with relative KKT residuals at most 2.3e-16, far inside
+grid certifies with relative KKT residuals at most 1.8e-16, far inside
 the oracle's tolerance of 1e-6; test_certify_columns bounds them.
 
 The large-L commands (`asymptotic`, `gap-inf`, `sweep --asymptotic` and
@@ -47,7 +47,7 @@ RANGES = {
     "ceo": ("0.0480769", "0.990385"),
 }
 COMMANDS = ("info", "classify", "sweep", "certify")
-# The largest kkt_residual over the 180 pinned certify rows is 2.26e-16.
+# The largest kkt_residual over the 180 pinned certify rows is 1.79e-16.
 KKT_RESIDUAL_BOUND = 1e-15
 
 

@@ -28,6 +28,7 @@ from symrd import (
     PrecisionError,
     ProgramPoint,
     SourceSpec,
+    SymrdError,
     d_min,
     from_eigenvalues,
     solve_program,
@@ -36,7 +37,7 @@ from symrd import (
     upper_bound_rate,
 )
 from symrd.model import side_view
-from symrd.oracle import CERTIFICATE_TOL, _constraint, _kkt, _slack_pair, _slack_terms, prepare, solve
+from symrd.oracle import CERTIFICATE_TOL, _kkt, _slack_pair, _slack_terms, prepare, solve
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -153,6 +154,7 @@ def test_spec_d_multipliers():
 
 
 def test_multipliers_nonnegative_and_complementary():
+    mpref = pytest.importorskip("mpref")
     probes = [(CASE1, 0.85), (CASE2, 0.71), (CASE2, 0.80), (CASE3, 0.47),
               (SPEC_B, 0.177), (SPEC_B, 0.40), (SPEC_D, 0.60)]
     for eig, D in probes:
@@ -161,10 +163,11 @@ def test_multipliers_nonnegative_and_complementary():
         assert cert.omega1 >= -1e-9
         assert cert.omega2 >= -1e-9
         assert cert.omega3 >= -1e-9
-        # the distortion constraint is active at every optimum
-        terms = prepare(s, L_CASES).constraint_terms
-        assert abs(_constraint(terms, p.alpha, p.beta) - L_CASES * D) \
-            <= 1e-7 * L_CASES * D
+        # The distortion constraint, in the paper's lambda/gamma form at 50
+        # digits, is active at every optimum (measured: within
+        # 2.4e-16 L D).
+        lhs = mpref.distortion_constraint(mpref.exact(s), L_CASES, p.alpha, p.beta)
+        assert abs(lhs - L_CASES * D) <= 1e-7 * L_CASES * D
 
 
 def test_perturbed_point_breaks_stationarity():
@@ -175,7 +178,8 @@ def test_perturbed_point_breaks_stationarity():
     program = prepare(s, L_CASES)
     assert not program.hatted
     p, value, cert = solve(program, 0.85)
-    bad = _kkt(program, p.alpha + 0.1, p.delta, 0.85)
+    s0, _ = _slack_pair(L_CASES, 0.85, program.slack_terms)
+    bad = _kkt(program, p.alpha + 0.1, p.delta, s0)
     assert bad.stationarity_residual > 5e-4
     assert bad.stationarity_residual > CERTIFICATE_TOL
     assert bad.stationarity_residual >= 100.0 * max(
@@ -193,8 +197,9 @@ def test_no_multipliers_off_the_envelope_without_small_source():
     program = prepare(s, spec.L)
     assert program.b == 0.0 and not program.hatted
     p, value, cert = solve(program, D)
+    s0, _ = _slack_pair(spec.L, D, program.slack_terms)
     with pytest.raises(DomainError, match="no multipliers"):
-        _kkt(program, p.alpha * 1.01, p.delta * 0.99, D)
+        _kkt(program, p.alpha * 1.01, p.delta * 0.99, s0)
 
 
 def test_certificate_probe_reaches_every_candidate():
@@ -313,18 +318,51 @@ def test_next_to_the_ends():
         solve_program(s, 2, math.nextafter(d_min(s, 2), math.inf))
 
 
-@pytest.mark.xfail(raises=ConvergenceError, strict=True,
-                   reason="the certificate forms the distortion slack as "
-                          "c_a alpha + lambda_x - c_lam + ..., which cancels when "
-                          "L D << lambda_x (ROADMAP direction 3)")
-def test_noiseless_spec_certifies_next_to_zero_distortion():
-    # d_min = 0 here.  At D = 1e-12 the slack L D = 1e-11 is formed from
-    # terms of size lambda_x = 3.7, so the complementarity residual reads
-    # 2.75e-6.  The reduced slack a v + b delta - s0 certifies it; that
-    # mend moves golden kkt_residual cells, so it is left to its own change.
+@pytest.mark.parametrize("D", [1e-12, 1e-100, 1e-300])
+def test_noiseless_spec_certifies_next_to_zero_distortion(D):
+    # d_min = 0 here, so L D is the slack itself, far below the terms of
+    # size lambda_x = 3.7 that the paper's form of the distortion
+    # constraint adds.  The certificate scores the reduced constraint
+    # a v + b delta <= s0 with the exact s0 (measured: at most 7.8e-17).
     s = spectral_decompose(SourceSpec(10, 1.0, 0.3, 0.0, 0.0))
-    _, _, cert = solve_program(s, 10, 1e-12)
+    _, _, cert = solve_program(s, 10, D)
     assert max(cert.stationarity_residual, cert.complementarity_residual) <= CERTIFICATE_TOL
+
+
+def test_certifies_next_to_the_ends_of_the_interval():
+    # A quarter of the probe is noiseless, where a slack formed from the
+    # lambda/gamma terms cancelled at f = 1e-12 and the oracle raised
+    # ConvergenceError.  Every point certifies, or its D is an end of the
+    # interval to within rounding.
+    mpref = pytest.importorskip("mpref")
+    for spec, s, D in mpref.ends_probe():
+        try:
+            _, _, cert = solve_program(s, spec.L, D)
+        except PrecisionError:
+            continue
+        assert max(cert.stationarity_residual,
+                   cert.complementarity_residual) <= CERTIFICATE_TOL, (spec, D)
+
+
+def test_no_false_certificate_where_products_of_variances_underflow():
+    # x ~ 2e-182 here: the crossing's (x - y)^2, z (2 (x + y) + z) and qb^2,
+    # products of four variances, underflow to 0 in _solve_reduced, so the
+    # crossing root is wrong.  Scored against the paper's form of the
+    # constraint, the wrong point once certified with a residual of 8.4e-14
+    # and a value of 11.398 against the replay's 4.5915.
+    mpref = pytest.importorskip("mpref")
+    spec = SourceSpec(L=1425768, sigma_x_sq=1.9410798360774777e-97,
+                      rho_x=0.7020296248077763, sigma_z_sq=4.501641223694874e-85,
+                      rho_z=0.13676440177546367)
+    D = 1.941079836075761e-97
+    s = spectral_decompose(spec)
+    try:
+        _, value, _ = solve_program(s, spec.L, D)
+    except SymrdError:
+        return
+    # The converse is Rbar at this D.
+    ref, _ = mpref.lower("Rbar", mpref.exact(s), spec.L, D)
+    assert abs(value - float(ref)) <= 1e-9 * float(ref)
 
 
 _unit = st.floats(0.0, 1.0)
