@@ -19,9 +19,11 @@ together with the limit distortions
 
 asymptotic_regime classifies a spec once and returns an
 AsymptoticRegime holding the spec, these scales and the limit distortions;
-every evaluator here takes that regime.  asymptotic_row is the one
-dispatch at a D: both bounds for many L and the limiting gap.
-upper_asymptotic, lower_asymptotic and asymptotic_gap are its one-L,
+every evaluator here takes that regime.  rows is the pass over a grid of
+D: per D both bounds for many L and the limiting gap, with the regime's
+fields and each piece's D-free terms formed once per grid.  gaps is its
+gap column.  asymptotic_row is its one-element view, and
+upper_asymptotic, lower_asymptotic and asymptotic_gap are one-L,
 one-cell views.
 
 Every evaluator drops the remainder term of its expansion: the upper
@@ -240,108 +242,196 @@ def expansion_coefficients(regime: AsymptoticRegime, D: float) -> ExpansionCoeff
 
 # --- the individual limit expressions ----------------------------------------
 #
-# Each takes the regime (and D, where the expression depends on it) and
-# returns the expression as a function of L alone: its L-free logarithms and
-# quotients are formed once, and the function adds the L terms to them in
-# the order the expression is written.
+# Each takes the regime and the sizes and returns the expression as a
+# function of D, valued as a list over the sizes: its D-free terms and its
+# per-size terms are formed once, and the function adds the D terms to
+# them in the order the expression is written.  rows makes each at the
+# first row that takes its piece, so a piece no D of the grid takes forms
+# nothing.
 
-def _rbar_inf_zero_mix(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
-    sx2, sz2 = reg.spec.sigma_x_sq, reg.spec.sigma_z_sq
-    log_ratio = math.log(sx2 ** 2 / ((sx2 + sz2) * D - sx2 * sz2))
-    return lambda L: L / 2.0 * log_ratio
-
-
-def _below_log(reg: AsymptoticRegime, D: float) -> float:
+def _below_log(reg: AsymptoticRegime, sizes: Sequence[int]) -> Callable[[float], float]:
     """ln(gamma_x^2 / gamma_y / (D - d_min_inf)), the L/2 log of both pieces below d_th0_inf."""
-    return math.log(reg.gamma_x ** 2 / reg.gamma_y / (D - reg.d_min_inf))
+    ratio, floor = reg.gamma_x ** 2 / reg.gamma_y, reg.d_min_inf
+    return lambda D: math.log(ratio / (D - floor))
 
 
-def _rbar1_inf(reg: AsymptoticRegime, D: float, log_ratio: float) -> Callable[[int], float]:
-    gx, gy = reg.gamma_x, reg.gamma_y
-    half_log_mix = 0.5 * math.log(reg.mix * (reg.d_th0_inf - D) / gx ** 2)
-    quotient = ((reg.d_th0_inf - reg.xi * gx ** 2 / gy - D) ** 2
-                / (2.0 * (reg.d_th0_inf - D) * (D - reg.d_min_inf)))
-    return lambda L: L / 2.0 * log_ratio + 0.5 * math.log(L) + half_log_mix + quotient
+def _rbar_inf_zero_mix(reg: AsymptoticRegime, sizes: Sequence[int]) -> Callable:
+    sx2, sz2 = reg.spec.sigma_x_sq, reg.spec.sigma_z_sq
+    sx4, total, product = sx2 ** 2, sx2 + sz2, sx2 * sz2
+    halves = [L / 2.0 for L in sizes]
+
+    def at(D):
+        log_ratio = math.log(sx4 / (total * D - product))
+        return [half * log_ratio for half in halves]
+    return at
 
 
-def _rbar2_inf(reg: AsymptoticRegime) -> Callable[[int], float]:
+def _rbar1_inf(reg: AsymptoticRegime, sizes: Sequence[int]) -> Callable:
+    gx2, gy, mix = reg.gamma_x ** 2, reg.gamma_y, reg.mix
+    d0, floor = reg.d_th0_inf, reg.d_min_inf
+    centre = d0 - reg.xi * gx2 / gy
+    terms = [(L / 2.0, 0.5 * math.log(L)) for L in sizes]
+
+    def at(D, log_ratio):
+        half_log_mix = 0.5 * math.log(mix * (d0 - D) / gx2)
+        quotient = (centre - D) ** 2 / (2.0 * (d0 - D) * (D - floor))
+        return [half * log_ratio + half_log_l + half_log_mix + quotient
+                for half, half_log_l in terms]
+    return at
+
+
+def _rbar2_inf(reg: AsymptoticRegime, sizes: Sequence[int]) -> Callable:
+    """The sqrt(L) clause at d_th0_inf: free of D, so formed once.
+
+    Raises PrecisionError where alpha_1 is undefined: -h1 / (sigma_x^2 - D)
+    at d_th0_inf, which is mix gamma_x^2 / (sigma_x^2 - D) exactly, does not
+    round to a positive number (h1's products of four variances underflow).
+    """
     gy, xi = reg.gamma_y, reg.xi
     coeff = expansion_coefficients(reg, reg.d_th0_inf)
     a1, a2 = coeff.alpha1, coeff.alpha2
+    if a1 is None:
+        raise PrecisionError(
+            f"alpha1 of the sqrt(L) clause is undefined at d_th0_inf = "
+            f"{reg.d_th0_inf!r}: -h1 / (sigma_x_sq - D) does not round to a positive "
+            f"number at sigma_x_sq = {reg.spec.sigma_x_sq!r}, "
+            f"sigma_z_sq = {reg.spec.sigma_z_sq!r}")
     half_log_rho = 0.5 * math.log(reg.spec.rho_x / (1.0 - reg.spec.rho_x))
     constant = gy * (gy + 2.0 * a2) / (4.0 * a1 ** 2)
-    return lambda L: xi / 2.0 * math.sqrt(L) + 0.25 * math.log(L) + half_log_rho - constant
+    values = [xi / 2.0 * math.sqrt(L) + 0.25 * math.log(L) + half_log_rho - constant
+              for L in sizes]
+    return lambda D: values
 
 
-def _rbar3_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
+def _rbar3_inf(reg: AsymptoticRegime, sizes: Sequence[int]) -> Callable:
     spec = reg.spec
-    sx2, ry = spec.sigma_x_sq, spec.rho_y
-    value = (0.5 * math.log(spec.rho_x ** 2 * sx2 ** 2 / (reg.mix * (D - reg.d_th0_inf)))
-             + (1.0 - ry) * (sx2 - D) / (2.0 * ry * (D - reg.d_th0_inf)))
-    return lambda L: value
+    sx2, ry, mix, d0 = spec.sigma_x_sq, spec.rho_y, reg.mix, reg.d_th0_inf
+    numerator, one_ry, two_ry = spec.rho_x ** 2 * sx2 ** 2, 1.0 - ry, 2.0 * ry
+    count = len(sizes)
+
+    def at(D):
+        value = (0.5 * math.log(numerator / (mix * (D - d0)))
+                 + one_ry * (sx2 - D) / (two_ry * (D - d0)))
+        return [value] * count
+    return at
 
 
-def _r1_inf(reg: AsymptoticRegime, D: float, log_ratio: float) -> Callable[[int], float]:
-    gx, gy = reg.gamma_x, reg.gamma_y
-    quotient = 0.5 * (1.0 - 2.0 * reg.xi) * gx ** 2 / gy / (D - reg.d_min_inf)
-    return lambda L: (L + 1) / 2.0 * log_ratio + 0.5 * math.log(L) + quotient + reg.half_log_rho
+def _r1_inf(reg: AsymptoticRegime, sizes: Sequence[int]) -> Callable:
+    scaled = 0.5 * (1.0 - 2.0 * reg.xi) * reg.gamma_x ** 2 / reg.gamma_y
+    floor, half_log_rho = reg.d_min_inf, reg.half_log_rho
+    terms = [((L + 1) / 2.0, 0.5 * math.log(L)) for L in sizes]
+
+    def at(D, log_ratio):
+        quotient = scaled / (D - floor)
+        return [half * log_ratio + half_log_l + quotient + half_log_rho
+                for half, half_log_l in terms]
+    return at
 
 
-def _r2_inf(reg: AsymptoticRegime, D: float) -> Callable[[int], float]:
-    sx2 = reg.spec.sigma_x_sq
-    gz, gy = reg.gamma_z, reg.gamma_y
-    log_ratio = math.log(sx2 ** 2 / (gy * D - sx2 * gz))
-    quotient = 0.5 * (D - sx2) / (D - sx2 + sx2 ** 2 / gy)
-    return lambda L: L / 2.0 * log_ratio - quotient
+def _r2_inf(reg: AsymptoticRegime, sizes: Sequence[int]) -> Callable:
+    sx2, gz, gy = reg.spec.sigma_x_sq, reg.gamma_z, reg.gamma_y
+    sx4 = sx2 ** 2
+    sx2_gz, shifted = sx2 * gz, sx4 / gy
+    halves = [L / 2.0 for L in sizes]
+
+    def at(D):
+        log_ratio = math.log(sx4 / (gy * D - sx2_gz))
+        quotient = 0.5 * (D - sx2) / (D - sx2 + shifted)
+        return [half * log_ratio - quotient for half in halves]
+    return at
 
 
-def _upper(reg: AsymptoticRegime, D: float, below_log: float | None = None):
-    """upper_asymptotic at a D inside (d_min_inf, sigma_x_sq), in L; below_log is _below_log's."""
-    if reg.condition is Condition.ZeroMix:
-        return _rbar_inf_zero_mix(reg, D)
+def rows(regime: AsymptoticRegime, sizes: Sequence[int], grid):
+    """(D, bounds, gap) for each D of grid, in order: the large-L pass.
+
+    bounds holds (upper, lower) per size, in order, the upper value in
+    both where the bounds meet; gap is the limiting gap (asymptotic_gap)
+    in PosMixPosRho_XiLtHalf and None in every other regime.  Per D the
+    pass checks D, settles with bounds_meet where the bounds meet, takes
+    the gap and picks the pieces; the regime's fields are read once per
+    grid, and each piece's D-free and per-size terms once, at the first
+    row that takes it (none when sizes is empty).  A generator: the rows
+    before a failing D are yielded before its error is raised.
+
+    Raises
+    ------
+    DomainError
+        D outside (d_min_inf, sigma_x_sq).
+    PrecisionError
+        The sqrt(L) clause's alpha_1 is undefined (see _rbar2_inf).
+    """
+    reg = regime
+    floor, ceil, d0 = reg.d_min_inf, reg.spec.sigma_x_sq, reg.d_th0_inf
+    d1, d2, gap_factor = reg.d_th1_inf, reg.d_th2_inf, reg.gap_factor
+    zero_mix = reg.condition is Condition.ZeroMix
     # The sqrt(L) clause exists only when the crossing is interior, which
     # needs rho_x > 0 (otherwise d_th0_inf = sigma_x_sq, the domain edge).
-    if (reg.spec.rho_x > 0.0
-            and abs(D - reg.d_th0_inf) <= D_TH0_WINDOW * reg.spec.sigma_x_sq):
-        return _rbar2_inf(reg)
-    if D < reg.d_th0_inf:
-        return _rbar1_inf(reg, D, _below_log(reg, D) if below_log is None else below_log)
-    return _rbar3_inf(reg, D)
+    windowed, window = reg.spec.rho_x > 0.0, D_TH0_WINDOW * ceil
+    # Each piece's function of D, made at the first row that takes the piece.
+    made = {}
+
+    def piece(make):
+        at = made.get(make)
+        if at is None:
+            at = made[make] = make(reg, sizes)
+        return at
+
+    for D in grid:
+        if not (floor < D < ceil):
+            raise DomainError(
+                f"D = {D!r} outside the limiting interval (d_min_inf, sigma_x_sq) "
+                f"= ({floor!r}, {ceil!r})"
+            )
+        meet = bounds_meet(reg, D)
+        gap = None
+        if gap_factor is not None:    # PosMixPosRho_XiLtHalf
+            gap = 0.0 if meet else (
+                (d1 - D) * (d2 - D) / (2.0 * (d0 - D) * (D - floor))
+                + 0.5 * math.log(gap_factor * (d0 - D) * (D - floor)))
+        if not sizes:
+            yield D, [], gap
+            continue
+        # Inside the gap interval, below d_th0_inf: both pieces take one log.
+        gapped = gap is not None and not meet
+        below_log = piece(_below_log)(D) if gapped else None
+        if zero_mix:
+            upper = piece(_rbar_inf_zero_mix)(D)
+        elif windowed and abs(D - d0) <= window:
+            upper = piece(_rbar2_inf)(D)
+        elif D < d0:
+            if below_log is None:
+                below_log = piece(_below_log)(D)
+            upper = piece(_rbar1_inf)(D, below_log)
+        else:
+            upper = piece(_rbar3_inf)(D)
+        if meet:
+            yield D, [(value, value) for value in upper], gap
+        elif gapped:
+            yield D, list(zip(upper, piece(_r1_inf)(D, below_log))), gap
+        else:    # PosMixZeroRho, the other regime whose bounds do not meet
+            yield D, list(zip(upper, piece(_r2_inf)(D))), gap
 
 
 def asymptotic_row(regime: AsymptoticRegime, sizes: Sequence[int],
                    D: float) -> tuple[list[tuple[float, float]], float | None]:
-    """(bounds, gap) at D: the large-L bounds at each L in sizes, and the limiting gap.
+    """(bounds, gap) at D: the one row of rows(regime, sizes, [D]) after its D."""
+    return next(rows(regime, sizes, (D,)))[1:]
 
-    bounds holds (upper, lower) per size, in order, the upper value in both
-    where the bounds meet; gap is asymptotic_gap's in PosMixPosRho_XiLtHalf
-    and None in every other regime.  One range check and one bounds_meet
-    serve the row; each piece's L-free terms are formed once, and none when
-    sizes is empty.  Raises DomainError for D outside (d_min_inf, sigma_x_sq).
+
+def gaps(regime: AsymptoticRegime, grid):
+    """The limiting gap at each D of grid: rows(regime, (), grid)'s gap column.
+
+    Raises DomainError unless the regime is PosMixPosRho_XiLtHalf (no
+    other regime has a limiting gap interval), at the first row, before
+    D's range is checked.
     """
-    if not (regime.d_min_inf < D < regime.spec.sigma_x_sq):
+    if regime.gap_factor is None:    # not PosMixPosRho_XiLtHalf
         raise DomainError(
-            f"D = {D!r} outside the limiting interval (d_min_inf, sigma_x_sq) "
-            f"= ({regime.d_min_inf!r}, {regime.spec.sigma_x_sq!r})"
+            f"asymptotic gap is defined only in the "
+            f"PosMixPosRho_XiLtHalf regime, not {regime.condition.value}"
         )
-    meet = bounds_meet(regime, D)
-    gap = None
-    if regime.gap_factor is not None:    # PosMixPosRho_XiLtHalf
-        gap = 0.0 if meet else (
-            (regime.d_th1_inf - D) * (regime.d_th2_inf - D)
-            / (2.0 * (regime.d_th0_inf - D) * (D - regime.d_min_inf))
-            + 0.5 * math.log(regime.gap_factor * (regime.d_th0_inf - D) * (D - regime.d_min_inf)))
-    if not sizes:
-        return [], gap
-    if meet:
-        return [(value, value) for value in map(_upper(regime, D), sizes)], gap
-    if gap is None:    # PosMixZeroRho, the other regime whose bounds do not meet
-        upper, lower = _upper(regime, D), _r2_inf(regime, D)
-    else:
-        # Inside the gap interval, below d_th0_inf: both pieces take one log.
-        below_log = _below_log(regime, D)
-        upper, lower = _upper(regime, D, below_log), _r1_inf(regime, D, below_log)
-    return [(upper(L), lower(L)) for L in sizes], gap
+    for _, _, gap in rows(regime, (), grid):
+        yield gap
 
 
 def upper_asymptotic(regime: AsymptoticRegime, L: int, D: float) -> float:
@@ -389,15 +479,11 @@ def asymptotic_gap(regime: AsymptoticRegime, D: float) -> float:
         + 1/2 log[ gamma_y^2 / (xi^2 gamma_x^4)
                    * (d_th0_inf - D)(D - d_min_inf) ],
 
-    which vanishes continuously at both endpoints.  The gap of
-    asymptotic_row, which forms no bound for it.
+    which vanishes continuously at both endpoints.  The gap column of
+    rows, which forms no bound for it.
 
     Raises DomainError unless the regime is PosMixPosRho_XiLtHalf (no
     other regime has a limiting gap interval), checked before D's range.
+    The one element of gaps(regime, [D]).
     """
-    if regime.gap_factor is None:    # not PosMixPosRho_XiLtHalf
-        raise DomainError(
-            f"asymptotic gap is defined only in the "
-            f"PosMixPosRho_XiLtHalf regime, not {regime.condition.value}"
-        )
-    return asymptotic_row(regime, (), D)[1]
+    return next(gaps(regime, (D,)))

@@ -194,15 +194,18 @@ def cmd_sweep(args) -> int:
     row_format = _row_format(header)
 
     def rows():
-        program = oracle.prepare(s, L) if args.certify else None
+        # The converse, oracle and large-L passes in lockstep: one row of each per D.
+        certified = (oracle.solutions(oracle.prepare(s, L), grid) if args.certify
+                     else None)
+        limits = asymptotics.rows(regime, asym_ls, grid) if regime is not None else None
         for D, upper, lower, piece in lower_bound.rows(converse, grid):
             cells = [D, upper / scale, lower / scale, (upper - lower) / scale, piece]
-            if program is not None:
-                _, value, cert = oracle.solve(program, D)
+            if certified is not None:
+                _, value, _, _, cert = next(certified)
                 cells += (value / scale, max(cert.stationarity_residual,
                                              cert.complementarity_residual))
-            if regime is not None:
-                bounds, gap = asymptotics.asymptotic_row(regime, asym_ls, D)
+            if limits is not None:
+                _, bounds, gap = next(limits)
                 cells += [cell / scale for pair in bounds for cell in pair]
                 if gap is not None:
                     cells.append(gap / scale)
@@ -225,8 +228,7 @@ def cmd_asymptotic(args) -> int:
 
     def rows():
         regime = asymptotics.asymptotic_regime(spec)
-        for D in grid:
-            bounds = asymptotics.asymptotic_row(regime, ls, D)[0]
+        for D, bounds, _ in asymptotics.rows(regime, ls, grid):
             yield row_format % (D, *[cell / scale for pair in bounds for cell in pair])
 
     _write_table(",".join(header), rows())
@@ -242,8 +244,8 @@ def cmd_gap_inf(args) -> int:
 
     def rows():
         regime = asymptotics.asymptotic_regime(spec)
-        for D in grid:
-            yield row_format % (D, asymptotics.asymptotic_gap(regime, D) / scale)
+        for D, gap in zip(grid, asymptotics.gaps(regime, grid)):
+            yield row_format % (D, gap / scale)
 
     _write_table(",".join(header), rows())
     return 0

@@ -45,10 +45,13 @@ s0 and no lambda or gamma term.
 
 The program's D-free constants (the ends of (d_min, sigma_x_sq), the side
 view's y values, products and coefficients, and the integer parts of the
-slack pair) are formed once per spectrum by prepare, and solve takes them
-at each D; solve_program is the two in one call.  One helper recovers the
-multipliers from the active set at a point (v, delta) and scores the KKT
-system there, so the certificate has one path and is written once.
+slack pair) are formed once per spectrum by prepare.  solutions is the
+pass over a grid of D: for each D it checks D, forms the exact slack
+pair, builds the three candidates and certifies the winner, in its loop.
+solve is its one-element view and solve_program is prepare and solve in
+one call.  One helper recovers the multipliers from the active set at a
+point (v, delta) and scores the KKT system there, so the certificate has
+one path and is written once.
 
 This module is deliberately independent of the closed-form lower bound: it
 never consults the regime classification, and prepare forms its constants
@@ -65,7 +68,7 @@ from .errors import ConvergenceError, DomainError, PrecisionError
 from .model import Spectrum, d_min, outside_interval, side_view, source_variance
 
 # Largest relative residual (see KktCertificate) of a certified optimum;
-# beyond it solve_program raises ConvergenceError.
+# beyond it solutions raises ConvergenceError.
 CERTIFICATE_TOL = 1e-6
 
 # Relative slack when deciding which constraints are active during
@@ -174,7 +177,7 @@ class Program(NamedTuple):
 
 
 def prepare(spectrum: Spectrum, L: int) -> Program:
-    """Form the program's D-free constants once, for solve at any D.
+    """Form the program's D-free constants once, for solutions at any D.
 
     Like the rest of the module, it never consults the closed-form lower
     bound or its regime classification.
@@ -187,53 +190,88 @@ def prepare(spectrum: Spectrum, L: int) -> Program:
                    yb ** 2, ys ** 2, yb * ys, _slack_terms(big, small))
 
 
-def _solve_reduced(program: Program, D: float) -> tuple[float, float, float, float]:
-    """Active-set solve of the envelope-reduced program: (value, v, delta, s0)."""
-    L, _, _, _, yb, ys, mb, dy, a, b, yb2, ys2, ybys, slack_terms = program
-    # Slacks exact but for one rounding: a v + b delta <= s0 = L (D - d_min)
-    # and a u + b e >= t0 = L (sigma_x_sq - D), u = y_big - v, e = y_small - delta.
-    s0, t0 = _slack_pair(L, D, slack_terms)
-    if not (s0 > 0.0 and t0 > 0.0):
-        raise PrecisionError(
-            f"D = {D!r} is within rounding of an end of (d_min, sigma_x_sq): "
-            f"L (D - d_min) = {s0!r}, L (sigma_x_sq - D) = {t0!r}")
-    if b == 0.0:
-        # No cap on delta: v stops where a v = s0, delta on the envelope.
-        v_x, u_x = s0 / a, t0 / a
-    else:
-        # The crossing: the positive root of a c v^2 + (a + b - c s0) v = s0,
-        # and the smaller root of its quadratic in u, both in stable form.
-        x, y, z = dy * t0, a * yb2, b * ys2
-        root = math.sqrt((x - y) ** 2 + z * (2.0 * (x + y) + z))
-        u_x = 2.0 * t0 * yb2 / (x + y + z + root)
-        qa, qb = a * dy, (a + b) * yb * ys - dy * s0
-        r = math.sqrt(qb * qb + 4.0 * qa * s0 * yb * ys)
-        v_x = 2.0 * s0 * yb * ys / (qb + r) if qb > 0.0 else (r - qb) / (2.0 * qa)
-    # Candidates (v, u, delta, e) in order, the first on the envelope:
-    # delta = v y_b y_s / lw and e = u y_s^2 / lw, lw = y_b y_s (1 + c v).
-    lw = dy * v_x + ybys
-    candidates = [(v_x, u_x, v_x * yb * ys / lw, u_x * ys2 / lw)]
-    if b != 0.0:
-        w0 = b * ys - t0 if t0 < s0 else s0 - a * yb   # b cap(y_big)
-        if w0 > 0.0:
-            candidates.append((yb, 0.0, w0 / b, t0 / b))
-        if qa > 0.0:
-            k = qa * (mb + L)
-            v_c = (mb * dy * s0 - L * a * yb * ys) / k
-            u_c = (L * a * yb2 - mb * dy * w0) / k
-            if 0.0 < u_c < u_x:
-                candidates.append((v_c, u_c, (s0 - a * v_c) / b, (t0 - a * u_c) / b))
-    # The least value wins; on a tie the earlier candidate does.  Each log
-    # is taken from the smaller of its two distances, without cancellation.
-    best = None
-    for v, u, d, e in candidates:
-        r1 = (-math.log1p(-dy * u / yb2) if 2.0 * dy * u < yb2
-              else math.log(yb2 / (dy * v + ybys)))
-        r2 = -math.log1p(-e / ys) if 2.0 * e < ys else math.log(ys / d)
-        value = mb / 2.0 * r1 + L / 2.0 * r2
-        if best is None or value < best[0]:
-            best = value, v, d
-    return (*best, s0)
+def solutions(program: Program, grid):
+    """(D, value, v, delta, certificate) for each D of grid: the oracle's pass.
+
+    The pass over a grid, in its order, on prepare's constants held in
+    locals: per D it checks D against (d_min, sigma_x_sq), forms
+    _slack_pair's exact pair, builds the module docstring's three
+    closed-form candidates and keeps the least-valued, and scores it with
+    _kkt.  v is the big side's variable and delta the small side's (see
+    solve for the ProgramPoint).  A generator: the rows before a failing D
+    are yielded before its error is raised.  Errors are solve_program's.
+    """
+    L, floor, ceil, hatted, yb, ys, mb, dy, a, b, yb2, ys2, ybys, slack_terms = program
+    log, log1p, sqrt = math.log, math.log1p, math.sqrt
+    half_mb, half_L = mb / 2.0, L / 2.0
+    # The D-free parts of the crossing, the box end and the stationary
+    # point, each with its operands in the order the expression is written.
+    y, z = a * yb2, b * ys2
+    qa = a * dy
+    qa2, qa4, qb_free = 2.0 * qa, 4.0 * qa, (a + b) * yb * ys
+    b_ys, a_yb = b * ys, a * yb
+    k, mb_dy = qa * (mb + L), mb * dy
+    la_ybys, la_yb2 = L * a * yb * ys, L * a * yb2
+
+    def value_at(v, u, d, e):
+        # Each log is taken from the smaller of its two distances, without
+        # cancellation.
+        r1 = (-log1p(-dy * u / yb2) if 2.0 * dy * u < yb2
+              else log(yb2 / (dy * v + ybys)))
+        r2 = -log1p(-e / ys) if 2.0 * e < ys else log(ys / d)
+        return half_mb * r1 + half_L * r2
+
+    for D in grid:
+        if not floor < D < ceil:
+            raise outside_interval(D, floor, ceil)
+        # Slacks exact but for one rounding: a v + b delta <= s0 = L (D - d_min)
+        # and a u + b e >= t0 = L (sigma_x_sq - D), u = y_big - v, e = y_small - delta.
+        s0, t0 = _slack_pair(L, D, slack_terms)
+        if not (s0 > 0.0 and t0 > 0.0):
+            raise PrecisionError(
+                f"D = {D!r} is within rounding of an end of (d_min, sigma_x_sq): "
+                f"L (D - d_min) = {s0!r}, L (sigma_x_sq - D) = {t0!r}")
+        if b == 0.0:
+            # No cap on delta: v stops where a v = s0, delta on the envelope.
+            v_x, u_x = s0 / a, t0 / a
+        else:
+            # The crossing: the positive root of a c v^2 + (a + b - c s0) v = s0,
+            # and the smaller root of its quadratic in u, both in stable form.
+            x = dy * t0
+            root = sqrt((x - y) ** 2 + z * (2.0 * (x + y) + z))
+            u_x = 2.0 * t0 * yb2 / (x + y + z + root)
+            qb = qb_free - dy * s0
+            r = sqrt(qb * qb + qa4 * s0 * yb * ys)
+            v_x = 2.0 * s0 * yb * ys / (qb + r) if qb > 0.0 else (r - qb) / qa2
+        # The candidates (v, u, delta, e) in order, the first on the
+        # envelope: delta = v y_b y_s / lw and e = u y_s^2 / lw,
+        # lw = y_b y_s (1 + c v).  The least value wins; on a tie the
+        # earlier candidate does.
+        lw = dy * v_x + ybys
+        v, d = v_x, v_x * yb * ys / lw
+        value = value_at(v, u_x, d, u_x * ys2 / lw)
+        if b != 0.0:
+            w0 = b_ys - t0 if t0 < s0 else s0 - a_yb   # b cap(y_big)
+            if w0 > 0.0:
+                d_box = w0 / b
+                box = value_at(yb, 0.0, d_box, t0 / b)
+                if box < value:
+                    value, v, d = box, yb, d_box
+            if qa > 0.0:
+                v_c = (mb_dy * s0 - la_ybys) / k
+                u_c = (la_yb2 - mb_dy * w0) / k
+                if 0.0 < u_c < u_x:
+                    d_c = (s0 - a * v_c) / b
+                    stationary = value_at(v_c, u_c, d_c, (t0 - a * u_c) / b)
+                    if stationary < value:
+                        value, v, d = stationary, v_c, d_c
+        cert = _kkt(program, v, d, s0)
+        residual = max(cert.stationarity_residual, cert.complementarity_residual)
+        if not residual <= CERTIFICATE_TOL:
+            raise ConvergenceError(
+                f"KKT residual {residual!r} exceeds certificate tolerance at "
+                f"D = {D!r}", best=(_point(hatted, v, d), value, cert))
+        yield D, value, v, d, cert
 
 
 def _share(term: float, scale: float) -> float:
@@ -290,19 +328,15 @@ def _kkt(program: Program, v: float, d: float, s0: float) -> KktCertificate:
     return KktCertificate(w1, w2, w3, stat, comp)
 
 
+def _point(hatted: bool, v: float, d: float) -> ProgramPoint:
+    """The ProgramPoint of the big side's v and the small side's delta."""
+    return ProgramPoint(d, v, d) if hatted else ProgramPoint(v, d, d)
+
+
 def solve(program: Program, D: float) -> tuple[ProgramPoint, float, KktCertificate]:
-    """solve_program at D from prepare's constants; see solve_program."""
-    if not program.d_min < D < program.sigma_x_sq:
-        raise outside_interval(D, program.d_min, program.sigma_x_sq)
-    value, v, d, s0 = _solve_reduced(program, D)
-    cert = _kkt(program, v, d, s0)
-    point = ProgramPoint(d, v, d) if program.hatted else ProgramPoint(v, d, d)
-    residual = max(cert.stationarity_residual, cert.complementarity_residual)
-    if not residual <= CERTIFICATE_TOL:
-        raise ConvergenceError(
-            f"KKT residual {residual!r} exceeds certificate tolerance at "
-            f"D = {D!r}", best=(point, value, cert))
-    return point, value, cert
+    """solve_program at D from prepare's constants: the one row of solutions(program, [D])."""
+    _, value, v, d, cert = next(solutions(program, (D,)))
+    return _point(program.hatted, v, d), value, cert
 
 
 def solve_program(
@@ -312,7 +346,8 @@ def solve_program(
 
     D is the per-component distortion.  The minimiser is the least-valued
     of the module docstring's three closed-form active-set candidates.
-    prepare(spectrum, L) followed by solve at D.
+    prepare(spectrum, L) followed by solve at D: the one row of the
+    oracle's pass, solutions.
 
     Returns
     -------

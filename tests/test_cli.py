@@ -409,9 +409,11 @@ def test_sweep_forms_each_row_once(specs, capsys, monkeypatch):
 
 
 def test_gapped_sweep_row_dispatches_each_d_once(specs, capsys, monkeypatch):
-    # a gapped row takes both large-L bounds and the gap from one
-    # asymptotic_row call, which settles where the bounds meet once
-    names = (("asymptotics", "bounds_meet"),)
+    # a gapped certified row takes both large-L bounds and the gap from one
+    # step of the large-L pass, which settles where the bounds meet once,
+    # and its oracle value from one step of the oracle's pass, which scores
+    # one certificate
+    names = (("asymptotics", "bounds_meet"), ("oracle", "_kkt"))
     calls = _count_calls(monkeypatch, names)
     rc, out, _ = _run(capsys, ["sweep", specs["gapped"], "--certify", "--asymptotic",
                                "100,10000", "--d-start", "0.784", "--d-end", "0.994",
@@ -442,16 +444,18 @@ class _Tagged:
 
 @pytest.mark.parametrize("k", [1, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1,
                                BLOCKED_POINTS])
+# Each patched function is the step a pass takes once a row: the oracle's
+# pass scores one certificate a row, the large-L pass settles where the
+# bounds meet once a row, and the converse pass takes one rate a row.
 @pytest.mark.parametrize("argv, module, name, error, code", [
     (["sweep", "case2", "--certify", "--d-start", "0.7", "--d-end", "0.9"],
-     "oracle", "solve", ConvergenceError, 3),
+     "oracle", "_kkt", ConvergenceError, 3),
     (["asymptotic", "gapped", "--L", "10,1000", "--d-start", "0.8", "--d-end", "0.99"],
-     "asymptotics", "asymptotic_row", ConvergenceError, 3),
+     "asymptotics", "bounds_meet", ConvergenceError, 3),
     (["gap-inf", "gapped", "--d-start", "0.8", "--d-end", "0.99"],
-     "asymptotics", "asymptotic_gap", DomainError, 2),
+     "asymptotics", "bounds_meet", DomainError, 2),
     (["sweep", "gapped", "--asymptotic", "10,1000", "--d-start", "0.8", "--d-end", "0.99"],
-     "asymptotics", "asymptotic_row", PrecisionError, 3),
-    # inside the converse pass, which takes one rate a row
+     "asymptotics", "bounds_meet", PrecisionError, 3),
     (["sweep", "case2", "--d-start", "0.7", "--d-end", "0.9"],
      "upper_bound", "rate_of", PrecisionError, 3),
 ])
@@ -707,6 +711,25 @@ def test_asymptotic_limits_that_overflow_exit_3(tmp_path, capsys):
     assert rc == 3
     assert out == "D,upper_asym_nats_L10,lower_asym_nats_L10\n"
     assert err.startswith("error: limit distortion d_min_inf = inf overflows float64")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale, d_start, d_end, rows", [
+    (1e-200, "6.99999999999e-201", "7.00000000001e-201", 0),
+    (1e-160, "8.7e-161", "9.91381303116364e-161", 1),
+])
+def test_undefined_alpha1_exits_3_after_the_rows_before_it(tmp_path, capsys, scale,
+                                                          d_start, d_end, rows):
+    # At these scales h1's products of four variances underflow at
+    # d_th0_inf, so the sqrt(L) clause has no alpha1.  The grid's middle
+    # point (and at 1e-200 every point) is inside D_TH0_WINDOW of d_th0_inf.
+    rc, out, err = _run(capsys, ["asymptotic", _scaled_spec(tmp_path, scale), "--L", "100",
+                                 "--d-start", d_start, "--d-end", d_end, "--n-points", "3"])
+    assert rc == 3
+    header, *lines = out.splitlines()
+    assert header == "D,upper_asym_nats_L100,lower_asym_nats_L100"
+    assert len(lines) == rows
+    assert err.startswith("error: alpha1 of the sqrt(L) clause is undefined at d_th0_inf")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
