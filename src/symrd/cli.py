@@ -47,11 +47,21 @@ BLOCK_ROWS = 256
 
 
 def _load_spec(path: str):
+    """The validated spec in the UTF-8 file at path, read in one binary read.
+
+    parse_spec_text splits lines as text mode's newline translation
+    would, so the bytes need no text layer; a file that is not UTF-8 is
+    a ValidationError.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read spec file {path!r}: {exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read spec file {path!r}: not UTF-8 ({exc})")
     return parse_spec_text(text, name=path)
 
 
@@ -295,13 +305,18 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the command line; main() builds one per process."""
+    """A new parser of the command line; main() builds one per process.
+
+    Its command_parsers attribute maps each command name to the command's
+    own parser.
+    """
     parser = argparse.ArgumentParser(
         prog="symrd",
         description="Rate-distortion bounds for distributed coding of "
                     "symmetrically correlated Gaussian sources.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.command_parsers = sub.choices
 
     p = sub.add_parser("info", help="validate a spec and report its structure")
     p.add_argument("spec_file")
@@ -345,8 +360,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """What _parser().parse_args(argv) returns, or the same exit it takes.
+
+    When argv's first word names a command, that command's parser alone
+    parses the rest, and words it leaves go to the top-level parser's
+    error, as the full parse sends them.  The top-level parse is kept for
+    help, a missing or unknown command and the `--` form.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.command_parsers.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     # Looked up at call time, so a rebound cmd_* is the one that runs.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

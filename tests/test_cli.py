@@ -21,6 +21,7 @@ import pytest
 import symrd
 import symrd.cli as cli
 from symrd import ConvergenceError, DomainError, PrecisionError, ValidationError
+from symrd.model import parse_spec_text
 
 CASE1_TEXT = """L = 10
 lambda_x = 0.8
@@ -86,6 +87,10 @@ NON_FINITE_TEXTS = {
 NEGATIVE_NOISE_TEXT = ("L = 10\nsigma_x_sq = 1e-15\nrho_x = 0.3\n"
                        "sigma_z_sq = -9e-13\nrho_z = 0\n")
 
+# A valid spec but for a Latin-1 byte in a comment: not UTF-8.
+LATIN1_BYTES = (b"L = 10\nsigma_x_sq = 1.0\nrho_x = 0.3\nsigma_z_sq = 0.5\n"
+                b"rho_z = 0.2 # caf\xe9\n")
+
 
 @pytest.fixture
 def specs(tmp_path):
@@ -98,6 +103,9 @@ def specs(tmp_path):
         p = tmp_path / f"{name}.spec"
         p.write_text(text)
         paths[name] = str(p)
+    p = tmp_path / "latin1.spec"
+    p.write_bytes(LATIN1_BYTES)
+    paths["latin1"] = str(p)
     return paths
 
 
@@ -616,6 +624,7 @@ def test_simulate_deterministic(specs, capsys):
         (lambda s: ["sweep", s["gapped"], "--d-start", "0.85", "--d-end", "0.89",
                     "--n-points", "2", "--asymptotic", "1"], "--asymptotic"),
         (lambda s: ["info", s["negative_noise"]], "sigma_z_sq"),
+        (lambda s: ["info", s["latin1"]], "not UTF-8"),
     ],
 )
 def test_exit_code_2_paths(specs, capsys, argv_fn, fragment):
@@ -623,6 +632,19 @@ def test_exit_code_2_paths(specs, capsys, argv_fn, fragment):
     assert rc == 2
     assert err.startswith("error: ")
     assert fragment in err
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_spec_read_splits_lines_as_text_mode(tmp_path, end):
+    # The spec is read in binary: CRLF and CR line ends parse as LF ones
+    # do, and a diagnostic names the same line.
+    good, broken = tmp_path / "good.spec", tmp_path / "broken.spec"
+    good.write_bytes(CASE2_TEXT.replace("\n", end).encode())
+    broken.write_bytes(f"L = 10{end}rho_x{end}".encode())
+    assert cli._load_spec(str(good)) == parse_spec_text(CASE2_TEXT)
+    with pytest.raises(ValidationError, match=r"broken\.spec:2: expected 'key = value', "
+                                              r"got 'rho_x'$"):
+        cli._load_spec(str(broken))
 
 
 def test_malformed_spec_diagnostic_names_line(tmp_path, capsys):
@@ -634,9 +656,84 @@ def test_malformed_spec_diagnostic_names_line(tmp_path, capsys):
     assert "broken.spec:2" in err
 
 
+# Argument vectors for the dispatch test: valid ones, help, and each way
+# a parse can fail (SPEC stands for a spec path that is never read).
+_GRID = ["--d-start", "0.1", "--d-end", "0.9", "--n-points", "3"]
+_SIM = ["--D", "0.5", "--n", "100", "--seed", "1"]
+DISPATCH_ARGVS = {
+    "no_argv": [],
+    "top_h": ["-h"],
+    "top_help": ["--help"],
+    "top_h_before_command": ["-h", "sweep"],
+    "unknown_command": ["bogus", "SPEC"],
+    "unknown_option_first": ["--bogus", "info", "SPEC"],
+    "bare_sweep": ["sweep"],
+    "sweep_h": ["sweep", "-h"],
+    "sweep_h_after_options": ["sweep", "SPEC", *_GRID, "-h"],
+    "simulate_help": ["simulate", "--help"],
+    "info": ["info", "SPEC"],
+    "classify": ["classify", "SPEC"],
+    "sweep": ["sweep", "SPEC", *_GRID],
+    "sweep_all_flags": ["sweep", "SPEC", *_GRID, "--certify", "--asymptotic",
+                        "100,1000", "--bits", "--include-endpoints-eps"],
+    "asymptotic": ["asymptotic", "SPEC", "--L", "10,100", *_GRID],
+    "gap_inf": ["gap-inf", "SPEC", *_GRID, "--bits"],
+    "simulate": ["simulate", "SPEC", *_SIM, "--bits"],
+    "missing_required": ["sweep", "SPEC", "--d-start", "0.1", "--d-end", "0.9"],
+    "missing_spec": ["simulate", *_SIM],
+    "bogus_option": ["sweep", "SPEC", *_GRID, "--bogus"],
+    "two_bogus_words": ["sweep", "SPEC", "--bogus", *_GRID, "extra"],
+    "extra_positional": ["info", "SPEC", "extra"],
+    "double_dash_first": ["--", "sweep", "SPEC", *_GRID],
+    "double_dash_in_command": ["info", "--", "-SPEC"],
+    "equals_form": ["sweep", "SPEC", "--d-start=0.1", "--d-end", "0.9",
+                    "--n-points", "3"],
+    "abbreviation": ["sweep", "SPEC", "--d-st", "0.1", "--d-end", "0.9",
+                     "--n-points", "3"],
+    "ambiguous_abbreviation": ["sweep", "SPEC", "--d", "0.1", *_GRID],
+    "negative_values": ["simulate", "SPEC", "--D", "-0.5", "--n", "-3",
+                        "--seed", "-1"],
+    "bad_float": ["sweep", "SPEC", "--d-start", "x", "--d-end", "0.9",
+                  "--n-points", "3"],
+    "bad_int": ["simulate", "SPEC", "--D", "0.5", "--n", "1e6", "--seed", "1"],
+    "repeated_n": ["simulate", "SPEC", "--D", "0.5", "--n", "10", "--n", "20",
+                   "--seed", "1"],
+    "classify_bits": ["classify", "SPEC", "--bits"],
+}
+
+
+def _exit_outcome(capsys, call):
+    """(SystemExit code or None, stdout, stderr, return value or None) of call."""
+    try:
+        value, code = call(), None
+    except SystemExit as exc:
+        value, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, value
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS.values(), ids=DISPATCH_ARGVS.keys())
+def test_dispatch_matches_the_full_parse(capsys, monkeypatch, argv):
+    # main() parses a request with its command's own parser: the same exit
+    # code, standard output and error as the full two-level parse, and,
+    # where argv is valid, the same namespace reaches the command.
+    seen = []
+    for name in ("info", "classify", "sweep", "asymptotic", "gap_inf", "simulate"):
+        monkeypatch.setattr(cli, "cmd_" + name, lambda args: seen.append(args) or 0)
+    full = _exit_outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+    dispatched = _exit_outcome(capsys, lambda: cli.main(argv))
+    if full[0] is None:
+        assert dispatched == (None, "", "", 0)
+        assert seen == [full[3]]
+    else:
+        assert dispatched[:3] == full[:3]
+        assert seen == []
+
+
 def test_import_builds_no_parser_and_main_builds_one():
     # In a fresh interpreter: count ArgumentParser constructions on import,
-    # after one main() call and after a second one.
+    # after one main() call and after a second one.  -B keeps the child
+    # from writing bytecode next to the sources.
     code = """
 import argparse, contextlib, io
 built = [0]
@@ -654,7 +751,7 @@ for _ in range(2):
 print(*counts)
 """
     package_root = str(Path(symrd.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env={"PATH": "/usr/local/bin:/usr/bin:/bin",
                                "PYTHONPATH": package_root})
@@ -782,8 +879,9 @@ def test_invalid_spec_or_config_raises_at_construction():
 def test_console_script_byte_deterministic(specs):
     # `python -m symrd` makes the same main() call as the console script,
     # and needs no install: the second run gets a stripped environment whose
-    # PYTHONPATH names the directory holding the imported package.
-    argv = [sys.executable, "-m", "symrd", "sweep", specs["case2"],
+    # PYTHONPATH names the directory holding the imported package.  -B keeps
+    # either run from writing bytecode next to the sources.
+    argv = [sys.executable, "-B", "-m", "symrd", "sweep", specs["case2"],
             "--d-start", "0.68", "--d-end", "0.8", "--n-points", "6",
             "--certify"]
     package_root = str(Path(symrd.__file__).resolve().parent.parent)

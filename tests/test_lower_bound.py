@@ -335,6 +335,26 @@ def test_roots_match_50_digit_replay():
             assert float(abs(got - ref) / ref) <= bound, (L, s)
 
 
+def test_noiseless_and_uncorrelated_noise_specs_are_case_1():
+    # Two families whose converse is Rbar at every D: noiseless specs
+    # (rho_x over its open range; rho_z drawn but unused), and specs with
+    # rho_z = 0 and rho_x >= 0, rho_x = 1 (the CEO problem) with odds 1 in
+    # 10.  L is log-uniform on [2, 1e7] and sigma_x_sq, sigma_z_sq are
+    # 10^U(-3, 3).
+    rng = np.random.default_rng(20261022)
+    for k in range(20000):
+        L = max(2, round(math.exp(rng.uniform(math.log(2.0), math.log(1e7)))))
+        sigma_x_sq = 10.0 ** rng.uniform(-3, 3)
+        if k % 2:
+            rho_x = (rng.uniform(-1.0 / (L - 1), 0.0) if rng.random() < 0.5
+                     else rng.uniform(0.0, 1.0))
+            spec = SourceSpec(L, sigma_x_sq, rho_x, 0.0, rng.uniform(0.0, 1.0))
+        else:
+            rho_x = 1.0 if rng.random() < 0.1 else rng.uniform(0.0, 1.0)
+            spec = SourceSpec(L, sigma_x_sq, rho_x, 10.0 ** rng.uniform(-3, 3), 0.0)
+        assert classify(spectral_decompose(spec), L).case == 1, spec
+
+
 def _outcome(call):
     try:
         return call()
