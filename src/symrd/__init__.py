@@ -57,11 +57,9 @@ from .oracle import (
 from .asymptotics import (
     AsymptoticRegime,
     Condition,
-    ExpansionCoefficients,
     asymptotic_gap,
     asymptotic_regime,
     asymptotic_row,
-    expansion_coefficients,
     lower_asymptotic,
     upper_asymptotic,
 )
@@ -88,9 +86,9 @@ __all__ = [
     "lower_bound_rate", "lower_bound_piece",
     "PIECE_RBAR", "PIECE_R1C", "PIECE_R2C", "PIECE_R1C_HAT", "PIECE_R2C_HAT",
     "ProgramPoint", "KktCertificate", "solve_program",
-    "Condition", "AsymptoticRegime", "ExpansionCoefficients",
+    "Condition", "AsymptoticRegime",
     "asymptotic_regime", "upper_asymptotic", "lower_asymptotic", "asymptotic_row",
-    "asymptotic_gap", "expansion_coefficients",
+    "asymptotic_gap",
     "SimConfig", "SimResult", "run_simulation", "analytic_rate",
     "__version__",
 ]

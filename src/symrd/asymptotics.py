@@ -29,12 +29,12 @@ one-cell views.
 Every evaluator drops the remainder term of its expansion: the upper
 bound's three pieces carry O(1/L) errors except exactly at d_th0_inf where
 the error is O(1/sqrt(L)); the mix = 0 expression is exact for every L.
-The constant term of the d_th0_inf piece is assembled from the expansion
-coefficients alpha_1, alpha_2 (see expansion_coefficients) as
--gamma_y (gamma_y + 2 alpha_2) / (4 alpha_1^2); this is the form consistent
-with the expansion itself and with the numerically observed limit.  Those
-coefficients come from correlation_form, which writes the b and c of
-the seed quadratic of upper_bound.solutions as polynomials in L.
+The constant term of the d_th0_inf piece is assembled from alpha_1 and
+alpha_2 of the solved noise level's expansion alpha_1 sqrt(L) + alpha_2 + ...
+as -gamma_y (gamma_y + 2 alpha_2) / (4 alpha_1^2); this is the form
+consistent with the expansion itself and with the numerically observed
+limit.  correlation_form, which writes the b and c of the seed quadratic of
+upper_bound.solutions as polynomials in L, gives both (see _rbar2_inf).
 
 Correlations outside [0, 1], and the xi-degenerate points rho_x = 1 and
 rho_y = 0 (with mix > 0 the latter cannot occur), are rejected: the finite-L
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -92,23 +93,6 @@ class AsymptoticRegime:
     gap_factor: float | None = None
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Leading coefficients of the test-noise level's large-L expansion.
-
-    Below d_th0_inf the solved noise level behaves as eta1 + eta2/L + ...;
-    exactly at d_th0_inf as alpha1 sqrt(L) + alpha2 + ...; above it as
-    beta1 L + ... .  Fields whose defining formula is singular at the given
-    D (eta's need g1 != 0; alpha's need -h1/(sigma_x^2 - D) > 0) are None.
-    """
-
-    eta1: float | None
-    eta2: float | None
-    alpha1: float | None
-    alpha2: float | None
-    beta1: float | None
-
-
 def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
     """Classify a spec and compute its limit distortions.
 
@@ -119,8 +103,8 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
         mixture (xi is undefined there and no limit is assigned).
     PrecisionError
         If a limit distortion overflows float64 (at variances near 1e154
-        and above), half_log_rho's argument rounds to 0, or gamma_x^4 in
-        gap_factor leaves float64 (at variances beyond about 1e+-77).
+        and above), half_log_rho's argument rounds to 0, or a power of
+        gamma_x in the gap's terms leaves float64 (beyond about 1e+-77).
     """
     sx2, sz2 = spec.sigma_x_sq, spec.sigma_z_sq
     rx, rz = spec.rho_x, spec.rho_z
@@ -153,19 +137,19 @@ def asymptotic_regime(spec: SourceSpec) -> AsymptoticRegime:
         condition = Condition.PosMixPosRho_XiGeHalf
     else:
         condition = Condition.PosMixPosRho_XiLtHalf
-        root = math.sqrt(1.0 - 4.0 * xi ** 2)
-        d_th1 = d_th0_inf - (1.0 + root) / 2.0 * gx ** 2 / gy
-        d_th2 = d_th0_inf - (1.0 - root) / 2.0 * gx ** 2 / gy
         rho_ratio = rx ** 2 * (1.0 - spec.rho_y) / ((1.0 - rx) ** 2 * spec.rho_y)
         if not rho_ratio > 0.0:
             raise PrecisionError(f"half_log_rho's argument rounds to {rho_ratio!r} at "
                                  f"rho_x = {rx!r}, rho_y = {spec.rho_y!r}")
         half_log_rho = 0.5 * math.log(rho_ratio)
+        root = math.sqrt(1.0 - 4.0 * xi ** 2)
         try:
+            d_th1 = d_th0_inf - (1.0 + root) / 2.0 * gx ** 2 / gy
+            d_th2 = d_th0_inf - (1.0 - root) / 2.0 * gx ** 2 / gy
             gap_factor = gy ** 2 / (xi ** 2 * gx ** 4)
         except ArithmeticError:
-            raise PrecisionError("the gap's factor gamma_y^2 / (xi^2 gamma_x^4) leaves "
-                                 f"float64 at gamma_x = {gx!r}") from None
+            raise PrecisionError("the gap's factor gamma_y^2 / (xi^2 gamma_x^4) or its "
+                                 f"ends leave float64 at gamma_x = {gx!r}") from None
     return _finite(AsymptoticRegime(spec, condition, gx, gz, gy, mix, xi, d_min_inf,
                                     d_th0_inf, d_th1, d_th2, half_log_rho, gap_factor))
 
@@ -205,39 +189,8 @@ def correlation_form(spec: SourceSpec, gx: float, gz: float, gy: float,
     g1 = rx * rz * sx2 * sz2 + mix * (gx - D)
     g2 = sx2 * (gz + gy) - rx * sx2 * gx - 2.0 * gy * D
     h1 = rx * rz * sx2 * sz2 * gy + mix * (gx * gz - gy * D)
-    h2 = rx * sx2 * gz ** 2 + rz * sz2 * gx ** 2 + gx * gz * gy - gy ** 2 * D
+    h2 = rx * sx2 * gz * gz + rz * sz2 * gx * gx + gx * gz * gy - gy * gy * D
     return g1, g2, h1, h2
-
-
-def expansion_coefficients(regime: AsymptoticRegime, D: float) -> ExpansionCoefficients:
-    """Coefficients of the solved noise level's expansion at distortion D.
-
-    Built from correlation_form's g1, g2, h1, h2:
-
-        eta1  = -h1 / g1,
-        eta2  = -(h2/g1 - g2 h1/g1^2 + (sigma_x^2 - D) h1^2/g1^3),
-        alpha1 = sqrt(-h1 / (sigma_x^2 - D)),
-        alpha2 = -g2 / (2 (sigma_x^2 - D)),
-        beta1 = -g1 / (sigma_x^2 - D).
-
-    g1 vanishes exactly at D = d_th0_inf, where the eta fields give way to
-    the alpha fields.  Requires D < sigma_x^2.
-    """
-    spec = regime.spec
-    sx2 = spec.sigma_x_sq
-    if not D < sx2:
-        raise DomainError(f"expansion requires D < sigma_x_sq, got D = {D!r}")
-    g1, g2, h1, h2 = correlation_form(spec, regime.gamma_x, regime.gamma_z,
-                                      regime.gamma_y, regime.mix, D)
-    eta1 = eta2 = alpha1 = alpha2 = None
-    if g1 != 0.0:
-        eta1 = -h1 / g1
-        eta2 = -(h2 / g1 - g2 * h1 / g1 ** 2 + (sx2 - D) * h1 ** 2 / g1 ** 3)
-    ratio = -h1 / (sx2 - D)
-    if ratio > 0.0:
-        alpha1 = math.sqrt(ratio)
-        alpha2 = -g2 / (2.0 * (sx2 - D))
-    return ExpansionCoefficients(eta1, eta2, alpha1, alpha2, -g1 / (sx2 - D))
 
 
 # --- the individual limit expressions ----------------------------------------
@@ -283,20 +236,24 @@ def _rbar1_inf(reg: AsymptoticRegime, sizes: Sequence[int]) -> Callable:
 def _rbar2_inf(reg: AsymptoticRegime, sizes: Sequence[int]) -> Callable:
     """The sqrt(L) clause at d_th0_inf: free of D, so formed once.
 
-    Raises PrecisionError where alpha_1 is undefined: -h1 / (sigma_x^2 - D)
-    at d_th0_inf, which is mix gamma_x^2 / (sigma_x^2 - D) exactly, does not
-    round to a positive number (h1's products of four variances underflow).
+    alpha_1 = sqrt(-h1 / (sigma_x^2 - D)) and alpha_2 = -g2 / (2 (sigma_x^2 - D)),
+    with correlation_form's g2, h1 at D = d_th0_inf.  Raises PrecisionError
+    where alpha_1 is undefined: h1 is not a normal, finite float (past
+    variances of about 1e+-102), d_th0_inf rounds to sigma_x^2, or
+    -h1 / (sigma_x^2 - D) does not round to a positive number.
     """
-    gy, xi = reg.gamma_y, reg.xi
-    coeff = expansion_coefficients(reg, reg.d_th0_inf)
-    a1, a2 = coeff.alpha1, coeff.alpha2
-    if a1 is None:
+    spec, gy, xi, d0 = reg.spec, reg.gamma_y, reg.xi, reg.d_th0_inf
+    width = spec.sigma_x_sq - d0
+    _, g2, h1, _ = correlation_form(spec, reg.gamma_x, reg.gamma_z, gy, reg.mix, d0)
+    if not (sys.float_info.min <= abs(h1) < math.inf and width > 0.0
+            and (ratio := -h1 / width) > 0.0):
         raise PrecisionError(
-            f"alpha1 of the sqrt(L) clause is undefined at d_th0_inf = "
-            f"{reg.d_th0_inf!r}: -h1 / (sigma_x_sq - D) does not round to a positive "
-            f"number at sigma_x_sq = {reg.spec.sigma_x_sq!r}, "
-            f"sigma_z_sq = {reg.spec.sigma_z_sq!r}")
-    half_log_rho = 0.5 * math.log(reg.spec.rho_x / (1.0 - reg.spec.rho_x))
+            f"alpha1 of the sqrt(L) clause is undefined at d_th0_inf = {d0!r}: it needs "
+            f"a normal h1 (h1 = {h1!r}) and a positive -h1 / (sigma_x_sq - D) (sigma_x_sq "
+            f"- D = {width!r}) at sigma_x_sq = {spec.sigma_x_sq!r}, "
+            f"sigma_z_sq = {spec.sigma_z_sq!r}")
+    a1, a2 = math.sqrt(ratio), -g2 / (2.0 * width)
+    half_log_rho = 0.5 * math.log(spec.rho_x / (1.0 - spec.rho_x))
     constant = gy * (gy + 2.0 * a2) / (4.0 * a1 ** 2)
     values = [xi / 2.0 * math.sqrt(L) + 0.25 * math.log(L) + half_log_rho - constant
               for L in sizes]

@@ -16,17 +16,17 @@ from symrd import (
     DomainError,
     PrecisionError,
     SourceSpec,
+    SymrdError,
     asymptotic_gap,
     asymptotic_regime,
     asymptotic_row,
-    expansion_coefficients,
     from_eigenvalues,
     lower_asymptotic,
     spectral_decompose,
     upper_asymptotic,
     upper_bound_rate,
 )
-from symrd.asymptotics import D_TH0_WINDOW, bounds_meet
+from symrd.asymptotics import D_TH0_WINDOW, bounds_meet, correlation_form
 from symrd.cli import _grid
 from symrd.model import parse_spec_text
 from test_golden import ASYM_RANGES, GOLDEN
@@ -56,12 +56,10 @@ GAPPED_UPPER_AT_097 = 3.39587973461402750040623867919
 ZERO_MIX_UPPER_AT_085 = 6.93147180559945309417232121458  # = 10 ln 2
 ZERO_RHO_X_LOWER_AT_080 = 229.822682968538766295881802942
 
-# 50-digit reference: test-channel expansion coefficients of the gapped spec.
-GAPPED_ETA1_AT_087 = 2.71276595744680851063829787234
-GAPPED_ETA2_AT_087 = -0.0589946351001223235699218862872
+# 50-digit reference: the sqrt(L) clause's expansion coefficients of the
+# gapped spec at d_th0_inf.
 GAPPED_ALPHA1_AT_TH0 = 5.83333333333333333333333333333    # = 35/6
 GAPPED_ALPHA2_AT_TH0 = 10.1388888888888888888888888889    # = 365/36
-GAPPED_BETA1_AT_097 = 0.5
 
 
 def test_regime_classification():
@@ -291,12 +289,13 @@ def test_gapped_regime_whose_d_free_log_rounds_to_zero_raises(spec):
         asymptotic_regime(spec)
 
 
-@pytest.mark.parametrize("scale", [1e80, 1e-82])
+@pytest.mark.parametrize("scale", [1e80, 1e-82, 4.0 ** 257])
 def test_gapped_regime_whose_gap_factor_leaves_float64_raises(scale):
-    # gamma_x^4 overflows (1e80) or underflows to 0 (1e-82): the gap's
-    # D-free factor, held by the regime, has no float64 value, and the
-    # classification says so rather than a raw OverflowError or
-    # ZeroDivisionError
+    # gamma_x^4 overflows (1e80) or underflows to 0 (1e-82), or already
+    # gamma_x^2 of the gap interval's ends overflows (4^257, gamma_x near
+    # 3.8e154): the gap's D-free terms, held by the regime, have no float64
+    # value, and the classification says so rather than a raw
+    # OverflowError or ZeroDivisionError
     with pytest.raises(PrecisionError, match="gap's factor"):
         asymptotic_regime(SourceSpec(GAPPED.L, scale, GAPPED.rho_x,
                                      scale * GAPPED.sigma_z_sq, GAPPED.rho_z))
@@ -311,19 +310,73 @@ def test_threshold_window_routes_to_sqrt_l_expression():
     assert abs(got - GAPPED_UPPER_AT_TH0) <= 1e-10 * GAPPED_UPPER_AT_TH0
 
 
-def test_expansion_coefficients_frozen():
+def _interior_shapes(seed, n):
+    """n seeded specs with variances in [1e-3, 1e3] whose d_th0_inf is interior."""
+    rng = random.Random(seed)
+    shapes = []
+    while len(shapes) < n:
+        sigma_x_sq, sigma_z_sq = (math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+                                  for _ in range(2))
+        spec = SourceSpec(10, sigma_x_sq, rng.uniform(0.0, 1.0), sigma_z_sq,
+                          rng.uniform(0.0, 1.0))
+        try:
+            reg = asymptotic_regime(spec)
+        except SymrdError:
+            continue
+        if spec.rho_x > 0.0 and reg.d_min_inf < reg.d_th0_inf < sigma_x_sq:
+            shapes.append(spec)
+    return shapes
+
+
+def test_sqrt_l_window_at_power_of_four_scales_is_the_unit_problem():
+    # Scaling both variances by c = 4^k is exact, and every large-L cell
+    # is homogeneous of degree 0: inside D_TH0_WINDOW of d_th0_inf the
+    # row at each scale is the unit spec's, bit for bit, or a SymrdError
+    # says float64 cannot resolve it -- never a raw error or another value
+    def window(reg):
+        return [reg.d_th0_inf + f * D_TH0_WINDOW * reg.spec.sigma_x_sq
+                for f in (-0.5, 0.0, 0.5)]
+
+    equal = 0
+    for spec in _interior_shapes(20261020, 40):
+        unit = asymptotic_regime(spec)
+        want = [asymptotic_row(unit, ASYM_SIZES, D) for D in window(unit)]
+        for k in range(-270, 271):
+            c = 4.0 ** k
+            scaled = SourceSpec(spec.L, c * spec.sigma_x_sq, spec.rho_x,
+                                c * spec.sigma_z_sq, spec.rho_z)
+            try:
+                reg = asymptotic_regime(scaled)
+                got = [asymptotic_row(reg, ASYM_SIZES, D) for D in window(reg)]
+            except SymrdError:
+                continue
+            assert repr(got) == repr(want), scaled
+            equal += 1
+    # the clause prints over about 1e+-102, some 340 of the 541 scales
+    assert equal > 40 * 300, equal
+
+
+def test_sqrt_l_clause_where_d_th0_inf_rounds_to_sigma_x_sq_raises():
+    # rho_x = 1e-20 leaves d_th0_inf = sigma_x_sq - O(1e-20), which rounds
+    # to sigma_x_sq; a D inside the window below it is in the domain, but
+    # alpha1's denominator sigma_x_sq - d_th0_inf is 0
+    reg = asymptotic_regime(SourceSpec(10, 1.0, 1e-20, 2.0, 0.5))
+    assert reg.d_th0_inf == reg.spec.sigma_x_sq
+    with pytest.raises(PrecisionError, match="^alpha1 of the sqrt"):
+        asymptotic_row(reg, ASYM_SIZES, 1.0 - 0.5 * D_TH0_WINDOW)
+
+
+def test_sqrt_l_coefficients_frozen():
+    # alpha1 = sqrt(-h1 / (sigma_x_sq - D)) and alpha2 = -g2 / (2 (sigma_x_sq - D))
+    # at d_th0_inf, from correlation_form, as the sqrt(L) clause forms them;
+    # g1, the 1/L series' denominator, vanishes there
     reg = asymptotic_regime(GAPPED)
-    c = expansion_coefficients(reg, 0.87)
-    assert abs(c.eta1 - GAPPED_ETA1_AT_087) < 1e-13
-    assert abs(c.eta2 - GAPPED_ETA2_AT_087) < 1e-13
-    at_th0 = expansion_coefficients(reg, reg.d_th0_inf)
-    assert abs(at_th0.alpha1 - GAPPED_ALPHA1_AT_TH0) < 1e-12
-    assert abs(at_th0.alpha2 - GAPPED_ALPHA2_AT_TH0) < 1e-11
-    # the 1/L series is singular exactly at d_th0 (its leading coefficient
-    # has a zero denominator there)
-    assert at_th0.eta1 is None and at_th0.eta2 is None
-    above = expansion_coefficients(reg, 0.97)
-    assert abs(above.beta1 - GAPPED_BETA1_AT_097) < 1e-13
+    D = reg.d_th0_inf
+    g1, g2, h1, _ = correlation_form(GAPPED, reg.gamma_x, reg.gamma_z, reg.gamma_y,
+                                     reg.mix, D)
+    assert g1 == 0.0
+    assert abs(math.sqrt(-h1 / (GAPPED.sigma_x_sq - D)) - GAPPED_ALPHA1_AT_TH0) < 1e-12
+    assert abs(-g2 / (2.0 * (GAPPED.sigma_x_sq - D)) - GAPPED_ALPHA2_AT_TH0) < 1e-11
 
 
 def test_d_range_domain_errors():

@@ -817,7 +817,7 @@ def test_asymptotic_limits_that_overflow_exit_3(tmp_path, capsys):
 ])
 def test_undefined_alpha1_exits_3_after_the_rows_before_it(tmp_path, capsys, scale,
                                                           d_start, d_end, rows):
-    # At these scales h1's products of four variances underflow at
+    # At these scales h1's products of three variances underflow at
     # d_th0_inf, so the sqrt(L) clause has no alpha1.  The grid's middle
     # point (and at 1e-200 every point) is inside D_TH0_WINDOW of d_th0_inf.
     rc, out, err = _run(capsys, ["asymptotic", _scaled_spec(tmp_path, scale), "--L", "100",
@@ -828,6 +828,22 @@ def test_undefined_alpha1_exits_3_after_the_rows_before_it(tmp_path, capsys, sca
     assert len(lines) == rows
     assert err.startswith("error: alpha1 of the sqrt(L) clause is undefined at d_th0_inf")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sqrt_l_clause_prints_where_h1_is_a_normal_float(tmp_path, capsys):
+    # At 1e-80 h1 is a normal float at d_th0_inf, so the sqrt(L) clause has
+    # its alpha1; every grid point is inside D_TH0_WINDOW of d_th0_inf, and
+    # each row prints the unit spec's cells.
+    def cells(scale):
+        rc, out, err = _run(capsys, ["asymptotic", _scaled_spec(tmp_path, scale),
+                                     "--L", "100,1000000",
+                                     "--d-start", f"{0.93076923076922 * scale!r}",
+                                     "--d-end", f"{0.93076923076924 * scale!r}",
+                                     "--n-points", "3"])
+        assert rc == 0 and err == ""
+        return [line.split(",")[1:] for line in out.splitlines()[1:]]
+    unit = cells(1.0)
+    assert len(unit) == 3 and cells(1e-80) == unit
 
 
 @pytest.mark.parametrize("message, shown", [
