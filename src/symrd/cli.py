@@ -188,7 +188,8 @@ def cmd_sweep(args) -> int:
     converse = lower_bound.classify(s, L)
     _check_range(converse, args.d_start, args.d_end)
     grid = _grid(args)
-    asym_ls = _sizes(args.asymptotic, "--asymptotic") if args.asymptotic else []
+    # An empty --asymptotic is a list with no sizes, refused like ",".
+    asym_ls = _sizes(args.asymptotic, "--asymptotic") if args.asymptotic is not None else []
     regime = asymptotics.asymptotic_regime(spec) if asym_ls else None
 
     scale = _LN2 if args.bits else 1.0
@@ -209,17 +210,18 @@ def cmd_sweep(args) -> int:
                      else None)
         limits = asymptotics.rows(regime, asym_ls, grid) if regime is not None else None
         for D, upper, lower, piece in lower_bound.rows(converse, grid):
-            cells = [D, upper / scale, lower / scale, (upper - lower) / scale, piece]
+            cells = (D, upper / scale, lower / scale, (upper - lower) / scale, piece)
             if certified is not None:
-                _, value, _, _, cert = next(certified)
-                cells += (value / scale, max(cert.stationarity_residual,
-                                             cert.complementarity_residual))
+                _, value, _, _, (_, _, _, stat, comp) = next(certified)
+                # The larger residual, as max(stat, comp) picks it.
+                cells += (value / scale, comp if comp > stat else stat)
             if limits is not None:
                 _, bounds, gap = next(limits)
-                cells += [cell / scale for pair in bounds for cell in pair]
+                for up, low in bounds:
+                    cells += (up / scale, low / scale)
                 if gap is not None:
-                    cells.append(gap / scale)
-            yield row_format % tuple(cells)
+                    cells += (gap / scale,)
+            yield row_format % cells
 
     _write_table(",".join(header), rows())
     return 0

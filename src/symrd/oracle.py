@@ -141,9 +141,9 @@ def _slack_pair(L: int, D: float, terms: tuple) -> tuple[float, float]:
     lin, e1, sq, e2, pq = terms
     dn, dd = D.as_integer_ratio()
     ed = dd.bit_length() - 1
-    e = max(e1, ed)
+    e = ed if ed > e1 else e1
     lin = (lin << (e - e1)) - (L * dn << (e - ed))
-    e3 = max(e2, e)
+    e3 = e if e > e2 else e2
     num = (sq << (e3 - e2)) - (lin << (e3 - e)) * pq
     return num / (pq << e3), lin / (1 << e)
 
@@ -266,16 +266,13 @@ def solutions(program: Program, grid):
                     if stationary < value:
                         value, v, d = stationary, v_c, d_c
         cert = _kkt(program, v, d, s0)
-        residual = max(cert.stationarity_residual, cert.complementarity_residual)
+        _, _, _, stat, comp = cert
+        residual = comp if comp > stat else stat
         if not residual <= CERTIFICATE_TOL:
             raise ConvergenceError(
                 f"KKT residual {residual!r} exceeds certificate tolerance at "
                 f"D = {D!r}", best=(_point(hatted, v, d), value, cert))
         yield D, value, v, d, cert
-
-
-def _share(term: float, scale: float) -> float:
-    return abs(term) / scale if scale > 0.0 else 0.0
 
 
 def _kkt(program: Program, v: float, d: float, s0: float) -> KktCertificate:
@@ -285,16 +282,19 @@ def _kkt(program: Program, v: float, d: float, s0: float) -> KktCertificate:
     multipliers may be nonzero, and the stationarity equations are solved
     exactly for them; the small side's variable is delta, where its
     envelope pins it.  Raises DomainError where they have no solution:
-    off the envelope when the small side carries no source.
+    off the envelope when the small side carries no source.  Each
+    largest-of is a comparison that keeps builtin max's choice (the
+    first of equals, and a NaN first stays).
     """
     L, _, _, _, yb, ys, mb, dy, a, b, _, _, ybys, _ = program
     lw = dy * v + ybys                    # y_big y_small (1 + c v)
     env, de = v * yb * ys / lw, (ybys / lw) ** 2
     slope = mb * dy / (2.0 * lw)          # minus the objective's v-derivative
     half = L / (2.0 * d)
+    off_env, off_box = abs(d - env), abs(v - yb)
     w1, w2 = 0.0, (half * a - b * slope) / (a + b * de)
     # An envelope within _ACTIVE_TOL binds only if w2 >= 0 (box end near the top).
-    if abs(d - env) <= _ACTIVE_TOL * env and w2 >= 0.0:
+    if off_env <= _ACTIVE_TOL * env and w2 >= 0.0:
         w3 = (half * de + slope) / (a + b * de)
     elif b == 0.0:
         # The delta equation reads L / (2 delta) = omega2, and the
@@ -304,27 +304,38 @@ def _kkt(program: Program, v: float, d: float, s0: float) -> KktCertificate:
             "no source (b = 0) and the envelope is not active")
     else:
         w2, w3 = 0.0, half / b
-        if abs(v - yb) <= _ACTIVE_TOL * yb:
+        if off_box <= _ACTIVE_TOL * yb:
             w1 = slope - w3 * a
-    # The terms of the stationarity equations in v and in delta.
-    v1, v3, v4 = -slope, -w2 * de, w3 * a
-    d1, d3 = -half, w3 * b
-    scale_v = abs(v1) + abs(w1) + abs(v3) + abs(v4)
-    scale_d = abs(d1) + abs(w2) + abs(d3)
+    # The terms of the stationarity equations in v (-slope, w1, v3, v4)
+    # and in delta (-half, w2, d3).
+    v3, v4, d3 = -w2 * de, w3 * a, w3 * b
+    abs_w1, abs_w2, abs_v4, abs_d3 = abs(w1), abs(w2), abs(v4), abs(d3)
+    scale_v = abs(slope) + abs_w1 + abs(v3) + abs_v4
+    scale_d = abs(half) + abs_w2 + abs_d3
     lhs = a * v + b * d
     if scale_v > 0.0:
-        share1, share3 = abs(w1) / scale_v, abs(v4) / scale_v
-        stat = abs(v1 + w1 + v3 + v4) / scale_v
+        share1, share3 = abs_w1 / scale_v, abs_v4 / scale_v
+        stat = abs(-slope + w1 + v3 + v4) / scale_v
     else:
         share1 = share3 = stat = 0.0
     if scale_d > 0.0:
-        share2, share_d, stat_d = abs(w2) / scale_d, abs(d3) / scale_d, abs(d1 + w2 + d3) / scale_d
+        share2, share_d = abs_w2 / scale_d, abs_d3 / scale_d
+        stat_d = abs(-half + w2 + d3) / scale_d
     else:
         share2 = share_d = stat_d = 0.0
-    share3, stat = max(share3, share_d), max(stat, stat_d)
-    comp = max(share1 if w1 < 0.0 else share1 * _share(v - yb, v + yb),
-               share2 if w2 < 0.0 else share2 * _share(d - env, d + env),
-               share3 if w3 < 0.0 else share3 * _share(lhs - s0, lhs + s0))
+    if share_d > share3:
+        share3 = share_d
+    if stat_d > stat:
+        stat = stat_d
+    # Complementary slackness: a negative multiplier's share alone, else
+    # its share times the constraint's slack over the sum of its sides.
+    comp = share1 if w1 < 0.0 else share1 * (off_box / t if (t := v + yb) > 0.0 else 0.0)
+    c = share2 if w2 < 0.0 else share2 * (off_env / t if (t := d + env) > 0.0 else 0.0)
+    if c > comp:
+        comp = c
+    c = share3 if w3 < 0.0 else share3 * (abs(lhs - s0) / t if (t := lhs + s0) > 0.0 else 0.0)
+    if c > comp:
+        comp = c
     return KktCertificate(w1, w2, w3, stat, comp)
 
 

@@ -215,6 +215,64 @@ def distortion_constraint(s: Spectrum, L: int, alpha, beta) -> mpf:
             + (L - 1) * (gx ** 2 / gy ** 2 * beta + gx - gx ** 2 / gy))
 
 
+def certificate(s, L: int, D, v, d, tol) -> tuple:
+    """The oracle's KKT certificate of its reduced program, replayed at DPS digits.
+
+    s is the float spectrum, L its size, D the distortion and (v, d) the
+    oracle's float point: the big side's variable and delta.  The program
+    is the one the oracle solved: big and small are the (x, y, m) triples
+    of the float eigenvalues (big has the larger y, lambda on a tie),
+    taken as exact, with a = m_b x_b^2 / y_b^2, b = m_s x_s^2 / y_s^2 and
+    the exact slack s0 = L D - m_b (x_b - x_b^2 / y_b) - m_s (x_s - x_s^2 / y_s)
+    of a v + b delta <= s0.  The active set is picked by the oracle's
+    rules: the envelope delta = env(v) binds when |delta - env| <= tol env
+    and its multiplier omega2 comes out >= 0, the distortion constraint
+    binds always, and the box v = y_b when |v - y_b| <= tol y_b off the
+    envelope.  The stationarity equations are then solved for the
+    multipliers of the active set.
+
+    Returns (active, omega1, omega2, omega3, stationarity, complementarity):
+    active is the tuple of binding constraint names, ("envelope",
+    "distortion"), ("distortion",) or ("box", "distortion"); the
+    residuals are the certificate's relative ones (see symrd.oracle's
+    KktCertificate), here free of float rounding.
+    """
+    lam = (_mp(s.lambda_x), _mp(s.lambda_y), 1)
+    gam = (_mp(s.gamma_x), _mp(s.gamma_y), L - 1)
+    (xb, yb, mb), (xs, ys, ms) = (lam, gam) if s.lambda_y >= s.gamma_y else (gam, lam)
+    v, d, tol = _mp(v), _mp(d), _mp(tol)
+    a, b = mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2
+    s0 = L * _mp(D) - mb * (xb - xb ** 2 / yb) - ms * (xs - xs ** 2 / ys)
+    dy, ybys = yb - ys, yb * ys
+    lw = dy * v + ybys
+    env, de = v * ybys / lw, (ybys / lw) ** 2
+    slope = mb * dy / (2 * lw)            # minus the objective's v-derivative
+    half = L / (2 * d)
+    w1, w2 = _mp(0), (half * a - b * slope) / (a + b * de)
+    if abs(d - env) <= tol * env and w2 >= 0:
+        active, w3 = ("envelope", "distortion"), (half * de + slope) / (a + b * de)
+    else:
+        active, w2, w3 = ("distortion",), _mp(0), half / b
+        if abs(v - yb) <= tol * yb:
+            active, w1 = ("box", "distortion"), slope - w3 * a
+    terms_v = (-slope, w1, -w2 * de, w3 * a)
+    terms_d = (-half, w2, w3 * b)
+    scale_v, scale_d = sum(map(abs, terms_v)), sum(map(abs, terms_d))
+
+    def share(term, scale):
+        return abs(term) / scale if scale > 0 else _mp(0)
+
+    stationarity = max(share(sum(terms_v), scale_v), share(sum(terms_d), scale_d))
+    lhs = a * v + b * d
+    # Each multiplier's share of its equations, alone where it is negative,
+    # else times its constraint's relative slack.
+    parts = ((w1, share(w1, scale_v), v, yb), (w2, share(w2, scale_d), d, env),
+             (w3, max(share(w3 * a, scale_v), share(w3 * b, scale_d)), lhs, s0))
+    complementarity = max(part if w < 0 else part * share(side - top, side + top)
+                          for w, part, side, top in parts)
+    return active, w1, w2, w3, stationarity, complementarity
+
+
 def ceo(L: int, sigma_x_sq, sigma_n_sq, D) -> mpf:
     """Quadratic Gaussian CEO sum-rate (Oohama 1998; Prabhakaran-Tse-Ramchandran 2004).
 

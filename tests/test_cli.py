@@ -634,6 +634,18 @@ def test_exit_code_2_paths(specs, capsys, argv_fn, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("command, flag, sizes", [
+    ("sweep", "--asymptotic", ""), ("sweep", "--asymptotic", ","), ("asymptotic", "--L", ""),
+], ids=["sweep-empty", "sweep-comma", "asymptotic-empty"])
+def test_empty_size_list_exits_2(specs, capsys, command, flag, sizes):
+    # An empty list is no list: sweep --asymptotic "" once printed the
+    # table without its large-L columns and exited 0.
+    rc, out, err = _run(capsys, [command, specs["gapped"], flag, sizes, "--d-start", "0.85",
+                                 "--d-end", "0.89", "--n-points", "2"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} needs a comma-separated list of system sizes\n"
+
+
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_spec_read_splits_lines_as_text_mode(tmp_path, end):
     # The spec is read in binary: CRLF and CR line ends parse as LF ones

@@ -37,7 +37,8 @@ from symrd import (
     upper_bound_rate,
 )
 from symrd.model import side_view
-from symrd.oracle import CERTIFICATE_TOL, _kkt, _slack_pair, _slack_terms, prepare, solve
+from symrd.oracle import (CERTIFICATE_TOL, _ACTIVE_TOL, _kkt, _slack_pair, _slack_terms, prepare,
+                          solutions, solve)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -342,6 +343,36 @@ def test_certifies_next_to_the_ends_of_the_interval():
             continue
         assert max(cert.stationarity_residual,
                    cert.complementarity_residual) <= CERTIFICATE_TOL, (spec, D)
+
+
+# The certificate at the oracle's float point against mpref.certificate's
+# 50-digit replay of the same reduced program at the same point.  Each
+# multiplier is held to CERT_OMEGA_EPS eps relatively, and each residual
+# to CERT_RESIDUAL_EPS eps absolutely (a residual near an optimum is a few
+# eps of roundoff, with no digits to compare relatively).  Measured over
+# mpref.certificate_probe() and mpref.ends_probe() (3200 points): omega1
+# at most 9.0 eps, omega2 13.1, omega3 3.2; the stationarity residual 0.98
+# eps off the replay's, the complementarity residual 0.43.
+CERT_OMEGA_EPS = 20.0
+CERT_RESIDUAL_EPS = 2.0
+
+
+def test_certificate_matches_its_50_digit_replay():
+    mpref = pytest.importorskip("mpref")
+    eps = np.finfo(float).eps
+    seen = set()
+    for spec, s, D in mpref.certificate_probe() + mpref.ends_probe():
+        _, _, v, d, cert = next(solutions(prepare(s, spec.L), (D,)))
+        active, *omegas, stat, comp = mpref.certificate(s, spec.L, D, v, d, _ACTIVE_TOL)
+        seen.add(active)
+        # _kkt leaves the multiplier of a constraint outside its active set at 0.0.
+        assert (cert.omega1 != 0.0, cert.omega2 != 0.0) == (
+            "box" in active, "envelope" in active), (spec, D)
+        for got, ref in zip(cert[:3], omegas):
+            assert abs(got - ref) <= CERT_OMEGA_EPS * eps * abs(ref), (spec, D)
+        assert abs(cert.stationarity_residual - stat) <= CERT_RESIDUAL_EPS * eps, (spec, D)
+        assert abs(cert.complementarity_residual - comp) <= CERT_RESIDUAL_EPS * eps, (spec, D)
+    assert len(seen) == 3              # envelope, cap and box-end active sets
 
 
 def test_no_false_certificate_where_products_of_variances_underflow():
