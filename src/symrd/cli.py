@@ -88,7 +88,7 @@ def _grid(args) -> list[float]:
 
 
 def _sizes(text: str, flag: str) -> list[int]:
-    """The system sizes of a comma-separated list given to flag, each L >= 2."""
+    """The system sizes of a comma-separated list given to flag, each L >= 2, none twice."""
     sizes = []
     for part in filter(None, text.split(",")):
         try:
@@ -97,6 +97,8 @@ def _sizes(text: str, flag: str) -> list[int]:
             raise ValidationError(f"{flag}: system size {part!r} is not an integer")
         if size < 2:
             raise ValidationError(f"{flag}: system size L = {size} must be at least 2")
+        if size in sizes:
+            raise ValidationError(f"{flag}: system size L = {size} is given twice")
         sizes.append(size)
     if not sizes:
         raise ValidationError(f"{flag} needs a comma-separated list of system sizes")

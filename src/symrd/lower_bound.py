@@ -20,8 +20,8 @@ D_th,2 = D_th(m_1); inside R_c the switch R_1^c -> R_2^c is at D_th^c.
 
 classify settles this once per spectrum in a Regime, whose branch names
 the side and case.  rows is the converse pass over a grid of D: it wraps
-upper_bound.solutions, which checks each D, forms its slack pair and
-gives Rbar, with the dispatch to Rbar, R1c or R2c (hatted or not) on the
+upper_bound.solutions, which checks each D, forms its exact slack pair
+and gives Rbar, with the dispatch to Rbar, R1c or R2c (hatted or not) on the
 Regime's thresholds.  evaluate, lower_bound_rate and lower_bound_piece
 are its one-element views.  All rates are in nats.  Every closed form
 here is validated elsewhere against an independent numerical solution of
@@ -136,24 +136,34 @@ def _not_positive(label: str, what: str, value: float) -> DomainError:
     return DomainError(f"{label} {what} = {value!r} is not positive")
 
 
-def _rc(label: str, big, small, L: int, slack: float) -> float:
+def _rc(label: str, big, small, L: int, slack: float, rest: float) -> float:
     """R_1^c or R_2^c (by label) over the given orientation, unclamped.
 
-    slack is L (D - d_min), the first of the pair the lambda_q solve takes.
-    R_2^c's denominator subtracts m_b x_b^2 / y_b from it, and R_1^c's
-    adds m_b x_b^2 y_s / (y_b (y_b - y_s)), a sum of positive terms.  A
-    sub-expression that is not positive (a slack below the piece's
-    domain, or a small side without source) raises DomainError naming it.
+    slack and rest are L (D - d_min) and L (sigma_x_sq - D), the pair the
+    lambda_q solve takes.  R_1^c's denominator adds
+    m_b x_b^2 y_s / (y_b (y_b - y_s)) to slack, a sum of positive terms.
+    R_2^c's subtracts m_b x_b^2 / y_b from slack; where rest is the
+    smaller of the pair it is formed as m_s x_s^2 / y_s - rest, the same
+    number, and R_2^c = L/2 ln(1 + rest / den), so that the rate keeps
+    its digits as D -> sigma_x_sq, where the ratio m_s x_s^2 / (y_s den)
+    nears 1.  A sub-expression that is not positive (a slack outside the
+    piece's domain, or a small side without source) raises DomainError
+    naming it.
     """
     (xb, yb, mb), (xs, ys, ms) = big, small
     first = label in (PIECE_R1C, PIECE_R1C_HAT)
+    near_top = rest < slack
     if first:
         den = slack + mb * xb ** 2 * ys / (yb * (yb - ys))
+    elif near_top:
+        den = ms * xs ** 2 / ys - rest
     else:
         den = slack - mb * xb ** 2 / yb
     if not den > 0.0:
         raise _not_positive(label, "denominator", den)
     if not first:
+        if near_top:
+            return L / 2.0 * math.log1p(rest / den)
         arg = ms * xs ** 2 / ys / den
         if not arg > 0.0:
             raise _not_positive(label, "principal argument", arg)
@@ -207,8 +217,8 @@ def rows(regime: Regime, grid):
 
     upper is upper_bound_rate, lower is lower_bound_rate and piece is
     lower_bound_piece for the regime's spectrum and L.  upper_bound's
-    solutions checks each D and forms its slack pair, once, from the
-    regime's prepared constants; the lambda_q solve and the composite
+    solutions checks each D and forms its exact slack pair, once, from
+    the regime's prepared constants; the lambda_q solve and the composite
     pieces share it, and on Rbar segments lower reuses upper.  The
     dispatch's thresholds are read once per grid.  A generator: the rows
     before a failing D are yielded before its error is raised, with
@@ -223,12 +233,12 @@ def rows(regime: Regime, grid):
     # is d_min: every D takes its second piece, however d_th_c rounds.
     split = r.d_th_c if big[0] != 0.0 else -math.inf
     first, second = _PIECES[r.hatted]
-    for D, _, upper, below_side, _ in upper_bound.solutions(r.prepared, grid):
+    for D, _, upper, slack, den, rest in upper_bound.solutions(r.prepared, grid):
         if D <= rbar_to or not D < rbar_from:
             yield D, upper, upper, PIECE_RBAR
         else:
             piece = first if D <= split else second
-            yield D, upper, _rc(piece, big, small, L, below_side), piece
+            yield D, upper, _rc(piece, big, small, L, slack / den, rest), piece
 
 
 def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, ValidationError
 
@@ -90,6 +90,10 @@ class Spectrum:
     gamma_* the multiplicity-(L-1) eigenvalue on its orthogonal complement.
     Sums hold componentwise: lambda_y = lambda_x + lambda_z and likewise
     for gamma.
+
+    source is the (L, sigma_x_sq, rho_x, sigma_z_sq, rho_z) that
+    spectral_decompose decomposed (sigma_z_sq clamped at 0), or None for
+    a Spectrum built from floats alone.
     """
 
     lambda_x: float
@@ -98,6 +102,28 @@ class Spectrum:
     gamma_z: float
     lambda_y: float
     gamma_y: float
+    source: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def exact(self) -> tuple:
+        """(lambda_x, gamma_x, lambda_z, gamma_z, den), exactly.
+
+        The source and noise eigenvalues as integer numerators over one
+        power of two den (y = x + z is then exact too): those of the
+        source spec's floats, which the float fields round, or the x and
+        z fields themselves when there is no source.  Formed at each
+        read: upper_bound.prepare reads them once per spectrum; every
+        other computation reads the float fields.
+        """
+        if self.source is None:
+            return _common_power_of_two([float(v).as_integer_ratio() for v in (
+                self.lambda_x, self.gamma_x, self.lambda_z, self.gamma_z)])
+        L, sigma_x_sq, rho_x, sigma_z_sq, rho_z = self.source
+        lx, gx, den_x = _exact_pair(L, sigma_x_sq, rho_x)
+        lz, gz, den_z = _exact_pair(L, sigma_z_sq, rho_z) if sigma_z_sq > 0.0 else (0, 0, 1)
+        den = max(den_x, den_z)
+        fx, fz = den // den_x, den // den_z
+        return lx * fx, gx * fx, lz * fz, gz * fz, den
 
     @property
     def lambda_w(self) -> float:
@@ -184,15 +210,33 @@ def _eig_pair(L: int, sigma_sq: float, rho: float) -> tuple[float, float]:
     return max(lam, 0.0), max(gam, 0.0)
 
 
+def _exact_pair(L: int, sigma_sq: float, rho: float) -> tuple[int, int, int]:
+    """_eig_pair's two eigenvalues without rounding: two numerators and their power of two.
+
+    The products of the floats' integer ratios, clamped at 0 as _eig_pair
+    clamps its floats.
+    """
+    (sn, sd), (rn, rd) = float(sigma_sq).as_integer_ratio(), float(rho).as_integer_ratio()
+    return max((rd + (L - 1) * rn) * sn, 0), max((rd - rn) * sn, 0), sd * rd
+
+
+def _common_power_of_two(ratios: list[tuple[int, int]]) -> tuple:
+    """(n_1, ..., n_k, den): ratios n_i / d_i with power-of-two d_i over their largest."""
+    den = max(d for _, d in ratios)
+    return (*(n * (den // d) for n, d in ratios), den)
+
+
 def spectral_decompose(spec: SourceSpec) -> Spectrum:
     """Map a correlation-form spec to its covariance eigenvalues.
 
-    Returns a Spectrum with lambda/gamma for X, Z and Y = X + Z.
+    Returns a Spectrum with lambda/gamma for X, Z and Y = X + Z, whose
+    exact eigenvalues are those of the spec's floats.
     """
     lx, gx = _eig_pair(spec.L, spec.sigma_x_sq, spec.rho_x)
     sz = max(spec.sigma_z_sq, 0.0)
     lz, gz = _eig_pair(spec.L, sz, spec.rho_z) if sz > 0.0 else (0.0, 0.0)
-    return Spectrum(lx, gx, lz, gz, lx + lz, gx + gz)
+    return Spectrum(lx, gx, lz, gz, lx + lz, gx + gz,
+                    (spec.L, spec.sigma_x_sq, spec.rho_x, sz, spec.rho_z))
 
 
 def from_eigenvalues(
@@ -262,24 +306,12 @@ def d_min(spectrum: Spectrum, L: int) -> float:
 
     No rate, however large, can push the per-component distortion below
     this value, because X is only observable through Y.  Each product is
-    formed as x (z / y), as in source_weights, so it stays representable
-    wherever the eigenvalues are (z <= y on each direction).
+    formed as x (z / y), so it stays representable wherever the
+    eigenvalues are (z <= y on each direction).
     """
     s = spectrum
     return (s.lambda_x * (s.lambda_z / s.lambda_y)
             + (L - 1) * s.gamma_x * (s.gamma_z / s.gamma_y)) / L
-
-
-def source_weights(spectrum: Spectrum, L: int) -> tuple[float, float]:
-    """(lambda_x^2 / lambda_y, (L-1) gamma_x^2 / gamma_y).
-
-    The two directions' shares of L (sigma_x^2 - d_min), which is their
-    sum.  Written so that no intermediate under- or overflows where the
-    eigenvalues themselves do not (x <= y on each direction).
-    """
-    s = spectrum
-    return (s.lambda_x * (s.lambda_x / s.lambda_y),
-            (L - 1) * s.gamma_x * (s.gamma_x / s.gamma_y))
 
 
 def source_variance(spectrum: Spectrum, L: int) -> float:

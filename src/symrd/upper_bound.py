@@ -14,16 +14,21 @@ L * sigma_x^2 (lambda_q -> infinity).  The resulting sum rate in nats is
     Rbar(D) = 1/2 log(1 + lambda_y / lambda_q)
               + (L - 1)/2 log(1 + gamma_y / lambda_q).
 
-The module solves the balance equation by a safeguarded Newton iteration
-in ln lambda_q.  The solve's D-free constants (d_min, sigma_x^2, the
-source weights, the bracket's denominator and the D-free part of the
-quadratic's b) are formed once per spectrum by prepare.  solutions is the
-pass over a grid of D: for each D it checks D, forms the slack pair,
-solves for lambda_q and takes Rbar there, each written once, in its loop.
-solve_lambda_q and upper_bound_rate are its one-element views; rate_of
-turns any lambda_q into Rbar.  The iteration is seeded by the root of the
-closed-form quadratic in lambda_q that the balance equation collapses to
-(see solutions); asymptotics.correlation_form writes its b and c as
+Multiplied through by (lambda_y + q)(gamma_y + q), the balance equation
+is the quadratic t0 q^2 + (t0 (lambda_y + gamma_y) - P) q
++ (t0 lambda_y gamma_y - Q) = 0 in q = lambda_q, with
+t0 = lambda_x + (L - 1) gamma_x - L D = L (sigma_x^2 - D),
+P = lambda_x^2 + (L - 1) gamma_x^2 and
+Q = lambda_x^2 gamma_y + (L - 1) gamma_x^2 lambda_y.  Its positive root
+is well conditioned in each coefficient; only forming the coefficients
+in floats cancels.  So they are formed exactly, in integers, from the
+spectrum's exact eigenvalues (Spectrum.exact) and D, each rounded once,
+and the root is taken in its stable form (quadratic_root): no iteration.
+prepare forms the D-free integers once per spectrum; solutions is the
+pass over a grid of D, which checks D, forms the coefficients, takes
+the root and Rbar there.  solve_lambda_q and upper_bound_rate are its
+one-element views; rate_of turns any lambda_q into Rbar.
+asymptotics.correlation_form writes the quadratic's b and c as
 polynomials in L.
 """
 
@@ -33,29 +38,12 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, PrecisionError
-from .model import Spectrum, d_min, outside_interval, source_variance, source_weights
+from .errors import DomainError, PrecisionError
+from .model import Spectrum, d_min, outside_interval, source_variance
 
-# Newton's method stops once its step in ln lambda_q is below this: the
-# step after it would be below float64 resolution, so the stepped value is
-# returned without another step.  The balance's next evaluation re-checks
-# it at RESIDUAL_REL_TOL.
-NEWTON_STEP_TOL = 1e-9
-# Seeded by the quadratic's root, the iteration takes one or two
-# evaluations; this cap only bounds the bisection fallback.
-MAX_EVALUATIONS = 100
-RESIDUAL_REL_TOL = 1e-10
-
-# Relative rounding allowance of the bracket ends: a few ulps, and the
-# factors that widen the lower and the upper end by it.
-_BRACKET_ROUNDING = 8 * sys.float_info.epsilon
-_WIDEN_LO, _WIDEN_HI = 1.0 - _BRACKET_ROUNDING, 1.0 + _BRACKET_ROUNDING
-# The smallest normal float64: a smaller slack is subnormal.
+# The smallest normal float64: lambda_q and its scaled root must reach it
+# to carry full precision.
 _SMALLEST_NORMAL = sys.float_info.min
-
-# Switch the quadratic root to its product form when the textbook numerator
-# -b + sqrt(disc) loses more than ~8 digits to cancellation.
-_CANCELLATION_GUARD = 1e-8
 
 
 def distortion_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
@@ -85,172 +73,108 @@ class Prepared(NamedTuple):
     """The D-free constants of the lambda_q solve for one spectrum and L.
 
     d_min and sigma_x_sq are model.d_min's and model.source_variance's,
-    c_lam and c_gam model.source_weights's and total their sum,
-    L (sigma_x_sq - d_min); bracket_den is c_lam/lambda_y + c_gam/gamma_y,
-    the lower bracket end's denominator; b_free is
-    phi1 gamma_y + (L-1) phi2 lambda_y, the D-free part of the seed
-    quadratic's b (see solutions), y_sum is gamma_y + lambda_y and y_max
-    max(lambda_y, gamma_y).
+    the float ends of the interval that D is checked against.  The rest
+    come from Spectrum.exact, whose integers are over 2^e:
+    X = lambda_x + (L-1) gamma_x, S = lambda_y + gamma_y,
+    Y2 = lambda_y gamma_y and the P and Q of the module docstring, in
+    units of 2^-e, 2^-e, 2^-2e, 2^-2e and 2^-3e.  The root is taken in
+    v = lambda_q / 2^(h-e), with 2^h <= max(lambda_y, gamma_y) 2^e < 2^(h+1),
+    so that the quadratic's rounded coefficients stay below 16 L in
+    magnitude.  fast_bits is e + 1, the bit length of 2^e, where every
+    numerator of a coefficient is below 2^1023, so that float(int)
+    rounds it; else 0.
     """
 
     spectrum: Spectrum
     L: int
     d_min: float
     sigma_x_sq: float
-    total: float
-    c_lam: float
-    c_gam: float
-    bracket_den: float
-    b_free: float
-    y_sum: float
-    y_max: float
+    X: int
+    S: int
+    Y2: int
+    P: int
+    Q: int
+    e: int
+    h: int
+    fast_bits: int
 
 
 def prepare(spectrum: Spectrum, L: int) -> Prepared:
     """Form the lambda_q solve's constants once, for solutions at any D."""
-    s = spectrum
-    floor = d_min(s, L)
-    c_lam, c_gam = source_weights(s, L)
-    phi1 = s.lambda_x ** 2 / s.lambda_y
-    phi2 = s.gamma_x ** 2 / s.gamma_y
-    return Prepared(s, L, floor, source_variance(s, L), c_lam + c_gam, c_lam, c_gam,
-                    c_lam / s.lambda_y + c_gam / s.gamma_y,
-                    phi1 * s.gamma_y + (L - 1) * phi2 * s.lambda_y,
-                    s.gamma_y + s.lambda_y, max(s.lambda_y, s.gamma_y))
+    lx, gx, lz, gz, den = spectrum.exact
+    ly, gy, m = lx + lz, gx + gz, L - 1
+    lx2, gx2 = lx * lx, m * gx * gx
+    e, h = den.bit_length() - 1, max(ly, gy).bit_length() - 1
+    # c's numerator, the largest, is below 16 L 2^(3h).
+    fast = 3 * h + (16 * L).bit_length() <= 1023
+    return Prepared(spectrum, L, d_min(spectrum, L), source_variance(spectrum, L),
+                    lx + m * gx, ly + gy, ly * gy, lx2 + gx2, lx2 * gy + gx2 * ly,
+                    e, h, e + 1 if fast else 0)
 
 
 def solutions(prepared: Prepared, grid):
-    """(D, lambda_q, Rbar, L (D - d_min), L (sigma_x_sq - D)) for each D of grid.
+    """(D, lambda_q, Rbar, C, den, t) for each D of grid: the exact slack pair.
+
+    L (D - d_min) = C / den exactly, and t = L (sigma_x^2 - D) rounded once.
 
     The pass over a grid, in its order: per D it checks D against the
-    prepared (d_min, sigma_x_sq), forms the slack pair, solves for
-    lambda_q and takes the rate there, on prepare's constants held in
-    locals.  The pair is the one place a slack is formed: the smaller
-    slack from D and its own end, the other as its complement to
-    L (sigma_x_sq - d_min), so neither loses digits and the pair sums to
-    it to its rounding (L d_min and L sigma_x_sq are rounded apart by up
-    to eps L sigma_x^2, many ulps of a slack when d_min is near
-    sigma_x^2); its error is the rounding of d_min or sigma_x^2, a few
-    ulps of D.  The composite pieces of the converse take its first
-    slack.
-
-    lambda_q comes from Newton's method in u = ln lambda_q on whichever
-    balance form is a sum of positive terms against the smaller slack.
-    With c_lam = lambda_x^2 / lambda_y and c_gam = (L-1) gamma_x^2 / gamma_y,
-    below the middle of (d_min, sigma_x^2) the form is
-    L (D(lambda_q) - d_min) = c_lam q/(lambda_y + q) + c_gam q/(gamma_y + q),
-    and above it L (sigma_x^2 - D(lambda_q))
-    = lambda_x^2/(lambda_y + q) + (L-1) gamma_x^2/(gamma_y + q), so neither
-    loses digits to cancellation.  The iteration starts from the positive
-    root of the quadratic a x^2 + b x + c = 0 that multiplying the balance
-    through by (lambda_y + x)(gamma_y + x) gives in x = lambda_q.  With
-    phi1 = lambda_x^2 / lambda_y, phi2 = gamma_x^2 / gamma_y and the pair's
-    phi3 = L (D - d_min), a = L (sigma_x^2 - D),
-    b = phi1 gamma_y + (L-1) phi2 lambda_y - phi3 (gamma_y + lambda_y) and
-    c = -phi3 lambda_y gamma_y; phi3 and a are the pair, not the sums that
-    cancel in them.  The iteration stays inside
-
-        (L (D - d_min)) / (lambda_x^2/lambda_y^2 + (L-1) gamma_x^2/gamma_y^2)
-            <= lambda_q <= max(lambda_y, gamma_y) L (D - d_min) / (L (sigma_x^2 - D)),
-
-    which every evaluation narrows; a step that would leave it bisects
-    it in u instead.  The pair sums to
-    lambda_x^2/lambda_y + (L-1) gamma_x^2/gamma_y = L (sigma_x^2 - d_min)
-    as the two sides do, so the bracket bounds the solved form's root to
-    its own rounding, and the seed is that form's root too.  The
-    evaluation after the last step is the residual check.
+    prepared (d_min, sigma_x_sq), forms the quadratic's coefficients,
+    takes its root and the rate there, on prepare's constants held in
+    locals.  D = n / 2^k exactly.  At k <= e, t0 = L (sigma_x^2 - D) is
+    the integer T = X - L n 2^(e-k) in units of 2^-e, and the quadratic
+    a v^2 + b v + c = 0 in v = lambda_q / 2^(h-e) has a = T 2^-h,
+    b = (T S - P) 2^-2h and c = (T Y2 - Q) 2^-3h, each rounded once by
+    float(int) and scaled by an exact power of two.  A finer D (k > e),
+    or a spectrum whose numerators pass float64's range, takes units of
+    2^-max(e, k) and correctly rounded int / int.  Since
+    Q / Y2 = L (sigma_x^2 - d_min), c's numerator C is -L (D - d_min) Y2
+    in units of 2^-3e: the exact slack that the composite pieces of the
+    converse take, as C / den with den = -Y2 2^max(e, k), rounded only
+    where a piece needs it; its complement t = a 2^(h-e) is t0 rounded
+    once.  lambda_q must be a normal float64, and so must c and v, or
+    they would carry too few digits.
 
     A generator: the rows before a failing D are yielded before its error
     is raised.  Errors are solve_lambda_q's.
     """
-    s, L, floor, ceil, total, c_lam, c_gam, bracket_den, b_free, y_sum, y_max = prepared
-    lam_y, gam_y = s.lambda_y, s.gamma_y
-    log, exp, expm1, sqrt = math.log, math.exp, math.expm1, math.sqrt
+    s, L, floor, ceil, X, S, Y2, P, Q, e, h, fast_bits = prepared
+    ldexp = math.ldexp
+    unit, neg_tiny = ldexp(1.0, h - e), -_SMALLEST_NORMAL
+    scale_a, scale_b, scale_c = ldexp(1.0, -h), ldexp(1.0, -2 * h), ldexp(1.0, -3 * h)
+    slack_den = -(Y2 << e)
+    # v whose lambda_q = v unit is a normal float64: root_lo <= v < root_hi.
+    root_lo = ldexp(1.0, max(-1022, -1022 - (h - e)))
+    root_hi = ldexp(1.0, 1024 - (h - e)) if h > e else math.inf
     for D in grid:
         if not floor < D < ceil:
             raise outside_interval(D, floor, ceil)
-        below_side, above_side = L * (D - floor), L * (ceil - D)
-        if below_side <= above_side:
-            above_side = total - below_side
+        n, d = D.as_integer_ratio()
+        bits = d.bit_length()
+        if bits <= fast_bits:
+            T = X - (L * n << (fast_bits - bits))
+            C = T * Y2 - Q
+            a, b, c = T * scale_a, (T * S - P) * scale_b, C * scale_c
+            row_den = slack_den
         else:
-            below_side = total - above_side
-        if not (below_side > 0.0 and above_side > 0.0):
+            K = max(e, bits - 1)
+            g = K - e
+            T = (X << g) - (L * n << (K - bits + 1))
+            C = T * Y2 - (Q << g)
+            a = T / (1 << (h + g))
+            b = (T * S - (P << g)) / (1 << (2 * h + g))
+            c = C / (1 << (3 * h + g))
+            row_den = -(Y2 << K)
+        if not c < neg_tiny:
+            # C >= 0 puts D at or below the exact d_min, within the
+            # rounding of its float; a subnormal c has too few digits.
             raise PrecisionError(
-                f"D = {D!r}: the interval (d_min, sigma_x_sq) = ({floor!r}, {ceil!r}) "
-                "is too narrow to resolve")
-        below = below_side <= above_side
-        slack = below_side if below else above_side
-        if slack < _SMALLEST_NORMAL:
-            # The balance's terms would be subnormal too, with too few
-            # digits for Newton's method to settle on.
+                f"D = {D!r} is too close to d_min = {floor!r} to resolve")
+        root = quadratic_root(a, b, c)
+        if not root_lo <= root < root_hi:
             raise PrecisionError(
-                f"D = {D!r}: the smaller slack "
-                f"{'L (D - d_min)' if below else 'L (sigma_x_sq - D)'} = {slack!r} "
-                "is subnormal")
-        # The root sits on the upper end when lambda_y == gamma_y or when
-        # only the direction with the larger y carries source (x = 0 on
-        # the other); both ends are widened by their rounding so that it
-        # stays inside.
-        lo = below_side / bracket_den * _WIDEN_LO
-        hi = y_max * (below_side / above_side) * _WIDEN_HI
-        # The seed quadratic's (a, b, c) on this pair.
-        lambda_q = quadratic_root(above_side, b_free - below_side * y_sum,
-                                  -below_side * lam_y * gam_y)
-        if not lo < lambda_q < hi:
-            lambda_q = sqrt(lo) * sqrt(hi)
-        settled = False
-        for evaluation in range(1, MAX_EVALUATIONS + 2):
-            # The balance at lambda_q: residual = ln(side / slack), then,
-            # unless this evaluation is the residual check, the slope
-            # d ln(side) / d ln lambda_q of a Newton step.
-            q = lambda_q
-            d_lam, d_gam = lam_y + q, gam_y + q
-            q_lam, q_gam = q / d_lam, q / d_gam
-            y_lam, y_gam = lam_y / d_lam, gam_y / d_gam
-            if below:
-                t_lam, t_gam = c_lam * q_lam, c_gam * q_gam
-            else:
-                t_lam, t_gam = c_lam * y_lam, c_gam * y_gam
-            side = t_lam + t_gam
-            residual = log(side / slack)
-            if settled:
-                break
-            if below:
-                slope = (t_lam * y_lam + t_gam * y_gam) / side
-            else:
-                slope = -(t_lam * q_lam + t_gam * q_gam) / side
-            if (residual > 0.0) == (slope > 0.0):
-                hi = lambda_q
-            else:
-                lo = lambda_q
-            step = -residual / slope
-            lambda_q *= exp(step)
-            # The step after a settled one would be below float64
-            # resolution: the stepped value stands.
-            settled = abs(step) <= NEWTON_STEP_TOL
-            if not settled:
-                if not lo < lambda_q < hi:
-                    lambda_q = sqrt(lo) * sqrt(hi)
-                if evaluation == MAX_EVALUATIONS:
-                    raise ConvergenceError(
-                        f"Newton iteration on lambda_q did not settle in {MAX_EVALUATIONS} "
-                        f"evaluations at D = {D!r}", best=lambda_q)
-
-        # |D(lambda_q) - D| from the solved form's ratio to the slack,
-        # which keeps its digits as lambda_q -> 0, where the difference
-        # distortion_of(lambda_q) - D would cancel.
-        residual = slack * abs(expm1(residual)) / L
-        if residual > RESIDUAL_REL_TOL * D:
-            if min(D - floor, ceil - D) <= 1e-13 * ceil:
-                raise PrecisionError(
-                    f"D = {D!r} too close to the interval boundary to resolve "
-                    f"(residual {residual!r})"
-                )
-            raise ConvergenceError(
-                f"lambda_q residual {residual!r} exceeds {RESIDUAL_REL_TOL} * D",
-                best=lambda_q,
-            )
-        yield D, lambda_q, rate_of(s, L, lambda_q), below_side, above_side
+                f"lambda_q at D = {D!r} is {root * unit!r}, outside the normal float64 range")
+        lambda_q = root * unit
+        yield D, lambda_q, rate_of(s, L, lambda_q), C, row_den, a * unit
 
 
 def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
@@ -274,15 +198,12 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
     Raises
     ------
     DomainError
-        If D lies outside the open interval (d_min, sigma_x^2).
+        If D lies outside the open interval (d_min, sigma_x^2), or
+        outside the spectrum's exact interval next to sigma_x^2.
     PrecisionError
-        If D sits so close to an endpoint that the solution fails the
-        residual check, the interval is too narrow for its slacks to be
-        resolved, the smaller slack is subnormal, or the rate at the
-        solution overflows float64.
-    ConvergenceError
-        If the iteration does not settle within MAX_EVALUATIONS, or its
-        result fails the residual check (not expected for valid inputs).
+        If D sits within the rounding of d_min (outside the exact
+        interval, or so close that the quadratic's constant term
+        underflows), or lambda_q or the rate at it leaves float64.
     """
     return next(solutions(prepare(spectrum, L), (D,)))[1]
 
@@ -293,24 +214,23 @@ def upper_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
 
 
 def quadratic_root(a: float, b: float, c: float) -> float:
-    """Positive root of the lambda_q quadratic, cancellation-guarded.
+    """Positive root of a x^2 + b x + c = 0, where a > 0 > c.
 
-    The relevant root is (-b + sqrt(b^2 - 4ac)) / (2a).  When -b and the
-    square root nearly cancel (b > 0 with |4ac| << b^2) the equivalent
-    product form 2c / (-b - sqrt(b^2 - 4ac)) is used instead.
+    The stable form: -2c / (b + sqrt(b^2 - 4ac)) for b > 0, and
+    (sqrt(b^2 - 4ac) - b) / (2a) otherwise, so that the square root is
+    never cancelled by b.  Each coefficient then moves the root by at
+    most its own relative error.
 
     Raises
     ------
     DomainError
-        If a <= 0, i.e. the distortion baked into the coefficients is not
-        below sigma_x^2.
+        Unless a > 0 > c, i.e. unless the distortion baked into the
+        coefficients lies inside (d_min, sigma_x^2).
     """
-    if a <= 0.0:
-        raise DomainError(f"quadratic leading coefficient a = {a!r} not positive; "
-                          "D must lie below sigma_x_sq")
-    disc = b * b - 4.0 * a * c
-    root = math.sqrt(max(disc, 0.0))
-    num = -b + root
-    if abs(num) < _CANCELLATION_GUARD * abs(b):
-        return 2.0 * c / (-b - root)
-    return num / (2.0 * a)
+    if not (a > 0.0 and c < 0.0):
+        raise DomainError(f"quadratic coefficients a = {a!r}, c = {c!r} need a > 0 > c; "
+                          "D must lie inside (d_min, sigma_x_sq)")
+    root = math.sqrt(b * b - 4.0 * a * c)
+    if b > 0.0:
+        return -2.0 * c / (b + root)
+    return (root - b) / (2.0 * a)

@@ -111,12 +111,13 @@ def lambda_q(s: Spectrum, L: int, D) -> mpf:
     return (lo + hi) / 2
 
 
-def upper(s: Spectrum, L: int, D) -> tuple[mpf, mpf]:
+def upper(s: Spectrum, L: int, D, q=None) -> tuple[mpf, mpf]:
     """Rbar(D) = 1/2 ln(1 + lambda_y/q) + (L-1)/2 ln(1 + gamma_y/q), and its slope.
 
-    The slope is dRbar/dq divided by ddistortion/dq at the solved q.
+    The slope is dRbar/dq divided by ddistortion/dq at the solved q; q is
+    lambda_q(s, L, D), or the one given if it is that already.
     """
-    q = lambda_q(s, L, D)
+    q = lambda_q(s, L, D) if q is None else q
     ly, gy = s.lambda_y, s.gamma_y
     rate = (_CTX.log(1 + ly / q) + (L - 1) * _CTX.log(1 + gy / q)) / 2
     drate = -(ly / (q * (q + ly)) + (L - 1) * gy / (q * (q + gy))) / 2

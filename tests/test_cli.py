@@ -376,7 +376,7 @@ def test_sweep_prepares_once(specs, capsys, monkeypatch):
     # spectrum: a longer grid makes no more calls of the per-spectrum
     # functions, with or without the oracle and large-L columns
     names = (("upper_bound", "prepare"), ("oracle", "prepare"),
-             ("model", "side_view"), ("model", "d_min"), ("model", "source_weights"))
+             ("model", "side_view"), ("model", "d_min"))
     calls = _count_calls(monkeypatch, names)
     for name, extra, d_start, d_end in (
             ("case2", [], "0.7", "0.9"),
@@ -646,6 +646,19 @@ def test_empty_size_list_exits_2(specs, capsys, command, flag, sizes):
     assert err == f"error: {flag} needs a comma-separated list of system sizes\n"
 
 
+@pytest.mark.parametrize("command, flag, sizes", [
+    ("sweep", "--asymptotic", "10,10"), ("asymptotic", "--L", "100,10,100"),
+], ids=["sweep", "asymptotic"])
+def test_repeated_size_exits_2(specs, capsys, command, flag, sizes):
+    # A size given twice would print its two large-L columns twice, under
+    # the same names: the request is refused with one line naming it.
+    rc, out, err = _run(capsys, [command, specs["gapped"], flag, sizes, "--d-start", "0.85",
+                                 "--d-end", "0.89", "--n-points", "2"])
+    assert (rc, out) == (2, "")
+    size = sizes.split(",")[0]
+    assert err == f"error: {flag}: system size L = {size} is given twice\n"
+
+
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_spec_read_splits_lines_as_text_mode(tmp_path, end):
     # The spec is read in binary: CRLF and CR line ends parse as LF ones
@@ -792,10 +805,8 @@ def _scaled_spec(tmp_path, scale: float) -> str:
 
 
 @pytest.mark.parametrize("scale, argv, kind", [
-    (1e200, ["info"], "OverflowError"),
-    (1e200, ["sweep", "--d-start", "7e199", "--d-end", "9.5e199", "--n-points", "5"],
-     "OverflowError"),
-    (1e200, ["simulate", "--D", "9.5e199", "--n", "1000", "--seed", "1"], "OverflowError"),
+    (1e200, ["sweep", "--certify", "--d-start", "7e199", "--d-end", "9.5e199",
+             "--n-points", "5"], "OverflowError"),
     (1e-200, ["sweep", "--certify", "--d-start", "7e-201", "--d-end", "9.5e-201",
               "--n-points", "5"], "ZeroDivisionError"),
     (1e-200, ["asymptotic", "--L", "10", "--d-start", "6.5e-201", "--d-end", "9.9e-201",
@@ -809,6 +820,38 @@ def test_float64_failures_exit_3_without_traceback(tmp_path, capsys, scale, argv
     assert rc == 3
     assert err.startswith(f"error: numerical failure: {kind}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["info"],
+    ["sweep", "--d-start", "7e199", "--d-end", "9.5e199", "--n-points", "5"],
+    ["simulate", "--D", "9.5e199", "--n", "1000", "--seed", "1"],
+])
+def test_large_variance_scale_is_the_unit_problem(tmp_path, capsys, argv):
+    # at sigma_x_sq = 1e200 the lambda_q solve's coefficients are scaled
+    # into float64's range: the commands that run no oracle exit 0 (they
+    # exited 3 with an OverflowError), simulate's routed distortion
+    # matches its closed form, and a
+    # rate cell is the unit problem's at D / 1e200 (the spec's floats are
+    # not the unit spec's times an exact power of two, and the cells are
+    # printed to 12 digits, hence the 1e-10)
+    command, *flags = argv
+    rc, out, err = _run(capsys, [command, _scaled_spec(tmp_path, 1e200), *flags])
+    assert rc == 0
+    if command == "simulate":
+        assert "(matches: True)" in err
+    else:
+        assert err == ""
+    if command != "sweep":
+        return
+    unit_flags = ["--d-start", "0.7", "--d-end", "0.95", "--n-points", "5"]
+    _, unit_out, _ = _run(capsys, ["sweep", _scaled_spec(tmp_path, 1.0), *unit_flags])
+    rows, unit_rows = _rows(out)[1], _rows(unit_out)[1]
+    assert len(rows) == len(unit_rows) == 5
+    for row, unit_row in zip(rows, unit_rows):
+        assert row[4] == unit_row[4]
+        for cell, unit_cell in zip(row[1:3], unit_row[1:3]):
+            assert abs(float(cell) / float(unit_cell) - 1.0) <= 1e-10
 
 
 def test_asymptotic_limits_that_overflow_exit_3(tmp_path, capsys):

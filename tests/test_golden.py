@@ -97,6 +97,25 @@ LARGE_L = {
 }
 
 
+# Sweeps next to the ends of the interval, on the case-2 spec
+# lamgeqgam_2: from f = 1e-9 to 1e-6 of (d_min, sigma_x_sq), on Rbar, and
+# from f = 1 - 1e-6 to 1 - 1e-9, on R2c, both ends included (each moved
+# inward by a relative 1e-9 of D).  The lambda_q solve and the composite
+# pieces take the spec's exact slack there.  case -> (d_start, d_end).
+ENDS = {
+    "lamgeqgam_2.ends-low": ("0.22620088668949445", "0.22620165971480943"),
+    "lamgeqgam_2.ends-high": ("0.9999992262008859", "0.9999999992262009"),
+}
+
+
+def ends_argv(case: str) -> list:
+    """Command line of one pinned sweep next to an end of the interval."""
+    d_start, d_end = ENDS[case]
+    return ["sweep", str(GOLDEN / f"{case.partition('.')[0]}.spec"),
+            "--d-start", d_start, "--d-end", d_end, "--n-points", "20",
+            "--include-endpoints-eps"]
+
+
 def large_l_argv(case: str) -> list:
     """Command line of one pinned large-L output."""
     command, name, extra, _ = LARGE_L[case]
@@ -116,6 +135,13 @@ def test_large_l_output(case, capsys):
     assert rc == LARGE_L[case][3]
     assert captured.out.encode("utf-8") == _pinned(GOLDEN / f"{case}.out")
     assert captured.err.encode("utf-8") == _pinned(GOLDEN / f"{case}.err")
+
+
+@pytest.mark.parametrize("case", sorted(ENDS))
+def test_ends_output(case, capsys):
+    rc = cli.main(ends_argv(case))
+    assert rc == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -187,6 +213,7 @@ SWEEPS = {f"{name}.{command}": golden_argv(name, command)
           for name in RANGES for command in ("sweep", "certify")}
 SWEEPS.update((case, large_l_argv(case)) for case in (
     "asym_xi_lt_half.sweep-asymptotic", "asym_xi_lt_half.certify-asymptotic"))
+SWEEPS.update((case, ends_argv(case)) for case in ENDS)
 
 
 @pytest.mark.parametrize("case", sorted(SWEEPS))

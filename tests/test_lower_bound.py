@@ -9,6 +9,7 @@ pieces with the replay in tests/mpref.py over the range the library accepts.
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from symrd import (
     PIECE_R2C_HAT,
     PIECE_RBAR,
     SourceSpec,
+    SymrdError,
     d_min,
     from_eigenvalues,
     lower_bound_piece,
@@ -221,33 +223,53 @@ def test_degenerate_gamma_unhatted_flag():
     big, small, _ = side_view(s, L_CASES, hatted=False)
     for piece in (PIECE_R1C, PIECE_R2C):
         with pytest.raises(DomainError) as exc:
-            _rc(piece, big, small, L_CASES, L_CASES * (0.30 - d_min(s, L_CASES)))
+            _rc(piece, big, small, L_CASES, L_CASES * (0.30 - d_min(s, L_CASES)),
+                L_CASES * (source_variance(s, L_CASES) - 0.30))
         assert "not positive" in str(exc.value)
 
 
 def test_case4_next_to_d_min_takes_the_second_piece():
     # lambda_x = 0 on the big side (case 4): d_th_c is d_min exactly, but
-    # here it rounds up to D itself, where R1c's x_big^2 ratio is 0.  The
-    # piece is R2c, within |slope| ulp(D) of the 50-digit replay (the
-    # interval (d_min, sigma_x_sq) is 7e-11 of D wide).
+    # here it rounds up to D itself, the first float above the exact d_min,
+    # where R1c's x_big^2 ratio is 0.  The piece is R2c, within
+    # |slope| ulp(D) of the 50-digit replay of the spec (the interval
+    # (d_min, sigma_x_sq) is 1.6e-10 of D wide).
     mpref = pytest.importorskip("mpref")
-    spec = SourceSpec(69, 9.4965364803918e-17, -0.014705882352941176,
-                      3.0847093803068013e-06, 0.5675990746225945)
-    s, D = spectral_decompose(spec), 9.496536479705728e-17
+    spec = SourceSpec(69, 1.3286829670253533e-14, -0.014705882352941176,
+                      0.00020529762339667663, 0.6014446148208858)
+    s, D = spectral_decompose(spec), 1.3286829668064209e-14
     regime = classify(s, spec.L)
     assert regime.branch is Branch.LamGeqGam_4 and D <= regime.d_th_c
+    exact = mpref.spectrum(spec)
+    assert math.nextafter(D, 0.0) < mpref.d_min(exact, spec.L) < D
     _, lower, piece = evaluate(regime, D)
     assert piece == PIECE_R2C
-    rate, slope = mpref.piece(piece, mpref.exact(s), spec.L, D)
+    rate, slope = mpref.piece(piece, exact, spec.L, D)
     assert abs(lower - float(rate)) <= abs(float(slope)) * math.ulp(D)
+
+
+def _inside_exact_interval(spec, D) -> bool:
+    """Whether D lies inside (d_min, sigma_x_sq) of the spec's exact spectrum."""
+    mpref = pytest.importorskip("mpref")
+    exact = mpref.spectrum(spec)
+    return mpref.d_min(exact, spec.L) < D < mpref.sigma_x_sq(exact, spec.L)
+
+
+def _assert_views_refuse(s, L, D, error):
+    """Each one-shot view refuses D with the pass's error, message and all."""
+    for view in (upper_bound_rate, lower_bound_rate, lower_bound_piece, solve_lambda_q):
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            view(s, L, D)
 
 
 def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
     # evaluate returns (upper_bound_rate, lower_bound_rate, lower_bound_piece)
     # from a single lambda_q solve on the regime's prepared constants, on
     # every arm and on both sides, and over the oracle's certificate probe
-    # (L up to 1e6, variances within 1e+-30).  The converse pass seeds each
-    # solve with one quadratic_root call, so the seeds count the solves.
+    # (L up to 1e6, variances within 1e+-30).  The converse pass takes each
+    # root with one quadratic_root call, so the calls count the solves.
+    # A probe D that the float ends admit but the spectrum's exact ones do
+    # not is refused, by evaluate and by each view alike.
     mpref = pytest.importorskip("mpref")
     root = symrd.upper_bound.quadratic_root
     solves = []
@@ -259,17 +281,27 @@ def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
     monkeypatch.setattr(symrd.upper_bound, "quadratic_root", counted)
     points = []
     for eig in (CASE1, CASE2, CASE3, SPEC_B, SPEC_C, SPEC_D):
-        s = _spectrum(eig)
+        spec = from_eigenvalues(L_CASES, *eig)
+        s = spectral_decompose(spec)
         lo, hi = d_min(s, L_CASES), source_variance(s, L_CASES)
-        points += [(L_CASES, s, lo + frac * (hi - lo)) for frac in (0.05, 0.3, 0.6, 0.95)]
-    points += [(spec.L, s, D) for spec, s, D in mpref.certificate_probe()]
-    for L, s, D in points:
+        points += [(spec, s, lo + frac * (hi - lo)) for frac in (0.05, 0.3, 0.6, 0.95)]
+    points += mpref.certificate_probe()
+    refused = 0
+    for spec, s, D in points:
+        L = spec.L
         solves.clear()
+        if not _inside_exact_interval(spec, D):
+            with pytest.raises(SymrdError) as exc:
+                evaluate(classify(s, L), D)
+            _assert_views_refuse(s, L, D, exc.value)
+            refused += 1
+            continue
         got = evaluate(classify(s, L), D)
         assert len(solves) == 1
         assert got == (upper_bound_rate(s, L, D),
                        lower_bound_rate(s, L, D),
                        lower_bound_piece(s, L, D))
+    assert refused < 10
 
 
 def _bits(row) -> tuple:
@@ -284,31 +316,40 @@ def _views(s, L: int, D: float) -> tuple:
 
 
 def _grids():
-    """(s, L, grid): 40 points over 98% of each arm's interval, and the
+    """(spec, s, grid): 40 points over 98% of each arm's interval, and the
     certificate probe's points with four more D of the same spectrum."""
     for arm in Branch:
         spec = parse_spec_text((GOLDEN / f"{arm.value.lower()}.spec").read_text())
         s, L = spectral_decompose(spec), spec.L
         lo, hi = d_min(s, L), source_variance(s, L)
-        yield s, L, [lo + (0.01 + 0.98 * k / 39) * (hi - lo) for k in range(40)]
+        yield spec, s, [lo + (0.01 + 0.98 * k / 39) * (hi - lo) for k in range(40)]
     for spec, s, D in pytest.importorskip("mpref").certificate_probe():
         lo, hi = d_min(s, spec.L), source_variance(s, spec.L)
         grid = [D] + [lo + f * (hi - lo) for f in (1e-3, 0.3, 0.7, 1.0 - 1e-3)]
-        yield s, spec.L, [x for x in grid if lo < x < hi]
+        yield spec, s, [x for x in grid if lo < x < hi]
 
 
 def test_rows_are_the_per_d_views():
     # the converse pass over a grid gives, row by row and in every bit,
     # what the one-shot views give at each D alone: upper_bound_rate,
-    # lower_bound_rate, lower_bound_piece, and the solve's lambda_q
+    # lower_bound_rate, lower_bound_piece, and the solve's lambda_q; a D
+    # outside the spectrum's exact interval fails the pass as it fails
+    # each view
     arms = set()
-    for s, L, grid in _grids():
+    for spec, s, grid in _grids():
+        L = spec.L
         regime = classify(s, L)
         arms.add(regime.branch)
-        got = [_bits(row) for row in rows(regime, grid)]
+        inside = [D for D in grid if _inside_exact_interval(spec, D)]
+        for D in grid:
+            if D not in inside:
+                with pytest.raises(SymrdError) as exc:
+                    list(rows(regime, [D]))
+                _assert_views_refuse(s, L, D, exc.value)
+        got = [_bits(row) for row in rows(regime, inside)]
         lambdas = [lambda_q.hex() for _, lambda_q, *_ in
-                   symrd.upper_bound.solutions(regime.prepared, grid)]
-        assert list(zip(got, lambdas)) == [_views(s, L, D) for D in grid]
+                   symrd.upper_bound.solutions(regime.prepared, inside)]
+        assert list(zip(got, lambdas)) == [_views(s, L, D) for D in inside]
     assert arms == set(Branch)
 
 
@@ -392,7 +433,8 @@ def test_rc_domain_errors_name_the_subexpression():
     s = _spectrum(CASE2)
     big, small, _ = side_view(s, L_CASES, hatted=False)
     with pytest.raises(DomainError) as exc:
-        _rc(PIECE_R1C, big, small, L_CASES, L_CASES * (0.60 - d_min(s, L_CASES)))
+        _rc(PIECE_R1C, big, small, L_CASES, L_CASES * (0.60 - d_min(s, L_CASES)),
+            L_CASES * (source_variance(s, L_CASES) - 0.60))
     assert "R1c" in str(exc.value)
 
 
@@ -468,6 +510,33 @@ def test_composite_pieces_on_random_probe():
     assert not off
 
 
+# The composite pieces take the exact slack pair, each rounded once, and
+# R2c near sigma_x_sq its log1p form: what is left is the rounding of the
+# float spectrum's fields and of the closed forms (measured: at most
+# 12.5 eps; the float slack pair they replaced was up to 2.9e11 eps off,
+# 6.5e-5 relatively, at f = 1 - 1e-9).
+COMPOSITE_EPS = 16
+
+
+def test_composite_pieces_match_the_replay_of_the_spec():
+    # every composite row of the ends probe and of two seeded probes is
+    # within COMPOSITE_EPS of the 50-digit replay of the spec as given,
+    # relatively, next to both ends of the interval too
+    mpref = pytest.importorskip("mpref")
+    checked, off = 0, []
+    for spec, s, D in (mpref.ends_probe() + mpref.probe(seed=3, n=1000)
+                       + mpref.probe(seed=4, n=1000)):
+        ((_, _, value, piece),) = rows(classify(s, spec.L), [D])
+        if piece == PIECE_RBAR:
+            continue
+        checked += 1
+        ref, _ = mpref.piece(piece, mpref.spectrum(spec), spec.L, D)
+        if abs(value - ref) > COMPOSITE_EPS * np.finfo(float).eps * abs(ref):
+            off.append((spec, D, piece, value, float(ref)))
+    assert checked >= 500
+    assert not off
+
+
 @pytest.mark.parametrize("scale, eig", [pytest.param(1e-200, None, id="1e-200"),
                                         pytest.param(1e-300, None, id="1e-300")]
                          + [pytest.param(scale, CASE2, id=f"case2-{scale!r}")
@@ -498,3 +567,34 @@ def test_tiny_scale_is_the_unit_problem_rescaled(scale, eig):
         for rate in (upper_bound_rate, lower_bound_rate):
             want = rate(unit, L_CASES, D)
             assert abs(rate(small, L_CASES, scale * D) / want - 1.0) <= 1e-12
+
+
+def test_ceo_probe_is_the_literature_closed_form():
+    # rho_x = 1 and rho_z = 0 is the quadratic Gaussian CEO problem: one
+    # source seen by L sensors in i.i.d. noise, whose sum-rate has a closed
+    # form (Oohama 1998; Prabhakaran-Tse-Ramchandran 2004).  Over seeded
+    # specs (L log-uniform on [2, 1e7], sigma_x^2 / sigma_z^2 over six
+    # decades, D at every END_FRACTIONS and uniform in the interval), the
+    # converse is Rbar, lower == upper, and both are within 4 eps of the
+    # closed form at 50 digits, relatively.
+    mpref = pytest.importorskip("mpref")
+    rng = np.random.default_rng(20261021)
+    fractions = list(mpref.END_FRACTIONS) + [None]
+    off, checked = [], 0
+    while checked < 1400:
+        L = max(2, round(float(np.exp(rng.uniform(np.log(2.0), np.log(1e7))))))
+        sigma_x_sq = float(10.0 ** rng.uniform(-3, 3))
+        sigma_z_sq = sigma_x_sq * float(10.0 ** rng.uniform(-3, 3))
+        s = spectral_decompose(SourceSpec(L, sigma_x_sq, 1.0, sigma_z_sq, 0.0))
+        lo, hi = d_min(s, L), source_variance(s, L)
+        f = fractions[checked % len(fractions)]
+        D = lo + (float(rng.uniform()) if f is None else f) * (hi - lo)
+        if not lo < D < hi:
+            continue
+        checked += 1
+        ((_, upper, lower, piece),) = rows(classify(s, L), [D])
+        ceo = mpref.ceo(L, sigma_x_sq, sigma_z_sq, D)
+        if (piece != PIECE_RBAR or lower != upper
+                or abs(upper - ceo) > 4 * np.finfo(float).eps * ceo):
+            off.append((L, sigma_x_sq, sigma_z_sq, D, piece, upper, float(ceo)))
+    assert not off

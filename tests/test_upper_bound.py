@@ -3,13 +3,14 @@
 Reference values marked "50-digit reference" were computed independently
 with an mpmath program (bisection at 50 decimal digits on the distortion
 constraint, plus the closed-form rate); frozen here as float literals.
-test_newton_solve_on_random_probe compares the solver with the same replay
-(tests/mpref.py) over the range the library accepts and at the frozen
-solutions.
+test_closed_form_on_random_probe compares the solve with the same replay
+(tests/mpref.py) over the range the library accepts, next to both ends
+of the interval and at the frozen solutions.
 """
 
 import math
-import statistics
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,12 +62,24 @@ def seeds(monkeypatch):
     return recorded
 
 
+def _unit(s, L):
+    """The power of two lambda_q / v of the solve's scaled root v."""
+    p = symrd.upper_bound.prepare(s, L)
+    return math.ldexp(1.0, p.h - p.e)
+
+
 def _seeded_solve(seeds, s, L, D):
-    """(lambda_q, (a, b, c)): the solve at D and its one seed quadratic."""
+    """(lambda_q, (a, b, c)): the solve at D and its one quadratic in lambda_q.
+
+    quadratic_root takes the quadratic in v = lambda_q / unit, whose
+    coefficients are a / unit, b / unit^2 and c / unit^3 of the one in
+    lambda_q, divided through by unit^3: both are scaled back here.
+    """
     seeds.clear()
     lambda_q = solve_lambda_q(s, L, D)
-    (abc,) = seeds
-    return lambda_q, abc
+    ((a, b, c),) = seeds
+    u = _unit(s, L)
+    return lambda_q, (a * u, b * u * u, c * u * u * u)
 
 
 def _assert_correlation_form(b, c, spec, s, D):
@@ -108,9 +121,9 @@ def test_rate_forms_agree(eig, D, lam_q, rate):
 
 @pytest.mark.parametrize("eig, D, lam_q, rate", FROZEN_SOLUTIONS)
 def test_quadratic_coefficient_identities(eig, D, lam_q, rate, seeds):
-    # the seed quadratic's phi-form and the correlation-form (g, h)
-    # coefficients describe the same quadratic: b = g1 L^2 + g2 L and
-    # c = h1 L^2 + h2 L
+    # the balance quadratic's eigenvalue-form and the correlation-form
+    # (g, h) coefficients describe the same quadratic: b = g1 L^2 + g2 L
+    # and c = h1 L^2 + h2 L
     spec = from_eigenvalues(L_CASES, *eig)
     s = spectral_decompose(spec)
     _, (a, b, c) = _seeded_solve(seeds, s, L_CASES, D)
@@ -125,6 +138,7 @@ def test_quadratic_root_matches_bisection(eig, D, lam_q, rate, seeds):
     s = _spectrum(eig)
     lambda_q, abc = _seeded_solve(seeds, s, L_CASES, D)
     root = quadratic_root(*abc)
+    assert root == lambda_q
     assert abs(root - lambda_q) <= 1e-8 * lambda_q
 
 
@@ -175,14 +189,35 @@ def test_solve_rejects_out_of_range_distortion(bad_d_of_range):
         solve_lambda_q(s, L_CASES, D)
 
 
-def test_solve_rejects_interval_too_narrow_for_its_slacks():
-    # d_min and sigma_x^2 are rounded apart by more than the true interval
-    # here, so the larger slack's complement to L (sigma_x^2 - d_min) is
-    # negative: no bracket exists, and the solve says so instead of failing
-    # on it.
-    spec = SourceSpec(3, 0.641087696978789, 0.3, 5646376368315522.0, 0.5)
-    with pytest.raises(PrecisionError, match="too narrow"):
-        solve_lambda_q(spectral_decompose(spec), 3, 0.6410876969787889)
+# D inside the float interval (model.d_min, model.source_variance) but not
+# inside the spectrum's exact one: at sigma_x^2 itself, whose float
+# source_variance rounds up past it, and at or below the exact d_min,
+# which the float d_min rounds below.
+OUTSIDE_EXACT = [
+    (SourceSpec(3, 78489255574689.66, -0.17851676317835746,
+                1.7563143589165476e+29, 0.056827026891003385),
+     78489255574689.66, DomainError),
+    (SourceSpec(6212, 1.678529677732198e+17, -9.13168886626027e-05,
+                6.1544834015539544e+29, -4.8715572873115275e-06),
+     1.678529677732198e+17, DomainError),
+    (SourceSpec(69, 9.4965364803918e-17, -0.014705882352941176,
+                3.0847093803068013e-06, 0.5675990746225945),
+     9.496536479705728e-17, PrecisionError),
+]
+
+
+@pytest.mark.parametrize("spec, D, error", OUTSIDE_EXACT)
+def test_solve_refuses_d_outside_the_exact_interval(spec, D, error):
+    # the solve takes the spectrum's exact eigenvalues, so a D that the
+    # float ends admit but the exact ones do not has no lambda_q, and the
+    # solve says so instead of returning one
+    mpref = pytest.importorskip("mpref")
+    s, L = spectral_decompose(spec), spec.L
+    exact = mpref.spectrum(spec)
+    assert d_min(s, L) < D < source_variance(s, L)
+    assert not mpref.d_min(exact, L) < D < mpref.sigma_x_sq(exact, L)
+    with pytest.raises(error):
+        solve_lambda_q(s, L, D)
 
 
 def test_quadratic_root_rejects_nonpositive_leading_coefficient(seeds):
@@ -195,6 +230,10 @@ def test_quadratic_root_rejects_nonpositive_leading_coefficient(seeds):
     for bad in (0.0, -a):
         with pytest.raises(DomainError):
             quadratic_root(bad, b, c)
+    # c >= 0 likewise: D at or below d_min
+    for bad in (0.0, -c):
+        with pytest.raises(DomainError):
+            quadratic_root(a, b, bad)
 
 
 def test_rate_of_zero_noise_limit():
@@ -204,7 +243,7 @@ def test_rate_of_zero_noise_limit():
 
 
 def test_randomized_consistency(seeds):
-    # residual, the correlation form of the seed quadratic and
+    # residual, the correlation form of the balance quadratic and
     # quadratic-vs-bisection on randomized specs
     rng = np.random.default_rng(55901)
     for _ in range(300):
@@ -225,18 +264,18 @@ def test_randomized_consistency(seeds):
         assert abs(root - lambda_q) <= 1e-8 * lambda_q
 
 
-# Over the probe, the solve's error in Rbar is held to
-#   PROBE_D_ULPS * |dRbar/dD| * ulp(D) + PROBE_RATE_ULPS * ulp(Rbar).
-# The first term covers the slack the solve starts from: L (D - d_min) or
-# L (sigma_x^2 - D) carries the rounding of d_min or sigma_x^2, at most
-# 4 ulps of D (sigma_x^2 < 2 D above the middle), and each balance
-# evaluation's side is a sum of positive terms off by at most 6 eps
-# relatively, the same as moving D by 6 eps (D - d_min) <= 12 ulps of D.
-# The second covers rate_of's two log1p terms and their sum.  (Measured:
-# at most 2.7 times the plain sum of the two; the bisection this solve
-# replaced reached 1.0e5 times it on the same points.)
-PROBE_D_ULPS = 16
-PROBE_RATE_ULPS = 4
+# Over the probes, lambda_q is held within LAMBDA_Q_ULPS ulps of the
+# 50-digit lambda_q of the spec's exact spectrum, and Rbar within RATE_EPS
+# eps of the replay's, relatively.  The quadratic's coefficients are exact
+# and rounded once each, and its positive root moves by at most the
+# relative error of each (its condition number in each is at most 1), so
+# lambda_q carries three such errors and the stable root form's own few.
+# Rbar adds rate_of's two log1p terms and the rounding of the float
+# lambda_y and gamma_y it reads.  (Measured on these points: at most 2 ulps
+# and 2.5 eps; the Newton iteration this solve replaced was up to 9e15
+# ulps and 2e14 eps off on them, next to the interval's ends.)
+LAMBDA_Q_ULPS = 4
+RATE_EPS = 4
 
 
 def _edge_points(fractions):
@@ -264,61 +303,61 @@ def _edge_points(fractions):
     return points
 
 
-def test_newton_seed_takes_the_pass_slack_pair(seeds):
-    # the converse pass seeds each solve with one quadratic, whose a and
-    # phi3 are, bit for bit, the slack pair it yields, below and above the
-    # middle: a = L (sigma_x^2 - D), b = b_free - phi3 (gamma_y + lambda_y)
-    # and c = -phi3 lambda_y gamma_y with phi3 = L (D - d_min)
+def _exact_eigenvalues(spec):
+    """(lambda_x, gamma_x, lambda_y, gamma_y) of the spec's floats, as Fractions."""
+    L = spec.L
+
+    def pair(sigma_sq, rho):
+        s, r = Fraction(sigma_sq), Fraction(rho)
+        return max((1 + (L - 1) * r) * s, 0), max((1 - r) * s, 0)
+
+    (lx, gx), (lz, gz) = pair(spec.sigma_x_sq, spec.rho_x), (
+        pair(spec.sigma_z_sq, spec.rho_z) if spec.sigma_z_sq > 0 else (0, 0))
+    return lx, gx, lx + lz, gx + gz
+
+
+def test_coefficients_are_the_exact_quadratic_rounded_once(seeds):
+    # the pass forms the balance quadratic t0 q^2 + (t0 (lambda_y + gamma_y)
+    # - P) q + (t0 lambda_y gamma_y - Q), t0 = L (sigma_x^2 - D), from the
+    # spec's exact eigenvalues and rounds each coefficient once, below and
+    # above the middle; its slack C / den is L (D - d_min) exactly, and
+    # its complement t0 rounded once
     for spec, s, D in _edge_points([1e-6, 0.3, 0.7, 1.0 - 1e-6]):
-        p = symrd.upper_bound.prepare(s, spec.L)
-        seeds.clear()
-        *_, below, above = next(symrd.upper_bound.solutions(p, (D,)))
-        assert seeds == [(above, p.b_free - below * p.y_sum,
-                          -below * s.lambda_y * s.gamma_y)]
+        L = spec.L
+        lx, gx, ly, gy = _exact_eigenvalues(spec)
+        t0 = lx + (L - 1) * gx - L * Fraction(D)
+        P = lx * lx + (L - 1) * gx * gx
+        Q = lx * lx * gy + (L - 1) * gx * gx * ly
+        _, abc = _seeded_solve(seeds, s, L, D)
+        assert abc == (float(t0), float(t0 * (ly + gy) - P), float(t0 * ly * gy - Q))
+        *_, slack, den, rest = next(symrd.upper_bound.solutions(
+            symrd.upper_bound.prepare(s, L), (D,)))
+        d_floor = (lx * (ly - lx) / ly + (L - 1) * gx * (gy - gx) / gy) / L
+        assert Fraction(slack, den) == L * (Fraction(D) - d_floor)
+        assert rest == float(t0)
 
 
-class _CountingMath:
-    """math as symrd.upper_bound sees it, with each log call recorded.
-
-    Each balance evaluation of the converse pass takes one log, the
-    residual check's included, and nothing else in a solve calls log.
-    """
-
-    def __init__(self, calls: list):
-        self.calls = calls
-
-    def __getattr__(self, name):
-        return getattr(math, name)
-
-    def log(self, x):
-        self.calls.append(x)
-        return math.log(x)
-
-
-def test_newton_solve_on_random_probe(monkeypatch):
+def test_closed_form_on_random_probe():
+    # lambda_q and Rbar against the 50-digit replay of the spec's exact
+    # spectrum: over the seeded probes (L up to 1e7, variances over six
+    # decades, D next to both ends of the interval and inside it), the
+    # edge spectra and the frozen solutions; every point solves
     mpref = pytest.importorskip("mpref")
-    calls = []
-    monkeypatch.setattr(symrd.upper_bound, "math", _CountingMath(calls))
-    evaluations = []
-    off = []
     edges = _edge_points([f for f in mpref.PROBE_FRACTIONS if f] + [0.3, 0.7])
     frozen = [(from_eigenvalues(L_CASES, *eig), _spectrum(eig), D)
               for eig, D, _, _ in FROZEN_SOLUTIONS]
-    for spec, s, D in mpref.probe(seed=20261018, n=2000) + edges + frozen:
-        calls.clear()
-        rate_nats = rate_of(s, spec.L, solve_lambda_q(s, spec.L, D))
-        evaluations.append(len(calls))
-        # The float spectrum's x and z are exact binary values; the replay
-        # re-forms y = x + z from them, as the model defines it.
-        rate, slope = mpref.upper(mpref.exact(s), spec.L, D)
-        bound = (PROBE_D_ULPS * abs(float(slope)) * math.ulp(D)
-                 + PROBE_RATE_ULPS * math.ulp(rate_nats))
-        if abs(rate_nats - float(rate)) > bound:
-            off.append((spec, D, rate_nats, float(rate)))
-    # one Newton evaluation at least, and the residual check's
-    assert min(evaluations) >= 2
-    assert statistics.median(evaluations) <= 3
-    assert max(evaluations) <= 8
+    off = []
+    for spec, s, D in (mpref.ends_probe() + mpref.probe(seed=3, n=1000)
+                       + mpref.probe(seed=4, n=1000) + edges + frozen):
+        exact = mpref.spectrum(spec)
+        lambda_q = solve_lambda_q(s, spec.L, D)
+        rate_nats = rate_of(s, spec.L, lambda_q)
+        ref_q = mpref.lambda_q(exact, spec.L, D)
+        rate, _ = mpref.upper(exact, spec.L, D, ref_q)
+        q_ulps = abs(lambda_q - float(ref_q)) / math.ulp(float(ref_q))
+        rate_eps = float(abs(rate_nats - rate) / rate) / sys.float_info.epsilon
+        if q_ulps > LAMBDA_Q_ULPS or rate_eps > RATE_EPS:
+            off.append((spec, D, q_ulps, rate_eps))
     assert not off
 
 
@@ -327,17 +366,16 @@ NOISELESS = SourceSpec(10, 1.0, 0.3, 0.0, 0.0)
 
 
 def test_noiseless_small_distortion_matches_replay():
-    # The residual check holds the solved form, which does not cancel as
-    # lambda_q -> 0, where a difference distortion_of(lambda_q) - D would.
-    # (Below D ~ 1e-40 the 50-digit replay cancels itself.)
+    # The quadratic's constant term is -L D lambda_y gamma_y exactly, which
+    # keeps its digits as lambda_q -> 0, where a difference
+    # distortion_of(lambda_q) - D would cancel.  (Below D ~ 1e-40 the
+    # 50-digit replay cancels itself.)
     mpref = pytest.importorskip("mpref")
     s = spectral_decompose(NOISELESS)
     for D in (1e-7, 1e-8, 1e-9, 1e-12):
         got = upper_bound_rate(s, NOISELESS.L, D)
-        rate, slope = mpref.upper(mpref.exact(s), NOISELESS.L, D)
-        bound = (PROBE_D_ULPS * abs(float(slope)) * math.ulp(D)
-                 + PROBE_RATE_ULPS * math.ulp(got))
-        assert abs(got - float(rate)) <= bound
+        rate, _ = mpref.upper(mpref.spectrum(NOISELESS), NOISELESS.L, D)
+        assert abs(got - rate) <= RATE_EPS * sys.float_info.epsilon * rate
 
 
 @pytest.mark.parametrize("D", [1e-308, 1e-310, 5e-324])
@@ -348,11 +386,8 @@ def test_noiseless_rate_past_float_range_raises(D):
 
 
 @pytest.mark.parametrize("D", [1e-315, 1e-320, 5e-324])
-def test_noiseless_subnormal_slack_raises_precision_error(D, monkeypatch):
-    # L (D - d_min) = L D is subnormal: the solve names that slack before
-    # Newton's method spends its balance evaluations on too few digits.
-    calls = []
-    monkeypatch.setattr(symrd.upper_bound, "math", _CountingMath(calls))
-    with pytest.raises(PrecisionError, match=r"smaller slack L \(D - d_min\)"):
+def test_noiseless_subnormal_distortion_raises_precision_error(D):
+    # L (D - d_min) = L D is subnormal: so is the quadratic's constant
+    # term, whose few digits would set lambda_q, and the solve says so
+    with pytest.raises(PrecisionError, match="too close to d_min"):
         upper_bound_rate(spectral_decompose(NOISELESS), NOISELESS.L, D)
-    assert len(calls) <= 2
