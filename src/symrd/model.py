@@ -93,7 +93,8 @@ class Spectrum:
 
     source is the (L, sigma_x_sq, rho_x, sigma_z_sq, rho_z) that
     spectral_decompose decomposed (sigma_z_sq clamped at 0), or None for
-    a Spectrum built from floats alone.
+    a Spectrum built from floats alone.  Only spectral_decompose sets it,
+    after the float fields, so that the two always describe one spectrum.
     """
 
     lambda_x: float
@@ -102,7 +103,7 @@ class Spectrum:
     gamma_z: float
     lambda_y: float
     gamma_y: float
-    source: tuple | None = field(default=None, repr=False, compare=False)
+    source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def exact(self) -> tuple:
@@ -235,8 +236,9 @@ def spectral_decompose(spec: SourceSpec) -> Spectrum:
     lx, gx = _eig_pair(spec.L, spec.sigma_x_sq, spec.rho_x)
     sz = max(spec.sigma_z_sq, 0.0)
     lz, gz = _eig_pair(spec.L, sz, spec.rho_z) if sz > 0.0 else (0.0, 0.0)
-    return Spectrum(lx, gx, lz, gz, lx + lz, gx + gz,
-                    (spec.L, spec.sigma_x_sq, spec.rho_x, sz, spec.rho_z))
+    s = Spectrum(lx, gx, lz, gz, lx + lz, gx + gz)
+    object.__setattr__(s, "source", (spec.L, spec.sigma_x_sq, spec.rho_x, sz, spec.rho_z))
+    return s
 
 
 def from_eigenvalues(

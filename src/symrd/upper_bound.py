@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Context, Decimal
 from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
@@ -131,15 +132,18 @@ def solutions(prepared: Prepared, grid):
     in units of 2^-3e: the exact slack that the composite pieces of the
     converse take, as C / den with den = -Y2 2^max(e, k), rounded only
     where a piece needs it; its complement t = a 2^(h-e) is t0 rounded
-    once.  lambda_q must be a normal float64, and so must c and v, or
-    they would carry too few digits.
+    once.  A D inside the float ends but outside the exact interval of
+    the spectrum's exact eigenvalues, which the float ends round, has
+    T <= 0 or C >= 0: it is refused as outside that interval, as a D
+    outside the float ends is, next to either end alike.  a, c, v and
+    lambda_q must be normal float64s, or they would carry too few digits.
 
     A generator: the rows before a failing D are yielded before its error
     is raised.  Errors are solve_lambda_q's.
     """
     s, L, floor, ceil, X, S, Y2, P, Q, e, h, fast_bits = prepared
     ldexp = math.ldexp
-    unit, neg_tiny = ldexp(1.0, h - e), -_SMALLEST_NORMAL
+    unit, tiny, neg_tiny = ldexp(1.0, h - e), _SMALLEST_NORMAL, -_SMALLEST_NORMAL
     scale_a, scale_b, scale_c = ldexp(1.0, -h), ldexp(1.0, -2 * h), ldexp(1.0, -3 * h)
     slack_den = -(Y2 << e)
     # v whose lambda_q = v unit is a normal float64: root_lo <= v < root_hi.
@@ -164,17 +168,38 @@ def solutions(prepared: Prepared, grid):
             b = (T * S - (P << g)) / (1 << (2 * h + g))
             c = C / (1 << (3 * h + g))
             row_den = -(Y2 << K)
-        if not c < neg_tiny:
-            # C >= 0 puts D at or below the exact d_min, within the
-            # rounding of its float; a subnormal c has too few digits.
-            raise PrecisionError(
-                f"D = {D!r} is too close to d_min = {floor!r} to resolve")
+        if not (a >= tiny and c <= neg_tiny):
+            raise _refusal(prepared, D, T, C, c)
         root = quadratic_root(a, b, c)
         if not root_lo <= root < root_hi:
             raise PrecisionError(
                 f"lambda_q at D = {D!r} is {root * unit!r}, outside the normal float64 range")
         lambda_q = root * unit
         yield D, lambda_q, rate_of(s, L, lambda_q), C, row_den, a * unit
+
+
+def _refusal(prepared: Prepared, D: float, T: int, C: int, c: float) -> Exception:
+    """The error for a D inside the float ends whose a or c is not a normal float.
+
+    T and C, the numerators of a and c, are at most 0 and at least 0 as D
+    lies at or above and at or below the exact interval (d_min, sigma_x^2)
+    of the spectrum's exact eigenvalues: that is a DomainError naming D
+    and those ends, X / (L 2^e) and (X Y2 - Q) / (L Y2 2^e), to 25
+    digits, beside the float ends.  Inside it, a or c is a nonzero float
+    below the normal range, with too few digits to set lambda_q: a
+    PrecisionError naming the end D is next to.
+    """
+    _, L, floor, ceil, X, _, Y2, _, Q, e, _, _ = prepared
+    if T <= 0 or C >= 0:
+        digits = Context(prec=25)
+        lo = digits.divide(Decimal(X * Y2 - Q), Decimal((L << e) * Y2))
+        hi = digits.divide(Decimal(X), Decimal(L << e))
+        return DomainError(
+            f"D = {D!r} ({digits.plus(Decimal(D))}) outside the exact interval "
+            f"(d_min, sigma_x_sq) = ({lo}, {hi}) of the spectrum's eigenvalues, "
+            f"whose float ends are ({floor!r}, {ceil!r})")
+    end = ("d_min", floor) if c > -_SMALLEST_NORMAL else ("sigma_x_sq", ceil)
+    return PrecisionError("D = %r is too close to %s = %r to resolve" % (D, *end))
 
 
 def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
@@ -199,11 +224,12 @@ def solve_lambda_q(spectrum: Spectrum, L: int, D: float) -> float:
     ------
     DomainError
         If D lies outside the open interval (d_min, sigma_x^2), or
-        outside the spectrum's exact interval next to sigma_x^2.
+        outside the exact one of the spectrum's exact eigenvalues, which
+        the float ends round.
     PrecisionError
-        If D sits within the rounding of d_min (outside the exact
-        interval, or so close that the quadratic's constant term
-        underflows), or lambda_q or the rate at it leaves float64.
+        If D lies so close to an end of the exact interval that the
+        quadratic's a or c is below float64's normal range, or lambda_q
+        or the rate at it leaves float64.
     """
     return next(solutions(prepare(spectrum, L), (D,)))[1]
 

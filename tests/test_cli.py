@@ -659,6 +659,27 @@ def test_repeated_size_exits_2(specs, capsys, command, flag, sizes):
     assert err == f"error: {flag}: system size L = {size} is given twice\n"
 
 
+@pytest.mark.parametrize("D, text", [
+    ("78489255574689.66", "L = 3\nsigma_x_sq = 78489255574689.66\n"
+     "rho_x = -0.17851676317835746\nsigma_z_sq = 1.7563143589165476e+29\n"
+     "rho_z = 0.056827026891003385\n"),
+    ("9.496536479705728e-17", "L = 69\nsigma_x_sq = 9.4965364803918e-17\n"
+     "rho_x = -0.014705882352941176\nsigma_z_sq = 3.0847093803068013e-06\n"
+     "rho_z = 0.5675990746225945\n"),
+], ids=["at_sigma_x_sq", "below_d_min"])
+def test_d_outside_the_exact_interval_exits_2(tmp_path, capsys, D, text):
+    # D inside the float ends but outside the spec's exact interval, next
+    # to either end: refused alike, with exit 2 and one line naming D and
+    # the exact ends, before anything is printed
+    spec = tmp_path / "edge.spec"
+    spec.write_text(text)
+    rc, out, err = _run(capsys, ["simulate", str(spec), "--D", D, "--n", "1000",
+                                 "--seed", "1"])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: D = {D} (") and err.count("\n") == 1
+    assert "outside the exact interval (d_min, sigma_x_sq)" in err
+
+
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_spec_read_splits_lines_as_text_mode(tmp_path, end):
     # The spec is read in binary: CRLF and CR line ends parse as LF ones

@@ -24,7 +24,6 @@ from symrd import (
     PIECE_R2C_HAT,
     PIECE_RBAR,
     SourceSpec,
-    SymrdError,
     d_min,
     from_eigenvalues,
     lower_bound_piece,
@@ -269,7 +268,8 @@ def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
     # (L up to 1e6, variances within 1e+-30).  The converse pass takes each
     # root with one quadratic_root call, so the calls count the solves.
     # A probe D that the float ends admit but the spectrum's exact ones do
-    # not is refused, by evaluate and by each view alike.
+    # not is refused as outside the exact interval, by evaluate and by
+    # each view alike.
     mpref = pytest.importorskip("mpref")
     root = symrd.upper_bound.quadratic_root
     solves = []
@@ -291,7 +291,7 @@ def test_evaluate_is_the_three_calls_with_one_solve(monkeypatch):
         L = spec.L
         solves.clear()
         if not _inside_exact_interval(spec, D):
-            with pytest.raises(SymrdError) as exc:
+            with pytest.raises(DomainError, match="outside the exact interval") as exc:
                 evaluate(classify(s, L), D)
             _assert_views_refuse(s, L, D, exc.value)
             refused += 1
@@ -343,7 +343,7 @@ def test_rows_are_the_per_d_views():
         inside = [D for D in grid if _inside_exact_interval(spec, D)]
         for D in grid:
             if D not in inside:
-                with pytest.raises(SymrdError) as exc:
+                with pytest.raises(DomainError, match="outside the exact interval") as exc:
                     list(rows(regime, [D]))
                 _assert_views_refuse(s, L, D, exc.value)
         got = [_bits(row) for row in rows(regime, inside)]

@@ -101,6 +101,22 @@ def test_spectrum_derived_fields():
     assert s.lambda_w == min(s.lambda_y, s.gamma_y)
 
 
+def test_spectrum_source_is_set_by_spectral_decompose_only():
+    # the spec's floats, whose exact eigenvalues the lambda_q solve takes,
+    # cannot be given beside float fields that they do not describe
+    spec = _spec(CASE2)
+    s = spectral_decompose(spec)
+    assert s.source == (spec.L, spec.sigma_x_sq, spec.rho_x, spec.sigma_z_sq, spec.rho_z)
+    fields = (s.lambda_x, s.gamma_x, s.lambda_z, s.gamma_z, s.lambda_y, s.gamma_y)
+    with pytest.raises(TypeError):
+        Spectrum(*fields, source=s.source)
+    bare = Spectrum(*fields)
+    assert bare.source is None and bare == s
+    # without a source the x and z fields are the exact eigenvalues
+    *numerators, den = bare.exact
+    assert [n / den for n in numerators] == list(fields[:4])
+
+
 def test_sigma_y_and_rho_y():
     spec = SourceSpec(5, 2.0, 0.3, 1.0, 0.1)
     assert abs(spec.sigma_y_sq - 3.0) < 1e-15

@@ -9,6 +9,7 @@ of the interval and at the frozen solutions.
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -191,33 +192,50 @@ def test_solve_rejects_out_of_range_distortion(bad_d_of_range):
 
 # D inside the float interval (model.d_min, model.source_variance) but not
 # inside the spectrum's exact one: at sigma_x^2 itself, whose float
-# source_variance rounds up past it, and at or below the exact d_min,
-# which the float d_min rounds below.
+# source_variance rounds up past it, and below the exact d_min, which the
+# float d_min rounds below.
 OUTSIDE_EXACT = [
     (SourceSpec(3, 78489255574689.66, -0.17851676317835746,
                 1.7563143589165476e+29, 0.056827026891003385),
-     78489255574689.66, DomainError),
+     78489255574689.66),
     (SourceSpec(6212, 1.678529677732198e+17, -9.13168886626027e-05,
                 6.1544834015539544e+29, -4.8715572873115275e-06),
-     1.678529677732198e+17, DomainError),
+     1.678529677732198e+17),
     (SourceSpec(69, 9.4965364803918e-17, -0.014705882352941176,
                 3.0847093803068013e-06, 0.5675990746225945),
-     9.496536479705728e-17, PrecisionError),
+     9.496536479705728e-17),
 ]
 
 
-@pytest.mark.parametrize("spec, D, error", OUTSIDE_EXACT)
-def test_solve_refuses_d_outside_the_exact_interval(spec, D, error):
+# The refusal names D and the exact ends to 25 digits, then the float ends.
+EXACT_REFUSAL = re.compile(
+    r"D = (\S+) \((\S+)\) outside the exact interval \(d_min, sigma_x_sq\) = "
+    r"\((\S+), (\S+)\) of the spectrum's eigenvalues, whose float ends are "
+    r"\((\S+), (\S+)\)")
+
+
+@pytest.mark.parametrize("spec, D", OUTSIDE_EXACT)
+def test_solve_refuses_d_outside_the_exact_interval(spec, D):
     # the solve takes the spectrum's exact eigenvalues, so a D that the
-    # float ends admit but the exact ones do not has no lambda_q, and the
-    # solve says so instead of returning one
+    # float ends admit but the exact ones do not has no lambda_q: it is
+    # refused as outside that interval, next to either end alike, with
+    # its exact ends named
     mpref = pytest.importorskip("mpref")
     s, L = spectral_decompose(spec), spec.L
     exact = mpref.spectrum(spec)
     assert d_min(s, L) < D < source_variance(s, L)
     assert not mpref.d_min(exact, L) < D < mpref.sigma_x_sq(exact, L)
-    with pytest.raises(error):
+    with pytest.raises(DomainError) as exc:
         solve_lambda_q(s, L, D)
+    match = EXACT_REFUSAL.fullmatch(str(exc.value))
+    assert match
+    assert match.group(1, 5, 6) == (repr(D), repr(d_min(s, L)), repr(source_variance(s, L)))
+    # each 25-digit value is its exact one rounded, so D shows outside its ends
+    at, lo, hi = (Fraction(v) for v in match.group(2, 3, 4))
+    ends = (Fraction(str(end)) for end in (mpref.d_min(exact, L), mpref.sigma_x_sq(exact, L)))
+    for value, want in zip((at, lo, hi), (Fraction(D), *ends)):
+        assert abs(value - want) <= abs(want) * Fraction(1, 10**24)
+    assert not lo < at < hi
 
 
 def test_quadratic_root_rejects_nonpositive_leading_coefficient(seeds):
