@@ -79,11 +79,17 @@ class Prepared(NamedTuple):
     X = lambda_x + (L-1) gamma_x, S = lambda_y + gamma_y,
     Y2 = lambda_y gamma_y and the P and Q of the module docstring, in
     units of 2^-e, 2^-e, 2^-2e, 2^-2e and 2^-3e.  The root is taken in
-    v = lambda_q / 2^(h-e), with 2^h <= max(lambda_y, gamma_y) 2^e < 2^(h+1),
-    so that the quadratic's rounded coefficients stay below 16 L in
-    magnitude.  fast_bits is e + 1, the bit length of 2^e, where every
-    numerator of a coefficient is below 2^1023, so that float(int)
-    rounds it; else 0.
+    v = lambda_q / 2^(h-e), with 2^h <= sqrt(Y2) < 2^(h+1): the
+    geometric mean of lambda_y and gamma_y, where lambda_q's range has
+    its middle.  The quadratic is divided through by a power of two, so
+    that a = T 2^-w, b = (T S - P) 2^-(w+h) and c = (T Y2 - Q) 2^-(w+2h)
+    for the integer T of solutions.  Over the interval |b| < 1, and a and
+    c are largest at its ends, where both lie between
+    sqrt(min(lambda_y, gamma_y) / max(lambda_y, gamma_y)) / 8 and 2:
+    inside float64 at any variance scale and any spread of the
+    eigenvalues that it holds.  fast_bits is e + 1, the bit length of
+    2^e, where every numerator of a coefficient is below 2^1023, so that
+    float(int) rounds it, and their three scales are normal floats; else 0.
     """
 
     spectrum: Spectrum
@@ -97,6 +103,7 @@ class Prepared(NamedTuple):
     Q: int
     e: int
     h: int
+    w: int
     fast_bits: int
 
 
@@ -105,12 +112,16 @@ def prepare(spectrum: Spectrum, L: int) -> Prepared:
     lx, gx, lz, gz, den = spectrum.exact
     ly, gy, m = lx + lz, gx + gz, L - 1
     lx2, gx2 = lx * lx, m * gx * gx
-    e, h = den.bit_length() - 1, max(ly, gy).bit_length() - 1
-    # c's numerator, the largest, is below 16 L 2^(3h).
-    fast = 3 * h + (16 * L).bit_length() <= 1023
+    X, S, Y2, P, Q = lx + m * gx, ly + gy, ly * gy, lx2 + gx2, lx2 * gy + gx2 * ly
+    e, h = den.bit_length() - 1, (Y2.bit_length() - 1) // 2
+    # |T S - P| <= max(P, W S), W = Q / Y2 = L (sigma_x^2 - d_min) the
+    # largest T, is below 2^(w+h).
+    w = max(P.bit_length(), Q.bit_length() + S.bit_length() - Y2.bit_length() + 1) - h
+    # |T| <= X, P <= X S and Q <= X Y2 bound the numerators.
+    fast = (-1023 <= w and w + 2 * h <= 1022
+            and X.bit_length() + max(S, Y2).bit_length() < 1023)
     return Prepared(spectrum, L, d_min(spectrum, L), source_variance(spectrum, L),
-                    lx + m * gx, ly + gy, ly * gy, lx2 + gx2, lx2 * gy + gx2 * ly,
-                    e, h, e + 1 if fast else 0)
+                    X, S, Y2, P, Q, e, h, w, e + 1 if fast else 0)
 
 
 def solutions(prepared: Prepared, grid):
@@ -123,16 +134,16 @@ def solutions(prepared: Prepared, grid):
     takes its root and the rate there, on prepare's constants held in
     locals.  D = n / 2^k exactly.  At k <= e, t0 = L (sigma_x^2 - D) is
     the integer T = X - L n 2^(e-k) in units of 2^-e, and the quadratic
-    a v^2 + b v + c = 0 in v = lambda_q / 2^(h-e) has a = T 2^-h,
-    b = (T S - P) 2^-2h and c = (T Y2 - Q) 2^-3h, each rounded once by
-    float(int) and scaled by an exact power of two.  A finer D (k > e),
-    or a spectrum whose numerators pass float64's range, takes units of
-    2^-max(e, k) and correctly rounded int / int.  Since
-    Q / Y2 = L (sigma_x^2 - d_min), c's numerator C is -L (D - d_min) Y2
-    in units of 2^-3e: the exact slack that the composite pieces of the
-    converse take, as C / den with den = -Y2 2^max(e, k), rounded only
-    where a piece needs it; its complement t = a 2^(h-e) is t0 rounded
-    once.  A D inside the float ends but outside the exact interval of
+    a v^2 + b v + c = 0 in v = lambda_q / 2^(h-e) has a = T 2^-w,
+    b = (T S - P) 2^-(w+h) and c = (T Y2 - Q) 2^-(w+2h), each rounded
+    once by float(int) and scaled by an exact power of two.  A finer D
+    (k > e), or a spectrum whose numerators or scales pass float64's
+    range, takes units of 2^-K, K >= max(e, k), and correctly rounded
+    int / int.  Since Q / Y2 = L (sigma_x^2 - d_min), c's numerator C is
+    -L (D - d_min) Y2 in units of 2^-3e: the exact slack that the
+    composite pieces of the converse take, as C / den with
+    den = -Y2 2^K, rounded only where a piece needs it; its complement
+    t = a 2^(w-e) is t0 rounded once.  A D inside the float ends but outside the exact interval of
     the spectrum's exact eigenvalues, which the float ends round, has
     T <= 0 or C >= 0: it is refused as outside that interval, as a D
     outside the float ends is, next to either end alike.  a, c, v and
@@ -141,10 +152,15 @@ def solutions(prepared: Prepared, grid):
     A generator: the rows before a failing D are yielded before its error
     is raised.  Errors are solve_lambda_q's.
     """
-    s, L, floor, ceil, X, S, Y2, P, Q, e, h, fast_bits = prepared
+    s, L, floor, ceil, X, S, Y2, P, Q, e, h, w, fast_bits = prepared
     ldexp = math.ldexp
     unit, tiny, neg_tiny = ldexp(1.0, h - e), _SMALLEST_NORMAL, -_SMALLEST_NORMAL
-    scale_a, scale_b, scale_c = ldexp(1.0, -h), ldexp(1.0, -2 * h), ldexp(1.0, -3 * h)
+    # t = a 2^(w-e); past float64's range t0 is inf, as its rounding is.
+    t_unit = ldexp(1.0, w - e) if w - e < 1024 else math.inf
+    if fast_bits:
+        scale_a, scale_b, scale_c = ldexp(1.0, -w), ldexp(1.0, -w - h), ldexp(1.0, -w - 2 * h)
+    # The int / int branch's units 2^-K have K >= e - w, so that it divides.
+    k_min = max(e, e - w)
     slack_den = -(Y2 << e)
     # v whose lambda_q = v unit is a normal float64: root_lo <= v < root_hi.
     root_lo = ldexp(1.0, max(-1022, -1022 - (h - e)))
@@ -160,13 +176,13 @@ def solutions(prepared: Prepared, grid):
             a, b, c = T * scale_a, (T * S - P) * scale_b, C * scale_c
             row_den = slack_den
         else:
-            K = max(e, bits - 1)
+            K = max(k_min, bits - 1)
             g = K - e
             T = (X << g) - (L * n << (K - bits + 1))
             C = T * Y2 - (Q << g)
-            a = T / (1 << (h + g))
-            b = (T * S - (P << g)) / (1 << (2 * h + g))
-            c = C / (1 << (3 * h + g))
+            a = T / (1 << (w + g))
+            b = (T * S - (P << g)) / (1 << (w + h + g))
+            c = C / (1 << (w + 2 * h + g))
             row_den = -(Y2 << K)
         if not (a >= tiny and c <= neg_tiny):
             raise _refusal(prepared, D, T, C, c)
@@ -175,7 +191,7 @@ def solutions(prepared: Prepared, grid):
             raise PrecisionError(
                 f"lambda_q at D = {D!r} is {root * unit!r}, outside the normal float64 range")
         lambda_q = root * unit
-        yield D, lambda_q, rate_of(s, L, lambda_q), C, row_den, a * unit
+        yield D, lambda_q, rate_of(s, L, lambda_q), C, row_den, a * t_unit
 
 
 def _refusal(prepared: Prepared, D: float, T: int, C: int, c: float) -> Exception:
@@ -189,7 +205,7 @@ def _refusal(prepared: Prepared, D: float, T: int, C: int, c: float) -> Exceptio
     below the normal range, with too few digits to set lambda_q: a
     PrecisionError naming the end D is next to.
     """
-    _, L, floor, ceil, X, _, Y2, _, Q, e, _, _ = prepared
+    _, L, floor, ceil, X, _, Y2, _, Q, e, *_ = prepared
     if T <= 0 or C >= 0:
         digits = Context(prec=25)
         lo = digits.divide(Decimal(X * Y2 - Q), Decimal((L << e) * Y2))

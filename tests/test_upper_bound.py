@@ -9,6 +9,7 @@ of the interval and at the frozen solutions.
 """
 
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -63,24 +64,24 @@ def seeds(monkeypatch):
     return recorded
 
 
-def _unit(s, L):
-    """The power of two lambda_q / v of the solve's scaled root v."""
+def _scales(s, L):
+    """The powers of two that turn the solve's a, b and c into the quadratic in lambda_q.
+
+    quadratic_root takes the quadratic in v = lambda_q / 2^(h-e), divided
+    through by 2^(w+2h-3e), whose coefficients are those of the one in
+    lambda_q times 2^(e-w), 2^(2e-w-h) and 2^(3e-w-2h).
+    """
     p = symrd.upper_bound.prepare(s, L)
-    return math.ldexp(1.0, p.h - p.e)
+    return tuple(math.ldexp(1.0, p.w + k * p.h - (k + 1) * p.e) for k in range(3))
 
 
 def _seeded_solve(seeds, s, L, D):
-    """(lambda_q, (a, b, c)): the solve at D and its one quadratic in lambda_q.
-
-    quadratic_root takes the quadratic in v = lambda_q / unit, whose
-    coefficients are a / unit, b / unit^2 and c / unit^3 of the one in
-    lambda_q, divided through by unit^3: both are scaled back here.
-    """
+    """(lambda_q, (a, b, c)): the solve at D and its one quadratic in lambda_q."""
     seeds.clear()
     lambda_q = solve_lambda_q(s, L, D)
     ((a, b, c),) = seeds
-    u = _unit(s, L)
-    return lambda_q, (a * u, b * u * u, c * u * u * u)
+    scale_a, scale_b, scale_c = _scales(s, L)
+    return lambda_q, (a * scale_a, b * scale_b, c * scale_c)
 
 
 def _assert_correlation_form(b, c, spec, s, D):
@@ -377,6 +378,51 @@ def test_closed_form_on_random_probe():
         if q_ulps > LAMBDA_Q_ULPS or rate_eps > RATE_EPS:
             off.append((spec, D, q_ulps, rate_eps))
     assert not off
+
+
+def _spread_probe(seed: int, n: int):
+    """(spec, s, D): n specs whose eigenvalues spread over up to 600 decades.
+
+    sigma_z_sq / sigma_x_sq is log-uniform over 1e-300 ... 1e300, and rho_z
+    = 1 (gamma_z = 0) or rho_x = 1 (gamma_x = 0) in a third of them each,
+    with D at f = 1e-6, 0.3, 0.7 and 1 - 1e-6 of (d_min, sigma_x_sq).
+    """
+    rng = random.Random(seed)
+    points = []
+    while len(points) < 4 * n:
+        L = int(10 ** rng.uniform(math.log10(2), 6))
+        sx = 10 ** rng.uniform(-3, 3)
+        rx = rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0])
+        rz = rng.choice([1.0, 0.0, rng.uniform(0.0, 1.0)])
+        try:
+            spec = SourceSpec(L, sx, rx, sx * 10 ** rng.uniform(-300, 300), rz)
+        except SymrdError:
+            continue
+        s = spectral_decompose(spec)
+        lo, hi = d_min(s, L), source_variance(s, L)
+        points += [(spec, s, lo + f * (hi - lo)) for f in (1e-6, 0.3, 0.7, 1 - 1e-6)]
+    return points
+
+
+def test_wide_eigenvalue_spread_solves():
+    # lambda_y / gamma_y up to 1e300 and beyond: the quadratic's one scale
+    # per spectrum keeps a, b and c inside float64, so every point solves
+    # to within LAMBDA_Q_ULPS of the replay; a scale set by the larger
+    # eigenvalue alone let c underflow, and refused 28 of these 180 points
+    mpref = pytest.importorskip("mpref")
+    off = []
+    for spec, s, D in _spread_probe(seed=7, n=60):
+        exact = mpref.spectrum(spec)
+        if not mpref.d_min(exact, spec.L) < D < mpref.sigma_x_sq(exact, spec.L):
+            continue
+        lambda_q = solve_lambda_q(s, spec.L, D)
+        ref_q = float(mpref.lambda_q(exact, spec.L, D))
+        if abs(lambda_q - ref_q) > LAMBDA_Q_ULPS * math.ulp(ref_q):
+            off.append((spec, D, lambda_q, ref_q))
+    assert not off
+    # lambda_y / gamma_y = 2e300: lambda_q = 1 at D = 0.75
+    wide = SourceSpec(2, 1.0, 0.0, 1e300, 1.0)
+    assert solve_lambda_q(spectral_decompose(wide), 2, 0.75) == 1.0
 
 
 # sigma_z^2 = 0: d_min = 0, so lambda_q -> 0 as D -> 0.
