@@ -79,17 +79,12 @@ class Prepared(NamedTuple):
     X = lambda_x + (L-1) gamma_x, S = lambda_y + gamma_y,
     Y2 = lambda_y gamma_y and the P and Q of the module docstring, in
     units of 2^-e, 2^-e, 2^-2e, 2^-2e and 2^-3e.  The root is taken in
-    v = lambda_q / 2^(h-e), with 2^h <= sqrt(Y2) < 2^(h+1): the
-    geometric mean of lambda_y and gamma_y, where lambda_q's range has
-    its middle.  The quadratic is divided through by a power of two, so
-    that a = T 2^-w, b = (T S - P) 2^-(w+h) and c = (T Y2 - Q) 2^-(w+2h)
-    for the integer T of solutions.  Over the interval |b| < 1, and a and
-    c are largest at its ends, where both lie between
+    v = lambda_q / 2^(h-e), 2^h <= sqrt(Y2) < 2^(h+1), and the quadratic
+    divided by 2^w leaves |b| < 1 and a and c, at their largest, between
     sqrt(min(lambda_y, gamma_y) / max(lambda_y, gamma_y)) / 8 and 2:
-    inside float64 at any variance scale and any spread of the
-    eigenvalues that it holds.  fast_bits is e + 1, the bit length of
-    2^e, where every numerator of a coefficient is below 2^1023, so that
-    float(int) rounds it, and their three scales are normal floats; else 0.
+    inside float64 at any variance scale and eigenvalue spread.
+    fast_bits is e + 1, the bit length of 2^e, where every coefficient's
+    numerator is below 2^1023 and its scale a normal float; else 0.
     """
 
     spectrum: Spectrum
@@ -143,11 +138,9 @@ def solutions(prepared: Prepared, grid):
     -L (D - d_min) Y2 in units of 2^-3e: the exact slack that the
     composite pieces of the converse take, as C / den with
     den = -Y2 2^K, rounded only where a piece needs it; its complement
-    t = a 2^(w-e) is t0 rounded once.  A D inside the float ends but outside the exact interval of
-    the spectrum's exact eigenvalues, which the float ends round, has
-    T <= 0 or C >= 0: it is refused as outside that interval, as a D
-    outside the float ends is, next to either end alike.  a, c, v and
-    lambda_q must be normal float64s, or they would carry too few digits.
+    t = a 2^(w-e) is t0 rounded once.  a, c, v and lambda_q must be
+    normal float64s, or they would carry too few digits; T <= 0 or
+    C >= 0 puts D outside the exact interval, which the float ends round.
 
     A generator: the rows before a failing D are yielded before its error
     is raised.  Errors are solve_lambda_q's.
@@ -195,15 +188,11 @@ def solutions(prepared: Prepared, grid):
 
 
 def _refusal(prepared: Prepared, D: float, T: int, C: int, c: float) -> Exception:
-    """The error for a D inside the float ends whose a or c is not a normal float.
+    """The error for a D whose a or c is not a normal float.
 
-    T and C, the numerators of a and c, are at most 0 and at least 0 as D
-    lies at or above and at or below the exact interval (d_min, sigma_x^2)
-    of the spectrum's exact eigenvalues: that is a DomainError naming D
-    and those ends, X / (L 2^e) and (X Y2 - Q) / (L Y2 2^e), to 25
-    digits, beside the float ends.  Inside it, a or c is a nonzero float
-    below the normal range, with too few digits to set lambda_q: a
-    PrecisionError naming the end D is next to.
+    Outside the exact interval, a DomainError naming D and its ends,
+    X / (L 2^e) and (X Y2 - Q) / (L Y2 2^e), to 25 digits; inside it, a
+    PrecisionError naming the end whose coefficient underflowed.
     """
     _, L, floor, ceil, X, _, Y2, _, Q, e, *_ = prepared
     if T <= 0 or C >= 0:
