@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ValidationError
@@ -331,6 +332,15 @@ def outside_interval(D: float, floor: float, ceil: float) -> DomainError:
         f"D = {D!r} outside the achievable interval (d_min, sigma_x_sq) = "
         f"({floor!r}, {ceil!r})"
     )
+
+
+def unit_exponent(floor: float, least: int) -> int:
+    """The least E >= least for which every float D >= floor is an integer over 2^E.
+
+    Floats of frexp exponent x and up are multiples of 2^(x - 53); below
+    the normal range (floor = 0 included) all are multiples of 2^-1074.
+    """
+    return max(least, 53 - math.frexp(floor)[1] if floor >= sys.float_info.min else 1074)
 
 
 def side_view(spectrum: Spectrum, L: int,

@@ -65,7 +65,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PrecisionError
-from .model import Spectrum, d_min, outside_interval, side_view, source_variance
+from .model import Spectrum, d_min, outside_interval, side_view, source_variance, unit_exponent
 
 # Largest relative residual (see KktCertificate) of a certified optimum;
 # beyond it solutions raises ConvergenceError.
@@ -107,14 +107,13 @@ class KktCertificate(NamedTuple):
     complementarity_residual: float
 
 
-def _slack_terms(big: tuple, small: tuple) -> tuple:
-    """(lin, e1, sq, e2, pq): the D-free integer parts of _slack_pair.
+def _slack_terms(big: tuple, small: tuple, floor: float) -> tuple:
+    """(lin, sq, pq, E + 1, 2^E, pq 2^E): the D-free integer parts of _slack_pair.
 
-    Every float is an integer over 2^k.  With x_b = bn / 2^eb,
-    x_s = sn / 2^es, y_b = pn / pd and y_s = qn / qd of side_view's
-    triples, pq = pn qn, e1 = max(eb, es) and e2 = 2 e1, the integers are
-    lin = (m_b x_b + m_s x_s) 2^e1 and
-    sq = (m_b x_b^2 / y_b + m_s x_s^2 / y_s) 2^e2 pq.
+    With x_b = bn / 2^eb, x_s = sn / 2^es, y_b = pn / pd and y_s = qn / qd
+    of side_view's triples, pq = pn qn and E model.unit_exponent's for
+    every D above floor, at least 2 max(eb, es), the integers are
+    lin = (m_b x_b + m_s x_s) 2^E and sq = (m_b x_b^2 / y_b + m_s x_s^2 / y_s) 2^E pq.
     """
     (xb, yb, mb), (xs, ys, ms) = big, small
     bn, bd = xb.as_integer_ratio()
@@ -122,30 +121,26 @@ def _slack_terms(big: tuple, small: tuple) -> tuple:
     pn, pd = yb.as_integer_ratio()
     qn, qd = ys.as_integer_ratio()
     eb, es = bd.bit_length() - 1, sd.bit_length() - 1
-    e1, e2 = max(eb, es), 2 * max(eb, es)
-    lin = (mb * bn << (e1 - eb)) + (ms * sn << (e1 - es))
-    sq = ((mb * bn * bn * pd * qn << (e2 - 2 * eb))
-          + (ms * sn * sn * qd * pn << (e2 - 2 * es)))
-    return lin, e1, sq, e2, pn * qn
+    E = unit_exponent(floor, 2 * max(eb, es))
+    lin = (mb * bn << (E - eb)) + (ms * sn << (E - es))
+    sq = ((mb * bn * bn * pd * qn << (E - 2 * eb))
+          + (ms * sn * sn * qd * pn << (E - 2 * es)))
+    return lin, sq, pn * qn, E + 1, 1 << E, pn * qn << E
 
 
 def _slack_pair(L: int, D: float, terms: tuple) -> tuple[float, float]:
     """(L (D - d_min), L (sigma_x_sq - D)) from _slack_terms, each rounded once.
 
     The second is t0 = m_b x_b + m_s x_s - L D, the first
-    m_b x_b^2 / y_b + m_s x_s^2 / y_s - t0.  With D an integer over 2^ed,
-    t0 is an integer over one power of two, and s0 one over a power of two
-    times pn qn; Python's int / int division rounds each exact quotient
-    once.
+    m_b x_b^2 / y_b + m_s x_s^2 / y_s - t0.  D = dn / 2^k is an integer
+    over the prepared 2^E, so t0 is the integer lin - L dn 2^(E-k) over
+    2^E and s0 the integer sq - t0 pq over pq 2^E; Python's int / int
+    division rounds each exact quotient once.
     """
-    lin, e1, sq, e2, pq = terms
+    lin, sq, pq, shift, t_den, s_den = terms
     dn, dd = D.as_integer_ratio()
-    ed = dd.bit_length() - 1
-    e = ed if ed > e1 else e1
-    lin = (lin << (e - e1)) - (L * dn << (e - ed))
-    e3 = e if e > e2 else e2
-    num = (sq << (e3 - e2)) - (lin << (e3 - e)) * pq
-    return num / (pq << e3), lin / (1 << e)
+    t = lin - (L * dn << (shift - dd.bit_length()))
+    return (sq - t * pq) / s_den, t / t_den
 
 
 class Program(NamedTuple):
@@ -156,8 +151,8 @@ class Program(NamedTuple):
     and ybys the products y_b^2, y_s^2 and y_b y_s; dy = y_big - y_small,
     a = m_b x_b^2 / y_b^2 and b = m_s x_s^2 / y_s^2 are the coefficients of
     the reduced distortion constraint a v + b delta <= s0, and slack_terms
-    are _slack_terms's, from which _slack_pair forms the exact
-    s0 = L (D - d_min) at each D.
+    are _slack_terms's at d_min, in the one unit 2^-E of every D above it,
+    from which _slack_pair forms the exact s0 = L (D - d_min) at each D.
     """
 
     L: int
@@ -185,9 +180,10 @@ def prepare(spectrum: Spectrum, L: int) -> Program:
     s = spectrum
     big, small, hatted = side_view(s, L)
     (xb, yb, mb), (xs, ys, ms) = big, small
-    return Program(L, d_min(s, L), source_variance(s, L), hatted,
+    floor = d_min(s, L)
+    return Program(L, floor, source_variance(s, L), hatted,
                    yb, ys, mb, yb - ys, mb * xb ** 2 / yb ** 2, ms * xs ** 2 / ys ** 2,
-                   yb ** 2, ys ** 2, yb * ys, _slack_terms(big, small))
+                   yb ** 2, ys ** 2, yb * ys, _slack_terms(big, small, floor))
 
 
 def solutions(program: Program, grid):

@@ -24,12 +24,13 @@ is well conditioned in each coefficient; only forming the coefficients
 in floats cancels.  So they are formed exactly, in integers, from the
 spectrum's exact eigenvalues (Spectrum.exact) and D, each rounded once,
 and the root is taken in its stable form (quadratic_root): no iteration.
-prepare forms the D-free integers once per spectrum; solutions is the
-pass over a grid of D, which checks D, forms the coefficients, takes
-the root and Rbar there.  solve_lambda_q and upper_bound_rate are its
-one-element views; rate_of turns any lambda_q into Rbar.
-asymptotics.correlation_form writes the quadratic's b and c as
-polynomials in L.
+prepare fixes once per spectrum the D-free integers, the unit 2^-E that
+counts every D above d_min as an integer, and the coefficients'
+divisors; solutions is the pass over a grid of D, one shift of D's
+numerator and one formation a row, then the root and Rbar.
+solve_lambda_q and upper_bound_rate are its one-element views; rate_of
+turns any lambda_q into Rbar.  asymptotics.correlation_form writes the
+quadratic's b and c as polynomials in L.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from decimal import Context, Decimal
 from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
-from .model import Spectrum, d_min, outside_interval, source_variance
+from .model import Spectrum, d_min, outside_interval, source_variance, unit_exponent
 
 # The smallest normal float64: lambda_q and its scaled root must reach it
 # to carry full precision.
@@ -63,8 +64,13 @@ def distortion_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
 
 def rate_of(spectrum: Spectrum, L: int, lambda_q: float) -> float:
     """Sum rate in nats at noise level lambda_q; PrecisionError if it overflows."""
-    rate = (0.5 * math.log1p(spectrum.lambda_y / lambda_q)
-            + (L - 1) * 0.5 * math.log1p(spectrum.gamma_y / lambda_q))
+    ly, gy = spectrum.lambda_y, spectrum.gamma_y
+    rate = 0.5 * math.log1p(ly / lambda_q) + (L - 1) * 0.5 * math.log1p(gy / lambda_q)
+    if rate == math.inf:
+        # y / lambda_q overflows: log1p(y / q) = log(y) - log(q) + log1p(q / y)
+        lq = math.log(lambda_q)
+        rate = (0.5 * (math.log(ly) - lq + math.log1p(lambda_q / ly))
+                + (L - 1) * 0.5 * (math.log(gy) - lq + math.log1p(lambda_q / gy)))
     if rate == math.inf:
         raise PrecisionError(f"rate at lambda_q = {lambda_q!r} overflows float64")
     return rate
@@ -74,17 +80,19 @@ class Prepared(NamedTuple):
     """The D-free constants of the lambda_q solve for one spectrum and L.
 
     d_min and sigma_x_sq are model.d_min's and model.source_variance's,
-    the float ends of the interval that D is checked against.  The rest
-    come from Spectrum.exact, whose integers are over 2^e:
-    X = lambda_x + (L-1) gamma_x, S = lambda_y + gamma_y,
-    Y2 = lambda_y gamma_y and the P and Q of the module docstring, in
-    units of 2^-e, 2^-e, 2^-2e, 2^-2e and 2^-3e.  The root is taken in
-    v = lambda_q / 2^(h-e), 2^h <= sqrt(Y2) < 2^(h+1), and the quadratic
-    divided by 2^w leaves |b| < 1 and a and c, at their largest, between
-    sqrt(min(lambda_y, gamma_y) / max(lambda_y, gamma_y)) / 8 and 2:
-    inside float64 at any variance scale and eigenvalue spread.
-    fast_bits is e + 1, the bit length of 2^e, where every coefficient's
-    numerator is below 2^1023 and its scale a normal float; else 0.
+    the float ends of the interval that D is checked against.  Every D
+    above d_min is an integer over 2^E (model.unit_exponent, E >= e and
+    E >= e - w), and Spectrum.exact's over 2^e: X = lambda_x + (L-1) gamma_x,
+    S = lambda_y + gamma_y, Y2 = lambda_y gamma_y and the P and Q of the
+    module docstring are in units of 2^-E, 2^-e, 2^-2e, 2^-(E+e) and
+    2^-(E+2e).  The root is taken in v = lambda_q / 2^(h-e),
+    2^h <= sqrt(Y2) < 2^(h+1), and the quadratic divided by 2^w leaves
+    |b| < 1 and a and c, at their largest, between sqrt(min(lambda_y,
+    gamma_y) / max(lambda_y, gamma_y)) / 8 and 2: inside float64 at any
+    variance scale and eigenvalue spread.  The divisors of a, b and c are
+    2^(w+g), 2^(w+h+g) and 2^(w+2h+g), g = E - e: floats where the
+    numerators stay below 2^1022, else ints; each rounds its quotient
+    once wherever that is normal.
     """
 
     spectrum: Spectrum
@@ -99,7 +107,8 @@ class Prepared(NamedTuple):
     e: int
     h: int
     w: int
-    fast_bits: int
+    E: int
+    divisors: tuple
 
 
 def prepare(spectrum: Spectrum, L: int) -> Prepared:
@@ -112,11 +121,16 @@ def prepare(spectrum: Spectrum, L: int) -> Prepared:
     # |T S - P| <= max(P, W S), W = Q / Y2 = L (sigma_x^2 - d_min) the
     # largest T, is below 2^(w+h).
     w = max(P.bit_length(), Q.bit_length() + S.bit_length() - Y2.bit_length() + 1) - h
-    # |T| <= X, P <= X S and Q <= X Y2 bound the numerators.
-    fast = (-1023 <= w and w + 2 * h <= 1022
-            and X.bit_length() + max(S, Y2).bit_length() < 1023)
-    return Prepared(spectrum, L, d_min(spectrum, L), source_variance(spectrum, L),
-                    X, S, Y2, P, Q, e, h, w, e + 1 if fast else 0)
+    floor = d_min(spectrum, L)
+    E = unit_exponent(floor, max(e, e - w))
+    g = E - e
+    X, P, Q = X << g, P << g, Q << g
+    shifts = (w + g, w + h + g, w + 2 * h + g)
+    # |T| <= X, |T S - P| <= X S and |C| <= X Y2 bound the numerators.
+    fits = X.bit_length() + max(S, Y2).bit_length() < 1023 and shifts[2] <= 1023
+    divisors = tuple(math.ldexp(1.0, k) if fits else 1 << k for k in shifts)
+    return Prepared(spectrum, L, floor, source_variance(spectrum, L),
+                    X, S, Y2, P, Q, e, h, w, E, divisors)
 
 
 def solutions(prepared: Prepared, grid):
@@ -124,37 +138,28 @@ def solutions(prepared: Prepared, grid):
 
     L (D - d_min) = C / den exactly, and t = L (sigma_x^2 - D) rounded once.
 
-    The pass over a grid, in its order: per D it checks D against the
-    prepared (d_min, sigma_x_sq), forms the quadratic's coefficients,
-    takes its root and the rate there, on prepare's constants held in
-    locals.  D = n / 2^k exactly.  At k <= e, t0 = L (sigma_x^2 - D) is
-    the integer T = X - L n 2^(e-k) in units of 2^-e, and the quadratic
-    a v^2 + b v + c = 0 in v = lambda_q / 2^(h-e) has a = T 2^-w,
-    b = (T S - P) 2^-(w+h) and c = (T Y2 - Q) 2^-(w+2h), each rounded
-    once by float(int) and scaled by an exact power of two.  A finer D
-    (k > e), or a spectrum whose numerators or scales pass float64's
-    range, takes units of 2^-K, K >= max(e, k), and correctly rounded
-    int / int.  Since Q / Y2 = L (sigma_x^2 - d_min), c's numerator C is
-    -L (D - d_min) Y2 in units of 2^-3e: the exact slack that the
-    composite pieces of the converse take, as C / den with
-    den = -Y2 2^K, rounded only where a piece needs it; its complement
-    t = a 2^(w-e) is t0 rounded once.  a, c, v and lambda_q must be
-    normal float64s, or they would carry too few digits; T <= 0 or
-    C >= 0 puts D outside the exact interval, which the float ends round.
+    The pass over a grid, in its order, on prepare's constants held in
+    locals: per D it checks D against the prepared (d_min, sigma_x_sq),
+    forms the quadratic's coefficients, takes its root and the rate
+    there.  D is an integer over 2^E, so t0 = L (sigma_x^2 - D) is the
+    integer T = X - L D 2^E in units of 2^-E, and a v^2 + b v + c = 0 in
+    v = lambda_q / 2^(h-e) has a = T / div_a, b = (T S - P) / div_b and
+    c = C / div_c, each rounded once.  C = T Y2 - Q is -L (D - d_min) Y2
+    in units of 2^-(E+2e), as Q / Y2 = L (sigma_x^2 - d_min), and
+    den = -Y2 2^E: the exact slack, which the converse's composite pieces
+    round where they need it.  a, c, v and lambda_q must be normal
+    float64s, or they would carry too few digits; T <= 0 or C >= 0 puts D
+    outside the exact interval, which the float ends round.
 
     A generator: the rows before a failing D are yielded before its error
     is raised.  Errors are solve_lambda_q's.
     """
-    s, L, floor, ceil, X, S, Y2, P, Q, e, h, w, fast_bits = prepared
+    s, L, floor, ceil, X, S, Y2, P, Q, e, h, w, E, (div_a, div_b, div_c) = prepared
     ldexp = math.ldexp
     unit, tiny, neg_tiny = ldexp(1.0, h - e), _SMALLEST_NORMAL, -_SMALLEST_NORMAL
     # t = a 2^(w-e); past float64's range t0 is inf, as its rounding is.
     t_unit = ldexp(1.0, w - e) if w - e < 1024 else math.inf
-    if fast_bits:
-        scale_a, scale_b, scale_c = ldexp(1.0, -w), ldexp(1.0, -w - h), ldexp(1.0, -w - 2 * h)
-    # The int / int branch's units 2^-K have K >= e - w, so that it divides.
-    k_min = max(e, e - w)
-    slack_den = -(Y2 << e)
+    shift, den = E + 1, -(Y2 << E)
     # v whose lambda_q = v unit is a normal float64: root_lo <= v < root_hi.
     root_lo = ldexp(1.0, max(-1022, -1022 - (h - e)))
     root_hi = ldexp(1.0, 1024 - (h - e)) if h > e else math.inf
@@ -162,21 +167,9 @@ def solutions(prepared: Prepared, grid):
         if not floor < D < ceil:
             raise outside_interval(D, floor, ceil)
         n, d = D.as_integer_ratio()
-        bits = d.bit_length()
-        if bits <= fast_bits:
-            T = X - (L * n << (fast_bits - bits))
-            C = T * Y2 - Q
-            a, b, c = T * scale_a, (T * S - P) * scale_b, C * scale_c
-            row_den = slack_den
-        else:
-            K = max(k_min, bits - 1)
-            g = K - e
-            T = (X << g) - (L * n << (K - bits + 1))
-            C = T * Y2 - (Q << g)
-            a = T / (1 << (w + g))
-            b = (T * S - (P << g)) / (1 << (w + h + g))
-            c = C / (1 << (w + 2 * h + g))
-            row_den = -(Y2 << K)
+        T = X - (L * n << (shift - d.bit_length()))    # d = 2^k has bit length k + 1
+        C = T * Y2 - Q
+        a, b, c = T / div_a, (T * S - P) / div_b, C / div_c
         if not (a >= tiny and c <= neg_tiny):
             raise _refusal(prepared, D, T, C, c)
         root = quadratic_root(a, b, c)
@@ -184,21 +177,21 @@ def solutions(prepared: Prepared, grid):
             raise PrecisionError(
                 f"lambda_q at D = {D!r} is {root * unit!r}, outside the normal float64 range")
         lambda_q = root * unit
-        yield D, lambda_q, rate_of(s, L, lambda_q), C, row_den, a * t_unit
+        yield D, lambda_q, rate_of(s, L, lambda_q), C, den, a * t_unit
 
 
 def _refusal(prepared: Prepared, D: float, T: int, C: int, c: float) -> Exception:
     """The error for a D whose a or c is not a normal float.
 
     Outside the exact interval, a DomainError naming D and its ends,
-    X / (L 2^e) and (X Y2 - Q) / (L Y2 2^e), to 25 digits; inside it, a
+    X / (L 2^E) and (X Y2 - Q) / (L Y2 2^E), to 25 digits; inside it, a
     PrecisionError naming the end whose coefficient underflowed.
     """
-    _, L, floor, ceil, X, _, Y2, _, Q, e, *_ = prepared
+    _, L, floor, ceil, X, _, Y2, _, Q, _, _, _, E, *_ = prepared
     if T <= 0 or C >= 0:
         digits = Context(prec=25)
-        lo = digits.divide(Decimal(X * Y2 - Q), Decimal((L << e) * Y2))
-        hi = digits.divide(Decimal(X), Decimal(L << e))
+        lo = digits.divide(Decimal(X * Y2 - Q), Decimal((L << E) * Y2))
+        hi = digits.divide(Decimal(X), Decimal(L << E))
         return DomainError(
             f"D = {D!r} ({digits.plus(Decimal(D))}) outside the exact interval "
             f"(d_min, sigma_x_sq) = ({lo}, {hi}) of the spectrum's eigenvalues, "

@@ -424,7 +424,8 @@ def test_slack_pair_is_the_exact_pair_rounded_once(
     assume(top - width < L * Fraction(D) < top)
     t0 = top - L * Fraction(D)
     s0 = width - t0
-    assert _slack_pair(L, D, _slack_terms(big, small)) == (float(s0), float(t0))
+    floor = float((top - width) / L)                 # d_min rounded: D >= floor
+    assert _slack_pair(L, D, _slack_terms(big, small, floor)) == (float(s0), float(t0))
 
 
 # The benchmark's unit-fault input: L = 200 in small variance units.  An

@@ -304,13 +304,17 @@ def _edge_points(fractions):
     with the larger y on gamma), and the tie lambda_y == gamma_y (any
     rho_x = rho_z = 0).  Both also at sigma_z^2 / sigma_x^2 = 1e3 and 1e6,
     where d_min is near sigma_x^2 and L d_min and L sigma_x^2 are rounded
-    apart by many ulps of the slacks between them.
+    apart by many ulps of the slacks between them.  A noiseless spec
+    (d_min = 0, so D counts in units of 2^-1074) and one at variances
+    near 1e200 take the solve's integer divisors.
     """
     specs = []
     for L in (2, 10, 1000, 10 ** 6):
         specs += [SourceSpec(L, 1.0, 1.0, 2.0, 0.0),
                   from_eigenvalues(L, 0.0, 1.0, 0.5, 3.0),
-                  from_eigenvalues(L, 2.0, 0.5, 4.0, 4.0)]
+                  from_eigenvalues(L, 2.0, 0.5, 4.0, 4.0),
+                  SourceSpec(L, 1.0, 0.3, 0.0, 0.0),
+                  SourceSpec(L, 1e200, 0.3, 2e200, 0.5)]
         for noise in (1e3, 1e6):
             specs += [SourceSpec(L, 1.0, 1.0, noise, 0.0),
                       SourceSpec(L, 1e-4, 0.0, 1e-4 * noise, 0.0)]
@@ -340,20 +344,29 @@ def test_coefficients_are_the_exact_quadratic_rounded_once(seeds):
     # - P) q + (t0 lambda_y gamma_y - Q), t0 = L (sigma_x^2 - D), from the
     # spec's exact eigenvalues and rounds each coefficient once, below and
     # above the middle; its slack C / den is L (D - d_min) exactly, and
-    # its complement t0 rounded once
+    # its complement t0 rounded once; with float and with int divisors
+    divisors = set()
     for spec, s, D in _edge_points([1e-6, 0.3, 0.7, 1.0 - 1e-6]):
         L = spec.L
         lx, gx, ly, gy = _exact_eigenvalues(spec)
         t0 = lx + (L - 1) * gx - L * Fraction(D)
         P = lx * lx + (L - 1) * gx * gx
         Q = lx * lx * gy + (L - 1) * gx * gx * ly
-        _, abc = _seeded_solve(seeds, s, L, D)
-        assert abc == (float(t0), float(t0 * (ly + gy) - P), float(t0 * ly * gy - Q))
-        *_, slack, den, rest = next(symrd.upper_bound.solutions(
-            symrd.upper_bound.prepare(s, L), (D,)))
+        prepared = symrd.upper_bound.prepare(s, L)
+        divisors.add(type(prepared.divisors[0]))
+        # the quadratic in lambda_q times _scales's inverse powers of two,
+        # which keep it inside float64 at any variance scale
+        e, h, w = prepared.e, prepared.h, prepared.w
+        units = [Fraction(2) ** ((k + 1) * e - w - k * h) for k in range(3)]
+        exact = (t0, t0 * (ly + gy) - P, t0 * ly * gy - Q)
+        seeds.clear()
+        solve_lambda_q(s, L, D)
+        assert seeds == [tuple(float(x * u) for x, u in zip(exact, units))]
+        *_, slack, den, rest = next(symrd.upper_bound.solutions(prepared, (D,)))
         d_floor = (lx * (ly - lx) / ly + (L - 1) * gx * (gy - gx) / gy) / L
         assert Fraction(slack, den) == L * (Fraction(D) - d_floor)
         assert rest == float(t0)
+    assert divisors == {float, int}
 
 
 def test_closed_form_on_random_probe():
@@ -423,6 +436,13 @@ def test_wide_eigenvalue_spread_solves():
     # lambda_y / gamma_y = 2e300: lambda_q = 1 at D = 0.75
     wide = SourceSpec(2, 1.0, 0.0, 1e300, 1.0)
     assert solve_lambda_q(spectral_decompose(wide), 2, 0.75) == 1.0
+    # lambda_y / lambda_q = 3.6e311 overflows, while Rbar is 2.3e6 nats
+    spec = SourceSpec(329316, 3.6458926816414907e-37, 0.7562453807941443,
+                      9.817154660295123e+262, 1.0)
+    D = 2.757193086696514e-37
+    rate, _ = mpref.upper(mpref.spectrum(spec), spec.L, D)
+    got = upper_bound_rate(spectral_decompose(spec), spec.L, D)
+    assert abs(got - rate) <= RATE_EPS * sys.float_info.epsilon * rate
 
 
 # sigma_z^2 = 0: d_min = 0, so lambda_q -> 0 as D -> 0.
