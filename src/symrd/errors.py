@@ -2,8 +2,8 @@
 
 The split mirrors how failures are reported at the command line: bad input
 (validation, out-of-domain arguments) exits with status 2, while numerical
-trouble (iteration budgets exhausted, requests finer than float64 can
-resolve) exits with status 3.
+trouble (an optimum whose KKT certificate fails its tolerance, requests
+finer than float64 can resolve) exits with status 3.
 """
 
 
@@ -20,9 +20,11 @@ class DomainError(SymrdError):
 
 
 class ConvergenceError(SymrdError):
-    """An iterative solver exhausted its budget without meeting tolerance.
+    """A solved optimum failed its certificate's tolerance.
 
-    Carries the best point found so far in ``best``, when available.
+    Raised by oracle.solutions when a KKT residual exceeds
+    CERTIFICATE_TOL; ``best`` carries the (point, value, certificate)
+    that failed.
     """
 
     def __init__(self, message, best=None):

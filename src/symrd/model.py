@@ -45,6 +45,8 @@ class SourceSpec:
 
     Valid by construction: building one runs validate_spec, so an invalid
     parameter set raises ValidationError before a SourceSpec exists.
+    validate_spec stores a value accepted within the slack past its bound
+    at that bound, so specs that differ only there are equal.
 
     Parameters
     ----------
@@ -56,7 +58,7 @@ class SourceSpec:
         Source correlation coefficient, in [-1/(L-1), 1].
     sigma_z_sq : float
         Per-component noise variance, nonnegative (0 means noiseless
-        observations).
+        observations; never stored as -0.0).
     rho_z : float
         Noise correlation coefficient, in [-1/(L-1), 1].  Ignored in
         substance when sigma_z_sq = 0, but still range-checked.
@@ -93,9 +95,9 @@ class Spectrum:
     for gamma.
 
     source is the (L, sigma_x_sq, rho_x, sigma_z_sq, rho_z) that
-    spectral_decompose decomposed (sigma_z_sq clamped at 0), or None for
-    a Spectrum built from floats alone.  Only spectral_decompose sets it,
-    after the float fields, so that the two always describe one spectrum.
+    spectral_decompose decomposed, or None for a Spectrum built from
+    floats alone.  Only spectral_decompose sets it, after the float
+    fields, so that the two always describe one spectrum.
     """
 
     lambda_x: float
@@ -166,26 +168,31 @@ def _check_size(L) -> None:
         raise ValidationError(f"L must be an integer, got {L!r}")
     if L < 2:
         raise ValidationError(f"L must be at least 2, got {L}")
+    if L > sys.float_info.max:
+        raise ValidationError(
+            f"L must be at most {sys.float_info.max!r}, got an integer of {L.bit_length()} bits")
 
 
-def _check_rho(name: str, rho: float, L: int) -> None:
+def _clamped_rho(name: str, rho: float, L: int) -> float:
     lo = -1.0 / (L - 1)
     if rho < lo - VALIDATION_SLACK or rho > 1.0 + VALIDATION_SLACK:
         raise ValidationError(
             f"{name} = {rho!r} outside [-1/(L-1), 1] = [{lo!r}, 1] for L = {L}"
         )
+    return min(max(rho, lo), 1.0)
 
 
 def validate_spec(spec: SourceSpec) -> None:
     """Check all model invariants, raising ValidationError on the first failure.
 
     SourceSpec runs it when built, so every SourceSpec has passed it.
-    The checks are: L is an integer >= 2 (SourceSpec stores an integer of
-    any type but bool as a Python int); the four other values are
-    finite real numbers; sigma_x_sq > 0; sigma_z_sq >= 0 (up to
-    VALIDATION_SLACK sigma_x_sq); both correlation coefficients lie in
-    [-1/(L-1), 1] (up to VALIDATION_SLACK); and the observation spectrum
-    is nondegenerate, min(lambda_y, gamma_y) > 0.
+    The checks are: L is an integer from 2 to the largest float64
+    (SourceSpec stores an integer of any type but bool as a Python int);
+    the four other values are finite real numbers; sigma_x_sq > 0;
+    sigma_z_sq >= 0 (up to VALIDATION_SLACK sigma_x_sq; stored as 0.0
+    if not positive); both correlation coefficients lie in [-1/(L-1), 1]
+    (up to VALIDATION_SLACK; stored clamped into it); and the stored
+    values' observation spectrum is nondegenerate, min(lambda_y, gamma_y) > 0.
     """
     _check_size(spec.L)
     for name in ("sigma_x_sq", "rho_x", "sigma_z_sq", "rho_z"):
@@ -194,8 +201,9 @@ def validate_spec(spec: SourceSpec) -> None:
         raise ValidationError(f"sigma_x_sq must be positive, got {spec.sigma_x_sq!r}")
     if spec.sigma_z_sq < -VALIDATION_SLACK * spec.sigma_x_sq:
         raise ValidationError(f"sigma_z_sq must be nonnegative, got {spec.sigma_z_sq!r}")
-    _check_rho("rho_x", spec.rho_x, spec.L)
-    _check_rho("rho_z", spec.rho_z, spec.L)
+    object.__setattr__(spec, "sigma_z_sq", spec.sigma_z_sq if spec.sigma_z_sq > 0.0 else 0.0)
+    for name in ("rho_x", "rho_z"):
+        object.__setattr__(spec, name, _clamped_rho(name, getattr(spec, name), spec.L))
     s = spectral_decompose(spec)
     if not (s.lambda_y > 0.0 and s.gamma_y > 0.0):
         raise ValidationError(
@@ -235,7 +243,7 @@ def spectral_decompose(spec: SourceSpec) -> Spectrum:
     exact eigenvalues are those of the spec's floats.
     """
     lx, gx = _eig_pair(spec.L, spec.sigma_x_sq, spec.rho_x)
-    sz = max(spec.sigma_z_sq, 0.0)
+    sz = spec.sigma_z_sq
     lz, gz = _eig_pair(spec.L, sz, spec.rho_z) if sz > 0.0 else (0.0, 0.0)
     s = Spectrum(lx, gx, lz, gz, lx + lz, gx + gz)
     object.__setattr__(s, "source", (spec.L, spec.sigma_x_sq, spec.rho_x, sz, spec.rho_z))
@@ -293,11 +301,6 @@ def from_eigenvalues(
     gz = max(gy - gx, 0.0)
     sigma_z_sq = (lz + (L - 1) * gz) / L
     rho_z = (lz - gz) / (L * sigma_z_sq) if sigma_z_sq > 0.0 else 0.0
-    # Roundoff can push a boundary correlation a few ulp outside its range;
-    # pull it back so the result always validates.
-    lo = -1.0 / (L - 1)
-    rho_x = min(max(rho_x, lo), 1.0)
-    rho_z = min(max(rho_z, lo), 1.0)
     return SourceSpec(L, sigma_x_sq, rho_x, sigma_z_sq, rho_z)
 
 
@@ -343,20 +346,17 @@ def unit_exponent(floor: float, least: int) -> int:
     return max(least, 53 - math.frexp(floor)[1] if floor >= sys.float_info.min else 1074)
 
 
-def side_view(spectrum: Spectrum, L: int,
-              hatted: bool | None = None) -> tuple[tuple, tuple, bool]:
+def side_view(spectrum: Spectrum, L: int) -> tuple[tuple, tuple, bool]:
     """(big, small, hatted): the eigen-directions as (x, y, multiplicity) triples.
 
     The triples are (lambda_x, lambda_y, 1) and (gamma_x, gamma_y, L - 1);
     "big" is the one with the larger y (lambda on a tie), and hatted is
-    True when that is gamma.  An explicit hatted forces the orientation.
+    True when that is gamma.
     """
     s = spectrum
-    if hatted is None:
-        hatted = not s.lambda_y >= s.gamma_y
     lam = (s.lambda_x, s.lambda_y, 1)
     gam = (s.gamma_x, s.gamma_y, L - 1)
-    return (gam, lam, True) if hatted else (lam, gam, False)
+    return (lam, gam, False) if s.lambda_y >= s.gamma_y else (gam, lam, True)
 
 
 # --- spec file format -------------------------------------------------------

@@ -847,6 +847,7 @@ def test_float64_failures_exit_3_without_traceback(tmp_path, capsys, scale, argv
     ["info"],
     ["sweep", "--d-start", "7e199", "--d-end", "9.5e199", "--n-points", "5"],
     ["simulate", "--D", "9.5e199", "--n", "1000", "--seed", "1"],
+    ["simulate", "--D", "9.5e199", "--n", "1000", "--seed", "1", "--bits"],
 ])
 def test_large_variance_scale_is_the_unit_problem(tmp_path, capsys, argv):
     # at sigma_x_sq = 1e200 the lambda_q solve's coefficients are scaled
@@ -954,6 +955,44 @@ def test_each_request_validates_its_spec_once(specs, capsys, monkeypatch, argv_f
     rc, _, err = _run(capsys, argv_fn(specs))
     assert rc == 0, err
     assert len(calls) == 1
+
+
+# Specs that validate_spec accepts a little past a bound, each with the
+# spec at that bound: sigma_z_sq below 0, rho_x above 1, and rho_x below
+# -1/(L-1) where 1 + (L-1) fl(-1/(L-1)) is 1.1e-16, not 0, so that the
+# noiseless spec's lambda_y is positive only at the bound.
+SLACK_PAIRS = {
+    "sigma_z_sq": ((10, 1.0, 0.3, -1e-13, 0.5), (10, 1.0, 0.3, 0.0, 0.5)),
+    "rho_x": ((10, 1.0, 1.0000000000005, 0.5, 0.0), (10, 1.0, 1.0, 0.5, 0.0)),
+    "rho_x_low": ((50, 1.0, -1.0 / 49 - 1e-15, 0.0, 0.0), (50, 1.0, -1.0 / 49, 0.0, 0.0)),
+}
+SLACK_PAIR_ARGVS = [
+    ["info"],
+    ["classify"],
+    ["sweep", "--d-start", "0.4", "--d-end", "0.9", "--n-points", "3", "--certify",
+     "--asymptotic", "10,1000"],
+    ["asymptotic", "--L", "10,1000", "--d-start", "1e-12", "--d-end", "1e-9",
+     "--n-points", "3"],
+    ["gap-inf", "--d-start", "0.4", "--d-end", "0.9", "--n-points", "2"],
+    ["simulate", "--D", "0.6", "--n", "1000", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("past, at", SLACK_PAIRS.values(), ids=SLACK_PAIRS.keys())
+def test_a_value_past_its_bound_is_the_spec_at_the_bound(tmp_path, capsys, past, at):
+    # The spec stores the value at its bound, so the two specs are one:
+    # every command, the large-L ones included, prints the same bytes and
+    # exits alike.
+    assert repr(symrd.SourceSpec(*past)) == repr(symrd.SourceSpec(*at))
+    paths = []
+    for name, values in (("past", past), ("at", at)):
+        p = tmp_path / f"{name}.spec"
+        p.write_text("".join(f"{key} = {value!r}\n" for key, value in
+                             zip(("L", "sigma_x_sq", "rho_x", "sigma_z_sq", "rho_z"), values)))
+        paths.append(str(p))
+    for command, *flags in SLACK_PAIR_ARGVS:
+        outcomes = [_run(capsys, [command, path, *flags]) for path in paths]
+        assert outcomes[0] == outcomes[1], command
 
 
 def test_invalid_spec_or_config_raises_at_construction():

@@ -35,7 +35,7 @@ from symrd import (
 )
 import symrd.upper_bound
 from symrd.lower_bound import _rc, classify, evaluate, rows
-from symrd.model import outside_interval, parse_spec_text, side_view
+from symrd.model import outside_interval, parse_spec_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -219,7 +219,7 @@ def test_degenerate_gamma_unhatted_flag():
     s = _spectrum(SPEC_C)
     default = lower_bound_rate(s, L_CASES, 0.30)
     assert abs(default - SPEC_C_R2C_HAT_AT_030) <= 1e-10 * default
-    big, small, _ = side_view(s, L_CASES, hatted=False)
+    big, small = (s.lambda_x, s.lambda_y, 1), (s.gamma_x, s.gamma_y, L_CASES - 1)
     for piece in (PIECE_R1C, PIECE_R2C):
         with pytest.raises(DomainError) as exc:
             _rc(piece, big, small, L_CASES, L_CASES * (0.30 - d_min(s, L_CASES)),
@@ -431,7 +431,7 @@ def test_rejects_out_of_range_distortion():
 def test_rc_domain_errors_name_the_subexpression():
     # R1c evaluated far outside its validity window hits a named guard
     s = _spectrum(CASE2)
-    big, small, _ = side_view(s, L_CASES, hatted=False)
+    big, small = (s.lambda_x, s.lambda_y, 1), (s.gamma_x, s.gamma_y, L_CASES - 1)
     with pytest.raises(DomainError) as exc:
         _rc(PIECE_R1C, big, small, L_CASES, L_CASES * (0.60 - d_min(s, L_CASES)),
             L_CASES * (source_variance(s, L_CASES) - 0.60))

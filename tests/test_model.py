@@ -152,6 +152,7 @@ def test_validate_spec_accepts_boundary_correlations():
         (4, 1.0, math.nan, 1.0, 0.0),     # rho_x = nan
         (4, 1.0, 0.0, math.inf, 0.0),     # sigma_z_sq = inf
         (10, 1e-15, 0.3, -9e-13, 0.0),    # sigma_z_sq < 0, in units of 1e-15
+        (10**320, 1.0, 0.0, 1.0, 0.0),    # L past the largest float64
     ],
 )
 def test_validate_spec_rejects(spec):
@@ -191,6 +192,12 @@ def test_from_eigenvalues_rejects_inconsistent_input():
         from_eigenvalues(10, -0.5, 1.0, 5.0, 4.0)  # negative source eigenvalue
     with pytest.raises(ValidationError):
         from_eigenvalues(10, 0.0, 0.0, 5.0, 4.0)   # sigma_x_sq would be 0
+    with pytest.raises(ValidationError, match="need min"):
+        from_eigenvalues(10, 1.0, 1.0, 0.0, 2.0)   # lambda_y = 0
+    with pytest.raises(ValidationError, match="gamma_y = 0.5 .* negative noise"):
+        from_eigenvalues(10, 1.0, 1.0, 2.0, 0.5)   # gamma_z would be negative
+    with pytest.raises(ValidationError, match="L must be at most"):
+        from_eigenvalues(10**320, 1.0, 1.0, 2.0, 2.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="finite"):
             from_eigenvalues(10, 0.8, 1.0, bad, 4.0)
@@ -349,6 +356,7 @@ def test_parse_spec_text_eigenvalue_form():
         ("L = 4\nsigma_x_sq = 1\nrho_x = 0\nlambda_y = 5\ngamma_y = 4\n",
          "mix"),
         ("L = 4\nlambda_x = 1\n", "incomplete"),
+        ("L = 4\nsigma_x_sq = 1\nrho_x = 0\n", "incomplete correlation family"),
         ("L = 4\n", "family"),
         ("L = 4\nsigma_x_sq 1\nrho_x = 0\nsigma_z_sq = 1\nrho_z = 0\n", "="),
         ("L = 1e400\nsigma_x_sq = 1\nrho_x = 0\nsigma_z_sq = 1\nrho_z = 0\n",

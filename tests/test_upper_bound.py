@@ -464,9 +464,29 @@ def test_noiseless_small_distortion_matches_replay():
 
 @pytest.mark.parametrize("D", [1e-308, 1e-310, 5e-324])
 def test_noiseless_rate_past_float_range_raises(D):
-    # lambda_y / lambda_q overflows here: the rate is not returned as inf
+    # the quadratic's constant term is not a normal float here, so the
+    # solve refuses D as too close to d_min before any rate is formed:
+    # no inf rate is returned (the rate's own overflow is pinned by
+    # test_solve_past_float_range_raises)
     with pytest.raises(SymrdError):
         upper_bound_rate(spectral_decompose(NOISELESS), NOISELESS.L, D)
+
+
+@pytest.mark.parametrize("spec, fraction, message", [
+    (SourceSpec(10**308, 1.0, 0.0, 1.0, 0.0), 1e-3,
+     "rate at lambda_q = 0.0020020020020017812 overflows float64"),
+    (SourceSpec(2, 1e300, 0.0, 1e-300, 0.0), 1.0 - 1e-9,
+     "lambda_q at D = 9.99999999e+299 is inf, outside the normal float64 range"),
+], ids=["rate", "lambda_q"])
+def test_solve_past_float_range_raises(spec, fraction, message):
+    # at L = 1e308 lambda_q is normal but (L - 1) log1p(y / lambda_q)
+    # overflows; at variances 1e300 apart the root itself does
+    s, L = spectral_decompose(spec), spec.L
+    floor = d_min(s, L)
+    D = floor + fraction * (source_variance(s, L) - floor)
+    with pytest.raises(PrecisionError) as exc:
+        upper_bound_rate(s, L, D)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("D", [1e-315, 1e-320, 5e-324])
