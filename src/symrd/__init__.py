@@ -66,8 +66,6 @@ from .asymptotics import (
 from .simulate import (
     SimConfig,
     SimResult,
-    analytic_rate,
-    covariance_matrix,
     eigenbasis,
     run_simulation,
 )
@@ -78,8 +76,7 @@ __all__ = [
     "SymrdError", "ValidationError", "DomainError", "ConvergenceError",
     "PrecisionError",
     "SourceSpec", "Spectrum", "validate_spec", "spectral_decompose",
-    "from_eigenvalues", "d_min", "source_variance", "covariance_matrix",
-    "eigenbasis", "parse_spec_text",
+    "from_eigenvalues", "d_min", "source_variance", "eigenbasis", "parse_spec_text",
     "distortion_of", "rate_of", "solve_lambda_q", "upper_bound_rate",
     "quadratic_root",
     "Branch", "Regime", "classify",
@@ -89,6 +86,6 @@ __all__ = [
     "Condition", "AsymptoticRegime",
     "asymptotic_regime", "upper_asymptotic", "lower_asymptotic", "asymptotic_row",
     "asymptotic_gap",
-    "SimConfig", "SimResult", "run_simulation", "analytic_rate",
+    "SimConfig", "SimResult", "run_simulation",
     "__version__",
 ]

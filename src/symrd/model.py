@@ -155,10 +155,11 @@ def _check_finite(name: str, value) -> None:
     """Raise ValidationError unless value is a finite real number.
 
     A string, None or a complex number is refused here rather than
-    failing later with a TypeError.  A float is taken before the
-    numbers.Real check, which costs about ten times as much.
+    failing later with a TypeError, and so is a bool.  A float is taken
+    before the numbers.Real check, which costs about ten times as much.
     """
-    if not ((type(value) is float or isinstance(value, numbers.Real))
+    if not ((type(value) is float
+             or isinstance(value, numbers.Real) and not isinstance(value, bool))
             and math.isfinite(value)):
         raise ValidationError(f"{name} must be a finite real number, got {value!r}")
 
@@ -191,8 +192,10 @@ def validate_spec(spec: SourceSpec) -> None:
     the four other values are finite real numbers; sigma_x_sq > 0;
     sigma_z_sq >= 0 (up to VALIDATION_SLACK sigma_x_sq; stored as 0.0
     if not positive); both correlation coefficients lie in [-1/(L-1), 1]
-    (up to VALIDATION_SLACK; stored clamped into it); and the stored
-    values' observation spectrum is nondegenerate, min(lambda_y, gamma_y) > 0.
+    (up to VALIDATION_SLACK; stored clamped into it); the stored values'
+    observation spectrum is nondegenerate, min(lambda_y, gamma_y) > 0; and
+    its lambda_y, gamma_y, d_min and source_variance are finite in
+    float64, so a spec of finite values whose spectrum overflows is refused.
     """
     _check_size(spec.L)
     for name in ("sigma_x_sq", "rho_x", "sigma_z_sq", "rho_z"):
@@ -210,6 +213,11 @@ def validate_spec(spec: SourceSpec) -> None:
             "observation spectrum is degenerate: needs min(lambda_y, gamma_y) > 0, "
             f"got lambda_y = {s.lambda_y!r}, gamma_y = {s.gamma_y!r}"
         )
+    floor, top = d_min(s, spec.L), source_variance(s, spec.L)
+    if not all(map(math.isfinite, (s.lambda_y, s.gamma_y, floor, top))):
+        raise ValidationError(
+            f"spectrum overflows float64: lambda_y = {s.lambda_y!r}, gamma_y = {s.gamma_y!r}, "
+            f"d_min = {floor!r}, sigma_x_sq = {top!r}")
 
 
 def _eig_pair(L: int, sigma_sq: float, rho: float) -> tuple[float, float]:

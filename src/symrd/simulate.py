@@ -83,8 +83,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PrecisionError, ValidationError
-from .model import SourceSpec, Spectrum, _as_int, _check_finite, spectral_decompose
+from .errors import ValidationError
+from .model import SourceSpec, _as_int, _check_finite, spectral_decompose
 from .upper_bound import distortion_of, rate_of
 
 
@@ -140,20 +140,9 @@ class SimResult:
     matches_routed_identity: bool
 
 
-def direct_mmse(spectrum: Spectrum, L: int, lambda_q: float) -> float:
-    """Per-component MMSE of estimating X from X + Q (source-eigenvalue form)."""
-    s = spectrum
-    return (lambda_q * (s.lambda_x / (s.lambda_x + lambda_q))
-            + (L - 1) * lambda_q * (s.gamma_x / (s.gamma_x + lambda_q))) / L
-
-
-# The model in coordinates, for checks of the eigenbasis form; a run needs
-# neither, since it works in the eigenbasis throughout.
-def covariance_matrix(L: int, sigma_sq: float, rho: float) -> np.ndarray:
-    """Explicit L x L symmetric covariance sigma^2 [(1 - rho) I + rho J]."""
-    return sigma_sq * ((1.0 - rho) * np.eye(L) + rho * np.ones((L, L)))
-
-
+# A run never calls eigenbasis.  It stays in this module because
+# symbench/spans.py binds symrd.simulate.eigenbasis for its traced runs;
+# the tests check the eigenbasis form of the model with it.
 def eigenbasis(L: int) -> np.ndarray:
     """Deterministic orthonormal basis diagonalizing every symmetric covariance.
 
@@ -161,11 +150,9 @@ def eigenbasis(L: int) -> np.ndarray:
     Helmert vector (0, ..., 0, m, -1, ..., -1) / sqrt(m (m + 1)) with
     m = L - k, whose entry m sits at index k - 1.  These are exactly the
     vectors Gram-Schmidt produces from the standard basis after the
-    all-ones column, so the same L always yields the same matrix.  For any
-    Spectrum s of size L,
-
-        eigenbasis(L).T @ covariance_matrix(L, sigma_sq, rho) @ eigenbasis(L)
-            == diag(lambda, gamma, ..., gamma).
+    all-ones column, so the same L always yields the same matrix.  It
+    takes every covariance sigma^2 [(1 - rho) I + rho J] of size L to
+    diag(lambda, gamma, ..., gamma).
     """
     k = np.arange(1, L)
     m = (L - k).astype(float)
@@ -269,86 +256,10 @@ def run_simulation(config: SimConfig) -> SimResult:
         distortion_empirical=mean,
         distortion_closed_form=closed,
         distortion_direct_empirical=float(direct.sum()) / (n * L),
-        distortion_direct_closed_form=direct_mmse(s, L, lam_q),
+        distortion_direct_closed_form=float(e_u[0] + (L - 1) * e_u[1]) / L,
         rate_closed_form=rate_of(s, L, lam_q),
         rate_empirical=rate_empirical,
         std_err=std_err,
         matches_routed_identity=abs(mean - closed) <= 4.0 * std_err,
     )
 
-
-def _psi_minus_log(x: float) -> float:
-    """digamma(x) - ln(x), by recurrence up to x >= 8 and the asymptotic series."""
-    acc = 0.0
-    while x < 8.0:
-        acc += math.log1p(1.0 / x) - 1.0 / x
-        x += 1.0
-    x2 = 1.0 / (x * x)
-    return acc - 0.5 / x - x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 / 240)))
-
-
-def _trigamma(x: float) -> float:
-    """trigamma(x), by recurrence up to x >= 8 and the asymptotic series."""
-    acc = 0.0
-    while x < 8.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    x2 = 1.0 / (x * x)
-    return acc + 1.0 / x + 0.5 * x2 + x2 / x * (1 / 6 - x2 * (1 / 30 - x2 * (1 / 42 - x2 / 30)))
-
-
-def rate_bias_band(L: int, n: int) -> tuple[float, float]:
-    """Bias of rate_empirical and a bound on its standard deviation, in nats.
-
-    n times a p x p raw second-moment matrix of n zero-mean Gaussian
-    samples is Wishart_p(n, Sigma), so ln det of the moment matrix exceeds
-    ln det Sigma on average by b(p, n) = sum_{i=1..p} [psi((n-i+1)/2)
-    - ln(n/2)], with variance sum_i trigamma((n-i+1)/2).  The estimate
-    1/2 [ld(S_y) + ld(S_v) - ld(S_yv)] therefore has the exact bias
-    1/2 [2 b(L, n) - b(2L, n)]; the three log-determinants are correlated,
-    so the spread is bounded by the sum of their standard deviations.
-    Needs n >= 2L.
-    """
-    def bias(p: int) -> float:
-        half = 0.5 * n
-        return math.fsum(_psi_minus_log(x) + math.log1p((x - half) / half)
-                         for x in (0.5 * (n - i + 1) for i in range(1, p + 1)))
-
-    def sd(p: int) -> float:
-        return math.sqrt(math.fsum(_trigamma(0.5 * (n - i + 1))
-                                   for i in range(1, p + 1)))
-
-    return 0.5 * (2.0 * bias(L) - bias(2 * L)), 0.5 * (2.0 * sd(L) + sd(2 * L))
-
-
-# Width, in standard deviations, of the band analytic_rate accepts.
-RATE_BAND_SIGMAS = 5.0
-
-
-def analytic_rate(config: SimConfig) -> float:
-    """Closed-form rate of the test channel, cross-checked empirically.
-
-    Returns the exact expression evaluated from the spectrum.  As a side
-    effect the empirical mutual-information estimate from the same config
-    is checked: rate_empirical - closed must lie within RATE_BAND_SIGMAS
-    standard deviations of the estimator's exact bias (rate_bias_band).
-    Disagreement, or a NaN empirical rate (n < 2L, or a factor or Gram not
-    allocated or not positive definite), raises PrecisionError naming why.
-    """
-    result = run_simulation(config)
-    L, n = config.spec.L, config.n_samples
-    if math.isnan(result.rate_empirical):
-        raise PrecisionError(
-            f"sample covariance not positive definite at n = {n} < 2L = {2 * L}" if n < 2 * L
-            else f"at L = {L}, n = {n} the rate's L x 2L factor or its Gram could not be "
-                 "allocated, or the Gram is not positive definite")
-    bias, sd = rate_bias_band(L, n)
-    closed = result.rate_closed_form
-    offset = result.rate_empirical - closed
-    if abs(offset - bias) > RATE_BAND_SIGMAS * sd:
-        raise PrecisionError(
-            f"empirical rate {result.rate_empirical!r} exceeds the closed form "
-            f"{closed!r} by {offset!r}, outside the estimator's bias {bias!r} "
-            f"+- {RATE_BAND_SIGMAS * sd!r}"
-        )
-    return closed

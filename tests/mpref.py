@@ -348,3 +348,41 @@ def ends_probe():
     them noiseless, with D cycling through END_FRACTIONS.
     """
     return probe(seed=20261021, n=1200, max_L=1e6, fractions=END_FRACTIONS, noiseless=True)
+
+
+def direct_mmse(s: Spectrum, L: int, q) -> mpf:
+    """Per-component MMSE of estimating X from X + Q, Q of variance q per component.
+
+    (lambda_x q / (lambda_x + q) + (L-1) gamma_x q / (gamma_x + q)) / L:
+    the source-eigenvalue form, with no observation noise in the channel.
+    """
+    q = _mp(q)
+    return (s.lambda_x * q / (s.lambda_x + q) + (L - 1) * s.gamma_x * q / (s.gamma_x + q)) / L
+
+
+def rate_bias_band(L: int, n: int) -> tuple[mpf, mpf]:
+    """Bias of the simulated rate estimate and a bound on its standard deviation, in nats.
+
+    n times the raw second-moment matrix of n zero-mean Gaussian samples
+    of dimension p is Wishart_p(n, Sigma), so the log-det of the moment
+    matrix exceeds ln det Sigma on average by
+    b(p) = sum_{i=1..p} [psi((n-i+1)/2) - ln(n/2)], with variance
+    t(p) = sum_{i=1..p} psi'((n-i+1)/2) (Anderson, An Introduction to
+    Multivariate Statistical Analysis, 3rd ed., 2003, ch. 7).  The estimate
+    1/2 [ld(S_y) + ld(S_v) - ld(S_yv)] therefore has the exact bias
+    1/2 [2 b(L) - b(2L)]; its three log-dets are correlated, so its
+    standard deviation is at most 1/2 [2 sqrt(t(L)) + sqrt(t(2L))].
+    Needs n >= 2L.
+    """
+    args = [_mp(n - i) / 2 for i in range(2 * L)]
+    digamma = [_CTX.psi(0, x) for x in args]
+    trigamma = [_CTX.psi(1, x) for x in args]
+    log_half_n = _CTX.log(_mp(n) / 2)
+
+    def b(p):
+        return _CTX.fsum(digamma[:p]) - p * log_half_n
+
+    def t(p):
+        return _CTX.fsum(trigamma[:p])
+
+    return (2 * b(L) - b(2 * L)) / 2, (2 * _CTX.sqrt(t(L)) + _CTX.sqrt(t(2 * L))) / 2

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from coords import covariance_matrix
 
 import symrd.cli as cli
 from symrd import (
@@ -24,7 +25,6 @@ from symrd import (
     asymptotic_gap,
     asymptotic_regime,
     classify,
-    covariance_matrix,
     d_min,
     from_eigenvalues,
     lower_asymptotic,

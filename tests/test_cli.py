@@ -80,6 +80,8 @@ NON_FINITE_TEXTS = {
     "L_nan": "L = nan\nsigma_x_sq = 1\nrho_x = 0.2\nsigma_z_sq = 1\nrho_z = 0\n",
     "sx_inf": "L = 10\nsigma_x_sq = inf\nrho_x = 0.2\nsigma_z_sq = 1\nrho_z = 0\n",
     "sz_nan": "L = 10\nsigma_x_sq = 1\nrho_x = 0.2\nsigma_z_sq = nan\nrho_z = 0\n",
+    # finite values whose noise eigenvalue lambda_z overflows float64
+    "lz_inf": "L = 10\nsigma_x_sq = 1\nrho_x = 0.9\nsigma_z_sq = 1e308\nrho_z = 0.95\n",
 }
 
 
@@ -614,6 +616,7 @@ def test_simulate_deterministic(specs, capsys):
         (lambda s: ["info", s["L_nan"]], "finite"),
         (lambda s: ["info", s["sx_inf"]], "finite"),
         (lambda s: ["info", s["sz_nan"]], "finite"),
+        (lambda s: ["info", s["lz_inf"]], "overflows float64"),
         # system-size lists: not an integer, below 2
         (lambda s: ["sweep", s["gapped"], "--d-start", "0.85", "--d-end", "0.89",
                     "--n-points", "2", "--asymptotic", "x"], "--asymptotic"),

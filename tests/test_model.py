@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from coords import covariance_matrix
 
 import symrd
 from symrd import (
@@ -24,7 +25,7 @@ from symrd import (
     validate_spec,
 )
 from symrd.lower_bound import classify, evaluate
-from symrd.simulate import covariance_matrix, eigenbasis
+from symrd.simulate import eigenbasis
 
 L_CASES = 10
 
@@ -153,6 +154,10 @@ def test_validate_spec_accepts_boundary_correlations():
         (4, 1.0, 0.0, math.inf, 0.0),     # sigma_z_sq = inf
         (10, 1e-15, 0.3, -9e-13, 0.0),    # sigma_z_sq < 0, in units of 1e-15
         (10**320, 1.0, 0.0, 1.0, 0.0),    # L past the largest float64
+        (4, True, 0.0, 1.0, False),       # bool is not a variance
+        (10, 1.0, 0.9, 1e308, 0.95),      # lambda_z, so lambda_y, overflows
+        (10, 1e308, 0.0, 1e307, 0.0),     # (L - 1) gamma_x overflows d_min and sigma_x_sq
+        (10, 1e308, 0.9, 1e307, 0.0),     # lambda_x, so lambda_y, overflows
     ],
 )
 def test_validate_spec_rejects(spec):
