@@ -21,12 +21,10 @@ D_th,2 = D_th(m_1); inside R_c the switch R_1^c -> R_2^c is at D_th^c.
 classify settles this once per spectrum in a Regime, whose branch names
 the side and case.  rows is the converse pass over a grid of D: it wraps
 upper_bound.solutions, which checks each D, forms its exact slack pair
-and gives Rbar, with the dispatch to Rbar, R1c or R2c (hatted or not) on the
-Regime's thresholds.  evaluate, lower_bound_rate and lower_bound_piece
-are its one-element views.  All rates are in nats.  Every closed form
-here is validated elsewhere against an independent numerical solution of
-the underlying minimization program; this module only evaluates formulas
-and routes between them.
+and gives Rbar, and dispatches on the Regime's thresholds to Rbar or to
+R1c or R2c (hatted or not), whose D-free terms it forms once per grid.
+evaluate, lower_bound_rate and lower_bound_piece are its one-element
+views.  All rates are in nats.
 """
 
 from __future__ import annotations
@@ -53,8 +51,7 @@ class Branch(enum.Enum):
     Case 1: the lower bound equals Rbar for every distortion.
     Case 2: Rbar up to D_th,1, then the composite family.
     Case 3: Rbar, composite on (D_th,1, D_th,2), then Rbar again.
-    Case 4: fully degenerate source spectrum (lambda_x = 0 on the lambda
-    side, gamma_x = 0 on the gamma side); the composite family everywhere.
+    Case 4: x_big = 0, or too small to move m2 off 1; composite everywhere.
     """
 
     LamGeqGam_1 = "LamGeqGam_1"
@@ -71,16 +68,12 @@ class Branch(enum.Enum):
 class Regime:
     """A classified spectrum: all the dispatch needs at any D.
 
-    classify builds it once per spectrum and rows takes it over a grid.
-    prepared is upper_bound.prepare's: the spectrum, L and the lambda_q
-    solve's constants, formed once per spectrum, from which
-    upper_bound.solutions checks each D and forms its two slacks; big
+    prepared is upper_bound.prepare's constants of the lambda_q solve; big
     and small are model.side_view's (x, y, m) triples and hatted its
-    orientation; case is the branch's case 1-4; m1, m2, d_th_1, d_th_2
-    and d_th_c are the roots and switch points, None where the case does
-    not define them (the roots too, when the discriminant alone settles
-    case 1).  On the hatted side the roots are the paper's nu and the
-    thresholds its hatted ones.
+    orientation; case is the branch's case 1-4; m1, m2, d_th_1, d_th_2 and
+    d_th_c are the roots and switch points, None where the case does not
+    define them (the roots too, when the discriminant alone settles case
+    1).  On the hatted side they are the paper's nu and hatted thresholds.
     """
 
     prepared: upper_bound.Prepared
@@ -120,10 +113,9 @@ def _d_th(big, small, L: int, m: float) -> float:
 
 
 def _d_th_c(big, small, L: int) -> float:
-    """D_th^c: the switch point R_1^c -> R_2^c inside the composite family.
+    """D_th^c, the switch R_1^c -> R_2^c, with y_big != y_small.
 
-    Written with x^2 (1/x - 1/y) of the small side expanded to x - x^2/y,
-    so that x_small = 0 evaluates cleanly.  Requires y_big != y_small.
+    The small side's x^2 (1/x - 1/y) is x - x^2/y, clean at x_small = 0.
     """
     (xb, yb, mb), (xs, ys, ms) = big, small
     return xb ** 2 / (yb - ys) + (ms * (xs - xs ** 2 / ys) + mb * xb) / L
@@ -136,48 +128,53 @@ def _not_positive(label: str, what: str, value: float) -> DomainError:
     return DomainError(f"{label} {what} = {value!r} is not positive")
 
 
-def _rc(label: str, big, small, L: int, slack: float, rest: float) -> float:
-    """R_1^c or R_2^c (by label) over the given orientation, unclamped.
+def _terms(label: str, big, small, L: int) -> tuple:
+    """R_1^c's or R_2^c's (by label) D-free terms (first, top, half, shift, refusal, logs).
 
-    slack and rest are L (D - d_min) and L (sigma_x_sq - D), the pair the
-    lambda_q solve takes.  R_1^c's denominator adds
-    m_b x_b^2 y_s / (y_b (y_b - y_s)) to slack, a sum of positive terms.
-    R_2^c's subtracts m_b x_b^2 / y_b from slack; where rest is the
-    smaller of the pair it is formed as m_s x_s^2 / y_s - rest, the same
-    number, and R_2^c = L/2 ln(1 + rest / den), so that the rate keeps
-    its digits as D -> sigma_x_sq, where the ratio m_s x_s^2 / (y_s den)
-    nears 1.  A sub-expression that is not positive (a slack outside the
-    piece's domain, or a small side without source) raises DomainError
-    naming it.
+    R_2^c: m_s x_s^2 / y_s, L/2 and m_b x_b^2 / y_b.  R_1^c, k = m_s + 2 m_b:
+    k x_s^2 / y_s, k/2, m_b x_b^2 y_s / (y_b (y_b - y_s)), and the logs
+    m_b/2 ln(ratio) and L/2 ln(m_s / L) of the eigenvalue ratio
+    x_b^2 / x_s^2 / (y_b / y_s - 1); a ratio that cannot be formed or is not
+    positive leaves its error as refusal, raised after the denominator check.
     """
     (xb, yb, mb), (xs, ys, ms) = big, small
-    first = label in (PIECE_R1C, PIECE_R1C_HAT)
-    near_top = rest < slack
-    if first:
-        den = slack + mb * xb ** 2 * ys / (yb * (yb - ys))
-    elif near_top:
-        den = ms * xs ** 2 / ys - rest
-    else:
-        den = slack - mb * xb ** 2 / yb
+    if label not in (PIECE_R1C, PIECE_R1C_HAT):
+        return False, ms * xs ** 2 / ys, L / 2.0, mb * xb ** 2 / yb, None, None
+    k = ms + 2 * mb
+    shift = mb * xb ** 2 * ys / (yb * (yb - ys))
+    try:
+        ratio = xb ** 2 / xs ** 2 / (yb / ys - 1.0)
+    except ZeroDivisionError as exc:    # x_s^2 is 0
+        return True, None, None, shift, exc, None
+    if not ratio > 0.0:
+        return True, None, None, shift, _not_positive(label, "eigenvalue ratio", ratio), None
+    return (True, k * xs ** 2 / ys, k / 2.0, shift, None,
+            (mb / 2.0 * math.log(ratio), L / 2.0 * math.log(ms / L)))
+
+
+def _rc(label: str, slack: float, rest: float, terms: tuple) -> float:
+    """R_1^c or R_2^c (by label) at the slack pair, unclamped, from its _terms.
+
+    slack and rest are L (D - d_min) and L (sigma_x_sq - D).  R_1^c's
+    denominator is slack + shift, a sum of positive terms; R_2^c's is
+    slack - shift, or top - rest where rest is the smaller, and then
+    R_2^c = L/2 ln(1 + rest / den) keeps its digits as D -> sigma_x_sq.  A
+    sub-expression that is not positive raises DomainError naming it.
+    """
+    first, top, half, shift, refusal, logs = terms
+    near_top = not first and rest < slack
+    den = slack + shift if first else top - rest if near_top else slack - shift
     if not den > 0.0:
         raise _not_positive(label, "denominator", den)
-    if not first:
-        if near_top:
-            return L / 2.0 * math.log1p(rest / den)
-        arg = ms * xs ** 2 / ys / den
-        if not arg > 0.0:
-            raise _not_positive(label, "principal argument", arg)
-        return L / 2.0 * math.log(arg)
-    ratio = xb ** 2 / xs ** 2 / (yb / ys - 1.0)
-    if not ratio > 0.0:
-        raise _not_positive(label, "eigenvalue ratio", ratio)
-    k = ms + 2 * mb
-    arg = k * xs ** 2 / ys / den
+    if near_top:
+        return half * math.log1p(rest / den)
+    if refusal:
+        raise refusal
+    arg = top / den
     if not arg > 0.0:
         raise _not_positive(label, "principal argument", arg)
-    return (k / 2.0 * math.log(arg)
-            + mb / 2.0 * math.log(ratio)
-            + L / 2.0 * math.log(ms / L))
+    value = half * math.log(arg)
+    return value + logs[0] + logs[1] if first else value
 
 
 # --- classification and dispatch ---------------------------------------------
@@ -215,14 +212,14 @@ def classify(spectrum: Spectrum, L: int) -> Regime:
 def rows(regime: Regime, grid):
     """(D, upper, lower, piece) for each D of grid, in order, from one converse pass.
 
-    upper is upper_bound_rate, lower is lower_bound_rate and piece is
-    lower_bound_piece for the regime's spectrum and L.  upper_bound's
-    solutions checks each D and forms its exact slack pair, once, from
-    the regime's prepared constants; the lambda_q solve and the composite
-    pieces share it, and on Rbar segments lower reuses upper.  The
-    dispatch's thresholds are read once per grid.  A generator: the rows
-    before a failing D are yielded before its error is raised, with
-    upper_bound_rate's domain rules and errors.
+    upper, lower and piece are upper_bound_rate, lower_bound_rate and
+    lower_bound_piece for the regime's spectrum and L.  Each D's exact
+    slack pair, from upper_bound.solutions, serves the lambda_q solve and
+    the composite pieces; on Rbar segments lower reuses upper.  The
+    thresholds are read once per grid, and each piece's D-free terms are
+    formed (_terms) at the first row that takes it, which raises their
+    error if they cannot be.  A generator: the rows before a failing D
+    are yielded before its error is raised, with upper_bound_rate's rules.
     """
     r = regime
     big, small, L = r.big, r.small, r.prepared.L
@@ -233,12 +230,16 @@ def rows(regime: Regime, grid):
     # is d_min: every D takes its second piece, however d_th_c rounds.
     split = r.d_th_c if big[0] != 0.0 else -math.inf
     first, second = _PIECES[r.hatted]
+    terms1 = terms2 = None
     for D, _, upper, slack, den, rest in upper_bound.solutions(r.prepared, grid):
         if D <= rbar_to or not D < rbar_from:
             yield D, upper, upper, PIECE_RBAR
+        elif D <= split:
+            yield D, upper, _rc(first, slack / den, rest,
+                                terms1 := terms1 or _terms(first, big, small, L)), first
         else:
-            piece = first if D <= split else second
-            yield D, upper, _rc(piece, big, small, L, slack / den, rest), piece
+            yield D, upper, _rc(second, slack / den, rest,
+                                terms2 := terms2 or _terms(second, big, small, L)), second
 
 
 def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
@@ -249,9 +250,8 @@ def evaluate(regime: Regime, D: float) -> tuple[float, float, str]:
 def lower_bound_rate(spectrum: Spectrum, L: int, D: float) -> float:
     """Lower bound on the sum rate in nats at per-component distortion D.
 
-    Dispatches on the thresholds: Rbar on the segments where the bounds
-    provably coincide, the composite family elsewhere.  The lower value of
-    evaluate on classify's regime, with its domain rule: DomainError unless
+    The lower value of evaluate on classify's regime: Rbar where the bounds
+    provably coincide, the composite family elsewhere.  DomainError unless
     D lies in the open interval (d_min, sigma_x_sq).
     """
     return evaluate(classify(spectrum, L), D)[1]

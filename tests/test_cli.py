@@ -108,6 +108,8 @@ def specs(tmp_path):
     p = tmp_path / "latin1.spec"
     p.write_bytes(LATIN1_BYTES)
     paths["latin1"] = str(p)
+    # x_big = 0: every row of a sweep is R2c
+    paths["lamgeqgam_4"] = str(Path(__file__).resolve().parent / "golden" / "lamgeqgam_4.spec")
     return paths
 
 
@@ -433,6 +435,29 @@ def test_gapped_sweep_row_dispatches_each_d_once(specs, capsys, monkeypatch):
     assert calls == dict.fromkeys(names, 40)
 
 
+def test_sweep_forms_each_piece_terms_once(specs, capsys, monkeypatch):
+    # a composite piece's D-free terms are formed at the first row that
+    # takes the piece and kept for the grid: a 200-row case-2 sweep, whose
+    # rows cross R1c and R2c, forms each piece's once; an all-Rbar case-1
+    # sweep forms none
+    labels = []
+    original = symrd.lower_bound._terms
+
+    def counted(label, *args):
+        labels.append(label)
+        return original(label, *args)
+
+    monkeypatch.setattr(symrd.lower_bound, "_terms", counted)
+    for name, d_start, d_end, pieces in (("case2", "0.7", "0.9", ["R1c", "R2c"]),
+                                         ("case1", "0.75", "0.95", [])):
+        labels.clear()
+        rc, out, _ = _run(capsys, ["sweep", specs[name], "--d-start", d_start,
+                                   "--d-end", d_end, "--n-points", "200"])
+        assert rc == 0
+        assert {row[4] for row in _rows(out)[1]} == set(pieces or ["Rbar"])
+        assert labels == pieces, name
+
+
 # A grid whose rows cross the CSV writer's first block boundary (the
 # header is the first of a block's BLOCK_ROWS lines).
 BLOCKED_POINTS = cli.BLOCK_ROWS + 20
@@ -456,7 +481,8 @@ class _Tagged:
                                BLOCKED_POINTS])
 # Each patched function is the step a pass takes once a row: the oracle's
 # pass scores one certificate a row, the large-L pass settles where the
-# bounds meet once a row, and the converse pass takes one rate a row.
+# bounds meet once a row, and the converse pass takes one rate a row and,
+# on a composite row, one piece.
 @pytest.mark.parametrize("argv, module, name, error, code", [
     (["sweep", "case2", "--certify", "--d-start", "0.7", "--d-end", "0.9"],
      "oracle", "_kkt", ConvergenceError, 3),
@@ -468,6 +494,8 @@ class _Tagged:
      "asymptotics", "bounds_meet", PrecisionError, 3),
     (["sweep", "case2", "--d-start", "0.7", "--d-end", "0.9"],
      "upper_bound", "rate_of", PrecisionError, 3),
+    (["sweep", "lamgeqgam_4", "--d-start", "0.0833333", "--d-end", "0.990741"],
+     "lower_bound", "_rc", DomainError, 2),
 ])
 def test_failing_row_leaves_the_rows_before_it(specs, capsys, monkeypatch, k, argv,
                                                module, name, error, code):

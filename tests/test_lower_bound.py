@@ -9,6 +9,7 @@ pieces with the replay in tests/mpref.py over the range the library accepts.
 """
 
 import math
+import random
 import re
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from symrd import (
     upper_bound_rate,
 )
 import symrd.upper_bound
-from symrd.lower_bound import _rc, classify, evaluate, rows
+from symrd.lower_bound import _rc, _terms, classify, evaluate, rows
 from symrd.model import outside_interval, parse_spec_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -196,6 +197,116 @@ def test_continuity_at_breakpoints():
             assert abs(jump) <= 1e-8, (eig, name)
 
 
+def _arm_draws(seed: int, per_arm: int):
+    """(L, spectrum, regime) for per_arm seeded eigenvalue specs of each Branch arm.
+
+    L is log-uniform on [2, 1e6] and each eigenvalue x or z 10^U(-3, 3)
+    times a scale 10^U(-3, 3); lambda_x = 0 and gamma_x = 0 each have odds
+    3 in 20 (case 4).  A draw whose arm is full is dropped.
+    """
+    rng = random.Random(seed)
+    got = dict.fromkeys(Branch, 0)
+    while min(got.values()) < per_arm:
+        L = max(2, round(math.exp(rng.uniform(0.0, math.log(1e6)))))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        lx, gx, lz, gz = (10.0 ** rng.uniform(-3, 3) for _ in range(4))
+        draw = rng.random()
+        lx, gx = (0.0 if draw < 0.15 else lx), (0.0 if 0.15 <= draw < 0.3 else gx)
+        eig = (v * scale for v in (lx, gx, lx + lz, gx + gz))
+        s = spectral_decompose(from_eigenvalues(L, *eig))
+        regime = classify(s, L)
+        if got[regime.branch] < per_arm:
+            got[regime.branch] += 1
+            yield L, s, regime
+
+
+def _error_bound(rate: float, slope: float, D: float) -> float:
+    """The error a lower-bound value is held to: a composite piece's bound."""
+    return PIECE_D_ULPS * abs(slope) * math.ulp(D) + PIECE_RATE_ULPS * math.ulp(rate)
+
+
+def test_lower_bound_is_non_increasing_and_convex():
+    # over 149-point grids on every arm, and a second grid over each
+    # composite window: each first difference is at most and each second
+    # difference at least what the values' own error bounds allow (values
+    # within e of a non-increasing convex function, e the bound a piece is
+    # held to below, move the differences by at most e1 + e2 and
+    # e1 + 2 e2 + e3).  Measured: in 1,788,000 points (four draws like this
+    # one at 250 specs an arm, variances also 10^+-100) no first difference
+    # was positive and no second difference negative, with no allowance.
+    checked = 0
+    for L, s, regime in _arm_draws(seed=20261023, per_arm=25):
+        lo, hi = d_min(s, L), source_variance(s, L)
+        spans = [(lo, hi)]
+        if regime.case in (2, 3):
+            spans.append((regime.d_th_1, hi if regime.d_th_2 is None else regime.d_th_2))
+        for a, b in spans:
+            grid = [a + (b - a) * (k / 150) for k in range(1, 150)]
+            D, _, f, _ = zip(*rows(regime, grid))
+            slopes = [(f[i + 1] - f[i]) / (D[i + 1] - D[i]) for i in range(len(D) - 1)]
+            err = [_error_bound(f[i], max(abs(x) for x in slopes[max(i - 1, 0):i + 1]), D[i])
+                   for i in range(len(D))]
+            for i in range(len(D) - 1):
+                assert f[i + 1] - f[i] <= err[i] + err[i + 1], (L, regime.branch, D[i])
+            for i in range(1, len(D) - 1):
+                second = f[i - 1] - 2.0 * f[i] + f[i + 1]
+                assert second >= -(err[i - 1] + 2.0 * err[i] + err[i + 1]), \
+                    (L, regime.branch, D[i])
+            checked += len(D)
+    assert checked >= 8 * 25 * 149
+
+
+# Offsets of a threshold, as fractions of D_th - d_min, at which the float
+# probe takes the converse on either side.
+CONTINUITY_OFFSETS = (1e-6, 1e-8)
+# The largest jump across a threshold, relative to what the adjoining
+# pieces' slopes predict.  Measured: at most 1.01 over 515 composite specs
+# of another seeded draw; at most 1 + 5.9e-3 over 3873 thresholds of two
+# draws like the test's at 250 specs an arm, and 1 + 1.3e-4 over the
+# test's own 158.
+CONTINUITY_RATIO = 1.01
+
+
+def test_lower_bound_is_continuous_at_thresholds():
+    # a float probe of the glue: at each d_th_1, d_th_2 and d_th_c where
+    # the piece changes, the converse at D_th -+ 1e-8 (D_th - d_min) moves
+    # across the threshold by what the slopes of the two pieces, each taken
+    # from its points at 1e-8 and 1e-6 away, predict, within 1%.  Cases 2
+    # and 3 switch on both sides.  Case 1 has no threshold.  Case 4 has
+    # d_th_c only where x_big > 0, and there 4 L / m_small times the
+    # contrast is below about 1e-16, which keeps d_th_c next to d_min: the
+    # draws here never resolve it at 1e-8 of the gap, and where a spectrum
+    # does (a tiny z on the small side), _d_th_c's float value can be off
+    # by a fifth of D_th^c - d_min, so case 4 is not checked.
+    checked = dict.fromkeys(
+        [(arm, name) for arm in (Branch.LamGeqGam_2, Branch.GamGeqLam_2)
+         for name in ("d_th_1", "d_th_c")]
+        + [(arm, name) for arm in (Branch.LamGeqGam_3, Branch.GamGeqLam_3)
+           for name in ("d_th_1", "d_th_2")], 0)
+    for L, s, regime in _arm_draws(seed=20261024, per_arm=20):
+        lo, hi = d_min(s, L), source_variance(s, L)
+        for name in ("d_th_1", "d_th_2", "d_th_c"):
+            t = getattr(regime, name)
+            if t is None or regime.case == 4:
+                continue
+            far, near = (o * (t - lo) for o in CONTINUITY_OFFSETS)
+            grid = [t - far, t - near, t + near, t + far]
+            if not lo < grid[0] < grid[1] < t < grid[2] < grid[3] < hi:
+                continue
+            (d1, _, f1, p1), (d2, _, f2, p2), (d3, _, f3, p3), (d4, _, f4, p4) = \
+                rows(regime, grid)
+            if p2 == p3:    # the piece does not change here (d_th_c past d_th_2)
+                continue
+            assert (p1, p3) == (p2, p4), (L, regime.branch, name)
+            predicted = ((f2 - f1) / (d2 - d1) * (t - d2)
+                         + (f4 - f3) / (d4 - d3) * (d3 - t))
+            jump = f3 - f2
+            assert abs(jump - predicted) <= (CONTINUITY_RATIO - 1.0) * abs(predicted), \
+                (L, regime.branch, name, jump, predicted)
+            checked[regime.branch, name] += 1
+    assert min(checked.values()) >= 10, checked
+
+
 def test_piece_switches_across_breakpoints():
     s2 = _spectrum(CASE2)
     t2 = classify(s2, L_CASES)
@@ -222,8 +333,9 @@ def test_degenerate_gamma_unhatted_flag():
     big, small = (s.lambda_x, s.lambda_y, 1), (s.gamma_x, s.gamma_y, L_CASES - 1)
     for piece in (PIECE_R1C, PIECE_R2C):
         with pytest.raises(DomainError) as exc:
-            _rc(piece, big, small, L_CASES, L_CASES * (0.30 - d_min(s, L_CASES)),
-                L_CASES * (source_variance(s, L_CASES) - 0.30))
+            _rc(piece, L_CASES * (0.30 - d_min(s, L_CASES)),
+                L_CASES * (source_variance(s, L_CASES) - 0.30),
+                _terms(piece, big, small, L_CASES))
         assert "not positive" in str(exc.value)
 
 
@@ -433,8 +545,9 @@ def test_rc_domain_errors_name_the_subexpression():
     s = _spectrum(CASE2)
     big, small = (s.lambda_x, s.lambda_y, 1), (s.gamma_x, s.gamma_y, L_CASES - 1)
     with pytest.raises(DomainError) as exc:
-        _rc(PIECE_R1C, big, small, L_CASES, L_CASES * (0.60 - d_min(s, L_CASES)),
-            L_CASES * (source_variance(s, L_CASES) - 0.60))
+        _rc(PIECE_R1C, L_CASES * (0.60 - d_min(s, L_CASES)),
+            L_CASES * (source_variance(s, L_CASES) - 0.60),
+            _terms(PIECE_R1C, big, small, L_CASES))
     assert "R1c" in str(exc.value)
 
 
